@@ -392,13 +392,13 @@ def cmd_optimize(run: Run) -> None:
         step=_parse_float("step", step_setting) if step_setting is not None else None,
         shrink=_parse_float("shrink", run.setting("shrink", "0.5")),
         rounds=_parse_int("rounds", run.setting("rounds", "6")),
-        seed=run.seed,
     )
     params, loss, trace = optimize_alphas(
         space.matrix, batch_features(records), labels, kind, dist_kinds, cfg
     )
     out = run.path_out(OPTIMIZE_TRACE)
     save_trace_csv(trace, out)
+    best = {f"alpha{i}": a for i, a in enumerate(params.alphas, start=1)}
     write_sidecar(
         out,
         "optimize",
@@ -409,16 +409,13 @@ def cmd_optimize(run: Run) -> None:
             "bounds": [f"{lo}:{hi}" for lo, hi in cfg.bounds],
             "shrink": cfg.shrink,
             "rounds": cfg.rounds,
-            "best_alpha1": params.alphas[0],
-            "best_alpha2": params.alphas[1],
+            **{f"best_{name}": a for name, a in best.items()},
             "best_loss": loss,
         },
         run.seed,
     )
-    print(
-        f"optimize: kind={kind} alpha1={params.alphas[0]!r} "
-        f"alpha2={params.alphas[1]!r} loss={loss!r} ({len(trace)} probes) -> {out}"
-    )
+    alphas = " ".join(f"{name}={a!r}" for name, a in best.items())
+    print(f"optimize: kind={kind} {alphas} loss={loss!r} ({len(trace)} probes) -> {out}")
 
 
 def cmd_tsne(run: Run) -> None:
@@ -434,9 +431,6 @@ def cmd_tsne(run: Run) -> None:
         cost=run.setting("cost", "joint"),
         seed=run.seed,
     )
-    result = run_tsne(space.matrix, cfg)
-    out = run.path_out(TSNE_CSV)
-    write_coords_csv(space.ids, result.coords, out)
     colors = None
     inputs = {"space": run.out_dir / input_name}
     colors_setting = run.setting("colors")
@@ -446,6 +440,9 @@ def cmd_tsne(run: Run) -> None:
             raise ConfigError(f"colors file {colors_path} does not exist")
         colors = load_colors(colors_path)
         inputs["colors"] = colors_path
+    result = run_tsne(space.matrix, cfg)
+    out = run.path_out(TSNE_CSV)
+    write_coords_csv(space.ids, result.coords, out)
     svg_out = run.path_out(TSNE_SVG)
     write_scatter_svg(space.ids, result.coords, svg_out, colors)
     params = {

@@ -133,6 +133,8 @@ def load_word_vectors(path: str | Path) -> WordVectorTable:
                 vectors[token] = np.array([float(v) for v in values])
             except ValueError:
                 raise FormatError(f"line {lineno}: non-numeric vector value") from None
+            if not np.isfinite(vectors[token]).all():
+                raise FormatError(f"line {lineno}: non-finite vector value")
     if dim is None:
         raise FormatError(f"{path}: no word vector entries")
     return WordVectorTable(dim=dim, vectors=vectors)

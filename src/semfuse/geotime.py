@@ -94,13 +94,19 @@ def encode_time_condensed(t: float) -> float:
     return float(t)
 
 
+def great_circle_miles(lat1, lon1, lat2, lon2):
+    """Haversine miles on a spherical Earth between points in degrees; broadcasts."""
+    lat1, lon1, lat2, lon2 = (np.radians(np.asarray(v, dtype=float)) for v in (lat1, lon1, lat2, lon2))
+    # h is reused so that one m x m buffer stays live, besides temporaries
+    h = np.sin((lon2 - lon1) / 2.0)
+    h = np.cos(lat1) * np.cos(lat2) * h * h
+    h += np.square(np.sin((lat2 - lat1) / 2.0))
+    return 2.0 * EARTH_RADIUS_MILES * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+
+
 def haversine_miles(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in miles between two points on a spherical Earth."""
-    lat1, lon1, lat2, lon2 = map(math.radians, (a.lat, a.lon, b.lat, b.lon))
-    s_lat = math.sin((lat2 - lat1) / 2.0)
-    s_lon = math.sin((lon2 - lon1) / 2.0)
-    h = s_lat * s_lat + math.cos(lat1) * math.cos(lat2) * s_lon * s_lon
-    return 2.0 * EARTH_RADIUS_MILES * math.asin(min(1.0, math.sqrt(h)))
+    return float(great_circle_miles(a.lat, a.lon, b.lat, b.lon))
 
 
 def standardize(m: np.ndarray) -> tuple[np.ndarray, StandardizationStats]:

@@ -2,16 +2,18 @@
 
 Two scorers extend the dot product with weighted distance kernels over
 extra per-record features (time in days, coordinates): an additive form
-and a multiplicative form. Batches are compared through ranking matrices,
-and the kernel weights are fit by a deterministic shrinking-grid search
-over the weight space, since the ranking loss is piecewise constant and
-has no usable gradient.
+and a multiplicative form. `pairwise_scores` is the one scorer: it builds
+every kernel as an m x m matrix and composes the scores from them, and
+the per-pair `sim_sigma`/`sim_pi` read one cell of a two-record batch.
+Batches are compared through ranking matrices, and the kernel weights are
+fit by a deterministic shrinking-grid search over the weight space, since
+the ranking loss is piecewise constant and has no usable gradient.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +23,7 @@ import numpy as np
 
 from .corpus import Record
 from .errors import ConfigError, ConflictError, DomainError, FormatError, RowError
-from .geotime import SECONDS_PER_DAY, GeoPoint, haversine_miles
+from .geotime import SECONDS_PER_DAY, GeoPoint, great_circle_miles, haversine_miles
 
 SIM_KINDS = ("sigma", "pi")
 DIST_KINDS = ("exp_abs", "inv_abs", "floor_geo")
@@ -29,30 +31,28 @@ DEFAULT_DIST_KINDS = ("inv_abs", "floor_geo")
 RECOMMENDED_BATCH = (10, 20)
 
 
+# Each kernel once, as a numpy function of the gap between two features:
+# |a - b| for times in days, great-circle miles for coordinates.
+_KERNELS = {
+    "exp_abs": lambda gap: np.exp(-gap),
+    "inv_abs": lambda gap: 1.0 / (gap + 1.0),
+    "floor_geo": lambda miles: np.maximum(0.0, (10.0 - np.floor(miles / 500.0)) / 10.0),
+}
+
+
 def dist_exp(a: float, b: float) -> float:
     """exp(-|a - b|), in (0, 1]."""
-    return math.exp(-abs(a - b))
+    return float(_KERNELS["exp_abs"](abs(a - b)))
 
 
 def dist_inv(a: float, b: float) -> float:
     """1 / (|a - b| + 1), in (0, 1]."""
-    return 1.0 / (abs(a - b) + 1.0)
+    return float(_KERNELS["inv_abs"](abs(a - b)))
 
 
 def dist_floor_geo(a: GeoPoint, b: GeoPoint) -> float:
     """(10 - floor(miles/500)) / 10 of the great-circle distance, clamped at 0."""
-    miles = haversine_miles(a, b)
-    return max(0.0, (10.0 - math.floor(miles / 500.0)) / 10.0)
-
-
-def _pair_distance(kind: str, a, b) -> float:
-    if kind == "exp_abs":
-        return dist_exp(a, b)
-    if kind == "inv_abs":
-        return dist_inv(a, b)
-    if kind == "floor_geo":
-        return dist_floor_geo(a, b)
-    raise DomainError(f"unknown distance kind {kind!r}; expected one of {DIST_KINDS}")
+    return float(_KERNELS["floor_geo"](haversine_miles(a, b)))
 
 
 @dataclass(frozen=True)
@@ -75,30 +75,20 @@ class SimilarityParams:
                 raise DomainError(f"unknown distance kind {dk!r}; expected one of {DIST_KINDS}")
 
 
-def _pair_kernel_values(feats1, feats2, p: SimilarityParams) -> list[float]:
-    if len(feats1) != len(feats2):
-        raise DomainError(f"feature counts differ: {len(feats1)} vs {len(feats2)}")
-    if len(feats1) != len(p.alphas):
-        raise DomainError(f"{len(feats1)} features for {len(p.alphas)} alphas")
-    return [_pair_distance(k, a, b) for k, a, b in zip(p.dist_kinds, feats1, feats2)]
+def _pair_score(kind: str, e1, e2, feats1, feats2, p: SimilarityParams) -> float:
+    if p.kind != kind:
+        raise DomainError(f"sim_{kind} called with kind {p.kind!r}")
+    return float(pairwise_scores(np.array([e1, e2], dtype=float), [feats1, feats2], p)[0, 1])
 
 
 def sim_sigma(e1, e2, feats1, feats2, p: SimilarityParams) -> float:
     """Additive scorer: e1.e2 + sum_i alpha_i * d_i."""
-    if p.kind != "sigma":
-        raise DomainError(f"sim_sigma called with kind {p.kind!r}")
-    dists = _pair_kernel_values(feats1, feats2, p)
-    dot = float(np.asarray(e1, dtype=float) @ np.asarray(e2, dtype=float))
-    return dot + sum(a * d for a, d in zip(p.alphas, dists))
+    return _pair_score("sigma", e1, e2, feats1, feats2, p)
 
 
 def sim_pi(e1, e2, feats1, feats2, p: SimilarityParams) -> float:
     """Multiplicative scorer: (e1.e2) * prod_i (alpha_i + d_i)."""
-    if p.kind != "pi":
-        raise DomainError(f"sim_pi called with kind {p.kind!r}")
-    dists = _pair_kernel_values(feats1, feats2, p)
-    dot = float(np.asarray(e1, dtype=float) @ np.asarray(e2, dtype=float))
-    return dot * math.prod(a + d for a, d in zip(p.alphas, dists))
+    return _pair_score("pi", e1, e2, feats1, feats2, p)
 
 
 def batch_features(records: Sequence[Record]) -> list[tuple]:
@@ -134,7 +124,7 @@ def rank_matrix(scores: np.ndarray) -> RankMatrix:
 
     Ties are broken by ascending candidate index, so the result is
     deterministic and each off-diagonal row is a permutation of
-    {0, ..., m-2} whenever row scores are distinct.
+    {0, ..., m-2}. Non-finite scores have no order and are rejected.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
@@ -142,12 +132,15 @@ def rank_matrix(scores: np.ndarray) -> RankMatrix:
     m = scores.shape[0]
     if m < 2:
         raise DomainError(f"need at least 2 items, got {m}")
-    entries = np.zeros((m, m), dtype=int)
-    for i in range(m):
-        candidates = [j for j in range(m) if j != i]
-        order = sorted(candidates, key=lambda j: (-scores[i, j], j))
-        for position, j in enumerate(order):
-            entries[i, j] = position
+    if not np.isfinite(scores).all():
+        raise DomainError("score matrix has non-finite entries")
+    # a stable sort of -score keeps ties in index order; the diagonal sorts last
+    keys = -scores
+    np.fill_diagonal(keys, np.inf)
+    order = np.argsort(keys, axis=1, kind="stable")
+    entries = np.empty((m, m), dtype=int)
+    np.put_along_axis(entries, order, np.arange(m)[None, :], axis=1)
+    np.fill_diagonal(entries, 0)
     return RankMatrix(m=m, entries=entries)
 
 
@@ -170,25 +163,31 @@ def pairwise_scores(
     m = embeddings.shape[0]
     if len(features) != m:
         raise DomainError(f"{m} embeddings for {len(features)} feature tuples")
+    if any(len(feats) != len(params.alphas) for feats in features):
+        raise DomainError(f"every record needs {len(params.alphas)} features, one per alpha")
     kernels = _kernel_matrices(features, params.dist_kinds)
-    dots = embeddings @ embeddings.T
-    scores = _compose_scores(dots, kernels, params)
-    upper = np.triu(scores)
-    return upper + np.triu(scores, 1).T
+    scores = _compose_scores(embeddings @ embeddings.T, kernels, params)
+    # mirror the upper triangle in place; adding 0.0 normalizes -0.0 to 0.0
+    # exactly as the sum of the two triangles would
+    for i in range(m - 1):
+        scores[i + 1:, i] = scores[i, i + 1:]
+    scores += 0.0
+    return scores
 
 
 def _kernel_matrices(features: Sequence[tuple], dist_kinds: Sequence[str]) -> list[np.ndarray]:
-    m = len(features)
-    kernels = []
-    for fi, kind in enumerate(dist_kinds):
-        kernel = np.ones((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                kernel[i, j] = kernel[j, i] = _pair_distance(
-                    kind, features[i][fi], features[j][fi]
-                )
-        kernels.append(kernel)
-    return kernels
+    return [_kernel_matrix([f[fi] for f in features], kind) for fi, kind in enumerate(dist_kinds)]
+
+
+def _kernel_matrix(column: list, kind: str) -> np.ndarray:
+    if kind not in _KERNELS:
+        raise DomainError(f"unknown distance kind {kind!r}; expected one of {DIST_KINDS}")
+    if kind == "floor_geo":
+        coords = np.array([(p.lat, p.lon) for p in column]).reshape(-1, 2)
+        lat, lon = coords[:, :1], coords[:, 1:]
+        return _KERNELS[kind](great_circle_miles(lat, lon, lat.T, lon.T))
+    x = np.array(column, dtype=float)[:, None]
+    return _KERNELS[kind](np.abs(x - x.T))
 
 
 def _compose_scores(
@@ -202,7 +201,8 @@ def _compose_scores(
     out = np.ones_like(dots)
     for alpha, kernel in zip(params.alphas, kernels):
         out *= alpha + kernel
-    return dots * out
+    out *= dots
+    return out
 
 
 @dataclass(frozen=True)
@@ -212,15 +212,13 @@ class GridConfig:
     bounds gives one (lo, hi) interval per alpha. step is the round-1 grid
     spacing (None means 21 points per axis); later rounds keep the point
     count and halve the interval around the best point by `shrink`,
-    clipped to the original bounds. seed is recorded in outputs only: the
-    search itself is deterministic.
+    clipped to the original bounds. The search is deterministic.
     """
 
     bounds: tuple[tuple[float, float], ...]
     step: float | None = None
     shrink: float = 0.5
     rounds: int = 6
-    seed: int = 0
 
     def __post_init__(self):
         if not self.bounds:
@@ -236,13 +234,9 @@ class GridConfig:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
 
     def points_per_axis(self) -> tuple[int, ...]:
-        counts = []
-        for lo, hi in self.bounds:
-            if self.step is None:
-                counts.append(21)
-            else:
-                counts.append(max(1, int(round((hi - lo) / self.step)) + 1))
-        return tuple(counts)
+        if self.step is None:
+            return (21,) * len(self.bounds)
+        return tuple(max(1, int(round((hi - lo) / self.step)) + 1) for lo, hi in self.bounds)
 
 
 def _axis_points(lo: float, hi: float, count: int) -> np.ndarray:
@@ -258,19 +252,20 @@ def optimize_alphas(
     kind: str,
     dist_kinds: Sequence[str],
     cfg: GridConfig,
-) -> tuple[SimilarityParams, float, list[tuple[int, float, float, float]]]:
+) -> tuple[SimilarityParams, float, list[tuple]]:
     """Fit the alpha weights by shrinking-grid search against labeled ranks.
 
     Returns the best parameters, their ranking loss, and the full probe
-    trace as (round, alpha1, alpha2, loss) rows. The search is exhaustive
-    per round and fully deterministic; ties keep the first probe.
+    trace as (round, alpha1, ..., alphak, loss) rows. Each round probes
+    the grid in lexicographic order, alpha1 slowest. The search is
+    exhaustive per round and fully deterministic; ties keep the first probe.
     """
     embeddings = np.asarray(embeddings, dtype=float)
     m = embeddings.shape[0]
-    if len(dist_kinds) != len(cfg.bounds):
-        raise ConfigError(f"{len(cfg.bounds)} bounds for {len(dist_kinds)} distance kinds")
-    if len(dist_kinds) != 2:
-        raise ConfigError("the grid search handles exactly 2 extra features")
+    dist_kinds = tuple(dist_kinds)
+    n = len(dist_kinds)
+    if len(cfg.bounds) != n or any(len(feats) != n for feats in features):
+        raise ConfigError(f"each of {n} distance kinds needs one bound and one feature per record")
     if labels.m != m:
         raise DomainError(f"label matrix is {labels.m}x{labels.m} for batch size {m}")
     if not RECOMMENDED_BATCH[0] <= m <= RECOMMENDED_BATCH[1]:
@@ -283,54 +278,41 @@ def optimize_alphas(
     kernels = _kernel_matrices(features, dist_kinds)
     dots = embeddings @ embeddings.T
 
-    def loss_at(alphas: tuple[float, float]) -> float:
-        params = SimilarityParams(kind=kind, alphas=alphas, dist_kinds=tuple(dist_kinds))
-        predicted = rank_matrix(_compose_scores(dots, kernels, params))
-        return rank_loss(predicted, labels)
-
     counts = cfg.points_per_axis()
-    (lo1, hi1), (lo2, hi2) = cfg.bounds
-    center = ((lo1 + hi1) / 2.0, (lo2 + hi2) / 2.0)
-    half = ((hi1 - lo1) / 2.0, (hi2 - lo2) / 2.0)
+    lo, hi = np.array(cfg.bounds, dtype=float).T
+    center = (lo + hi) / 2.0
+    half = (hi - lo) / 2.0
 
-    best_alphas: tuple[float, float] | None = None
-    best_loss = math.inf
-    trace: list[tuple[int, float, float, float]] = []
-
-    def probe(rnd: int, alphas: tuple[float, float]):
-        nonlocal best_alphas, best_loss
-        loss = loss_at(alphas)
-        trace.append((rnd, alphas[0], alphas[1], loss))
-        if loss < best_loss:
-            best_alphas, best_loss = alphas, loss
-
+    trace: list[tuple] = []
     for rnd in range(1, cfg.rounds + 1):
-        a1_lo = max(lo1, center[0] - half[0])
-        a1_hi = min(hi1, center[0] + half[0])
-        a2_lo = max(lo2, center[1] - half[1])
-        a2_hi = min(hi2, center[1] + half[1])
-        axis1 = _axis_points(a1_lo, a1_hi, counts[0])
-        axis2 = _axis_points(a2_lo, a2_hi, counts[1])
+        axes = map(_axis_points, np.maximum(lo, center - half), np.minimum(hi, center + half), counts)
+        grid = itertools.product(*axes)
         if rnd == 1 and any(c % 2 == 0 for c in counts):
             # even grids skip the interval midpoint; probe it so the result
             # can never be worse than the initial grid center
-            probe(rnd, center)
-        for a1 in axis1:
-            for a2 in axis2:
-                probe(rnd, (float(a1), float(a2)))
-        center = best_alphas
-        half = (half[0] * cfg.shrink, half[1] * cfg.shrink)
+            grid = itertools.chain([center], grid)
+        for alphas in grid:
+            alphas = tuple(map(float, alphas))
+            params = SimilarityParams(kind=kind, alphas=alphas, dist_kinds=dist_kinds)
+            loss = rank_loss(rank_matrix(_compose_scores(dots, kernels, params)), labels)
+            trace.append((rnd, *alphas, loss))
+        # min keeps the first of equal losses
+        best = min(trace, key=lambda row: row[-1])
+        center = np.array(best[1:-1])
+        half = half * cfg.shrink
 
-    params = SimilarityParams(kind=kind, alphas=best_alphas, dist_kinds=tuple(dist_kinds))
-    return params, best_loss, trace
+    params = SimilarityParams(kind=kind, alphas=best[1:-1], dist_kinds=dist_kinds)
+    return params, best[-1], trace
 
 
-def save_trace_csv(trace: Sequence[tuple[int, float, float, float]], path: str | Path) -> None:
+def save_trace_csv(trace: Sequence[tuple], path: str | Path) -> None:
+    """Write (round, alpha1, ..., alphak, loss) rows under a matching header."""
+    n_alphas = len(trace[0]) - 2 if trace else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["round", "alpha1", "alpha2", "loss"])
-        for rnd, a1, a2, loss in trace:
-            writer.writerow([rnd, repr(float(a1)), repr(float(a2)), repr(float(loss))])
+        writer.writerow(["round", *(f"alpha{i}" for i in range(1, n_alphas + 1)), "loss"])
+        for rnd, *values in trace:
+            writer.writerow([rnd, *(repr(float(v)) for v in values)])
 
 
 def load_rank_labels(path: str | Path) -> RankMatrix:
@@ -398,4 +380,8 @@ def _labels_from_matrix(rows: list[list[str]], path) -> RankMatrix:
             scores[rownum - 1] = [float(v) for v in row]
         except ValueError:
             raise RowError(rownum, "non-numeric score") from None
+        if not np.isfinite(scores[rownum - 1]).all():
+            raise RowError(rownum, "non-finite score")
+    if not np.array_equal(scores, scores.T):
+        raise FormatError(f"{path}: score matrix is not symmetric")
     return rank_matrix(scores)

@@ -1,0 +1,101 @@
+"""Scalar reference implementations the vectorized rankopt code is tested against.
+
+These are the per-pair scorer, the sort-based ranker and the two-axis grid
+walk that `semfuse.rankopt` used before it computed everything on matrices.
+They use only the standard library per pair, so a fault in the numpy path
+cannot hide in its own reference.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from semfuse.geotime import EARTH_RADIUS_MILES
+
+
+def haversine_miles(a, b) -> float:
+    lat1, lon1, lat2, lon2 = map(math.radians, (a.lat, a.lon, b.lat, b.lon))
+    s_lat = math.sin((lat2 - lat1) / 2.0)
+    s_lon = math.sin((lon2 - lon1) / 2.0)
+    h = s_lat * s_lat + math.cos(lat1) * math.cos(lat2) * s_lon * s_lon
+    return 2.0 * EARTH_RADIUS_MILES * math.asin(min(1.0, math.sqrt(h)))
+
+
+def dist_exp(a: float, b: float) -> float:
+    return math.exp(-abs(a - b))
+
+
+def dist_inv(a: float, b: float) -> float:
+    return 1.0 / (abs(a - b) + 1.0)
+
+
+def dist_floor_geo(a, b) -> float:
+    return max(0.0, (10.0 - math.floor(haversine_miles(a, b) / 500.0)) / 10.0)
+
+
+DISTANCES = {"exp_abs": dist_exp, "inv_abs": dist_inv, "floor_geo": dist_floor_geo}
+
+
+def pair_score(e1, e2, feats1, feats2, params) -> float:
+    """One score: e1.e2 + sum a_i d_i, or (e1.e2) * prod (a_i + d_i)."""
+    dists = [DISTANCES[k](a, b) for k, a, b in zip(params.dist_kinds, feats1, feats2)]
+    dot = float(np.asarray(e1, dtype=float) @ np.asarray(e2, dtype=float))
+    if params.kind == "sigma":
+        return dot + sum(a * d for a, d in zip(params.alphas, dists))
+    return dot * math.prod(a + d for a, d in zip(params.alphas, dists))
+
+
+def pairwise_scores(embeddings, features, params) -> np.ndarray:
+    """Off-diagonal scores pair by pair; the diagonal is left at 0."""
+    m = len(features)
+    scores = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                scores[i, j] = pair_score(embeddings[i], embeddings[j], features[i], features[j], params)
+    return scores
+
+
+def rank_entries(scores) -> np.ndarray:
+    """Per row, sort the other candidates by (-score, index) and record positions."""
+    m = len(scores)
+    entries = np.zeros((m, m), dtype=int)
+    for i in range(m):
+        order = sorted((j for j in range(m) if j != i), key=lambda j: (-scores[i][j], j))
+        for position, j in enumerate(order):
+            entries[i, j] = position
+    return entries
+
+
+def two_axis_grid_trace(cfg, loss_at) -> list[tuple[int, float, float, float]]:
+    """The shrinking-grid walk over exactly two axes, with an explicit nested loop."""
+    counts = cfg.points_per_axis()
+    (lo1, hi1), (lo2, hi2) = cfg.bounds
+    center = ((lo1 + hi1) / 2.0, (lo2 + hi2) / 2.0)
+    half = ((hi1 - lo1) / 2.0, (hi2 - lo2) / 2.0)
+    best, best_loss = None, math.inf
+    trace = []
+
+    def probe(rnd, alphas):
+        nonlocal best, best_loss
+        loss = loss_at(alphas)
+        trace.append((rnd, alphas[0], alphas[1], loss))
+        if loss < best_loss:
+            best, best_loss = alphas, loss
+
+    def axis(lo, hi, count):
+        return [(lo + hi) / 2.0] if count == 1 else np.linspace(lo, hi, count)
+
+    for rnd in range(1, cfg.rounds + 1):
+        axis1 = axis(max(lo1, center[0] - half[0]), min(hi1, center[0] + half[0]), counts[0])
+        axis2 = axis(max(lo2, center[1] - half[1]), min(hi2, center[1] + half[1]), counts[1])
+        if rnd == 1 and any(c % 2 == 0 for c in counts):
+            probe(rnd, center)
+        for a1 in axis1:
+            for a2 in axis2:
+                probe(rnd, (float(a1), float(a2)))
+        center = best
+        half = (half[0] * cfg.shrink, half[1] * cfg.shrink)
+    return trace

@@ -192,3 +192,20 @@ class TestTsneStage:
         assert svg.count("<circle") == 10
         meta = (out / "tsne.csv.meta").read_text(encoding="utf-8")
         assert "param_final_kl" in meta
+
+    def test_missing_colors_leaves_previous_outputs(self, pipeline_fixture, tmp_path, capsys):
+        out = tmp_path / "out"
+        fx = pipeline_fixture
+        assert main(["--out-dir", str(out), "--seed", "3", "ingest", "--corpus", str(fx["corpus"]),
+                     "--gazetteer", str(fx["gazetteer"])]) == 0
+        assert main(["--out-dir", str(out), "embed", "--word-vectors", str(fx["vectors"])]) == 0
+        tsne = ["tsne", "--input", "embeddings.csv", "--iterations", "50", "--perplexity", "4"]
+        assert main(["--out-dir", str(out), "--seed", "3"] + tsne) == 0
+        names = ("tsne.csv", "tsne.csv.meta", "tsne.svg", "tsne.svg.meta")
+        before = {name: (out / name).read_bytes() for name in names}
+        missing = tmp_path / "missing.csv"
+        rc = main(["--out-dir", str(out), "--seed", "4"] + tsne + ["--colors", str(missing)])
+        assert rc == 2
+        assert "missing.csv" in capsys.readouterr().err
+        for name in names:
+            assert (out / name).read_bytes() == before[name], f"{name} changed"

@@ -52,6 +52,13 @@ class TestLoadWordVectors:
         with pytest.raises(ConflictError, match="cat"):
             load_word_vectors(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        p = tmp_path / "v.txt"
+        p.write_text(f"cat 1.0 2.0\na 1 {value}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 2"):
+            load_word_vectors(p)
+
 
 class TestFitContext:
     def test_single_repeated_vector(self):

@@ -1,14 +1,18 @@
+import itertools
 import math
 
 import numpy as np
+import oracles
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from semfuse.corpus import Record
 from semfuse.errors import ConfigError, ConflictError, DomainError, FormatError, RowError
 from semfuse.geotime import EARTH_RADIUS_MILES, GeoPoint
 from semfuse.rankopt import (
     DEFAULT_DIST_KINDS,
+    DIST_KINDS,
+    SIM_KINDS,
     GridConfig,
     RankMatrix,
     SimilarityParams,
@@ -150,13 +154,6 @@ class TestBatchFeatures:
             batch_features([Record("nowhere", "x", 5)])
 
 
-def brute_force_row_ranks(scores_row, i, m):
-    """Independent per-row oracle: stable sort by descending score, index ties."""
-    candidates = [j for j in range(m) if j != i]
-    order = sorted(candidates, key=lambda j: (-scores_row[j], j))
-    return {j: pos for pos, j in enumerate(order)}
-
-
 class TestRankMatrix:
     def test_two_candidate_order(self):
         scores = np.array([[0.0, 0.9, 0.1], [0.9, 0.0, 0.5], [0.1, 0.5, 0.0]])
@@ -178,12 +175,26 @@ class TestRankMatrix:
         scores = rng.random((6, 6))
         scores = (scores + scores.T) / 2
         rm = rank_matrix(scores)
+        assert np.array_equal(rm.entries, oracles.rank_entries(scores))
         for i in range(6):
-            oracle = brute_force_row_ranks(scores[i], i, 6)
-            for j, rank in oracle.items():
-                assert rm.entries[i, j] == rank
             off = [rm.entries[i, j] for j in range(6) if j != i]
             assert sorted(off) == list(range(5))
+
+    @given(st.integers(min_value=2, max_value=30).flatmap(
+        lambda m: st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=m * m, max_size=m * m)
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_tied_rows_match_sort_oracle(self, cells):
+        m = math.isqrt(len(cells))
+        scores = np.array(cells).reshape(m, m)
+        assert np.array_equal(rank_matrix(scores).entries, oracles.rank_entries(scores))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        scores = np.random.default_rng(1).random((4, 4))
+        scores[2, 1] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            rank_matrix(scores)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(77)
@@ -307,8 +318,118 @@ class TestOptimizeAlphas:
         assert lines[0] == "round,alpha1,alpha2,loss"
         assert len(lines) == 3
 
+    def test_trace_csv_header_follows_alpha_count(self, tmp_path):
+        p = tmp_path / "trace.csv"
+        save_trace_csv([(1, 0.5, 3.0)], p)
+        assert p.read_text(encoding="utf-8").splitlines() == ["round,alpha1,loss", "1,0.5,3.0"]
+
+    def test_default_grid_probe_order(self):
+        # 6 rounds of a 21 x 21 grid, alpha1-major: the same probes, in the
+        # same order, as the two-axis nested loop replayed on these losses
+        emb, feats = synthetic_batch(12, 31)
+        labels = rank_matrix(pairwise_scores(
+            emb, feats, SimilarityParams("pi", (0.3, 4.0), DEFAULT_DIST_KINDS)
+        ))
+        cfg = GridConfig(bounds=((0.0, 1.0), (0.0, 12.0)))
+        _, _, trace = optimize_alphas(emb, feats, labels, "pi", DEFAULT_DIST_KINDS, cfg)
+        assert len(trace) == 2646
+        losses = {(a1, a2): loss for _, a1, a2, loss in trace}
+        assert trace == oracles.two_axis_grid_trace(cfg, lambda alphas: losses[alphas])
+        first_row = trace[:21]
+        assert {t[1] for t in first_row} == {0.0}
+        assert [t[2] for t in first_row] == [float(v) for v in np.linspace(0.0, 12.0, 21)]
+
+    def test_even_grid_probe_order(self):
+        emb, feats = synthetic_batch(10, 32)
+        labels = rank_matrix(pairwise_scores(
+            emb, feats, SimilarityParams("sigma", (0.2, 0.7), DEFAULT_DIST_KINDS)
+        ))
+        cfg = GridConfig(bounds=((0.0, 1.0), (0.0, 1.0)), step=0.25, rounds=3)
+        _, _, trace = optimize_alphas(emb, feats, labels, "sigma", DEFAULT_DIST_KINDS, cfg)
+        losses = {(a1, a2): loss for _, a1, a2, loss in trace}
+        assert trace == oracles.two_axis_grid_trace(cfg, lambda alphas: losses[alphas])
+
+    def test_single_kernel(self):
+        emb, feats = synthetic_batch(10, 33)
+        days = [(f[0],) for f in feats]
+        labels = rank_matrix(pairwise_scores(emb, days, SimilarityParams("pi", (0.4,), ("inv_abs",))))
+        cfg = GridConfig(bounds=((0.0, 1.0),), rounds=2)
+        params, loss, trace = optimize_alphas(emb, days, labels, "pi", ("inv_abs",), cfg)
+        assert len(trace) == 42
+        assert all(len(t) == 3 for t in trace)
+        assert params.dist_kinds == ("inv_abs",)
+        assert loss == min(t[2] for t in trace)
+
+    def test_three_kernels(self):
+        emb, feats = synthetic_batch(10, 34)
+        feats3 = [(d, p, d / 7.0) for d, p in feats]
+        kinds = ("inv_abs", "floor_geo", "exp_abs")
+        labels = rank_matrix(pairwise_scores(emb, feats3, SimilarityParams("sigma", (0.5, 0.5, 1.0), kinds)))
+        cfg = GridConfig(bounds=((0.0, 1.0),) * 3, step=0.5, rounds=2)
+        params, loss, trace = optimize_alphas(emb, feats3, labels, "sigma", kinds, cfg)
+        assert len(trace) == 2 * 27
+        assert [t[1:4] for t in trace[:27]] == list(itertools.product([0.0, 0.5, 1.0], repeat=3))
+        assert len(params.alphas) == 3
+        assert loss == min(t[4] for t in trace)
+
+    def test_feature_count_must_match_kinds(self):
+        emb, feats = synthetic_batch(10, 35)
+        labels = rank_matrix(np.random.default_rng(0).random((10, 10)))
+        cfg = GridConfig(bounds=((0.0, 1.0), (0.0, 1.0)))
+        short = [(f[0],) for f in feats]
+        with pytest.raises(ConfigError):
+            optimize_alphas(emb, short, labels, "pi", DEFAULT_DIST_KINDS, cfg)
+
+
+days_st = st.floats(min_value=0.0, max_value=1e5, allow_nan=False)
+geo_st = st.builds(GeoPoint, st.floats(min_value=-90.0, max_value=90.0), st.floats(min_value=-180.0, max_value=180.0))
+
+
+@st.composite
+def scored_batch(draw, kinds):
+    m = draw(st.integers(min_value=2, max_value=6))
+    emb = np.array([draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)) for _ in range(m)])
+    feats = [tuple(draw(geo_st if k == "floor_geo" else days_st) for k in kinds) for _ in range(m)]
+    alphas = tuple(draw(st.floats(min_value=0.0, max_value=12.0)) for _ in kinds)
+    return emb, feats, alphas
+
+
+def near_band_edge(feats, kinds) -> bool:
+    """True if some pair's distance sits within rounding of a 500-mile band edge."""
+    for fi, kind in enumerate(kinds):
+        if kind == "floor_geo":
+            for a, b in itertools.combinations([f[fi] for f in feats], 2):
+                bands = oracles.haversine_miles(a, b) / 500.0
+                if bands != 0.0 and abs(bands - round(bands)) < 1e-9:
+                    return True
+    return False
+
 
 class TestPairwiseScores:
+    @pytest.mark.parametrize("sim_kind", SIM_KINDS)
+    @pytest.mark.parametrize("kinds", list(itertools.product(DIST_KINDS, repeat=2)))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_oracle(self, sim_kind, kinds, data):
+        # error is measured against the magnitude of the summed terms, the
+        # scale at which the two evaluation orders may round differently
+        emb, feats, alphas = data.draw(scored_batch(kinds))
+        assume(not near_band_edge(feats, kinds))
+        params = SimilarityParams(sim_kind, alphas, kinds)
+        got = pairwise_scores(emb, feats, params)
+        want = oracles.pairwise_scores(emb, feats, params)
+        scale = oracles.pairwise_scores(np.abs(emb), feats, params)
+        off = ~np.eye(len(feats), dtype=bool)
+        assert np.all(np.abs(got - want)[off] <= 1e-12 * np.abs(scale)[off])
+
+    def test_sim_functions_read_the_matrix(self):
+        emb, feats = synthetic_batch(4, 12)
+        for kind, fn in (("sigma", sim_sigma), ("pi", sim_pi)):
+            p = SimilarityParams(kind, (0.3, 4.0), DEFAULT_DIST_KINDS)
+            scores = pairwise_scores(emb, feats, p)
+            got = fn(emb[1], emb[3], feats[1], feats[3], p)
+            assert got == pytest.approx(scores[1, 3], rel=1e-14, abs=1e-14)
+
     def test_symmetric_and_diagonal_free_usage(self):
         emb, feats = synthetic_batch(6, 11)
         p = SimilarityParams("pi", (0.3, 4.0), DEFAULT_DIST_KINDS)
@@ -356,6 +477,26 @@ class TestLoadRankLabels:
         p.write_text("i,j,score\n0,1,0.5\n1,0,0.6\n0,2,0.1\n1,2,0.2\n", encoding="utf-8")
         with pytest.raises(ConflictError):
             load_rank_labels(p)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_matrix_non_finite_rejected(self, tmp_path, bad):
+        p = tmp_path / "labels.csv"
+        p.write_text(f"0.0,0.9,0.1\n0.9,0.0,{bad}\n0.1,{bad},0.0\n", encoding="utf-8")
+        with pytest.raises(RowError, match="non-finite"):
+            load_rank_labels(p)
+
+    def test_matrix_asymmetric_rejected(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("0.0,0.9,0.1\n0.8,0.0,0.5\n0.1,0.5,0.0\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="symmetric"):
+            load_rank_labels(p)
+
+    def test_matrix_scores_outside_unit_interval_accepted(self, tmp_path):
+        # multiplicative score matrices from the score stage load unchanged
+        p = tmp_path / "labels.csv"
+        p.write_text("0.0,7.0,-3.0\n7.0,0.0,2.5\n-3.0,2.5,0.0\n", encoding="utf-8")
+        expect = rank_matrix(np.array([[0, 7.0, -3.0], [7.0, 0, 2.5], [-3.0, 2.5, 0]]))
+        assert np.array_equal(load_rank_labels(p).entries, expect.entries)
 
     def test_missing_pair_rejected(self, tmp_path):
         p = tmp_path / "labels.csv"
