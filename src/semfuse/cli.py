@@ -57,7 +57,14 @@ from .rankopt import (
 )
 from .spectra import delta_cosine_experiment, fit_pca, save_delta_csv, transform
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
-from .tsne import TsneConfig, load_colors, run_tsne, write_coords_csv, write_scatter_svg
+from .tsne import (
+    TsneConfig,
+    load_colors,
+    run_tsne,
+    write_coords_csv,
+    write_scatter_svg,
+    write_trace_csv,
+)
 
 RECORDS = "records.csv"
 FEATURES = "features.csv"
@@ -68,6 +75,7 @@ SCORES = "scores.csv"
 OPTIMIZE_TRACE = "optimize_trace.csv"
 TSNE_CSV = "tsne.csv"
 TSNE_SVG = "tsne.svg"
+TSNE_TRACE = "tsne_trace.csv"
 EVAL_CSV = "eval.csv"
 SWEEP_CSV = "sweep.csv"
 DELTA_CSV = "delta.csv"
@@ -445,6 +453,8 @@ def cmd_tsne(run: Run) -> None:
     write_coords_csv(space.ids, result.coords, out)
     svg_out = run.path_out(TSNE_SVG)
     write_scatter_svg(space.ids, result.coords, svg_out, colors)
+    trace_out = run.path_out(TSNE_TRACE)
+    write_trace_csv(result.kl_trace, trace_out)
     params = {
         "input": input_name,
         "perplexity": cfg.perplexity,
@@ -457,9 +467,10 @@ def cmd_tsne(run: Run) -> None:
     }
     write_sidecar(out, "tsne", inputs, params, run.seed)
     write_sidecar(svg_out, "tsne", inputs, params, run.seed)
+    write_sidecar(trace_out, "tsne", inputs, params, run.seed)
     print(
         f"tsne: {len(space.ids)} points, final KL {float(result.kl_trace[-1])!r} "
-        f"-> {out}, {svg_out}"
+        f"-> {out}, {svg_out}, {trace_out}"
     )
 
 
@@ -606,12 +617,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="pairwise similarity matrix")
     p.add_argument("--kind", choices=list(SIM_KINDS), help="scorer form")
     p.add_argument("--alphas", help="comma-separated kernel weights")
-    p.add_argument("--dist-kinds", dest="dist_kinds", help="comma-separated kernel names")
+    p.add_argument("--dist-kinds", dest="dist_kinds",
+                   help="comma-separated kernel names, one per feature: days, then coordinates")
 
     p = sub.add_parser("optimize", help="fit kernel weights to labeled rankings")
     p.add_argument("--labels", help="labeled scores: i,j,score rows or a full matrix")
     p.add_argument("--kind", choices=list(SIM_KINDS), help="scorer form")
-    p.add_argument("--dist-kinds", dest="dist_kinds", help="comma-separated kernel names")
+    p.add_argument("--dist-kinds", dest="dist_kinds",
+                   help="comma-separated kernel names, one per feature: days, then coordinates")
     p.add_argument("--bounds", help="per-alpha search intervals, e.g. 0:1,0:12")
     p.add_argument("--step", help="round-1 grid spacing (default: 21 points per axis)")
     p.add_argument("--shrink", help="interval shrink factor per round")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -72,8 +73,29 @@ class ContextModel:
         return self.covariance + self.ridge * np.eye(self.covariance.shape[0])
 
 
+class RowLookup:
+    """Row-by-id access for a space with `ids` and `matrix`.
+
+    The id -> row index is built once, on the first lookup. A repeated id
+    resolves to its first row.
+    """
+
+    @cached_property
+    def _row_of(self) -> dict[str, int]:
+        index: dict[str, int] = {}
+        for i, rid in enumerate(self.ids):
+            index.setdefault(rid, i)
+        return index
+
+    def row(self, record_id: str) -> np.ndarray:
+        try:
+            return self.matrix[self._row_of[record_id]]
+        except KeyError:
+            raise UnknownKeyError(record_id, f"id {record_id!r} not in embedding space") from None
+
+
 @dataclass(frozen=True, eq=False)
-class EmbeddingSpace:
+class EmbeddingSpace(RowLookup):
     """Ordered ids with their embedding rows."""
 
     ids: tuple[str, ...]
@@ -92,12 +114,6 @@ class EmbeddingSpace:
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
-
-    def row(self, record_id: str) -> np.ndarray:
-        try:
-            return self.matrix[self.ids.index(record_id)]
-        except ValueError:
-            raise UnknownKeyError(record_id, f"id {record_id!r} not in embedding space") from None
 
 
 @dataclass(frozen=True)

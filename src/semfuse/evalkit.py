@@ -113,13 +113,6 @@ def load_labels(
     return pairs
 
 
-def _space_row(space: EmbeddingSpace | AugmentedSpace, rid: str) -> np.ndarray:
-    try:
-        return space.matrix[space.ids.index(rid)]
-    except ValueError:
-        raise UnknownKeyError(rid, f"id {rid!r} not in the evaluated space") from None
-
-
 def top_pair_quality(
     space: EmbeddingSpace | AugmentedSpace,
     labels: Sequence[LabeledPair],
@@ -133,10 +126,13 @@ def top_pair_quality(
     """
     if not 1 <= top_n <= len(labels):
         raise DomainError(f"top_n {top_n} outside [1, {len(labels)}]")
-    scored = [
-        (cosine(_space_row(space, pair.id_a), _space_row(space, pair.id_b)), index)
-        for index, pair in enumerate(labels)
-    ]
+    try:
+        scored = [
+            (cosine(space.row(pair.id_a), space.row(pair.id_b)), index)
+            for index, pair in enumerate(labels)
+        ]
+    except UnknownKeyError as exc:
+        raise UnknownKeyError(exc.query, f"id {exc.query!r} not in the evaluated space") from None
     scored.sort(key=lambda item: (-item[0], item[1]))
     chosen = scored[:top_n]
     return sum(labels[index].label for _, index in chosen) / top_n

@@ -176,13 +176,25 @@ def pairwise_scores(
 
 
 def _kernel_matrices(features: Sequence[tuple], dist_kinds: Sequence[str]) -> list[np.ndarray]:
-    return [_kernel_matrix([f[fi] for f in features], kind) for fi, kind in enumerate(dist_kinds)]
+    return [
+        _kernel_matrix([f[fi] for f in features], kind, fi + 1)
+        for fi, kind in enumerate(dist_kinds)
+    ]
 
 
-def _kernel_matrix(column: list, kind: str) -> np.ndarray:
+def _kernel_matrix(column: list, kind: str, position: int) -> np.ndarray:
     if kind not in _KERNELS:
         raise DomainError(f"unknown distance kind {kind!r}; expected one of {DIST_KINDS}")
-    if kind == "floor_geo":
+    # floor_geo reads coordinates, the other kinds read day numbers
+    wants_coords = kind == "floor_geo"
+    for value in column:
+        if isinstance(value, GeoPoint) != wants_coords:
+            need = "coordinates" if wants_coords else "day numbers"
+            raise DomainError(
+                f"distance kind {kind!r} needs {need}, but feature {position} "
+                f"holds {type(value).__name__} values"
+            )
+    if wants_coords:
         coords = np.array([(p.lat, p.lon) for p in column]).reshape(-1, 2)
         lat, lon = coords[:, :1], coords[:, 1:]
         return _KERNELS[kind](great_circle_miles(lat, lon, lat.T, lon.T))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embed import EmbeddingSpace
+from .embed import EmbeddingSpace, RowLookup
 from .errors import DomainError
 from .geotime import StandardizationStats, standardize
 
@@ -47,7 +47,7 @@ class PcaModel:
 
 
 @dataclass(frozen=True, eq=False)
-class AugmentedSpace:
+class AugmentedSpace(RowLookup):
     """Reduced text columns followed by standardized feature columns.
 
     Column layout is [k text dims | f feature dims]; stats describes the

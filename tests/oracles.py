@@ -1,9 +1,12 @@
-"""Scalar reference implementations the vectorized rankopt code is tested against.
+"""Reference implementations the rewritten program code is tested against.
 
-These are the per-pair scorer, the sort-based ranker and the two-axis grid
-walk that `semfuse.rankopt` used before it computed everything on matrices.
+The per-pair scorer, the sort-based ranker and the two-axis grid walk are
+what `semfuse.rankopt` used before it computed everything on matrices.
 They use only the standard library per pair, so a fault in the numpy path
-cannot hide in its own reference.
+cannot hide in its own reference. `tsne_cost_and_grad` and `tsne_descent`
+are the t-SNE descent as it was when each iteration made two full cost
+and gradient evaluations: one against P for the trace, one against the
+exaggerated P for the step.
 """
 
 from __future__ import annotations
@@ -13,6 +16,16 @@ import math
 import numpy as np
 
 from semfuse.geotime import EARTH_RADIUS_MILES
+from semfuse.tsne import (
+    _MAX_STEP,
+    _MIN_GAIN,
+    _Q_FLOOR,
+    TsneResult,
+    calibrate_sigmas,
+    conditional_p,
+    pairwise_sq_distances,
+    symmetrize,
+)
 
 
 def haversine_miles(a, b) -> float:
@@ -99,3 +112,55 @@ def two_axis_grid_trace(cfg, loss_at) -> list[tuple[int, float, float, float]]:
         center = best
         half = (half[0] * cfg.shrink, half[1] * cfg.shrink)
     return trace
+
+
+def tsne_cost_and_grad(P, coords, kernel="gaussian", cost="joint"):
+    """Floored KL of P and its gradient, each Q evaluation serving one of them."""
+    coords = np.asarray(coords, dtype=float)
+    d2 = pairwise_sq_distances(coords)
+    w = np.exp(-d2) if kernel == "gaussian" else 1.0 / (1.0 + d2)
+    np.fill_diagonal(w, 0.0)
+    if cost == "joint":
+        Q = w / max(float(w.sum()), _Q_FLOOR)
+    else:
+        Q = w / np.maximum(w.sum(axis=1, keepdims=True), _Q_FLOOR)
+    Q = np.maximum(Q, _Q_FLOOR)
+    np.fill_diagonal(Q, 0.0)
+    mask = P > 0
+    cost_value = float(np.sum(P[mask] * np.log(P[mask] / Q[mask])))
+    S = (P + P.T) - (Q + Q.T)
+    A = S * (1.0 / (1.0 + d2) if kernel == "student_t" else 1.0)
+    np.fill_diagonal(A, 0.0)
+    grad = 2.0 * (A.sum(axis=1)[:, None] * coords - A @ coords)
+    return cost_value, grad
+
+
+def tsne_descent(space, cfg) -> TsneResult:
+    """The two-call descent loop: the trace cost and the step gradient apart."""
+    X = np.asarray(space, dtype=float)
+    n = X.shape[0]
+    effective = min(cfg.perplexity, max((n - 1) / 3.0, 1.5))
+    d2 = pairwise_sq_distances(X)
+    sigmas = calibrate_sigmas(d2, effective)
+    pcond = conditional_p(d2, sigmas)
+    P = symmetrize(pcond, sigmas).P if cfg.cost == "joint" else pcond
+    Y = np.random.default_rng(cfg.seed).normal(0.0, 1e-2, size=(n, 2))
+    velocity = np.zeros_like(Y)
+    gains = np.ones_like(Y)
+    trace = np.empty(cfg.iterations + 1)
+    for it in range(cfg.iterations):
+        P_use = P * cfg.early_exaggeration if it < cfg.exaggeration_iters else P
+        trace[it], _ = tsne_cost_and_grad(P, Y, cfg.kernel, cfg.cost)
+        _, grad = tsne_cost_and_grad(P_use, Y, cfg.kernel, cfg.cost)
+        momentum = cfg.momentum_start if it < cfg.momentum_switch else cfg.momentum_final
+        grow = np.sign(grad) != np.sign(velocity)
+        gains = np.where(grow, gains + 0.2, gains * 0.8)
+        np.maximum(gains, _MIN_GAIN, out=gains)
+        velocity = momentum * velocity - cfg.learning_rate * (gains * grad)
+        norms = np.linalg.norm(velocity, axis=1, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            velocity = np.where(norms > _MAX_STEP, velocity * (_MAX_STEP / norms), velocity)
+        Y = Y + velocity
+        Y = Y - Y.mean(axis=0)
+    trace[-1], _ = tsne_cost_and_grad(P, Y, cfg.kernel, cfg.cost)
+    return TsneResult(coords=Y, kl_trace=trace, effective_perplexity=effective)

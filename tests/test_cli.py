@@ -39,6 +39,7 @@ EXPECTED_OUTPUTS = [
     "optimize_trace.csv",
     "tsne.csv",
     "tsne.svg",
+    "tsne_trace.csv",
     "eval.csv",
     "rank_heatmap.csv",
     "sweep.csv",
@@ -130,6 +131,31 @@ class TestStageOrdering:
         assert "reduced.csv" in err
         assert "features.csv" in err
 
+    @pytest.mark.parametrize("command", [
+        ["score", "--kind", "pi", "--alphas", "0.02,9.55"],
+        ["optimize", "--rounds", "1"],
+    ])
+    def test_dist_kinds_in_wrong_feature_order(self, pipeline_fixture, tmp_path, capsys, command):
+        # features are (days, coordinates); floor_geo first asks days for coordinates
+        out = tmp_path / "out"
+        base = ["--out-dir", str(out)]
+        fx = pipeline_fixture
+        assert main(base + ["ingest", "--corpus", str(fx["corpus"]),
+                            "--gazetteer", str(fx["gazetteer"])]) == 0
+        assert main(base + ["embed", "--word-vectors", str(fx["vectors"])]) == 0
+        if command[0] == "optimize":
+            command = command + ["--labels", str(fx["rank_labels"])]
+        capsys.readouterr()
+        rc = main(base + command + ["--dist-kinds", "floor_geo,inv_abs"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'floor_geo' needs coordinates" in err
+        assert "float" in err
+        assert "Traceback" not in err
+        written = {"score": "scores.csv", "optimize": "optimize_trace.csv"}[command[0]]
+        assert not (out / written).exists()
+        assert not (out / (written + ".meta")).exists()
+
     def test_reduce_with_impossible_k(self, pipeline_fixture, tmp_path, capsys):
         out = tmp_path / "out"
         base = ["--out-dir", str(out)]
@@ -193,6 +219,28 @@ class TestTsneStage:
         meta = (out / "tsne.csv.meta").read_text(encoding="utf-8")
         assert "param_final_kl" in meta
 
+    def test_trace_file_reproducible_and_ends_at_final_kl(self, pipeline_fixture, tmp_path):
+        fx = pipeline_fixture
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            base = ["--out-dir", str(out), "--seed", "3"]
+            assert main(base + ["ingest", "--corpus", str(fx["corpus"]),
+                                "--gazetteer", str(fx["gazetteer"])]) == 0
+            assert main(base + ["embed", "--word-vectors", str(fx["vectors"])]) == 0
+            assert main(base + ["tsne", "--input", "embeddings.csv",
+                                "--iterations", "30", "--perplexity", "4"]) == 0
+            runs.append(out)
+        for name in ("tsne_trace.csv", "tsne_trace.csv.meta"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+        rows = (runs[0] / "tsne_trace.csv").read_text(encoding="utf-8").strip().splitlines()
+        assert rows[0] == "iteration,kl"
+        assert [row.split(",")[0] for row in rows[1:]] == [str(i) for i in range(31)]
+        meta = (runs[0] / "tsne_trace.csv.meta").read_text(encoding="utf-8")
+        final_kl = re.search(r"param_final_kl = (\S+)", meta).group(1)
+        assert rows[-1] == f"30,{final_kl}"
+        assert meta == (runs[0] / "tsne.csv.meta").read_text(encoding="utf-8")
+
     def test_missing_colors_leaves_previous_outputs(self, pipeline_fixture, tmp_path, capsys):
         out = tmp_path / "out"
         fx = pipeline_fixture
@@ -201,7 +249,8 @@ class TestTsneStage:
         assert main(["--out-dir", str(out), "embed", "--word-vectors", str(fx["vectors"])]) == 0
         tsne = ["tsne", "--input", "embeddings.csv", "--iterations", "50", "--perplexity", "4"]
         assert main(["--out-dir", str(out), "--seed", "3"] + tsne) == 0
-        names = ("tsne.csv", "tsne.csv.meta", "tsne.svg", "tsne.svg.meta")
+        names = ("tsne.csv", "tsne.csv.meta", "tsne.svg", "tsne.svg.meta",
+                 "tsne_trace.csv", "tsne_trace.csv.meta")
         before = {name: (out / name).read_bytes() for name in names}
         missing = tmp_path / "missing.csv"
         rc = main(["--out-dir", str(out), "--seed", "4"] + tsne + ["--colors", str(missing)])

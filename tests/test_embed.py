@@ -267,6 +267,21 @@ class TestEmbeddingIO:
             import_embeddings(p)
 
 
+class TestEmbeddingSpaceRow:
+    def test_every_id_finds_its_row(self):
+        rng = np.random.default_rng(4)
+        ids = tuple(f"r{i}" for i in range(30))
+        space = EmbeddingSpace(ids, rng.normal(size=(30, 3)))
+        for i, rid in enumerate(ids):
+            assert np.array_equal(space.row(rid), space.matrix[i])
+
+    def test_unknown_id_message(self):
+        space = EmbeddingSpace(("a", "b"), np.eye(2))
+        with pytest.raises(UnknownKeyError, match=r"^id 'zz' not in embedding space$") as info:
+            space.row("zz")
+        assert info.value.query == "zz"
+
+
 class TestEmbedCorpus:
     def test_ids_follow_docs(self):
         table = table_from({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]})

@@ -134,8 +134,9 @@ class TestTopPairQuality:
 
     def test_unknown_id(self):
         space = toy_space()
-        with pytest.raises(UnknownKeyError):
+        with pytest.raises(UnknownKeyError, match=r"^id 'zz' not in the evaluated space$") as info:
             top_pair_quality(space, [make_pair("a", "zz", 0.5)], top_n=1)
+        assert info.value.query == "zz"
 
     def test_scale_invariance(self):
         space = toy_space()

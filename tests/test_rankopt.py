@@ -422,6 +422,15 @@ class TestPairwiseScores:
         off = ~np.eye(len(feats), dtype=bool)
         assert np.all(np.abs(got - want)[off] <= 1e-12 * np.abs(scale)[off])
 
+    @pytest.mark.parametrize("kinds, message", [
+        (("floor_geo", "inv_abs"), "'floor_geo' needs coordinates, but feature 1 holds float"),
+        (("exp_abs", "exp_abs"), "'exp_abs' needs day numbers, but feature 2 holds GeoPoint"),
+    ])
+    def test_kind_given_the_wrong_feature_type(self, kinds, message):
+        emb, feats = synthetic_batch(4, 12)
+        with pytest.raises(DomainError, match=message):
+            pairwise_scores(emb, feats, SimilarityParams("pi", (0.3, 4.0), kinds))
+
     def test_sim_functions_read_the_matrix(self):
         emb, feats = synthetic_batch(4, 12)
         for kind, fn in (("sigma", sim_sigma), ("pi", sim_pi)):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semfuse.embed import EmbeddingSpace
-from semfuse.errors import DomainError
+from semfuse.errors import DomainError, UnknownKeyError
 from semfuse.spectra import (
     augment,
     cosine,
@@ -149,6 +149,19 @@ class TestAugment:
         ids = ("a", "b", "c")
         with pytest.raises(DomainError):
             augment(np.zeros((3, 2)), np.zeros((4, 2)), ids)
+
+    def test_row_by_id(self):
+        rng = np.random.default_rng(3)
+        ids = ("a", "b", "c")
+        out = augment(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), ids)
+        for i, rid in enumerate(ids):
+            assert np.array_equal(out.row(rid), out.matrix[i])
+        with pytest.raises(UnknownKeyError, match=r"^id 'zz' not in embedding space$"):
+            out.row("zz")
+
+    def test_repeated_id_resolves_to_its_first_row(self):
+        out = augment(np.arange(6.0).reshape(3, 2), np.zeros((3, 1)), ("a", "b", "a"))
+        assert np.array_equal(out.row("a"), out.matrix[0])
 
 
 class TestCosine:

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+import semfuse.tsne
+
 from semfuse.errors import CalibrationError, ConfigError, DomainError, SchemaError, ConflictError
 from semfuse.tsne import (
     AffinityModel,
@@ -279,6 +282,65 @@ class TestCostAndGrad:
                         - tsne_cost_and_grad(P, Ym, kernel, "joint")[0]
                     ) / (2 * h)
                     assert grad[i, j] == pytest.approx(num, rel=1e-4, abs=1e-9)
+
+
+class TestFusedPass:
+    """One cost-and-gradient evaluation per iteration, checked against the two-call loop."""
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "student_t"])
+    @pytest.mark.parametrize("cost", ["joint", "conditional"])
+    @pytest.mark.parametrize("exaggeration", [4.0, 3.0])
+    def test_cost_of_p_gradient_of_exaggerated_p(self, kernel, cost, exaggeration):
+        rng = np.random.default_rng(8)
+        Y = rng.normal(size=(9, 2))
+        P = rng.random((9, 9))
+        np.fill_diagonal(P, 0.0)
+        if cost == "joint":
+            P = (P + P.T) / (P + P.T).sum()
+        else:
+            P /= P.sum(axis=1, keepdims=True)
+        cost_value, grad = tsne_cost_and_grad(P, Y, kernel, cost, exaggeration=exaggeration)
+        assert cost_value == tsne_cost_and_grad(P, Y, kernel, cost)[0]
+        assert np.array_equal(grad, tsne_cost_and_grad(exaggeration * P, Y, kernel, cost)[1])
+        # and both halves equal the separate evaluations of the two-call descent
+        assert cost_value == oracles.tsne_cost_and_grad(P, Y, kernel, cost)[0]
+        assert np.array_equal(grad, oracles.tsne_cost_and_grad(exaggeration * P, Y, kernel, cost)[1])
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "student_t"])
+    @pytest.mark.parametrize("cost", ["joint", "conditional"])
+    def test_descent_matches_two_call_loop(self, kernel, cost):
+        # default exaggeration (4.0) through the switch at iteration 100
+        cfg = TsneConfig(perplexity=4.0, iterations=110, kernel=kernel, cost=cost, seed=5)
+        X = two_cluster_space(per=6)
+        got, want = run_tsne(X, cfg), oracles.tsne_descent(X, cfg)
+        assert np.array_equal(got.coords, want.coords)
+        assert np.array_equal(got.kl_trace, want.kl_trace)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "student_t"])
+    def test_non_power_of_two_exaggeration_matches_exactly(self, kernel):
+        # the fused pass scales P before the transpose-add, as the old loop
+        # did, so the tolerance is zero for any factor, not only 2^k
+        cfg = TsneConfig(perplexity=3.0, iterations=12, early_exaggeration=3.0,
+                         exaggeration_iters=8, kernel=kernel, seed=2)
+        X = two_cluster_space(per=5)
+        got, want = run_tsne(X, cfg), oracles.tsne_descent(X, cfg)
+        assert np.array_equal(got.coords, want.coords)
+        assert np.array_equal(got.kl_trace, want.kl_trace)
+
+    def test_one_call_per_iteration(self, monkeypatch):
+        calls = []
+        original = semfuse.tsne.tsne_cost_and_grad
+
+        def counting(P, coords, kernel="gaussian", cost="joint", exaggeration=1.0):
+            calls.append(exaggeration)
+            return original(P, coords, kernel, cost, exaggeration)
+
+        monkeypatch.setattr(semfuse.tsne, "tsne_cost_and_grad", counting)
+        cfg = TsneConfig(perplexity=3.0, iterations=15, exaggeration_iters=6, seed=1)
+        run_tsne(two_cluster_space(per=4), cfg)
+        assert len(calls) == cfg.iterations + 1
+        # exaggerated while early exaggeration lasts, plain after, plain for the final cost
+        assert calls == [4.0] * 6 + [1.0] * 10
 
 
 class TestOutputs:
