@@ -20,6 +20,7 @@ from .embed import (
     fit_context,
     load_word_vectors,
     sim_cosal,
+    token_saliences,
     word_salience,
 )
 from .errors import SemfuseError
@@ -73,5 +74,6 @@ __all__ = [
     "sim_pi",
     "sim_sigma",
     "standardize",
+    "token_saliences",
     "transform",
 ]

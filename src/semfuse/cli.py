@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -155,9 +156,11 @@ def _parse_int(name: str, value: str) -> int:
 
 def _parse_float(name: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    _check_finite(name, [number], value)
+    return number
 
 
 def _parse_int_list(name: str, value: str) -> list[int]:
@@ -169,9 +172,17 @@ def _parse_int_list(name: str, value: str) -> list[int]:
 
 def _parse_float_list(name: str, value: str) -> list[float]:
     try:
-        return [float(v) for v in value.split(",") if v.strip()]
+        numbers = [float(v) for v in value.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"{name} must be comma-separated numbers, got {value!r}") from None
+    _check_finite(name, numbers, value)
+    return numbers
+
+
+def _check_finite(name: str, numbers: list[float], value: str) -> None:
+    # float() accepts nan and inf, which no setting can use
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 def _parse_bounds(value: str) -> tuple[tuple[float, float], ...]:

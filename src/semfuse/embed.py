@@ -3,16 +3,20 @@
 A context model (mean + regularized covariance of in-vocabulary word
 vectors) turns each token into a salience weight via Mahalanobis distance;
 sentence vectors are salience-weighted token means scaled to unit norm.
-Precomputed embedding spaces can also be imported from CSV.
+`token_saliences` computes the weight of every distinct token of a corpus
+from one linear solve against the context metric, and `embed_corpus`
+calls it once per corpus. Precomputed embedding spaces can also be
+imported from CSV.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -183,33 +187,57 @@ def fit_context(
     return ContextModel(mean=mean, covariance=cov, ridge=float(ridge))
 
 
+def token_saliences(
+    tokens: Iterable[str], ctx: ContextModel, table: WordVectorTable
+) -> dict[str, float]:
+    """Mahalanobis distance from the context mean of each distinct known token.
+
+    Out-of-vocabulary tokens are skipped. Every nonzero residual is a
+    right-hand side of one solve against the context metric; a token at
+    the mean gets exactly 0.0 and needs no solve.
+    """
+    known = list(dict.fromkeys(t for t in tokens if t in table.vectors))
+    saliences = dict.fromkeys(known, 0.0)
+    residuals = np.array([table.vectors[t] for t in known]).reshape(-1, table.dim) - ctx.mean
+    moved = residuals.any(axis=1)
+    if moved.any():
+        residuals = residuals[moved]
+        try:
+            solved = np.linalg.solve(ctx.metric(), residuals.T)
+        except np.linalg.LinAlgError:
+            raise DomainError("context metric is singular; increase ridge") from None
+        squared = np.maximum(0.0, np.einsum("ij,ji->i", residuals, solved))
+        for token, value in zip(itertools.compress(known, moved), np.sqrt(squared)):
+            saliences[token] = float(value)
+    return saliences
+
+
 def word_salience(token: str, ctx: ContextModel, table: WordVectorTable) -> float:
     """Mahalanobis distance of a token's vector from the context mean."""
-    residual = table.vector(token) - ctx.mean
-    if not residual.any():
-        return 0.0
-    try:
-        solved = np.linalg.solve(ctx.metric(), residual)
-    except np.linalg.LinAlgError:
-        raise DomainError("context metric is singular; increase ridge") from None
-    return float(np.sqrt(max(0.0, float(residual @ solved))))
+    table.vector(token)  # raises UnknownKeyError for an unknown token
+    return token_saliences([token], ctx, table)[token]
 
 
 def embed_sentence(
     tokens: Sequence[str],
     ctx: ContextModel,
     table: WordVectorTable,
+    saliences: Mapping[str, float] | None = None,
 ) -> SentenceEmbedding:
     """Salience-weighted mean of in-vocabulary token vectors, unit-normalized.
 
-    Out-of-vocabulary tokens are skipped. When every salience weight is 0
-    the unweighted mean is used instead and the result is flagged.
+    Out-of-vocabulary tokens are skipped. `saliences` maps each known token
+    to its weight, as `token_saliences` returns it; when omitted it is
+    computed for these tokens. When every salience weight is 0 the
+    unweighted mean is used instead and the result is flagged.
     """
     known = [t for t in tokens if t in table.vectors]
     if not known:
         raise DomainError("no in-vocabulary tokens in sentence")
+    if saliences is None:
+        saliences = token_saliences(known, ctx, table)
     stack = np.array([table.vectors[t] for t in known])
-    weights = np.array([word_salience(t, ctx, table) for t in known])
+    weights = np.array([saliences[t] for t in known])
     total = float(weights.sum())
     fallback = total == 0.0
     if fallback:
@@ -236,12 +264,21 @@ def embed_corpus(
     ctx: ContextModel,
     table: WordVectorTable,
 ) -> tuple[EmbeddingSpace, tuple[str, ...]]:
-    """Embed every doc; returns the space and ids that hit the mean fallback."""
+    """Embed every doc; returns the space and ids that hit the mean fallback.
+
+    The saliences of all distinct tokens come from one solve. If that solve
+    fails, each doc computes its own, so the error names the first record
+    that needs one.
+    """
+    try:
+        saliences = token_saliences((t for doc in docs for t in doc.tokens), ctx, table)
+    except DomainError:
+        saliences = None
     rows = []
     fallback_ids = []
     for doc in docs:
         try:
-            emb = embed_sentence(doc.tokens, ctx, table)
+            emb = embed_sentence(doc.tokens, ctx, table, saliences)
         except DomainError as exc:
             raise DomainError(f"record {doc.id!r}: {exc}") from None
         rows.append(emb.vector)

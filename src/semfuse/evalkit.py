@@ -21,7 +21,8 @@ import numpy as np
 from .embed import EmbeddingSpace
 from .errors import DomainError, RowError, SchemaError, UnknownKeyError
 from .rankopt import RankMatrix, rank_loss
-from .spectra import AugmentedSpace, augment, cosine, fit_pca, transform
+from .spectra import AugmentedSpace, augment, cosine, fit_pca_models, transform
+from .spectra import fit_pca  # noqa: F401  # kept in this namespace: bench/tracer.py patches it
 
 SWEEP_VARIANTS = ("all_features", "condensed_time", "pca_only")
 
@@ -152,11 +153,10 @@ def component_sweep(
     Variants: the reduced space with all geotemporal features appended,
     with condensed-time features appended, and with nothing appended.
     """
+    reduced_by_k = [transform(model, space) for model in fit_pca_models(space, k_list)]
     cells = []
     for variant in SWEEP_VARIANTS:
-        for k in k_list:
-            model = fit_pca(space, k)
-            reduced = transform(model, space)
+        for k, reduced in zip(k_list, reduced_by_k):
             if variant == "all_features":
                 candidate = augment(reduced, features_all, space.ids)
             elif variant == "condensed_time":

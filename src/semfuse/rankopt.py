@@ -7,13 +7,14 @@ every kernel as an m x m matrix and composes the scores from them, and
 the per-pair `sim_sigma`/`sim_pi` read one cell of a two-record batch.
 Batches are compared through ranking matrices, and the kernel weights are
 fit by a deterministic shrinking-grid search over the weight space, since
-the ranking loss is piecewise constant and has no usable gradient.
+the ranking loss is piecewise constant and has no usable gradient. The
+search scores, ranks and compares a chunk of grid points at a time as a
+(probes, m, m) stack, through the same code the single-matrix calls use.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,9 @@ SIM_KINDS = ("sigma", "pi")
 DIST_KINDS = ("exp_abs", "inv_abs", "floor_geo")
 DEFAULT_DIST_KINDS = ("inv_abs", "floor_geo")
 RECOMMENDED_BATCH = (10, 20)
+# score cells per probe chunk in optimize_alphas: the (probes, m, m) stacks
+# stay about 1 MiB each
+_CHUNK_CELLS = 2**17
 
 
 # Each kernel once, as a numpy function of the gap between two features:
@@ -129,28 +133,40 @@ def rank_matrix(scores: np.ndarray) -> RankMatrix:
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
         raise DomainError(f"score matrix must be square, got shape {scores.shape}")
-    m = scores.shape[0]
+    return RankMatrix(m=scores.shape[0], entries=_rank_entries(scores))
+
+
+def _rank_entries(scores: np.ndarray) -> np.ndarray:
+    # rank_matrix over the last two axes of a (..., m, m) stack
+    m = scores.shape[-1]
     if m < 2:
         raise DomainError(f"need at least 2 items, got {m}")
     if not np.isfinite(scores).all():
         raise DomainError("score matrix has non-finite entries")
     # a stable sort of -score keeps ties in index order; the diagonal sorts last
+    diag = np.arange(m)
     keys = -scores
-    np.fill_diagonal(keys, np.inf)
-    order = np.argsort(keys, axis=1, kind="stable")
-    entries = np.empty((m, m), dtype=int)
-    np.put_along_axis(entries, order, np.arange(m)[None, :], axis=1)
-    np.fill_diagonal(entries, 0)
-    return RankMatrix(m=m, entries=entries)
+    keys[..., diag, diag] = np.inf
+    order = np.argsort(keys, axis=-1, kind="stable")
+    entries = np.empty(scores.shape, dtype=int)
+    np.put_along_axis(entries, order, np.broadcast_to(diag, scores.shape), axis=-1)
+    entries[..., diag, diag] = 0
+    return entries
 
 
 def rank_loss(predicted: RankMatrix, labeled: RankMatrix) -> float:
     """Root of the summed squared rank differences over off-diagonal pairs."""
     if predicted.m != labeled.m:
         raise DomainError(f"rank matrix sizes differ: {predicted.m} vs {labeled.m}")
-    diff = (predicted.entries - labeled.entries).astype(float)
-    np.fill_diagonal(diff, 0.0)
-    return float(np.sqrt(np.sum(diff * diff)))
+    return float(_rank_losses(predicted.entries, labeled.entries))
+
+
+def _rank_losses(entries: np.ndarray, labeled: np.ndarray) -> np.ndarray:
+    # rank_loss of each (m, m) matrix in a (..., m, m) stack. Both diagonals
+    # are 0, so they add nothing, and the sum of squared integer differences
+    # is exact, so it does not depend on the summation order.
+    diff = entries - labeled
+    return np.sqrt(np.sum(diff * diff, axis=(-2, -1)))
 
 
 def pairwise_scores(
@@ -166,7 +182,8 @@ def pairwise_scores(
     if any(len(feats) != len(params.alphas) for feats in features):
         raise DomainError(f"every record needs {len(params.alphas)} features, one per alpha")
     kernels = _kernel_matrices(features, params.dist_kinds)
-    scores = _compose_scores(embeddings @ embeddings.T, kernels, params)
+    alphas = np.asarray(params.alphas, dtype=float)
+    scores = _compose_scores(embeddings @ embeddings.T, kernels, params.kind, alphas)
     # mirror the upper triangle in place; adding 0.0 normalizes -0.0 to 0.0
     # exactly as the sum of the two triangles would
     for i in range(m - 1):
@@ -203,15 +220,20 @@ def _kernel_matrix(column: list, kind: str, position: int) -> np.ndarray:
 
 
 def _compose_scores(
-    dots: np.ndarray, kernels: Sequence[np.ndarray], params: SimilarityParams
+    dots: np.ndarray, kernels: Sequence[np.ndarray], kind: str, alphas: np.ndarray
 ) -> np.ndarray:
-    if params.kind == "sigma":
-        out = dots.copy()
-        for alpha, kernel in zip(params.alphas, kernels):
+    # alphas holds one weight per kernel on its last axis; any leading axes
+    # (one per probe) lead the result too, so (n,) gives (m, m) and
+    # (probes, n) gives (probes, m, m)
+    weights = [alphas[..., i, None, None] for i in range(len(kernels))]
+    out = np.empty(alphas.shape[:-1] + dots.shape)
+    if kind == "sigma":
+        out[...] = dots
+        for alpha, kernel in zip(weights, kernels):
             out += alpha * kernel
         return out
-    out = np.ones_like(dots)
-    for alpha, kernel in zip(params.alphas, kernels):
+    out.fill(1.0)
+    for alpha, kernel in zip(weights, kernels):
         out *= alpha + kernel
     out *= dots
     return out
@@ -288,7 +310,9 @@ def optimize_alphas(
         )
 
     kernels = _kernel_matrices(features, dist_kinds)
+    SimilarityParams(kind=kind, alphas=(0.0,) * n, dist_kinds=dist_kinds)  # validates kind
     dots = embeddings @ embeddings.T
+    chunk = max(1, _CHUNK_CELLS // (m * m))
 
     counts = cfg.points_per_axis()
     lo, hi = np.array(cfg.bounds, dtype=float).T
@@ -298,16 +322,18 @@ def optimize_alphas(
     trace: list[tuple] = []
     for rnd in range(1, cfg.rounds + 1):
         axes = map(_axis_points, np.maximum(lo, center - half), np.minimum(hi, center + half), counts)
-        grid = itertools.product(*axes)
+        # one row per probe, in lexicographic order with alpha1 slowest
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
         if rnd == 1 and any(c % 2 == 0 for c in counts):
             # even grids skip the interval midpoint; probe it so the result
             # can never be worse than the initial grid center
-            grid = itertools.chain([center], grid)
-        for alphas in grid:
-            alphas = tuple(map(float, alphas))
-            params = SimilarityParams(kind=kind, alphas=alphas, dist_kinds=dist_kinds)
-            loss = rank_loss(rank_matrix(_compose_scores(dots, kernels, params)), labels)
-            trace.append((rnd, *alphas, loss))
+            grid = np.vstack([center, grid])
+        losses = np.concatenate([
+            _rank_losses(_rank_entries(_compose_scores(dots, kernels, kind, grid[start:start + chunk])),
+                         labels.entries)
+            for start in range(0, len(grid), chunk)
+        ])
+        trace.extend((rnd, *alphas, loss) for alphas, loss in zip(grid.tolist(), losses.tolist()))
         # min keeps the first of equal losses
         best = min(trace, key=lambda row: row[-1])
         center = np.array(best[1:-1])

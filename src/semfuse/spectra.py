@@ -75,10 +75,8 @@ def fit_pca(space: EmbeddingSpace | np.ndarray, k: int) -> PcaModel:
     axis's largest-magnitude entry is positive.
     """
     matrix = space.matrix if isinstance(space, EmbeddingSpace) else np.asarray(space, dtype=float)
-    n, d = matrix.shape
-    k_max = min(n - 1, d)
-    if not 1 <= k <= k_max:
-        raise DomainError(f"k={k} out of range [1, {k_max}] for a {n}x{d} space")
+    _check_k(k, matrix.shape)
+    n = matrix.shape[0]
     mean = matrix.mean(axis=0)
     centered = matrix - mean
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)
@@ -88,6 +86,31 @@ def fit_pca(space: EmbeddingSpace | np.ndarray, k: int) -> PcaModel:
             row *= -1.0
     variances = (singular[:k] ** 2) / n
     return PcaModel(mean=mean, components=components, explained_variance=variances)
+
+
+def fit_pca_models(space: EmbeddingSpace, k_list: Sequence[int]) -> list[PcaModel]:
+    """fit_pca(space, k) for every k in k_list, from one fit at max(k_list).
+
+    fit_pca keeps the leading rows of one SVD, so the first k axes of the
+    largest model are exactly the k-component model.
+    """
+    for k in k_list:
+        _check_k(k, space.matrix.shape)
+    if not k_list:
+        return []
+    full = fit_pca(space, max(k_list))
+    return [
+        PcaModel(mean=full.mean, components=full.components[:k],
+                 explained_variance=full.explained_variance[:k])
+        for k in k_list
+    ]
+
+
+def _check_k(k: int, shape: tuple[int, int]) -> None:
+    n, d = shape
+    k_max = min(n - 1, d)
+    if not 1 <= k <= k_max:
+        raise DomainError(f"k={k} out of range [1, {k_max}] for a {n}x{d} space")
 
 
 def transform(model: PcaModel, space: EmbeddingSpace | np.ndarray) -> np.ndarray:
@@ -184,8 +207,7 @@ def delta_cosine_experiment(
     baseline = [_pairwise_cosines(centered, i, j) for i, j in trial_pairs]
 
     results = []
-    for k in k_list:
-        model = fit_pca(space, k)
+    for k, model in zip(k_list, fit_pca_models(space, k_list)):
         reduced = transform(model, space)
         augmented = augment(reduced, features, space.ids)
         trial_means = np.empty(trials)

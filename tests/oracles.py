@@ -3,19 +3,27 @@
 The per-pair scorer, the sort-based ranker and the two-axis grid walk are
 what `semfuse.rankopt` used before it computed everything on matrices.
 They use only the standard library per pair, so a fault in the numpy path
-cannot hide in its own reference. `tsne_cost_and_grad` and `tsne_descent`
-are the t-SNE descent as it was when each iteration made two full cost
-and gradient evaluations: one against P for the trace, one against the
-exaggerated P for the step.
+cannot hide in its own reference. `optimize_trace` is the grid search as
+it was before it scored each round as one stack: one `pairwise_scores`,
+`rank_matrix` and `rank_loss` per probe. `word_salience` is the salience
+of one token occurrence with a solve of its own, as `semfuse.embed`
+computed it before one solve served every distinct token.
+`tsne_cost_and_grad` and `tsne_descent` are the t-SNE descent as it was
+when each iteration made two full cost and gradient evaluations: one
+against P for the trace, one against the exaggerated P for the step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
+from semfuse.errors import DomainError
 from semfuse.geotime import EARTH_RADIUS_MILES
+from semfuse.rankopt import SimilarityParams, rank_loss, rank_matrix
+from semfuse.rankopt import pairwise_scores as matrix_scores
 from semfuse.tsne import (
     _MAX_STEP,
     _MIN_GAIN,
@@ -112,6 +120,43 @@ def two_axis_grid_trace(cfg, loss_at) -> list[tuple[int, float, float, float]]:
         center = best
         half = (half[0] * cfg.shrink, half[1] * cfg.shrink)
     return trace
+
+
+def optimize_trace(embeddings, features, labels, kind, dist_kinds, cfg):
+    """The shrinking-grid search scored probe by probe; returns (params, loss, trace)."""
+    counts = cfg.points_per_axis()
+    lo, hi = np.array(cfg.bounds, dtype=float).T
+    center = (lo + hi) / 2.0
+    half = (hi - lo) / 2.0
+    trace = []
+    for rnd in range(1, cfg.rounds + 1):
+        axes = [
+            np.array([(a + b) / 2.0]) if c == 1 else np.linspace(a, b, c)
+            for a, b, c in zip(np.maximum(lo, center - half), np.minimum(hi, center + half), counts)
+        ]
+        grid = itertools.product(*axes)
+        if rnd == 1 and any(c % 2 == 0 for c in counts):
+            grid = itertools.chain([center], grid)
+        for alphas in grid:
+            params = SimilarityParams(kind, tuple(map(float, alphas)), tuple(dist_kinds))
+            loss = rank_loss(rank_matrix(matrix_scores(embeddings, features, params)), labels)
+            trace.append((rnd, *params.alphas, loss))
+        best = min(trace, key=lambda row: row[-1])
+        center = np.array(best[1:-1])
+        half = half * cfg.shrink
+    return SimilarityParams(kind, best[1:-1], tuple(dist_kinds)), best[-1], trace
+
+
+def word_salience(token, ctx, table) -> float:
+    """Mahalanobis distance from the context mean, one solve per call."""
+    residual = table.vector(token) - ctx.mean
+    if not residual.any():
+        return 0.0
+    try:
+        solved = np.linalg.solve(ctx.metric(), residual)
+    except np.linalg.LinAlgError:
+        raise DomainError("context metric is singular; increase ridge") from None
+    return float(np.sqrt(max(0.0, float(residual @ solved))))
 
 
 def tsne_cost_and_grad(P, coords, kernel="gaussian", cost="joint"):

@@ -167,6 +167,39 @@ class TestStageOrdering:
         assert "error:" in capsys.readouterr().err
 
 
+class TestNonFiniteFlags:
+    # (command, output it must not write, the setting named in the error);
+    # one case per parser: single number, number list, lo:hi bounds
+    CASES = {
+        "embed --ridge nan": (["embed", "--ridge", "nan"], "embeddings.csv", "ridge"),
+        "optimize --step nan": (["optimize", "--step", "nan"], "optimize_trace.csv", "step"),
+        "score --alphas nan": (["score", "--alphas", "0.02,nan"], "scores.csv", "alphas"),
+        "score --alphas -inf": (["score", "--alphas", "0.02,-inf"], "scores.csv", "alphas"),
+        "optimize --bounds inf": (["optimize", "--bounds", "0:1,0:inf"], "optimize_trace.csv", "bounds"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_with_the_setting_named(self, pipeline_fixture, tmp_path, capsys, case):
+        command, written, setting = self.CASES[case]
+        out = tmp_path / "out"
+        base = ["--out-dir", str(out)]
+        fx = pipeline_fixture
+        assert main(base + ["ingest", "--corpus", str(fx["corpus"]),
+                            "--gazetteer", str(fx["gazetteer"])]) == 0
+        if command[0] != "embed":
+            assert main(base + ["embed", "--word-vectors", str(fx["vectors"])]) == 0
+        else:
+            command = command + ["--word-vectors", str(fx["vectors"])]
+        if command[0] == "optimize":
+            command = command + ["--labels", str(fx["rank_labels"])]
+        capsys.readouterr()
+        assert main(base + command) == 2
+        err = capsys.readouterr().err
+        assert f"error: {setting} must be finite" in err
+        assert "Traceback" not in err
+        assert not (out / written).exists()
+
+
 class TestConfigFile:
     def test_config_supplies_settings_and_flags_override(self, pipeline_fixture, tmp_path):
         out = tmp_path / "out"

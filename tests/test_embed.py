@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +17,7 @@ from semfuse.embed import (
     import_embeddings,
     load_word_vectors,
     sim_cosal,
+    token_saliences,
     word_salience,
 )
 from semfuse.errors import ConflictError, DomainError, FormatError, UnknownKeyError
@@ -155,6 +157,99 @@ class TestWordSalience:
             assert word_salience(tok, ctx_a, table_a) == pytest.approx(
                 word_salience(tok, ctx_b, table_b), abs=1e-6
             )
+
+
+def salience_corpus(seed: int, dim: int, n_docs: int, vocab: int = 12):
+    """Random docs over a small vocabulary, with repeats, an unknown token and
+    a token that sits exactly on the context mean."""
+    rng = np.random.default_rng(seed)
+    names = [f"w{i}" for i in range(vocab)]
+    vectors = {n: rng.normal(size=dim) for n in names}
+    docs = [
+        CleanDoc(f"d{i}", (names[i % vocab], *rng.choice(names + ["oov"], size=int(rng.integers(0, 8)))))
+        for i in range(n_docs)
+    ]
+    ctx = fit_context(docs, WordVectorTable(dim, vectors), ridge=0.01)
+    table = WordVectorTable(dim, {**vectors, "mid": ctx.mean.copy()})
+    docs.append(CleanDoc("at_mean", ("mid", "oov", "mid")))
+    return docs, ctx, table
+
+
+SINGULAR = ContextModel(np.ones(2), np.zeros((2, 2)), 0.0)
+SINGULAR_TABLE = table_from({"a": [1.0, 2.0], "z": [1.0, 1.0]})
+
+
+class TestTokenSaliences:
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([2, 3, 8, 50]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_occurrence_oracle(self, seed, dim):
+        docs, ctx, table = salience_corpus(seed, dim, 6)
+        tokens = [t for doc in docs for t in doc.tokens]
+        got = token_saliences(tokens, ctx, table)
+        assert list(got) == list(dict.fromkeys(t for t in tokens if t in table))
+        for token, value in got.items():
+            want = oracles.word_salience(token, ctx, table)
+            assert abs(value - want) <= 1e-12 * want
+        assert got["mid"] == 0.0
+
+    def test_embed_corpus_matches_per_occurrence_oracle(self):
+        docs, ctx, table = salience_corpus(7, 8, 20)
+        space, fallback_ids = embed_corpus(docs, ctx, table)
+        for doc, row in zip(docs, space.matrix):
+            known = [t for t in doc.tokens if t in table]
+            weights = np.array([oracles.word_salience(t, ctx, table) for t in known])
+            stack = np.array([table.vector(t) for t in known])
+            mean = stack.mean(axis=0) if weights.sum() == 0.0 else weights @ stack / weights.sum()
+            assert np.allclose(row, mean / np.linalg.norm(mean), rtol=0.0, atol=1e-12)
+        assert fallback_ids == ("at_mean",)
+
+    def test_word_salience_reads_the_map(self):
+        docs, ctx, table = salience_corpus(8, 3, 4)
+        for token in ("w0", "w1", "mid"):
+            assert word_salience(token, ctx, table) == token_saliences([token], ctx, table)[token]
+        with pytest.raises(UnknownKeyError, match=r"^token 'oov' not in vocabulary$"):
+            word_salience("oov", ctx, table)
+
+    def test_embed_sentence_uses_a_given_map(self):
+        table = table_from({"x": [1.0, 0.0], "y": [0.0, 2.0]})
+        ctx = ContextModel(np.zeros(2), np.eye(2), 0.0)
+        out = embed_sentence(["x", "y"], ctx, table, {"x": 1.0, "y": 0.0})
+        assert np.array_equal(out.vector, [1.0, 0.0])
+        assert embed_sentence(["x", "y"], ctx, table, {"x": 0.0, "y": 0.0}).fallback
+
+    @pytest.mark.parametrize("n_docs", [1, 5, 60])
+    def test_one_solve_per_corpus(self, n_docs, monkeypatch):
+        docs, ctx, table = salience_corpus(9, 6, n_docs)
+        solve = np.linalg.solve
+        calls = []
+
+        def counted(a, b):
+            calls.append(np.shape(b))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        embed_corpus(docs, ctx, table)
+        assert len(calls) == 1
+
+    def test_singular_metric_message(self):
+        message = r"^context metric is singular; increase ridge$"
+        with pytest.raises(DomainError, match=message):
+            token_saliences(["z", "a"], SINGULAR, SINGULAR_TABLE)
+        with pytest.raises(DomainError, match=message):
+            word_salience("a", SINGULAR, SINGULAR_TABLE)
+        with pytest.raises(DomainError, match=message):
+            oracles.word_salience("a", SINGULAR, SINGULAR_TABLE)
+        # tokens on the mean need no solve, so they never meet the singular metric
+        assert token_saliences(["z", "z"], SINGULAR, SINGULAR_TABLE) == {"z": 0.0}
+
+    def test_singular_metric_names_the_first_record_that_solves(self):
+        docs = [CleanDoc("flat", ("z",)), CleanDoc("moved", ("z", "a")), CleanDoc("later", ("a",))]
+        with pytest.raises(DomainError, match=r"^record 'moved': context metric is singular; increase ridge$"):
+            embed_corpus(docs, SINGULAR, SINGULAR_TABLE)
+        # an earlier record's own error still comes first
+        docs = [CleanDoc("none", ("oov",))] + docs
+        with pytest.raises(DomainError, match=r"^record 'none': no in-vocabulary tokens in sentence$"):
+            embed_corpus(docs, SINGULAR, SINGULAR_TABLE)
 
 
 class TestEmbedSentence:

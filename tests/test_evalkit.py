@@ -218,6 +218,16 @@ class TestComponentSweep:
         assert by_variant["all_features"] == pytest.approx(by_variant["pca_only"], abs=1e-9)
         assert by_variant["condensed_time"] == pytest.approx(by_variant["pca_only"], abs=1e-9)
 
+    def test_one_pca_fit_per_sweep(self, monkeypatch):
+        import semfuse.spectra as spectra
+
+        fit = spectra.fit_pca
+        calls = []
+        monkeypatch.setattr(spectra, "fit_pca", lambda space, k: calls.append(k) or fit(space, k))
+        features = np.random.default_rng(4).normal(size=(8, 7))
+        component_sweep(self.space, features, features[:, :3], self.labels, [2, 4, 3], top_n=4)
+        assert calls == [4]
+
     def test_deterministic(self):
         features = np.random.default_rng(2).normal(size=(8, 7))
         condensed = features[:, 2:5]

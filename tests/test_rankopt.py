@@ -1,11 +1,13 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import oracles
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import semfuse.rankopt as rankopt
 from semfuse.corpus import Record
 from semfuse.errors import ConfigError, ConflictError, DomainError, FormatError, RowError
 from semfuse.geotime import EARTH_RADIUS_MILES, GeoPoint
@@ -379,6 +381,113 @@ class TestOptimizeAlphas:
         short = [(f[0],) for f in feats]
         with pytest.raises(ConfigError):
             optimize_alphas(emb, short, labels, "pi", DEFAULT_DIST_KINDS, cfg)
+
+
+def fitted_batch(m: int, seed: int, kinds: tuple[str, ...], kind: str):
+    """A batch with per-record features for `kinds` and labels planted at fixed weights."""
+    emb, feats = synthetic_batch(m, seed)
+    column = {"inv_abs": lambda f: f[0], "exp_abs": lambda f: f[0] / 7.0, "floor_geo": lambda f: f[1]}
+    feats = [tuple(column[k](f) for k in kinds) for f in feats]
+    planted = SimilarityParams(kind, tuple(0.3 + 0.4 * i for i in range(len(kinds))), kinds)
+    return emb, feats, rank_matrix(pairwise_scores(emb, feats, planted))
+
+
+class TestStackedSearch:
+    """optimize_alphas scores each round as stacks of probes; the per-probe loop is its oracle."""
+
+    CASES = {
+        # name: (m, dist kinds, bounds, step, rounds)
+        "one kernel": (12, ("inv_abs",), ((0.0, 1.0),), None, 6),
+        "two kernels": (12, DEFAULT_DIST_KINDS, ((0.0, 1.0), (0.0, 12.0)), None, 6),
+        "three kernels": (10, ("inv_abs", "floor_geo", "exp_abs"), ((0.0, 1.0),) * 3, 0.125, 3),
+        "even grid": (10, DEFAULT_DIST_KINDS, ((0.0, 1.0), (0.0, 1.0)), 0.25, 4),
+        "several chunks": (20, DEFAULT_DIST_KINDS, ((0.0, 1.0), (0.0, 12.0)), None, 3),
+        "m = 3": (3, DEFAULT_DIST_KINDS, ((0.0, 1.0), (0.0, 12.0)), None, 3),
+        "m = 40": (40, DEFAULT_DIST_KINDS, ((0.0, 1.0), (0.0, 12.0)), None, 2),
+    }
+
+    @pytest.mark.parametrize("kind", SIM_KINDS)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_trace_equals_per_probe_oracle(self, case, kind):
+        m, kinds, bounds, step, rounds = self.CASES[case]
+        emb, feats, labels = fitted_batch(m, 40 + m, kinds, kind)
+        cfg = GridConfig(bounds=bounds, step=step, rounds=rounds)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = optimize_alphas(emb, feats, labels, kind, kinds, cfg)
+        assert bool(caught) == (m not in range(10, 21))
+        want = oracles.optimize_trace(emb, feats, labels, kind, kinds, cfg)
+        assert got == want
+
+    def test_chunks_that_do_not_divide_the_grid(self, monkeypatch):
+        # 7 probes per chunk: a 21 x 21 round is 63 chunks, the last one short
+        emb, feats, labels = fitted_batch(12, 50, DEFAULT_DIST_KINDS, "pi")
+        monkeypatch.setattr(rankopt, "_CHUNK_CELLS", 7 * 12 * 12)
+        cfg = GridConfig(bounds=((0.0, 1.0), (0.0, 12.0)), rounds=2)
+        got = optimize_alphas(emb, feats, labels, "pi", DEFAULT_DIST_KINDS, cfg)
+        assert got == oracles.optimize_trace(emb, feats, labels, "pi", DEFAULT_DIST_KINDS, cfg)
+
+    def test_first_of_equal_losses_wins(self):
+        # weights this small cannot reorder the dot products, so every probe ties
+        emb, feats = synthetic_batch(10, 51)
+        labels = rank_matrix(np.tile(np.arange(10.0), (10, 1)))
+        cfg = GridConfig(bounds=((0.0, 1e-12), (0.0, 1e-12)), rounds=2)
+        params, loss, trace = optimize_alphas(emb, feats, labels, "sigma", DEFAULT_DIST_KINDS, cfg)
+        assert {row[-1] for row in trace} == {loss} and loss > 0
+        assert params.alphas == trace[0][1:-1] == (0.0, 0.0)
+        assert (params, loss, trace) == oracles.optimize_trace(
+            emb, feats, labels, "sigma", DEFAULT_DIST_KINDS, cfg)
+
+    def test_one_rank_call_per_chunk(self, monkeypatch):
+        emb, feats, labels = fitted_batch(20, 52, DEFAULT_DIST_KINDS, "pi")
+        calls = []
+        core = rankopt._rank_entries
+
+        def counted(scores):
+            calls.append(scores.shape)
+            return core(scores)
+
+        def per_probe(scores):
+            raise AssertionError("rank_matrix called per probe")
+
+        monkeypatch.setattr(rankopt, "_rank_entries", counted)
+        monkeypatch.setattr(rankopt, "rank_matrix", per_probe)
+        cfg = GridConfig(bounds=((0.0, 1.0), (0.0, 12.0)))
+        _, _, trace = optimize_alphas(emb, feats, labels, "pi", DEFAULT_DIST_KINDS, cfg)
+        chunk = rankopt._CHUNK_CELLS // (20 * 20)
+        assert chunk < 441
+        assert len(calls) == cfg.rounds * math.ceil(441 / chunk)
+        assert sum(shape[0] for shape in calls) == len(trace) == 2646
+        assert {shape[1:] for shape in calls} == {(20, 20)}
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_probe_scores_rejected(self):
+        emb, feats, labels = fitted_batch(10, 53, DEFAULT_DIST_KINDS, "sigma")
+        cfg = GridConfig(bounds=((0.0, 1.7e308), (0.0, 1.7e308)), rounds=1)
+        with pytest.raises(DomainError, match="non-finite"):
+            optimize_alphas(emb, feats, labels, "sigma", DEFAULT_DIST_KINDS, cfg)
+
+    def test_unknown_kind_rejected(self):
+        emb, feats, labels = fitted_batch(10, 54, DEFAULT_DIST_KINDS, "sigma")
+        cfg = GridConfig(bounds=((0.0, 1.0), (0.0, 1.0)), rounds=1)
+        with pytest.raises(DomainError, match="unknown similarity kind 'tau'"):
+            optimize_alphas(emb, feats, labels, "tau", DEFAULT_DIST_KINDS, cfg)
+
+    @given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=6),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_rank_core_equals_rank_matrix_on_tied_rows(self, m, probes, seed):
+        rng = np.random.default_rng(seed)
+        stack = rng.choice([0.0, 0.5, 1.0], size=(probes, m, m))
+        labels = rank_matrix(rng.choice([0.0, 1.0], size=(m, m)))
+        entries = rankopt._rank_entries(stack)
+        losses = rankopt._rank_losses(entries, labels.entries)
+        assert entries.shape == stack.shape and losses.shape == (probes,)
+        for p in range(probes):
+            single = rank_matrix(stack[p])
+            assert np.array_equal(entries[p], single.entries)
+            assert np.array_equal(entries[p], oracles.rank_entries(stack[p]))
+            assert losses[p] == rank_loss(single, labels)
 
 
 days_st = st.floats(min_value=0.0, max_value=1e5, allow_nan=False)

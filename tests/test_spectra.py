@@ -4,14 +4,29 @@ from hypothesis import given, settings, strategies as st
 
 from semfuse.embed import EmbeddingSpace
 from semfuse.errors import DomainError, UnknownKeyError
+import semfuse.spectra as spectra
 from semfuse.spectra import (
     augment,
     cosine,
     delta_cosine_experiment,
     fit_pca,
+    fit_pca_models,
     save_delta_csv,
     transform,
 )
+
+
+def count_fit_pca(monkeypatch) -> list[int]:
+    """Record the k of every fit_pca call the spectra module makes."""
+    calls = []
+    fit = spectra.fit_pca
+
+    def counted(space, k):
+        calls.append(k)
+        return fit(space, k)
+
+    monkeypatch.setattr(spectra, "fit_pca", counted)
+    return calls
 
 
 def random_space(seed, n=20, d=10):
@@ -87,6 +102,34 @@ class TestFitPca:
         model = fit_pca(space, 5)
         total = np.sum(np.var(space.matrix, axis=0))
         assert np.sum(model.explained_variance) == pytest.approx(total, abs=1e-6)
+
+
+class TestFitPcaModels:
+    def test_each_model_equals_its_own_fit(self):
+        space = random_space(21, n=15, d=9)
+        k_list = [3, 1, 9, 5, 3]
+        for k, model in zip(k_list, fit_pca_models(space, k_list)):
+            own = fit_pca(space, k)
+            assert model.k == k
+            assert np.array_equal(model.mean, own.mean)
+            assert np.array_equal(model.components, own.components)
+            assert np.array_equal(model.explained_variance, own.explained_variance)
+            assert np.array_equal(transform(model, space), transform(own, space))
+
+    def test_one_fit_at_the_largest_k(self, monkeypatch):
+        calls = count_fit_pca(monkeypatch)
+        fit_pca_models(random_space(22), [2, 6, 4])
+        assert calls == [6]
+
+    def test_k_out_of_range_names_the_first_bad_k(self):
+        space = random_space(23, n=6, d=4)
+        with pytest.raises(DomainError, match=r"^k=0 out of range \[1, 4\] for a 6x4 space$"):
+            fit_pca_models(space, [2, 0, 7])
+        with pytest.raises(DomainError, match=r"^k=7 out of range \[1, 4\] for a 6x4 space$"):
+            fit_pca_models(space, [2, 7, 0])
+
+    def test_empty_list(self):
+        assert fit_pca_models(random_space(24), []) == []
 
 
 class TestTransform:
@@ -210,6 +253,13 @@ class TestDeltaCosine:
         assert [(r.k, r.mean_abs_delta, r.stderr) for r in a] == [
             (r.k, r.mean_abs_delta, r.stderr) for r in b
         ]
+
+    def test_one_pca_fit_per_experiment(self, monkeypatch):
+        calls = count_fit_pca(monkeypatch)
+        space = random_space(16, n=15, d=6)
+        features = np.random.default_rng(5).normal(size=(15, 3))
+        delta_cosine_experiment(space, features, [2, 6, 4], trials=2, pair_sample_size=10)
+        assert calls == [6]
 
     def test_sample_size_exceeding_pairs(self):
         space = random_space(13, n=5, d=4)
