@@ -54,6 +54,7 @@ from .rankopt import (
     load_rank_labels,
     optimize_alphas,
     pairwise_scores,
+    save_score_matrix,
     save_trace_csv,
 )
 from .spectra import delta_cosine_experiment, fit_pca, save_delta_csv, transform
@@ -372,9 +373,7 @@ def cmd_score(run: Run) -> None:
     params = _similarity_params(run)
     scores = pairwise_scores(space.matrix, batch_features(records), params)
     out = run.path_out(SCORES)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        for row in scores:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    save_score_matrix(scores, out)
     write_sidecar(
         out,
         "score",

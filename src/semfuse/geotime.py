@@ -172,7 +172,10 @@ def save_feature_matrix(path: str | Path, matrix: np.ndarray, variant: str) -> N
 
 
 def load_feature_matrix(path: str | Path) -> tuple[np.ndarray, str]:
-    """Read a feature CSV written by save_feature_matrix; returns (matrix, variant)."""
+    """Read a feature CSV written by save_feature_matrix; returns (matrix, variant).
+
+    Every cell must be a finite number.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -187,7 +190,10 @@ def load_feature_matrix(path: str | Path) -> tuple[np.ndarray, str]:
             if len(row) != len(header):
                 raise FormatError(f"{path}: line {lineno} has {len(row)} fields, expected {len(header)}")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise FormatError(f"{path}: line {lineno}: non-finite value")
+            rows.append(values)
     return np.array(rows, dtype=float).reshape(len(rows), len(header)), variant

@@ -10,6 +10,9 @@ fit by a deterministic shrinking-grid search over the weight space, since
 the ranking loss is piecewise constant and has no usable gradient. The
 search scores, ranks and compares a chunk of grid points at a time as a
 (probes, m, m) stack, through the same code the single-matrix calls use.
+`save_score_matrix` writes an exactly symmetric score matrix as the
+headerless CSV that `load_rank_labels` reads, formatting each unordered
+pair once and reusing the text for the mirrored cell.
 """
 
 from __future__ import annotations
@@ -351,6 +354,38 @@ def save_trace_csv(trace: Sequence[tuple], path: str | Path) -> None:
         writer.writerow(["round", *(f"alpha{i}" for i in range(1, n_alphas + 1)), "loss"])
         for rnd, *values in trace:
             writer.writerow([rnd, *(repr(float(v)) for v in values)])
+
+
+def save_score_matrix(scores: np.ndarray, path: str | Path) -> None:
+    """Write a square, exactly symmetric score matrix as headerless CSV.
+
+    Each cell is the shortest `repr` of its float, one matrix row per
+    line, the layout `load_rank_labels` reads back. Cell (j, i) prints as
+    cell (i, j), so each unordered pair is formatted once: row i formats
+    its cells from the diagonal on and leaves the text of cell (i, j)
+    on column j's list, which row j joins and drops. The lists hold
+    about m²/4 texts at the middle row and none when the write ends.
+    Raises DomainError, with no file written, unless the matrix equals
+    its transpose.
+    """
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
+        raise DomainError(f"score matrix must be square, got shape {scores.shape}")
+    # -0.0 == 0.0, but the two print differently
+    signs = np.signbit(scores)
+    if not (np.array_equal(scores, scores.T) and np.array_equal(signs, signs.T)):
+        raise DomainError("score matrix is not symmetric")
+    m = scores.shape[0]
+    # kept as bytes: a 20-character text takes 64 B of memory as bytes, 80 B as str
+    below: list[list[bytes] | None] = [[] for _ in range(m)]
+    with open(path, "wb") as fh:
+        for i in range(m):
+            upper = list(map(str.encode, map(repr, scores[i, i:].tolist())))
+            line, below[i] = below[i], None
+            line += upper
+            fh.write(b",".join(line) + b"\n")
+            for column, text in zip(below[i + 1:], upper[1:]):
+                column.append(text)
 
 
 def load_rank_labels(path: str | Path) -> RankMatrix:

@@ -11,6 +11,8 @@ computed it before one solve served every distinct token.
 `tsne_cost_and_grad` and `tsne_descent` are the t-SNE descent as it was
 when each iteration made two full cost and gradient evaluations: one
 against P for the trace, one against the exaggerated P for the step.
+`score_matrix_text` is `scores.csv` as the score stage wrote it with one
+`repr` per cell, before `save_score_matrix` formatted each pair once.
 """
 
 from __future__ import annotations
@@ -77,6 +79,11 @@ def pairwise_scores(embeddings, features, params) -> np.ndarray:
             if i != j:
                 scores[i, j] = pair_score(embeddings[i], embeddings[j], features[i], features[j], params)
     return scores
+
+
+def score_matrix_text(scores) -> str:
+    """Each cell's shortest repr, one matrix row per line."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in scores)
 
 
 def rank_entries(scores) -> np.ndarray:

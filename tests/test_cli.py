@@ -1,10 +1,19 @@
 import re
 
 import numpy as np
+import oracles
 import pytest
 
 from semfuse.cli import main
+from semfuse.corpus import load_corpus
 from semfuse.embed import import_embeddings
+from semfuse.rankopt import (
+    DEFAULT_DIST_KINDS,
+    SimilarityParams,
+    batch_features,
+    pairwise_scores,
+    rank_matrix,
+)
 
 
 def run_stages(out_dir, fx, seed=7):
@@ -87,6 +96,28 @@ class TestPipeline:
         rows = (out / "scores.csv").read_text(encoding="utf-8").strip().splitlines()
         assert len(rows) == 10
         assert all(len(row.split(",")) == 10 for row in rows)
+
+    def test_scores_read_back_equal_the_scorer(self, pipeline_fixture, tmp_path):
+        out = tmp_path / "out"
+        base = ["--out-dir", str(out)]
+        fx = pipeline_fixture
+        assert main(base + ["ingest", "--corpus", str(fx["corpus"]),
+                            "--gazetteer", str(fx["gazetteer"])]) == 0
+        assert main(base + ["embed", "--word-vectors", str(fx["vectors"])]) == 0
+        assert main(base + ["score", "--kind", "pi", "--alphas", "0.02,9.55"]) == 0
+        assert main(base + ["eval", "--mode", "compare", "--pred", "scores.csv",
+                            "--labels", str(fx["rank_labels"])]) == 0
+        records = load_corpus(out / "records.csv", format="csv")
+        space = import_embeddings(out / "embeddings.csv")
+        params = SimilarityParams(kind="pi", alphas=(0.02, 9.55), dist_kinds=DEFAULT_DIST_KINDS)
+        expected = pairwise_scores(space.matrix, batch_features(records), params)
+        assert (out / "scores.csv").read_bytes() == oracles.score_matrix_text(expected).encode("ascii")
+        assert np.array_equal(np.loadtxt(out / "scores.csv", delimiter=","), expected)
+        heatmap = np.loadtxt(out / "rank_heatmap.csv", delimiter=",", skiprows=1, dtype=int)
+        m = len(records)
+        ranks = np.zeros((m, m), dtype=int)
+        ranks[heatmap[:, 0], heatmap[:, 1]] = heatmap[:, 2]
+        assert np.array_equal(ranks, rank_matrix(expected).entries)
 
     def test_sigma_with_zero_weights_is_plain_dot_product(self, pipeline_fixture, tmp_path):
         out = tmp_path / "out"

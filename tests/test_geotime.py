@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semfuse.corpus import Record
-from semfuse.errors import DomainError
+from semfuse.errors import DomainError, FormatError
 from semfuse.geotime import (
     EARTH_RADIUS_MILES,
     GeoPoint,
@@ -195,3 +196,13 @@ class TestFeatureMatrix:
         loaded, variant = load_feature_matrix(p)
         assert variant == "all_features"
         assert np.array_equal(loaded, m)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_load_rejects_non_finite_cells_naming_file_and_line(self, tmp_path, bad):
+        p = tmp_path / "features.csv"
+        save_feature_matrix(p, build_feature_matrix(self.records(3), "condensed_time"), "condensed_time")
+        lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = f"{bad}," + lines[2].split(",", 1)[1]
+        p.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{p}: line 3: non-finite")):
+            load_feature_matrix(p)

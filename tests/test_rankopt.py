@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from semfuse.rankopt import (
     pairwise_scores,
     rank_loss,
     rank_matrix,
+    save_score_matrix,
     save_trace_csv,
     sim_pi,
     sim_sigma,
@@ -558,6 +560,73 @@ class TestPairwiseScores:
                 if i != j:
                     expect = sim_pi(emb[i], emb[j], feats[i], feats[j], p)
                     assert scores[i, j] == pytest.approx(expect, abs=1e-12)
+
+
+# shortest-repr edge cases: exponent form starts below 1e-4 and at 1e16;
+# subnormals; the 24-character negative smallest normal
+REPR_EDGES = [0.0, -1.5, 1e-05, 9.999e-05, -9.999e-05, 1e16, -1e16, 5e-324, 1.5e-310,
+              -2.2250738585072014e-308, 0.1, 1 / 3, -7.0, 123456789.125]
+
+
+def symmetric_matrix(m: int, seed: int, values=REPR_EDGES) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    scores = rng.choice(np.concatenate([values, rng.normal(size=len(values))]), size=(m, m))
+    i, j = np.triu_indices(m, 1)
+    scores[j, i] = scores[i, j]
+    return scores
+
+
+class TestSaveScoreMatrix:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 31, 64])
+    def test_bytes_equal_the_per_cell_writer(self, tmp_path, m):
+        scores = symmetric_matrix(m, seed=m)
+        path = tmp_path / "scores.csv"
+        save_score_matrix(scores, path)
+        assert path.read_bytes() == oracles.score_matrix_text(scores).encode("ascii")
+
+    def test_every_edge_value_written_as_its_repr(self, tmp_path):
+        m = len(REPR_EDGES) + 1
+        scores = np.ones((m, m))
+        scores[0, 1:] = scores[1:, 0] = REPR_EDGES
+        path = tmp_path / "scores.csv"
+        save_score_matrix(scores, path)
+        assert path.read_bytes() == oracles.score_matrix_text(scores).encode("ascii")
+        cells = path.read_text(encoding="utf-8").splitlines()[0].split(",")
+        assert cells[1:] == [repr(v) for v in REPR_EDGES]
+
+    @pytest.mark.parametrize("scores, message", [
+        (np.array([[0.0, 1.0], [2.0, 0.0]]), "not symmetric"),
+        # equal, but the two zeros print differently
+        (np.array([[1.0, -0.0], [0.0, 1.0]]), "not symmetric"),
+        (np.array([[np.nan, 0.5], [0.5, 1.0]]), "not symmetric"),
+        (np.zeros((2, 3)), "must be square"),
+        (np.zeros(4), "must be square"),
+    ], ids=["asymmetric", "signed-zero", "nan", "non-square", "one-axis"])
+    def test_rejected_before_the_file_is_opened(self, tmp_path, scores, message):
+        path = tmp_path / "scores.csv"
+        with pytest.raises(DomainError, match=message):
+            save_score_matrix(scores, path)
+        assert not path.exists()
+
+    def test_reads_back_through_the_matrix_label_layout(self, tmp_path):
+        scores = symmetric_matrix(12, seed=3, values=[0.25, -4.0, 1e-05])
+        path = tmp_path / "scores.csv"
+        save_score_matrix(scores, path)
+        assert np.array_equal(np.loadtxt(path, delimiter=","), scores)
+        assert np.array_equal(load_rank_labels(path).entries, rank_matrix(scores).entries)
+
+    def test_peak_memory_stays_below_the_whole_triangle(self, tmp_path):
+        # the column lists peak near m^2/4 texts, about 17 B per cell;
+        # keeping every upper-triangle text until the end takes about 31 B
+        m = 400
+        scores = symmetric_matrix(m, seed=5, values=np.random.default_rng(5).normal(size=50) * 0.03)
+        tracemalloc.start()
+        try:
+            save_score_matrix(scores, tmp_path / "scores.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (m * m) < 24
 
 
 class TestLoadRankLabels:
