@@ -469,6 +469,8 @@ def cmd_tsne(run: Run) -> None:
         "input": input_name,
         "perplexity": cfg.perplexity,
         "effective_perplexity": result.effective_perplexity,
+        "sigma_min": float(result.sigmas.min()),
+        "sigma_max": float(result.sigmas.max()),
         "iterations": cfg.iterations,
         "learning_rate": cfg.learning_rate,
         "kernel": cfg.kernel,

@@ -22,6 +22,7 @@ from .errors import (
     ConflictError,
     DivergenceError,
     DomainError,
+    FormatError,
     SchemaError,
 )
 
@@ -97,11 +98,19 @@ class TsneResult:
     coords: np.ndarray
     kl_trace: np.ndarray
     effective_perplexity: float
+    sigmas: np.ndarray
 
 
 def pairwise_sq_distances(matrix: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances with an exact zero diagonal."""
-    matrix = np.asarray(matrix, dtype=float)
+    """Squared Euclidean distances with an exact zero diagonal.
+
+    The result is exactly symmetric, bit for bit: on a C-contiguous array
+    numpy computes `matrix @ matrix.T` with BLAS syrk, which fills one
+    triangle and mirrors it. A view with negative strides would take the
+    general product, whose tiles can round the two triangles apart, so it
+    is copied first.
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=float)
     norms = np.einsum("ij,ij->i", matrix, matrix)
     d2 = norms[:, None] + norms[None, :] - 2.0 * (matrix @ matrix.T)
     np.maximum(d2, 0.0, out=d2)
@@ -177,37 +186,26 @@ def symmetrize(pcond: np.ndarray, sigmas: np.ndarray | None = None) -> AffinityM
 
 
 def _kernel_weights(d2: np.ndarray, kernel: str) -> np.ndarray:
-    w = np.exp(-d2) if kernel == "gaussian" else 1.0 / (1.0 + d2)
+    if kernel == "gaussian":
+        w = np.negative(d2)
+        np.exp(w, out=w)
+    else:
+        w = 1.0 / (1.0 + d2)
     np.fill_diagonal(w, 0.0)
     return w
 
 
-def low_dim_q(coords: np.ndarray, kernel: str = "gaussian") -> np.ndarray:
-    """Row-normalized planar similarities q_{j|i}; zero diagonal."""
-    if kernel not in KERNELS:
-        raise DomainError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    w = _kernel_weights(pairwise_sq_distances(coords), kernel)
-    return w / w.sum(axis=1, keepdims=True)
+def _p_terms(P: np.ndarray, exaggeration: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parts of a cost-and-gradient call that depend on `P` alone.
 
-
-def joint_q(coords: np.ndarray, kernel: str = "gaussian") -> np.ndarray:
-    """Matrix-normalized planar similarities, summing to 1 overall."""
-    if kernel not in KERNELS:
-        raise DomainError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    w = _kernel_weights(pairwise_sq_distances(coords), kernel)
-    return w / w.sum()
-
-
-def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
-    """Sum of p * log(p/q) over all entries, with 0 log 0 taken as 0."""
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    if P.shape != Q.shape:
-        raise DomainError(f"shapes differ: {P.shape} vs {Q.shape}")
+    Returns the `P > 0` mask, the gathered `P[mask]` and
+    `S_P = exaggeration * P + (exaggeration * P).T`. The factor is applied
+    before the transpose-add, so the gradient equals the one of the KL
+    against `exaggeration * P` to the last bit, for any factor.
+    """
     mask = P > 0
-    if np.any(Q[mask] <= 0):
-        raise DomainError("q is 0 where p > 0; divergence undefined")
-    return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])))
+    scaled = P if exaggeration == 1.0 else exaggeration * P
+    return mask, P[mask], scaled + scaled.T
 
 
 def tsne_cost_and_grad(
@@ -216,6 +214,8 @@ def tsne_cost_and_grad(
     kernel: str = "gaussian",
     cost: str = "joint",
     exaggeration: float = 1.0,
+    *,
+    p_terms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """KL cost of `P` and the exact gradient of `exaggeration * P`.
 
@@ -228,28 +228,42 @@ def tsne_cost_and_grad(
     floor is often active: on a 1,000-point map after 150 iterations it
     held on 62 % of the pairs with p > 0 (floored KL 0.761, unfloored
     0.875).
+
+    `p_terms` is `_p_terms(P, exaggeration)`, passed by a caller that
+    reuses it over many calls, as run_tsne does once per exaggeration
+    phase; without it the call builds the terms itself, with the same
+    result. The gradient needs `S_P - (Q + Q.T)`. Under the joint cost Q
+    is exactly symmetric, bit for bit: the planar distances are (see
+    pairwise_sq_distances), and every later step is elementwise or a
+    division by one scalar. So `2 * Q`, computed in place, stands in for
+    `Q + Q.T`. Conditional Q is row-normalized and not symmetric, so it
+    keeps the transpose-add. Besides `P` and the terms, a call holds at
+    most three n x n float buffers at once.
     """
+    mask, p, S_P = _p_terms(P, exaggeration) if p_terms is None else p_terms
     coords = np.asarray(coords, dtype=float)
     d2 = pairwise_sq_distances(coords)
     Q = _kernel_weights(d2, kernel)
+    if kernel == "gaussian":
+        del d2
     if cost == "joint":
         Q /= max(float(Q.sum()), _Q_FLOOR)
     else:
         Q /= np.maximum(Q.sum(axis=1, keepdims=True), _Q_FLOOR)
     np.maximum(Q, _Q_FLOOR, out=Q)
     np.fill_diagonal(Q, 0.0)
-    # each buffer is released after its last use, so at most four n x n
-    # arrays are alive at once
-    mask = P > 0
-    p = P[mask]
-    cost_value = float(np.sum(p * np.log(p / Q[mask])))
-    del mask, p
-    # scale before the transpose-add, so the gradient equals the one of the
-    # KL against `exaggeration * P` to the last bit, for any factor
-    S = P if exaggeration == 1.0 else exaggeration * P
-    S = S + S.T
-    S -= Q + Q.T
-    del Q
+    # p * log(p / Q[mask]), evaluated inside the one gathered buffer
+    ratio = Q[mask]
+    np.divide(p, ratio, out=ratio)
+    np.log(ratio, out=ratio)
+    ratio *= p
+    cost_value = float(np.sum(ratio))
+    del ratio
+    if cost == "joint":
+        Q *= 2.0
+    else:
+        Q = Q + Q.T
+    S = np.subtract(S_P, Q, out=Q)
     if kernel == "student_t":
         S *= 1.0 / (1.0 + d2)
     np.fill_diagonal(S, 0.0)
@@ -270,6 +284,12 @@ def run_tsne(
     the first `exaggeration_iters` iterations it is passed
     `exaggeration=cfg.early_exaggeration`, later 1.0. One more call costs
     the returned coordinates, so a run makes `iterations + 1` calls.
+    The P-only terms of those calls (the `P > 0` mask, its gather and
+    `S_P`) are built once per exaggeration factor, at most twice a run,
+    and the previous factor's terms are released first. The input-space
+    distances and, under the joint cost, the conditional P are released
+    before the descent, so it holds `P`, the terms and at most three n x n
+    buffers inside a call. The result carries the calibrated bandwidths.
     kl_trace[t] is the cost at the start of iteration t against the
     un-exaggerated affinities; the final entry is the cost of the returned
     coordinates. Entries are the floored cost of tsne_cost_and_grad, not
@@ -282,8 +302,10 @@ def run_tsne(
     effective = min(cfg.perplexity, max((n - 1) / 3.0, 1.5))
     d2 = pairwise_sq_distances(X)
     sigmas = calibrate_sigmas(d2, effective)
-    pcond = conditional_p(d2, sigmas)
-    P = symmetrize(pcond, sigmas).P if cfg.cost == "joint" else pcond
+    P = conditional_p(d2, sigmas)
+    del d2
+    if cfg.cost == "joint":
+        P = symmetrize(P, sigmas).P
 
     if init is None:
         rng = np.random.default_rng(cfg.seed)
@@ -295,9 +317,15 @@ def run_tsne(
     velocity = np.zeros_like(Y)
     gains = np.ones_like(Y)
     trace = np.empty(cfg.iterations + 1)
+    p_terms, phase = None, None
     for it in range(cfg.iterations):
         exaggeration = cfg.early_exaggeration if it < cfg.exaggeration_iters else 1.0
-        trace[it], grad = tsne_cost_and_grad(P, Y, cfg.kernel, cfg.cost, exaggeration)
+        if exaggeration != phase:
+            p_terms = None  # release the previous phase's terms before building these
+            p_terms, phase = _p_terms(P, exaggeration), exaggeration
+        trace[it], grad = tsne_cost_and_grad(
+            P, Y, cfg.kernel, cfg.cost, exaggeration, p_terms=p_terms
+        )
         momentum = cfg.momentum_start if it < cfg.momentum_switch else cfg.momentum_final
         # Delta-bar-delta gains: grow a coordinate's rate while its gradient
         # keeps opposing the velocity, shrink it on overshoot.
@@ -312,8 +340,10 @@ def run_tsne(
         Y = Y - Y.mean(axis=0)
         if not np.all(np.isfinite(Y)):
             raise DivergenceError(it, f"coordinates diverged at iteration {it}")
-    trace[-1], _ = tsne_cost_and_grad(P, Y, cfg.kernel, cfg.cost)
-    return TsneResult(coords=Y, kl_trace=trace, effective_perplexity=effective)
+    if phase != 1.0:
+        p_terms = None  # still exaggerated: the final call builds the plain terms
+    trace[-1], _ = tsne_cost_and_grad(P, Y, cfg.kernel, cfg.cost, p_terms=p_terms)
+    return TsneResult(coords=Y, kl_trace=trace, effective_perplexity=effective, sigmas=sigmas)
 
 
 def write_coords_csv(ids: Sequence[str], coords: np.ndarray, path: str | Path) -> None:
@@ -344,6 +374,8 @@ def load_colors(path: str | Path) -> dict[str, str]:
         for row in reader:
             if not row:
                 continue
+            if len(row) < 2:
+                raise FormatError(f"{path}: line {reader.line_num}: expected id,color, got {row!r}")
             rid, color = row[0], row[1]
             if rid in colors:
                 raise ConflictError(f"duplicate color entry for id {rid!r}")

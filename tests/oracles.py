@@ -11,6 +11,9 @@ computed it before one solve served every distinct token.
 `tsne_cost_and_grad` and `tsne_descent` are the t-SNE descent as it was
 when each iteration made two full cost and gradient evaluations: one
 against P for the trace, one against the exaggerated P for the step.
+`low_dim_q`, `joint_q` and `kl_divergence` are the planar similarities
+and the plain KL divergence that `semfuse.tsne` exported before its cost
+lived in `tsne_cost_and_grad` alone.
 `score_matrix_text` is `scores.csv` as the score stage wrote it with one
 `repr` per cell, before `save_score_matrix` formatted each pair once.
 """
@@ -30,6 +33,7 @@ from semfuse.tsne import (
     _MAX_STEP,
     _MIN_GAIN,
     _Q_FLOOR,
+    KERNELS,
     TsneResult,
     calibrate_sigmas,
     conditional_p,
@@ -166,6 +170,42 @@ def word_salience(token, ctx, table) -> float:
     return float(np.sqrt(max(0.0, float(residual @ solved))))
 
 
+def planar_weights(coords, kernel):
+    """Kernel weights of the planar distances, with a zero diagonal."""
+    d2 = pairwise_sq_distances(np.asarray(coords, dtype=float))
+    w = np.exp(-d2) if kernel == "gaussian" else 1.0 / (1.0 + d2)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def low_dim_q(coords, kernel="gaussian") -> np.ndarray:
+    """Row-normalized planar similarities q_{j|i}; zero diagonal."""
+    if kernel not in KERNELS:
+        raise DomainError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+    w = planar_weights(coords, kernel)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def joint_q(coords, kernel="gaussian") -> np.ndarray:
+    """Matrix-normalized planar similarities, summing to 1 overall."""
+    if kernel not in KERNELS:
+        raise DomainError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+    w = planar_weights(coords, kernel)
+    return w / w.sum()
+
+
+def kl_divergence(P, Q) -> float:
+    """Sum of p * log(p/q) over all entries, with 0 log 0 taken as 0."""
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    if P.shape != Q.shape:
+        raise DomainError(f"shapes differ: {P.shape} vs {Q.shape}")
+    mask = P > 0
+    if np.any(Q[mask] <= 0):
+        raise DomainError("q is 0 where p > 0; divergence undefined")
+    return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])))
+
+
 def tsne_cost_and_grad(P, coords, kernel="gaussian", cost="joint"):
     """Floored KL of P and its gradient, each Q evaluation serving one of them."""
     coords = np.asarray(coords, dtype=float)
@@ -215,4 +255,4 @@ def tsne_descent(space, cfg) -> TsneResult:
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
     trace[-1], _ = tsne_cost_and_grad(P, Y, cfg.kernel, cfg.cost)
-    return TsneResult(coords=Y, kl_trace=trace, effective_perplexity=effective)
+    return TsneResult(coords=Y, kl_trace=trace, effective_perplexity=effective, sigmas=sigmas)

@@ -14,6 +14,7 @@ from semfuse.rankopt import (
     pairwise_scores,
     rank_matrix,
 )
+from semfuse.tsne import TsneConfig, run_tsne
 
 
 def run_stages(out_dir, fx, seed=7):
@@ -304,6 +305,41 @@ class TestTsneStage:
         final_kl = re.search(r"param_final_kl = (\S+)", meta).group(1)
         assert rows[-1] == f"30,{final_kl}"
         assert meta == (runs[0] / "tsne.csv.meta").read_text(encoding="utf-8")
+
+    def test_sidecar_records_sigma_range_and_reruns_same_bytes(self, pipeline_fixture, tmp_path):
+        out = tmp_path / "out"
+        fx = pipeline_fixture
+        base = ["--out-dir", str(out), "--seed", "3"]
+        assert main(base + ["ingest", "--corpus", str(fx["corpus"]),
+                            "--gazetteer", str(fx["gazetteer"])]) == 0
+        assert main(base + ["embed", "--word-vectors", str(fx["vectors"])]) == 0
+        tsne = base + ["tsne", "--input", "embeddings.csv", "--iterations", "20", "--perplexity", "4"]
+        names = ("tsne.csv", "tsne.svg", "tsne_trace.csv")
+        metas = []
+        for _ in range(2):
+            assert main(tsne) == 0
+            metas.append({name: (out / f"{name}.meta").read_bytes() for name in names})
+        assert metas[0] == metas[1]
+        space = import_embeddings(out / "embeddings.csv").matrix
+        sigmas = run_tsne(space, TsneConfig(perplexity=4.0, iterations=1)).sigmas
+        meta = metas[0]["tsne.csv"].decode("utf-8")
+        assert f"param_sigma_min = {float(sigmas.min())!r}\n" in meta
+        assert f"param_sigma_max = {float(sigmas.max())!r}\n" in meta
+
+    def test_short_colors_row_exits_2_and_writes_nothing(self, pipeline_fixture, tmp_path, capsys):
+        out = tmp_path / "out"
+        fx = pipeline_fixture
+        base = ["--out-dir", str(out), "--seed", "3"]
+        assert main(base + ["ingest", "--corpus", str(fx["corpus"]),
+                            "--gazetteer", str(fx["gazetteer"])]) == 0
+        assert main(base + ["embed", "--word-vectors", str(fx["vectors"])]) == 0
+        colors = tmp_path / "colors.csv"
+        colors.write_text("id,color\nt01\n", encoding="utf-8")
+        rc = main(base + ["tsne", "--input", "embeddings.csv", "--iterations", "20",
+                          "--perplexity", "4", "--colors", str(colors)])
+        assert rc == 2
+        assert "colors.csv: line 2" in capsys.readouterr().err
+        assert list(out.glob("tsne*")) == []
 
     def test_missing_colors_leaves_previous_outputs(self, pipeline_fixture, tmp_path, capsys):
         out = tmp_path / "out"

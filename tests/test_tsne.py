@@ -6,17 +6,22 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import semfuse.tsne
+from oracles import joint_q, kl_divergence, low_dim_q
 
-from semfuse.errors import CalibrationError, ConfigError, DomainError, SchemaError, ConflictError
+from semfuse.errors import (
+    CalibrationError,
+    ConfigError,
+    ConflictError,
+    DomainError,
+    FormatError,
+    SchemaError,
+)
 from semfuse.tsne import (
     AffinityModel,
     TsneConfig,
     calibrate_sigmas,
     conditional_p,
-    joint_q,
-    kl_divergence,
     load_colors,
-    low_dim_q,
     pairwise_sq_distances,
     run_tsne,
     symmetrize,
@@ -48,6 +53,15 @@ class TestPairwiseSqDistances:
                 expect = float(np.sum((X[i] - X[j]) ** 2))
                 assert d2[i, j] == pytest.approx(expect, abs=1e-9)
         assert np.all(np.diag(d2) == 0.0)
+
+    @pytest.mark.parametrize("n", [2, 17, 300, 1000])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 40.0, 1e4])
+    def test_planar_distances_exactly_symmetric(self, n, scale):
+        # the joint cost relies on this: with a symmetric d2, Q + Q.T == 2 * Q bit for bit
+        Y = np.random.default_rng(n).normal(size=(n, 2)) * scale
+        for coords in (Y, np.asfortranarray(Y), Y[::-1]):
+            d2 = pairwise_sq_distances(coords)
+            assert np.array_equal(d2, d2.T)
 
 
 class TestCalibrateSigmas:
@@ -331,9 +345,9 @@ class TestFusedPass:
         calls = []
         original = semfuse.tsne.tsne_cost_and_grad
 
-        def counting(P, coords, kernel="gaussian", cost="joint", exaggeration=1.0):
+        def counting(P, coords, kernel="gaussian", cost="joint", exaggeration=1.0, **kw):
             calls.append(exaggeration)
-            return original(P, coords, kernel, cost, exaggeration)
+            return original(P, coords, kernel, cost, exaggeration, **kw)
 
         monkeypatch.setattr(semfuse.tsne, "tsne_cost_and_grad", counting)
         cfg = TsneConfig(perplexity=3.0, iterations=15, exaggeration_iters=6, seed=1)
@@ -341,6 +355,60 @@ class TestFusedPass:
         assert len(calls) == cfg.iterations + 1
         # exaggerated while early exaggeration lasts, plain after, plain for the final cost
         assert calls == [4.0] * 6 + [1.0] * 10
+
+
+class TestPhaseTerms:
+    """The P-only terms are built once per exaggeration phase and change no bit."""
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "student_t"])
+    @pytest.mark.parametrize("cost", ["joint", "conditional"])
+    def test_descent_matches_two_call_loop_at_300_points(self, kernel, cost):
+        rng = np.random.default_rng(17)
+        X = np.vstack([rng.normal(size=(100, 6)) + 4.0 * k for k in range(3)])
+        cfg = TsneConfig(iterations=30, exaggeration_iters=20, kernel=kernel, cost=cost, seed=4)
+        got, want = run_tsne(X, cfg), oracles.tsne_descent(X, cfg)
+        assert np.array_equal(got.coords, want.coords)
+        assert np.array_equal(got.kl_trace, want.kl_trace)
+        assert np.array_equal(got.sigmas, want.sigmas)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "student_t"])
+    @pytest.mark.parametrize("cost", ["joint", "conditional"])
+    @pytest.mark.parametrize("exaggeration", [1.0, 3.0])
+    def test_given_terms_equal_built_terms(self, kernel, cost, exaggeration):
+        rng = np.random.default_rng(3)
+        Y = rng.normal(size=(12, 2))
+        P = rng.random((12, 12))
+        np.fill_diagonal(P, 0.0)
+        P = (P + P.T) / (P + P.T).sum() if cost == "joint" else P / P.sum(axis=1, keepdims=True)
+        terms = semfuse.tsne._p_terms(P, exaggeration)
+        built = tsne_cost_and_grad(P, Y, kernel, cost, exaggeration)
+        given = tsne_cost_and_grad(P, Y, kernel, cost, exaggeration, p_terms=terms)
+        assert built[0] == given[0]
+        assert np.array_equal(built[1], given[1])
+
+    @pytest.mark.parametrize(
+        "iterations, exaggeration_iters, expected",
+        [(15, 6, [4.0, 1.0]), (5, 8, [4.0, 1.0]), (7, 0, [1.0])],
+    )
+    def test_terms_built_once_per_phase(self, monkeypatch, iterations, exaggeration_iters, expected):
+        builds = []
+        original = semfuse.tsne._p_terms
+
+        def counting(P, exaggeration):
+            builds.append(exaggeration)
+            return original(P, exaggeration)
+
+        monkeypatch.setattr(semfuse.tsne, "_p_terms", counting)
+        cfg = TsneConfig(perplexity=3.0, iterations=iterations,
+                         exaggeration_iters=exaggeration_iters, seed=1)
+        run_tsne(two_cluster_space(per=4), cfg)
+        assert builds == expected
+
+    def test_result_carries_calibrated_sigmas(self):
+        X = two_cluster_space(per=5)
+        res = run_tsne(X, TsneConfig(perplexity=3.0, iterations=5, seed=0))
+        expected = calibrate_sigmas(pairwise_sq_distances(X), res.effective_perplexity)
+        assert np.array_equal(res.sigmas, expected)
 
 
 class TestOutputs:
@@ -357,6 +425,13 @@ class TestOutputs:
         assert load_colors(p) == {"a": "#ff0000", "b": "#00ff00"}
         p.write_text("id,color\na,#ff0000\na,#00ff00\n", encoding="utf-8")
         with pytest.raises(ConflictError):
+            load_colors(p)
+
+    @pytest.mark.parametrize("body, line", [("id,color\na\n", 2), ("id,color\na,#fff\n\nb\n", 4)])
+    def test_load_colors_short_row_names_file_and_line(self, tmp_path, body, line):
+        p = tmp_path / "colors.csv"
+        p.write_text(body, encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"colors\.csv: line {line}: expected id,color"):
             load_colors(p)
 
     def test_load_colors_header_checked(self, tmp_path):
