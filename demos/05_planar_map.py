@@ -7,7 +7,6 @@ exaggeration, and adaptive per-coordinate gains. Three well-separated
 clusters in 10-D should come out as three islands in 2-D.
 """
 
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,9 @@ for a in range(len(ids)):
 print(f"\nmean within-cluster distance:  {np.mean(within):.2f}")
 print(f"mean between-cluster distance: {np.mean(between):.2f}")
 
-out = Path(tempfile.mkdtemp(prefix="semfuse_map_"))
+# the map is for opening, so it goes beside the caller, not into a temp directory
+out = Path("semfuse_map")
+out.mkdir(exist_ok=True)
 write_coords_csv(ids, coords, out / "map.csv")
 write_scatter_svg(ids, coords, out / "map.svg", colors)
 print(f"\nwrote {out / 'map.csv'}")

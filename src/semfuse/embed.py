@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -128,12 +128,42 @@ class SentenceEmbedding:
     fallback: bool = False
 
 
-def load_word_vectors(path: str | Path) -> WordVectorTable:
-    """Read `token v1 ... vdim` lines into a WordVectorTable.
+def _value_texts(lines: Iterable[str], tokens: list[str]) -> Iterator[str]:
+    """Yield the text after the token of each non-blank line, appending the token.
 
-    The first entry fixes the dimensionality; every later line must match.
+    A line that holds only a token yields nothing, so it leaves one more
+    token than value rows.
     """
-    vectors: dict[str, np.ndarray] = {}
+    for line in lines:
+        parts = line.split(None, 1)
+        if parts:
+            tokens.append(parts[0])
+            yield from parts[1:]
+
+
+def _read_table(path: str | Path) -> tuple[list[str], np.ndarray | None]:
+    """Stream the file through one `np.loadtxt` call: (tokens, value rows).
+
+    The rows are None when the file holds no values or numpy rejects them.
+    """
+    tokens: list[str] = []
+    with open(path, encoding="utf-8") as fh:
+        texts = _value_texts(fh, tokens)
+        first = next(texts, None)
+        if first is None:
+            return tokens, None
+        try:
+            matrix = np.loadtxt(
+                itertools.chain([first], texts), comments=None, dtype=float, ndmin=2
+            )
+        except ValueError:
+            return tokens, None
+    return tokens, matrix
+
+
+def _raise_first_fault(path: str | Path) -> NoReturn:
+    """Re-read a rejected table line by line and raise its first fault."""
+    seen: set[str] = set()
     dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -141,23 +171,52 @@ def load_word_vectors(path: str | Path) -> WordVectorTable:
             if not parts:
                 continue
             token, values = parts[0], parts[1:]
+            where = f"{path}: line {lineno}"
             if dim is None:
                 dim = len(values)
                 if dim < 2:
-                    raise FormatError(f"line {lineno}: need at least 2 vector values, got {dim}")
+                    raise FormatError(f"{where}: need at least 2 vector values, got {dim}")
             elif len(values) != dim:
-                raise FormatError(f"line {lineno}: expected {dim} values, got {len(values)}")
-            if token in vectors:
-                raise ConflictError(f"duplicate token {token!r} at line {lineno}")
+                raise FormatError(f"{where}: expected {dim} values, got {len(values)}")
+            if token in seen:
+                raise ConflictError(f"{where}: duplicate token {token!r}")
+            seen.add(token)
             try:
-                vectors[token] = np.array([float(v) for v in values])
+                # one value per "line": the same number parser as the bulk read
+                vector = np.loadtxt(values, comments=None, dtype=float)
             except ValueError:
-                raise FormatError(f"line {lineno}: non-numeric vector value") from None
-            if not np.isfinite(vectors[token]).all():
-                raise FormatError(f"line {lineno}: non-finite vector value")
+                raise FormatError(f"{where}: non-numeric vector value") from None
+            if not np.isfinite(vector).all():
+                raise FormatError(f"{where}: non-finite vector value")
     if dim is None:
         raise FormatError(f"{path}: no word vector entries")
-    return WordVectorTable(dim=dim, vectors=vectors)
+    # reached only if the bulk read and the line-by-line read disagree
+    raise FormatError(f"{path}: word vectors could not be read as one table")
+
+
+def load_word_vectors(path: str | Path) -> WordVectorTable:
+    """Read `token v1 ... vdim` lines into a WordVectorTable.
+
+    Tokens and values are separated by runs of whitespace; blank lines are
+    skipped. The first entry fixes the dimensionality (at least 2); every
+    later line must match, and no token may repeat. Values follow numpy's
+    number grammar: ASCII decimal or exponent notation with an optional
+    sign. `1_0` and non-ASCII digits are rejected, and `nan`, `inf` or an
+    overflowing value such as `1e999` is rejected as non-finite.
+
+    The whole file is parsed by one `np.loadtxt` call, and each vector is a
+    row of the resulting matrix, in file order. A file that fails any rule
+    is read again line by line, and the first fault in file order raises a
+    FormatError (ConflictError for a repeated token) naming the file and
+    the line.
+    """
+    tokens, matrix = _read_table(path)
+    if matrix is not None and matrix.shape[1] >= 2 and np.isfinite(matrix).all():
+        vectors = dict(zip(tokens, matrix))
+        # a repeated token, or a token-only line (one row short), leaves fewer entries
+        if len(vectors) == len(tokens):
+            return WordVectorTable(dim=matrix.shape[1], vectors=vectors)
+    _raise_first_fault(path)
 
 
 def fit_context(
@@ -289,7 +348,12 @@ def embed_corpus(
 
 
 def import_embeddings(path: str | Path) -> EmbeddingSpace:
-    """Read an embedding CSV (header id,e1,...,ed), preserving file order."""
+    """Read an embedding CSV (header id,e1,...,ed), preserving file order.
+
+    A `nan`, `inf` or `-inf` cell raises a FormatError naming the file and
+    its row; it is looked for once the whole file has parsed, so a ragged
+    row, a repeated id or a non-numeric cell anywhere is reported first.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -314,6 +378,10 @@ def import_embeddings(path: str | Path) -> EmbeddingSpace:
             except ValueError:
                 raise RowError(rownum, "non-numeric embedding value") from None
     matrix = np.array(rows) if rows else np.zeros((0, d))
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        rownum = int(np.argmin(finite)) + 1
+        raise FormatError(f"{path}: row {rownum}: non-finite embedding value")
     return EmbeddingSpace(ids=tuple(ids), matrix=matrix)
 
 

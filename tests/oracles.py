@@ -16,6 +16,8 @@ and the plain KL divergence that `semfuse.tsne` exported before its cost
 lived in `tsne_cost_and_grad` alone.
 `score_matrix_text` is `scores.csv` as the score stage wrote it with one
 `repr` per cell, before `save_score_matrix` formatted each pair once.
+`load_word_vectors` is the word-vector reader with one Python `float()`
+per value, before `semfuse.embed` parsed the whole table with numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import math
 
 import numpy as np
 
-from semfuse.errors import DomainError
+from semfuse.embed import WordVectorTable
+from semfuse.errors import ConflictError, DomainError, FormatError
 from semfuse.geotime import EARTH_RADIUS_MILES
 from semfuse.rankopt import SimilarityParams, rank_loss, rank_matrix
 from semfuse.rankopt import pairwise_scores as matrix_scores
@@ -168,6 +171,35 @@ def word_salience(token, ctx, table) -> float:
     except np.linalg.LinAlgError:
         raise DomainError("context metric is singular; increase ridge") from None
     return float(np.sqrt(max(0.0, float(residual @ solved))))
+
+
+def load_word_vectors(path) -> WordVectorTable:
+    """Read `token v1 ... vdim` lines, parsing each value with `float()`."""
+    vectors: dict[str, np.ndarray] = {}
+    dim = None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            token, values = parts[0], parts[1:]
+            if dim is None:
+                dim = len(values)
+                if dim < 2:
+                    raise FormatError(f"line {lineno}: need at least 2 vector values, got {dim}")
+            elif len(values) != dim:
+                raise FormatError(f"line {lineno}: expected {dim} values, got {len(values)}")
+            if token in vectors:
+                raise ConflictError(f"duplicate token {token!r} at line {lineno}")
+            try:
+                vectors[token] = np.array([float(v) for v in values])
+            except ValueError:
+                raise FormatError(f"line {lineno}: non-numeric vector value") from None
+            if not np.isfinite(vectors[token]).all():
+                raise FormatError(f"line {lineno}: non-finite vector value")
+    if dim is None:
+        raise FormatError(f"{path}: no word vector entries")
+    return WordVectorTable(dim=dim, vectors=vectors)
 
 
 def planar_weights(coords, kernel):

@@ -188,6 +188,32 @@ class TestStageOrdering:
         assert not (out / written).exists()
         assert not (out / (written + ".meta")).exists()
 
+    @pytest.mark.parametrize("command, written", [
+        (["reduce", "--k", "3"], "reduced.csv"),
+        (["score", "--kind", "pi"], "scores.csv"),
+    ])
+    def test_non_finite_embedding_cell(self, pipeline_fixture, tmp_path, capsys, command, written):
+        out = tmp_path / "out"
+        base = ["--out-dir", str(out)]
+        fx = pipeline_fixture
+        assert main(base + ["ingest", "--corpus", str(fx["corpus"]),
+                            "--gazetteer", str(fx["gazetteer"])]) == 0
+        assert main(base + ["embed", "--word-vectors", str(fx["vectors"])]) == 0
+        embeddings = out / "embeddings.csv"
+        lines = embeddings.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[4].split(",")
+        lines[4] = ",".join(cells[:2] + ["nan"] + cells[3:])
+        embeddings.write_text("".join(lines), encoding="utf-8")
+        before = sorted(path.name for path in out.iterdir())
+        capsys.readouterr()
+        rc = main(base + command)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{embeddings}: row 4: non-finite embedding value" in err
+        assert "Traceback" not in err
+        assert sorted(path.name for path in out.iterdir()) == before
+        assert not (out / written).exists()
+
     def test_reduce_with_impossible_k(self, pipeline_fixture, tmp_path, capsys):
         out = tmp_path / "out"
         base = ["--out-dir", str(out)]

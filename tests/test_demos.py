@@ -15,18 +15,28 @@ def test_all_seven_demos_found():
     assert len(DEMOS) == 7
 
 
+# what a demo leaves in its working directory; everything else goes to temp dirs it removes
+LEFT_IN_CWD = {"05_planar_map.py": ["semfuse_map", "semfuse_map/map.csv", "semfuse_map/map.svg"]}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
 def test_demo_exits_0(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    # the demos write under tempfile.mkdtemp(); keep that inside the test's directory
-    env["TMPDIR"] = str(tmp_path)
+    cwd, temp = tmp_path / "cwd", tmp_path / "tmp"
+    cwd.mkdir()
+    temp.mkdir()
+    env["TMPDIR"] = str(temp)
     proc = subprocess.run(
         [sys.executable, str(demo)],
-        cwd=tmp_path,
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(temp.iterdir()) == []
+    left = sorted(path.relative_to(cwd).as_posix() for path in cwd.rglob("*"))
+    assert left == LEFT_IN_CWD.get(demo.name, [])
+

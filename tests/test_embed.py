@@ -1,10 +1,14 @@
 import math
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semfuse import embed
 from semfuse.corpus import CleanDoc
 from semfuse.embed import (
     ContextModel,
@@ -20,7 +24,13 @@ from semfuse.embed import (
     token_saliences,
     word_salience,
 )
-from semfuse.errors import ConflictError, DomainError, FormatError, UnknownKeyError
+from semfuse.errors import (
+    ConflictError,
+    DomainError,
+    FormatError,
+    SemfuseError,
+    UnknownKeyError,
+)
 
 
 def table_from(mapping: dict[str, list[float]]) -> WordVectorTable:
@@ -60,6 +70,191 @@ class TestLoadWordVectors:
         p.write_text(f"cat 1.0 2.0\na 1 {value}\n", encoding="utf-8")
         with pytest.raises(FormatError, match="line 2"):
             load_word_vectors(p)
+
+    def test_one_value_on_every_line_rejected_at_line_1(self, tmp_path):
+        p = tmp_path / "v.txt"
+        p.write_text("cat 1.0\ndog 2.0\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{p}: line 1: need at least 2")):
+            load_word_vectors(p)
+
+    @pytest.mark.parametrize("line, error, message", [
+        ("cat 1.0", FormatError, "expected 2 values"),  # ragged before repeated
+        ("cat 1.0 x", ConflictError, "duplicate token"),  # repeated before non-numeric
+        ("dog 1.0", FormatError, "expected 2 values"),  # ragged before non-numeric
+        ("dog nan x", FormatError, "non-numeric"),  # non-numeric before non-finite
+    ])
+    def test_check_order_within_a_line(self, tmp_path, line, error, message):
+        p = tmp_path / "v.txt"
+        p.write_text(f"cat 1.0 2.0\n{line}\n", encoding="utf-8")
+        with pytest.raises(error, match=f"line 2: {message}"):
+            load_word_vectors(p)
+        with pytest.raises(error, match="line 2"):
+            oracles.load_word_vectors(p)
+
+    def test_errors_name_the_file(self, tmp_path):
+        p = tmp_path / "v.txt"
+        p.write_text("cat 1.0 2.0\ndog 1.0 x\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{p}: line 2: non-numeric")):
+            load_word_vectors(p)
+        p.write_text("cat 1.0 2.0\n\ncat 3.0 4.0\n", encoding="utf-8")
+        with pytest.raises(ConflictError, match=re.escape(f"{p}: line 3: duplicate token 'cat'")):
+            load_word_vectors(p)
+
+    def test_vectors_are_rows_of_one_matrix_in_file_order(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(40, 7))
+        p = tmp_path / "v.txt"
+        p.write_text("".join(f"w{i} " + " ".join(map(repr, row.tolist())) + "\n"
+                             for i, row in enumerate(values)), encoding="utf-8")
+        table = load_word_vectors(p)
+        assert list(table.vectors) == [f"w{i}" for i in range(40)]
+        assert np.array_equal(np.array(list(table.vectors.values())), values)
+        base = table.vectors["w0"].base
+        assert base is not None and all(v.base is base for v in table.vectors.values())
+
+    def test_streams_the_file(self, tmp_path):
+        # the file is about as large as its matrix; holding both at once would
+        # show as a peak of twice the matrix
+        values = np.random.default_rng(5).normal(size=(1000, 200)).round(6)
+        p = tmp_path / "v.txt"
+        p.write_text("".join(f"w{i} " + " ".join(map(repr, row.tolist())) + "\n"
+                             for i, row in enumerate(values)), encoding="utf-8")
+        assert p.stat().st_size > 0.8 * values.nbytes
+        tracemalloc.start()
+        try:
+            load_word_vectors(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * values.nbytes
+
+    def test_bulk_and_line_reads_disagreeing_still_raise(self, tmp_path, monkeypatch):
+        p = tmp_path / "v.txt"
+        p.write_text("cat 1.0 2.0\n", encoding="utf-8")
+        monkeypatch.setattr(embed, "_read_table", lambda path: (["cat"], None))
+        with pytest.raises(FormatError, match=re.escape(f"{p}: word vectors could not be read")):
+            load_word_vectors(p)
+
+    @pytest.mark.parametrize("value, as_float", [("1_0", 10.0), ("١٢", 12.0)])
+    def test_number_grammar_is_numpys(self, tmp_path, value, as_float):
+        # float() reads digit separators and non-ASCII digits; numpy's parser does not
+        assert float(value) == as_float
+        p = tmp_path / "v.txt"
+        p.write_text(f"cat 1.0 2.0\ndog 3.0 {value}\n", encoding="utf-8")
+        assert np.array_equal(oracles.load_word_vectors(p).vector("dog"), [3.0, as_float])
+        with pytest.raises(FormatError, match=re.escape(f"{p}: line 2: non-numeric vector value")):
+            load_word_vectors(p)
+
+
+TOKEN = st.text(alphabet="abcxyz_-'.0123456789é日", min_size=1, max_size=6)
+NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e4, 1e4).map(lambda v: f"{v:.4f}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:+.6E}"),
+    st.integers(-(10**20), 10**20).map(str),
+)
+GAP = st.text(alphabet=" \t\x0c", min_size=1, max_size=3)
+EDGE = st.sampled_from(["", " ", "\t", "\x0c", " \t\x0c "])
+BLANK = st.sampled_from(["", " ", "\t\t", "\x0c", " \x0c\t "])
+NEWLINE = st.sampled_from(["\n", "\r\n"])
+NON_NUMERIC = st.sampled_from(["x", "1..2", "1e", "--1", "1,5", "0x10", "one"])
+NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e999"])
+FAULTS = ("token_only", "one_value_first", "ragged", "non_numeric", "non_finite", "duplicate")
+
+
+@st.composite
+def table_lines(draw, min_rows=1):
+    """(token, [value texts]) rows of a well-formed table."""
+    dim = draw(st.integers(2, 5))
+    tokens = draw(st.lists(TOKEN, min_size=min_rows, max_size=8, unique=True))
+    return [(tok, draw(st.lists(NUMBER, min_size=dim, max_size=dim))) for tok in tokens]
+
+
+@st.composite
+def table_text(draw, rows):
+    """Lay rows out with runs of spaces, tabs and form feeds, blank lines and CRLF."""
+    lines = []
+    for token, values in rows:
+        lines.extend(draw(st.lists(BLANK, max_size=2)))
+        gaps = draw(st.lists(GAP, min_size=len(values), max_size=len(values)))
+        body = token + "".join(gap + value for gap, value in zip(gaps, values))
+        lines.append(draw(EDGE) + body + draw(EDGE))
+    lines.extend(draw(st.lists(BLANK, max_size=2)))
+    newline = draw(NEWLINE)
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+@st.composite
+def malformed_rows(draw):
+    """A table with one or two faults; a ragged or repeated line is never the first."""
+    rows = draw(table_lines(min_rows=2))
+    for fault in draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2)):
+        k = draw(st.integers(0, len(rows) - 1))
+        token, values = rows[k]
+        if fault == "token_only":
+            rows[k] = (token, [])
+        elif fault == "one_value_first":
+            rows[0] = (rows[0][0], rows[0][1][:1])
+        elif fault == "ragged":
+            k = max(k, 1)
+            values = rows[k][1]
+            rows[k] = (rows[k][0], values[:-1] if draw(st.booleans()) else values + [draw(NUMBER)])
+        elif fault == "duplicate":
+            k = max(k, 1)
+            rows[k] = (rows[draw(st.integers(0, k - 1))][0], rows[k][1])
+        else:
+            bad = draw(NON_NUMERIC if fault == "non_numeric" else NON_FINITE)
+            j = draw(st.integers(0, len(values)))
+            rows[k] = (token, values[:j] + [bad] + values[j + 1:])
+    return rows
+
+
+def first_fault(loader, path):
+    with pytest.raises(SemfuseError) as info:
+        loader(path)
+    line = re.search(r"line (\d+)", str(info.value))
+    return type(info.value), line and int(line.group(1))
+
+
+class TestLoadWordVectorsAgainstOracle:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("vectors") / "v.txt"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_float_loop(self, path, data):
+        path.write_bytes(data.draw(table_text(data.draw(table_lines()))).encode("utf-8"))
+        table, expected = load_word_vectors(path), oracles.load_word_vectors(path)
+        assert table.dim == expected.dim
+        assert list(table.vectors) == list(expected.vectors)
+        for token, vector in expected.vectors.items():
+            assert np.array_equal(table.vectors[token], vector)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_malformed_raise_as_the_float_loop(self, path, data):
+        path.write_bytes(data.draw(table_text(data.draw(malformed_rows()))).encode("utf-8"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = first_fault(load_word_vectors, path)
+        assert caught == []
+        assert got == first_fault(oracles.load_word_vectors, path)
+        with pytest.raises(SemfuseError, match=re.escape(str(path))):
+            load_word_vectors(path)
+
+    @settings(max_examples=20, deadline=None)
+    @given(text=st.lists(BLANK, max_size=4).flatmap(
+        lambda lines: NEWLINE.map(lambda nl: nl.join(lines))))
+    def test_empty_or_blank_file(self, path, text):
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FormatError, match="no word vector entries"):
+                load_word_vectors(path)
+        assert caught == []
+        with pytest.raises(FormatError, match="no word vector entries"):
+            oracles.load_word_vectors(path)
 
 
 class TestFitContext:
@@ -359,6 +554,20 @@ class TestEmbeddingIO:
         p = tmp_path / "emb.csv"
         p.write_text("id,e1,e2\na,1.0,2.0\nb,3.0\n", encoding="utf-8")
         with pytest.raises(FormatError):
+            import_embeddings(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_cell_names_file_and_row(self, tmp_path, cell):
+        p = tmp_path / "emb.csv"
+        p.write_text(f"id,e1,e2\na,1.0,2.0\nb,3.0,4.0\nc,{cell},5.0\nd,{cell},{cell}\n",
+                     encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{p}: row 3: non-finite embedding value")):
+            import_embeddings(p)
+
+    def test_structure_errors_come_before_non_finite_cells(self, tmp_path):
+        p = tmp_path / "emb.csv"
+        p.write_text("id,e1,e2\na,nan,2.0\nb,3.0\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="row 2: expected 3 fields"):
             import_embeddings(p)
 
 
