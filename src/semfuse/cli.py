@@ -59,6 +59,7 @@ from .rankopt import (
 )
 from .spectra import delta_cosine_experiment, fit_pca, save_delta_csv, transform
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
+from .table import write_table
 from .tsne import (
     TsneConfig,
     load_colors,
@@ -129,11 +130,22 @@ class Run:
             return str(flag)
         return self.config.get(key, default)
 
-    def require(self, key: str, hint: str) -> str:
+    def require(self, key: str, hint: str | None = None) -> str:
         value = self.setting(key)
         if value is None:
+            hint = hint or f"flag --{key.replace('_', '-')} or config key {key}"
             raise ConfigError(f"{key} is required ({hint})")
         return value
+
+    def input_file(self, key: str, noun: str, required: bool = True) -> Path | None:
+        """The existing file a flag or config key names; None if optional and unset."""
+        value = self.require(key) if required else self.setting(key)
+        if not value and not required:
+            return None
+        path = Path(value)
+        if not path.exists():
+            raise ConfigError(f"{noun} file {path} does not exist")
+        return path
 
     def path_out(self, name: str) -> Path:
         return self.out_dir / name
@@ -221,26 +233,20 @@ def write_sidecar(out_path: Path, stage: str, inputs: dict[str, Path], params: d
     meta.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load_stage_records(run: Run) -> list:
-    return load_corpus(run.stage_input(RECORDS), format="csv")
-
-
-def _load_stage_space(run: Run, name: str) -> EmbeddingSpace:
-    return import_embeddings(run.stage_input(name))
+def _records_and_space(records_path: Path, embeddings_path: Path) -> tuple[list, EmbeddingSpace]:
+    records = load_corpus(records_path, format="csv")
+    space = import_embeddings(embeddings_path)
+    if tuple(r.id for r in records) != space.ids:
+        raise DomainError(f"{records_path} and {embeddings_path} list different ids")
+    return records, space
 
 
 def cmd_ingest(run: Run) -> None:
-    corpus_setting = run.require("corpus", "flag --corpus or config key corpus")
-    corpus_path = Path(corpus_setting)
-    if not corpus_path.exists():
-        raise ConfigError(f"corpus file {corpus_path} does not exist")
+    corpus_path = run.input_file("corpus", "corpus")
     records = load_corpus(corpus_path, format=run.setting("format"))
     inputs = {"corpus": corpus_path}
-    gazetteer_path = run.setting("gazetteer")
-    if gazetteer_path:
-        gaz_path = Path(gazetteer_path)
-        if not gaz_path.exists():
-            raise ConfigError(f"gazetteer file {gaz_path} does not exist")
+    gaz_path = run.input_file("gazetteer", "gazetteer", required=False)
+    if gaz_path:
         records = resolve_coordinates(records, load_gazetteer(gaz_path))
         inputs["gazetteer"] = gaz_path
     out = run.path_out(RECORDS)
@@ -271,16 +277,12 @@ def cmd_encode(run: Run) -> None:
 def cmd_embed(run: Run) -> None:
     records_path = run.stage_input(RECORDS)
     records = load_corpus(records_path, format="csv")
-    vectors_path = Path(run.require("word_vectors", "flag --word-vectors or key word_vectors"))
-    if not vectors_path.exists():
-        raise ConfigError(f"word vector file {vectors_path} does not exist")
+    run.require("word_vectors", "flag --word-vectors or key word_vectors")  # its hint differs
+    vectors_path = run.input_file("word_vectors", "word vector")
     table = load_word_vectors(vectors_path)
     inputs = {"records": records_path, "word_vectors": vectors_path}
-    stopword_path = run.setting("stopwords")
-    if stopword_path:
-        stop_path = Path(stopword_path)
-        if not stop_path.exists():
-            raise ConfigError(f"stopword file {stop_path} does not exist")
+    stop_path = run.input_file("stopwords", "stopword", required=False)
+    if stop_path:
         stopwords = load_stopwords(stop_path)
         inputs["stopwords"] = stop_path
     else:
@@ -303,7 +305,7 @@ def cmd_embed(run: Run) -> None:
 
 
 def cmd_reduce(run: Run) -> None:
-    k = _parse_int("k", run.require("k", "flag --k or config key k"))
+    k = _parse_int("k", run.require("k"))
     embeddings_path = run.stage_input(EMBEDDINGS)
     space = import_embeddings(embeddings_path)
     model = fit_pca(space, k)
@@ -366,10 +368,7 @@ def _similarity_params(run: Run) -> SimilarityParams:
 def cmd_score(run: Run) -> None:
     records_path = run.stage_input(RECORDS)
     embeddings_path = run.stage_input(EMBEDDINGS)
-    records = load_corpus(records_path, format="csv")
-    space = import_embeddings(embeddings_path)
-    if tuple(r.id for r in records) != space.ids:
-        raise DomainError(f"{records_path} and {embeddings_path} list different ids")
+    records, space = _records_and_space(records_path, embeddings_path)
     params = _similarity_params(run)
     scores = pairwise_scores(space.matrix, batch_features(records), params)
     out = run.path_out(SCORES)
@@ -392,13 +391,8 @@ def cmd_score(run: Run) -> None:
 def cmd_optimize(run: Run) -> None:
     records_path = run.stage_input(RECORDS)
     embeddings_path = run.stage_input(EMBEDDINGS)
-    labels_path = Path(run.require("labels", "flag --labels or config key labels"))
-    if not labels_path.exists():
-        raise ConfigError(f"labels file {labels_path} does not exist")
-    records = load_corpus(records_path, format="csv")
-    space = import_embeddings(embeddings_path)
-    if tuple(r.id for r in records) != space.ids:
-        raise DomainError(f"{records_path} and {embeddings_path} list different ids")
+    labels_path = run.input_file("labels", "labels")
+    records, space = _records_and_space(records_path, embeddings_path)
     labels = load_rank_labels(labels_path)
     kind = run.setting("kind", "pi")
     dist_kinds = tuple(
@@ -438,7 +432,7 @@ def cmd_optimize(run: Run) -> None:
 
 def cmd_tsne(run: Run) -> None:
     input_name = run.setting("tsne_input", AUGMENTED)
-    space = _load_stage_space(run, input_name)
+    space = import_embeddings(run.stage_input(input_name))
     if len(space.ids) < 3:
         raise DomainError(f"t-SNE needs at least 3 rows, got {len(space.ids)}")
     cfg = TsneConfig(
@@ -451,11 +445,8 @@ def cmd_tsne(run: Run) -> None:
     )
     colors = None
     inputs = {"space": run.out_dir / input_name}
-    colors_setting = run.setting("colors")
-    if colors_setting:
-        colors_path = Path(colors_setting)
-        if not colors_path.exists():
-            raise ConfigError(f"colors file {colors_path} does not exist")
+    colors_path = run.input_file("colors", "colors", required=False)
+    if colors_path:
         colors = load_colors(colors_path)
         inputs["colors"] = colors_path
     result = run_tsne(space.matrix, cfg)
@@ -477,9 +468,8 @@ def cmd_tsne(run: Run) -> None:
         "cost": cfg.cost,
         "final_kl": float(result.kl_trace[-1]),
     }
-    write_sidecar(out, "tsne", inputs, params, run.seed)
-    write_sidecar(svg_out, "tsne", inputs, params, run.seed)
-    write_sidecar(trace_out, "tsne", inputs, params, run.seed)
+    for path in (out, svg_out, trace_out):
+        write_sidecar(path, "tsne", inputs, params, run.seed)
     print(
         f"tsne: {len(space.ids)} points, final KL {float(result.kl_trace[-1])!r} "
         f"-> {out}, {svg_out}, {trace_out}"
@@ -491,28 +481,20 @@ def cmd_eval(run: Run) -> None:
     out = run.path_out(EVAL_CSV)
     if mode == "quality":
         space_name = run.setting("space", AUGMENTED)
-        space = _load_stage_space(run, space_name)
-        labels_path = Path(run.require("labels", "flag --labels or config key labels"))
-        if not labels_path.exists():
-            raise ConfigError(f"labels file {labels_path} does not exist")
+        space = import_embeddings(run.stage_input(space_name))
+        labels_path = run.input_file("labels", "labels")
         scale_max = _parse_float("scale_max", run.setting("scale_max", "4"))
         top_n = _parse_int("top_n", run.setting("top_n", "20"))
         labels = load_labels(labels_path, scale_max, corpus_ids=space.ids)
         quality = top_pair_quality(space, labels, top_n, run.seed)
-        rows = [
-            ("top_pair_quality", repr(quality)),
-            ("n_labels", str(len(labels))),
-            ("top_n", str(top_n)),
-        ]
+        rows = [("top_pair_quality", quality), ("n_labels", len(labels)), ("top_n", top_n)]
         inputs = {"space": run.out_dir / space_name, "labels": labels_path}
         params = {"mode": mode, "scale_max": scale_max, "top_n": top_n}
         print(f"eval: top_pair_quality {quality!r} over top {top_n} of {len(labels)} pairs")
     elif mode == "compare":
         pred_setting = run.setting("pred", SCORES)
         pred_path = run.stage_input(pred_setting)
-        labels_path = Path(run.require("labels", "flag --labels or config key labels"))
-        if not labels_path.exists():
-            raise ConfigError(f"labels file {labels_path} does not exist")
+        labels_path = run.input_file("labels", "labels")
         pred = load_rank_labels(pred_path)
         labeled = load_rank_labels(labels_path)
         report = compare_rankings(pred, labeled)
@@ -526,9 +508,9 @@ def cmd_eval(run: Run) -> None:
             run.seed,
         )
         rows = [
-            ("rank_loss", repr(report.loss)),
-            ("n_uniform_columns", str(len(report.uniform_columns))),
-            ("mean_column_entropy_bits", repr(float(np.mean(report.column_entropy)))),
+            ("rank_loss", report.loss),
+            ("n_uniform_columns", len(report.uniform_columns)),
+            ("mean_column_entropy_bits", float(np.mean(report.column_entropy))),
         ]
         inputs = {"pred": pred_path, "labels": labels_path}
         params = {"mode": mode}
@@ -538,10 +520,7 @@ def cmd_eval(run: Run) -> None:
         )
     else:
         raise ConfigError(f"unknown eval mode {mode!r}; expected quality or compare")
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("metric,value\n")
-        for metric, value in rows:
-            fh.write(f"{metric},{value}\n")
+    write_table(out, ["metric", "value"], rows, lineterminator="\n")
     write_sidecar(out, "eval", inputs, params, run.seed)
 
 
@@ -549,15 +528,10 @@ def cmd_sweep(run: Run) -> None:
     mode = run.setting("mode", "quality")
     embeddings_path = run.stage_input(EMBEDDINGS)
     records_path = run.stage_input(RECORDS)
-    space = import_embeddings(embeddings_path)
-    records = load_corpus(records_path, format="csv")
-    if tuple(r.id for r in records) != space.ids:
-        raise DomainError(f"{records_path} and {embeddings_path} list different ids")
+    records, space = _records_and_space(records_path, embeddings_path)
     k_list = _parse_int_list("k_list", run.setting("k_list", "2,4,8"))
     if mode == "quality":
-        labels_path = Path(run.require("labels", "flag --labels or config key labels"))
-        if not labels_path.exists():
-            raise ConfigError(f"labels file {labels_path} does not exist")
+        labels_path = run.input_file("labels", "labels")
         scale_max = _parse_float("scale_max", run.setting("scale_max", "4"))
         top_n = _parse_int("top_n", run.setting("top_n", "20"))
         labels = load_labels(labels_path, scale_max, corpus_ids=space.ids)

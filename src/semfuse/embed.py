@@ -11,7 +11,6 @@ imported from CSV.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -21,7 +20,8 @@ from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 import numpy as np
 
 from .corpus import CleanDoc
-from .errors import ConflictError, DomainError, FormatError, RowError, SchemaError, UnknownKeyError
+from .errors import ConflictError, DomainError, FormatError, SchemaError, UnknownKeyError
+from .table import parse_floats, read_table, write_table
 
 DEFAULT_RIDGE_SCALE = 1e-3
 _SYMMETRY_TOL = 1e-9
@@ -181,13 +181,7 @@ def _raise_first_fault(path: str | Path) -> NoReturn:
             if token in seen:
                 raise ConflictError(f"{where}: duplicate token {token!r}")
             seen.add(token)
-            try:
-                # one value per "line": the same number parser as the bulk read
-                vector = np.loadtxt(values, comments=None, dtype=float)
-            except ValueError:
-                raise FormatError(f"{where}: non-numeric vector value") from None
-            if not np.isfinite(vector).all():
-                raise FormatError(f"{where}: non-finite vector value")
+            parse_floats(where, values)
     if dim is None:
         raise FormatError(f"{path}: no word vector entries")
     # reached only if the bulk read and the line-by-line read disagree
@@ -199,10 +193,8 @@ def load_word_vectors(path: str | Path) -> WordVectorTable:
 
     Tokens and values are separated by runs of whitespace; blank lines are
     skipped. The first entry fixes the dimensionality (at least 2); every
-    later line must match, and no token may repeat. Values follow numpy's
-    number grammar: ASCII decimal or exponent notation with an optional
-    sign. `1_0` and non-ASCII digits are rejected, and `nan`, `inf` or an
-    overflowing value such as `1e999` is rejected as non-finite.
+    later line must match, and no token may repeat. Values follow the
+    number grammar of `table.parse_floats`.
 
     The whole file is parsed by one `np.loadtxt` call, and each vector is a
     row of the resulting matrix, in file order. A file that fails any rule
@@ -350,45 +342,21 @@ def embed_corpus(
 def import_embeddings(path: str | Path) -> EmbeddingSpace:
     """Read an embedding CSV (header id,e1,...,ed), preserving file order.
 
-    A `nan`, `inf` or `-inf` cell raises a FormatError naming the file and
-    its row; it is looked for once the whole file has parsed, so a ragged
-    row, a repeated id or a non-numeric cell anywhere is reported first.
+    Values follow the number grammar of `table.parse_floats`. A ragged
+    row or a repeated id anywhere is reported before a bad value; errors
+    name the file and the line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header or header[0] != "id":
+    def check_header(header: list[str]) -> None:
+        if not header or header[0] != "id":
             raise SchemaError(f"{path}: first column must be 'id'")
-        d = len(header) - 1
-        if d < 1:
+        if len(header) < 2:
             raise SchemaError(f"{path}: no embedding columns")
-        ids: list[str] = []
-        seen: set[str] = set()
-        rows = []
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != d + 1:
-                raise FormatError(f"{path}: row {rownum}: expected {d + 1} fields, got {len(row)}")
-            rid = row[0]
-            if rid in seen:
-                raise ConflictError(f"duplicate id {rid!r} at row {rownum}")
-            seen.add(rid)
-            ids.append(rid)
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise RowError(rownum, "non-numeric embedding value") from None
-    matrix = np.array(rows) if rows else np.zeros((0, d))
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        rownum = int(np.argmin(finite)) + 1
-        raise FormatError(f"{path}: row {rownum}: non-finite embedding value")
+
+    _, ids, matrix = read_table(path, check_header, ids=True)
     return EmbeddingSpace(ids=tuple(ids), matrix=matrix)
 
 
 def export_embeddings(space: EmbeddingSpace, path: str | Path) -> None:
     """Write an EmbeddingSpace so import_embeddings round-trips it."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"e{i + 1}" for i in range(space.dim)])
-        for rid, row in zip(space.ids, space.matrix):
-            writer.writerow([rid] + [repr(float(v)) for v in row])
+    header = ["id"] + [f"e{i + 1}" for i in range(space.dim)]
+    write_table(path, header, ([rid, *row] for rid, row in zip(space.ids, space.matrix.tolist())))

@@ -11,7 +11,6 @@ all-one-value columns.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -23,6 +22,7 @@ from .errors import DomainError, RowError, SchemaError, UnknownKeyError
 from .rankopt import RankMatrix, rank_loss
 from .spectra import AugmentedSpace, augment, cosine, fit_pca_models, transform
 from .spectra import fit_pca  # noqa: F401  # kept in this namespace: bench/tracer.py patches it
+from .table import parse_floats, write_table
 
 SWEEP_VARIANTS = ("all_features", "condensed_time", "pca_only")
 
@@ -74,9 +74,10 @@ def load_labels(
 ) -> list[LabeledPair]:
     """Read id_a,id_b,score_1[,score_2,...] rows into LabeledPairs.
 
-    Rows may carry different numbers of scores; empty trailing cells are
-    ignored. label = mean(scores) / scale_max. When corpus_ids is given,
-    ids outside it are rejected.
+    Rows may carry different numbers of scores, in the grammar of
+    `table.parse_floats`; empty trailing cells are ignored. label =
+    mean(scores) / scale_max. When corpus_ids is given, ids outside it are
+    rejected.
     """
     if scale_max <= 0:
         raise DomainError(f"scale_max must be positive, got {scale_max}")
@@ -102,10 +103,7 @@ def load_labels(
             raw = [cell for cell in row[2:] if cell.strip()]
             if not raw:
                 raise RowError(rownum, "no rater scores")
-            try:
-                scores = tuple(float(v) for v in raw)
-            except ValueError:
-                raise RowError(rownum, "non-numeric rater score") from None
+            scores = tuple(parse_floats(f"{path}: line {reader.line_num}", raw).tolist())
             for s in scores:
                 if not 0.0 <= s <= scale_max:
                     raise RowError(rownum, f"score {s} outside [0, {scale_max}]")
@@ -171,11 +169,8 @@ def component_sweep(
 
 
 def save_sweep_csv(result: SweepResult, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "k", "mean_label", "n_pairs"])
-        for cell in result.cells:
-            writer.writerow([cell.variant, cell.k, repr(cell.mean_label), cell.n_pairs])
+    rows = ([cell.variant, cell.k, cell.mean_label, cell.n_pairs] for cell in result.cells)
+    write_table(path, ["variant", "k", "mean_label", "n_pairs"], rows)
 
 
 def _column_entropy_bits(column: np.ndarray) -> float:
@@ -202,12 +197,8 @@ def compare_rankings(pred: RankMatrix, labeled: RankMatrix) -> RankingReport:
 
 def save_rank_heatmap(matrix: RankMatrix, path: str | Path) -> None:
     """Write every cell as i,j,rank for external plotting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "rank"])
-        for i in range(matrix.m):
-            for j in range(matrix.m):
-                writer.writerow([i, j, int(matrix.entries[i, j])])
+    ranks = enumerate(matrix.entries.astype(int).tolist())
+    write_table(path, ["i", "j", "rank"], ([i, j, r] for i, row in ranks for j, r in enumerate(row)))
 
 
 def label_rank_matrix(labels: Sequence[LabeledPair], ids: Sequence[str]) -> RankMatrix:

@@ -6,7 +6,6 @@ Timestamps are epoch seconds interpreted as UTC. The year period is fixed at
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,6 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import DomainError, FormatError
+from .table import read_table, write_table
 
 if TYPE_CHECKING:
     from .corpus import Record
@@ -164,36 +164,21 @@ def save_feature_matrix(path: str | Path, matrix: np.ndarray, variant: str) -> N
     x = np.asarray(matrix, dtype=float)
     if x.ndim != 2 or x.shape[1] != len(columns):
         raise DomainError(f"matrix shape {x.shape} does not match variant {variant!r}")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in x:
-            writer.writerow([repr(float(v)) for v in row])
+    write_table(path, columns, x.tolist())
 
 
 def load_feature_matrix(path: str | Path) -> tuple[np.ndarray, str]:
     """Read a feature CSV written by save_feature_matrix; returns (matrix, variant).
 
-    Every cell must be a finite number.
+    Every cell must be a finite number in the grammar of `table.parse_floats`.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise FormatError(f"{path}: empty feature file") from None
-        variant = next((v for v, cols in FEATURE_COLUMNS.items() if cols == header), None)
-        if variant is None:
-            raise FormatError(f"{path}: header {header} matches no known feature layout")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise FormatError(f"{path}: line {lineno} has {len(row)} fields, expected {len(header)}")
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
-            if not all(map(math.isfinite, values)):
-                raise FormatError(f"{path}: line {lineno}: non-finite value")
-            rows.append(values)
-    return np.array(rows, dtype=float).reshape(len(rows), len(header)), variant
+    layouts = {columns: variant for variant, columns in FEATURE_COLUMNS.items()}
+
+    def check_header(header: list[str]) -> None:
+        if not header:
+            raise FormatError(f"{path}: empty feature file")
+        if tuple(header) not in layouts:
+            raise FormatError(f"{path}: header {tuple(header)} matches no known feature layout")
+
+    header, _, matrix = read_table(path, check_header)
+    return matrix, layouts[tuple(header)]

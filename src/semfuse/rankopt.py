@@ -28,6 +28,7 @@ import numpy as np
 from .corpus import Record
 from .errors import ConfigError, ConflictError, DomainError, FormatError, RowError
 from .geotime import SECONDS_PER_DAY, GeoPoint, great_circle_miles, haversine_miles
+from .table import filled_rows, read_table, write_table
 
 SIM_KINDS = ("sigma", "pi")
 DIST_KINDS = ("exp_abs", "inv_abs", "floor_geo")
@@ -349,11 +350,8 @@ def optimize_alphas(
 def save_trace_csv(trace: Sequence[tuple], path: str | Path) -> None:
     """Write (round, alpha1, ..., alphak, loss) rows under a matching header."""
     n_alphas = len(trace[0]) - 2 if trace else 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", *(f"alpha{i}" for i in range(1, n_alphas + 1)), "loss"])
-        for rnd, *values in trace:
-            writer.writerow([rnd, *(repr(float(v)) for v in values)])
+    header = ["round", *(f"alpha{i}" for i in range(1, n_alphas + 1)), "loss"]
+    write_table(path, header, ([rnd, *map(float, values)] for rnd, *values in trace))
 
 
 def save_score_matrix(scores: np.ndarray, path: str | Path) -> None:
@@ -394,30 +392,34 @@ def load_rank_labels(path: str | Path) -> RankMatrix:
     Two layouts are accepted: a header line `i,j,score` followed by one
     row per unordered pair (0-based batch indices, scores in [0, 1], all
     pairs required), or a headerless full m x m score matrix. Either way
-    the file carries scores; rankings are always derived here.
+    the file carries scores; rankings are always derived here. Numbers
+    follow the grammar of `table.parse_floats`; blank rows are skipped.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
-    if not rows:
+        first = next(filled_rows(csv.reader(fh)), None)
+    if first is None:
         raise FormatError(f"{path}: empty labels file")
-    header = [cell.strip().lower() for cell in rows[0]]
-    if header == ["i", "j", "score"]:
-        return _labels_from_triplets(rows[1:], path)
-    return _labels_from_matrix(rows, path)
+    if [cell.strip().lower() for cell in first] == ["i", "j", "score"]:
+        _, _, triplets = read_table(path, check_header=lambda header: None)
+        return _labels_from_triplets(triplets, path)
+    _, _, scores = read_table(path)
+    m = len(scores)
+    if m < 2:
+        raise FormatError(f"{path}: need at least 2 rows")
+    if scores.shape != (m, m):
+        raise FormatError(f"{path}: score matrix is {m} x {scores.shape[1]}, not square")
+    if not np.array_equal(scores, scores.T):
+        raise FormatError(f"{path}: score matrix is not symmetric")
+    return rank_matrix(scores)
 
 
-def _labels_from_triplets(rows: list[list[str]], path) -> RankMatrix:
+def _labels_from_triplets(triplets: np.ndarray, path) -> RankMatrix:
     pairs: dict[tuple[int, int], float] = {}
     max_index = -1
-    for rownum, row in enumerate(rows, start=1):
-        if len(row) != 3:
-            raise RowError(rownum, f"expected 3 fields, got {len(row)}")
-        try:
-            i, j = int(row[0]), int(row[1])
-            score = float(row[2])
-        except ValueError:
-            raise RowError(rownum, "indices must be integers and score numeric") from None
+    for rownum, (i, j, score) in enumerate(triplets.tolist(), start=1):
+        if not (i.is_integer() and j.is_integer()):
+            raise RowError(rownum, "indices must be integers")
+        i, j = int(i), int(j)
         if i < 0 or j < 0:
             raise RowError(rownum, "indices must be nonnegative")
         if i == j:
@@ -438,23 +440,4 @@ def _labels_from_triplets(rows: list[list[str]], path) -> RankMatrix:
     scores = np.zeros((m, m))
     for (i, j), score in pairs.items():
         scores[i, j] = scores[j, i] = score
-    return rank_matrix(scores)
-
-
-def _labels_from_matrix(rows: list[list[str]], path) -> RankMatrix:
-    m = len(rows)
-    if m < 2:
-        raise FormatError(f"{path}: need at least 2 rows")
-    scores = np.zeros((m, m))
-    for rownum, row in enumerate(rows, start=1):
-        if len(row) != m:
-            raise RowError(rownum, f"expected {m} fields, got {len(row)}")
-        try:
-            scores[rownum - 1] = [float(v) for v in row]
-        except ValueError:
-            raise RowError(rownum, "non-numeric score") from None
-        if not np.isfinite(scores[rownum - 1]).all():
-            raise RowError(rownum, "non-finite score")
-    if not np.array_equal(scores, scores.T):
-        raise FormatError(f"{path}: score matrix is not symmetric")
     return rank_matrix(scores)

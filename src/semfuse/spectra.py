@@ -8,7 +8,6 @@ cosines as the number of kept components grows.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -18,6 +17,7 @@ import numpy as np
 from .embed import EmbeddingSpace, RowLookup
 from .errors import DomainError
 from .geotime import StandardizationStats, standardize
+from .table import write_table
 
 _ORTHO_TOL = 1e-6
 
@@ -222,8 +222,5 @@ def delta_cosine_experiment(
 
 
 def save_delta_csv(results: Sequence[DeltaCosineResult], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "mean_abs_delta", "stderr"])
-        for r in results:
-            writer.writerow([r.k, repr(r.mean_abs_delta), repr(r.stderr)])
+    rows = ([r.k, r.mean_abs_delta, r.stderr] for r in results)
+    write_table(path, ["k", "mean_abs_delta", "stderr"], rows)

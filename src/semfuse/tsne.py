@@ -25,6 +25,7 @@ from .errors import (
     FormatError,
     SchemaError,
 )
+from .table import write_table
 
 KERNELS = ("gaussian", "student_t")
 COST_MODES = ("joint", "conditional")
@@ -347,20 +348,12 @@ def run_tsne(
 
 
 def write_coords_csv(ids: Sequence[str], coords: np.ndarray, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "x", "y"])
-        for rid, (x, y) in zip(ids, coords):
-            writer.writerow([rid, repr(float(x)), repr(float(y))])
+    write_table(path, ["id", "x", "y"], ([rid, x, y] for rid, (x, y) in zip(ids, coords.tolist())))
 
 
 def write_trace_csv(kl_trace: np.ndarray, path: str | Path) -> None:
     """One `iteration,kl` row per kl_trace entry; the last is the final layout's cost."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "kl"])
-        for it, kl in enumerate(kl_trace):
-            writer.writerow([it, repr(float(kl))])
+    write_table(path, ["iteration", "kl"], enumerate(map(float, kl_trace)))
 
 
 def load_colors(path: str | Path) -> dict[str, str]:

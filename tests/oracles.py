@@ -18,10 +18,15 @@ lived in `tsne_cost_and_grad` alone.
 `repr` per cell, before `save_score_matrix` formatted each pair once.
 `load_word_vectors` is the word-vector reader with one Python `float()`
 per value, before `semfuse.embed` parsed the whole table with numpy.
+`WRITERS` holds the CSV writers as each stage had its own, one
+`csv.writer` row and one `repr` per cell, before they all went through
+`semfuse.table.write_table`; `eval_csv` is the loop `eval` wrote
+`eval.csv` with.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -29,7 +34,7 @@ import numpy as np
 
 from semfuse.embed import WordVectorTable
 from semfuse.errors import ConflictError, DomainError, FormatError
-from semfuse.geotime import EARTH_RADIUS_MILES
+from semfuse.geotime import EARTH_RADIUS_MILES, FEATURE_COLUMNS
 from semfuse.rankopt import SimilarityParams, rank_loss, rank_matrix
 from semfuse.rankopt import pairwise_scores as matrix_scores
 from semfuse.tsne import (
@@ -200,6 +205,89 @@ def load_word_vectors(path) -> WordVectorTable:
     if dim is None:
         raise FormatError(f"{path}: no word vector entries")
     return WordVectorTable(dim=dim, vectors=vectors)
+
+
+def export_embeddings(space, path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id"] + [f"e{i + 1}" for i in range(space.dim)])
+        for rid, row in zip(space.ids, space.matrix):
+            writer.writerow([rid] + [repr(float(v)) for v in row])
+
+
+def save_feature_matrix(path, matrix, variant) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(FEATURE_COLUMNS[variant])
+        for row in np.asarray(matrix, dtype=float):
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def save_trace_csv(trace, path) -> None:
+    n_alphas = len(trace[0]) - 2 if trace else 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["round", *(f"alpha{i}" for i in range(1, n_alphas + 1)), "loss"])
+        for rnd, *values in trace:
+            writer.writerow([rnd, *(repr(float(v)) for v in values)])
+
+
+def write_coords_csv(ids, coords, path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "x", "y"])
+        for rid, (x, y) in zip(ids, coords):
+            writer.writerow([rid, repr(float(x)), repr(float(y))])
+
+
+def write_trace_csv(kl_trace, path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iteration", "kl"])
+        for it, kl in enumerate(kl_trace):
+            writer.writerow([it, repr(float(kl))])
+
+
+def save_sweep_csv(result, path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["variant", "k", "mean_label", "n_pairs"])
+        for cell in result.cells:
+            writer.writerow([cell.variant, cell.k, repr(cell.mean_label), cell.n_pairs])
+
+
+def save_rank_heatmap(matrix, path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["i", "j", "rank"])
+        for i in range(matrix.m):
+            for j in range(matrix.m):
+                writer.writerow([i, j, int(matrix.entries[i, j])])
+
+
+def save_delta_csv(results, path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "mean_abs_delta", "stderr"])
+        for r in results:
+            writer.writerow([r.k, repr(r.mean_abs_delta), repr(r.stderr)])
+
+
+WRITERS = {
+    "embed.export_embeddings": export_embeddings,
+    "geotime.save_feature_matrix": save_feature_matrix,
+    "rankopt.save_trace_csv": save_trace_csv,
+    "tsne.write_coords_csv": write_coords_csv,
+    "tsne.write_trace_csv": write_trace_csv,
+    "evalkit.save_sweep_csv": save_sweep_csv,
+    "evalkit.save_rank_heatmap": save_rank_heatmap,
+    "spectra.save_delta_csv": save_delta_csv,
+}
+
+
+def eval_csv(rows) -> str:
+    """`eval.csv` for (metric, value) rows, each value's text as `eval` formatted it."""
+    return "metric,value\n" + "".join(f"{metric},{value}\n" for metric, value in rows)
 
 
 def planar_weights(coords, kernel):

@@ -71,6 +71,16 @@ class TestPipeline:
             assert meta_a.exists(), f"{name}.meta missing"
             assert meta_a.read_bytes() == meta_b.read_bytes(), f"{name}.meta differs"
 
+    def test_eval_csv_keeps_its_line_ends_and_value_texts(self, pipeline_fixture, tmp_path):
+        run_stages(tmp_path, pipeline_fixture)
+        text = (tmp_path / "eval.csv").read_bytes().decode("utf-8")
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert text == oracles.eval_csv(rows)
+        metrics = dict(rows)
+        assert list(metrics) == ["rank_loss", "n_uniform_columns", "mean_column_entropy_bits"]
+        assert repr(float(metrics["rank_loss"])) == metrics["rank_loss"]
+        assert str(int(metrics["n_uniform_columns"])) == metrics["n_uniform_columns"]
+
     def test_sidecar_contents(self, pipeline_fixture, tmp_path):
         out = tmp_path / "out"
         base = ["--seed", "11", "--out-dir", str(out)]
@@ -209,10 +219,32 @@ class TestStageOrdering:
         rc = main(base + command)
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"{embeddings}: row 4: non-finite embedding value" in err
+        assert f"{embeddings}: line 5: non-finite value" in err
         assert "Traceback" not in err
         assert sorted(path.name for path in out.iterdir()) == before
         assert not (out / written).exists()
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda cells: cells[:2] + ["x"] + cells[3:], "line 5: non-numeric value"),
+        (lambda cells: ["t02"] + cells[1:], "line 5: duplicate id 't02'"),
+    ], ids=["non-numeric", "repeated id"])
+    def test_bad_embedding_row_names_file_and_line(self, pipeline_fixture, tmp_path, capsys, edit, reason):
+        out = tmp_path / "out"
+        base = ["--out-dir", str(out)]
+        fx = pipeline_fixture
+        assert main(base + ["ingest", "--corpus", str(fx["corpus"])]) == 0
+        assert main(base + ["embed", "--word-vectors", str(fx["vectors"])]) == 0
+        embeddings = out / "embeddings.csv"
+        lines = embeddings.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = ",".join(edit(lines[4].split(",")))
+        embeddings.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(base + ["reduce", "--k", "3"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {embeddings}: {reason}" in err
+        assert "Traceback" not in err
+        assert not (out / "reduced.csv").exists()
+        assert not (out / "reduced.csv.meta").exists()
 
     def test_reduce_with_impossible_k(self, pipeline_fixture, tmp_path, capsys):
         out = tmp_path / "out"
@@ -284,6 +316,14 @@ class TestConfigFile:
         rc = main(["--config", str(cfg), "--out-dir", str(tmp_path / "o"), "ingest"])
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_empty_required_path_exits_2(self, tmp_path, capsys):
+        # an empty value is not an unset one: it names the current directory
+        rc = main(["--out-dir", str(tmp_path / "o"), "ingest", "--corpus", ""])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_missing_required_setting(self, tmp_path, capsys):
         rc = main(["--out-dir", str(tmp_path / "o"), "ingest"])

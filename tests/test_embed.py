@@ -142,7 +142,7 @@ class TestLoadWordVectors:
         p = tmp_path / "v.txt"
         p.write_text(f"cat 1.0 2.0\ndog 3.0 {value}\n", encoding="utf-8")
         assert np.array_equal(oracles.load_word_vectors(p).vector("dog"), [3.0, as_float])
-        with pytest.raises(FormatError, match=re.escape(f"{p}: line 2: non-numeric vector value")):
+        with pytest.raises(FormatError, match=re.escape(f"{p}: line 2: non-numeric value")):
             load_word_vectors(p)
 
 
@@ -186,22 +186,29 @@ def table_text(draw, rows):
 
 @st.composite
 def malformed_rows(draw):
-    """A table with one or two faults; a ragged or repeated line is never the first."""
-    rows = draw(table_lines(min_rows=2))
-    for fault in draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2)):
-        k = draw(st.integers(0, len(rows) - 1))
+    """A table with one or two faults, each on a row of its own.
+
+    Two faults on one row could cancel (a dropped and an appended value),
+    so each fault takes a row no other fault touches. one_value_first
+    takes row 0; a ragged or repeated line is never the first.
+    """
+    faults = draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2))
+    rows = draw(table_lines(min_rows=len(faults) + 1))
+    taken = {0} if "one_value_first" in faults else set()
+    for fault in faults:
+        if fault == "one_value_first":
+            rows[0] = (rows[0][0], rows[0][1][:1])
+            continue
+        first = 1 if fault in ("ragged", "duplicate") else 0
+        k = draw(st.sampled_from([i for i in range(first, len(rows)) if i not in taken]))
+        taken.add(k)
         token, values = rows[k]
         if fault == "token_only":
             rows[k] = (token, [])
-        elif fault == "one_value_first":
-            rows[0] = (rows[0][0], rows[0][1][:1])
         elif fault == "ragged":
-            k = max(k, 1)
-            values = rows[k][1]
-            rows[k] = (rows[k][0], values[:-1] if draw(st.booleans()) else values + [draw(NUMBER)])
+            rows[k] = (token, values[:-1] if draw(st.booleans()) else values + [draw(NUMBER)])
         elif fault == "duplicate":
-            k = max(k, 1)
-            rows[k] = (rows[draw(st.integers(0, k - 1))][0], rows[k][1])
+            rows[k] = (rows[draw(st.integers(0, k - 1))][0], values)
         else:
             bad = draw(NON_NUMERIC if fault == "non_numeric" else NON_FINITE)
             j = draw(st.integers(0, len(values)))
@@ -561,13 +568,13 @@ class TestEmbeddingIO:
         p = tmp_path / "emb.csv"
         p.write_text(f"id,e1,e2\na,1.0,2.0\nb,3.0,4.0\nc,{cell},5.0\nd,{cell},{cell}\n",
                      encoding="utf-8")
-        with pytest.raises(FormatError, match=re.escape(f"{p}: row 3: non-finite embedding value")):
+        with pytest.raises(FormatError, match=re.escape(f"{p}: line 4: non-finite value")):
             import_embeddings(p)
 
     def test_structure_errors_come_before_non_finite_cells(self, tmp_path):
         p = tmp_path / "emb.csv"
         p.write_text("id,e1,e2\na,nan,2.0\nb,3.0\n", encoding="utf-8")
-        with pytest.raises(FormatError, match="row 2: expected 3 fields"):
+        with pytest.raises(FormatError, match=re.escape(f"{p}: line 3: expected 3 fields, got 2")):
             import_embeddings(p)
 
 

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semfuse.embed import EmbeddingSpace
-from semfuse.errors import DomainError, RowError, SchemaError, UnknownKeyError
+from semfuse.errors import DomainError, FormatError, RowError, SchemaError, UnknownKeyError
 from semfuse.evalkit import (
     SWEEP_VARIANTS,
     LabeledPair,
@@ -52,7 +54,7 @@ class TestLoadLabels:
 
     def test_non_numeric_score(self, tmp_path):
         p = labels_file(tmp_path, "a,b,good,1\n")
-        with pytest.raises(RowError):
+        with pytest.raises(FormatError, match=re.escape(f"{p}: line 2: non-numeric value")):
             load_labels(p, scale_max=4.0)
 
     def test_unknown_corpus_id(self, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -653,6 +654,15 @@ class TestLoadRankLabels:
         with pytest.raises(RowError):
             load_rank_labels(p)
 
+    def test_triplet_indices_are_integer_valued_numbers(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("i,j,score\n0,1.0,0.9\n0e0,2,0.1\n1,2,0.5\n", encoding="utf-8")
+        expect = rank_matrix(np.array([[0, 0.9, 0.1], [0.9, 0, 0.5], [0.1, 0.5, 0]]))
+        assert np.array_equal(load_rank_labels(p).entries, expect.entries)
+        p.write_text("i,j,score\n0,1,0.9\n0,1.5,0.1\n", encoding="utf-8")
+        with pytest.raises(RowError, match="^row 2: indices must be integers$"):
+            load_rank_labels(p)
+
     def test_self_pair_rejected(self, tmp_path):
         p = tmp_path / "labels.csv"
         p.write_text("i,j,score\n1,1,0.5\n", encoding="utf-8")
@@ -669,7 +679,7 @@ class TestLoadRankLabels:
     def test_matrix_non_finite_rejected(self, tmp_path, bad):
         p = tmp_path / "labels.csv"
         p.write_text(f"0.0,0.9,0.1\n0.9,0.0,{bad}\n0.1,{bad},0.0\n", encoding="utf-8")
-        with pytest.raises(RowError, match="non-finite"):
+        with pytest.raises(FormatError, match=re.escape(f"{p}: line 2: non-finite value")):
             load_rank_labels(p)
 
     def test_matrix_asymmetric_rejected(self, tmp_path):

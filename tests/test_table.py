@@ -1,0 +1,288 @@
+import ast
+import re
+import warnings
+from pathlib import Path
+
+import numpy as np
+import oracles
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from semfuse import embed, evalkit, geotime, rankopt, spectra, table, tsne
+from semfuse.embed import EmbeddingSpace, export_embeddings, import_embeddings, load_word_vectors
+from semfuse.errors import ConflictError, FormatError, SemfuseError
+from semfuse.evalkit import SweepCell, SweepResult, load_labels
+from semfuse.geotime import load_feature_matrix, save_feature_matrix
+from semfuse.rankopt import load_rank_labels, rank_matrix
+from semfuse.spectra import DeltaCosineResult
+
+# floats whose shortest repr is easy to get wrong: signed zero, subnormals,
+# the exponent switch at 1e16 and 1e-4, and the extremes
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2250738585072014e-308, 1e16, -1e16,
+               9999999999999998.0, 1e-05, 9.999e-05, 0.1, 1 / 3, 1.7976931348623157e308]
+FLOAT = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+# ids csv has to quote (a comma, a quote, line breaks), padding, and any other text
+ID = st.one_of(
+    st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\r\nlf", " padded ", "", "é日"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6),
+)
+
+
+def matrices(columns, min_rows=0):
+    return st.lists(st.lists(FLOAT, min_size=columns, max_size=columns),
+                    min_size=min_rows, max_size=6).map(lambda rows: np.array(rows).reshape(-1, columns))
+
+
+def bits(matrix):
+    return np.ascontiguousarray(matrix, dtype=float).view(np.uint64)
+
+
+def write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def fault(path, line, reason):
+    return f"^{re.escape(str(path))}: line {line}: {reason}"
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("table") / "t.csv"
+
+
+class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_embeddings_round_trip_bit_for_bit(self, path, data):
+        matrix = data.draw(matrices(data.draw(st.integers(1, 4))))
+        ids = tuple(data.draw(st.lists(ID, min_size=len(matrix), max_size=len(matrix), unique=True)))
+        export_embeddings(EmbeddingSpace(ids, matrix), path)
+        loaded = import_embeddings(path)
+        assert loaded.ids == ids
+        assert loaded.matrix.shape == matrix.shape
+        assert np.array_equal(bits(loaded.matrix), bits(matrix))
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=matrices(3))
+    def test_features_round_trip_bit_for_bit(self, path, matrix):
+        save_feature_matrix(path, matrix, "condensed_time")
+        loaded, variant = load_feature_matrix(path)
+        assert variant == "condensed_time"
+        assert loaded.shape == matrix.shape
+        assert np.array_equal(bits(loaded), bits(matrix))
+
+    def test_every_edge_float_prints_as_its_repr(self, path):
+        export_embeddings(EmbeddingSpace(("x",), np.array([EDGE_FLOATS])), path)
+        cells = path.read_text(encoding="utf-8").splitlines()[1].split(",")[1:]
+        assert cells == [repr(v) for v in EDGE_FLOATS]
+
+
+MODULES = {"embed": embed, "geotime": geotime, "rankopt": rankopt, "tsne": tsne,
+           "evalkit": evalkit, "spectra": spectra}
+
+
+def writer_args(matrix, ids, path):
+    """The arguments of every numeric-table writer, writing one matrix to path."""
+    m = len(matrix)
+    rows = [(r + 1, *values) for r, values in enumerate(matrix)]  # numpy scalars, on purpose
+    cells = tuple(SweepCell("pca_only", r, float(row[0]), 3) for r, row in enumerate(matrix))
+    deltas = [DeltaCosineResult(r, float(a), float(b)) for r, (_, a, b) in enumerate(matrix)]
+    return {
+        "embed.export_embeddings": (EmbeddingSpace(ids, matrix), path),
+        "geotime.save_feature_matrix": (path, matrix, "condensed_time"),
+        "rankopt.save_trace_csv": (rows, path),
+        "tsne.write_coords_csv": (ids, matrix[:, :2], path),
+        "tsne.write_trace_csv": (matrix[:, 0], path),
+        "evalkit.save_sweep_csv": (SweepResult(cells, 3, 0), path),
+        "evalkit.save_rank_heatmap": (rank_matrix(np.random.default_rng(m).random((m, m))), path),
+        "spectra.save_delta_csv": (deltas, path),
+    }
+
+
+def assert_writers_match_their_oracles(matrix, ids, path):
+    old = path.with_name("old.csv")
+    calls = writer_args(matrix, ids, path)
+    assert set(calls) == set(oracles.WRITERS)
+    for name, args in calls.items():
+        module, function = name.split(".")
+        getattr(MODULES[module], function)(*args)
+        oracles.WRITERS[name](*(old if arg is path else arg for arg in args))
+        assert path.read_bytes() == old.read_bytes(), name
+
+
+class TestWritersMatchTheirOldBytes:
+    @settings(max_examples=80, deadline=None)
+    @given(matrix=matrices(3, min_rows=2), data=st.data())
+    def test_each_writer_equals_its_per_cell_oracle(self, path, matrix, data):
+        ids = tuple(data.draw(st.lists(ID, min_size=len(matrix), max_size=len(matrix), unique=True)))
+        assert_writers_match_their_oracles(matrix, ids, path)
+
+    def test_float32_input_prints_as_before(self, path):
+        # csv prints a numpy scalar with str(), which for float32 is not the float64 repr
+        matrix = np.array([[0.1, -2.5, 1e-3], [3.3, 0.0, 7.7]], dtype=np.float32)
+        assert_writers_match_their_oracles(matrix, ("a", "b"), path)
+
+
+# (reader, file text with the cell {} on line 2); each reads its own layout
+GRAMMAR_READERS = {
+    "word vectors": (load_word_vectors, "cat 1.0 2.0\ndog 3.0 {}\n"),
+    "embeddings": (import_embeddings, "id,e1,e2\na,3.0,{}\n"),
+    "features": (load_feature_matrix, "time_seconds,lat,lon\n{},1.0,2.0\n"),
+    "matrix labels": (load_rank_labels, "0.0,0.5\n0.5,{}\n"),
+    "triplet labels": (load_rank_labels, "i,j,score\n0,1,{}\n"),
+    "rater labels": (lambda p: load_labels(p, scale_max=4.0), "id_a,id_b,score_1\na,b,{}\n"),
+}
+VERDICTS = {"1_0": "non-numeric", "١٢": "non-numeric", "0x10": "non-numeric",
+            "nan": "non-finite", "1e999": "non-finite"}
+
+
+class TestOneGrammar:
+    @pytest.mark.parametrize("cell", sorted(VERDICTS))
+    @pytest.mark.parametrize("reader", sorted(GRAMMAR_READERS))
+    def test_every_reader_gives_the_same_verdict(self, tmp_path, reader, cell):
+        load, text = GRAMMAR_READERS[reader]
+        p = write(tmp_path / "t.csv", text.format(cell))
+        with pytest.raises(FormatError, match=fault(p, 2, f"{VERDICTS[cell]} value$")):
+            load(p)
+
+    @pytest.mark.parametrize("reader", sorted(GRAMMAR_READERS))
+    def test_every_reader_accepts_the_plain_spellings(self, tmp_path, reader):
+        load, text = GRAMMAR_READERS[reader]
+        for cell in ["1", "0.5", "+1e0", "1.", ".5e-0"]:
+            load(write(tmp_path / "t.csv", text.format(cell)))
+
+    @pytest.mark.parametrize("cells, verdict", [
+        (["1.5", "-0.0", " 1e-320 "], None),
+        (["1", ""], "non-numeric"),
+        ([""], "non-numeric"),
+        (["1 2"], "non-numeric"),
+        (["1,2"], "non-numeric"),
+        (["1\n2"], "non-numeric"),
+        (["1", "-inf"], "non-finite"),
+    ])
+    def test_parse_floats_reads_exactly_one_number_per_cell(self, cells, verdict):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if verdict is None:
+                values = table.parse_floats("f: line 1", cells)
+                assert np.array_equal(bits(values), bits([float(c) for c in cells]))
+            else:
+                with pytest.raises(FormatError, match=f"^f: line 1: {verdict} value$"):
+                    table.parse_floats("f: line 1", cells)
+        assert caught == []
+
+
+# (reader, header line or "", whether rows start with an id); three fields a row
+TABLE_READERS = {
+    "embeddings": (import_embeddings, "id,e1,e2\n", True),
+    "features": (load_feature_matrix, "time_seconds,lat,lon\n", False),
+    "matrix labels": (load_rank_labels, "", False),
+}
+
+
+def table_text(reader, bad):
+    """A good three-row table in `reader`'s layout; row i's numbers replaced by bad[i]."""
+    _, header, ids = TABLE_READERS[reader]
+    good = [["0.0", "0.5", "0.25"], ["0.5", "0.0", "0.75"], ["0.25", "0.75", "0.0"]]
+    rows = [[f"r{i}"] * ids + bad.get(i, values[ids:]) for i, values in enumerate(good)]
+    return header + "".join(",".join(row) + "\n" for row in rows)
+
+
+class TestTableFaults:
+    @pytest.mark.parametrize("reader", sorted(TABLE_READERS))
+    @pytest.mark.parametrize("extra, cell, reason", [
+        (-1, "0.5", "expected 3 fields, got 2$"),
+        (1, "0.5", "expected 3 fields, got 4$"),
+        (0, "x", "non-numeric value$"),
+        (0, "inf", "non-finite value$"),
+    ])
+    def test_fault_names_file_and_line(self, tmp_path, reader, extra, cell, reason):
+        load, header, ids = TABLE_READERS[reader]
+        numbers = [cell] + ["0.5"] * (2 - ids + extra)
+        p = write(tmp_path / "t.csv", table_text(reader, {1: numbers}))
+        with pytest.raises(FormatError, match=fault(p, 3 if header else 2, reason)):
+            load(p)
+
+    @pytest.mark.parametrize("reader", sorted(TABLE_READERS))
+    def test_field_counts_come_before_values_and_values_in_file_order(self, tmp_path, reader):
+        load, header, ids = TABLE_READERS[reader]
+        first = 2 if header else 1
+        bad = {0: ["nan"] * (3 - ids), 1: ["x"] * (3 - ids)}
+        p = write(tmp_path / "t.csv", table_text(reader, bad))
+        with pytest.raises(FormatError, match=fault(p, first, "non-finite value$")):
+            load(p)
+        p = write(tmp_path / "t.csv", table_text(reader, {**bad, 2: ["0.5"]}))
+        with pytest.raises(FormatError, match=fault(p, first + 2, "expected 3 fields")):
+            load(p)
+
+    def test_repeated_id_comes_before_values(self, tmp_path):
+        p = write(tmp_path / "e.csv", "id,e1\na,x\nb,1.0\na,2.0\n")
+        with pytest.raises(ConflictError, match=fault(p, 4, "duplicate id 'a'$")):
+            import_embeddings(p)
+
+    def test_quoted_comma_in_every_row_is_non_numeric(self, tmp_path):
+        # joined with commas, every row would read as one number wider
+        p = write(tmp_path / "e.csv", 'id,e1\na,"1,5"\nb,"2,5"\n')
+        with pytest.raises(FormatError, match=fault(p, 2, "non-numeric value$")):
+            import_embeddings(p)
+
+    def test_blank_rows_are_skipped_and_lines_still_counted(self, tmp_path):
+        p = write(tmp_path / "e.csv", "\nid,e1\n\na,1.0\n , \nb,x\n")
+        with pytest.raises(FormatError, match=fault(p, 6, "non-numeric value$")):
+            import_embeddings(p)
+        p = write(tmp_path / "e.csv", "\nid,e1\n\na,1.0\n , \nb,2.0\n\n")
+        assert import_embeddings(p).matrix.tolist() == [[1.0], [2.0]]
+
+    def test_quoted_ids_keep_their_line_numbers(self, tmp_path):
+        p = write(tmp_path / "e.csv", 'id,e1\n"two\nlines",1.0\nb,x\n')
+        with pytest.raises(FormatError, match=fault(p, 4, "non-numeric value$")):
+            import_embeddings(p)
+
+
+# (reader, text) for empty and header-only files; each must raise a named
+# error or return an empty result, and warn about nothing
+QUIET_CASES = {
+    "word vectors, empty": (load_word_vectors, ""),
+    "embeddings, empty": (import_embeddings, ""),
+    "embeddings, header only": (import_embeddings, "id,e1,e2\n"),
+    "embeddings, one empty cell": (import_embeddings, "id,e1\na,\n"),
+    "features, empty": (load_feature_matrix, ""),
+    "features, header only": (load_feature_matrix, "time_seconds,lat,lon\n"),
+    "labels, blank": (load_rank_labels, "\n \n"),
+    "triplet labels, header only": (load_rank_labels, "i,j,score\n"),
+    "rater labels, empty": (lambda p: load_labels(p, scale_max=4.0), ""),
+    "rater labels, header only": (lambda p: load_labels(p, scale_max=4.0), "id_a,id_b,score_1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUIET_CASES))
+def test_no_numpy_warning_on_empty_or_header_only_files(tmp_path, case):
+    load, text = QUIET_CASES[case]
+    p = write(tmp_path / "t.csv", text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            load(p)
+        except SemfuseError as exc:
+            assert str(p) in str(exc)
+    assert caught == []
+
+
+def test_header_only_tables_read_as_empty(tmp_path):
+    space = import_embeddings(write(tmp_path / "e.csv", "id,e1,e2\n"))
+    assert space.ids == () and space.matrix.shape == (0, 2)
+    matrix, variant = load_feature_matrix(write(tmp_path / "f.csv", "time_seconds,lat,lon\n"))
+    assert variant == "condensed_time" and matrix.shape == (0, 3)
+
+
+def test_only_table_and_corpus_call_csv_writer():
+    callers = set()
+    for source in Path(table.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "writer"
+                    and isinstance(node.value, ast.Name) and node.value.id == "csv"):
+                callers.add(source.name)
+            if isinstance(node, ast.ImportFrom) and node.module == "csv":
+                callers.update(source.name for alias in node.names if alias.name == "writer")
+    assert callers == {"table.py", "corpus.py"}
