@@ -210,7 +210,12 @@ def _parse_bounds(value: str) -> tuple[tuple[float, float], ...]:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    # in 1 MiB blocks: an input such as a word-vector table can be gigabytes
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _format_value(value) -> str:

@@ -1,13 +1,16 @@
 """Corpus ingestion, text normalization, and gazetteer-based geocoding.
 
 Corpus files are CSV/TSV with columns id,text,timestamp[,location][,lat,lon]
-or JSONL with the same keys. Row numbers in errors are 1-based over data rows.
+or JSONL with the same keys. Coordinates follow the number grammar of
+`table.parse_floats` and timestamps are ASCII decimal integers. Errors in
+a row read `<file>: line <n>: <reason>`, the header being line 1.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 import string
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,10 +26,12 @@ from .errors import (
 )
 from .geotime import GeoPoint
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords  # noqa: F401  (re-export)
+from .table import parse_floats
 
 CORPUS_FORMATS = ("csv", "tsv", "jsonl")
 _URL_PREFIXES = ("http://", "https://", "www.")
 _EDGE_PUNCT = string.punctuation
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -135,16 +140,18 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
         for column in ("location", "lat", "lon"):
             if column not in fields:
                 raise SchemaError(f"{path}: missing column {column!r}")
-        for rownum, row in enumerate(reader, start=1):
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
             key = Gazetteer.normalize(row["location"] or "")
             if not key:
-                raise RowError(rownum, "empty location")
+                raise RowError(where, "empty location")
             if key in entries:
-                raise ConflictError(f"duplicate gazetteer entry {key!r}")
+                raise ConflictError(f"{where}: duplicate gazetteer entry {key!r}")
+            lat, lon = parse_floats(where, [row["lat"] or "", row["lon"] or ""]).tolist()
             try:
-                entries[key] = GeoPoint(float(row["lat"]), float(row["lon"]))
-            except (TypeError, ValueError, DomainError) as exc:
-                raise RowError(rownum, f"bad coordinates for {key!r}: {exc}") from None
+                entries[key] = GeoPoint(lat, lon)
+            except DomainError as exc:
+                raise RowError(where, f"bad coordinates for {key!r}: {exc}") from None
     return Gazetteer(entries=entries)
 
 
@@ -155,21 +162,21 @@ def _infer_format(path: Path) -> str:
     raise FormatError(f"cannot infer corpus format from {path.name!r}; pass format explicitly")
 
 
-def _coords_from_fields(lat: str | None, lon: str | None) -> GeoPoint | None:
+def _coords_from_fields(lat: str | None, lon: str | None, where: str) -> GeoPoint | None:
     has_lat = lat is not None and lat != ""
     has_lon = lon is not None and lon != ""
     if not has_lat and not has_lon:
         return None
     if has_lat != has_lon:
-        raise ValueError("lat and lon must be given together")
-    return GeoPoint(float(lat), float(lon))
+        raise RowError(where, "lat and lon must be given together")
+    return GeoPoint(*parse_floats(where, [lat, lon]).tolist())
 
 
 def load_corpus(path: str | Path, format: str | None = None) -> list[Record]:
     """Read records from a corpus file, preserving file order.
 
-    Duplicate ids and malformed rows are rejected; row errors carry the
-    1-based data-row number.
+    Duplicate ids and malformed rows are rejected; row errors name the
+    file and line.
     """
     path = Path(path)
     fmt = format or _infer_format(path)
@@ -194,52 +201,50 @@ def _read_delimited(path: Path, delimiter: str) -> Iterable[Record]:
         for column in ("id", "text", "timestamp"):
             if column not in fields:
                 raise SchemaError(f"{path}: missing column {column!r}")
-        for rownum, row in enumerate(reader, start=1):
-            yield _record_from_mapping(row, rownum)
+        for row in reader:
+            yield _record_from_mapping(row, f"{path}: line {reader.line_num}")
 
 
 def _read_jsonl(path: Path) -> Iterable[Record]:
     with open(path, encoding="utf-8") as fh:
-        rownum = 0
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            rownum += 1
+            where = f"{path}: line {number}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise RowError(rownum, f"invalid JSON: {exc}") from None
+                raise RowError(where, f"invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
-                raise RowError(rownum, "expected a JSON object")
+                raise RowError(where, "expected a JSON object")
             for key in ("id", "text", "timestamp"):
                 if key not in obj:
-                    raise SchemaError(f"{path}: row {rownum}: missing key {key!r}")
+                    raise SchemaError(f"{where}: missing key {key!r}")
             mapping = {k: obj.get(k) for k in ("id", "text", "timestamp", "location", "lat", "lon")}
             yield _record_from_mapping(
-                {k: v if v is None else str(v) for k, v in mapping.items()}, rownum
+                {k: v if v is None else str(v) for k, v in mapping.items()}, where
             )
 
 
-def _record_from_mapping(row: dict, rownum: int) -> Record:
+def _record_from_mapping(row: dict, where: str) -> Record:
     rid = row.get("id") or ""
     text = row.get("text")
     if text is None:
-        raise RowError(rownum, "missing text value")
+        raise RowError(where, "missing text value")
+    stamp = str(row.get("timestamp"))
+    # int() would also read 1_0 and non-ASCII digits
+    if not _INTEGER.fullmatch(stamp.strip()):
+        raise RowError(where, f"timestamp {row.get('timestamp')!r} is not an integer")
     try:
-        timestamp = int(str(row.get("timestamp")))
-    except (TypeError, ValueError):
-        raise RowError(rownum, f"timestamp {row.get('timestamp')!r} is not an integer") from None
-    try:
-        coords = _coords_from_fields(row.get("lat"), row.get("lon"))
         return Record(
             id=rid,
             text=text,
-            timestamp=timestamp,
+            timestamp=int(stamp),
             location=(row.get("location") or None),
-            coords=coords,
+            coords=_coords_from_fields(row.get("lat"), row.get("lon"), where),
         )
-    except (ValueError, DomainError) as exc:
-        raise RowError(rownum, str(exc)) from None
+    except DomainError as exc:
+        raise RowError(where, str(exc)) from None
 
 
 def save_corpus(records: Sequence[Record], path: str | Path, format: str | None = None) -> None:

@@ -12,11 +12,11 @@ class SchemaError(SemfuseError):
 
 
 class RowError(SemfuseError):
-    """A data row failed to parse or validate; carries the 1-based row number."""
+    """A data row failed to validate; `where` is `<file>: line <n>`, n counting every line of the file."""
 
-    def __init__(self, row: int, reason: str):
-        super().__init__(f"row {row}: {reason}")
-        self.row = row
+    def __init__(self, where: str, reason: str):
+        super().__init__(f"{where}: {reason}")
+        self.where = where
         self.reason = reason
 
 

@@ -22,7 +22,7 @@ from .errors import DomainError, RowError, SchemaError, UnknownKeyError
 from .rankopt import RankMatrix, rank_loss
 from .spectra import AugmentedSpace, augment, cosine, fit_pca_models, transform
 from .spectra import fit_pca  # noqa: F401  # kept in this namespace: bench/tracer.py patches it
-from .table import parse_floats, write_table
+from .table import filled_rows, parse_floats, write_table
 
 SWEEP_VARIANTS = ("all_features", "condensed_time", "pca_only")
 
@@ -90,23 +90,22 @@ def load_labels(
             raise SchemaError(f"{path}: expected header id_a,id_b,score_1,...")
         if len(header) < 3:
             raise SchemaError(f"{path}: need at least one score column")
-        for rownum, row in enumerate(reader, start=1):
-            if not row or not any(cell.strip() for cell in row):
-                continue
+        for row in filled_rows(reader):
+            where = f"{path}: line {reader.line_num}"
             if len(row) < 3:
-                raise RowError(rownum, "expected id_a, id_b and at least one score")
+                raise RowError(where, "expected id_a, id_b and at least one score")
             id_a, id_b = row[0], row[1]
             if known is not None:
                 for rid in (id_a, id_b):
                     if rid not in known:
-                        raise UnknownKeyError(rid, f"row {rownum}: id {rid!r} not in corpus")
+                        raise UnknownKeyError(rid, f"{where}: id {rid!r} not in corpus")
             raw = [cell for cell in row[2:] if cell.strip()]
             if not raw:
-                raise RowError(rownum, "no rater scores")
-            scores = tuple(parse_floats(f"{path}: line {reader.line_num}", raw).tolist())
+                raise RowError(where, "no rater scores")
+            scores = tuple(parse_floats(where, raw).tolist())
             for s in scores:
                 if not 0.0 <= s <= scale_max:
-                    raise RowError(rownum, f"score {s} outside [0, {scale_max}]")
+                    raise RowError(where, f"score {s} outside [0, {scale_max}]")
             label = sum(scores) / len(scores) / scale_max
             pairs.append(LabeledPair(id_a=id_a, id_b=id_b, rater_scores=scores, label=label))
     return pairs

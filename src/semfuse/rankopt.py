@@ -2,9 +2,10 @@
 
 Two scorers extend the dot product with weighted distance kernels over
 extra per-record features (time in days, coordinates): an additive form
-and a multiplicative form. `pairwise_scores` is the one scorer: it builds
-every kernel as an m x m matrix and composes the scores from them, and
-the per-pair `sim_sigma`/`sim_pi` read one cell of a two-record batch.
+and a multiplicative form. `pairwise_scores` is the one scorer: it
+composes the scores into the dot-product matrix a row block at a time,
+from each kernel's upper-triangle block, and the per-pair
+`sim_sigma`/`sim_pi` read one cell of a two-record batch.
 Batches are compared through ranking matrices, and the kernel weights are
 fit by a deterministic shrinking-grid search over the weight space, since
 the ranking loss is piecewise constant and has no usable gradient. The
@@ -12,31 +13,45 @@ search scores, ranks and compares a chunk of grid points at a time as a
 (probes, m, m) stack, through the same code the single-matrix calls use.
 `save_score_matrix` writes an exactly symmetric score matrix as the
 headerless CSV that `load_rank_labels` reads, formatting each unordered
-pair once and reusing the text for the mirrored cell.
+pair once and reusing the text for the mirrored cell. From 200 x 200
+cells on it uses two processes: a standard-library helper formats the
+lower rows' block while this process formats the rows above it, with
+the same bytes as one process writes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import math
+import subprocess
+import sys
+import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import Record
-from .errors import ConfigError, ConflictError, DomainError, FormatError, RowError
+from .errors import ConfigError, ConflictError, DomainError, FormatError, RowError, SemfuseError
 from .geotime import SECONDS_PER_DAY, GeoPoint, great_circle_miles, haversine_miles
-from .table import filled_rows, read_table, write_table
+from ._score_rows import write_rows
+from .table import filled_rows, read_table, row_line, write_table
 
 SIM_KINDS = ("sigma", "pi")
 DIST_KINDS = ("exp_abs", "inv_abs", "floor_geo")
 DEFAULT_DIST_KINDS = ("inv_abs", "floor_geo")
 RECOMMENDED_BATCH = (10, 20)
-# score cells per probe chunk in optimize_alphas: the (probes, m, m) stacks
-# stay about 1 MiB each
+# score cells per chunk: the (probes, m, m) stacks of optimize_alphas and
+# the row blocks of pairwise_scores stay about 1 MiB each
 _CHUNK_CELLS = 2**17
+# save_score_matrix formats the lower rows of a matrix this large or larger
+# in a second process; below it, the process start (about 12 ms) costs more
+# than the second CPU saves
+_HELPER_MIN_CELLS = 200 * 200
+_SCORE_ROWS = Path(__file__).with_name("_score_rows.py")
 
 
 # Each kernel once, as a numpy function of the gap between two features:
@@ -178,16 +193,26 @@ def pairwise_scores(
     features: Sequence[tuple],
     params: SimilarityParams,
 ) -> np.ndarray:
-    """Full m x m score matrix; exactly symmetric by construction."""
+    """Full m x m score matrix; exactly symmetric by construction.
+
+    The scores are composed into the dot-product matrix in row blocks of
+    about `_CHUNK_CELLS` cells, each from its upper-triangle kernel block,
+    so no m x m kernel is ever held.
+    """
     embeddings = np.asarray(embeddings, dtype=float)
     m = embeddings.shape[0]
     if len(features) != m:
         raise DomainError(f"{m} embeddings for {len(features)} feature tuples")
     if any(len(feats) != len(params.alphas) for feats in features):
         raise DomainError(f"every record needs {len(params.alphas)} features, one per alpha")
-    kernels = _kernel_matrices(features, params.dist_kinds)
+    columns = _kernel_columns(features, params.dist_kinds)
     alphas = np.asarray(params.alphas, dtype=float)
-    scores = _compose_scores(embeddings @ embeddings.T, kernels, params.kind, alphas)
+    scores = embeddings @ embeddings.T
+    rows = max(1, _CHUNK_CELLS // max(m, 1))
+    for start in range(0, m, rows):
+        block = scores[start:start + rows, start:]
+        block[...] = _compose_scores(block, _kernel_blocks(columns, start, start + rows),
+                                     params.kind, alphas)
     # mirror the upper triangle in place; adding 0.0 normalizes -0.0 to 0.0
     # exactly as the sum of the two triangles would
     for i in range(m - 1):
@@ -196,14 +221,15 @@ def pairwise_scores(
     return scores
 
 
-def _kernel_matrices(features: Sequence[tuple], dist_kinds: Sequence[str]) -> list[np.ndarray]:
+def _kernel_columns(features: Sequence[tuple], dist_kinds: Sequence[str]) -> list[tuple[str, np.ndarray]]:
+    # each distance kind with its feature column: (m, 1) days or (m, 2) coordinates
     return [
-        _kernel_matrix([f[fi] for f in features], kind, fi + 1)
+        (kind, _kernel_column([f[fi] for f in features], kind, fi + 1))
         for fi, kind in enumerate(dist_kinds)
     ]
 
 
-def _kernel_matrix(column: list, kind: str, position: int) -> np.ndarray:
+def _kernel_column(column: list, kind: str, position: int) -> np.ndarray:
     if kind not in _KERNELS:
         raise DomainError(f"unknown distance kind {kind!r}; expected one of {DIST_KINDS}")
     # floor_geo reads coordinates, the other kinds read day numbers
@@ -216,11 +242,21 @@ def _kernel_matrix(column: list, kind: str, position: int) -> np.ndarray:
                 f"holds {type(value).__name__} values"
             )
     if wants_coords:
-        coords = np.array([(p.lat, p.lon) for p in column]).reshape(-1, 2)
-        lat, lon = coords[:, :1], coords[:, 1:]
-        return _KERNELS[kind](great_circle_miles(lat, lon, lat.T, lon.T))
-    x = np.array(column, dtype=float)[:, None]
-    return _KERNELS[kind](np.abs(x - x.T))
+        return np.array([(p.lat, p.lon) for p in column]).reshape(-1, 2)
+    return np.array(column, dtype=float)[:, None]
+
+
+def _kernel_blocks(columns: list[tuple[str, np.ndarray]], start: int, stop: int) -> list[np.ndarray]:
+    # every kernel on rows start..stop-1 and columns start..m-1
+    blocks = []
+    for kind, x in columns:
+        rows, cols = x[start:stop], x[start:]
+        if kind == "floor_geo":
+            gap = great_circle_miles(rows[:, :1], rows[:, 1:], cols[:, :1].T, cols[:, 1:].T)
+        else:
+            gap = np.abs(rows - cols.T)
+        blocks.append(_KERNELS[kind](gap))
+    return blocks
 
 
 def _compose_scores(
@@ -313,7 +349,7 @@ def optimize_alphas(
             stacklevel=2,
         )
 
-    kernels = _kernel_matrices(features, dist_kinds)
+    kernels = _kernel_blocks(_kernel_columns(features, dist_kinds), 0, m)
     SimilarityParams(kind=kind, alphas=(0.0,) * n, dist_kinds=dist_kinds)  # validates kind
     dots = embeddings @ embeddings.T
     chunk = max(1, _CHUNK_CELLS // (m * m))
@@ -359,12 +395,15 @@ def save_score_matrix(scores: np.ndarray, path: str | Path) -> None:
 
     Each cell is the shortest `repr` of its float, one matrix row per
     line, the layout `load_rank_labels` reads back. Cell (j, i) prints as
-    cell (i, j), so each unordered pair is formatted once: row i formats
-    its cells from the diagonal on and leaves the text of cell (i, j)
-    on column j's list, which row j joins and drops. The lists hold
-    about m²/4 texts at the middle row and none when the write ends.
+    cell (i, j), so each unordered pair is formatted once (see
+    `_score_rows.write_rows`). From `_HELPER_MIN_CELLS` cells on, the
+    work runs on two CPUs: a second Python process (`_score_rows.py`,
+    standard library only) writes the lines of the lower rows' block
+    while this process formats its own rows and keeps their texts for
+    the columns below them, then puts those texts in front of each of
+    the helper's lines. The bytes are the same either way.
     Raises DomainError, with no file written, unless the matrix equals
-    its transpose.
+    its transpose, and SemfuseError naming the file if the helper fails.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
@@ -373,17 +412,62 @@ def save_score_matrix(scores: np.ndarray, path: str | Path) -> None:
     signs = np.signbit(scores)
     if not (np.array_equal(scores, scores.T) and np.array_equal(signs, signs.T)):
         raise DomainError("score matrix is not symmetric")
+    path = Path(path)
     m = scores.shape[0]
-    # kept as bytes: a 20-character text takes 64 B of memory as bytes, 80 B as str
-    below: list[list[bytes] | None] = [[] for _ in range(m)]
-    with open(path, "wb") as fh:
-        for i in range(m):
-            upper = list(map(str.encode, map(repr, scores[i, i:].tolist())))
-            line, below[i] = below[i], None
-            line += upper
-            fh.write(b",".join(line) + b"\n")
-            for column, text in zip(below[i + 1:], upper[1:]):
-                column.append(text)
+    split = _helper_start(m)
+    helper = _helper_rows(scores[split:, split:], path) if split < m else contextlib.nullcontext(())
+    with open(path, "wb") as fh, helper as helper_lines:
+        below = [bytearray() for _ in range(m)]
+        write_rows(fh, (",".join(map(repr, scores[i, i:].tolist())).encode() for i in range(split)), below)
+        for column, line in zip(below[split:], helper_lines):
+            fh.write(column)
+            fh.write(line)
+
+
+def _helper_start(m: int) -> int:
+    # the first row of the helper's block; m means no helper. The block holds
+    # half the pairs, as both processes format and mirror theirs the same way.
+    if m * m < _HELPER_MIN_CELLS or not sys.executable:
+        return m
+    return m - round(m * math.sqrt(0.5))
+
+
+@contextlib.contextmanager
+def _helper_rows(block: np.ndarray, path: Path) -> Iterator[Iterator[bytes]]:
+    """Start `_score_rows.py` on the n x n block; yield an iterator over its rows.
+
+    The helper reads the block from one unnamed temporary file in the
+    output directory and writes its lines to another, so neither side
+    waits on a pipe. The iterator waits for it, then checks every line.
+    The helper is stopped and reaped on the way out, whatever happened.
+    """
+    n = len(block)
+    with tempfile.TemporaryFile(dir=path.parent) as cells, \
+            tempfile.TemporaryFile(dir=path.parent) as texts:
+        cells.write(block.tobytes())
+        cells.seek(0)
+        helper = subprocess.Popen([sys.executable, "-I", "-S", str(_SCORE_ROWS), str(n)],
+                                  stdin=cells, stdout=texts)
+        try:
+            yield _checked_rows(helper, texts, n, path)
+        finally:
+            if helper.poll() is None:
+                helper.kill()
+            helper.wait()
+
+
+def _checked_rows(helper: subprocess.Popen, texts: BinaryIO, n: int, path: Path) -> Iterator[bytes]:
+    status = helper.wait()
+    if status != 0:
+        raise SemfuseError(f"{path}: the score row helper exited with status {status}")
+    texts.seek(0)
+    count = 0
+    for count, line in enumerate(texts, start=1):
+        if not line.endswith(b"\n") or line.count(b",") != n - 1:
+            raise SemfuseError(f"{path}: the score row helper wrote a malformed row {count}")
+        yield line
+    if count != n:
+        raise SemfuseError(f"{path}: the score row helper wrote {count} of {n} rows")
 
 
 def load_rank_labels(path: str | Path) -> RankMatrix:
@@ -414,21 +498,24 @@ def load_rank_labels(path: str | Path) -> RankMatrix:
 
 
 def _labels_from_triplets(triplets: np.ndarray, path) -> RankMatrix:
+    def where(index: int) -> str:
+        return f"{path}: line {row_line(path, index, header=True)}"
+
     pairs: dict[tuple[int, int], float] = {}
     max_index = -1
-    for rownum, (i, j, score) in enumerate(triplets.tolist(), start=1):
+    for index, (i, j, score) in enumerate(triplets.tolist()):
         if not (i.is_integer() and j.is_integer()):
-            raise RowError(rownum, "indices must be integers")
+            raise RowError(where(index), "indices must be integers")
         i, j = int(i), int(j)
         if i < 0 or j < 0:
-            raise RowError(rownum, "indices must be nonnegative")
+            raise RowError(where(index), "indices must be nonnegative")
         if i == j:
-            raise RowError(rownum, f"self-pair ({i},{j}) is not allowed")
+            raise RowError(where(index), f"self-pair ({i},{j}) is not allowed")
         if not 0.0 <= score <= 1.0:
-            raise RowError(rownum, f"score {score} outside [0, 1]")
+            raise RowError(where(index), f"score {score} outside [0, 1]")
         key = (min(i, j), max(i, j))
         if key in pairs:
-            raise ConflictError(f"duplicate pair {key} at row {rownum}")
+            raise ConflictError(f"{where(index)}: duplicate pair {key}")
         pairs[key] = score
         max_index = max(max_index, i, j)
     m = max_index + 1

@@ -52,6 +52,15 @@ def parse_floats(where: str, cells: Sequence[str]) -> np.ndarray:
     return values
 
 
+def row_line(path: str | Path, index: int, header: bool = False) -> int:
+    """The line of data row `index` (0-based, after the header, blank rows skipped), as `read_table` counts."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for _ in itertools.islice(filled_rows(reader), index + header + 1):
+            pass
+        return reader.line_num
+
+
 def read_table(path: str | Path, check_header: Callable[[list[str]], None] | None = None,
                ids: bool = False) -> tuple[list[str] | None, list[str], np.ndarray]:
     """Read a numeric CSV table as (header, ids, matrix), skipping blank rows.

@@ -16,6 +16,8 @@ and the plain KL divergence that `semfuse.tsne` exported before its cost
 lived in `tsne_cost_and_grad` alone.
 `score_matrix_text` is `scores.csv` as the score stage wrote it with one
 `repr` per cell, before `save_score_matrix` formatted each pair once.
+`whole_matrix_scores` is `pairwise_scores` as it was before it composed
+the scores in row blocks: every kernel built as a whole m x m matrix.
 `load_word_vectors` is the word-vector reader with one Python `float()`
 per value, before `semfuse.embed` parsed the whole table with numpy.
 `WRITERS` holds the CSV writers as each stage had its own, one
@@ -34,7 +36,7 @@ import numpy as np
 
 from semfuse.embed import WordVectorTable
 from semfuse.errors import ConflictError, DomainError, FormatError
-from semfuse.geotime import EARTH_RADIUS_MILES, FEATURE_COLUMNS
+from semfuse.geotime import EARTH_RADIUS_MILES, FEATURE_COLUMNS, great_circle_miles
 from semfuse.rankopt import SimilarityParams, rank_loss, rank_matrix
 from semfuse.rankopt import pairwise_scores as matrix_scores
 from semfuse.tsne import (
@@ -90,6 +92,44 @@ def pairwise_scores(embeddings, features, params) -> np.ndarray:
         for j in range(m):
             if i != j:
                 scores[i, j] = pair_score(embeddings[i], embeddings[j], features[i], features[j], params)
+    return scores
+
+
+WHOLE_KERNELS = {
+    "exp_abs": lambda gap: np.exp(-gap),
+    "inv_abs": lambda gap: 1.0 / (gap + 1.0),
+    "floor_geo": lambda miles: np.maximum(0.0, (10.0 - np.floor(miles / 500.0)) / 10.0),
+}
+
+
+def whole_matrix_scores(embeddings, features, params) -> np.ndarray:
+    """Compose the scores from whole m x m kernels, then mirror the upper triangle."""
+    embeddings = np.asarray(embeddings, dtype=float)
+    m = embeddings.shape[0]
+    kernels = []
+    for fi, kind in enumerate(params.dist_kinds):
+        column = [f[fi] for f in features]
+        if kind == "floor_geo":
+            coords = np.array([(p.lat, p.lon) for p in column]).reshape(-1, 2)
+            lat, lon = coords[:, :1], coords[:, 1:]
+            kernels.append(WHOLE_KERNELS[kind](great_circle_miles(lat, lon, lat.T, lon.T)))
+        else:
+            x = np.array(column, dtype=float)[:, None]
+            kernels.append(WHOLE_KERNELS[kind](np.abs(x - x.T)))
+    dots = embeddings @ embeddings.T
+    scores = np.empty_like(dots)
+    if params.kind == "sigma":
+        scores[...] = dots
+        for alpha, kernel in zip(params.alphas, kernels):
+            scores += alpha * kernel
+    else:
+        scores.fill(1.0)
+        for alpha, kernel in zip(params.alphas, kernels):
+            scores *= alpha + kernel
+        scores *= dots
+    for i in range(m - 1):
+        scores[i + 1:, i] = scores[i, i + 1:]
+    scores += 0.0
     return scores
 
 

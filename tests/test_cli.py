@@ -1,10 +1,13 @@
+import hashlib
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import oracles
 import pytest
 
-from semfuse.cli import main
+from semfuse.cli import _sha256, main, write_sidecar
 from semfuse.corpus import load_corpus
 from semfuse.embed import import_embeddings
 from semfuse.rankopt import (
@@ -255,6 +258,60 @@ class TestStageOrdering:
         rc = main(base + ["reduce", "--k", "99"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+    def test_bad_labels_row_names_the_labels_file(self, pipeline_fixture, tmp_path, capsys):
+        out = tmp_path / "out"
+        base = ["--out-dir", str(out)]
+        fx = pipeline_fixture
+        assert main(base + ["ingest", "--corpus", str(fx["corpus"])]) == 0
+        assert main(base + ["embed", "--word-vectors", str(fx["vectors"])]) == 0
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id_a,id_b,score_1\nt01,t02,3\nt01,t03,9\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = main(base + ["eval", "--mode", "quality", "--space", "embeddings.csv",
+                          "--labels", str(labels), "--scale-max", "4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {labels}: line 3: score 9.0 outside [0, 4.0]" in err
+        assert "Traceback" not in err
+        assert not (out / "eval.csv").exists()
+
+
+class TestSidecarHash:
+    @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (5 << 20) // 2])
+    def test_digest_equals_sha256_of_the_bytes(self, tmp_path, size):
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "input.bin"
+        path.write_bytes(data)
+        assert _sha256(path) == hashlib.sha256(data).hexdigest()
+
+    def test_hash_holds_one_block_at_a_time(self, tmp_path):
+        path = tmp_path / "input.bin"
+        path.write_bytes(bytes(8 << 20))
+        tracemalloc.start()
+        try:
+            _sha256(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the block read next is allocated before the last one is dropped
+        assert peak < 3 << 20
+
+    def test_sidecar_reads_its_inputs_in_blocks(self, tmp_path, monkeypatch):
+        # an input is hashed without holding the whole file in memory
+        def read_bytes(self):
+            raise AssertionError(f"{self} read whole")
+
+        data = np.random.default_rng(1).bytes(3 << 20)
+        source = tmp_path / "vectors.txt"
+        source.write_bytes(data)
+        out = tmp_path / "embeddings.csv"
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        write_sidecar(out, "embed", {"word_vectors": source}, {"ridge": 0.5}, 7)
+        meta = (tmp_path / "embeddings.csv.meta").read_text(encoding="utf-8")
+        assert f"sha256_word_vectors = {hashlib.sha256(data).hexdigest()}\n" in meta
+        assert "param_ridge = 0.5\n" in meta
 
 
 class TestNonFiniteFlags:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,7 @@ from semfuse.corpus import (
     resolve_coordinates,
     save_corpus,
 )
-from semfuse.errors import ConflictError, RowError, SchemaError, UnknownKeyError
+from semfuse.errors import ConflictError, FormatError, RowError, SchemaError, UnknownKeyError
 from semfuse.geotime import GeoPoint
 from semfuse.stopwords import DEFAULT_STOPWORDS
 
@@ -44,7 +45,7 @@ class TestLoadCorpus:
             tmp_path / "c.csv",
             "id,text,timestamp\na,ok,100\nb,bad,not-a-number\n",
         )
-        with pytest.raises(RowError, match="row 2"):
+        with pytest.raises(RowError, match=re.escape(f"{p}: line 3: timestamp 'not-a-number' is not an integer")):
             load_corpus(p)
 
     def test_missing_column_names_it(self, tmp_path):
@@ -98,6 +99,45 @@ class TestLoadCorpus:
         p = tmp_path / "rt.jsonl"
         save_corpus(records, p)
         assert load_corpus(p) == records
+
+
+# spellings int() and float() read but the package's number grammar does not,
+# and the two that float() reads as non-finite
+OFF_GRAMMAR = ["1_0", "\u0662", "nan", "inf"]
+
+
+class TestNumberGrammar:
+    @pytest.mark.parametrize("cell", OFF_GRAMMAR)
+    def test_timestamp(self, tmp_path, cell):
+        p = write(tmp_path / "c.csv", f"id,text,timestamp\na,ok,100\nb,bad,{cell}\n")
+        with pytest.raises(RowError, match=re.escape(f"{p}: line 3: timestamp {cell!r} is not an integer")):
+            load_corpus(p)
+
+    @pytest.mark.parametrize("cell", OFF_GRAMMAR)
+    def test_corpus_coordinate(self, tmp_path, cell):
+        p = write(tmp_path / "c.csv", f"id,text,timestamp,lat,lon\na,ok,1,40.0,-75.0\nb,bad,2,40.0,{cell}\n")
+        reason = "non-finite" if cell in ("nan", "inf") else "non-numeric"
+        with pytest.raises(FormatError, match=re.escape(f"{p}: line 3: {reason} value")):
+            load_corpus(p)
+
+    @pytest.mark.parametrize("cell", OFF_GRAMMAR)
+    def test_jsonl_coordinate(self, tmp_path, cell):
+        rows = [{"id": "a", "text": "ok", "timestamp": 1, "lat": cell, "lon": 2.0}]
+        p = write(tmp_path / "c.jsonl", "\n" + "\n".join(json.dumps(r) for r in rows) + "\n")
+        reason = "non-finite" if cell in ("nan", "inf") else "non-numeric"
+        with pytest.raises(FormatError, match=re.escape(f"{p}: line 2: {reason} value")):
+            load_corpus(p)
+
+    @pytest.mark.parametrize("cell", OFF_GRAMMAR)
+    def test_gazetteer_coordinate(self, tmp_path, cell):
+        p = write(tmp_path / "g.csv", f"location,lat,lon\nx,1.0,2.0\ny,{cell},2.0\n")
+        reason = "non-finite" if cell in ("nan", "inf") else "non-numeric"
+        with pytest.raises(FormatError, match=re.escape(f"{p}: line 3: {reason} value")):
+            load_gazetteer(p)
+
+    def test_spaced_and_signed_numbers_still_read(self, tmp_path):
+        p = write(tmp_path / "c.csv", "id,text,timestamp,lat,lon\na,ok, +100 , 40.5 ,-75.25\n")
+        assert load_corpus(p) == [Record("a", "ok", 100, coords=GeoPoint(40.5, -75.25))]
 
 
 class TestPreprocess:
@@ -166,7 +206,7 @@ class TestGazetteer:
 
     def test_load_bad_coordinate_cites_row(self, tmp_path):
         p = write(tmp_path / "g.csv", "location,lat,lon\na,91.0,0\n")
-        with pytest.raises(RowError, match="row 1"):
+        with pytest.raises(RowError, match=re.escape(f"{p}: line 2: bad coordinates for 'a'")):
             load_gazetteer(p)
 
     def test_resolve_coordinates(self):

@@ -49,7 +49,18 @@ class TestLoadLabels:
 
     def test_score_outside_scale(self, tmp_path):
         p = labels_file(tmp_path, "a,b,5,1\n")
-        with pytest.raises(RowError, match="row 1"):
+        with pytest.raises(RowError, match=re.escape(f"{p}: line 2: score 5.0 outside [0, 4.0]")):
+            load_labels(p, scale_max=4.0)
+
+    def test_short_rater_row_names_file_and_line(self, tmp_path):
+        # the blank line counts: lines are the file's, the header is line 1
+        p = labels_file(tmp_path, "a,b,1\n\na,c\n")
+        with pytest.raises(RowError, match=re.escape(f"{p}: line 4: expected id_a, id_b and at least one score")):
+            load_labels(p, scale_max=4.0)
+
+    def test_no_rater_scores_names_file_and_line(self, tmp_path):
+        p = labels_file(tmp_path, "a,b,1\na,c,,\n")
+        with pytest.raises(RowError, match=re.escape(f"{p}: line 3: no rater scores")):
             load_labels(p, scale_max=4.0)
 
     def test_non_numeric_score(self, tmp_path):
@@ -59,7 +70,7 @@ class TestLoadLabels:
 
     def test_unknown_corpus_id(self, tmp_path):
         p = labels_file(tmp_path, "a,zz,1,1\n")
-        with pytest.raises(UnknownKeyError, match="zz"):
+        with pytest.raises(UnknownKeyError, match=re.escape(f"{p}: line 2: id 'zz' not in corpus")):
             load_labels(p, scale_max=4.0, corpus_ids=["a", "b"])
 
     def test_bad_header(self, tmp_path):

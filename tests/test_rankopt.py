@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 
@@ -11,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import semfuse.rankopt as rankopt
 from semfuse.corpus import Record
-from semfuse.errors import ConfigError, ConflictError, DomainError, FormatError, RowError
+from semfuse.errors import ConfigError, ConflictError, DomainError, FormatError, RowError, SemfuseError
 from semfuse.geotime import EARTH_RADIUS_MILES, GeoPoint
 from semfuse.rankopt import (
     DEFAULT_DIST_KINDS,
@@ -517,7 +522,49 @@ def near_band_edge(feats, kinds) -> bool:
     return False
 
 
+def scored_records(m: int, seed: int):
+    """Embeddings with zero cells, repeated day numbers and scattered coordinates."""
+    rng = np.random.default_rng(seed)
+    emb = rng.normal(size=(m, 5))
+    emb[rng.random(size=(m, 5)) < 0.3] = 0.0
+    days = rng.integers(0, 4, size=m) + rng.choice([0.0, 0.25, 0.5], size=m)
+    lats, lons = rng.uniform(-60.0, 60.0, size=m), rng.uniform(-120.0, 120.0, size=m)
+    return emb, [(day, GeoPoint(lat, lon)) for day, lat, lon in zip(days.tolist(), lats.tolist(), lons.tolist())]
+
+
 class TestPairwiseScores:
+    # (m, rows per block); None keeps _CHUNK_CELLS, which gives m = 2,000
+    # blocks of 65 rows and a last block of 50
+    @pytest.mark.parametrize("m, rows", [(1, 1), (2, 1), (3, 2), (7, 3), (65, 65), (131, 10), (2000, None)])
+    @pytest.mark.parametrize("day_kind", ["exp_abs", "inv_abs"])
+    # an alpha of -1.0 cancels a same-place floor_geo kernel to 0.0, so
+    # zeros of both signs reach the mirror and the final += 0.0
+    @pytest.mark.parametrize("sim_kind, alphas", [("pi", (0.02, -1.0)), ("sigma", (0.5, -1.0))])
+    def test_row_blocks_equal_the_whole_matrix_scorer(self, monkeypatch, m, rows, day_kind, sim_kind, alphas):
+        if rows is not None:
+            monkeypatch.setattr(rankopt, "_CHUNK_CELLS", m * rows)
+        emb, feats = scored_records(m, seed=m)
+        params = SimilarityParams(sim_kind, alphas, (day_kind, "floor_geo"))
+        got = pairwise_scores(emb, feats, params)
+        want = oracles.whole_matrix_scores(emb, feats, params)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_peak_memory_below_two_score_matrices(self):
+        # the dot products are the one m x m buffer; kernels and their
+        # composition live a row block at a time, about 5 MB in all. The
+        # whole-matrix scorer peaked at five m x m matrices.
+        m = 1000
+        emb, feats = scored_records(m, seed=4)
+        params = SimilarityParams("pi", (0.02, 9.55), DEFAULT_DIST_KINDS)
+        tracemalloc.start()
+        try:
+            pairwise_scores(emb, feats, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * m * m
+
     @pytest.mark.parametrize("sim_kind", SIM_KINDS)
     @pytest.mark.parametrize("kinds", list(itertools.product(DIST_KINDS, repeat=2)))
     @settings(max_examples=30, deadline=None)
@@ -577,6 +624,26 @@ def symmetric_matrix(m: int, seed: int, values=REPR_EDGES) -> np.ndarray:
     return scores
 
 
+def recorded_helpers(monkeypatch) -> list:
+    """Record every process save_score_matrix starts."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(rankopt.subprocess, "Popen", Recorded)
+    return started
+
+
+def assert_reaped(started) -> None:
+    assert len(started) == 1
+    assert started[0].returncode is not None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(started[0].pid, os.WNOHANG)
+
+
 class TestSaveScoreMatrix:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 31, 64])
     def test_bytes_equal_the_per_cell_writer(self, tmp_path, m):
@@ -616,6 +683,83 @@ class TestSaveScoreMatrix:
         assert np.array_equal(np.loadtxt(path, delimiter=","), scores)
         assert np.array_equal(load_rank_labels(path).entries, rank_matrix(scores).entries)
 
+    @pytest.mark.parametrize("m", [199, 200, 201, 2000])
+    def test_bytes_equal_the_per_cell_writer_on_both_sides_of_the_helper_cut(self, tmp_path, monkeypatch, m):
+        blocks = []
+        helper_rows = rankopt._helper_rows
+        monkeypatch.setattr(rankopt, "_helper_rows",
+                            lambda block, path: blocks.append(len(block)) or helper_rows(block, path))
+        scores = symmetric_matrix(m, seed=m)
+        split = rankopt._helper_start(m)
+        # every edge value on the last row this process formats and the
+        # helper's first row, left and right of the diagonal
+        for row in (split - 1, min(split, m - 1)):
+            for t, value in enumerate(REPR_EDGES):
+                for col in (row - 1 - t, row + 1 + t):
+                    if 0 <= col < m:
+                        scores[row, col] = scores[col, row] = value
+        path = tmp_path / "scores.csv"
+        save_score_matrix(scores, path)
+        assert path.read_bytes() == oracles.score_matrix_text(scores).encode("ascii")
+        assert blocks == ([] if m < 200 else [m - split])
+
+    def test_no_helper_without_an_interpreter_path(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "executable", "")
+        monkeypatch.setattr(rankopt, "_helper_rows", None)
+        scores = symmetric_matrix(300, seed=6)
+        save_score_matrix(scores, tmp_path / "scores.csv")
+        assert (tmp_path / "scores.csv").read_bytes() == oracles.score_matrix_text(scores).encode("ascii")
+
+    @pytest.mark.parametrize("script, message", [
+        ("import sys\nsys.exit(1)\n", "the score row helper exited with status 1"),
+        ("import sys\nn = int(sys.argv[1])\nsys.stdin.buffer.read()\n"
+         "sys.stdout.write(('0.0,' * (n - 1) + '0.0\\n') * (n - 1))\n",
+         "the score row helper wrote 176 of 177 rows"),
+        ("import sys\nn = int(sys.argv[1])\nsys.stdin.buffer.read()\n"
+         "sys.stdout.write(('0.0,' * (n - 1) + '0.0\\n') * (n - 1) + '0.0\\n')\n",
+         "the score row helper wrote a malformed row 177"),
+    ], ids=["exits-1", "one-row-short", "short-last-line"])
+    def test_failing_helper_names_the_file_and_leaves_nothing(self, tmp_path, monkeypatch, script, message):
+        helper = tmp_path / "helper.py"
+        helper.write_text(script, encoding="utf-8")
+        monkeypatch.setattr(rankopt, "_SCORE_ROWS", helper)
+        started = recorded_helpers(monkeypatch)
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "scores.csv"
+        with pytest.raises(SemfuseError, match=re.escape(f"{path}: {message}")):
+            save_score_matrix(symmetric_matrix(250, seed=2), path)
+        assert rankopt._helper_start(250) == 250 - 177
+        assert [p.name for p in out.iterdir()] == ["scores.csv"]
+        assert_reaped(started)
+
+    def test_helper_is_stopped_when_this_process_fails(self, tmp_path, monkeypatch):
+        helper = tmp_path / "helper.py"
+        helper.write_text("import time\ntime.sleep(60)\n", encoding="utf-8")
+        monkeypatch.setattr(rankopt, "_SCORE_ROWS", helper)
+        started = recorded_helpers(monkeypatch)
+
+        def write_rows(*args):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(rankopt, "write_rows", write_rows)
+        out = tmp_path / "out"
+        out.mkdir()
+        began = time.monotonic()
+        with pytest.raises(OSError, match="no space"):
+            save_score_matrix(symmetric_matrix(250, seed=2), out / "scores.csv")
+        assert time.monotonic() - began < 30
+        assert started[0].returncode == -signal.SIGKILL
+        assert [p.name for p in out.iterdir()] == ["scores.csv"]
+        assert_reaped(started)
+
+    def test_helper_module_run_directly_writes_the_block_lines(self):
+        block = np.array([[0.5, 1e-05, -2.0], [1e-05, 5e-324, 1e16], [-2.0, 1e16, 0.0]])
+        done = subprocess.run([sys.executable, "-I", "-S", str(rankopt._SCORE_ROWS), "3"],
+                              input=block.tobytes(), capture_output=True, check=True, timeout=60)
+        assert done.stdout == b"0.5,1e-05,-2.0\n1e-05,5e-324,1e+16\n-2.0,1e+16,0.0\n"
+        assert done.stdout == oracles.score_matrix_text(block).encode("ascii")
+
     def test_peak_memory_stays_below_the_whole_triangle(self, tmp_path):
         # the column lists peak near m^2/4 texts, about 17 B per cell;
         # keeping every upper-triangle text until the end takes about 31 B
@@ -651,7 +795,13 @@ class TestLoadRankLabels:
     def test_score_out_of_range(self, tmp_path):
         p = tmp_path / "labels.csv"
         p.write_text("i,j,score\n0,1,1.5\n", encoding="utf-8")
-        with pytest.raises(RowError):
+        with pytest.raises(RowError, match=re.escape(f"{p}: line 2: score 1.5 outside [0, 1]")):
+            load_rank_labels(p)
+
+    def test_negative_index_rejected(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("i,j,score\n0,1,0.5\n-1,2,0.5\n", encoding="utf-8")
+        with pytest.raises(RowError, match=re.escape(f"{p}: line 3: indices must be nonnegative")):
             load_rank_labels(p)
 
     def test_triplet_indices_are_integer_valued_numbers(self, tmp_path):
@@ -660,19 +810,20 @@ class TestLoadRankLabels:
         expect = rank_matrix(np.array([[0, 0.9, 0.1], [0.9, 0, 0.5], [0.1, 0.5, 0]]))
         assert np.array_equal(load_rank_labels(p).entries, expect.entries)
         p.write_text("i,j,score\n0,1,0.9\n0,1.5,0.1\n", encoding="utf-8")
-        with pytest.raises(RowError, match="^row 2: indices must be integers$"):
+        with pytest.raises(RowError, match=f"^{re.escape(str(p))}: line 3: indices must be integers$"):
             load_rank_labels(p)
 
     def test_self_pair_rejected(self, tmp_path):
         p = tmp_path / "labels.csv"
         p.write_text("i,j,score\n1,1,0.5\n", encoding="utf-8")
-        with pytest.raises(RowError):
+        with pytest.raises(RowError, match=re.escape(f"{p}: line 2: self-pair (1,1) is not allowed")):
             load_rank_labels(p)
 
     def test_duplicate_pair_rejected(self, tmp_path):
         p = tmp_path / "labels.csv"
-        p.write_text("i,j,score\n0,1,0.5\n1,0,0.6\n0,2,0.1\n1,2,0.2\n", encoding="utf-8")
-        with pytest.raises(ConflictError):
+        # the blank line counts: lines are the file's, the header is line 1
+        p.write_text("i,j,score\n0,1,0.5\n\n1,0,0.6\n0,2,0.1\n1,2,0.2\n", encoding="utf-8")
+        with pytest.raises(ConflictError, match=re.escape(f"{p}: line 4: duplicate pair (0, 1)")):
             load_rank_labels(p)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
