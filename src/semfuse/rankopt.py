@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -402,8 +403,11 @@ def save_score_matrix(scores: np.ndarray, path: str | Path) -> None:
     while this process formats its own rows and keeps their texts for
     the columns below them, then puts those texts in front of each of
     the helper's lines. The bytes are the same either way.
-    Raises DomainError, with no file written, unless the matrix equals
-    its transpose, and SemfuseError naming the file if the helper fails.
+    The lines go to a temporary file beside `path`, which replaces `path`
+    only once every line is written, so a failure leaves an earlier file
+    as it was. Raises DomainError, with no file written, unless the matrix
+    equals its transpose, and SemfuseError naming the file if the helper
+    fails.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
@@ -416,12 +420,17 @@ def save_score_matrix(scores: np.ndarray, path: str | Path) -> None:
     m = scores.shape[0]
     split = _helper_start(m)
     helper = _helper_rows(scores[split:, split:], path) if split < m else contextlib.nullcontext(())
-    with open(path, "wb") as fh, helper as helper_lines:
-        below = [bytearray() for _ in range(m)]
-        write_rows(fh, (",".join(map(repr, scores[i, i:].tolist())).encode() for i in range(split)), below)
-        for column, line in zip(below[split:], helper_lines):
-            fh.write(column)
-            fh.write(line)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "wb") as fh, helper as helper_lines:
+            below = [bytearray() for _ in range(m)]
+            write_rows(fh, (",".join(map(repr, scores[i, i:].tolist())).encode() for i in range(split)), below)
+            for column, line in zip(below[split:], helper_lines):
+                fh.write(column)
+                fh.write(line)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _helper_start(m: int) -> int:

@@ -10,6 +10,8 @@ with early exaggeration. Everything is deterministic given the seed.
 from __future__ import annotations
 
 import csv
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -31,6 +33,8 @@ KERNELS = ("gaussian", "student_t")
 COST_MODES = ("joint", "conditional")
 PERPLEXITY_TOL = 1e-3
 _BISECTION_STEPS = 64
+# Cells per row block of the cost, the gradient and the calibration.
+_BLOCK_CELLS = 2**16
 _Q_FLOOR = 1e-12
 _MIN_GAIN = 0.01
 # Per-point displacement cap per iteration. The planar Gaussian kernel has no
@@ -105,37 +109,64 @@ class TsneResult:
 def pairwise_sq_distances(matrix: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances with an exact zero diagonal.
 
-    The result is exactly symmetric, bit for bit: on a C-contiguous array
-    numpy computes `matrix @ matrix.T` with BLAS syrk, which fills one
-    triangle and mirrors it. A view with negative strides would take the
-    general product, whose tiles can round the two triangles apart, so it
-    is copied first.
+    The Gram matrix comes from `np.einsum` with `optimize=False`, which
+    makes no BLAS call: each cell sums its products in one fixed order,
+    the same for cell (i, j) and cell (j, i). So the result is exactly
+    symmetric, bit for bit, and its bytes do not depend on the BLAS
+    thread count. The input is made C-contiguous first, so its memory
+    layout cannot change that order either.
     """
     matrix = np.ascontiguousarray(matrix, dtype=float)
     norms = np.einsum("ij,ij->i", matrix, matrix)
-    d2 = norms[:, None] + norms[None, :] - 2.0 * (matrix @ matrix.T)
+    d2 = norms[:, None] + norms[None, :] - 2.0 * np.einsum("ik,jk->ij", matrix, matrix, optimize=False)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
 
 
-def _row_perplexity(d2_row: np.ndarray, beta: float, i: int) -> tuple[float, np.ndarray]:
-    # returns (2^H in bits, conditional probabilities) for row i at precision beta
-    logits = -beta * d2_row
-    logits[i] = -np.inf
-    logits -= logits.max()
-    w = np.exp(logits)
-    p = w / w.sum()
-    positive = p[p > 0]
-    entropy_bits = float(-(positive * np.log2(positive)).sum())
-    return 2.0**entropy_bits, p
+def _row_conditionals(d2_rows: np.ndarray, beta: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    # row k: the Gaussian conditionals at precision beta[k], without column cols[k]
+    p = d2_rows * -beta[:, None]
+    p[np.arange(len(cols)), cols] = -np.inf
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+def _row_perplexities(d2_rows: np.ndarray, beta: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """2^H in bits of each row of `_row_conditionals`.
+
+    Each row's entropy sums its positive terms as one gathered row, so a
+    row ends with the same bits as it would alone: rows with the same
+    count of positive terms are summed together as one 2-D block.
+    """
+    p = _row_conditionals(d2_rows, beta, cols)
+    positive = p > 0
+    terms = p[positive]
+    terms *= np.log2(terms)
+    counts = positive.sum(axis=1)
+    if counts.min() == counts.max():  # the common case: every row has n - 1 terms
+        plogp = terms.reshape(len(p), -1).sum(axis=1)
+    else:
+        starts = np.cumsum(counts) - counts
+        plogp = np.empty(len(p))
+        for k in np.unique(counts):
+            rows = np.flatnonzero(counts == k)
+            plogp[rows] = terms[starts[rows, None] + np.arange(k)].sum(axis=1)
+    # the Python float power: numpy's rounds some of these differently
+    return np.array([2.0 ** -h for h in plogp.tolist()])
 
 
 def calibrate_sigmas(sq_distances: np.ndarray, perplexity: float) -> np.ndarray:
     """Per-row bandwidths hitting the target perplexity by bisection.
 
     Solves 2^H(p_.|i) = perplexity within 1e-3 for each row, at most 64
-    bisection steps per row.
+    bisection steps per row. The rows are bisected together, about
+    `_BLOCK_CELLS` cells at a time, and a row stops once it has converged.
+    Each row takes the steps, and ends at the bandwidth, it would take
+    alone. Raises CalibrationError naming the first row that does not
+    converge.
     """
     d2 = np.asarray(sq_distances, dtype=float)
     n = d2.shape[0]
@@ -145,36 +176,42 @@ def calibrate_sigmas(sq_distances: np.ndarray, perplexity: float) -> np.ndarray:
         raise DomainError("distance matrix diagonal must be zero")
     if not 1.0 < perplexity < n:
         raise CalibrationError(-1, f"perplexity {perplexity} not in (1, {n})")
-    sigmas = np.empty(n)
-    for i in range(n):
-        beta, lo, hi = 1.0, None, None
-        converged = False
-        for _ in range(_BISECTION_STEPS):
-            perp, _ = _row_perplexity(d2[i].copy(), beta, i)
-            if abs(perp - perplexity) <= PERPLEXITY_TOL:
-                converged = True
-                break
-            if perp > perplexity:
-                lo = beta
-                beta = beta * 2.0 if hi is None else (lo + hi) / 2.0
-            else:
-                hi = beta
-                beta = beta / 2.0 if lo is None else (lo + hi) / 2.0
-        if not converged:
-            raise CalibrationError(i, f"row {i}: perplexity {perplexity} unreachable")
-        sigmas[i] = 1.0 / np.sqrt(2.0 * beta)
-    return sigmas
+    rows = max(1, _BLOCK_CELLS // n)
+    beta = np.concatenate(
+        [_bisect(d2, np.arange(r, min(r + rows, n)), perplexity) for r in range(0, n, rows)]
+    )
+    return 1.0 / np.sqrt(2.0 * beta)
+
+
+def _bisect(d2: np.ndarray, index: np.ndarray, perplexity: float) -> np.ndarray:
+    # the precisions of rows `index`; lo = 0 and hi = inf stand for no bracket yet
+    beta = np.ones(len(index))
+    lo = np.zeros(len(index))
+    hi = np.full(len(index), np.inf)
+    live = np.arange(len(index))
+    for _ in range(_BISECTION_STEPS):
+        perp = _row_perplexities(d2[index[live]], beta[live], index[live])
+        missed = ~(np.abs(perp - perplexity) <= PERPLEXITY_TOL)  # NaN misses too
+        live, above = live[missed], perp[missed] > perplexity
+        if not live.size:
+            return beta
+        b = beta[live]
+        lo[live] = np.where(above, b, lo[live])
+        hi[live] = np.where(above, hi[live], b)
+        l, h = lo[live], hi[live]
+        # one bracket was just set to b, so an open one is the other side's
+        beta[live] = np.where(h == np.inf, b * 2.0, np.where(l == 0.0, b / 2.0, (l + h) / 2.0))
+    i = int(index[live[0]])
+    raise CalibrationError(i, f"row {i}: perplexity {perplexity} unreachable")
 
 
 def conditional_p(sq_distances: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Row-stochastic Gaussian conditionals from calibrated bandwidths."""
     d2 = np.asarray(sq_distances, dtype=float)
-    n = d2.shape[0]
-    out = np.empty((n, n))
-    for i in range(n):
-        beta = 1.0 / (2.0 * sigmas[i] ** 2)
-        _, out[i] = _row_perplexity(d2[i].copy(), beta, i)
-    return out
+    # beta = 1 / (2 sigma^2) with each row's scalar power: numpy's array
+    # power rounds some squares differently
+    beta = np.array([1.0 / (2.0 * s**2) for s in np.asarray(sigmas, dtype=float)])
+    return _row_conditionals(d2, beta, np.arange(d2.shape[0]))
 
 
 def symmetrize(pcond: np.ndarray, sigmas: np.ndarray | None = None) -> AffinityModel:
@@ -186,27 +223,68 @@ def symmetrize(pcond: np.ndarray, sigmas: np.ndarray | None = None) -> AffinityM
     return AffinityModel(P=P, sigmas=sigmas)
 
 
-def _kernel_weights(d2: np.ndarray, kernel: str) -> np.ndarray:
-    if kernel == "gaussian":
-        w = np.negative(d2)
-        np.exp(w, out=w)
-    else:
-        w = 1.0 / (1.0 + d2)
-    np.fill_diagonal(w, 0.0)
-    return w
-
-
-def _p_terms(P: np.ndarray, exaggeration: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _p_terms(P: np.ndarray, exaggeration: float) -> tuple[np.ndarray, np.ndarray]:
     """The parts of a cost-and-gradient call that depend on `P` alone.
 
-    Returns the `P > 0` mask, the gathered `P[mask]` and
-    `S_P = exaggeration * P + (exaggeration * P).T`. The factor is applied
-    before the transpose-add, so the gradient equals the one of the KL
-    against `exaggeration * P` to the last bit, for any factor.
+    Returns the `P > 0` mask and `S_P = exaggeration * P + (exaggeration * P).T`.
+    The factor is applied before the transpose-add, so the gradient equals
+    the one of the KL against `exaggeration * P` to the last bit, for any
+    factor.
     """
-    mask = P > 0
     scaled = P if exaggeration == 1.0 else exaggeration * P
-    return mask, P[mask], scaled + scaled.T
+    return P > 0, scaled + scaled.T
+
+
+def _cpu_count() -> int:
+    # the CPUs this process may run on
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Workspace:
+    """What the cost-and-gradient calls of one descent share.
+
+    The rows are cut into blocks of about `_BLOCK_CELLS` cells. The
+    workspace holds the n x n kernel matrix `Q`, five block-sized buffers
+    for each worker and, with more than one worker, a thread pool of
+    `min(CPUs this process may use, blocks)` threads. Worker k takes blocks
+    k, k + workers, ...; with one worker the blocks run inline.
+    """
+
+    def __init__(self, n: int):
+        rows = min(n, max(1, _BLOCK_CELLS // n))
+        self.blocks = [slice(r, min(r + rows, n)) for r in range(0, n, rows)]
+        workers = min(_cpu_count(), len(self.blocks))
+        self.Q = np.empty((n, n))
+        self.buffers = [np.empty((5, rows, n)) for _ in range(workers)]
+        self.pool = ThreadPoolExecutor(workers) if workers > 1 else None
+
+    def __enter__(self) -> "_Workspace":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
+
+    def each_block(self, fn) -> None:
+        """Call fn(block, buffers) on every block; return when all are done."""
+
+        def work(k: int) -> None:
+            for block in self.blocks[k :: len(self.buffers)]:
+                fn(block, self.buffers[k][:, : block.stop - block.start])
+
+        if self.pool is None:
+            work(0)
+        else:
+            for future in [self.pool.submit(work, k) for k in range(len(self.buffers))]:
+                future.result()
+
+
+def _zero_diagonal(rows: np.ndarray, first: int) -> None:
+    # rows holds rows first, first + 1, ... of an n x n matrix
+    rows.flat[first :: rows.shape[1] + 1] = 0.0
 
 
 def tsne_cost_and_grad(
@@ -216,7 +294,8 @@ def tsne_cost_and_grad(
     cost: str = "joint",
     exaggeration: float = 1.0,
     *,
-    p_terms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    p_terms: tuple[np.ndarray, np.ndarray] | None = None,
+    workspace: _Workspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """KL cost of `P` and the exact gradient of `exaggeration * P`.
 
@@ -228,48 +307,108 @@ def tsne_cost_and_grad(
     descents finite, and the cost is the KL against that floored Q. The
     floor is often active: on a 1,000-point map after 150 iterations it
     held on 62 % of the pairs with p > 0 (floored KL 0.761, unfloored
-    0.875).
+    0.875). The gradient is van der Maaten and Hinton's (2008), written
+    per row: `2 sum_j S_ij (y_i - y_j)`, with `S = S_P - (Q + Q.T)`, times
+    the Student-t factor under that kernel.
 
-    `p_terms` is `_p_terms(P, exaggeration)`, passed by a caller that
-    reuses it over many calls, as run_tsne does once per exaggeration
-    phase; without it the call builds the terms itself, with the same
-    result. The gradient needs `S_P - (Q + Q.T)`. Under the joint cost Q
-    is exactly symmetric, bit for bit: the planar distances are (see
-    pairwise_sq_distances), and every later step is elementwise or a
-    division by one scalar. So `2 * Q`, computed in place, stands in for
-    `Q + Q.T`. Conditional Q is row-normalized and not symmetric, so it
-    keeps the transpose-add. Besides `P` and the terms, a call holds at
-    most three n x n float buffers at once.
+    The call works on row blocks of about `_BLOCK_CELLS` cells, in two
+    sweeps. The first takes the planar distances from coordinate
+    differences, `dx^2 + dy^2`, which are exactly symmetric with an exact
+    zero diagonal, and writes the kernel weights into the workspace's
+    n x n `Q`: under the joint cost with per-row sums, under the
+    conditional cost normalized and floored per row. The second builds
+    each block's normalized, floored Q in a block buffer, never writing
+    the shared `Q`, and from it the per-row cost terms and the gradient.
+    Under the joint cost Q is exactly symmetric, so `2 * Q` stands in for
+    `Q + Q.T`. Every reduction runs per row, and the cost sums the n
+    per-row costs, so no BLAS call is made and the bytes depend neither
+    on the block size nor on the number of threads.
+
+    `p_terms` is `_p_terms(P, exaggeration)` and `workspace` a
+    `_Workspace(n)`, both passed by a caller that reuses them over many
+    calls, as run_tsne does; without them the call builds its own, with
+    the same result.
     """
-    mask, p, S_P = _p_terms(P, exaggeration) if p_terms is None else p_terms
+    mask, S_P = _p_terms(P, exaggeration) if p_terms is None else p_terms
     coords = np.asarray(coords, dtype=float)
-    d2 = pairwise_sq_distances(coords)
-    Q = _kernel_weights(d2, kernel)
-    if kernel == "gaussian":
-        del d2
-    if cost == "joint":
-        Q /= max(float(Q.sum()), _Q_FLOOR)
-    else:
-        Q /= np.maximum(Q.sum(axis=1, keepdims=True), _Q_FLOOR)
-    np.maximum(Q, _Q_FLOOR, out=Q)
-    np.fill_diagonal(Q, 0.0)
-    # p * log(p / Q[mask]), evaluated inside the one gathered buffer
-    ratio = Q[mask]
-    np.divide(p, ratio, out=ratio)
-    np.log(ratio, out=ratio)
-    ratio *= p
-    cost_value = float(np.sum(ratio))
-    del ratio
-    if cost == "joint":
-        Q *= 2.0
-    else:
-        Q = Q + Q.T
-    S = np.subtract(S_P, Q, out=Q)
-    if kernel == "student_t":
-        S *= 1.0 / (1.0 + d2)
-    np.fill_diagonal(S, 0.0)
-    grad = 2.0 * (S.sum(axis=1)[:, None] * coords - S @ coords)
-    return cost_value, grad
+    if workspace is None:
+        with _Workspace(len(coords)) as own:
+            return _blocked_cost_and_grad(P, mask, S_P, coords, kernel, cost, own)
+    return _blocked_cost_and_grad(P, mask, S_P, coords, kernel, cost, workspace)
+
+
+def _blocked_cost_and_grad(P, mask, S_P, coords, kernel, cost, ws):
+    # the two sweeps of tsne_cost_and_grad over the workspace's row blocks
+    x, y = coords[:, 0].copy(), coords[:, 1].copy()
+    n, Q, joint = len(x), ws.Q, cost == "joint"
+    row_sum, row_cost, grad = np.empty(n), np.empty(n), np.empty((n, 2))
+
+    def offsets(block, dx, dy):
+        # dx[k, j] = x_j - x_i for row i = block.start + k, so the gradient
+        # takes its sign at the end. A column copy and a row subtract are
+        # faster than one subtract that broadcasts a column.
+        np.copyto(dx, x[block, None])
+        np.subtract(x, dx, out=dx)
+        np.copyto(dy, y[block, None])
+        np.subtract(y, dy, out=dy)
+
+    def sq_distances(dx, dy, d2, tmp):
+        np.multiply(dx, dx, out=d2)
+        np.multiply(dy, dy, out=tmp)
+        d2 += tmp
+
+    def kernel_weights(block, buf):
+        dx, dy, d2, tmp, _ = buf
+        offsets(block, dx, dy)
+        sq_distances(dx, dy, d2, tmp)
+        w = Q[block]
+        if kernel == "gaussian":
+            np.negative(d2, out=w)
+            np.exp(w, out=w)
+        else:
+            np.add(d2, 1.0, out=w)
+            np.divide(1.0, w, out=w)
+        _zero_diagonal(w, block.start)
+        np.add.reduce(w, axis=1, out=row_sum[block])
+        if not joint:
+            w /= np.maximum(row_sum[block], _Q_FLOOR)[:, None]
+            np.maximum(w, _Q_FLOOR, out=w)
+            _zero_diagonal(w, block.start)
+
+    def terms(block, buf):
+        dx, dy, q, t, tmp = buf
+        offsets(block, dx, dy)
+        if joint:
+            np.divide(Q[block], total, out=q)
+            np.maximum(q, _Q_FLOOR, out=q)
+            _zero_diagonal(q, block.start)
+        else:
+            q = Q[block]
+        # p * log(p / q) where p > 0; the other cells hold log(1) = 0
+        p = P[block]
+        t.fill(1.0)
+        np.divide(p, q, out=t, where=mask[block])
+        np.log(t, out=t)
+        t *= p
+        np.add.reduce(t, axis=1, out=row_cost[block])
+        S = buf[2]  # the joint q's buffer: q is read before it is overwritten
+        if joint:
+            np.multiply(q, 2.0, out=S)
+        else:
+            np.add(q, Q[:, block].T, out=S)
+        np.subtract(S_P[block], S, out=S)
+        if kernel == "student_t":
+            sq_distances(dx, dy, t, tmp)
+            t += 1.0
+            S /= t
+        np.einsum("ij,ij->i", S, dx, out=grad[block, 0])
+        np.einsum("ij,ij->i", S, dy, out=grad[block, 1])
+
+    ws.each_block(kernel_weights)
+    total = max(float(row_sum.sum()), _Q_FLOOR)
+    ws.each_block(terms)
+    grad *= -2.0
+    return float(row_cost.sum()), grad
 
 
 def run_tsne(
@@ -285,12 +424,16 @@ def run_tsne(
     the first `exaggeration_iters` iterations it is passed
     `exaggeration=cfg.early_exaggeration`, later 1.0. One more call costs
     the returned coordinates, so a run makes `iterations + 1` calls.
-    The P-only terms of those calls (the `P > 0` mask, its gather and
-    `S_P`) are built once per exaggeration factor, at most twice a run,
-    and the previous factor's terms are released first. The input-space
-    distances and, under the joint cost, the conditional P are released
-    before the descent, so it holds `P`, the terms and at most three n x n
-    buffers inside a call. The result carries the calibrated bandwidths.
+    The P-only terms of those calls (the `P > 0` mask and `S_P`) are built
+    once per exaggeration factor, at most twice a run, and the previous
+    factor's terms are released first. The input-space distances and,
+    under the joint cost, the conditional P are released before the
+    descent. All calls share one `_Workspace`: the n x n `Q`, each
+    worker's block buffers, and one thread pool with a thread per CPU the
+    process may use, at most one per row block. So the descent holds `P`,
+    the mask, `S_P` and `Q`, makes no BLAS call, and its bytes do not
+    depend on the number of threads. The result carries the calibrated
+    bandwidths.
     kl_trace[t] is the cost at the start of iteration t against the
     un-exaggerated affinities; the final entry is the cost of the returned
     coordinates. Entries are the floored cost of tsne_cost_and_grad, not
@@ -318,32 +461,35 @@ def run_tsne(
     velocity = np.zeros_like(Y)
     gains = np.ones_like(Y)
     trace = np.empty(cfg.iterations + 1)
-    p_terms, phase = None, None
-    for it in range(cfg.iterations):
-        exaggeration = cfg.early_exaggeration if it < cfg.exaggeration_iters else 1.0
-        if exaggeration != phase:
-            p_terms = None  # release the previous phase's terms before building these
-            p_terms, phase = _p_terms(P, exaggeration), exaggeration
-        trace[it], grad = tsne_cost_and_grad(
-            P, Y, cfg.kernel, cfg.cost, exaggeration, p_terms=p_terms
+    with _Workspace(n) as workspace:
+        p_terms, phase = None, None
+        for it in range(cfg.iterations):
+            exaggeration = cfg.early_exaggeration if it < cfg.exaggeration_iters else 1.0
+            if exaggeration != phase:
+                p_terms = None  # release the previous phase's terms before building these
+                p_terms, phase = _p_terms(P, exaggeration), exaggeration
+            trace[it], grad = tsne_cost_and_grad(
+                P, Y, cfg.kernel, cfg.cost, exaggeration, p_terms=p_terms, workspace=workspace
+            )
+            momentum = cfg.momentum_start if it < cfg.momentum_switch else cfg.momentum_final
+            # Delta-bar-delta gains: grow a coordinate's rate while its gradient
+            # keeps opposing the velocity, shrink it on overshoot.
+            grow = np.sign(grad) != np.sign(velocity)
+            gains = np.where(grow, gains + 0.2, gains * 0.8)
+            np.maximum(gains, _MIN_GAIN, out=gains)
+            velocity = momentum * velocity - cfg.learning_rate * (gains * grad)
+            norms = np.linalg.norm(velocity, axis=1, keepdims=True)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                velocity = np.where(norms > _MAX_STEP, velocity * (_MAX_STEP / norms), velocity)
+            Y = Y + velocity
+            Y = Y - Y.mean(axis=0)
+            if not np.all(np.isfinite(Y)):
+                raise DivergenceError(it, f"coordinates diverged at iteration {it}")
+        if phase != 1.0:
+            p_terms = None  # still exaggerated: the final call builds the plain terms
+        trace[-1], _ = tsne_cost_and_grad(
+            P, Y, cfg.kernel, cfg.cost, p_terms=p_terms, workspace=workspace
         )
-        momentum = cfg.momentum_start if it < cfg.momentum_switch else cfg.momentum_final
-        # Delta-bar-delta gains: grow a coordinate's rate while its gradient
-        # keeps opposing the velocity, shrink it on overshoot.
-        grow = np.sign(grad) != np.sign(velocity)
-        gains = np.where(grow, gains + 0.2, gains * 0.8)
-        np.maximum(gains, _MIN_GAIN, out=gains)
-        velocity = momentum * velocity - cfg.learning_rate * (gains * grad)
-        norms = np.linalg.norm(velocity, axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            velocity = np.where(norms > _MAX_STEP, velocity * (_MAX_STEP / norms), velocity)
-        Y = Y + velocity
-        Y = Y - Y.mean(axis=0)
-        if not np.all(np.isfinite(Y)):
-            raise DivergenceError(it, f"coordinates diverged at iteration {it}")
-    if phase != 1.0:
-        p_terms = None  # still exaggerated: the final call builds the plain terms
-    trace[-1], _ = tsne_cost_and_grad(P, Y, cfg.kernel, cfg.cost, p_terms=p_terms)
     return TsneResult(coords=Y, kl_trace=trace, effective_perplexity=effective, sigmas=sigmas)
 
 

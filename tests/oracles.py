@@ -8,12 +8,17 @@ it was before it scored each round as one stack: one `pairwise_scores`,
 `rank_matrix` and `rank_loss` per probe. `word_salience` is the salience
 of one token occurrence with a solve of its own, as `semfuse.embed`
 computed it before one solve served every distinct token.
-`tsne_cost_and_grad` and `tsne_descent` are the t-SNE descent as it was
-when each iteration made two full cost and gradient evaluations: one
-against P for the trace, one against the exaggerated P for the step.
-`low_dim_q`, `joint_q` and `kl_divergence` are the planar similarities
-and the plain KL divergence that `semfuse.tsne` exported before its cost
-lived in `tsne_cost_and_grad` alone.
+`tsne_descent` is the t-SNE descent as it was when each iteration made
+two full cost and gradient evaluations: one against P for the trace, one
+against the exaggerated P for the step; it takes the cost function to
+call. `whole_matrix_cost_and_grad` is `semfuse.tsne.tsne_cost_and_grad`
+as it was before it worked on row blocks: every step on whole n x n
+matrices, with the planar Gram matrix and the gradient from BLAS.
+`row_calibrate_sigmas` and `row_conditional_p` are the perplexity
+bisection and the conditional P one row at a time, before the rows were
+bisected together. `low_dim_q`, `joint_q` and `kl_divergence` are the
+planar similarities and the plain KL divergence that `semfuse.tsne`
+exported before its cost lived in `tsne_cost_and_grad` alone.
 `score_matrix_text` is `scores.csv` as the score stage wrote it with one
 `repr` per cell, before `save_score_matrix` formatted each pair once.
 `whole_matrix_scores` is `pairwise_scores` as it was before it composed
@@ -35,7 +40,7 @@ import math
 import numpy as np
 
 from semfuse.embed import WordVectorTable
-from semfuse.errors import ConflictError, DomainError, FormatError
+from semfuse.errors import CalibrationError, ConflictError, DomainError, FormatError
 from semfuse.geotime import EARTH_RADIUS_MILES, FEATURE_COLUMNS, great_circle_miles
 from semfuse.rankopt import SimilarityParams, rank_loss, rank_matrix
 from semfuse.rankopt import pairwise_scores as matrix_scores
@@ -44,6 +49,7 @@ from semfuse.tsne import (
     _MIN_GAIN,
     _Q_FLOOR,
     KERNELS,
+    PERPLEXITY_TOL,
     TsneResult,
     calibrate_sigmas,
     conditional_p,
@@ -366,28 +372,79 @@ def kl_divergence(P, Q) -> float:
     return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])))
 
 
-def tsne_cost_and_grad(P, coords, kernel="gaussian", cost="joint"):
-    """Floored KL of P and its gradient, each Q evaluation serving one of them."""
-    coords = np.asarray(coords, dtype=float)
-    d2 = pairwise_sq_distances(coords)
-    w = np.exp(-d2) if kernel == "gaussian" else 1.0 / (1.0 + d2)
-    np.fill_diagonal(w, 0.0)
-    if cost == "joint":
-        Q = w / max(float(w.sum()), _Q_FLOOR)
-    else:
-        Q = w / np.maximum(w.sum(axis=1, keepdims=True), _Q_FLOOR)
-    Q = np.maximum(Q, _Q_FLOOR)
-    np.fill_diagonal(Q, 0.0)
+def whole_matrix_cost_and_grad(P, coords, kernel="gaussian", cost="joint", exaggeration=1.0):
+    """The fused cost and gradient on whole n x n matrices, with two BLAS products."""
     mask = P > 0
-    cost_value = float(np.sum(P[mask] * np.log(P[mask] / Q[mask])))
-    S = (P + P.T) - (Q + Q.T)
-    A = S * (1.0 / (1.0 + d2) if kernel == "student_t" else 1.0)
-    np.fill_diagonal(A, 0.0)
-    grad = 2.0 * (A.sum(axis=1)[:, None] * coords - A @ coords)
+    p = P[mask]
+    scaled = P if exaggeration == 1.0 else exaggeration * P
+    coords = np.ascontiguousarray(coords, dtype=float)
+    norms = np.einsum("ij,ij->i", coords, coords)
+    # syrk: exactly symmetric, so 2 * Q below is Q + Q.T under the joint cost
+    d2 = norms[:, None] + norms[None, :] - 2.0 * (coords @ coords.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    Q = np.exp(-d2) if kernel == "gaussian" else 1.0 / (1.0 + d2)
+    np.fill_diagonal(Q, 0.0)
+    if cost == "joint":
+        Q /= max(float(Q.sum()), _Q_FLOOR)
+    else:
+        Q /= np.maximum(Q.sum(axis=1, keepdims=True), _Q_FLOOR)
+    np.maximum(Q, _Q_FLOOR, out=Q)
+    np.fill_diagonal(Q, 0.0)
+    cost_value = float(np.sum(p * np.log(p / Q[mask])))
+    S = (scaled + scaled.T) - (2.0 * Q if cost == "joint" else Q + Q.T)
+    if kernel == "student_t":
+        S *= 1.0 / (1.0 + d2)
+    np.fill_diagonal(S, 0.0)
+    grad = 2.0 * (S.sum(axis=1)[:, None] * coords - S @ coords)
     return cost_value, grad
 
 
-def tsne_descent(space, cfg) -> TsneResult:
+def row_perplexity(d2_row, beta, i):
+    """(2^H in bits, conditional probabilities) of row i at precision beta."""
+    logits = -beta * d2_row
+    logits[i] = -np.inf
+    logits -= logits.max()
+    w = np.exp(logits)
+    p = w / w.sum()
+    positive = p[p > 0]
+    entropy_bits = float(-(positive * np.log2(positive)).sum())
+    return 2.0**entropy_bits, p
+
+
+def row_calibrate_sigmas(d2, perplexity):
+    """Bisect each row's bandwidth alone, at most 64 steps a row."""
+    n = d2.shape[0]
+    sigmas = np.empty(n)
+    for i in range(n):
+        beta, lo, hi = 1.0, None, None
+        for _ in range(64):
+            perp, _ = row_perplexity(d2[i].copy(), beta, i)
+            if abs(perp - perplexity) <= PERPLEXITY_TOL:
+                break
+            if perp > perplexity:
+                lo = beta
+                beta = beta * 2.0 if hi is None else (lo + hi) / 2.0
+            else:
+                hi = beta
+                beta = beta / 2.0 if lo is None else (lo + hi) / 2.0
+        else:
+            raise CalibrationError(i, f"row {i}: perplexity {perplexity} unreachable")
+        sigmas[i] = 1.0 / np.sqrt(2.0 * beta)
+    return sigmas
+
+
+def row_conditional_p(d2, sigmas):
+    """Row-stochastic Gaussian conditionals, one row at a time."""
+    n = d2.shape[0]
+    out = np.empty((n, n))
+    for i in range(n):
+        beta = 1.0 / (2.0 * sigmas[i] ** 2)
+        _, out[i] = row_perplexity(d2[i].copy(), beta, i)
+    return out
+
+
+def tsne_descent(space, cfg, cost_and_grad) -> TsneResult:
     """The two-call descent loop: the trace cost and the step gradient apart."""
     X = np.asarray(space, dtype=float)
     n = X.shape[0]
@@ -402,8 +459,8 @@ def tsne_descent(space, cfg) -> TsneResult:
     trace = np.empty(cfg.iterations + 1)
     for it in range(cfg.iterations):
         P_use = P * cfg.early_exaggeration if it < cfg.exaggeration_iters else P
-        trace[it], _ = tsne_cost_and_grad(P, Y, cfg.kernel, cfg.cost)
-        _, grad = tsne_cost_and_grad(P_use, Y, cfg.kernel, cfg.cost)
+        trace[it], _ = cost_and_grad(P, Y, cfg.kernel, cfg.cost)
+        _, grad = cost_and_grad(P_use, Y, cfg.kernel, cfg.cost)
         momentum = cfg.momentum_start if it < cfg.momentum_switch else cfg.momentum_final
         grow = np.sign(grad) != np.sign(velocity)
         gains = np.where(grow, gains + 0.2, gains * 0.8)
@@ -414,5 +471,5 @@ def tsne_descent(space, cfg) -> TsneResult:
             velocity = np.where(norms > _MAX_STEP, velocity * (_MAX_STEP / norms), velocity)
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
-    trace[-1], _ = tsne_cost_and_grad(P, Y, cfg.kernel, cfg.cost)
+    trace[-1], _ = cost_and_grad(P, Y, cfg.kernel, cfg.cost)
     return TsneResult(coords=Y, kl_trace=trace, effective_perplexity=effective, sigmas=sigmas)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from semfuse.errors import (
     SchemaError,
 )
 from semfuse.tsne import (
+    COST_MODES,
+    KERNELS,
     AffinityModel,
     TsneConfig,
     calibrate_sigmas,
@@ -31,6 +37,28 @@ from semfuse.tsne import (
 )
 
 EQUILATERAL = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def assert_close_to_whole_matrix(got, P, Y, kernel, cost, exaggeration):
+    """The row-blocked sums round apart from the whole-matrix ones only in the last bits."""
+    want_cost, want_grad = oracles.whole_matrix_cost_and_grad(P, Y, kernel, cost, exaggeration)
+    assert abs(got[0] - want_cost) <= 1e-12 * abs(want_cost)
+    assert np.max(np.abs(got[1] - want_grad)) <= 1e-11 * np.max(np.abs(want_grad))
+
+
+def random_affinities(n, cost, seed):
+    """A P with about a fifth of its off-diagonal cells zero, and a map where the floor holds."""
+    rng = np.random.default_rng(seed)
+    P = rng.random((n, n)) * (rng.random((n, n)) > 0.2)
+    P[0, 1] = 1.0  # every row of a conditional P needs one positive cell
+    P[1:, 0] = 1.0
+    np.fill_diagonal(P, 0.0)
+    if cost == "joint":
+        P = (P + P.T) / (P + P.T).sum()
+    else:
+        P /= P.sum(axis=1, keepdims=True)
+    return P, rng.normal(size=(n, 2)) * 3.0
 
 
 def row_perplexities(P: np.ndarray) -> np.ndarray:
@@ -54,6 +82,31 @@ class TestPairwiseSqDistances:
                 assert d2[i, j] == pytest.approx(expect, abs=1e-9)
         assert np.all(np.diag(d2) == 0.0)
 
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS splits X @ X.T across threads from about 300 x 11 on
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from semfuse.tsne import TsneConfig, run_tsne\n"
+            "out = {}\n"
+            "for n in (300, 1000):\n"
+            "    X = np.random.default_rng(n).normal(size=(n, 11))\n"
+            "    res = run_tsne(X, TsneConfig(iterations=60, seed=1))\n"
+            "    out[f'coords{n}'], out[f'kl_trace{n}'], out[f'sigmas{n}'] = res.coords, res.kl_trace, res.sigmas\n"
+            "np.savez(sys.argv[1], **out)\n"
+        )
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            path = tmp_path / f"threads{threads}.npz"
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True, timeout=300)
+            with np.load(path) as arrays:
+                runs.append(dict(arrays))
+        assert sorted(runs[0]) == sorted(runs[1]) and len(runs[0]) == 6
+        for key in runs[0]:
+            assert np.array_equal(runs[0][key], runs[1][key]), key
+
     @pytest.mark.parametrize("n", [2, 17, 300, 1000])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 40.0, 1e4])
     def test_planar_distances_exactly_symmetric(self, n, scale):
@@ -65,6 +118,55 @@ class TestPairwiseSqDistances:
 
 
 class TestCalibrateSigmas:
+    @pytest.mark.parametrize("n, perplexities", [(50, [2.0, 5.0, 15.0, 30.0]), (300, [5.0, 30.0]), (1000, [30.0])])
+    def test_bit_identical_to_the_row_loop(self, n, perplexities):
+        X = np.random.default_rng(n).normal(size=(n, 11))
+        d2 = pairwise_sq_distances(X)
+        for perplexity in perplexities:
+            sigmas = calibrate_sigmas(d2, perplexity)
+            assert np.array_equal(sigmas, oracles.row_calibrate_sigmas(d2, perplexity))
+            assert np.array_equal(conditional_p(d2, sigmas), oracles.row_conditional_p(d2, sigmas))
+
+    def test_rows_with_underflowed_cells_bit_identical(self):
+        # far clusters underflow exp() to exactly 0 in some rows and not others,
+        # so the rows' entropy sums run over different counts of terms
+        rng = np.random.default_rng(11)
+        X = np.vstack([rng.normal(size=(40, 3)) * s + 12.0 * k for k, s in enumerate((0.3, 1.0, 3.0))])
+        d2 = pairwise_sq_distances(X)
+        sigmas = calibrate_sigmas(d2, 5.0)
+        assert np.array_equal(sigmas, oracles.row_calibrate_sigmas(d2, 5.0))
+        P = conditional_p(d2, sigmas)
+        assert np.array_equal(P, oracles.row_conditional_p(d2, sigmas))
+        assert len(np.unique((P > 0).sum(axis=1))) > 10
+
+    def test_block_perplexities_bit_identical_to_each_row_alone(self):
+        # the sigmas hide a last-bit change of a perplexity unless it flips a
+        # comparison, so the perplexities themselves are checked: rows with
+        # every cell positive, and rows where far clusters underflow to 0
+        rng = np.random.default_rng(12)
+        X = np.vstack([rng.normal(size=(40, 3)) * s + 12.0 * k for k, s in enumerate((0.3, 1.0, 3.0))])
+        d2 = pairwise_sq_distances(X)
+        for beta in (1e-3, 0.05, 0.4, 3.0):
+            rows = np.arange(0, 120, 3)
+            betas = beta * rng.uniform(0.5, 2.0, size=len(rows))
+            got = semfuse.tsne._row_perplexities(d2[rows], betas, rows)
+            want = [oracles.row_perplexity(d2[i].copy(), b, i)[0] for i, b in zip(rows, betas)]
+            assert np.array_equal(got, want)
+
+    def test_names_the_first_unreachable_row(self, monkeypatch):
+        # rows 7-10 coincide: a perplexity of 2 is out of their reach
+        X = np.random.default_rng(4).normal(size=(20, 3))
+        X[8:11] = X[7]
+        d2 = pairwise_sq_distances(X)
+        for cells in (20, 2**16):  # one row per block, and one block
+            monkeypatch.setattr(semfuse.tsne, "_BLOCK_CELLS", cells)
+            with pytest.raises(CalibrationError) as got:
+                calibrate_sigmas(d2, 2.0)
+            with pytest.raises(CalibrationError) as want:
+                oracles.row_calibrate_sigmas(d2, 2.0)
+            assert got.value.row == want.value.row == 7
+            assert str(got.value) == str(want.value)
+
     def test_equilateral_uniform(self):
         d2 = pairwise_sq_distances(EQUILATERAL)
         sigmas = calibrate_sigmas(d2, 2.0)
@@ -298,6 +400,68 @@ class TestCostAndGrad:
                     assert grad[i, j] == pytest.approx(num, rel=1e-4, abs=1e-9)
 
 
+class TestBlockedCost:
+    """Row blocks and threads change no bit; the whole-matrix code agrees to the last bits."""
+
+    @pytest.mark.parametrize("n", [3, 10, 65, 300])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("cost", COST_MODES)
+    @pytest.mark.parametrize("exaggeration", [1.0, 3.0, 4.0])
+    def test_every_block_size_and_pool_gives_the_same_bytes(self, monkeypatch, n, kernel, cost, exaggeration):
+        P, Y = random_affinities(n, cost, seed=n)
+        results = []
+        # blocks of 1 row, of 7 rows with a remainder (n = 10, 65, 300), and the default
+        for cells in (n, 7 * n, semfuse.tsne._BLOCK_CELLS):
+            monkeypatch.setattr(semfuse.tsne, "_BLOCK_CELLS", cells)
+            for workers in (1, 2):
+                monkeypatch.setattr(semfuse.tsne, "_cpu_count", lambda: workers)
+                with semfuse.tsne._Workspace(n) as workspace:
+                    assert len(workspace.buffers) == min(workers, -(-n // max(1, cells // n)))
+                    results.append(tsne_cost_and_grad(P, Y, kernel, cost, exaggeration, workspace=workspace))
+        assert_close_to_whole_matrix(results[0], P, Y, kernel, cost, exaggeration)
+        for cost_value, grad in results[1:]:
+            assert cost_value == results[0][0]
+            assert np.array_equal(grad, results[0][1])
+
+    def test_more_workers_than_cores_under_fast_thread_switching(self, monkeypatch):
+        P, Y = random_affinities(65, "conditional", seed=3)
+        monkeypatch.setattr(semfuse.tsne, "_BLOCK_CELLS", 65)
+        monkeypatch.setattr(semfuse.tsne, "_cpu_count", lambda: 1)
+        want = tsne_cost_and_grad(P, Y, "student_t", "conditional", 4.0)
+        monkeypatch.setattr(semfuse.tsne, "_cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with semfuse.tsne._Workspace(65) as workspace:
+                assert len(workspace.buffers) == 8
+                for _ in range(5):
+                    got = tsne_cost_and_grad(P, Y, "student_t", "conditional", 4.0, workspace=workspace)
+                    assert got[0] == want[0]
+                    assert np.array_equal(got[1], want[1])
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_without_a_workspace_the_call_builds_its_own(self):
+        P, Y = random_affinities(65, "joint", seed=1)
+        with semfuse.tsne._Workspace(65) as workspace:
+            given = tsne_cost_and_grad(P, Y, workspace=workspace)
+        built = tsne_cost_and_grad(P, Y)
+        assert built[0] == given[0]
+        assert np.array_equal(built[1], given[1])
+
+    @pytest.mark.parametrize("cost", COST_MODES)
+    def test_run_tsne_same_bytes_with_pools_of_one_and_two(self, monkeypatch, cost):
+        rng = np.random.default_rng(21)
+        X = np.vstack([rng.normal(size=(100, 6)) + 4.0 * k for k in range(3)])
+        cfg = TsneConfig(iterations=25, exaggeration_iters=15, cost=cost, seed=2)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(semfuse.tsne, "_cpu_count", lambda: workers)
+            runs.append(run_tsne(X, cfg))
+        assert np.array_equal(runs[0].coords, runs[1].coords)
+        assert np.array_equal(runs[0].kl_trace, runs[1].kl_trace)
+
+
 class TestFusedPass:
     """One cost-and-gradient evaluation per iteration, checked against the two-call loop."""
 
@@ -316,9 +480,8 @@ class TestFusedPass:
         cost_value, grad = tsne_cost_and_grad(P, Y, kernel, cost, exaggeration=exaggeration)
         assert cost_value == tsne_cost_and_grad(P, Y, kernel, cost)[0]
         assert np.array_equal(grad, tsne_cost_and_grad(exaggeration * P, Y, kernel, cost)[1])
-        # and both halves equal the separate evaluations of the two-call descent
-        assert cost_value == oracles.tsne_cost_and_grad(P, Y, kernel, cost)[0]
-        assert np.array_equal(grad, oracles.tsne_cost_and_grad(exaggeration * P, Y, kernel, cost)[1])
+        # and both halves agree with the whole-matrix evaluations of the two-call descent
+        assert_close_to_whole_matrix((cost_value, grad), P, Y, kernel, cost, exaggeration)
 
     @pytest.mark.parametrize("kernel", ["gaussian", "student_t"])
     @pytest.mark.parametrize("cost", ["joint", "conditional"])
@@ -326,7 +489,7 @@ class TestFusedPass:
         # default exaggeration (4.0) through the switch at iteration 100
         cfg = TsneConfig(perplexity=4.0, iterations=110, kernel=kernel, cost=cost, seed=5)
         X = two_cluster_space(per=6)
-        got, want = run_tsne(X, cfg), oracles.tsne_descent(X, cfg)
+        got, want = run_tsne(X, cfg), oracles.tsne_descent(X, cfg, tsne_cost_and_grad)
         assert np.array_equal(got.coords, want.coords)
         assert np.array_equal(got.kl_trace, want.kl_trace)
 
@@ -337,7 +500,7 @@ class TestFusedPass:
         cfg = TsneConfig(perplexity=3.0, iterations=12, early_exaggeration=3.0,
                          exaggeration_iters=8, kernel=kernel, seed=2)
         X = two_cluster_space(per=5)
-        got, want = run_tsne(X, cfg), oracles.tsne_descent(X, cfg)
+        got, want = run_tsne(X, cfg), oracles.tsne_descent(X, cfg, tsne_cost_and_grad)
         assert np.array_equal(got.coords, want.coords)
         assert np.array_equal(got.kl_trace, want.kl_trace)
 
@@ -366,7 +529,7 @@ class TestPhaseTerms:
         rng = np.random.default_rng(17)
         X = np.vstack([rng.normal(size=(100, 6)) + 4.0 * k for k in range(3)])
         cfg = TsneConfig(iterations=30, exaggeration_iters=20, kernel=kernel, cost=cost, seed=4)
-        got, want = run_tsne(X, cfg), oracles.tsne_descent(X, cfg)
+        got, want = run_tsne(X, cfg), oracles.tsne_descent(X, cfg, tsne_cost_and_grad)
         assert np.array_equal(got.coords, want.coords)
         assert np.array_equal(got.kl_trace, want.kl_trace)
         assert np.array_equal(got.sigmas, want.sigmas)
