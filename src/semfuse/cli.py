@@ -59,7 +59,7 @@ from .rankopt import (
 )
 from .spectra import delta_cosine_experiment, fit_pca, save_delta_csv, transform
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
-from .table import write_table
+from .table import open_text, write_table
 from .tsne import (
     TsneConfig,
     load_colors,
@@ -98,7 +98,7 @@ STAGE_OF = {
 def load_config(path: str | Path) -> dict[str, str]:
     """Parse a flat `key = value` file; later lines override earlier ones."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

@@ -14,7 +14,7 @@ import re
 import string
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     ConflictError,
@@ -22,11 +22,12 @@ from .errors import (
     FormatError,
     RowError,
     SchemaError,
+    SemfuseError,
     UnknownKeyError,
 )
 from .geotime import GeoPoint
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords  # noqa: F401  (re-export)
-from .table import parse_floats
+from .table import open_text, parse_rows
 
 CORPUS_FORMATS = ("csv", "tsv", "jsonl")
 _URL_PREFIXES = ("http://", "https://", "www.")
@@ -134,24 +135,25 @@ def resolve_coordinates(records: Sequence[Record], gazetteer: Gazetteer) -> list
 def load_gazetteer(path: str | Path) -> Gazetteer:
     """Read a gazetteer CSV with columns location,lat,lon."""
     entries: dict[str, GeoPoint] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
         for column in ("location", "lat", "lon"):
             if column not in fields:
                 raise SchemaError(f"{path}: missing column {column!r}")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            key = Gazetteer.normalize(row["location"] or "")
-            if not key:
-                raise RowError(where, "empty location")
-            if key in entries:
-                raise ConflictError(f"{where}: duplicate gazetteer entry {key!r}")
-            lat, lon = parse_floats(where, [row["lat"] or "", row["lon"] or ""]).tolist()
-            try:
-                entries[key] = GeoPoint(lat, lon)
-            except DomainError as exc:
-                raise RowError(where, f"bad coordinates for {key!r}: {exc}") from None
+        rows = [(row, f"{path}: line {reader.line_num}") for row in reader]
+    coordinates = parse_rows([(where, [row["lat"] or "", row["lon"] or ""]) for row, where in rows], 2)
+    for row, where in rows:
+        key = Gazetteer.normalize(row["location"] or "")
+        if not key:
+            raise RowError(where, "empty location")
+        if key in entries:
+            raise ConflictError(f"{where}: duplicate gazetteer entry {key!r}")
+        lat, lon = next(coordinates)
+        try:
+            entries[key] = GeoPoint(lat, lon)
+        except DomainError as exc:
+            raise RowError(where, f"bad coordinates for {key!r}: {exc}") from None
     return Gazetteer(entries=entries)
 
 
@@ -162,14 +164,16 @@ def _infer_format(path: Path) -> str:
     raise FormatError(f"cannot infer corpus format from {path.name!r}; pass format explicitly")
 
 
-def _coords_from_fields(lat: str | None, lon: str | None, where: str) -> GeoPoint | None:
-    has_lat = lat is not None and lat != ""
-    has_lon = lon is not None and lon != ""
-    if not has_lat and not has_lon:
-        return None
-    if has_lat != has_lon:
+def _coordinate_cells(row: dict) -> list[str]:
+    """The row's lat and lon cells that are given."""
+    return [row[key] for key in ("lat", "lon") if row.get(key) not in (None, "")]
+
+
+def _has_coords(row: dict, where: str) -> bool:
+    given = len(_coordinate_cells(row))
+    if given == 1:
         raise RowError(where, "lat and lon must be given together")
-    return GeoPoint(*parse_floats(where, [lat, lon]).tolist())
+    return given == 2
 
 
 def load_corpus(path: str | Path, format: str | None = None) -> list[Record]:
@@ -183,9 +187,9 @@ def load_corpus(path: str | Path, format: str | None = None) -> list[Record]:
     if fmt not in CORPUS_FORMATS:
         raise FormatError(f"unknown corpus format {fmt!r}; expected one of {CORPUS_FORMATS}")
     if fmt == "jsonl":
-        records = list(_read_jsonl(path))
+        records = _records(_read_jsonl(path))
     else:
-        records = list(_read_delimited(path, delimiter="\t" if fmt == "tsv" else ","))
+        records = _records(_read_delimited(path, delimiter="\t" if fmt == "tsv" else ","))
     seen: set[str] = set()
     for record in records:
         if record.id in seen:
@@ -194,19 +198,40 @@ def load_corpus(path: str | Path, format: str | None = None) -> list[Record]:
     return records
 
 
-def _read_delimited(path: Path, delimiter: str) -> Iterable[Record]:
-    with open(path, newline="", encoding="utf-8") as fh:
+def _records(rows: Iterator[tuple[dict, str]]) -> list[Record]:
+    """Records from (row, where) pairs; the first fault in file order raises.
+
+    A fault met while reading the rows is raised after those read before
+    it are checked.
+    """
+    read: list[tuple[dict, str]] = []
+    try:
+        read.extend(rows)
+        fault = None
+    except SemfuseError as exc:
+        fault = exc
+    # a row that gives only one of lat and lon is left out; `_has_coords` rejects it in order
+    coordinates = parse_rows([(where, cells) for row, where in read
+                              if len(cells := _coordinate_cells(row)) == 2], 2)
+    records = [_record_from_mapping(row, where, coordinates) for row, where in read]
+    if fault is not None:
+        raise fault
+    return records
+
+
+def _read_delimited(path: Path, delimiter: str) -> Iterator[tuple[dict, str]]:
+    with open_text(path) as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         fields = reader.fieldnames or []
         for column in ("id", "text", "timestamp"):
             if column not in fields:
                 raise SchemaError(f"{path}: missing column {column!r}")
         for row in reader:
-            yield _record_from_mapping(row, f"{path}: line {reader.line_num}")
+            yield row, f"{path}: line {reader.line_num}"
 
 
-def _read_jsonl(path: Path) -> Iterable[Record]:
-    with open(path, encoding="utf-8") as fh:
+def _read_jsonl(path: Path) -> Iterator[tuple[dict, str]]:
+    with open_text(path, newline=None) as fh:
         for number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -221,12 +246,11 @@ def _read_jsonl(path: Path) -> Iterable[Record]:
                 if key not in obj:
                     raise SchemaError(f"{where}: missing key {key!r}")
             mapping = {k: obj.get(k) for k in ("id", "text", "timestamp", "location", "lat", "lon")}
-            yield _record_from_mapping(
-                {k: v if v is None else str(v) for k, v in mapping.items()}, where
-            )
+            yield {k: v if v is None else str(v) for k, v in mapping.items()}, where
 
 
-def _record_from_mapping(row: dict, where: str) -> Record:
+def _record_from_mapping(row: dict, where: str, coordinates: Iterator[list[float]]) -> Record:
+    """The row's Record; `coordinates` yields the values of each row that gives both lat and lon."""
     rid = row.get("id") or ""
     text = row.get("text")
     if text is None:
@@ -241,7 +265,7 @@ def _record_from_mapping(row: dict, where: str) -> Record:
             text=text,
             timestamp=int(stamp),
             location=(row.get("location") or None),
-            coords=_coords_from_fields(row.get("lat"), row.get("lon"), where),
+            coords=GeoPoint(*next(coordinates)) if _has_coords(row, where) else None,
         )
     except DomainError as exc:
         raise RowError(where, str(exc)) from None

@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import CleanDoc
 from .errors import ConflictError, DomainError, FormatError, SchemaError, UnknownKeyError
-from .table import parse_floats, read_table, write_table
+from .table import open_text, parse_floats, read_table, write_table
 
 DEFAULT_RIDGE_SCALE = 1e-3
 _SYMMETRY_TOL = 1e-9
@@ -147,7 +147,7 @@ def _read_table(path: str | Path) -> tuple[list[str], np.ndarray | None]:
     The rows are None when the file holds no values or numpy rejects them.
     """
     tokens: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, newline=None) as fh:
         texts = _value_texts(fh, tokens)
         first = next(texts, None)
         if first is None:
@@ -165,7 +165,7 @@ def _raise_first_fault(path: str | Path) -> NoReturn:
     """Re-read a rejected table line by line and raise its first fault."""
     seen: set[str] = set()
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:

@@ -22,7 +22,7 @@ from .errors import DomainError, RowError, SchemaError, UnknownKeyError
 from .rankopt import RankMatrix, rank_loss
 from .spectra import AugmentedSpace, augment, cosine, fit_pca_models, transform
 from .spectra import fit_pca  # noqa: F401  # kept in this namespace: bench/tracer.py patches it
-from .table import filled_rows, parse_floats, write_table
+from .table import filled_rows, open_text, parse_floats, write_table
 
 SWEEP_VARIANTS = ("all_features", "condensed_time", "pca_only")
 
@@ -83,7 +83,7 @@ def load_labels(
         raise DomainError(f"scale_max must be positive, got {scale_max}")
     known = set(corpus_ids) if corpus_ids is not None else None
     pairs: list[LabeledPair] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["id_a", "id_b"]:

@@ -39,7 +39,7 @@ from .corpus import Record
 from .errors import ConfigError, ConflictError, DomainError, FormatError, RowError, SemfuseError
 from .geotime import SECONDS_PER_DAY, GeoPoint, great_circle_miles, haversine_miles
 from ._score_rows import write_rows
-from .table import filled_rows, read_table, row_line, write_table
+from .table import filled_rows, open_text, read_table, row_line, write_table
 
 SIM_KINDS = ("sigma", "pi")
 DIST_KINDS = ("exp_abs", "inv_abs", "floor_geo")
@@ -424,7 +424,7 @@ def save_score_matrix(scores: np.ndarray, path: str | Path) -> None:
     try:
         with open(partial, "wb") as fh, helper as helper_lines:
             below = [bytearray() for _ in range(m)]
-            write_rows(fh, (",".join(map(repr, scores[i, i:].tolist())).encode() for i in range(split)), below)
+            write_rows(fh, (scores[i, i:].tolist() for i in range(split)), below)
             for column, line in zip(below[split:], helper_lines):
                 fh.write(column)
                 fh.write(line)
@@ -488,7 +488,7 @@ def load_rank_labels(path: str | Path) -> RankMatrix:
     the file carries scores; rankings are always derived here. Numbers
     follow the grammar of `table.parse_floats`; blank rows are skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         first = next(filled_rows(csv.reader(fh)), None)
     if first is None:
         raise FormatError(f"{path}: empty labels file")

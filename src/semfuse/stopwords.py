@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import FormatError
+from .table import open_text
 
 # Compact general-purpose English list; override with load_stopwords() for
 # domain-specific filtering.
@@ -34,7 +35,7 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     format error: matching in preprocess() is done against lowercased text.
     """
     words = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             token = line.strip()
             if not token:

@@ -1,18 +1,24 @@
-"""Numeric CSV tables: one writer, one streamed reader, one number grammar.
+"""Numeric CSV tables: one writer, one reader, one number grammar.
 
 `write_table` writes each float as its shortest `repr`, so it reads back
-bit for bit. Every numeric cell is read by `parse_floats` or by the one
-`np.loadtxt` call of `read_table`, in numpy's grammar: `1_0` and non-ASCII
-digits are not numbers, and `nan`, `inf` or `1e999` is not finite. Errors
-read `<file>: line <n>: <reason>`, counting the header as line 1.
+bit for bit; it joins a row's floats in one call. `read_table` parses the
+rows of a file with one `np.loadtxt` call; only a file that numpy rejects,
+or whose result it cannot vouch for, is read again row by row with `csv`,
+which names the first fault. Every numeric cell is read by numpy, in its
+grammar: `1_0` and non-ASCII digits are not numbers, and `nan`, `inf` or
+`1e999` is not finite. Errors read `<file>: line <n>: <reason>`, counting
+the header as line 1. `open_text` opens every text input of the package,
+so a byte that is not UTF-8 is an error of that form too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -23,11 +29,28 @@ _ROWS = {"delimiter": ",", "comments": None, "dtype": float, "ndmin": 2}  # one 
 
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence],
                 lineterminator: str = "\r\n") -> None:
-    """Write the header, then the rows; numbers as Python floats, which `csv` prints by `repr`."""
+    """Write the header, then the rows, each Python float as its shortest `repr`.
+
+    When every cell of a row after the first (or every cell) is a Python
+    float, those cells are joined in one call. Every other cell (an id,
+    a label, a numpy scalar) goes through `csv` quoting, as does every
+    other row, so the bytes are those of one `csv.writer` for all rows.
+    """
+    firsts: list[str] = []  # a row's first cell, its comma and the line end, as `csv` quotes them
+    first = csv.writer(SimpleNamespace(write=firsts.append), lineterminator=lineterminator)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator=lineterminator)
         writer.writerow(header)
-        writer.writerows(rows)
+        for row in rows:
+            lead = 0 if row and type(row[0]) is float else 1
+            floats = row[lead:]
+            if not floats or set(map(type, floats)) != {float}:
+                writer.writerow(row)
+                continue
+            if lead:
+                first.writerow([row[0], ""])  # two fields, so an empty cell is not quoted
+                fh.write(firsts.pop().removesuffix(lineterminator))
+            fh.write(",".join(map(repr, floats)) + lineterminator)
 
 
 def filled_rows(reader: Iterable[list[str]]) -> Iterator[list[str]]:
@@ -42,7 +65,7 @@ def parse_floats(where: str, cells: Sequence[str]) -> np.ndarray:
     """
     line = ",".join(cells)
     try:
-        values = np.loadtxt([line], **_ROWS)[0] if line else None  # an empty line is skipped
+        values = np.loadtxt([line], **_ROWS)[0] if line.strip() else None  # numpy skips an empty line
     except ValueError:
         values = None
     if values is None or len(values) != len(cells):
@@ -52,13 +75,53 @@ def parse_floats(where: str, cells: Sequence[str]) -> np.ndarray:
     return values
 
 
+def parse_rows(rows: Sequence[tuple[str, Sequence[str]]], width: int) -> Iterator[list[float]]:
+    """The values of each (where, cells) row of `width` cells, in order, as `parse_floats` reads them.
+
+    All rows are parsed by one numpy call. If any would fail, each row is
+    parsed by `parse_floats` as it is taken, so a caller that checks a row
+    before taking its values raises the first fault in file order.
+    """
+    lines = [",".join(cells) for _, cells in rows]
+    try:
+        values = np.loadtxt(lines, **_ROWS) if lines and all(map(str.strip, lines)) else None
+    except ValueError:
+        values = None
+    if values is not None and values.shape == (len(lines), width) and np.isfinite(values).all():
+        return iter(values.tolist())
+    return (parse_floats(where, cells).tolist() for where, cells in rows)
+
+
 def row_line(path: str | Path, index: int, header: bool = False) -> int:
     """The line of data row `index` (0-based, after the header, blank rows skipped), as `read_table` counts."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         for _ in itertools.islice(filled_rows(reader), index + header + 1):
             pass
         return reader.line_num
+
+
+@contextlib.contextmanager
+def open_text(path: str | Path, newline: str | None = "") -> Iterator[TextIO]:
+    """Open a UTF-8 text file; a byte read from it that is not UTF-8 raises FormatError.
+
+    The error reads `<file>: line <n>: not UTF-8 text`.
+    """
+    with open(path, newline=newline, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+
+
+def _not_utf8(path: str | Path) -> FormatError:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")  # a byte that is not UTF-8 decoded to a lone surrogate
+            except UnicodeEncodeError:
+                return FormatError(f"{path}: line {number}: not UTF-8 text")
+    return FormatError(f"{path}: not UTF-8 text")
 
 
 def read_table(path: str | Path, check_header: Callable[[list[str]], None] | None = None,
@@ -70,48 +133,80 @@ def read_table(path: str | Path, check_header: Callable[[list[str]], None] | Non
     first row fixes the field count. With `ids`, the first field is an id,
     which may not repeat. A wrong field count or a repeated id is raised
     before any bad value; of the bad values, the first is raised.
+
+    The rows after the header are parsed by one `np.loadtxt` call, which
+    splits and unquotes the fields as `csv` does. A table it rejects, or
+    whose result it cannot vouch for, is read again by `csv` row by row,
+    which raises the first fault.
     """
     skip = 1 if ids else 0  # fields before the numbers
-    row_ids: dict[str, None] = {}  # in file order
-
-    def value_lines(rows: Iterable[list[str]]) -> Iterator[str]:
-        for row in rows:
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != width:
-                raise FormatError(f"{where}: expected {width} fields, got {len(row)}")
-            if ids:
-                if row[0] in row_ids:
-                    raise ConflictError(f"{where}: duplicate id {row[0]!r}")
-                row_ids[row[0]] = None
-            yield ",".join(row[skip:]) or ","  # a lone empty cell must fail, not be skipped
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = filled_rows(reader)
-        header = next(rows, [])
+    with open_text(path) as fh:
+        header = next(filled_rows(csv.reader(fh)), []) if check_header else None
         if check_header:
             check_header(header)
-        else:
-            rows = itertools.chain([header] if header else [], rows)
-        width = len(header)
-        lines = value_lines(rows)
-        first = next(lines, None)
-        matrix = np.zeros((0, width - skip))
-        if first is not None:
-            try:
-                matrix = np.loadtxt(itertools.chain([first], lines), **_ROWS)
-            except ValueError:
-                matrix = None
-        for _ in lines:  # the rows after a bad value still get their fields checked
-            pass
-        if matrix is None or matrix.shape[1] != width - skip or not np.isfinite(matrix).all():
+        row_ids: list[str] = []
+        matrix = _bulk_rows(fh, None if header is None else len(header), row_ids if ids else None)
+        if matrix is None:
             fh.seek(0)
-            reader = csv.reader(fh)
-            rows = filled_rows(reader)
-            if check_header:
-                next(rows)
-            for row in rows:
-                parse_floats(f"{path}: line {reader.line_num}", row[skip:])
-            # reached only if the bulk read and the line-by-line read disagree
-            raise FormatError(f"{path}: values could not be read as one table")
-    return (header if check_header else None), list(row_ids), matrix
+            return header, *_checked_rows(path, fh, check_header is not None, skip)
+    return header, row_ids, np.ascontiguousarray(matrix[:, skip:])
+
+
+def _bulk_rows(lines: Iterable[str], width: int | None, ids: list[str] | None) -> np.ndarray | None:
+    """The rows of `lines` as one matrix; with `ids`, each row's first field goes there and reads as 0.
+
+    None when numpy rejects the rows, when they are not `width` fields wide,
+    hold a non-finite value or repeat an id, when there are none, or when a
+    value field is quoted: numpy would read the line breaks inside it as
+    blanks.
+    """
+    lines = itertools.dropwhile(str.isspace, lines)  # leading blank rows; numpy rejects later ones
+    first = next(lines, None)
+    if first is None:
+        return None
+    quote = '"' if ids is None else ',"'  # the start of a quoted value field
+
+    def unquoted(line: str) -> str:
+        if quote in line:
+            raise ValueError("a quoted value field")
+        return line
+
+    def collect(field: str) -> float:
+        ids.append(field)
+        return 0.0
+
+    try:
+        matrix = np.loadtxt(map(unquoted, itertools.chain([first], lines)), quotechar='"',
+                            converters=None if ids is None else {0: collect}, **_ROWS)
+    except ValueError:
+        return None
+    if width is not None and matrix.shape[1] != width:
+        return None
+    if matrix.shape[1] == (ids is not None) or not np.isfinite(matrix).all():
+        return None  # no value fields, or a value that is not finite
+    if ids is not None and len(set(ids)) != len(ids):
+        return None
+    return matrix
+
+
+def _checked_rows(path: str | Path, fh: TextIO, header: bool, skip: int) -> tuple[list[str], np.ndarray]:
+    """`read_table` by `csv` alone: (ids, matrix), or the first fault in the order it documents."""
+    reader = csv.reader(fh)
+    rows = filled_rows(reader)
+    first = next(rows, [])
+    if not header:
+        rows = itertools.chain([first] if first else [], rows)
+    width = len(first)
+    row_ids: dict[str, None] = {}  # in file order
+    values = []
+    for row in rows:
+        where = f"{path}: line {reader.line_num}"
+        if len(row) != width:
+            raise FormatError(f"{where}: expected {width} fields, got {len(row)}")
+        if skip:
+            if row[0] in row_ids:
+                raise ConflictError(f"{where}: duplicate id {row[0]!r}")
+            row_ids[row[0]] = None
+        values.append((where, row[skip:]))
+    matrix = np.array([parse_floats(where, cells) for where, cells in values])
+    return list(row_ids), matrix.reshape(len(values), width - skip)

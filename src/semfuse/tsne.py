@@ -27,7 +27,7 @@ from .errors import (
     FormatError,
     SchemaError,
 )
-from .table import write_table
+from .table import open_text, write_table
 
 KERNELS = ("gaussian", "student_t")
 COST_MODES = ("joint", "conditional")
@@ -505,7 +505,7 @@ def write_trace_csv(kl_trace: np.ndarray, path: str | Path) -> None:
 def load_colors(path: str | Path) -> dict[str, str]:
     """Read an id,color CSV for scatter fills."""
     colors: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["id", "color"]:

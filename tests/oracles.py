@@ -28,7 +28,10 @@ per value, before `semfuse.embed` parsed the whole table with numpy.
 `WRITERS` holds the CSV writers as each stage had its own, one
 `csv.writer` row and one `repr` per cell, before they all went through
 `semfuse.table.write_table`; `eval_csv` is the loop `eval` wrote
-`eval.csv` with.
+`eval.csv` with. `write_table` is that function as it was when one
+`csv.writer` wrote every row; `read_table` is its reader as it was when
+`csv` split every row and one `np.loadtxt` call parsed the joined value
+cells.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from semfuse.errors import CalibrationError, ConflictError, DomainError, FormatE
 from semfuse.geotime import EARTH_RADIUS_MILES, FEATURE_COLUMNS, great_circle_miles
 from semfuse.rankopt import SimilarityParams, rank_loss, rank_matrix
 from semfuse.rankopt import pairwise_scores as matrix_scores
+from semfuse.table import _ROWS, filled_rows, parse_floats
 from semfuse.tsne import (
     _MAX_STEP,
     _MIN_GAIN,
@@ -329,6 +333,60 @@ WRITERS = {
     "evalkit.save_rank_heatmap": save_rank_heatmap,
     "spectra.save_delta_csv": save_delta_csv,
 }
+
+
+def write_table(path, header, rows, lineterminator="\r\n") -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table(path, check_header=None, ids=False):
+    """(header, ids, matrix): csv splits the rows, one np.loadtxt call parses the joined values."""
+    skip = 1 if ids else 0
+    row_ids: dict[str, None] = {}
+
+    def value_lines(rows):
+        for row in rows:
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != width:
+                raise FormatError(f"{where}: expected {width} fields, got {len(row)}")
+            if ids:
+                if row[0] in row_ids:
+                    raise ConflictError(f"{where}: duplicate id {row[0]!r}")
+                row_ids[row[0]] = None
+            yield ",".join(row[skip:]) or ","
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = filled_rows(reader)
+        header = next(rows, [])
+        if check_header:
+            check_header(header)
+        else:
+            rows = itertools.chain([header] if header else [], rows)
+        width = len(header)
+        lines = value_lines(rows)
+        first = next(lines, None)
+        matrix = np.zeros((0, width - skip))
+        if first is not None:
+            try:
+                matrix = np.loadtxt(itertools.chain([first], lines), **_ROWS)
+            except ValueError:
+                matrix = None
+        for _ in lines:
+            pass
+        if matrix is None or matrix.shape[1] != width - skip or not np.isfinite(matrix).all():
+            fh.seek(0)
+            reader = csv.reader(fh)
+            rows = filled_rows(reader)
+            if check_header:
+                next(rows)
+            for row in rows:
+                parse_floats(f"{path}: line {reader.line_num}", row[skip:])
+            raise FormatError(f"{path}: values could not be read as one table")
+    return (header if check_header else None), list(row_ids), matrix
 
 
 def eval_csv(rows) -> str:

@@ -278,6 +278,51 @@ class TestStageOrdering:
         assert not (out / "eval.csv").exists()
 
 
+def with_bad_byte(source, dest, line):
+    """Copy source to dest with a byte that is not UTF-8 at the start of line `line` (1-based)."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    dest.write_bytes(b"".join(lines))
+    return dest
+
+
+class TestNonUtf8Input:
+    # (fixture file made bad, or None for the issue's embeddings.csv, the
+    # stages run first, the failing command with {bad} for the bad file)
+    CASES = {
+        "corpus": ("corpus", [], ["ingest", "--corpus", "{bad}"]),
+        "gazetteer": ("gazetteer", [], ["ingest", "--corpus", "{corpus}", "--gazetteer", "{bad}"]),
+        "word vectors": ("vectors", [["ingest", "--corpus", "{corpus}"]],
+                         ["embed", "--word-vectors", "{bad}"]),
+        "embeddings": (None, [["ingest", "--corpus", "{corpus}"], ["embed", "--word-vectors", "{vectors}"]],
+                       ["reduce", "--k", "1"]),
+        "rater labels": ("labels", [["ingest", "--corpus", "{corpus}"], ["embed", "--word-vectors", "{vectors}"]],
+                         ["eval", "--mode", "quality", "--space", "embeddings.csv", "--labels", "{bad}"]),
+        "rank labels": ("rank_labels", [["ingest", "--corpus", "{corpus}", "--gazetteer", "{gazetteer}"],
+                                        ["embed", "--word-vectors", "{vectors}"]],
+                        ["optimize", "--labels", "{bad}", "--rounds", "1"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_naming_the_file_and_line(self, pipeline_fixture, tmp_path, capsys, case):
+        source, before, command = self.CASES[case]
+        out = tmp_path / "out"
+        if source is None:
+            bad = out / "embeddings.csv"
+        else:
+            bad = with_bad_byte(pipeline_fixture[source], tmp_path / pipeline_fixture[source].name, 3)
+        names = {key: str(value) for key, value in pipeline_fixture.items()}
+        for stage in before:
+            assert main(["--out-dir", str(out)] + [arg.format(**names) for arg in stage]) == 0
+        if source is None:
+            bad.write_bytes(b"id,e1,e2\na,1.0,2.0\nb,\xff3.0,4.0\n")
+        capsys.readouterr()
+        assert main(["--out-dir", str(out)] + [arg.format(bad=bad, **names) for arg in command]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: line 3: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+
 class TestSidecarHash:
     @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (5 << 20) // 2])
     def test_digest_equals_sha256_of_the_bytes(self, tmp_path, size):

@@ -1,8 +1,12 @@
 import json
 import re
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import semfuse.corpus as corpus
+import semfuse.table as table
 
 from semfuse.corpus import (
     Gazetteer,
@@ -15,7 +19,7 @@ from semfuse.corpus import (
     resolve_coordinates,
     save_corpus,
 )
-from semfuse.errors import ConflictError, FormatError, RowError, SchemaError, UnknownKeyError
+from semfuse.errors import ConflictError, FormatError, RowError, SchemaError, SemfuseError, UnknownKeyError
 from semfuse.geotime import GeoPoint
 from semfuse.stopwords import DEFAULT_STOPWORDS
 
@@ -138,6 +142,87 @@ class TestNumberGrammar:
     def test_spaced_and_signed_numbers_still_read(self, tmp_path):
         p = write(tmp_path / "c.csv", "id,text,timestamp,lat,lon\na,ok, +100 , 40.5 ,-75.25\n")
         assert load_corpus(p) == [Record("a", "ok", 100, coords=GeoPoint(40.5, -75.25))]
+
+
+COORDINATE_CELLS = ["", "12.5", "-0.0", " 3 ", "1_0", "nan", "x", "91", "-181", "1e999", "45"]
+STAMP_CELLS = ["0", "17", "-1", "x"]
+
+
+def loaded(load, path):
+    """What one load gives: its result, or (exception class, message)."""
+    try:
+        return load(path)
+    except SemfuseError as exc:
+        return type(exc), str(exc)
+
+
+def row_by_row(rows, width):
+    """Coordinates as the loaders parsed them before: one parse_floats call per row, in order."""
+    return (table.parse_floats(where, cells).tolist() for where, cells in rows)
+
+
+def assert_loads_as_row_by_row(load, path):
+    result = loaded(load, path)
+    with mock.patch.object(corpus, "parse_rows", row_by_row):
+        assert result == loaded(load, path)
+
+
+class TestCoordinatesInOneParse:
+    def test_good_files_make_no_per_row_parse(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(table, "parse_floats", None)
+        rows = "".join(f"t{i},text {i},{i},,{i % 90}.5,-{i}.25\n" for i in range(50))
+        records = load_corpus(write(tmp_path / "c.csv", "id,text,timestamp,location,lat,lon\n" + rows))
+        assert [r.coords for r in records[:2]] == [GeoPoint(0.5, -0.25), GeoPoint(1.5, -1.25)]
+        gaz = load_gazetteer(write(tmp_path / "g.csv", "location,lat,lon\nA,1.5,2\nB,-3,4e1\n"))
+        assert gaz.entries == {"a": GeoPoint(1.5, 2.0), "b": GeoPoint(-3.0, 40.0)}
+
+    @pytest.mark.parametrize("rows, line, reason", [
+        ("a,t,x,,1,2\nb,t,1,,1_0,2\n", 2, "timestamp 'x' is not an integer"),
+        ("a,t,1,,1_0,2\nb,t,x,,1,2\n", 2, "non-numeric value"),
+        ("a,t,1,,1,2\nb,t,1,,1,\nc,t,1,,nan,2\n", 3, "lat and lon must be given together"),
+        ("a,t,1,,91,2\nb,t,1,,x,2\n", 2, "latitude 91.0 outside"),
+    ])
+    def test_first_fault_in_file_order(self, tmp_path, rows, line, reason):
+        p = write(tmp_path / "c.csv", "id,text,timestamp,location,lat,lon\n" + rows)
+        with pytest.raises(SemfuseError, match=f"^{re.escape(str(p))}: line {line}: {reason}"):
+            load_corpus(p)
+
+    def test_jsonl_row_fault_comes_before_a_later_bad_line(self, tmp_path):
+        p = write(tmp_path / "c.jsonl", '{"id": "a", "text": "t", "timestamp": "x"}\n{\n')
+        with pytest.raises(RowError, match="line 1: timestamp 'x'"):
+            load_corpus(p)
+        p = write(tmp_path / "c.jsonl", '{"id": "a", "text": "t", "timestamp": 1, "lat": 1, "lon": 2}\n{\n')
+        with pytest.raises(RowError, match="line 2: invalid JSON"):
+            load_corpus(p)
+
+    def test_gazetteer_row_checks_come_before_its_coordinates(self, tmp_path):
+        p = write(tmp_path / "g.csv", "location,lat,lon\nA,1,2\n,x,2\n")
+        with pytest.raises(RowError, match="line 3: empty location$"):
+            load_gazetteer(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from(["a", "b", ""]), st.sampled_from(STAMP_CELLS),
+                                   st.sampled_from(COORDINATE_CELLS), st.sampled_from(COORDINATE_CELLS)),
+                         max_size=5),
+           fmt=st.sampled_from(["csv", "jsonl"]))
+    def test_corpus_loads_as_row_by_row(self, tmp_path_factory, rows, fmt):
+        path = tmp_path_factory.mktemp("corpus") / f"c.{fmt}"
+        if fmt == "csv":
+            text = "id,text,timestamp,location,lat,lon\n" + "".join(
+                f"{rid},t,{stamp},,{lat},{lon}\n" for rid, stamp, lat, lon in rows)
+        else:
+            text = "".join(json.dumps({"id": rid, "text": "t", "timestamp": stamp,
+                                       **({"lat": lat} if lat else {}), **({"lon": lon} if lon else {})}) + "\n"
+                           for rid, stamp, lat, lon in rows)
+        assert_loads_as_row_by_row(load_corpus, write(path, text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from(["A", "b", "a", ""]), st.sampled_from(COORDINATE_CELLS),
+                                   st.sampled_from(COORDINATE_CELLS)), max_size=5))
+    def test_gazetteer_loads_as_row_by_row(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("gazetteer") / "g.csv"
+        text = "location,lat,lon\n" + "".join(f"{name},{lat},{lon}\n" for name, lat, lon in rows)
+        assert_loads_as_row_by_row(load_gazetteer, write(path, text))
 
 
 class TestPreprocess:

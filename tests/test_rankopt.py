@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import os
@@ -14,6 +15,7 @@ import oracles
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import semfuse._score_rows as score_rows
 import semfuse.rankopt as rankopt
 from semfuse.corpus import Record
 from semfuse.errors import ConfigError, ConflictError, DomainError, FormatError, RowError, SemfuseError
@@ -716,6 +718,28 @@ class TestSaveScoreMatrix:
         assert path.read_bytes() == oracles.score_matrix_text(scores).encode("ascii")
         assert blocks == ([] if m < 200 else [m - split])
 
+    @pytest.mark.parametrize("m", [1, 15, 16, 17, 33])
+    def test_bytes_equal_the_per_cell_writer_at_the_block_edges(self, tmp_path, monkeypatch, m):
+        # blocks of 16 rows: part of one, exactly one, one and a row, two and a row
+        monkeypatch.setattr(score_rows, "_BLOCK_CELLS", 16 * m)
+        assert m * m < rankopt._HELPER_MIN_CELLS
+        scores = symmetric_matrix(m, seed=m)
+        path = tmp_path / "scores.csv"
+        save_score_matrix(scores, path)
+        assert path.read_bytes() == oracles.score_matrix_text(scores).encode("ascii")
+
+    @pytest.mark.parametrize("m, rows", [(250, 10), (2000, None)])
+    def test_bytes_equal_the_per_cell_writer_with_the_helper_cut_inside_a_block(self, tmp_path, monkeypatch,
+                                                                                m, rows):
+        if rows is not None:  # the helper process keeps its own block size
+            monkeypatch.setattr(score_rows, "_BLOCK_CELLS", rows * m)
+        split = rankopt._helper_start(m)
+        assert split % (score_rows._BLOCK_CELLS // m) != 0
+        scores = symmetric_matrix(m, seed=m + 1)
+        path = tmp_path / "scores.csv"
+        save_score_matrix(scores, path)
+        assert path.read_bytes() == oracles.score_matrix_text(scores).encode("ascii")
+
     def test_no_helper_without_an_interpreter_path(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "executable", "")
         monkeypatch.setattr(rankopt, "_helper_rows", None)
@@ -780,6 +804,18 @@ class TestSaveScoreMatrix:
                               input=block.tobytes(), capture_output=True, check=True, timeout=60)
         assert done.stdout == b"0.5,1e-05,-2.0\n1e-05,5e-324,1e+16\n-2.0,1e+16,0.0\n"
         assert done.stdout == oracles.score_matrix_text(block).encode("ascii")
+
+    def test_helper_imports_only_modules_built_into_the_interpreter(self):
+        # anything else is looked up and loaded from disk at each start
+        imported = set()
+        for node in ast.walk(ast.parse(rankopt._SCORE_ROWS.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+            elif isinstance(node, ast.Name) and node.id == "__import__":
+                imported.add("__import__")
+        assert imported and imported <= set(sys.builtin_module_names)
 
     def test_peak_memory_stays_below_the_whole_triangle(self, tmp_path):
         # the column lists peak near m^2/4 texts, about 17 B per cell;
