@@ -5,6 +5,14 @@ each with a `.meta` sidecar recording input hashes, parameters, and the
 seed, so any output can be reproduced exactly. Configuration comes from a
 flat `key = value` file with command-line flags taking precedence.
 
+Each `cmd_*` function reads its inputs and writes its outputs through a
+`Run`, which records every input under its sidecar key and hands out
+output paths in a staging directory, and returns (the params of its
+sidecars, the summary `main` prints). `main` then commits the run: it
+writes each output's sidecar beside it and moves every output and
+sidecar into the output directory. A failed stage leaves the output
+directory as it was.
+
 Subcommands: ingest, encode, embed, reduce, augment, score, optimize,
 tsne, eval, sweep.
 """
@@ -14,6 +22,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -57,7 +67,7 @@ from .rankopt import (
     save_score_matrix,
     save_trace_csv,
 )
-from .spectra import delta_cosine_experiment, fit_pca, save_delta_csv, transform
+from .spectra import augment, delta_cosine_experiment, fit_pca, save_delta_csv, transform
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .table import open_text, write_table
 from .tsne import (
@@ -111,7 +121,7 @@ def load_config(path: str | Path) -> dict[str, str]:
 
 
 class Run:
-    """Resolved settings for one invocation: config file values + flags."""
+    """One invocation: its settings (config file values + flags), inputs and staged outputs."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
@@ -123,6 +133,9 @@ class Run:
             self.seed = args.seed
         else:
             self.seed = _parse_int("seed", self.config.get("seed", "0"))
+        self.staging = self.out_dir / f".{args.command}.{os.getpid()}.tmp"
+        self.inputs: dict[str, Path] = {}  # sidecar key -> file read
+        self.outputs: list[Path] = []  # staged paths, in the order handed out
 
     def setting(self, key: str, default: str | None = None) -> str | None:
         flag = getattr(self.args, key, None)
@@ -138,26 +151,49 @@ class Run:
         return value
 
     def input_file(self, key: str, noun: str, required: bool = True) -> Path | None:
-        """The existing file a flag or config key names; None if optional and unset."""
+        """The file a flag or key names, recorded under that key; None if optional and unset."""
         value = self.require(key) if required else self.setting(key)
         if not value and not required:
             return None
         path = Path(value)
         if not path.exists():
             raise ConfigError(f"{noun} file {path} does not exist")
+        self.inputs[key] = path
         return path
 
-    def path_out(self, name: str) -> Path:
-        return self.out_dir / name
-
-    def stage_input(self, name: str) -> Path:
+    def stage_input(self, name: str, key: str | None = None) -> Path:
+        """An earlier stage's output, recorded under `key` (default: the file's stem)."""
         path = self.out_dir / name
         if not path.exists():
             stage = STAGE_OF.get(name)
             if stage:
                 raise PipelineError(f"{path} not found; run the '{stage}' stage first")
             raise PipelineError(f"{path} not found")
+        self.inputs[key or path.stem] = path
         return path
+
+    def path_out(self, name: str) -> Path:
+        """Where the stage writes output `name`: in the staging directory, until the commit."""
+        self.staging.mkdir(exist_ok=True)
+        path = self.staging / name
+        self.outputs.append(path)
+        return path
+
+    def commit(self, stage: str, params: dict) -> list[Path]:
+        """Write every staged output's sidecar, then move each output and sidecar into out_dir.
+
+        The old sidecar goes before the output is replaced and the new one
+        follows it, so a crash between the renames leaves an output with no
+        sidecar, never one whose sidecar describes a different run.
+        """
+        for path in self.outputs:
+            write_sidecar(path, stage, self.inputs, params, self.seed)
+        final = [self.out_dir / path.name for path in self.outputs]
+        for path, dest in zip(self.outputs, final):
+            _meta_path(dest).unlink(missing_ok=True)
+            os.replace(path, dest)
+            os.replace(_meta_path(path), _meta_path(dest))
+        return final
 
 
 def _parse_int(name: str, value: str) -> int:
@@ -233,9 +269,12 @@ def write_sidecar(out_path: Path, stage: str, inputs: dict[str, Path], params: d
         entries[f"sha256_{name}"] = _sha256(path)
     for key, value in params.items():
         entries[f"param_{key}"] = _format_value(value)
-    meta = out_path.with_name(out_path.name + ".meta")
     lines = [f"{key} = {entries[key]}" for key in sorted(entries)]
-    meta.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _meta_path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _meta_path(path: Path) -> Path:
+    return path.with_name(path.name + ".meta")
 
 
 def _records_and_space(records_path: Path, embeddings_path: Path) -> tuple[list, EmbeddingSpace]:
@@ -246,90 +285,50 @@ def _records_and_space(records_path: Path, embeddings_path: Path) -> tuple[list,
     return records, space
 
 
-def cmd_ingest(run: Run) -> None:
-    corpus_path = run.input_file("corpus", "corpus")
-    records = load_corpus(corpus_path, format=run.setting("format"))
-    inputs = {"corpus": corpus_path}
+def cmd_ingest(run: Run) -> tuple[dict, str]:
+    records = load_corpus(run.input_file("corpus", "corpus"), format=run.setting("format"))
     gaz_path = run.input_file("gazetteer", "gazetteer", required=False)
     if gaz_path:
         records = resolve_coordinates(records, load_gazetteer(gaz_path))
-        inputs["gazetteer"] = gaz_path
-    out = run.path_out(RECORDS)
-    save_corpus(records, out, format="csv")
-    write_sidecar(out, "ingest", inputs, {"n_records": len(records)}, run.seed)
-    print(f"ingest: {len(records)} records -> {out}")
+    save_corpus(records, run.path_out(RECORDS), format="csv")
+    return {"n_records": len(records)}, f"{len(records)} records"
 
 
-def cmd_encode(run: Run) -> None:
+def cmd_encode(run: Run) -> tuple[dict, str]:
     variant = run.setting("variant", "all_features")
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    records_path = run.stage_input(RECORDS)
-    records = load_corpus(records_path, format="csv")
-    matrix = build_feature_matrix(records, variant)
-    out = run.path_out(FEATURES)
-    save_feature_matrix(out, matrix, variant)
-    write_sidecar(
-        out,
-        "encode",
-        {"records": records_path},
-        {"variant": variant, "shape": list(matrix.shape)},
-        run.seed,
-    )
-    print(f"encode: {matrix.shape[0]}x{matrix.shape[1]} feature matrix -> {out}")
+    matrix = build_feature_matrix(load_corpus(run.stage_input(RECORDS), format="csv"), variant)
+    save_feature_matrix(run.path_out(FEATURES), matrix, variant)
+    rows, columns = matrix.shape
+    return {"variant": variant, "shape": [rows, columns]}, f"{rows}x{columns} feature matrix"
 
 
-def cmd_embed(run: Run) -> None:
-    records_path = run.stage_input(RECORDS)
-    records = load_corpus(records_path, format="csv")
+def cmd_embed(run: Run) -> tuple[dict, str]:
+    records = load_corpus(run.stage_input(RECORDS), format="csv")
     run.require("word_vectors", "flag --word-vectors or key word_vectors")  # its hint differs
-    vectors_path = run.input_file("word_vectors", "word vector")
-    table = load_word_vectors(vectors_path)
-    inputs = {"records": records_path, "word_vectors": vectors_path}
+    table = load_word_vectors(run.input_file("word_vectors", "word vector"))
     stop_path = run.input_file("stopwords", "stopword", required=False)
-    if stop_path:
-        stopwords = load_stopwords(stop_path)
-        inputs["stopwords"] = stop_path
-    else:
-        stopwords = DEFAULT_STOPWORDS
-    docs = clean_corpus(records, stopwords)
+    docs = clean_corpus(records, load_stopwords(stop_path) if stop_path else DEFAULT_STOPWORDS)
     ridge_setting = run.setting("ridge")
     ridge = _parse_float("ridge", ridge_setting) if ridge_setting is not None else None
     ctx = fit_context(docs, table, ridge=ridge)
     space, fallback_ids = embed_corpus(docs, ctx, table)
-    out = run.path_out(EMBEDDINGS)
-    export_embeddings(space, out)
-    write_sidecar(
-        out,
-        "embed",
-        inputs,
-        {"dim": table.dim, "ridge": ctx.ridge, "fallback_ids": list(fallback_ids)},
-        run.seed,
-    )
-    print(f"embed: {len(space.ids)} embeddings of dim {table.dim} -> {out}")
+    export_embeddings(space, run.path_out(EMBEDDINGS))
+    params = {"dim": table.dim, "ridge": ctx.ridge, "fallback_ids": list(fallback_ids)}
+    return params, f"{len(space.ids)} embeddings of dim {table.dim}"
 
 
-def cmd_reduce(run: Run) -> None:
+def cmd_reduce(run: Run) -> tuple[dict, str]:
     k = _parse_int("k", run.require("k"))
-    embeddings_path = run.stage_input(EMBEDDINGS)
-    space = import_embeddings(embeddings_path)
+    space = import_embeddings(run.stage_input(EMBEDDINGS))
     model = fit_pca(space, k)
-    reduced = transform(model, space)
-    out = run.path_out(REDUCED)
-    export_embeddings(EmbeddingSpace(ids=space.ids, matrix=reduced), out)
-    write_sidecar(
-        out,
-        "reduce",
-        {"embeddings": embeddings_path},
-        {"k": k, "explained_variance": [float(v) for v in model.explained_variance]},
-        run.seed,
-    )
-    print(f"reduce: kept {k} of {space.dim} components -> {out}")
+    export_embeddings(EmbeddingSpace(space.ids, transform(model, space)), run.path_out(REDUCED))
+    params = {"k": k, "explained_variance": [float(v) for v in model.explained_variance]}
+    return params, f"kept {k} of {space.dim} components"
 
 
-def cmd_augment(run: Run) -> None:
-    from .spectra import augment
-
+def cmd_augment(run: Run) -> tuple[dict, str]:
     reduced_path = run.stage_input(REDUCED)
     features_path = run.stage_input(FEATURES)
     reduced = import_embeddings(reduced_path)
@@ -340,69 +339,48 @@ def cmd_augment(run: Run) -> None:
             f"{features_path} has {features.shape[0]} rows"
         )
     augmented = augment(reduced.matrix, features, reduced.ids)
-    out = run.path_out(AUGMENTED)
-    export_embeddings(EmbeddingSpace(ids=augmented.ids, matrix=augmented.matrix), out)
-    write_sidecar(
-        out,
-        "augment",
-        {"reduced": reduced_path, "features": features_path},
-        {
-            "k": augmented.k,
-            "f": augmented.f,
-            "variant": variant,
-            "feature_means": [float(v) for v in augmented.stats.means],
-            "feature_stds": [float(v) for v in augmented.stats.stds],
-            "constant_mask": [bool(v) for v in augmented.stats.constant_mask],
-        },
-        run.seed,
-    )
-    print(f"augment: {augmented.k}+{augmented.f} columns -> {out}")
+    export_embeddings(EmbeddingSpace(augmented.ids, augmented.matrix), run.path_out(AUGMENTED))
+    params = {
+        "k": augmented.k,
+        "f": augmented.f,
+        "variant": variant,
+        "feature_means": [float(v) for v in augmented.stats.means],
+        "feature_stds": [float(v) for v in augmented.stats.stds],
+        "constant_mask": [bool(v) for v in augmented.stats.constant_mask],
+    }
+    return params, f"{augmented.k}+{augmented.f} columns"
 
 
-def _similarity_params(run: Run) -> SimilarityParams:
+def _dist_kinds(run: Run) -> tuple[str, ...]:
+    kinds = run.setting("dist_kinds", ",".join(DEFAULT_DIST_KINDS))
+    return tuple(v.strip() for v in kinds.split(","))
+
+
+def cmd_score(run: Run) -> tuple[dict, str]:
+    records, space = _records_and_space(run.stage_input(RECORDS), run.stage_input(EMBEDDINGS))
     kind = run.setting("kind", "pi")
     if kind not in SIM_KINDS:
         raise ConfigError(f"unknown similarity kind {kind!r}; expected one of {SIM_KINDS}")
     alphas = tuple(_parse_float_list("alphas", run.setting("alphas", "0.02,9.55")))
-    dist_kinds = tuple(
-        v.strip() for v in run.setting("dist_kinds", ",".join(DEFAULT_DIST_KINDS)).split(",")
-    )
-    return SimilarityParams(kind=kind, alphas=alphas, dist_kinds=dist_kinds)
-
-
-def cmd_score(run: Run) -> None:
-    records_path = run.stage_input(RECORDS)
-    embeddings_path = run.stage_input(EMBEDDINGS)
-    records, space = _records_and_space(records_path, embeddings_path)
-    params = _similarity_params(run)
+    params = SimilarityParams(kind=kind, alphas=alphas, dist_kinds=_dist_kinds(run))
     scores = pairwise_scores(space.matrix, batch_features(records), params)
-    out = run.path_out(SCORES)
-    save_score_matrix(scores, out)
-    write_sidecar(
-        out,
-        "score",
-        {"records": records_path, "embeddings": embeddings_path},
-        {
-            "kind": params.kind,
-            "alphas": list(params.alphas),
-            "dist_kinds": list(params.dist_kinds),
-            "ids": list(space.ids),
-        },
-        run.seed,
-    )
-    print(f"score: {scores.shape[0]}x{scores.shape[1]} matrix -> {out}")
+    save_score_matrix(scores, run.path_out(SCORES))
+    return {
+        "kind": params.kind,
+        "alphas": list(params.alphas),
+        "dist_kinds": list(params.dist_kinds),
+        "ids": list(space.ids),
+    }, f"{scores.shape[0]}x{scores.shape[1]} matrix"
 
 
-def cmd_optimize(run: Run) -> None:
+def cmd_optimize(run: Run) -> tuple[dict, str]:
     records_path = run.stage_input(RECORDS)
     embeddings_path = run.stage_input(EMBEDDINGS)
     labels_path = run.input_file("labels", "labels")
     records, space = _records_and_space(records_path, embeddings_path)
     labels = load_rank_labels(labels_path)
     kind = run.setting("kind", "pi")
-    dist_kinds = tuple(
-        v.strip() for v in run.setting("dist_kinds", ",".join(DEFAULT_DIST_KINDS)).split(",")
-    )
+    dist_kinds = _dist_kinds(run)
     step_setting = run.setting("step")
     cfg = GridConfig(
         bounds=_parse_bounds(run.setting("bounds", "0:1,0:12")),
@@ -413,31 +391,23 @@ def cmd_optimize(run: Run) -> None:
     params, loss, trace = optimize_alphas(
         space.matrix, batch_features(records), labels, kind, dist_kinds, cfg
     )
-    out = run.path_out(OPTIMIZE_TRACE)
-    save_trace_csv(trace, out)
+    save_trace_csv(trace, run.path_out(OPTIMIZE_TRACE))
     best = {f"alpha{i}": a for i, a in enumerate(params.alphas, start=1)}
-    write_sidecar(
-        out,
-        "optimize",
-        {"records": records_path, "embeddings": embeddings_path, "labels": labels_path},
-        {
-            "kind": kind,
-            "dist_kinds": list(dist_kinds),
-            "bounds": [f"{lo}:{hi}" for lo, hi in cfg.bounds],
-            "shrink": cfg.shrink,
-            "rounds": cfg.rounds,
-            **{f"best_{name}": a for name, a in best.items()},
-            "best_loss": loss,
-        },
-        run.seed,
-    )
     alphas = " ".join(f"{name}={a!r}" for name, a in best.items())
-    print(f"optimize: kind={kind} {alphas} loss={loss!r} ({len(trace)} probes) -> {out}")
+    return {
+        "kind": kind,
+        "dist_kinds": list(dist_kinds),
+        "bounds": [f"{lo}:{hi}" for lo, hi in cfg.bounds],
+        "shrink": cfg.shrink,
+        "rounds": cfg.rounds,
+        **{f"best_{name}": a for name, a in best.items()},
+        "best_loss": loss,
+    }, f"kind={kind} {alphas} loss={loss!r} ({len(trace)} probes)"
 
 
-def cmd_tsne(run: Run) -> None:
+def cmd_tsne(run: Run) -> tuple[dict, str]:
     input_name = run.setting("tsne_input", AUGMENTED)
-    space = import_embeddings(run.stage_input(input_name))
+    space = import_embeddings(run.stage_input(input_name, "space"))
     if len(space.ids) < 3:
         raise DomainError(f"t-SNE needs at least 3 rows, got {len(space.ids)}")
     cfg = TsneConfig(
@@ -448,20 +418,14 @@ def cmd_tsne(run: Run) -> None:
         cost=run.setting("cost", "joint"),
         seed=run.seed,
     )
-    colors = None
-    inputs = {"space": run.out_dir / input_name}
     colors_path = run.input_file("colors", "colors", required=False)
-    if colors_path:
-        colors = load_colors(colors_path)
-        inputs["colors"] = colors_path
+    colors = load_colors(colors_path) if colors_path else None
     result = run_tsne(space.matrix, cfg)
-    out = run.path_out(TSNE_CSV)
-    write_coords_csv(space.ids, result.coords, out)
-    svg_out = run.path_out(TSNE_SVG)
-    write_scatter_svg(space.ids, result.coords, svg_out, colors)
-    trace_out = run.path_out(TSNE_TRACE)
-    write_trace_csv(result.kl_trace, trace_out)
-    params = {
+    write_coords_csv(space.ids, result.coords, run.path_out(TSNE_CSV))
+    write_scatter_svg(space.ids, result.coords, run.path_out(TSNE_SVG), colors)
+    write_trace_csv(result.kl_trace, run.path_out(TSNE_TRACE))
+    final_kl = float(result.kl_trace[-1])
+    return {
         "input": input_name,
         "perplexity": cfg.perplexity,
         "effective_perplexity": result.effective_perplexity,
@@ -471,69 +435,45 @@ def cmd_tsne(run: Run) -> None:
         "learning_rate": cfg.learning_rate,
         "kernel": cfg.kernel,
         "cost": cfg.cost,
-        "final_kl": float(result.kl_trace[-1]),
-    }
-    for path in (out, svg_out, trace_out):
-        write_sidecar(path, "tsne", inputs, params, run.seed)
-    print(
-        f"tsne: {len(space.ids)} points, final KL {float(result.kl_trace[-1])!r} "
-        f"-> {out}, {svg_out}, {trace_out}"
-    )
+        "final_kl": final_kl,
+    }, f"{len(space.ids)} points, final KL {final_kl!r}"
 
 
-def cmd_eval(run: Run) -> None:
+def cmd_eval(run: Run) -> tuple[dict, str]:
     mode = run.setting("mode", "quality")
-    out = run.path_out(EVAL_CSV)
     if mode == "quality":
-        space_name = run.setting("space", AUGMENTED)
-        space = import_embeddings(run.stage_input(space_name))
+        space = import_embeddings(run.stage_input(run.setting("space", AUGMENTED), "space"))
         labels_path = run.input_file("labels", "labels")
         scale_max = _parse_float("scale_max", run.setting("scale_max", "4"))
         top_n = _parse_int("top_n", run.setting("top_n", "20"))
         labels = load_labels(labels_path, scale_max, corpus_ids=space.ids)
         quality = top_pair_quality(space, labels, top_n, run.seed)
         rows = [("top_pair_quality", quality), ("n_labels", len(labels)), ("top_n", top_n)]
-        inputs = {"space": run.out_dir / space_name, "labels": labels_path}
         params = {"mode": mode, "scale_max": scale_max, "top_n": top_n}
-        print(f"eval: top_pair_quality {quality!r} over top {top_n} of {len(labels)} pairs")
+        summary = f"top_pair_quality {quality!r} over top {top_n} of {len(labels)} pairs"
     elif mode == "compare":
-        pred_setting = run.setting("pred", SCORES)
-        pred_path = run.stage_input(pred_setting)
+        pred_path = run.stage_input(run.setting("pred", SCORES), "pred")
         labels_path = run.input_file("labels", "labels")
         pred = load_rank_labels(pred_path)
-        labeled = load_rank_labels(labels_path)
-        report = compare_rankings(pred, labeled)
-        heatmap_out = run.path_out(HEATMAP_CSV)
-        save_rank_heatmap(pred, heatmap_out)
-        write_sidecar(
-            heatmap_out,
-            "eval",
-            {"pred": pred_path, "labels": labels_path},
-            {"mode": mode},
-            run.seed,
-        )
+        report = compare_rankings(pred, load_rank_labels(labels_path))
+        save_rank_heatmap(pred, run.path_out(HEATMAP_CSV))
         rows = [
             ("rank_loss", report.loss),
             ("n_uniform_columns", len(report.uniform_columns)),
             ("mean_column_entropy_bits", float(np.mean(report.column_entropy))),
         ]
-        inputs = {"pred": pred_path, "labels": labels_path}
         params = {"mode": mode}
-        print(
-            f"eval: rank loss {report.loss!r}, "
-            f"{len(report.uniform_columns)} uniform columns -> {run.path_out(HEATMAP_CSV)}"
-        )
+        summary = f"rank loss {report.loss!r}, {len(report.uniform_columns)} uniform columns"
     else:
         raise ConfigError(f"unknown eval mode {mode!r}; expected quality or compare")
-    write_table(out, ["metric", "value"], rows, lineterminator="\n")
-    write_sidecar(out, "eval", inputs, params, run.seed)
+    write_table(run.path_out(EVAL_CSV), ["metric", "value"], rows, lineterminator="\n")
+    return params, summary
 
 
-def cmd_sweep(run: Run) -> None:
+def cmd_sweep(run: Run) -> tuple[dict, str]:
     mode = run.setting("mode", "quality")
     embeddings_path = run.stage_input(EMBEDDINGS)
-    records_path = run.stage_input(RECORDS)
-    records, space = _records_and_space(records_path, embeddings_path)
+    records, space = _records_and_space(run.stage_input(RECORDS), embeddings_path)
     k_list = _parse_int_list("k_list", run.setting("k_list", "2,4,8"))
     if mode == "quality":
         labels_path = run.input_file("labels", "labels")
@@ -545,17 +485,10 @@ def cmd_sweep(run: Run) -> None:
         result = component_sweep(
             space, features_all, features_condensed, labels, k_list, top_n, run.seed
         )
-        out = run.path_out(SWEEP_CSV)
-        save_sweep_csv(result, out)
-        write_sidecar(
-            out,
-            "sweep",
-            {"records": records_path, "embeddings": embeddings_path, "labels": labels_path},
-            {"mode": mode, "k_list": k_list, "top_n": top_n, "scale_max": scale_max},
-            run.seed,
-        )
-        print(f"sweep: {len(result.cells)} (variant, k) cells -> {out}")
-    elif mode == "delta":
+        save_sweep_csv(result, run.path_out(SWEEP_CSV))
+        params = {"mode": mode, "k_list": k_list, "top_n": top_n, "scale_max": scale_max}
+        return params, f"{len(result.cells)} (variant, k) cells"
+    if mode == "delta":
         variant = run.setting("variant", "all_features")
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -563,18 +496,11 @@ def cmd_sweep(run: Run) -> None:
         pairs = _parse_int("pairs", run.setting("pairs", "500"))
         features = build_feature_matrix(records, variant)
         results = delta_cosine_experiment(space, features, k_list, trials, pairs, run.seed)
-        out = run.path_out(DELTA_CSV)
-        save_delta_csv(results, out)
-        write_sidecar(
-            out,
-            "sweep",
-            {"records": records_path, "embeddings": embeddings_path},
-            {"mode": mode, "variant": variant, "k_list": k_list, "trials": trials, "pairs": pairs},
-            run.seed,
-        )
-        print(f"sweep: cosine shift at {len(results)} component counts -> {out}")
-    else:
-        raise ConfigError(f"unknown sweep mode {mode!r}; expected quality or delta")
+        save_delta_csv(results, run.path_out(DELTA_CSV))
+        params = {"mode": mode, "variant": variant, "k_list": k_list, "trials": trials,
+                  "pairs": pairs}
+        return params, f"cosine shift at {len(results)} component counts"
+    raise ConfigError(f"unknown sweep mode {mode!r}; expected quality or delta")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -666,15 +592,17 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         run = Run(args)
-        COMMANDS[args.command](run)
-    except SemfuseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        try:
+            params, summary = COMMANDS[args.command](run)
+            outputs = run.commit(args.command, params)
+        finally:  # the staging directory goes, with whatever a failed stage left in it
+            if run.staging.exists():
+                shutil.rmtree(run.staging)
+        print(f"{args.command}: {summary} -> {', '.join(map(str, outputs))}")
+    except (SemfuseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

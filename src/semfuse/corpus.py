@@ -187,22 +187,15 @@ def load_corpus(path: str | Path, format: str | None = None) -> list[Record]:
     if fmt not in CORPUS_FORMATS:
         raise FormatError(f"unknown corpus format {fmt!r}; expected one of {CORPUS_FORMATS}")
     if fmt == "jsonl":
-        records = _records(_read_jsonl(path))
-    else:
-        records = _records(_read_delimited(path, delimiter="\t" if fmt == "tsv" else ","))
-    seen: set[str] = set()
-    for record in records:
-        if record.id in seen:
-            raise ConflictError(f"duplicate record id {record.id!r}")
-        seen.add(record.id)
-    return records
+        return _records(_read_jsonl(path))
+    return _records(_read_delimited(path, delimiter="\t" if fmt == "tsv" else ","))
 
 
 def _records(rows: Iterator[tuple[dict, str]]) -> list[Record]:
     """Records from (row, where) pairs; the first fault in file order raises.
 
     A fault met while reading the rows is raised after those read before
-    it are checked.
+    it are checked. A repeated id raises only once every row is valid.
     """
     read: list[tuple[dict, str]] = []
     try:
@@ -216,6 +209,11 @@ def _records(rows: Iterator[tuple[dict, str]]) -> list[Record]:
     records = [_record_from_mapping(row, where, coordinates) for row, where in read]
     if fault is not None:
         raise fault
+    seen: set[str] = set()
+    for record, (_, where) in zip(records, read):
+        if record.id in seen:
+            raise ConflictError(f"{where}: duplicate record id {record.id!r}")
+        seen.add(record.id)
     return records
 
 

@@ -16,7 +16,9 @@ headerless CSV that `load_rank_labels` reads, formatting each unordered
 pair once and reusing the text for the mirrored cell. From 200 x 200
 cells on it uses two processes: a standard-library helper formats the
 lower rows' block while this process formats the rows above it, with
-the same bytes as one process writes.
+the same bytes as one process writes. It writes straight to its path:
+the `score` stage hands it one in a staging directory and moves the
+file into place only once the stage has succeeded.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-import os
 import subprocess
 import sys
 import tempfile
@@ -403,11 +404,11 @@ def save_score_matrix(scores: np.ndarray, path: str | Path) -> None:
     while this process formats its own rows and keeps their texts for
     the columns below them, then puts those texts in front of each of
     the helper's lines. The bytes are the same either way.
-    The lines go to a temporary file beside `path`, which replaces `path`
-    only once every line is written, so a failure leaves an earlier file
-    as it was. Raises DomainError, with no file written, unless the matrix
-    equals its transpose, and SemfuseError naming the file if the helper
-    fails.
+    A failure can leave a partial file at `path`; the CLI's staging
+    directory keeps it away from an earlier output. The helper's two
+    unnamed temporary files go in `path`'s directory.
+    Raises DomainError, with no file written, unless the matrix equals
+    its transpose, and SemfuseError naming the file if the helper fails.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
@@ -420,17 +421,12 @@ def save_score_matrix(scores: np.ndarray, path: str | Path) -> None:
     m = scores.shape[0]
     split = _helper_start(m)
     helper = _helper_rows(scores[split:, split:], path) if split < m else contextlib.nullcontext(())
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(partial, "wb") as fh, helper as helper_lines:
-            below = [bytearray() for _ in range(m)]
-            write_rows(fh, (scores[i, i:].tolist() for i in range(split)), below)
-            for column, line in zip(below[split:], helper_lines):
-                fh.write(column)
-                fh.write(line)
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
+    with open(path, "wb") as fh, helper as helper_lines:
+        below = [bytearray() for _ in range(m)]
+        write_rows(fh, (scores[i, i:].tolist() for i in range(split)), below)
+        for column, line in zip(below[split:], helper_lines):
+            fh.write(column)
+            fh.write(line)
 
 
 def _helper_start(m: int) -> int:

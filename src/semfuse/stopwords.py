@@ -41,6 +41,6 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
             if not token:
                 continue
             if token != token.lower():
-                raise FormatError(f"line {lineno}: stopword {token!r} is not lowercase")
+                raise FormatError(f"{path}: line {lineno}: stopword {token!r} is not lowercase")
             words.append(token)
     return frozenset(words)

@@ -513,11 +513,12 @@ def load_colors(path: str | Path) -> dict[str, str]:
         for row in reader:
             if not row:
                 continue
+            where = f"{path}: line {reader.line_num}"
             if len(row) < 2:
-                raise FormatError(f"{path}: line {reader.line_num}: expected id,color, got {row!r}")
+                raise FormatError(f"{where}: expected id,color, got {row!r}")
             rid, color = row[0], row[1]
             if rid in colors:
-                raise ConflictError(f"duplicate color entry for id {rid!r}")
+                raise ConflictError(f"{where}: duplicate color entry for id {rid!r}")
             colors[rid] = color
     return colors
 

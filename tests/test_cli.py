@@ -1,5 +1,8 @@
+import ast
 import hashlib
+import os
 import re
+import subprocess
 import tracemalloc
 from pathlib import Path
 
@@ -7,6 +10,8 @@ import numpy as np
 import oracles
 import pytest
 
+import semfuse.cli as cli
+import semfuse.rankopt as rankopt
 from semfuse.cli import _sha256, main, write_sidecar
 from semfuse.corpus import load_corpus
 from semfuse.embed import import_embeddings
@@ -20,10 +25,8 @@ from semfuse.rankopt import (
 from semfuse.tsne import TsneConfig, run_tsne
 
 
-def run_stages(out_dir, fx, seed=7):
-    """Drive every stage of the pipeline into out_dir, asserting success."""
-    base = ["--seed", str(seed), "--out-dir", str(out_dir)]
-    stages = [
+def pipeline_stages(fx):
+    return [
         ["ingest", "--corpus", str(fx["corpus"]), "--gazetteer", str(fx["gazetteer"])],
         ["encode", "--variant", "all_features"],
         ["embed", "--word-vectors", str(fx["vectors"])],
@@ -37,9 +40,16 @@ def run_stages(out_dir, fx, seed=7):
         ["sweep", "--mode", "quality", "--k-list", "2,4", "--labels", str(fx["labels"]), "--top-n", "5"],
         ["sweep", "--mode", "delta", "--k-list", "2,4", "--trials", "3", "--pairs", "20"],
     ]
-    for stage in stages:
+
+
+def run_stages(out_dir, fx, seed=7):
+    """Drive every stage of the pipeline into out_dir, asserting success."""
+    base = ["--seed", str(seed), "--out-dir", str(out_dir)]
+    for stage in pipeline_stages(fx):
         rc = main(base + stage)
         assert rc == 0, f"stage {stage[0]} failed"
+        # the staging directory is gone once the stage is committed
+        assert [p.name for p in out_dir.iterdir() if p.name.startswith(".")] == []
 
 
 EXPECTED_OUTPUTS = [
@@ -60,7 +70,50 @@ EXPECTED_OUTPUTS = [
 ]
 
 
+TSNE_SIDECAR = ("space", "cost effective_perplexity final_kl input iterations kernel "
+                         "learning_rate perplexity sigma_max sigma_min")
+# for each stage of pipeline_stages, the outputs it writes with the input
+# keys and the params of their sidecars
+SIDECARS = [
+    {"records.csv": ("corpus gazetteer", "n_records")},
+    {"features.csv": ("records", "shape variant")},
+    {"embeddings.csv": ("records word_vectors", "dim fallback_ids ridge")},
+    {"reduced.csv": ("embeddings", "explained_variance k")},
+    {"augmented.csv": ("features reduced",
+                       "constant_mask f feature_means feature_stds k variant")},
+    {"scores.csv": ("embeddings records", "alphas dist_kinds ids kind")},
+    {"optimize_trace.csv": ("embeddings labels records", "best_alpha1 best_alpha2 best_loss "
+                            "bounds dist_kinds kind rounds shrink")},
+    {"tsne.csv": TSNE_SIDECAR, "tsne.svg": TSNE_SIDECAR, "tsne_trace.csv": TSNE_SIDECAR},
+    {"eval.csv": ("labels space", "mode scale_max top_n")},
+    {"rank_heatmap.csv": ("labels pred", "mode"), "eval.csv": ("labels pred", "mode")},
+    {"sweep.csv": ("embeddings labels records", "k_list mode scale_max top_n")},
+    {"delta.csv": ("embeddings records", "k_list mode pairs trials variant")},
+]
+
+
+def sidecar_keys(inputs: str, params: str) -> list[str]:
+    return sorted(["stage", "version", "seed", *(f"sha256_{key}" for key in inputs.split()),
+                   *(f"param_{name}" for name in params.split())])
+
+
+def directory_bytes(out) -> dict:
+    """Every entry of out with its bytes; a directory, such as a staging one, maps to None."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in out.iterdir()}
+
+
 class TestPipeline:
+    def test_each_sidecar_lists_its_keys(self, pipeline_fixture, tmp_path):
+        stages = pipeline_stages(pipeline_fixture)
+        assert len(stages) == len(SIDECARS)
+        assert sorted({name for outputs in SIDECARS for name in outputs}) == sorted(EXPECTED_OUTPUTS)
+        for stage, outputs in zip(stages, SIDECARS):
+            assert main(["--seed", "7", "--out-dir", str(tmp_path)] + stage) == 0
+            for name, (inputs, params) in outputs.items():
+                meta = (tmp_path / f"{name}.meta").read_text(encoding="utf-8")
+                keys = [line.split(" = ")[0] for line in meta.splitlines()]
+                assert keys == sidecar_keys(inputs, params), f"{stage[:3]}: {name}.meta"
+
     def test_all_stages_and_reproducibility(self, pipeline_fixture, tmp_path):
         dir_a = tmp_path / "run_a"
         dir_b = tmp_path / "run_b"
@@ -526,3 +579,119 @@ class TestTsneStage:
         assert "missing.csv" in capsys.readouterr().err
         for name in names:
             assert (out / name).read_bytes() == before[name], f"{name} changed"
+
+
+class TestFailedStage:
+    """A failed stage leaves every earlier output and sidecar as it was, and no staging directory."""
+
+    def tsne_run(self, fx, out, seed):
+        base = ["--out-dir", str(out), "--seed", str(seed)]
+        if not out.exists():
+            assert main(base + ["ingest", "--corpus", str(fx["corpus"]),
+                                "--gazetteer", str(fx["gazetteer"])]) == 0
+            assert main(base + ["embed", "--word-vectors", str(fx["vectors"])]) == 0
+        return main(base + ["tsne", "--input", "embeddings.csv", "--iterations", "20", "--perplexity", "4"])
+
+    def test_failed_svg_write_keeps_the_earlier_map(self, pipeline_fixture, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert self.tsne_run(pipeline_fixture, out, seed=3) == 0
+        before = directory_bytes(out)
+        assert len([name for name in before if name.startswith("tsne")]) == 6
+
+        def write_scatter_svg(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_scatter_svg", write_scatter_svg)
+        capsys.readouterr()
+        assert self.tsne_run(pipeline_fixture, out, seed=4) == 2
+        assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert directory_bytes(out) == before
+
+    def test_failed_sidecar_write_keeps_the_earlier_outputs(self, pipeline_fixture, tmp_path, monkeypatch,
+                                                            capsys):
+        out = tmp_path / "out"
+        assert self.tsne_run(pipeline_fixture, out, seed=3) == 0
+        before = directory_bytes(out)
+        original, written = cli.write_sidecar, []
+
+        def write_sidecar(out_path, *args):
+            # the first two sidecars are written; the third fails
+            if len(written) == 2:
+                raise OSError(28, "No space left on device")
+            original(out_path, *args)
+            written.append(out_path.name)
+
+        monkeypatch.setattr(cli, "write_sidecar", write_sidecar)
+        capsys.readouterr()
+        assert self.tsne_run(pipeline_fixture, out, seed=4) == 2
+        assert written == ["tsne.csv", "tsne.svg"]
+        assert capsys.readouterr().err.startswith("error: ")
+        assert directory_bytes(out) == before
+
+    def test_interrupted_commit_leaves_an_output_with_no_sidecar(self, pipeline_fixture, tmp_path,
+                                                                 monkeypatch):
+        # never one whose sidecar describes a different run
+        out = tmp_path / "out"
+        assert self.tsne_run(pipeline_fixture, out, seed=3) == 0
+        before = directory_bytes(out)
+        replace, moved = os.replace, []
+
+        def fail_second(src, dst):
+            moved.append(Path(dst).name)
+            if len(moved) == 2:
+                raise OSError(5, "Input/output error")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_second)
+        assert self.tsne_run(pipeline_fixture, out, seed=4) == 2
+        after = directory_bytes(out)
+        assert moved == ["tsne.csv", "tsne.csv.meta"]
+        assert "tsne.csv.meta" not in after and after["tsne.csv"] != before["tsne.csv"]
+        del before["tsne.csv"], before["tsne.csv.meta"], after["tsne.csv"]
+        assert after == before
+
+    def test_failing_score_helper_keeps_the_earlier_scores(self, pipeline_fixture, tmp_path, monkeypatch,
+                                                           capsys):
+        fx = pipeline_fixture
+        out = tmp_path / "out"
+        base = ["--out-dir", str(out)]
+        assert main(base + ["ingest", "--corpus", str(fx["corpus"]),
+                            "--gazetteer", str(fx["gazetteer"])]) == 0
+        assert main(base + ["embed", "--word-vectors", str(fx["vectors"])]) == 0
+        assert main(base + ["score", "--alphas", "0.02,9.55"]) == 0
+        before = directory_bytes(out)
+        helper = tmp_path / "helper.py"
+        helper.write_text("import sys\nsys.exit(1)\n", encoding="utf-8")
+        monkeypatch.setattr(rankopt, "_SCORE_ROWS", helper)
+        monkeypatch.setattr(rankopt, "_HELPER_MIN_CELLS", 4)  # the 10 x 10 matrix gets a helper
+        started = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(rankopt.subprocess, "Popen", Recorded)
+        capsys.readouterr()
+        assert main(base + ["score", "--alphas", "0.5,1.0"]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^error: \S*/scores\.csv: the score row helper exited with status 1$", err, re.M), err
+        assert directory_bytes(out) == before
+        assert len(started) == 1 and started[0].returncode == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(started[0].pid, os.WNOHANG)
+
+
+def test_one_sidecar_writer_and_no_file_writes_in_the_stages():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+
+    def calls(node, name):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))]
+
+    assert len(calls(tree, "write_sidecar")) == 1
+    stages = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert sorted(node.name for node in stages) == sorted(f"cmd_{name}" for name in cli.COMMANDS)
+    for node in stages:
+        for name in ("open", "write_text", "write_bytes"):
+            assert calls(node, name) == [], f"{node.name} calls {name}"

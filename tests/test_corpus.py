@@ -21,7 +21,7 @@ from semfuse.corpus import (
 )
 from semfuse.errors import ConflictError, FormatError, RowError, SchemaError, SemfuseError, UnknownKeyError
 from semfuse.geotime import GeoPoint
-from semfuse.stopwords import DEFAULT_STOPWORDS
+from semfuse.stopwords import DEFAULT_STOPWORDS, load_stopwords
 
 
 def write(path, text):
@@ -63,6 +63,31 @@ class TestLoadCorpus:
             "id,text,timestamp\na,one,1\na,two,2\n",
         )
         with pytest.raises(ConflictError, match="a"):
+            load_corpus(p)
+
+    @pytest.mark.parametrize("name, body, line", [
+        ("c.csv", "id,text,timestamp\na,one,1\nb,two,2\na,three,3\n", 4),
+        ("c.tsv", "id\ttext\ttimestamp\na\tone\t1\na\ttwo\t2\n", 3),
+        # jsonl lines count blank ones too
+        ("c.jsonl", '{"id": "a", "text": "one", "timestamp": 1}\n\n'
+                    '{"id": "a", "text": "two", "timestamp": 2}\n', 3),
+    ], ids=["csv", "tsv", "jsonl"])
+    def test_duplicate_id_names_file_and_line(self, tmp_path, name, body, line):
+        p = write(tmp_path / name, body)
+        with pytest.raises(ConflictError, match=re.escape(f"{p}: line {line}: duplicate record id 'a'")):
+            load_corpus(p)
+
+    @pytest.mark.parametrize("name, body, reason", [
+        ("c.csv", "id,text,timestamp\na,one,1\na,two,2\nb,three,x\n",
+         "line 4: timestamp 'x' is not an integer"),
+        # a fault met while reading rather than while checking a row
+        ("c.jsonl", '{"id": "a", "text": "one", "timestamp": 1}\n'
+                    '{"id": "a", "text": "two", "timestamp": 2}\n{\n', "line 3: invalid JSON"),
+    ], ids=["row-fault", "read-fault"])
+    def test_row_fault_after_a_duplicate_raises_first(self, tmp_path, name, body, reason):
+        # every row is checked before ids are compared
+        p = write(tmp_path / name, body)
+        with pytest.raises(RowError, match=re.escape(f"{p}: {reason}")):
             load_corpus(p)
 
     def test_tsv_and_jsonl_formats(self, tmp_path):
@@ -305,6 +330,17 @@ class TestGazetteer:
         assert out[0].coords == GeoPoint(41.8781, -87.6298)
         assert out[1].coords == GeoPoint(1.0, 2.0)
         assert out[2].coords is None
+
+
+class TestLoadStopwords:
+    def test_reads_one_token_per_line(self, tmp_path):
+        p = write(tmp_path / "stop.txt", "the\n\nof\n")
+        assert load_stopwords(p) == frozenset({"the", "of"})
+
+    def test_uppercase_token_names_file_and_line(self, tmp_path):
+        p = write(tmp_path / "stop.txt", "the\nThe\n")
+        with pytest.raises(FormatError, match=re.escape(f"{p}: line 2: stopword 'The' is not lowercase")):
+            load_stopwords(p)
 
 
 class TestCleanCorpus:

@@ -646,19 +646,6 @@ def assert_reaped(started) -> None:
         os.waitpid(started[0].pid, os.WNOHANG)
 
 
-# a failing write goes to a fresh directory, then to one holding an earlier scores.csv
-EARLIER_FILES = (("fresh", None), ("earlier", b"0.5,1.0\n1.0,0.5\n"))
-
-
-def assert_left_as_it_was(out, earlier) -> None:
-    """A failed write leaves no file behind, and an earlier scores.csv byte for byte."""
-    if earlier is None:
-        assert list(out.iterdir()) == []
-    else:
-        assert [p.name for p in out.iterdir()] == ["scores.csv"]
-        assert (out / "scores.csv").read_bytes() == earlier
-
-
 class TestSaveScoreMatrix:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 31, 64])
     def test_bytes_equal_the_per_cell_writer(self, tmp_path, m):
@@ -757,22 +744,20 @@ class TestSaveScoreMatrix:
          "the score row helper wrote a malformed row 177"),
     ], ids=["exits-1", "one-row-short", "short-last-line"])
     def test_failing_helper_names_the_file_and_leaves_nothing(self, tmp_path, monkeypatch, script, message):
+        # nothing is left but the partial file: no process, no temporary file.
+        # That a failed `score` stage keeps an earlier scores.csv is tested in test_cli.
         helper = tmp_path / "helper.py"
         helper.write_text(script, encoding="utf-8")
         monkeypatch.setattr(rankopt, "_SCORE_ROWS", helper)
         started = recorded_helpers(monkeypatch)
         assert rankopt._helper_start(250) == 250 - 177
-        for out, earlier in EARLIER_FILES:
-            out = tmp_path / out
-            out.mkdir()
-            path = out / "scores.csv"
-            if earlier is not None:
-                path.write_bytes(earlier)
-            with pytest.raises(SemfuseError, match=re.escape(f"{path}: {message}")):
-                save_score_matrix(symmetric_matrix(250, seed=2), path)
-            assert_left_as_it_was(out, earlier)
-            assert_reaped(started)
-            started.clear()
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "scores.csv"
+        with pytest.raises(SemfuseError, match=re.escape(f"{path}: {message}")):
+            save_score_matrix(symmetric_matrix(250, seed=2), path)
+        assert [p.name for p in out.iterdir()] == ["scores.csv"]
+        assert_reaped(started)
 
     def test_helper_is_stopped_when_this_process_fails(self, tmp_path, monkeypatch):
         helper = tmp_path / "helper.py"
@@ -784,19 +769,15 @@ class TestSaveScoreMatrix:
             raise OSError("no space left on device")
 
         monkeypatch.setattr(rankopt, "write_rows", write_rows)
-        for out, earlier in EARLIER_FILES:
-            out = tmp_path / out
-            out.mkdir()
-            if earlier is not None:
-                (out / "scores.csv").write_bytes(earlier)
-            began = time.monotonic()
-            with pytest.raises(OSError, match="no space"):
-                save_score_matrix(symmetric_matrix(250, seed=2), out / "scores.csv")
-            assert time.monotonic() - began < 30
-            assert started[0].returncode == -signal.SIGKILL
-            assert_left_as_it_was(out, earlier)
-            assert_reaped(started)
-            started.clear()
+        out = tmp_path / "out"
+        out.mkdir()
+        began = time.monotonic()
+        with pytest.raises(OSError, match="no space"):
+            save_score_matrix(symmetric_matrix(250, seed=2), out / "scores.csv")
+        assert time.monotonic() - began < 30
+        assert started[0].returncode == -signal.SIGKILL
+        assert [p.name for p in out.iterdir()] == ["scores.csv"]
+        assert_reaped(started)
 
     def test_helper_module_run_directly_writes_the_block_lines(self):
         block = np.array([[0.5, 1e-05, -2.0], [1e-05, 5e-324, 1e16], [-2.0, 1e16, 0.0]])

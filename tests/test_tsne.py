@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -588,6 +589,12 @@ class TestOutputs:
         assert load_colors(p) == {"a": "#ff0000", "b": "#00ff00"}
         p.write_text("id,color\na,#ff0000\na,#00ff00\n", encoding="utf-8")
         with pytest.raises(ConflictError):
+            load_colors(p)
+
+    def test_load_colors_duplicate_names_file_and_line(self, tmp_path):
+        p = tmp_path / "colors.csv"
+        p.write_text("id,color\na,#ff0000\n\na,#00ff00\n", encoding="utf-8")
+        with pytest.raises(ConflictError, match=re.escape(f"{p}: line 4: duplicate color entry for id 'a'")):
             load_colors(p)
 
     @pytest.mark.parametrize("body, line", [("id,color\na\n", 2), ("id,color\na,#fff\n\nb\n", 4)])
