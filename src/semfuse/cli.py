@@ -593,6 +593,7 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    run = None
     try:
         run = Run(args)
         try:
@@ -603,6 +604,8 @@ def main(argv: list[str] | None = None) -> int:
                 shutil.rmtree(run.staging)
         print(f"{args.command}: {summary} -> {', '.join(map(str, outputs))}")
     except (SemfuseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a staged output is named by its place in out_dir: the staging directory is gone
+        staged = (os.path.join(run.staging, ""), os.path.join(run.out_dir, "")) if run else ("", "")
+        print(f"error: {str(exc).replace(*staged)}", file=sys.stderr)
         return 2
     return 0

@@ -32,9 +32,9 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
     """Write the header, then the rows, each Python float as its shortest `repr`.
 
     When every cell of a row after the first (or every cell) is a Python
-    float, those cells are joined in one call. Every other cell (an id,
-    a label, a numpy scalar) goes through `csv` quoting, as does every
-    other row, so the bytes are those of one `csv.writer` for all rows.
+    float, those cells are joined in one call, after a first `int` (not a
+    bool) as its `str`. Every other cell (an id, a numpy scalar) and row
+    goes through `csv` quoting: the bytes of one `csv.writer` for all rows.
     """
     firsts: list[str] = []  # a row's first cell, its comma and the line end, as `csv` quotes them
     first = csv.writer(SimpleNamespace(write=firsts.append), lineterminator=lineterminator)
@@ -47,7 +47,9 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
             if not floats or set(map(type, floats)) != {float}:
                 writer.writerow(row)
                 continue
-            if lead:
+            if lead and type(row[0]) is int:
+                fh.write(f"{row[0]},")
+            elif lead:
                 first.writerow([row[0], ""])  # two fields, so an empty cell is not quoted
                 fh.write(firsts.pop().removesuffix(lineterminator))
             fh.write(",".join(map(repr, floats)) + lineterminator)

@@ -223,16 +223,21 @@ def symmetrize(pcond: np.ndarray, sigmas: np.ndarray | None = None) -> AffinityM
     return AffinityModel(P=P, sigmas=sigmas)
 
 
-def _p_terms(P: np.ndarray, exaggeration: float) -> tuple[np.ndarray, np.ndarray]:
+def _p_terms(P: np.ndarray, exaggeration: float) -> tuple[float, np.ndarray, bool]:
     """The parts of a cost-and-gradient call that depend on `P` alone.
 
-    Returns the `P > 0` mask and `S_P = exaggeration * P + (exaggeration * P).T`.
-    The factor is applied before the transpose-add, so the gradient equals
-    the one of the KL against `exaggeration * P` to the last bit, for any
-    factor.
+    Returns `sum p log p` over the cells with p > 0, the P part of `S` and
+    whether it is halved. That part is `S_P = eP + (eP).T` for
+    `e = exaggeration`, scaled before the transpose-add, so the gradient
+    is the one of the KL against `eP` to the last bit. For a P equal to
+    its transpose bit for bit, as under the joint cost in run_tsne, it is
+    `eP` itself, `S_P / 2` exactly, and no n x n sum is built.
     """
+    p = P[P > 0]
+    plogp = float(np.sum(p * np.log(p)))
     scaled = P if exaggeration == 1.0 else exaggeration * P
-    return P > 0, scaled + scaled.T
+    halved = np.array_equal(P, P.T)
+    return plogp, scaled if halved else scaled + scaled.T, halved
 
 
 def _cpu_count() -> int:
@@ -247,7 +252,7 @@ class _Workspace:
     """What the cost-and-gradient calls of one descent share.
 
     The rows are cut into blocks of about `_BLOCK_CELLS` cells. The
-    workspace holds the n x n kernel matrix `Q`, five block-sized buffers
+    workspace holds the n x n kernel matrix `Q`, three block-sized buffers
     for each worker and, with more than one worker, a thread pool of
     `min(CPUs this process may use, blocks)` threads. Worker k takes blocks
     k, k + workers, ...; with one worker the blocks run inline.
@@ -258,7 +263,7 @@ class _Workspace:
         self.blocks = [slice(r, min(r + rows, n)) for r in range(0, n, rows)]
         workers = min(_cpu_count(), len(self.blocks))
         self.Q = np.empty((n, n))
-        self.buffers = [np.empty((5, rows, n)) for _ in range(workers)]
+        self.buffers = [np.empty((3, rows, n)) for _ in range(workers)]
         self.pool = ThreadPoolExecutor(workers) if workers > 1 else None
 
     def __enter__(self) -> "_Workspace":
@@ -294,7 +299,7 @@ def tsne_cost_and_grad(
     cost: str = "joint",
     exaggeration: float = 1.0,
     *,
-    p_terms: tuple[np.ndarray, np.ndarray] | None = None,
+    p_terms: tuple[float, np.ndarray, bool] | None = None,
     workspace: _Workspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """KL cost of `P` and the exact gradient of `exaggeration * P`.
@@ -307,9 +312,10 @@ def tsne_cost_and_grad(
     descents finite, and the cost is the KL against that floored Q. The
     floor is often active: on a 1,000-point map after 150 iterations it
     held on 62 % of the pairs with p > 0 (floored KL 0.761, unfloored
-    0.875). The gradient is van der Maaten and Hinton's (2008), written
-    per row: `2 sum_j S_ij (y_i - y_j)`, with `S = S_P - (Q + Q.T)`, times
-    the Student-t factor under that kernel.
+    0.875). The gradient is van der Maaten and Hinton's (2008), per row:
+    `2 sum_j S_ij (y_i - y_j) = 2 (y_i sum_j S_ij - sum_j S_ij y_j)`, with
+    `S = S_P - (Q + Q.T)`, times the Student-t factor under that kernel.
+    The cost is `sum p log p`, from the P-only terms, minus `sum p log q`.
 
     The call works on row blocks of about `_BLOCK_CELLS` cells, in two
     sweeps. The first takes the planar distances from coordinate
@@ -317,50 +323,48 @@ def tsne_cost_and_grad(
     zero diagonal, and writes the kernel weights into the workspace's
     n x n `Q`: under the joint cost with per-row sums, under the
     conditional cost normalized and floored per row. The second builds
-    each block's normalized, floored Q in a block buffer, never writing
-    the shared `Q`, and from it the per-row cost terms and the gradient.
-    Under the joint cost Q is exactly symmetric, so `2 * Q` stands in for
-    `Q + Q.T`. Every reduction runs per row, and the cost sums the n
-    per-row costs, so no BLAS call is made and the bytes depend neither
-    on the block size nor on the number of threads.
+    each block's floored Q in a block buffer, not in the shared `Q`, and
+    the per-row sums of `p log q` (q >= 1e-12 on every cell, so p = 0 adds
+    0), `S_ij`, `S_ij x_j` and `S_ij y_j`. Under the joint cost Q is
+    exactly symmetric, so `2 * Q` stands in for `Q + Q.T`, and the
+    Student-t factor is the stored kernel weight (under the conditional
+    cost it takes coordinate differences again). Halved P terms give
+    `S / 2`, then twice the sum: the same bits. Every reduction runs per
+    row, so no BLAS call is made and the bytes depend neither on the block
+    size nor on the number of threads.
 
     `p_terms` is `_p_terms(P, exaggeration)` and `workspace` a
     `_Workspace(n)`, both passed by a caller that reuses them over many
     calls, as run_tsne does; without them the call builds its own, with
     the same result.
     """
-    mask, S_P = _p_terms(P, exaggeration) if p_terms is None else p_terms
+    terms = _p_terms(P, exaggeration) if p_terms is None else p_terms
     coords = np.asarray(coords, dtype=float)
     if workspace is None:
         with _Workspace(len(coords)) as own:
-            return _blocked_cost_and_grad(P, mask, S_P, coords, kernel, cost, own)
-    return _blocked_cost_and_grad(P, mask, S_P, coords, kernel, cost, workspace)
+            return _blocked_cost_and_grad(P, *terms, coords, kernel, cost, own)
+    return _blocked_cost_and_grad(P, *terms, coords, kernel, cost, workspace)
 
 
-def _blocked_cost_and_grad(P, mask, S_P, coords, kernel, cost, ws):
+def _blocked_cost_and_grad(P, plogp, S_P, halved, coords, kernel, cost, ws):
     # the two sweeps of tsne_cost_and_grad over the workspace's row blocks
     x, y = coords[:, 0].copy(), coords[:, 1].copy()
     n, Q, joint = len(x), ws.Q, cost == "joint"
-    row_sum, row_cost, grad = np.empty(n), np.empty(n), np.empty((n, 2))
+    row_sum, row_cost, s_sum, s_coords = np.empty(n), np.empty(n), np.empty(n), np.empty((n, 2))
 
-    def offsets(block, dx, dy):
-        # dx[k, j] = x_j - x_i for row i = block.start + k, so the gradient
-        # takes its sign at the end. A column copy and a row subtract are
-        # faster than one subtract that broadcasts a column.
+    def sq_distances(block, dx, dy):
+        # dx^2 + dy^2 in dx; a column copy and a row subtract beat one broadcast subtract
         np.copyto(dx, x[block, None])
         np.subtract(x, dx, out=dx)
         np.copyto(dy, y[block, None])
         np.subtract(y, dy, out=dy)
-
-    def sq_distances(dx, dy, d2, tmp):
-        np.multiply(dx, dx, out=d2)
-        np.multiply(dy, dy, out=tmp)
-        d2 += tmp
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return dx
 
     def kernel_weights(block, buf):
-        dx, dy, d2, tmp, _ = buf
-        offsets(block, dx, dy)
-        sq_distances(dx, dy, d2, tmp)
+        d2 = sq_distances(block, buf[0], buf[1])
         w = Q[block]
         if kernel == "gaussian":
             np.negative(d2, out=w)
@@ -370,45 +374,38 @@ def _blocked_cost_and_grad(P, mask, S_P, coords, kernel, cost, ws):
             np.divide(1.0, w, out=w)
         _zero_diagonal(w, block.start)
         np.add.reduce(w, axis=1, out=row_sum[block])
-        if not joint:
+        if not joint:  # the diagonal is floored too, so log q is finite on every cell
             w /= np.maximum(row_sum[block], _Q_FLOOR)[:, None]
             np.maximum(w, _Q_FLOOR, out=w)
-            _zero_diagonal(w, block.start)
 
     def terms(block, buf):
-        dx, dy, q, t, tmp = buf
-        offsets(block, dx, dy)
-        if joint:
-            np.divide(Q[block], total, out=q)
-            np.maximum(q, _Q_FLOOR, out=q)
-            _zero_diagonal(q, block.start)
-        else:
-            q = Q[block]
-        # p * log(p / q) where p > 0; the other cells hold log(1) = 0
-        p = P[block]
-        t.fill(1.0)
-        np.divide(p, q, out=t, where=mask[block])
-        np.log(t, out=t)
-        t *= p
+        t, S = buf[0], buf[1]
+        # the block's floored Q; under the joint cost normalized here, in S's buffer
+        q = np.maximum(np.divide(Q[block], total, out=S), _Q_FLOOR, out=S) if joint else Q[block]
+        np.log(q, out=t)
+        t *= P[block]
         np.add.reduce(t, axis=1, out=row_cost[block])
-        S = buf[2]  # the joint q's buffer: q is read before it is overwritten
-        if joint:
-            np.multiply(q, 2.0, out=S)
-        else:
+        if not joint:
             np.add(q, Q[:, block].T, out=S)
+        if joint != halved:  # 2q against a full S_P, (Q + Q.T) / 2 against a halved eP
+            S *= 2.0 if joint else 0.5
         np.subtract(S_P[block], S, out=S)
-        if kernel == "student_t":
-            sq_distances(dx, dy, t, tmp)
-            t += 1.0
-            S /= t
-        np.einsum("ij,ij->i", S, dx, out=grad[block, 0])
-        np.einsum("ij,ij->i", S, dy, out=grad[block, 1])
+        _zero_diagonal(S, block.start)
+        if kernel == "student_t" and joint:
+            S *= Q[block]
+        elif kernel == "student_t":
+            d2 = sq_distances(block, t, buf[2])
+            d2 += 1.0
+            S /= d2
+        np.einsum("ij,j->i", S, x, out=s_coords[block, 0], optimize=False)
+        np.einsum("ij,j->i", S, y, out=s_coords[block, 1], optimize=False)
+        np.add.reduce(S, axis=1, out=s_sum[block])
 
     ws.each_block(kernel_weights)
     total = max(float(row_sum.sum()), _Q_FLOOR)
     ws.each_block(terms)
-    grad *= -2.0
-    return float(row_cost.sum()), grad
+    grad = (coords * s_sum[:, None] - s_coords) * (4.0 if halved else 2.0)
+    return plogp - float(row_cost.sum()), grad
 
 
 def run_tsne(
@@ -424,16 +421,15 @@ def run_tsne(
     the first `exaggeration_iters` iterations it is passed
     `exaggeration=cfg.early_exaggeration`, later 1.0. One more call costs
     the returned coordinates, so a run makes `iterations + 1` calls.
-    The P-only terms of those calls (the `P > 0` mask and `S_P`) are built
-    once per exaggeration factor, at most twice a run, and the previous
-    factor's terms are released first. The input-space distances and,
-    under the joint cost, the conditional P are released before the
-    descent. All calls share one `_Workspace`: the n x n `Q`, each
-    worker's block buffers, and one thread pool with a thread per CPU the
-    process may use, at most one per row block. So the descent holds `P`,
-    the mask, `S_P` and `Q`, makes no BLAS call, and its bytes do not
-    depend on the number of threads. The result carries the calibrated
-    bandwidths.
+    The P-only terms of those calls (`_p_terms`) are built once per
+    exaggeration factor, at most twice a run, the previous factor's
+    released first. The input-space distances and, under the joint cost,
+    the conditional P are released before the descent. All calls share
+    one `_Workspace`: the n x n `Q`, each worker's block buffers, and a
+    thread per CPU the process may use, at most one per row block. So the
+    descent holds `P`, the P terms and `Q`, makes no BLAS call, and its
+    bytes do not depend on the number of threads. The result carries the
+    calibrated bandwidths.
     kl_trace[t] is the cost at the start of iteration t against the
     un-exaggerated affinities; the final entry is the cost of the returned
     coordinates. Entries are the floored cost of tsne_cost_and_grad, not
@@ -487,9 +483,7 @@ def run_tsne(
                 raise DivergenceError(it, f"coordinates diverged at iteration {it}")
         if phase != 1.0:
             p_terms = None  # still exaggerated: the final call builds the plain terms
-        trace[-1], _ = tsne_cost_and_grad(
-            P, Y, cfg.kernel, cfg.cost, p_terms=p_terms, workspace=workspace
-        )
+        trace[-1], _ = tsne_cost_and_grad(P, Y, cfg.kernel, cfg.cost, p_terms=p_terms, workspace=workspace)
     return TsneResult(coords=Y, kl_trace=trace, effective_perplexity=effective, sigmas=sigmas)
 
 

@@ -14,6 +14,9 @@ against the exaggerated P for the step; it takes the cost function to
 call. `whole_matrix_cost_and_grad` is `semfuse.tsne.tsne_cost_and_grad`
 as it was before it worked on row blocks: every step on whole n x n
 matrices, with the planar Gram matrix and the gradient from BLAS.
+`offset_cost_and_grad` is it as it was when both row-block sweeps built
+the coordinate differences, the gradient as `sum_j S_ij (y_j - y_i)`
+and the cost as `p log(p / q)` on the cells with p > 0.
 `row_calibrate_sigmas` and `row_conditional_p` are the perplexity
 bisection and the conditional P one row at a time, before the rows were
 bisected together. `low_dim_q`, `joint_q` and `kl_divergence` are the
@@ -49,6 +52,7 @@ from semfuse.rankopt import SimilarityParams, rank_loss, rank_matrix
 from semfuse.rankopt import pairwise_scores as matrix_scores
 from semfuse.table import _ROWS, filled_rows, parse_floats
 from semfuse.tsne import (
+    _BLOCK_CELLS,
     _MAX_STEP,
     _MIN_GAIN,
     _Q_FLOOR,
@@ -456,6 +460,49 @@ def whole_matrix_cost_and_grad(P, coords, kernel="gaussian", cost="joint", exagg
     np.fill_diagonal(S, 0.0)
     grad = 2.0 * (S.sum(axis=1)[:, None] * coords - S @ coords)
     return cost_value, grad
+
+
+def offset_cost_and_grad(P, coords, kernel="gaussian", cost="joint", exaggeration=1.0):
+    """The row-blocked cost and gradient with both sweeps on coordinate differences, on one thread."""
+    mask = P > 0
+    scaled = P if exaggeration == 1.0 else exaggeration * P
+    S_P = scaled + scaled.T
+    coords = np.asarray(coords, dtype=float)
+    x, y = coords[:, 0].copy(), coords[:, 1].copy()
+    n, joint = len(x), cost == "joint"
+    rows = max(1, _BLOCK_CELLS // n)
+    blocks = [slice(r, min(r + rows, n)) for r in range(0, n, rows)]
+    Q, row_sum, row_cost, grad = np.empty((n, n)), np.empty(n), np.empty(n), np.empty((n, 2))
+
+    def zero_diagonal(rows, first):
+        rows.flat[first :: rows.shape[1] + 1] = 0.0
+
+    for block in blocks:
+        dx, dy = x - x[block, None], y - y[block, None]
+        d2 = dx * dx + dy * dy
+        w = Q[block]
+        w[...] = np.exp(-d2) if kernel == "gaussian" else 1.0 / (d2 + 1.0)
+        zero_diagonal(w, block.start)
+        row_sum[block] = np.add.reduce(w, axis=1)
+        if not joint:
+            w /= np.maximum(row_sum[block], _Q_FLOOR)[:, None]
+            np.maximum(w, _Q_FLOOR, out=w)
+            zero_diagonal(w, block.start)
+    total = max(float(row_sum.sum()), _Q_FLOOR)
+    for block in blocks:
+        dx, dy = x - x[block, None], y - y[block, None]
+        q = np.maximum(Q[block] / total, _Q_FLOOR) if joint else Q[block]
+        zero_diagonal(q, block.start)  # under the joint cost q is a copy
+        p = P[block]
+        ratio = np.ones_like(p)
+        np.divide(p, q, out=ratio, where=mask[block])
+        row_cost[block] = np.add.reduce(np.log(ratio) * p, axis=1)
+        S = S_P[block] - (q * 2.0 if joint else q + Q[:, block].T)
+        if kernel == "student_t":
+            S /= (dx * dx + dy * dy) + 1.0
+        grad[block, 0] = np.einsum("ij,ij->i", S, dx)
+        grad[block, 1] = np.einsum("ij,ij->i", S, dy)
+    return float(row_cost.sum()), grad * -2.0
 
 
 def row_perplexity(d2_row, beta, i):

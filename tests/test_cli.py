@@ -682,6 +682,37 @@ class TestFailedStage:
             os.waitpid(started[0].pid, os.WNOHANG)
 
 
+    def test_failing_score_helper_names_the_output_in_out_dir(self, pipeline_fixture, tmp_path, monkeypatch,
+                                                              capsys):
+        fx = pipeline_fixture
+        out = tmp_path / "out"
+        base = ["--out-dir", str(out)]
+        assert main(base + ["ingest", "--corpus", str(fx["corpus"]),
+                            "--gazetteer", str(fx["gazetteer"])]) == 0
+        assert main(base + ["embed", "--word-vectors", str(fx["vectors"])]) == 0
+        helper = tmp_path / "helper.py"
+        helper.write_text("import sys\nsys.exit(1)\n", encoding="utf-8")
+        monkeypatch.setattr(rankopt, "_SCORE_ROWS", helper)
+        monkeypatch.setattr(rankopt, "_HELPER_MIN_CELLS", 4)
+        capsys.readouterr()
+        assert main(base + ["score", "--alphas", "0.5,1.0"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {out}/scores.csv: the score row helper exited with status 1\n"
+        assert ".tmp" not in err
+
+    def test_failed_write_names_the_output_in_out_dir(self, pipeline_fixture, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+
+        def write_scatter_svg(ids, coords, path, *args):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(cli, "write_scatter_svg", write_scatter_svg)
+        capsys.readouterr()
+        assert self.tsne_run(pipeline_fixture, out, seed=4) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 28] No space left on device: '{out}/tsne.svg'\n"
+
+
 def test_one_sidecar_writer_and_no_file_writes_in_the_stages():
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
 

@@ -411,6 +411,17 @@ class TestWriterMatchesItsOracle:
         assert path.read_bytes() == old.read_bytes()
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.one_of(st.integers(), st.sampled_from([0, -1, 10**30, -(10**30)]),
+                                             st.booleans(), st.integers(-2**63, 2**63 - 1).map(np.int64)),
+                                   FLOAT, FLOAT), max_size=5))
+    def test_int_led_rows(self, path, rows):
+        old = path.with_name("old.csv")
+        table.write_table(path, ["round", "alpha1", "loss"], rows)
+        oracles.write_table(old, ["round", "alpha1", "loss"], rows)
+        assert path.read_bytes() == old.read_bytes()
+
+
 class TestNotUtf8:
     @pytest.mark.parametrize("reader", sorted(TABLE_READERS))
     def test_table_readers_name_the_file_and_line(self, tmp_path, reader):

@@ -108,6 +108,32 @@ class TestPairwiseSqDistances:
         for key in runs[0]:
             assert np.array_equal(runs[0][key], runs[1][key]), key
 
+    def test_other_configurations_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the Student-t kernel and the conditional cost take their own branches of both sweeps
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from semfuse.tsne import TsneConfig, run_tsne\n"
+            "out = {}\n"
+            "X = np.random.default_rng(300).normal(size=(300, 11))\n"
+            "for kernel, cost in (('student_t', 'joint'), ('gaussian', 'conditional'), ('student_t', 'conditional')):\n"
+            "    res = run_tsne(X, TsneConfig(iterations=40, kernel=kernel, cost=cost, seed=1))\n"
+            "    for name in ('coords', 'kl_trace', 'sigmas'):\n"
+            "        out[f'{name}-{kernel}-{cost}'] = getattr(res, name)\n"
+            "np.savez(sys.argv[1], **out)\n"
+        )
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            path = tmp_path / f"threads{threads}.npz"
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True, timeout=300)
+            with np.load(path) as arrays:
+                runs.append(dict(arrays))
+        assert sorted(runs[0]) == sorted(runs[1]) and len(runs[0]) == 9
+        for key in runs[0]:
+            assert np.array_equal(runs[0][key], runs[1][key]), key
+
     @pytest.mark.parametrize("n", [2, 17, 300, 1000])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 40.0, 1e4])
     def test_planar_distances_exactly_symmetric(self, n, scale):
@@ -461,6 +487,61 @@ class TestBlockedCost:
             runs.append(run_tsne(X, cfg))
         assert np.array_equal(runs[0].coords, runs[1].coords)
         assert np.array_equal(runs[0].kl_trace, runs[1].kl_trace)
+
+
+class TestSecondSweep:
+    """The second sweep takes row sums of S, not coordinate differences; the offset sweeps agree."""
+
+    @pytest.mark.parametrize("n", [3, 10, 65, 300])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("cost", COST_MODES)
+    @pytest.mark.parametrize("exaggeration", [1.0, 3.0, 4.0])
+    def test_agrees_with_the_offset_sweeps(self, n, kernel, cost, exaggeration):
+        P, Y = random_affinities(n, cost, seed=n)
+        got = tsne_cost_and_grad(P, Y, kernel, cost, exaggeration)
+        want_cost, want_grad = oracles.offset_cost_and_grad(P, Y, kernel, cost, exaggeration)
+        assert abs(got[0] - want_cost) <= 1e-12 * abs(want_cost)
+        assert np.max(np.abs(got[1] - want_grad)) <= 1e-11 * np.max(np.abs(want_grad))
+
+    @pytest.mark.parametrize("n", [3, 10, 65, 300])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("cost", COST_MODES)
+    @pytest.mark.parametrize("exaggeration", [1.0, 3.0, 4.0])
+    def test_symmetric_shortcut_equals_the_s_p_path(self, monkeypatch, n, kernel, cost, exaggeration):
+        P, Y = random_affinities(n, "joint", seed=n)
+        plogp, half, halved = semfuse.tsne._p_terms(P, exaggeration)
+        assert halved and (half is P) == (exaggeration == 1.0)
+        scaled = exaggeration * P
+        S_P = scaled + scaled.T
+        for cells in (semfuse.tsne._BLOCK_CELLS, n):  # the default blocks, then blocks of one row
+            monkeypatch.setattr(semfuse.tsne, "_BLOCK_CELLS", cells)
+            got = tsne_cost_and_grad(P, Y, kernel, cost, exaggeration)
+            want = tsne_cost_and_grad(P, Y, kernel, cost, exaggeration, p_terms=(plogp, S_P, False))
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
+
+    def test_an_asymmetric_p_keeps_s_p(self):
+        P, _ = random_affinities(10, "conditional", seed=2)
+        plogp, S_P, halved = semfuse.tsne._p_terms(P, 3.0)
+        assert not halved
+        assert np.array_equal(S_P, 3.0 * P + (3.0 * P).T)
+        positive = P[P > 0]
+        assert plogp == pytest.approx(float(np.sum(positive * np.log(positive))), rel=1e-15)
+
+    @pytest.mark.parametrize("cost, halved", [("joint", True), ("conditional", False)])
+    def test_run_tsne_takes_the_shortcut_under_the_joint_cost(self, monkeypatch, cost, halved):
+        seen = []
+        original = semfuse.tsne._p_terms
+
+        def recording(P, exaggeration):
+            terms = original(P, exaggeration)
+            seen.append(terms[2])
+            return terms
+
+        monkeypatch.setattr(semfuse.tsne, "_p_terms", recording)
+        run_tsne(two_cluster_space(per=6), TsneConfig(perplexity=4.0, iterations=12,
+                                                      exaggeration_iters=6, cost=cost, seed=1))
+        assert seen == [halved, halved]
 
 
 class TestFusedPass:
