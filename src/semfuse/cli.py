@@ -3,7 +3,9 @@
 Stages communicate through fixed-name CSV files in the output directory,
 each with a `.meta` sidecar recording input hashes, parameters, and the
 seed, so any output can be reproduced exactly. Configuration comes from a
-flat `key = value` file with command-line flags taking precedence.
+flat `key = value` file with command-line flags taking precedence; both are
+checked alike. Numbers must be finite, a list needs at least one number,
+and the seed is a non-negative integer.
 
 Each `cmd_*` function reads its inputs and writes its outputs through a
 `Run`, which records every input under its sidecar key and hands out
@@ -31,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
+    CORPUS_FORMATS,
     clean_corpus,
     load_corpus,
     load_gazetteer,
@@ -71,6 +74,8 @@ from .spectra import augment, delta_cosine_experiment, fit_pca, save_delta_csv, 
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .table import open_text, write_table
 from .tsne import (
+    COST_MODES,
+    KERNELS,
     TsneConfig,
     load_colors,
     run_tsne,
@@ -126,38 +131,38 @@ class Run:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = load_config(args.config) if args.config else {}
+        self.seed = self.number("seed", 0, int)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         out = args.out_dir or self.config.get("out_dir") or "out"
         self.out_dir = Path(out)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        if args.seed is not None:
-            self.seed = args.seed
-        else:
-            self.seed = _parse_int("seed", self.config.get("seed", "0"))
         self.staging = self.out_dir / f".{args.command}.{os.getpid()}.tmp"
         self.inputs: dict[str, Path] = {}  # sidecar key -> file read
         self.outputs: list[Path] = []  # staged paths, in the order handed out
 
-    def setting(self, key: str, default: str | None = None) -> str | None:
+    def setting(self, key: str, default: str | None = None, required: bool = False) -> str | None:
+        """The flag `key`'s text, else its config value, else `default`; unset and required is an error."""
         flag = getattr(self.args, key, None)
-        if flag is not None:
-            return str(flag)
-        return self.config.get(key, default)
-
-    def require(self, key: str, hint: str | None = None) -> str:
-        value = self.setting(key)
-        if value is None:
-            hint = hint or f"flag --{key.replace('_', '-')} or config key {key}"
-            raise ConfigError(f"{key} is required ({hint})")
+        value = self.config.get(key, default) if flag is None else flag
+        if value is None and required:
+            raise ConfigError(f"{key} is required (flag --{key.replace('_', '-')} or config key {key})")
         return value
 
-    def input_file(self, key: str, noun: str, required: bool = True) -> Path | None:
+    def number(self, key: str, default=None, kind: type = float, many: bool = False,
+               required: bool = False):
+        """The setting `key` parsed by `_parse_numbers`; `default` if it is optional and unset."""
+        value = self.setting(key, required=required)
+        return default if value is None else _parse_numbers(key, value, kind, many)
+
+    def input_file(self, key: str, required: bool = True) -> Path | None:
         """The file a flag or key names, recorded under that key; None if optional and unset."""
-        value = self.require(key) if required else self.setting(key)
+        value = self.setting(key, required=required)
         if not value and not required:
             return None
         path = Path(value)
         if not path.exists():
-            raise ConfigError(f"{noun} file {path} does not exist")
+            raise ConfigError(f"{key} file {path} does not exist")
         self.inputs[key] = path
         return path
 
@@ -196,42 +201,21 @@ class Run:
         return final
 
 
-def _parse_int(name: str, value: str) -> int:
+def _parse_numbers(name: str, value: str, kind: type = float, many: bool = False):
+    """One int or float, or with `many` a tuple of at least one, from a setting's text."""
+    texts = [v for v in value.split(",") if v.strip()] if many else [value]
     try:
-        return int(value)
+        numbers = tuple(kind(text) for text in texts)
     except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _parse_float(name: str, value: str) -> float:
-    try:
-        number = float(value)
-    except ValueError:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-    _check_finite(name, [number], value)
-    return number
-
-
-def _parse_int_list(name: str, value: str) -> list[int]:
-    try:
-        return [int(v) for v in value.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"{name} must be comma-separated integers, got {value!r}") from None
-
-
-def _parse_float_list(name: str, value: str) -> list[float]:
-    try:
-        numbers = [float(v) for v in value.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"{name} must be comma-separated numbers, got {value!r}") from None
-    _check_finite(name, numbers, value)
-    return numbers
-
-
-def _check_finite(name: str, numbers: list[float], value: str) -> None:
+        numbers = ()
+    if not numbers:
+        shape = {(int, False): "an integer", (float, False): "a number",
+                 (int, True): "comma-separated integers", (float, True): "comma-separated numbers"}
+        raise ConfigError(f"{name} must be {shape[kind, many]}, got {value!r}")
     # float() accepts nan and inf, which no setting can use
-    if not all(map(math.isfinite, numbers)):
+    if kind is float and not all(map(math.isfinite, numbers)):
         raise ConfigError(f"{name} must be finite, got {value!r}")
+    return numbers if many else numbers[0]
 
 
 def _parse_bounds(value: str) -> tuple[tuple[float, float], ...]:
@@ -241,7 +225,7 @@ def _parse_bounds(value: str) -> tuple[tuple[float, float], ...]:
         if ":" not in part:
             raise ConfigError(f"bounds interval {part!r} must look like lo:hi")
         lo, _, hi = part.partition(":")
-        intervals.append((_parse_float("bounds", lo), _parse_float("bounds", hi)))
+        intervals.append((_parse_numbers("bounds", lo), _parse_numbers("bounds", hi)))
     return tuple(intervals)
 
 
@@ -286,8 +270,8 @@ def _records_and_space(records_path: Path, embeddings_path: Path) -> tuple[list,
 
 
 def cmd_ingest(run: Run) -> tuple[dict, str]:
-    records = load_corpus(run.input_file("corpus", "corpus"), format=run.setting("format"))
-    gaz_path = run.input_file("gazetteer", "gazetteer", required=False)
+    records = load_corpus(run.input_file("corpus"), format=run.setting("format"))
+    gaz_path = run.input_file("gazetteer", required=False)
     if gaz_path:
         records = resolve_coordinates(records, load_gazetteer(gaz_path))
     save_corpus(records, run.path_out(RECORDS), format="csv")
@@ -296,8 +280,6 @@ def cmd_ingest(run: Run) -> tuple[dict, str]:
 
 def cmd_encode(run: Run) -> tuple[dict, str]:
     variant = run.setting("variant", "all_features")
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     matrix = build_feature_matrix(load_corpus(run.stage_input(RECORDS), format="csv"), variant)
     save_feature_matrix(run.path_out(FEATURES), matrix, variant)
     rows, columns = matrix.shape
@@ -306,13 +288,10 @@ def cmd_encode(run: Run) -> tuple[dict, str]:
 
 def cmd_embed(run: Run) -> tuple[dict, str]:
     records = load_corpus(run.stage_input(RECORDS), format="csv")
-    run.require("word_vectors", "flag --word-vectors or key word_vectors")  # its hint differs
-    table = load_word_vectors(run.input_file("word_vectors", "word vector"))
-    stop_path = run.input_file("stopwords", "stopword", required=False)
+    table = load_word_vectors(run.input_file("word_vectors"))
+    stop_path = run.input_file("stopwords", required=False)
     docs = clean_corpus(records, load_stopwords(stop_path) if stop_path else DEFAULT_STOPWORDS)
-    ridge_setting = run.setting("ridge")
-    ridge = _parse_float("ridge", ridge_setting) if ridge_setting is not None else None
-    ctx = fit_context(docs, table, ridge=ridge)
+    ctx = fit_context(docs, table, ridge=run.number("ridge"))
     space, fallback_ids = embed_corpus(docs, ctx, table)
     export_embeddings(space, run.path_out(EMBEDDINGS))
     params = {"dim": table.dim, "ridge": ctx.ridge, "fallback_ids": list(fallback_ids)}
@@ -320,7 +299,7 @@ def cmd_embed(run: Run) -> tuple[dict, str]:
 
 
 def cmd_reduce(run: Run) -> tuple[dict, str]:
-    k = _parse_int("k", run.require("k"))
+    k = run.number("k", kind=int, required=True)
     space = import_embeddings(run.stage_input(EMBEDDINGS))
     model = fit_pca(space, k)
     export_embeddings(EmbeddingSpace(space.ids, transform(model, space)), run.path_out(REDUCED))
@@ -359,9 +338,7 @@ def _dist_kinds(run: Run) -> tuple[str, ...]:
 def cmd_score(run: Run) -> tuple[dict, str]:
     records, space = _records_and_space(run.stage_input(RECORDS), run.stage_input(EMBEDDINGS))
     kind = run.setting("kind", "pi")
-    if kind not in SIM_KINDS:
-        raise ConfigError(f"unknown similarity kind {kind!r}; expected one of {SIM_KINDS}")
-    alphas = tuple(_parse_float_list("alphas", run.setting("alphas", "0.02,9.55")))
+    alphas = run.number("alphas", (0.02, 9.55), many=True)
     params = SimilarityParams(kind=kind, alphas=alphas, dist_kinds=_dist_kinds(run))
     scores = pairwise_scores(space.matrix, batch_features(records), params)
     save_score_matrix(scores, run.path_out(SCORES))
@@ -376,17 +353,16 @@ def cmd_score(run: Run) -> tuple[dict, str]:
 def cmd_optimize(run: Run) -> tuple[dict, str]:
     records_path = run.stage_input(RECORDS)
     embeddings_path = run.stage_input(EMBEDDINGS)
-    labels_path = run.input_file("labels", "labels")
+    labels_path = run.input_file("labels")
     records, space = _records_and_space(records_path, embeddings_path)
     labels = load_rank_labels(labels_path)
     kind = run.setting("kind", "pi")
     dist_kinds = _dist_kinds(run)
-    step_setting = run.setting("step")
     cfg = GridConfig(
         bounds=_parse_bounds(run.setting("bounds", "0:1,0:12")),
-        step=_parse_float("step", step_setting) if step_setting is not None else None,
-        shrink=_parse_float("shrink", run.setting("shrink", "0.5")),
-        rounds=_parse_int("rounds", run.setting("rounds", "6")),
+        step=run.number("step"),
+        shrink=run.number("shrink", GridConfig.shrink),
+        rounds=run.number("rounds", GridConfig.rounds, int),
     )
     params, loss, trace = optimize_alphas(
         space.matrix, batch_features(records), labels, kind, dist_kinds, cfg
@@ -408,17 +384,15 @@ def cmd_optimize(run: Run) -> tuple[dict, str]:
 def cmd_tsne(run: Run) -> tuple[dict, str]:
     input_name = run.setting("tsne_input", AUGMENTED)
     space = import_embeddings(run.stage_input(input_name, "space"))
-    if len(space.ids) < 3:
-        raise DomainError(f"t-SNE needs at least 3 rows, got {len(space.ids)}")
     cfg = TsneConfig(
-        perplexity=_parse_float("perplexity", run.setting("perplexity", "30")),
-        iterations=_parse_int("iterations", run.setting("iterations", "1000")),
-        learning_rate=_parse_float("learning_rate", run.setting("learning_rate", "100")),
-        kernel=run.setting("kernel", "gaussian"),
-        cost=run.setting("cost", "joint"),
+        perplexity=run.number("perplexity", TsneConfig.perplexity),
+        iterations=run.number("iterations", TsneConfig.iterations, int),
+        learning_rate=run.number("learning_rate", TsneConfig.learning_rate),
+        kernel=run.setting("kernel", TsneConfig.kernel),
+        cost=run.setting("cost", TsneConfig.cost),
         seed=run.seed,
     )
-    colors_path = run.input_file("colors", "colors", required=False)
+    colors_path = run.input_file("colors", required=False)
     colors = load_colors(colors_path) if colors_path else None
     result = run_tsne(space.matrix, cfg)
     write_coords_csv(space.ids, result.coords, run.path_out(TSNE_CSV))
@@ -439,21 +413,26 @@ def cmd_tsne(run: Run) -> tuple[dict, str]:
     }, f"{len(space.ids)} points, final KL {final_kl!r}"
 
 
+def _quality_labels(run: Run, space: EmbeddingSpace) -> tuple[list, float, int]:
+    """The rater labels of a quality mode, with the scale_max and top_n it reads them by."""
+    labels_path = run.input_file("labels")
+    scale_max = run.number("scale_max", 4.0)
+    top_n = run.number("top_n", 20, int)
+    return load_labels(labels_path, scale_max, corpus_ids=space.ids), scale_max, top_n
+
+
 def cmd_eval(run: Run) -> tuple[dict, str]:
     mode = run.setting("mode", "quality")
     if mode == "quality":
         space = import_embeddings(run.stage_input(run.setting("space", AUGMENTED), "space"))
-        labels_path = run.input_file("labels", "labels")
-        scale_max = _parse_float("scale_max", run.setting("scale_max", "4"))
-        top_n = _parse_int("top_n", run.setting("top_n", "20"))
-        labels = load_labels(labels_path, scale_max, corpus_ids=space.ids)
+        labels, scale_max, top_n = _quality_labels(run, space)
         quality = top_pair_quality(space, labels, top_n, run.seed)
         rows = [("top_pair_quality", quality), ("n_labels", len(labels)), ("top_n", top_n)]
         params = {"mode": mode, "scale_max": scale_max, "top_n": top_n}
         summary = f"top_pair_quality {quality!r} over top {top_n} of {len(labels)} pairs"
     elif mode == "compare":
         pred_path = run.stage_input(run.setting("pred", SCORES), "pred")
-        labels_path = run.input_file("labels", "labels")
+        labels_path = run.input_file("labels")
         pred = load_rank_labels(pred_path)
         report = compare_rankings(pred, load_rank_labels(labels_path))
         save_rank_heatmap(pred, run.path_out(HEATMAP_CSV))
@@ -474,12 +453,9 @@ def cmd_sweep(run: Run) -> tuple[dict, str]:
     mode = run.setting("mode", "quality")
     embeddings_path = run.stage_input(EMBEDDINGS)
     records, space = _records_and_space(run.stage_input(RECORDS), embeddings_path)
-    k_list = _parse_int_list("k_list", run.setting("k_list", "2,4,8"))
+    k_list = run.number("k_list", (2, 4, 8), int, many=True)
     if mode == "quality":
-        labels_path = run.input_file("labels", "labels")
-        scale_max = _parse_float("scale_max", run.setting("scale_max", "4"))
-        top_n = _parse_int("top_n", run.setting("top_n", "20"))
-        labels = load_labels(labels_path, scale_max, corpus_ids=space.ids)
+        labels, scale_max, top_n = _quality_labels(run, space)
         features_all = build_feature_matrix(records, "all_features")
         features_condensed = build_feature_matrix(records, "condensed_time")
         result = component_sweep(
@@ -490,10 +466,8 @@ def cmd_sweep(run: Run) -> tuple[dict, str]:
         return params, f"{len(result.cells)} (variant, k) cells"
     if mode == "delta":
         variant = run.setting("variant", "all_features")
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-        trials = _parse_int("trials", run.setting("trials", "10"))
-        pairs = _parse_int("pairs", run.setting("pairs", "500"))
+        trials = run.number("trials", 10, int)
+        pairs = run.number("pairs", 500, int)
         features = build_feature_matrix(records, variant)
         results = delta_cosine_experiment(space, features, k_list, trials, pairs, run.seed)
         save_delta_csv(results, run.path_out(DELTA_CSV))
@@ -509,17 +483,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Context-aware semantic similarity pipeline",
     )
     parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--seed", type=int, help="master seed recorded in all outputs")
+    parser.add_argument("--seed", help="master seed recorded in all outputs")
     parser.add_argument("--out-dir", help="directory for stage outputs (default: out)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="load a corpus and resolve coordinates")
     p.add_argument("--corpus", help="corpus file (csv, tsv, or jsonl)")
-    p.add_argument("--format", choices=["csv", "tsv", "jsonl"], help="corpus format")
+    p.add_argument("--format", choices=CORPUS_FORMATS, help="corpus format")
     p.add_argument("--gazetteer", help="location,lat,lon CSV for geocoding")
 
     p = sub.add_parser("encode", help="build the geotemporal feature matrix")
-    p.add_argument("--variant", choices=list(VARIANTS), help="feature layout")
+    p.add_argument("--variant", choices=VARIANTS, help="feature layout")
 
     p = sub.add_parser("embed", help="embed records with salience-weighted word vectors")
     p.add_argument("--word-vectors", dest="word_vectors", help="token-vector text file")
@@ -532,14 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("augment", help="append standardized features to the reduced space")
 
     p = sub.add_parser("score", help="pairwise similarity matrix")
-    p.add_argument("--kind", choices=list(SIM_KINDS), help="scorer form")
+    p.add_argument("--kind", choices=SIM_KINDS, help="scorer form")
     p.add_argument("--alphas", help="comma-separated kernel weights")
     p.add_argument("--dist-kinds", dest="dist_kinds",
                    help="comma-separated kernel names, one per feature: days, then coordinates")
 
     p = sub.add_parser("optimize", help="fit kernel weights to labeled rankings")
     p.add_argument("--labels", help="labeled scores: i,j,score rows or a full matrix")
-    p.add_argument("--kind", choices=list(SIM_KINDS), help="scorer form")
+    p.add_argument("--kind", choices=SIM_KINDS, help="scorer form")
     p.add_argument("--dist-kinds", dest="dist_kinds",
                    help="comma-separated kernel names, one per feature: days, then coordinates")
     p.add_argument("--bounds", help="per-alpha search intervals, e.g. 0:1,0:12")
@@ -552,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perplexity", help="target effective neighbor count")
     p.add_argument("--iterations", help="gradient descent iterations")
     p.add_argument("--learning-rate", dest="learning_rate", help="descent step size")
-    p.add_argument("--kernel", choices=["gaussian", "student_t"], help="planar kernel")
-    p.add_argument("--cost", choices=["joint", "conditional"], help="divergence form")
+    p.add_argument("--kernel", choices=KERNELS, help="planar kernel")
+    p.add_argument("--cost", choices=COST_MODES, help="divergence form")
     p.add_argument("--colors", help="id,color CSV for scatter fills")
 
     p = sub.add_parser("eval", help="score model output against human labels")
@@ -570,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="label file for quality mode")
     p.add_argument("--scale-max", dest="scale_max", help="maximum raw rater score")
     p.add_argument("--top-n", dest="top_n", help="pairs to average in quality mode")
-    p.add_argument("--variant", choices=list(VARIANTS), help="feature layout for delta mode")
+    p.add_argument("--variant", choices=VARIANTS, help="feature layout for delta mode")
     p.add_argument("--trials", help="resampling trials for delta mode")
     p.add_argument("--pairs", help="pairs per trial for delta mode")
 

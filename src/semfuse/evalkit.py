@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .embed import EmbeddingSpace
-from .errors import DomainError, RowError, SchemaError, UnknownKeyError
+from .errors import DomainError, FormatError, RowError, SchemaError, UnknownKeyError
 from .rankopt import RankMatrix, rank_loss
 from .spectra import AugmentedSpace, augment, cosine, fit_pca_models, transform
 from .spectra import fit_pca  # noqa: F401  # kept in this namespace: bench/tracer.py patches it
@@ -108,6 +108,8 @@ def load_labels(
                     raise RowError(where, f"score {s} outside [0, {scale_max}]")
             label = sum(scores) / len(scores) / scale_max
             pairs.append(LabeledPair(id_a=id_a, id_b=id_b, rater_scores=scores, label=label))
+    if not pairs:
+        raise FormatError(f"{path}: no labeled pairs")
     return pairs
 
 

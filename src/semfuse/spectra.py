@@ -191,6 +191,8 @@ def delta_cosine_experiment(
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if pair_sample_size < 1:
+        raise DomainError(f"pair_sample_size must be >= 1, got {pair_sample_size}")
     n = space.matrix.shape[0]
     total_pairs = n * (n - 1) // 2
     if pair_sample_size > total_pairs:

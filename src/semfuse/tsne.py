@@ -13,6 +13,7 @@ import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from html import escape
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -438,7 +439,7 @@ def run_tsne(
     X = np.asarray(space, dtype=float)
     n = X.shape[0]
     if n < 3:
-        raise DomainError(f"need at least 3 rows, got {n}")
+        raise DomainError(f"t-SNE needs at least 3 rows, got {n}")
     effective = min(cfg.perplexity, max((n - 1) / 3.0, 1.5))
     d2 = pairwise_sq_distances(X)
     sigmas = calibrate_sigmas(d2, effective)
@@ -524,7 +525,7 @@ def write_scatter_svg(
     colors: Mapping[str, str] | None = None,
     size: int = 640,
 ) -> None:
-    """Emit a self-contained SVG scatter of the planar coordinates."""
+    """Emit a self-contained SVG scatter of the planar coordinates; ids and fills are XML-escaped."""
     coords = np.asarray(coords, dtype=float)
     margin = 0.05 * size
     lo = coords.min(axis=0)
@@ -541,8 +542,8 @@ def write_scatter_svg(
         py = size - margin - (y - lo[1]) * scale[1]
         fill = colors.get(rid, "#555555") if colors else "#555555"
         parts.append(
-            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" fill="{fill}">'
-            f"<title>{rid}</title></circle>"
+            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" fill="{escape(fill)}">'
+            f"<title>{escape(rid, quote=False)}</title></circle>"
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

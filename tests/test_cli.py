@@ -2,7 +2,9 @@ import ast
 import hashlib
 import os
 import re
+import shutil
 import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -102,6 +104,15 @@ def directory_bytes(out) -> dict:
     return {p.name: p.read_bytes() if p.is_file() else None for p in out.iterdir()}
 
 
+@pytest.fixture(scope="module")
+def staged_out(pipeline_fixture, tmp_path_factory):
+    """An output directory holding the outputs of ingest through augment."""
+    out = tmp_path_factory.mktemp("staged") / "out"
+    for stage in pipeline_stages(pipeline_fixture)[:5]:
+        assert main(["--seed", "7", "--out-dir", str(out)] + stage) == 0
+    return out
+
+
 class TestPipeline:
     def test_each_sidecar_lists_its_keys(self, pipeline_fixture, tmp_path):
         stages = pipeline_stages(pipeline_fixture)
@@ -113,6 +124,19 @@ class TestPipeline:
                 meta = (tmp_path / f"{name}.meta").read_text(encoding="utf-8")
                 keys = [line.split(" = ")[0] for line in meta.splitlines()]
                 assert keys == sidecar_keys(inputs, params), f"{stage[:3]}: {name}.meta"
+
+    def test_stages_run_as_processes_write_nothing_to_stderr(self, pipeline_fixture, tmp_path):
+        # pytest turns a warning into an error only inside its own process
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        out = tmp_path / "processes"
+        for stage in pipeline_stages(pipeline_fixture):
+            argv = [sys.executable, "-m", "semfuse", "--seed", "7", "--out-dir", str(out)] + stage
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, ""), stage[:3]
+        run_stages(tmp_path / "in_process", pipeline_fixture)
+        assert directory_bytes(out) == directory_bytes(tmp_path / "in_process")
 
     def test_all_stages_and_reproducibility(self, pipeline_fixture, tmp_path):
         dir_a = tmp_path / "run_a"
@@ -443,6 +467,51 @@ class TestNonFiniteFlags:
         assert f"error: {setting} must be finite" in err
         assert "Traceback" not in err
         assert not (out / written).exists()
+
+
+class TestSettingErrors:
+    """Each setting error, for a setting given by flag and by config key alike."""
+
+    # (stage, setting key, its text, the error after "error: ")
+    CASES = {
+        "integer": (["reduce"], "k", "4.5", "k must be an integer, got '4.5'"),
+        "number": (["tsne"], "perplexity", "many", "perplexity must be a number, got 'many'"),
+        "integer list": (["sweep", "--mode", "delta"], "k_list", "2,x",
+                         "k_list must be comma-separated integers, got '2,x'"),
+        "number list": (["score"], "alphas", "0.02,y",
+                        "alphas must be comma-separated numbers, got '0.02,y'"),
+        "finite": (["tsne"], "learning_rate", "inf", "learning_rate must be finite, got 'inf'"),
+        "empty integer list": (["sweep", "--mode", "delta"], "k_list", ",",
+                               "k_list must be comma-separated integers, got ','"),
+        "empty number list": (["score"], "alphas", ", ,",
+                              "alphas must be comma-separated numbers, got ', ,'"),
+        "negative seed, tsne": (["tsne"], "seed", "-1", "seed must be >= 0, got -1"),
+        "negative seed, sweep": (["sweep", "--mode", "delta"], "seed", "-1", "seed must be >= 0, got -1"),
+        "non-integer seed": (["reduce", "--k", "2"], "seed", "x", "seed must be an integer, got 'x'"),
+        "missing file": (["embed"], "word_vectors", "missing.txt",
+                         "word_vectors file missing.txt does not exist"),
+    }
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_with_one_error_line(self, staged_out, tmp_path, capsys, case, given):
+        stage, key, text, message = self.CASES[case]
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        before = directory_bytes(out)
+        argv = ["--out-dir", str(out)]
+        if given == "config":
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key} = {text}\n", encoding="utf-8")
+            argv += ["--config", str(config)] + stage
+        elif key == "seed":
+            argv += ["--seed", text] + stage
+        else:
+            argv += stage + [f"--{key.replace('_', '-')}", text]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert directory_bytes(out) == before
 
 
 class TestConfigFile:

@@ -79,6 +79,11 @@ class TestLoadLabels:
         with pytest.raises(SchemaError):
             load_labels(p, scale_max=4.0)
 
+    def test_header_only_names_the_file(self, tmp_path):
+        p = labels_file(tmp_path, "")
+        with pytest.raises(FormatError, match=re.escape(f"{p}: no labeled pairs")):
+            load_labels(p, scale_max=4.0)
+
     def test_nonpositive_scale(self, tmp_path):
         p = labels_file(tmp_path, "a,b,1,1\n")
         with pytest.raises(DomainError):

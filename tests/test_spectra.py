@@ -266,6 +266,13 @@ class TestDeltaCosine:
         with pytest.raises(DomainError):
             delta_cosine_experiment(space, np.zeros((5, 2)), [2], pair_sample_size=11)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_sample_size_below_one(self, size):
+        # an empty sample would average no pairs: a nan row and a numpy warning
+        space = random_space(13, n=5, d=4)
+        with pytest.raises(DomainError, match=f"pair_sample_size must be >= 1, got {size}"):
+            delta_cosine_experiment(space, np.zeros((5, 2)), [2], pair_sample_size=size)
+
     def test_nonnegative(self):
         space = random_space(14, n=12, d=6)
         rng = np.random.default_rng(2)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -701,3 +702,16 @@ class TestOutputs:
         assert body == p2.read_text(encoding="utf-8")
         assert body.count("<circle") == 3
         assert '#ff0000' in body
+
+    def test_scatter_svg_escapes_ids_and_fills(self, tmp_path):
+        p = tmp_path / "map.svg"
+        ids = ["a&b", "c<d>", "plain"]
+        write_scatter_svg(ids, np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]]), p,
+                          {"a&b": 'red" onload="x', "plain": "#00ff00"})
+        circles = list(ElementTree.parse(p).getroot().iter("{http://www.w3.org/2000/svg}circle"))
+        assert [c.find("{http://www.w3.org/2000/svg}title").text for c in circles] == ids
+        assert [c.get("fill") for c in circles] == ['red" onload="x', "#555555", "#00ff00"]
+        assert all(c.get("onload") is None for c in circles)
+        # a plain id and color keep their bytes
+        plain = '<circle cx="32.00" cy="464.00" r="4" fill="#00ff00"><title>plain</title></circle>\n'
+        assert plain in p.read_text(encoding="utf-8")
