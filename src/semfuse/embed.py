@@ -15,13 +15,13 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
 from .corpus import CleanDoc
 from .errors import ConflictError, DomainError, FormatError, SchemaError, UnknownKeyError
-from .table import open_text, parse_floats, read_table, write_table
+from .table import bulk_rows, open_text, parse_floats, read_table, write_table
 
 DEFAULT_RIDGE_SCALE = 1e-3
 _SYMMETRY_TOL = 1e-9
@@ -91,11 +91,14 @@ class RowLookup:
             index.setdefault(rid, i)
         return index
 
-    def row(self, record_id: str) -> np.ndarray:
+    def row_index(self, record_id: str) -> int:
         try:
-            return self.matrix[self._row_of[record_id]]
+            return self._row_of[record_id]
         except KeyError:
             raise UnknownKeyError(record_id, f"id {record_id!r} not in embedding space") from None
+
+    def row(self, record_id: str) -> np.ndarray:
+        return self.matrix[self.row_index(record_id)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,39 +129,6 @@ class SentenceEmbedding:
 
     vector: np.ndarray
     fallback: bool = False
-
-
-def _value_texts(lines: Iterable[str], tokens: list[str]) -> Iterator[str]:
-    """Yield the text after the token of each non-blank line, appending the token.
-
-    A line that holds only a token yields nothing, so it leaves one more
-    token than value rows.
-    """
-    for line in lines:
-        parts = line.split(None, 1)
-        if parts:
-            tokens.append(parts[0])
-            yield from parts[1:]
-
-
-def _read_table(path: str | Path) -> tuple[list[str], np.ndarray | None]:
-    """Stream the file through one `np.loadtxt` call: (tokens, value rows).
-
-    The rows are None when the file holds no values or numpy rejects them.
-    """
-    tokens: list[str] = []
-    with open_text(path, newline=None) as fh:
-        texts = _value_texts(fh, tokens)
-        first = next(texts, None)
-        if first is None:
-            return tokens, None
-        try:
-            matrix = np.loadtxt(
-                itertools.chain([first], texts), comments=None, dtype=float, ndmin=2
-            )
-        except ValueError:
-            return tokens, None
-    return tokens, matrix
 
 
 def _raise_first_fault(path: str | Path) -> NoReturn:
@@ -196,19 +166,18 @@ def load_word_vectors(path: str | Path) -> WordVectorTable:
     later line must match, and no token may repeat. Values follow the
     number grammar of `table.parse_floats`.
 
-    The whole file is parsed by one `np.loadtxt` call, and each vector is a
-    row of the resulting matrix, in file order. A file that fails any rule
-    is read again line by line, and the first fault in file order raises a
-    FormatError (ConflictError for a repeated token) naming the file and
-    the line.
+    The whole file is parsed by one `table.bulk_rows` call, with the token
+    as the id field, and each vector is a row of the resulting matrix, in
+    file order. A file that fails any rule is read again line by line, and
+    the first fault in file order raises a FormatError (ConflictError for a
+    repeated token) naming the file and the line.
     """
-    tokens, matrix = _read_table(path)
-    if matrix is not None and matrix.shape[1] >= 2 and np.isfinite(matrix).all():
-        vectors = dict(zip(tokens, matrix))
-        # a repeated token, or a token-only line (one row short), leaves fewer entries
-        if len(vectors) == len(tokens):
-            return WordVectorTable(dim=matrix.shape[1], vectors=vectors)
-    _raise_first_fault(path)
+    tokens: list[str] = []
+    with open_text(path, newline=None) as fh:
+        matrix = bulk_rows(fh, ids=tokens, delimiter=None)
+    if matrix is None or matrix.shape[1] < 3:  # the token, then at least 2 values
+        _raise_first_fault(path)
+    return WordVectorTable(dim=matrix.shape[1] - 1, vectors=dict(zip(tokens, matrix[:, 1:])))
 
 
 def fit_context(

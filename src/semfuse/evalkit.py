@@ -20,7 +20,7 @@ import numpy as np
 from .embed import EmbeddingSpace
 from .errors import DomainError, FormatError, RowError, SchemaError, UnknownKeyError
 from .rankopt import RankMatrix, rank_loss
-from .spectra import AugmentedSpace, augment, cosine, fit_pca_models, transform
+from .spectra import AugmentedSpace, _pairwise_cosines, augment, fit_pca_models, transform
 from .spectra import fit_pca  # noqa: F401  # kept in this namespace: bench/tracer.py patches it
 from .table import filled_rows, open_text, parse_floats, write_table
 
@@ -121,21 +121,19 @@ def top_pair_quality(
 ) -> float:
     """Mean human label of the top_n labeled pairs by model cosine.
 
-    Ties in model score break by pair position in `labels`, so the result
-    is deterministic; seed is recorded by callers but unused here.
+    All pairs are scored by one vectorized cosine. Ties in model score
+    break by pair position in `labels`, so the result is deterministic;
+    seed is recorded by callers but unused here. The first id, in label
+    order, that the space lacks raises before a zero row does.
     """
     if not 1 <= top_n <= len(labels):
         raise DomainError(f"top_n {top_n} outside [1, {len(labels)}]")
     try:
-        scored = [
-            (cosine(space.row(pair.id_a), space.row(pair.id_b)), index)
-            for index, pair in enumerate(labels)
-        ]
+        rows = [space.row_index(rid) for pair in labels for rid in (pair.id_a, pair.id_b)]
     except UnknownKeyError as exc:
         raise UnknownKeyError(exc.query, f"id {exc.query!r} not in the evaluated space") from None
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    chosen = scored[:top_n]
-    return sum(labels[index].label for _, index in chosen) / top_n
+    chosen = np.argsort(-_pairwise_cosines(space.matrix, rows[0::2], rows[1::2]), kind="stable")[:top_n]
+    return sum(labels[index].label for index in chosen.tolist()) / top_n
 
 
 def component_sweep(

@@ -92,10 +92,12 @@ def fit_pca_models(space: EmbeddingSpace, k_list: Sequence[int]) -> list[PcaMode
     """fit_pca(space, k) for every k in k_list, from one fit at max(k_list).
 
     fit_pca keeps the leading rows of one SVD, so the first k axes of the
-    largest model are exactly the k-component model.
+    largest model are exactly the k-component model. A k may not repeat.
     """
-    for k in k_list:
+    for index, k in enumerate(k_list):
         _check_k(k, space.matrix.shape)
+        if k in k_list[:index]:
+            raise DomainError(f"k={k} is repeated in the component counts")
     if not k_list:
         return []
     full = fit_pca(space, max(k_list))

@@ -1,14 +1,16 @@
-"""Numeric CSV tables: one writer, one reader, one number grammar.
+"""Numeric text tables: one writer, one bulk parser, one number grammar.
 
 `write_table` writes each float as its shortest `repr`, so it reads back
-bit for bit; it joins a row's floats in one call. `read_table` parses the
-rows of a file with one `np.loadtxt` call; only a file that numpy rejects,
-or whose result it cannot vouch for, is read again row by row with `csv`,
-which names the first fault. Every numeric cell is read by numpy, in its
-grammar: `1_0` and non-ASCII digits are not numbers, and `nan`, `inf` or
-`1e999` is not finite. Errors read `<file>: line <n>: <reason>`, counting
-the header as line 1. `open_text` opens every text input of the package,
-so a byte that is not UTF-8 is an error of that form too.
+bit for bit; it joins a row's floats in one call. `bulk_rows` parses many
+rows with one `np.loadtxt` call, for CSV tables (`read_table`), corpus and
+gazetteer coordinates (`parse_rows`) and whitespace-separated word-vector
+files (`embed.load_word_vectors`). Rows it rejects, or whose result it
+cannot vouch for, are read again one at a time, which names the first
+fault. Every numeric cell is read by numpy, in its grammar: `1_0` and
+non-ASCII digits are not numbers, and `nan`, `inf` or `1e999` is not
+finite. Errors read `<file>: line <n>: <reason>`, counting the header as
+line 1. `open_text` opens every text input of the package, so a byte that
+is not UTF-8 is an error of that form too.
 """
 
 from __future__ import annotations
@@ -80,16 +82,13 @@ def parse_floats(where: str, cells: Sequence[str]) -> np.ndarray:
 def parse_rows(rows: Sequence[tuple[str, Sequence[str]]], width: int) -> Iterator[list[float]]:
     """The values of each (where, cells) row of `width` cells, in order, as `parse_floats` reads them.
 
-    All rows are parsed by one numpy call. If any would fail, each row is
-    parsed by `parse_floats` as it is taken, so a caller that checks a row
-    before taking its values raises the first fault in file order.
+    All rows are parsed by one `bulk_rows` call. If any would fail, each row
+    is parsed by `parse_floats` as it is taken, so a caller that checks a
+    row before taking its values raises the first fault in file order.
     """
     lines = [",".join(cells) for _, cells in rows]
-    try:
-        values = np.loadtxt(lines, **_ROWS) if lines and all(map(str.strip, lines)) else None
-    except ValueError:
-        values = None
-    if values is not None and values.shape == (len(lines), width) and np.isfinite(values).all():
+    values = bulk_rows(lines, width)
+    if values is not None and len(values) == len(lines):  # numpy skips a blank line
         return iter(values.tolist())
     return (parse_floats(where, cells).tolist() for where, cells in rows)
 
@@ -136,7 +135,7 @@ def read_table(path: str | Path, check_header: Callable[[list[str]], None] | Non
     which may not repeat. A wrong field count or a repeated id is raised
     before any bad value; of the bad values, the first is raised.
 
-    The rows after the header are parsed by one `np.loadtxt` call, which
+    The rows after the header are parsed by one `bulk_rows` call, which
     splits and unquotes the fields as `csv` does. A table it rejects, or
     whose result it cannot vouch for, is read again by `csv` row by row,
     which raises the first fault.
@@ -147,25 +146,30 @@ def read_table(path: str | Path, check_header: Callable[[list[str]], None] | Non
         if check_header:
             check_header(header)
         row_ids: list[str] = []
-        matrix = _bulk_rows(fh, None if header is None else len(header), row_ids if ids else None)
+        matrix = bulk_rows(fh, None if header is None else len(header), row_ids if ids else None)
         if matrix is None:
             fh.seek(0)
             return header, *_checked_rows(path, fh, check_header is not None, skip)
     return header, row_ids, np.ascontiguousarray(matrix[:, skip:])
 
 
-def _bulk_rows(lines: Iterable[str], width: int | None, ids: list[str] | None) -> np.ndarray | None:
+def bulk_rows(lines: Iterable[str], width: int | None = None, ids: list[str] | None = None,
+              delimiter: str | None = ",") -> np.ndarray | None:
     """The rows of `lines` as one matrix; with `ids`, each row's first field goes there and reads as 0.
 
-    None when numpy rejects the rows, when they are not `width` fields wide,
-    hold a non-finite value or repeat an id, when there are none, or when a
-    value field is quoted: numpy would read the line breaks inside it as
-    blanks.
+    With `delimiter` ",", fields are split and unquoted as `csv` does; with
+    None, they are split at runs of whitespace and nothing is a quote.
+    None when numpy rejects the rows, when they are not `width` fields wide
+    (or, without `width`, not all equally wide), hold a non-finite value or
+    repeat an id, when there are none, or when a comma-separated value field
+    is quoted: numpy would read the line breaks inside it as blanks.
     """
-    lines = itertools.dropwhile(str.isspace, lines)  # leading blank rows; numpy rejects later ones
+    # leading blank rows; numpy rejects later ones with ","
+    lines = itertools.dropwhile(lambda line: not line.strip(), lines)
     first = next(lines, None)
     if first is None:
         return None
+    rows = itertools.chain([first], lines)
     quote = '"' if ids is None else ',"'  # the start of a quoted value field
 
     def unquoted(line: str) -> str:
@@ -178,8 +182,9 @@ def _bulk_rows(lines: Iterable[str], width: int | None, ids: list[str] | None) -
         return 0.0
 
     try:
-        matrix = np.loadtxt(map(unquoted, itertools.chain([first], lines)), quotechar='"',
-                            converters=None if ids is None else {0: collect}, **_ROWS)
+        matrix = np.loadtxt(rows if delimiter is None else map(unquoted, rows),
+                            **(_ROWS | {"delimiter": delimiter, "quotechar": delimiter and '"'}),
+                            converters=None if ids is None else {0: collect})
     except ValueError:
         return None
     if width is not None and matrix.shape[1] != width:

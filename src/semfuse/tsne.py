@@ -474,14 +474,15 @@ def run_tsne(
             grow = np.sign(grad) != np.sign(velocity)
             gains = np.where(grow, gains + 0.2, gains * 0.8)
             np.maximum(gains, _MIN_GAIN, out=gains)
-            velocity = momentum * velocity - cfg.learning_rate * (gains * grad)
-            norms = np.linalg.norm(velocity, axis=1, keepdims=True)
+            with np.errstate(over="ignore", invalid="ignore"):  # a step too long to measure diverged
+                velocity = momentum * velocity - cfg.learning_rate * (gains * grad)
+                norms = np.linalg.norm(velocity, axis=1, keepdims=True)
+            if not np.all(np.isfinite(norms)):
+                raise DivergenceError(it, f"coordinates diverged at iteration {it}")
             with np.errstate(invalid="ignore", divide="ignore"):
                 velocity = np.where(norms > _MAX_STEP, velocity * (_MAX_STEP / norms), velocity)
             Y = Y + velocity
             Y = Y - Y.mean(axis=0)
-            if not np.all(np.isfinite(Y)):
-                raise DivergenceError(it, f"coordinates diverged at iteration {it}")
         if phase != 1.0:
             p_terms = None  # still exaggerated: the final call builds the plain terms
         trace[-1], _ = tsne_cost_and_grad(P, Y, cfg.kernel, cfg.cost, p_terms=p_terms, workspace=workspace)

@@ -34,7 +34,8 @@ per value, before `semfuse.embed` parsed the whole table with numpy.
 `eval.csv` with. `write_table` is that function as it was when one
 `csv.writer` wrote every row; `read_table` is its reader as it was when
 `csv` split every row and one `np.loadtxt` call parsed the joined value
-cells.
+cells. `top_pair_quality` is `semfuse.evalkit.top_pair_quality` as it was
+when it called `spectra.cosine` once per labeled pair.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ import math
 import numpy as np
 
 from semfuse.embed import WordVectorTable
-from semfuse.errors import CalibrationError, ConflictError, DomainError, FormatError
+from semfuse.errors import CalibrationError, ConflictError, DomainError, FormatError, UnknownKeyError
 from semfuse.geotime import EARTH_RADIUS_MILES, FEATURE_COLUMNS, great_circle_miles
 from semfuse.rankopt import SimilarityParams, rank_loss, rank_matrix
 from semfuse.rankopt import pairwise_scores as matrix_scores
+from semfuse.spectra import cosine
 from semfuse.table import _ROWS, filled_rows, parse_floats
 from semfuse.tsne import (
     _BLOCK_CELLS,
@@ -391,6 +393,21 @@ def read_table(path, check_header=None, ids=False):
                 parse_floats(f"{path}: line {reader.line_num}", row[skip:])
             raise FormatError(f"{path}: values could not be read as one table")
     return (header if check_header else None), list(row_ids), matrix
+
+
+def top_pair_quality(space, labels, top_n, seed=0) -> float:
+    """Mean label of the top_n pairs by cosine, one `cosine` call per pair; ties keep label order."""
+    if not 1 <= top_n <= len(labels):
+        raise DomainError(f"top_n {top_n} outside [1, {len(labels)}]")
+    try:
+        scored = [
+            (cosine(space.row(pair.id_a), space.row(pair.id_b)), index)
+            for index, pair in enumerate(labels)
+        ]
+    except UnknownKeyError as exc:
+        raise UnknownKeyError(exc.query, f"id {exc.query!r} not in the evaluated space") from None
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    return sum(labels[index].label for _, index in scored[:top_n]) / top_n
 
 
 def eval_csv(rows) -> str:

@@ -490,6 +490,9 @@ class TestSettingErrors:
         "non-integer seed": (["reduce", "--k", "2"], "seed", "x", "seed must be an integer, got 'x'"),
         "missing file": (["embed"], "word_vectors", "missing.txt",
                          "word_vectors file missing.txt does not exist"),
+        "huge learning rate": (["tsne"], "learning_rate", "1e308", "coordinates diverged at iteration 0"),
+        "repeated k, delta": (["sweep", "--mode", "delta", "--pairs", "20"], "k_list", "4,2,4",
+                              "k=4 is repeated in the component counts"),
     }
 
     @pytest.mark.parametrize("given", ["flag", "config"])
@@ -511,6 +514,16 @@ class TestSettingErrors:
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert directory_bytes(out) == before
+
+    def test_repeated_k_in_a_quality_sweep(self, staged_out, pipeline_fixture, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        before = directory_bytes(out)
+        capsys.readouterr()
+        assert main(["--out-dir", str(out), "sweep", "--mode", "quality", "--k-list", "4,2,4",
+                     "--labels", str(pipeline_fixture["labels"])]) == 2
+        assert capsys.readouterr().err == "error: k=4 is repeated in the component counts\n"
         assert directory_bytes(out) == before
 
 

@@ -131,7 +131,7 @@ class TestLoadWordVectors:
     def test_bulk_and_line_reads_disagreeing_still_raise(self, tmp_path, monkeypatch):
         p = tmp_path / "v.txt"
         p.write_text("cat 1.0 2.0\n", encoding="utf-8")
-        monkeypatch.setattr(embed, "_read_table", lambda path: (["cat"], None))
+        monkeypatch.setattr(embed, "bulk_rows", lambda *args, **kwargs: None)
         with pytest.raises(FormatError, match=re.escape(f"{p}: word vectors could not be read")):
             load_word_vectors(p)
 
@@ -223,6 +223,41 @@ def first_fault(loader, path):
     return type(info.value), line and int(line.group(1))
 
 
+# the whitespace-split reader against the float loop, on text the number
+# grammar does not decide: each case's table (None) or first fault
+WHITESPACE_CASES = {
+    "quote in a token": ('say" 1 2\n"q 3 4\n', None),
+    "comma and quote in a token": (',"a 1 2\nb," 3 4\n', None),
+    "hash in a token": ("#c 1 2\nd# 3 4\n", None),
+    "hash after the values": ("a 1 2\nb 3 4 #\n", (FormatError, 2)),
+    "repeated token with a quote": ('a" 1 2\na" 3 4\n', (ConflictError, 2)),
+    "tabs": ("a\t1\t2\nb 3\t\t4\n", None),
+    "no-break spaces": ("a\xa01\xa02\nb 3 4\n", None),
+    "ideographic spaces": ("a\u30001\u30002\n", None),
+    "vertical tabs": ("a\x0b1 2\nb 3\x0b4\x0b\n", None),
+    "CRLF": ("a 1 2\r\nb 3 4\r\n", None),
+    "lone CR": ("a 1 2\rb 3 4\r", None),
+    "mixed line ends": ("a 1 2\r\nb 3 4\rc 5 6\n", None),
+    "ragged after lone CR": ("a 1 2\rb 3\r", (FormatError, 2)),
+    "blank lines around and between": ("\n  \n a 1 2\n\n\t\nb 3 4\n \n\n", None),
+    "blank CRLF lines": ("\r\n \r\na 1 2\r\n\r\nb 3 4", None),
+    "token-only line": ("a 1 2\nb\nc 3 4\n", (FormatError, 2)),
+    "token-only first line": ("\na\nb 1 2\n", (FormatError, 2)),
+    "token-only lines only": ("a\nb\n", (FormatError, 1)),
+    "one value per line": ("a 1\nb 2\nc 3\n", (FormatError, 1)),
+    "one value per line after a blank": ("\r\na 1\rb 2\r", (FormatError, 2)),
+}
+
+
+def read_outcome(loader, path):
+    """(dim, [(token, values)]) of the table the loader reads, or its first fault."""
+    try:
+        table = loader(path)
+    except SemfuseError:
+        return first_fault(loader, path)
+    return table.dim, [(token, vector.tolist()) for token, vector in table.vectors.items()]
+
+
 class TestLoadWordVectorsAgainstOracle:
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
@@ -249,6 +284,18 @@ class TestLoadWordVectorsAgainstOracle:
         assert got == first_fault(oracles.load_word_vectors, path)
         with pytest.raises(SemfuseError, match=re.escape(str(path))):
             load_word_vectors(path)
+
+    @pytest.mark.parametrize("case", sorted(WHITESPACE_CASES))
+    def test_whitespace_cases_read_as_the_float_loop(self, tmp_path, case):
+        text, fault = WHITESPACE_CASES[case]
+        p = tmp_path / "v.txt"
+        p.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = read_outcome(load_word_vectors, p)
+        assert caught == []
+        assert got == read_outcome(oracles.load_word_vectors, p)
+        assert (got if fault else None) == fault
 
     @settings(max_examples=20, deadline=None)
     @given(text=st.lists(BLANK, max_size=4).flatmap(

@@ -1,6 +1,7 @@
 import re
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -194,6 +195,55 @@ class TestTopPairQuality:
         assert got == pytest.approx(expect, abs=1e-12)
 
 
+class TestTopPairQualityMatchesItsOracle:
+    """One vectorized cosine against the per-pair loop it replaced."""
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(2, 7), repeats=st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_same_mean_label(self, seed, n, repeats):
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(n, 3))
+        matrix = np.vstack([matrix, matrix[rng.integers(0, n, size=repeats)]])  # exact cosine ties
+        ids = tuple(f"r{i}" for i in range(len(matrix)))
+        space = EmbeddingSpace(ids=ids, matrix=matrix)
+        # a row against an equal row has cosine 1 up to rounding, which the two paths round apart
+        labels = [make_pair(ids[i], ids[j], float(rng.integers(0, 5)) / 4.0)
+                  for i, j in rng.integers(0, len(ids), size=(int(rng.integers(1, 12)), 2))
+                  if not np.array_equal(matrix[i], matrix[j])]
+        for top_n in range(1, len(labels) + 1):
+            assert top_pair_quality(space, labels, top_n) == oracles.top_pair_quality(space, labels, top_n)
+
+    @pytest.mark.parametrize("pairs, error, message", [
+        ([("a", "b"), ("zz", "yy"), ("a", "xx")], UnknownKeyError, "^id 'zz' not in the evaluated space$"),
+        ([("a", "b"), ("c", "yy")], UnknownKeyError, "^id 'yy' not in the evaluated space$"),
+        ([("a", "b"), ("o", "c")], DomainError, "^cosine is undefined for a zero vector$"),
+        ([("c", "o"), ("a", "b")], DomainError, "^cosine is undefined for a zero vector$"),
+    ])
+    def test_same_first_error(self, pairs, error, message):
+        space = EmbeddingSpace(ids=("a", "b", "c", "o"), matrix=np.array([[1.0, 0.0], [0.9, 0.1], [0.5, 0.5],
+                                                                           [0.0, 0.0]]))
+        labels = [make_pair(a, b, 0.5) for a, b in pairs]
+        for quality in (top_pair_quality, oracles.top_pair_quality):
+            with pytest.raises(error, match=message):
+                quality(space, labels, 1)
+
+    def test_an_unknown_id_raises_before_an_earlier_zero_row(self):
+        # every id is looked up before any pair is scored; the loop raised at the first failing pair
+        space = EmbeddingSpace(ids=("a", "o"), matrix=np.array([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(UnknownKeyError, match="^id 'zz' not in the evaluated space$"):
+            top_pair_quality(space, [make_pair("a", "o", 0.5), make_pair("a", "zz", 0.5)], 1)
+
+    def test_scores_all_pairs_in_one_cosine_call(self, monkeypatch):
+        import semfuse.evalkit as evalkit
+
+        calls = []
+        pairwise = evalkit._pairwise_cosines
+        monkeypatch.setattr(evalkit, "_pairwise_cosines", lambda *args: calls.append(1) or pairwise(*args))
+        labels = [make_pair("a", "b", 0.9), make_pair("a", "d", 0.1), make_pair("c", "d", 0.5)]
+        assert top_pair_quality(toy_space(), labels, top_n=2) == oracles.top_pair_quality(toy_space(), labels, 2)
+        assert calls == [1]
+
+
 class TestComponentSweep:
     def setup_method(self):
         rng = np.random.default_rng(17)
@@ -245,6 +295,11 @@ class TestComponentSweep:
         features = np.random.default_rng(4).normal(size=(8, 7))
         component_sweep(self.space, features, features[:, :3], self.labels, [2, 4, 3], top_n=4)
         assert calls == [4]
+
+    def test_repeated_k_rejected(self):
+        features = np.random.default_rng(5).normal(size=(8, 7))
+        with pytest.raises(DomainError, match=r"^k=2 is repeated in the component counts$"):
+            component_sweep(self.space, features, features[:, :3], self.labels, [2, 3, 2], top_n=4)
 
     def test_deterministic(self):
         features = np.random.default_rng(2).normal(size=(8, 7))

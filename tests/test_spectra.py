@@ -107,7 +107,7 @@ class TestFitPca:
 class TestFitPcaModels:
     def test_each_model_equals_its_own_fit(self):
         space = random_space(21, n=15, d=9)
-        k_list = [3, 1, 9, 5, 3]
+        k_list = [3, 1, 9, 5]
         for k, model in zip(k_list, fit_pca_models(space, k_list)):
             own = fit_pca(space, k)
             assert model.k == k
@@ -130,6 +130,20 @@ class TestFitPcaModels:
 
     def test_empty_list(self):
         assert fit_pca_models(random_space(24), []) == []
+
+    def test_repeated_k_names_the_first_repeat(self, monkeypatch):
+        calls = count_fit_pca(monkeypatch)
+        space = random_space(25, n=8, d=5)
+        with pytest.raises(DomainError, match=r"^k=4 is repeated in the component counts$"):
+            fit_pca_models(space, [4, 2, 4, 2])
+        with pytest.raises(DomainError, match=r"^k=0 out of range"):
+            fit_pca_models(space, [4, 0, 4])
+        assert calls == []
+
+    def test_delta_experiment_rejects_a_repeated_k(self):
+        with pytest.raises(DomainError, match=r"^k=4 is repeated"):
+            delta_cosine_experiment(random_space(26, n=8, d=5), np.zeros((8, 2)), [4, 2, 4],
+                                    trials=2, pair_sample_size=5)
 
 
 class TestTransform:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -18,6 +19,7 @@ from semfuse.errors import (
     CalibrationError,
     ConfigError,
     ConflictError,
+    DivergenceError,
     DomainError,
     FormatError,
     SchemaError,
@@ -398,6 +400,17 @@ class TestRunTsne:
         base = run_tsne(X, cfg, init=init)
         permuted = run_tsne(X[perm], cfg, init=init[perm])
         assert np.allclose(permuted.coords, base.coords[perm], atol=1e-6)
+
+    @pytest.mark.parametrize("learning_rate, init", [(1e308, None), (1e200, None), (100.0, np.nan)])
+    def test_divergence_names_the_iteration_and_warns_nothing(self, learning_rate, init):
+        # a step whose length overflows is a divergence, not a capped zero step
+        X = np.random.default_rng(0).normal(size=(10, 4))
+        cfg = TsneConfig(perplexity=5.0, iterations=150, learning_rate=learning_rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=r"^coordinates diverged at iteration 0$") as info:
+                run_tsne(X, cfg, init=None if init is None else np.full((10, 2), init))
+        assert info.value.iteration == 0
 
     def test_init_shape_checked(self):
         X = two_cluster_space(per=3)
