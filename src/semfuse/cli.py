@@ -13,7 +13,11 @@ output paths in a staging directory, and returns (the params of its
 sidecars, the summary `main` prints). `main` then commits the run: it
 writes each output's sidecar beside it and moves every output and
 sidecar into the output directory. A failed stage leaves the output
-directory as it was.
+directory as it was. An invocation hashes each input file once.
+
+`embed` keeps each word-vector table it parses in a cache directory,
+`$XDG_CACHE_HOME/semfuse/word-vectors` (`~/.cache` by default), under the
+sha256 of the file's bytes, and reads it from there on later runs.
 
 Subcommands: ingest, encode, embed, reduce, augment, score, optimize,
 tsne, eval, sweep.
@@ -22,6 +26,7 @@ tsne, eval, sweep.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
 import os
@@ -42,11 +47,14 @@ from .corpus import (
 )
 from .embed import (
     EmbeddingSpace,
+    WordVectorTable,
     embed_corpus,
     export_embeddings,
     fit_context,
     import_embeddings,
+    load_vector_entry,
     load_word_vectors,
+    save_vector_entry,
 )
 from .errors import ConfigError, DomainError, PipelineError, SemfuseError
 from .evalkit import (
@@ -109,6 +117,9 @@ STAGE_OF = {
     SCORES: "score",
 }
 
+# a word-vector table of more values than this (1 GiB as float64) is parsed on every run, never stored
+MAX_CACHED_VALUES = 1 << 27
+
 
 def load_config(path: str | Path) -> dict[str, str]:
     """Parse a flat `key = value` file; later lines override earlier ones."""
@@ -139,6 +150,7 @@ class Run:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.staging = self.out_dir / f".{args.command}.{os.getpid()}.tmp"
         self.inputs: dict[str, Path] = {}  # sidecar key -> file read
+        self._digests: dict[Path, str] = {}
         self.outputs: list[Path] = []  # staged paths, in the order handed out
 
     def setting(self, key: str, default: str | None = None, required: bool = False) -> str | None:
@@ -184,6 +196,13 @@ class Run:
         self.outputs.append(path)
         return path
 
+    def digest(self, key: str) -> str:
+        """The sha256 of the input recorded under `key`; each file is hashed once per invocation."""
+        path = self.inputs[key]
+        if path not in self._digests:
+            self._digests[path] = _sha256(path)
+        return self._digests[path]
+
     def commit(self, stage: str, params: dict) -> list[Path]:
         """Write every staged output's sidecar, then move each output and sidecar into out_dir.
 
@@ -191,8 +210,9 @@ class Run:
         follows it, so a crash between the renames leaves an output with no
         sidecar, never one whose sidecar describes a different run.
         """
+        digests = {key: self.digest(key) for key in self.inputs}
         for path in self.outputs:
-            write_sidecar(path, stage, self.inputs, params, self.seed)
+            write_sidecar(path, stage, digests, params, self.seed)
         final = [self.out_dir / path.name for path in self.outputs]
         for path, dest in zip(self.outputs, final):
             _meta_path(dest).unlink(missing_ok=True)
@@ -246,11 +266,14 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def write_sidecar(out_path: Path, stage: str, inputs: dict[str, Path], params: dict, seed: int):
-    """Emit `<output>.meta` with everything needed to reproduce the output."""
+def write_sidecar(out_path: Path, stage: str, inputs: dict[str, str], params: dict, seed: int):
+    """Emit `<output>.meta` with everything needed to reproduce the output.
+
+    `inputs` maps each sidecar key to the sha256 of the file read under it.
+    """
     entries = {"stage": stage, "version": __version__, "seed": str(seed)}
-    for name, path in inputs.items():
-        entries[f"sha256_{name}"] = _sha256(path)
+    for name, digest in inputs.items():
+        entries[f"sha256_{name}"] = digest
     for key, value in params.items():
         entries[f"param_{key}"] = _format_value(value)
     lines = [f"{key} = {entries[key]}" for key in sorted(entries)]
@@ -286,9 +309,45 @@ def cmd_encode(run: Run) -> tuple[dict, str]:
     return {"variant": variant, "shape": [rows, columns]}, f"{rows}x{columns} feature matrix"
 
 
+def _vector_cache() -> Path | None:
+    """The word-vector cache directory; None when no absolute cache home is known."""
+    home = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(home):  # unset, empty or relative: the XDG default
+        home = os.path.expanduser("~/.cache")
+    return Path(home, "semfuse", "word-vectors") if os.path.isabs(home) else None
+
+
+def _word_vectors(run: Run) -> WordVectorTable:
+    """The `word_vectors` table: its cache entry on a hit, else parsed and then stored.
+
+    The entry is named by the digest the sidecar records. It is stored
+    only if the table holds at most MAX_CACHED_VALUES values and the file
+    still hashes to that digest after the parse; a cache that cannot be
+    written leaves the stage as it is.
+    """
+    path = run.input_file("word_vectors")
+    digest = run.digest("word_vectors")
+    cache = _vector_cache()
+    entry = cache / f"{digest}.vectors" if cache else None
+    table = load_vector_entry(entry) if entry else None
+    if table is None:
+        table = load_word_vectors(path)
+        small = len(table.vectors) * table.dim <= MAX_CACHED_VALUES
+        if entry and small and _sha256(path) == digest:
+            with contextlib.suppress(OSError):
+                cache.mkdir(parents=True, exist_ok=True)
+                save_vector_entry(table, entry)
+    return table
+
+
 def cmd_embed(run: Run) -> tuple[dict, str]:
+    """Embed each record with salience-weighted word vectors.
+
+    The word-vector table comes from the cache when it holds an entry for
+    the file's bytes; the outputs are the same bytes either way.
+    """
     records = load_corpus(run.stage_input(RECORDS), format="csv")
-    table = load_word_vectors(run.input_file("word_vectors"))
+    table = _word_vectors(run)
     stop_path = run.input_file("stopwords", required=False)
     docs = clean_corpus(records, load_stopwords(stop_path) if stop_path else DEFAULT_STOPWORDS)
     ctx = fit_context(docs, table, ridge=run.number("ridge"))

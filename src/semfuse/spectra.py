@@ -146,20 +146,16 @@ def augment(reduced: np.ndarray, features: np.ndarray, ids: Sequence[str]) -> Au
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two nonzero vectors."""
+    """Cosine similarity of two nonzero vectors, rounded as `_pairwise_cosines` rounds the pair."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise DomainError(f"vector lengths differ: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise DomainError("cosine is undefined for a zero vector")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
+    return float(_pairwise_cosines(np.stack([a, b]), np.array([0]), np.array([1]))[0])
 
 
 def _pairwise_cosines(matrix: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    # vectorized cosine over index-pair arrays; rejects zero rows like cosine()
+    # the cosine of each index pair (i[k], j[k]) of matrix rows; a zero row raises
     norms = np.linalg.norm(matrix, axis=1)
     if np.any(norms[i] == 0.0) or np.any(norms[j] == 0.0):
         raise DomainError("cosine is undefined for a zero vector")

@@ -9,8 +9,9 @@ cannot vouch for, are read again one at a time, which names the first
 fault. Every numeric cell is read by numpy, in its grammar: `1_0` and
 non-ASCII digits are not numbers, and `nan`, `inf` or `1e999` is not
 finite. Errors read `<file>: line <n>: <reason>`, counting the header as
-line 1. `open_text` opens every text input of the package, so a byte that
-is not UTF-8 is an error of that form too.
+line 1. `open_text` opens every text input of the package, and a line
+that is not UTF-8 is an error of that form too, met when a reader reaches
+that line: a fault of its own row, in the order each reader documents.
 """
 
 from __future__ import annotations
@@ -103,26 +104,26 @@ def row_line(path: str | Path, index: int, header: bool = False) -> int:
 
 
 @contextlib.contextmanager
-def open_text(path: str | Path, newline: str | None = "") -> Iterator[TextIO]:
-    """Open a UTF-8 text file; a byte read from it that is not UTF-8 raises FormatError.
+def open_text(path: str | Path, newline: str | None = "") -> Iterator[Iterator[str]]:
+    """Open a UTF-8 text file as an iterator over its lines.
 
-    The error reads `<file>: line <n>: not UTF-8 text`.
+    A line holding a byte that is not UTF-8 raises FormatError `<file>:
+    line <n>: not UTF-8 text` when it is reached, so a reader that checks
+    each row as it reads it reports the faults of earlier rows first,
+    whatever the size of the file.
     """
-    with open(path, newline=newline, encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
+    with open(path, newline=newline, encoding="utf-8", errors="surrogateescape") as fh:
+        yield _utf8_lines(path, fh)
 
 
-def _not_utf8(path: str | Path) -> FormatError:
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        for number, line in enumerate(fh, start=1):
+def _utf8_lines(path: str | Path, fh: TextIO) -> Iterator[str]:
+    for number, line in enumerate(fh, start=1):
+        if not line.isascii():
             try:
                 line.encode("utf-8")  # a byte that is not UTF-8 decoded to a lone surrogate
             except UnicodeEncodeError:
-                return FormatError(f"{path}: line {number}: not UTF-8 text")
-    return FormatError(f"{path}: not UTF-8 text")
+                raise FormatError(f"{path}: line {number}: not UTF-8 text") from None
+        yield line
 
 
 def read_table(path: str | Path, check_header: Callable[[list[str]], None] | None = None,
@@ -138,18 +139,22 @@ def read_table(path: str | Path, check_header: Callable[[list[str]], None] | Non
     The rows after the header are parsed by one `bulk_rows` call, which
     splits and unquotes the fields as `csv` does. A table it rejects, or
     whose result it cannot vouch for, is read again by `csv` row by row,
-    which raises the first fault.
+    which raises the first fault. A line that is not UTF-8 is met by that
+    read, with the field counts and repeated ids.
     """
     skip = 1 if ids else 0  # fields before the numbers
-    with open_text(path) as fh:
-        header = next(filled_rows(csv.reader(fh)), []) if check_header else None
-        if check_header:
-            check_header(header)
-        row_ids: list[str] = []
-        matrix = bulk_rows(fh, None if header is None else len(header), row_ids if ids else None)
-        if matrix is None:
-            fh.seek(0)
-            return header, *_checked_rows(path, fh, check_header is not None, skip)
+    row_ids: list[str] = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(filled_rows(csv.reader(fh)), []) if check_header else None
+            if check_header:
+                check_header(header)
+            matrix = bulk_rows(fh, None if header is None else len(header), row_ids if ids else None)
+    except UnicodeDecodeError:  # the row-by-row read names the line
+        matrix = None
+    if matrix is None:
+        with open_text(path) as lines:
+            return _checked_rows(path, lines, check_header, skip)
     return header, row_ids, np.ascontiguousarray(matrix[:, skip:])
 
 
@@ -196,13 +201,16 @@ def bulk_rows(lines: Iterable[str], width: int | None = None, ids: list[str] | N
     return matrix
 
 
-def _checked_rows(path: str | Path, fh: TextIO, header: bool, skip: int) -> tuple[list[str], np.ndarray]:
-    """`read_table` by `csv` alone: (ids, matrix), or the first fault in the order it documents."""
-    reader = csv.reader(fh)
+def _checked_rows(path: str | Path, lines: Iterable[str], check_header: Callable[[list[str]], None] | None,
+                  skip: int) -> tuple[list[str] | None, list[str], np.ndarray]:
+    """`read_table` by `csv` alone: (header, ids, matrix), or the first fault in the order it documents."""
+    reader = csv.reader(lines)
     rows = filled_rows(reader)
     first = next(rows, [])
-    if not header:
-        rows = itertools.chain([first] if first else [], rows)
+    if check_header:
+        check_header(first)
+    elif first:
+        rows = itertools.chain([first], rows)
     width = len(first)
     row_ids: dict[str, None] = {}  # in file order
     values = []
@@ -216,4 +224,4 @@ def _checked_rows(path: str | Path, fh: TextIO, header: bool, skip: int) -> tupl
             row_ids[row[0]] = None
         values.append((where, row[skip:]))
     matrix = np.array([parse_floats(where, cells) for where, cells in values])
-    return list(row_ids), matrix.reshape(len(values), width - skip)
+    return first if check_header else None, list(row_ids), matrix.reshape(len(values), width - skip)

@@ -1,4 +1,4 @@
-"""Shared fixtures: small word-vector tables and a complete pipeline corpus."""
+"""Shared fixtures: small word-vector tables, a complete pipeline corpus and a per-test cache."""
 
 from __future__ import annotations
 
@@ -38,6 +38,13 @@ def write_word_vectors(path: Path, tokens: set[str], dim: int = 6, seed: int = 7
         for tok in sorted(tokens):
             vec = rng.normal(size=dim).round(4)
             fh.write(tok + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+
+
+@pytest.fixture(autouse=True)
+def vector_cache(tmp_path, monkeypatch) -> Path:
+    """This test's own word-vector cache: no test writes to the home directory or sees another's entries."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg-cache"))
+    return tmp_path / "xdg-cache" / "semfuse" / "word-vectors"
 
 
 @pytest.fixture(scope="session")

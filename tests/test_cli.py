@@ -16,7 +16,7 @@ import semfuse.cli as cli
 import semfuse.rankopt as rankopt
 from semfuse.cli import _sha256, main, write_sidecar
 from semfuse.corpus import load_corpus
-from semfuse.embed import import_embeddings
+from semfuse.embed import import_embeddings, load_vector_entry, load_word_vectors
 from semfuse.rankopt import (
     DEFAULT_DIST_KINDS,
     SimilarityParams,
@@ -107,9 +107,12 @@ def directory_bytes(out) -> dict:
 @pytest.fixture(scope="module")
 def staged_out(pipeline_fixture, tmp_path_factory):
     """An output directory holding the outputs of ingest through augment."""
-    out = tmp_path_factory.mktemp("staged") / "out"
-    for stage in pipeline_stages(pipeline_fixture)[:5]:
-        assert main(["--seed", "7", "--out-dir", str(out)] + stage) == 0
+    root = tmp_path_factory.mktemp("staged")
+    out = root / "out"
+    with pytest.MonkeyPatch.context() as mp:  # set up before, so outside, each test's own cache
+        mp.setenv("XDG_CACHE_HOME", str(root / "xdg-cache"))
+        for stage in pipeline_stages(pipeline_fixture)[:5]:
+            assert main(["--seed", "7", "--out-dir", str(out)] + stage) == 0
     return out
 
 
@@ -430,10 +433,160 @@ class TestSidecarHash:
         source.write_bytes(data)
         out = tmp_path / "embeddings.csv"
         monkeypatch.setattr(Path, "read_bytes", read_bytes)
-        write_sidecar(out, "embed", {"word_vectors": source}, {"ridge": 0.5}, 7)
+        write_sidecar(out, "embed", {"word_vectors": _sha256(source)}, {"ridge": 0.5}, 7)
         meta = (tmp_path / "embeddings.csv.meta").read_text(encoding="utf-8")
         assert f"sha256_word_vectors = {hashlib.sha256(data).hexdigest()}\n" in meta
         assert "param_ridge = 0.5\n" in meta
+
+    def test_a_stage_hashes_each_input_once(self, pipeline_fixture, tmp_path, monkeypatch):
+        # tsne writes three outputs, and each sidecar records the digest of its one input
+        out, hashed = tmp_path / "out", []
+        assert main(["--out-dir", str(out), "ingest", "--corpus", str(pipeline_fixture["corpus"])]) == 0
+        assert main(["--out-dir", str(out), "embed", "--word-vectors", str(pipeline_fixture["vectors"])]) == 0
+        sha256 = cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
+        assert main(["--out-dir", str(out), "tsne", "--input", "embeddings.csv", "--iterations", "20",
+                     "--perplexity", "4"]) == 0
+        assert hashed == [out / "embeddings.csv"]
+        digest = sha256(out / "embeddings.csv")
+        for name in ("tsne.csv", "tsne.svg", "tsne_trace.csv"):
+            assert f" = {digest}\n" in (out / f"{name}.meta").read_text(encoding="utf-8")
+
+
+class TestWordVectorCache:
+    """`embed` parses a word-vector file once; later runs read the table from the cache."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch) -> list[Path]:
+        """The path of every `load_word_vectors` call the CLI makes."""
+        calls, original = [], cli.load_word_vectors
+        monkeypatch.setattr(cli, "load_word_vectors", lambda path: calls.append(path) or original(path))
+        return calls
+
+    def embed(self, fx, out, vectors=None) -> int:
+        base = ["--seed", "7", "--out-dir", str(out)]
+        assert main(base + ["ingest", "--corpus", str(fx["corpus"])]) == 0
+        return main(base + ["embed", "--word-vectors", str(vectors or fx["vectors"])])
+
+    def outputs(self, out) -> tuple[bytes, bytes]:
+        return (out / "embeddings.csv").read_bytes(), (out / "embeddings.csv.meta").read_bytes()
+
+    def test_a_hit_returns_the_parsed_table(self, pipeline_fixture, tmp_path, vector_cache, parses):
+        vectors = pipeline_fixture["vectors"]
+        assert self.embed(pipeline_fixture, tmp_path / "cold") == 0
+        entry = vector_cache / f"{hashlib.sha256(vectors.read_bytes()).hexdigest()}.vectors"
+        assert sorted(vector_cache.iterdir()) == [entry]
+        hit, parsed = load_vector_entry(entry), load_word_vectors(vectors)
+        assert hit.dim == parsed.dim and list(hit.vectors) == list(parsed.vectors)
+        assert all(np.array_equal(hit.vectors[t], row) for t, row in parsed.vectors.items())
+        assert self.embed(pipeline_fixture, tmp_path / "warm") == 0
+        assert parses == [vectors]
+
+    def test_cold_and_warm_runs_write_the_same_bytes(self, pipeline_fixture, tmp_path, parses):
+        assert self.embed(pipeline_fixture, tmp_path / "cold") == 0
+        assert self.embed(pipeline_fixture, tmp_path / "warm") == 0
+        assert len(parses) == 1
+        assert self.outputs(tmp_path / "warm") == self.outputs(tmp_path / "cold")
+
+    def test_a_run_hashes_the_file_once_and_a_miss_twice(self, pipeline_fixture, tmp_path, monkeypatch):
+        vectors, hashed = pipeline_fixture["vectors"], []
+        sha256 = cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
+        for run, hashes in (("cold", 2), ("warm", 1)):  # a miss hashes again after the parse
+            hashed.clear()
+            assert self.embed(pipeline_fixture, tmp_path / run) == 0
+            assert hashed.count(vectors) == hashes
+
+    @pytest.mark.parametrize("room", [-1, 0])
+    def test_a_table_over_the_size_bound_is_not_stored(self, pipeline_fixture, tmp_path, vector_cache, parses,
+                                                        monkeypatch, room):
+        table = load_word_vectors(pipeline_fixture["vectors"])
+        monkeypatch.setattr(cli, "MAX_CACHED_VALUES", len(table.vectors) * table.dim + room)
+        for run in ("first", "second"):
+            assert self.embed(pipeline_fixture, tmp_path / run) == 0
+        assert len(parses) == (2 if room < 0 else 1)
+        assert vector_cache.exists() == (room >= 0)
+        assert self.outputs(tmp_path / "second") == self.outputs(tmp_path / "first")
+
+    def test_a_same_size_edit_misses(self, pipeline_fixture, tmp_path, vector_cache, parses, monkeypatch):
+        vectors = tmp_path / "vectors.txt"
+        shutil.copyfile(pipeline_fixture["vectors"], vectors)
+        assert self.embed(pipeline_fixture, tmp_path / "before", vectors) == 0
+        text = vectors.read_text(encoding="utf-8")
+        digit = re.search(r"[1-8]", text).start()
+        vectors.write_text(text[:digit] + str(int(text[digit]) + 1) + text[digit + 1:], encoding="utf-8")
+        assert self.embed(pipeline_fixture, tmp_path / "after", vectors) == 0
+        assert parses == [vectors, vectors] and len(list(vector_cache.iterdir())) == 2
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+        assert self.embed(pipeline_fixture, tmp_path / "fresh", vectors) == 0
+        assert self.outputs(tmp_path / "after") == self.outputs(tmp_path / "fresh")
+        assert self.outputs(tmp_path / "after") != self.outputs(tmp_path / "before")
+
+    @pytest.mark.parametrize("damage", ["truncated", "bit in the tag", "bit in the tokens",
+                                        "bit in the matrix"])
+    def test_a_damaged_entry_is_ignored_and_rewritten(self, pipeline_fixture, tmp_path, vector_cache, parses,
+                                                     damage):
+        assert self.embed(pipeline_fixture, tmp_path / "cold") == 0
+        [entry] = vector_cache.iterdir()
+        good = entry.read_bytes()
+        at = {"bit in the tokens": good.index(b"\n", good.index(b"\n") + 1) + 3,
+              "bit in the matrix": len(good) - 5, "bit in the tag": 20}.get(damage)
+        bad = good[:-8] if at is None else good[:at] + bytes([good[at] ^ 1]) + good[at + 1:]
+        entry.write_bytes(bad)
+        assert self.embed(pipeline_fixture, tmp_path / "warm") == 0
+        assert len(parses) == 2
+        assert entry.read_bytes() == good
+        assert self.outputs(tmp_path / "warm") == self.outputs(tmp_path / "cold")
+
+    @pytest.mark.parametrize("blocked", ["cache home", "entry directory"])
+    def test_an_unwritable_cache_changes_nothing(self, pipeline_fixture, tmp_path, monkeypatch, capsys, parses,
+                                                blocked):
+        # a file where a directory must go: a permission bit does not stop a superuser
+        home = tmp_path / "home"
+        place = {"cache home": home, "entry directory": home / "semfuse" / "word-vectors"}[blocked]
+        place.parent.mkdir(parents=True, exist_ok=True)
+        place.write_text("not a directory\n", encoding="utf-8")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        capsys.readouterr()
+        for run in ("first", "second"):
+            assert self.embed(pipeline_fixture, tmp_path / run) == 0
+        assert capsys.readouterr().err == ""
+        assert len(parses) == 2
+        assert self.outputs(tmp_path / "second") == self.outputs(tmp_path / "first")
+
+    def test_an_invalid_table_writes_no_entry(self, pipeline_fixture, tmp_path, vector_cache, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("cat 1.0 2.0\ndog 1.0\n", encoding="utf-8")
+        errors = []
+        for run in ("first", "second"):
+            capsys.readouterr()
+            assert self.embed(pipeline_fixture, tmp_path / run, vectors) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"error: {vectors}: line 2: expected 2 values, got 1\n"
+        assert not vector_cache.exists()
+
+    def test_a_file_changed_during_the_parse_is_not_stored(self, pipeline_fixture, tmp_path, vector_cache,
+                                                          monkeypatch):
+        vectors = tmp_path / "vectors.txt"
+        shutil.copyfile(pipeline_fixture["vectors"], vectors)
+
+        def parse_then_append(path):
+            table = load_word_vectors(path)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("\n")
+            return table
+
+        monkeypatch.setattr(cli, "load_word_vectors", parse_then_append)
+        assert self.embed(pipeline_fixture, tmp_path / "out", vectors) == 0
+        assert not vector_cache.exists()
+
+    def test_a_relative_cache_home_means_the_default(self, pipeline_fixture, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path / "user"))
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+        monkeypatch.chdir(tmp_path)
+        assert self.embed(pipeline_fixture, tmp_path / "out") == 0
+        assert len(list((tmp_path / "user" / ".cache" / "semfuse" / "word-vectors").iterdir())) == 1
+        assert not (tmp_path / "relative").exists()
 
 
 class TestNonFiniteFlags:

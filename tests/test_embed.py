@@ -1,7 +1,9 @@
 import math
 import re
+import shutil
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -19,7 +21,9 @@ from semfuse.embed import (
     export_embeddings,
     fit_context,
     import_embeddings,
+    load_vector_entry,
     load_word_vectors,
+    save_vector_entry,
     sim_cosal,
     token_saliences,
     word_salience,
@@ -143,6 +147,110 @@ class TestLoadWordVectors:
         p.write_text(f"cat 1.0 2.0\ndog 3.0 {value}\n", encoding="utf-8")
         assert np.array_equal(oracles.load_word_vectors(p).vector("dog"), [3.0, as_float])
         with pytest.raises(FormatError, match=re.escape(f"{p}: line 2: non-numeric value")):
+            load_word_vectors(p)
+
+
+class TestVectorEntry:
+    @pytest.fixture
+    def parsed(self, tmp_path) -> WordVectorTable:
+        values = np.random.default_rng(3).normal(size=(500, 200))
+        p = tmp_path / "v.txt"
+        p.write_text("".join(f"w{i} " + " ".join(map(repr, row.tolist())) + "\n"
+                             for i, row in enumerate(values)), encoding="utf-8")
+        return load_word_vectors(p)
+
+    def test_round_trip(self, tmp_path, parsed):
+        entry = tmp_path / "e.vectors"
+        save_vector_entry(parsed, entry)
+        table = load_vector_entry(entry)
+        assert table.dim == parsed.dim and list(table.vectors) == list(parsed.vectors)
+        assert all(np.array_equal(table.vectors[t], row) for t, row in parsed.vectors.items())
+        base = table.vectors["w0"].base
+        assert base is not None and all(v.base is base for v in table.vectors.values())
+        assert load_vector_entry(tmp_path / "missing.vectors") is None
+
+    def test_neither_direction_copies_the_matrix(self, tmp_path, parsed):
+        entry, nbytes = tmp_path / "e.vectors", 500 * 200 * 8
+        tracemalloc.start()
+        try:
+            save_vector_entry(parsed, entry)
+            saved = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            table = load_vector_entry(entry)
+            loaded = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table is not None
+        assert saved < 0.2 * nbytes
+        assert loaded < 1.4 * nbytes  # a copy would read 2
+
+    def test_a_failed_write_leaves_no_file(self, tmp_path, parsed, monkeypatch):
+        def replace(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(embed.os, "replace", replace)
+        with pytest.raises(OSError):
+            save_vector_entry(parsed, tmp_path / "e.vectors")
+        assert list(tmp_path.iterdir()) == [tmp_path / "v.txt"]
+
+    @pytest.fixture
+    def sources(self, tmp_path, monkeypatch) -> Path:
+        """A copy of the parser's source files that `embed` reads its entry tag from."""
+        sources = tmp_path / "src"
+        sources.mkdir()
+        for name in embed._PARSER_SOURCES:
+            shutil.copyfile(Path(embed.__file__).with_name(name), sources / name)
+        monkeypatch.setattr(embed, "__file__", str(sources / "embed.py"))
+        embed._entry_tag.cache_clear()
+        yield sources
+        embed._entry_tag.cache_clear()
+
+    @pytest.mark.parametrize("change", ["embed.py", "table.py", "package version", "numpy version"])
+    def test_an_entry_of_another_parser_misses(self, tmp_path, parsed, monkeypatch, sources, change):
+        entry = tmp_path / "e.vectors"
+        save_vector_entry(parsed, entry)
+        embed._entry_tag.cache_clear()
+        assert load_vector_entry(entry) is not None
+        if change.endswith(".py"):
+            with open(sources / change, "a", encoding="utf-8") as fh:
+                fh.write("# an edit that changes no behaviour still makes another parser\n")
+        else:
+            module = embed if change == "package version" else embed.np
+            monkeypatch.setattr(module, "__version__", module.__version__ + ".post1")
+        embed._entry_tag.cache_clear()
+        assert load_vector_entry(entry) is None
+
+    def test_an_unreadable_parser_source_stores_nothing(self, tmp_path, parsed, sources):
+        entry = tmp_path / "e.vectors"
+        save_vector_entry(parsed, entry)
+        (sources / "table.py").unlink()
+        embed._entry_tag.cache_clear()
+        assert load_vector_entry(entry) is None
+        entry.unlink()
+        with pytest.raises(OSError):
+            save_vector_entry(parsed, entry)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["src", "v.txt"]
+
+
+class TestNotUtf8:
+    # the reader decodes in blocks of about 8 KB: the size of the file must not decide which fault is first
+    @pytest.mark.parametrize("padding", [10, 5000])
+    @pytest.mark.parametrize("row, reason", [
+        ("w 1.0", "expected 2 values, got 1$"),
+        ("p3 1.0 2.0", "duplicate token 'p3'$"),
+        ("w 1.0 zz", "non-numeric value$"),
+    ])
+    def test_a_fault_before_the_line_comes_first(self, tmp_path, padding, row, reason):
+        p = tmp_path / "v.txt"
+        rows = "".join(f"p{i} 1.0 2.0\n" for i in range(padding))
+        p.write_bytes(f"{rows}{row}\n".encode() + b"\xff 1.0 2.0\n")
+        with pytest.raises(SemfuseError, match=f"^{re.escape(str(p))}: line {padding + 1}: {reason}"):
+            load_word_vectors(p)
+
+    def test_a_first_line_fault_comes_first(self, tmp_path):
+        p = tmp_path / "v.txt"
+        p.write_bytes(b"cat 1.0\n" + b"dog 1.0 2.0\n" * 10 + b"\xff 1.0\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: line 1: need at least 2 vector values"):
             load_word_vectors(p)
 
 

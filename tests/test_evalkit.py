@@ -206,10 +206,8 @@ class TestTopPairQualityMatchesItsOracle:
         matrix = np.vstack([matrix, matrix[rng.integers(0, n, size=repeats)]])  # exact cosine ties
         ids = tuple(f"r{i}" for i in range(len(matrix)))
         space = EmbeddingSpace(ids=ids, matrix=matrix)
-        # a row against an equal row has cosine 1 up to rounding, which the two paths round apart
         labels = [make_pair(ids[i], ids[j], float(rng.integers(0, 5)) / 4.0)
-                  for i, j in rng.integers(0, len(ids), size=(int(rng.integers(1, 12)), 2))
-                  if not np.array_equal(matrix[i], matrix[j])]
+                  for i, j in rng.integers(0, len(ids), size=(int(rng.integers(1, 12)), 2))]
         for top_n in range(1, len(labels) + 1):
             assert top_pair_quality(space, labels, top_n) == oracles.top_pair_quality(space, labels, top_n)
 

@@ -239,6 +239,18 @@ class TestCosine:
         with pytest.raises(DomainError):
             cosine(np.zeros(3), np.ones(3))
 
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 40), d=st.integers(2, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_rounds_each_pair_as_the_vectorized_cosine(self, seed, n, d):
+        # a row against itself, cosine 1 up to rounding, is where two formulas round apart
+        matrix = np.random.default_rng(seed).normal(size=(n, d))
+        rows = np.arange(n)
+        pairwise = spectra._pairwise_cosines(matrix, rows, rows[::-1])
+        itself = spectra._pairwise_cosines(matrix, rows, rows)
+        for k in rows:
+            assert cosine(matrix[k], matrix[n - 1 - k]) == pairwise[k]
+            assert cosine(matrix[k], matrix[k]) == itself[k]
+
     @given(
         st.integers(min_value=0, max_value=300),
         st.floats(min_value=0.01, max_value=100.0),

@@ -9,12 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semfuse import embed, evalkit, geotime, rankopt, spectra, table, tsne
+from semfuse.cli import load_config
+from semfuse.corpus import load_corpus
 from semfuse.embed import EmbeddingSpace, export_embeddings, import_embeddings, load_word_vectors
 from semfuse.errors import ConflictError, FormatError, SemfuseError
 from semfuse.evalkit import SweepCell, SweepResult, load_labels
 from semfuse.geotime import load_feature_matrix, save_feature_matrix
 from semfuse.rankopt import load_rank_labels, rank_matrix
 from semfuse.spectra import DeltaCosineResult
+from semfuse.stopwords import load_stopwords
+from semfuse.tsne import load_colors
 
 # floats whose shortest repr is easy to get wrong: signed zero, subnormals,
 # the exponent switch at 1e16 and 1e-4, and the extremes
@@ -427,8 +431,47 @@ class TestNotUtf8:
     def test_table_readers_name_the_file_and_line(self, tmp_path, reader):
         load, header, ids = TABLE_READERS[reader]
         p = tmp_path / "t.csv"
-        p.write_bytes((header + "0.5,0.5,0.5\n" * 3).encode() + b"0.5,\xe9,0.5\n")
+        p.write_bytes(table_text(reader, {}).encode() + b"0.5,\xe9,0.5\n")
         with pytest.raises(FormatError, match=fault(p, 5 if header else 4, "not UTF-8 text$")):
+            load(p)
+
+    # the reader decodes in blocks of about 8 KB: the size of the file must not decide which fault is first
+    @pytest.mark.parametrize("padding", [10, 5000])
+    @pytest.mark.parametrize("lead", ["", "q,zz,1.0\n"])  # a bad value comes after every row fault
+    @pytest.mark.parametrize("row, reason", [
+        ("w,1.0", "expected 3 fields, got 2$"),
+        ("p3,1.0,2.0", "duplicate id 'p3'$"),
+    ])
+    def test_a_row_fault_before_the_line_comes_first(self, tmp_path, padding, lead, row, reason):
+        p = tmp_path / "e.csv"
+        rows = "".join(f"p{i},1.0,2.0\n" for i in range(padding))
+        p.write_bytes(f"id,e1,e2\n{lead}{rows}{row}\n".encode() + b"r,\xff,2.0\n")
+        with pytest.raises(SemfuseError, match=fault(p, padding + 2 + bool(lead), reason)):
+            import_embeddings(p)
+
+    # every other text input: (reader, header, padding row i, faulty row, its fault)
+    LINE_READERS = {
+        "corpus": (lambda p: load_corpus(p, format="csv"), "id,text,timestamp\n",
+                   lambda i: f"r{i},hello,{1312200000 + i}\n", "b,hello,x\n",
+                   "timestamp 'x' is not an integer$"),
+        "corpus jsonl": (lambda p: load_corpus(p, format="jsonl"), "",
+                         lambda i: f'{{"id": "r{i}", "text": "hello", "timestamp": 1}}\n', "[1]\n",
+                         "expected a JSON object$"),
+        "stopwords": (load_stopwords, "", lambda i: f"w{i}\n", "Bad\n", "stopword 'Bad' is not lowercase$"),
+        "rater labels": (lambda p: load_labels(p, 4.0), "id_a,id_b,score_1\n", lambda i: f"a{i},b{i},1\n",
+                         "a,b,9\n", r"score 9.0 outside \[0, 4.0\]$"),
+        "colors": (load_colors, "id,color\n", lambda i: f"r{i},red\n", "r3,blue\n",
+                   "duplicate color entry for id 'r3'$"),
+        "config": (load_config, "", lambda i: f"k{i} = {i}\n", "no equals sign\n", "expected key = value$"),
+    }
+
+    @pytest.mark.parametrize("padding", [10, 5000])
+    @pytest.mark.parametrize("reader", sorted(LINE_READERS))
+    def test_every_reader_meets_the_line_in_file_order(self, tmp_path, reader, padding):
+        load, header, good, bad, reason = self.LINE_READERS[reader]
+        p = tmp_path / "input.txt"
+        p.write_bytes((header + "".join(map(good, range(padding))) + bad).encode() + b"\xff,x\n")
+        with pytest.raises(SemfuseError, match=fault(p, bool(header) + padding + 1, reason)):
             load(p)
 
     def test_a_bad_byte_past_the_first_read_block(self, tmp_path):
