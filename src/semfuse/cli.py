@@ -15,9 +15,12 @@ writes each output's sidecar beside it and moves every output and
 sidecar into the output directory. A failed stage leaves the output
 directory as it was. An invocation hashes each input file once.
 
-`embed` keeps each word-vector table it parses in a cache directory,
-`$XDG_CACHE_HOME/semfuse/word-vectors` (`~/.cache` by default), under the
-sha256 of the file's bytes, and reads it from there on later runs.
+Each stage parses a word-vector table or an embedding space once: it
+keeps what it parsed in a cache directory, `$XDG_CACHE_HOME/semfuse/parse`
+(`~/.cache` by default), under the sha256 of the file's bytes, which a
+parse hashes a second time before it is stored, and later reads of the
+same bytes, by any stage, read it from there. The oldest entries are
+removed once the directory holds more than MAX_CACHE_BYTES.
 
 Subcommands: ingest, encode, embed, reduce, augment, score, optimize,
 tsne, eval, sweep.
@@ -33,6 +36,7 @@ import os
 import shutil
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -46,15 +50,16 @@ from .corpus import (
     save_corpus,
 )
 from .embed import (
+    ENTRY_SUFFIX,
     EmbeddingSpace,
     WordVectorTable,
     embed_corpus,
     export_embeddings,
     fit_context,
     import_embeddings,
-    load_vector_entry,
+    load_entry,
     load_word_vectors,
-    save_vector_entry,
+    save_entry,
 )
 from .errors import ConfigError, DomainError, PipelineError, SemfuseError
 from .evalkit import (
@@ -117,8 +122,10 @@ STAGE_OF = {
     SCORES: "score",
 }
 
-# a word-vector table of more values than this (1 GiB as float64) is parsed on every run, never stored
+# a parsed table of more values than this (1 GiB as float64) is parsed on every run, never stored
 MAX_CACHED_VALUES = 1 << 27
+# after each store the oldest entries go until the rest take at most this: four of the largest
+MAX_CACHE_BYTES = 4 << 30
 
 
 def load_config(path: str | Path) -> dict[str, str]:
@@ -284,9 +291,64 @@ def _meta_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta")
 
 
-def _records_and_space(records_path: Path, embeddings_path: Path) -> tuple[list, EmbeddingSpace]:
+def _parse_cache() -> Path | None:
+    """The parse cache directory; None when no absolute cache home is known."""
+    home = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(home):  # unset, empty or relative: the XDG default
+        home = os.path.expanduser("~/.cache")
+    return Path(home, "semfuse", "parse") if os.path.isabs(home) else None
+
+
+def _parsed(run: Run, key: str, kind: type, parse: Callable[[Path], WordVectorTable | EmbeddingSpace]):
+    """The input recorded under `key` as a `kind`: its cache entry on a hit, else `parse`d and stored.
+
+    The entry is named by the digest the sidecar records and the kind's
+    suffix, and a hit refreshes its mtime. A parse is stored only if it
+    holds at most MAX_CACHED_VALUES values and the file still hashes to
+    that digest afterwards; then the oldest entries go until the rest fit
+    in MAX_CACHE_BYTES. A cache that cannot be read, written or pruned
+    leaves the stage as it is.
+    """
+    path, digest, cache = run.inputs[key], run.digest(key), _parse_cache()
+    entry = cache / f"{digest}{ENTRY_SUFFIX[kind]}" if cache else None
+    value = load_entry(kind, entry) if entry else None
+    if value is not None:
+        with contextlib.suppress(OSError):
+            os.utime(entry)
+        return value
+    value = parse(path)
+    values = value.matrix.size if kind is EmbeddingSpace else len(value.vectors) * value.dim
+    if entry and values <= MAX_CACHED_VALUES and _sha256(path) == digest:
+        with contextlib.suppress(OSError):
+            cache.mkdir(parents=True, exist_ok=True)
+            save_entry(value, entry)
+            _evict(cache)
+    return value
+
+
+def _evict(cache: Path) -> None:
+    """Remove entries of every kind, oldest mtime first, until the rest take at most MAX_CACHE_BYTES."""
+    with os.scandir(cache) as found:
+        entries = sorted((e.stat().st_mtime_ns, e.stat().st_size, e.path) for e in found
+                         if e.name.endswith(tuple(ENTRY_SUFFIX.values())))
+    total = sum(size for _, size, _ in entries)
+    for _, size, path in entries:
+        if total <= MAX_CACHE_BYTES:
+            break
+        os.unlink(path)
+        total -= size
+
+
+def _space(run: Run, name: str, key: str | None = None) -> EmbeddingSpace:
+    """The embedding space an earlier stage wrote to `name`, recorded under `key` (default: its stem)."""
+    path = run.stage_input(name, key)
+    return _parsed(run, key or path.stem, EmbeddingSpace, import_embeddings)
+
+
+def _records_and_space(run: Run) -> tuple[list, EmbeddingSpace]:
+    records_path, embeddings_path = run.stage_input(RECORDS), run.stage_input(EMBEDDINGS)
     records = load_corpus(records_path, format="csv")
-    space = import_embeddings(embeddings_path)
+    space = _parsed(run, "embeddings", EmbeddingSpace, import_embeddings)
     if tuple(r.id for r in records) != space.ids:
         raise DomainError(f"{records_path} and {embeddings_path} list different ids")
     return records, space
@@ -309,37 +371,6 @@ def cmd_encode(run: Run) -> tuple[dict, str]:
     return {"variant": variant, "shape": [rows, columns]}, f"{rows}x{columns} feature matrix"
 
 
-def _vector_cache() -> Path | None:
-    """The word-vector cache directory; None when no absolute cache home is known."""
-    home = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(home):  # unset, empty or relative: the XDG default
-        home = os.path.expanduser("~/.cache")
-    return Path(home, "semfuse", "word-vectors") if os.path.isabs(home) else None
-
-
-def _word_vectors(run: Run) -> WordVectorTable:
-    """The `word_vectors` table: its cache entry on a hit, else parsed and then stored.
-
-    The entry is named by the digest the sidecar records. It is stored
-    only if the table holds at most MAX_CACHED_VALUES values and the file
-    still hashes to that digest after the parse; a cache that cannot be
-    written leaves the stage as it is.
-    """
-    path = run.input_file("word_vectors")
-    digest = run.digest("word_vectors")
-    cache = _vector_cache()
-    entry = cache / f"{digest}.vectors" if cache else None
-    table = load_vector_entry(entry) if entry else None
-    if table is None:
-        table = load_word_vectors(path)
-        small = len(table.vectors) * table.dim <= MAX_CACHED_VALUES
-        if entry and small and _sha256(path) == digest:
-            with contextlib.suppress(OSError):
-                cache.mkdir(parents=True, exist_ok=True)
-                save_vector_entry(table, entry)
-    return table
-
-
 def cmd_embed(run: Run) -> tuple[dict, str]:
     """Embed each record with salience-weighted word vectors.
 
@@ -347,7 +378,8 @@ def cmd_embed(run: Run) -> tuple[dict, str]:
     the file's bytes; the outputs are the same bytes either way.
     """
     records = load_corpus(run.stage_input(RECORDS), format="csv")
-    table = _word_vectors(run)
+    run.input_file("word_vectors")
+    table = _parsed(run, "word_vectors", WordVectorTable, load_word_vectors)
     stop_path = run.input_file("stopwords", required=False)
     docs = clean_corpus(records, load_stopwords(stop_path) if stop_path else DEFAULT_STOPWORDS)
     ctx = fit_context(docs, table, ridge=run.number("ridge"))
@@ -359,7 +391,7 @@ def cmd_embed(run: Run) -> tuple[dict, str]:
 
 def cmd_reduce(run: Run) -> tuple[dict, str]:
     k = run.number("k", kind=int, required=True)
-    space = import_embeddings(run.stage_input(EMBEDDINGS))
+    space = _space(run, EMBEDDINGS)
     model = fit_pca(space, k)
     export_embeddings(EmbeddingSpace(space.ids, transform(model, space)), run.path_out(REDUCED))
     params = {"k": k, "explained_variance": [float(v) for v in model.explained_variance]}
@@ -369,7 +401,7 @@ def cmd_reduce(run: Run) -> tuple[dict, str]:
 def cmd_augment(run: Run) -> tuple[dict, str]:
     reduced_path = run.stage_input(REDUCED)
     features_path = run.stage_input(FEATURES)
-    reduced = import_embeddings(reduced_path)
+    reduced = _space(run, REDUCED)
     features, variant = load_feature_matrix(features_path)
     if reduced.matrix.shape[0] != features.shape[0]:
         raise DomainError(
@@ -395,7 +427,7 @@ def _dist_kinds(run: Run) -> tuple[str, ...]:
 
 
 def cmd_score(run: Run) -> tuple[dict, str]:
-    records, space = _records_and_space(run.stage_input(RECORDS), run.stage_input(EMBEDDINGS))
+    records, space = _records_and_space(run)
     kind = run.setting("kind", "pi")
     alphas = run.number("alphas", (0.02, 9.55), many=True)
     params = SimilarityParams(kind=kind, alphas=alphas, dist_kinds=_dist_kinds(run))
@@ -410,10 +442,10 @@ def cmd_score(run: Run) -> tuple[dict, str]:
 
 
 def cmd_optimize(run: Run) -> tuple[dict, str]:
-    records_path = run.stage_input(RECORDS)
-    embeddings_path = run.stage_input(EMBEDDINGS)
+    run.stage_input(RECORDS)  # a missing upstream output is named before the labels
+    run.stage_input(EMBEDDINGS)
     labels_path = run.input_file("labels")
-    records, space = _records_and_space(records_path, embeddings_path)
+    records, space = _records_and_space(run)
     labels = load_rank_labels(labels_path)
     kind = run.setting("kind", "pi")
     dist_kinds = _dist_kinds(run)
@@ -442,7 +474,7 @@ def cmd_optimize(run: Run) -> tuple[dict, str]:
 
 def cmd_tsne(run: Run) -> tuple[dict, str]:
     input_name = run.setting("tsne_input", AUGMENTED)
-    space = import_embeddings(run.stage_input(input_name, "space"))
+    space = _space(run, input_name, "space")
     cfg = TsneConfig(
         perplexity=run.number("perplexity", TsneConfig.perplexity),
         iterations=run.number("iterations", TsneConfig.iterations, int),
@@ -483,7 +515,7 @@ def _quality_labels(run: Run, space: EmbeddingSpace) -> tuple[list, float, int]:
 def cmd_eval(run: Run) -> tuple[dict, str]:
     mode = run.setting("mode", "quality")
     if mode == "quality":
-        space = import_embeddings(run.stage_input(run.setting("space", AUGMENTED), "space"))
+        space = _space(run, run.setting("space", AUGMENTED), "space")
         labels, scale_max, top_n = _quality_labels(run, space)
         quality = top_pair_quality(space, labels, top_n, run.seed)
         rows = [("top_pair_quality", quality), ("n_labels", len(labels)), ("top_n", top_n)]
@@ -510,8 +542,8 @@ def cmd_eval(run: Run) -> tuple[dict, str]:
 
 def cmd_sweep(run: Run) -> tuple[dict, str]:
     mode = run.setting("mode", "quality")
-    embeddings_path = run.stage_input(EMBEDDINGS)
-    records, space = _records_and_space(run.stage_input(RECORDS), embeddings_path)
+    run.stage_input(EMBEDDINGS)  # named before the records when both are missing
+    records, space = _records_and_space(run)
     k_list = run.number("k_list", (2, 4, 8), int, many=True)
     if mode == "quality":
         labels, scale_max, top_n = _quality_labels(run, space)

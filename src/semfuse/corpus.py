@@ -133,15 +133,20 @@ def resolve_coordinates(records: Sequence[Record], gazetteer: Gazetteer) -> list
 
 
 def load_gazetteer(path: str | Path) -> Gazetteer:
-    """Read a gazetteer CSV with columns location,lat,lon."""
+    """Read a gazetteer CSV with columns location,lat,lon; the first fault in file order raises."""
     entries: dict[str, GeoPoint] = {}
+    rows: list[tuple[dict, str]] = []
+    fault = None
     with open_text(path) as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
         for column in ("location", "lat", "lon"):
             if column not in fields:
                 raise SchemaError(f"{path}: missing column {column!r}")
-        rows = [(row, f"{path}: line {reader.line_num}") for row in reader]
+        try:
+            rows.extend((row, f"{path}: line {reader.line_num}") for row in reader)
+        except SemfuseError as exc:
+            fault = exc
     coordinates = parse_rows([(where, [row["lat"] or "", row["lon"] or ""]) for row, where in rows], 2)
     for row, where in rows:
         key = Gazetteer.normalize(row["location"] or "")
@@ -154,6 +159,8 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
             entries[key] = GeoPoint(lat, lon)
         except DomainError as exc:
             raise RowError(where, f"bad coordinates for {key!r}: {exc}") from None
+    if fault is not None:
+        raise fault
     return Gazetteer(entries=entries)
 
 

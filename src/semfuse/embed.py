@@ -6,9 +6,10 @@ sentence vectors are salience-weighted token means scaled to unit norm.
 `token_saliences` computes the weight of every distinct token of a corpus
 from one linear solve against the context metric, and `embed_corpus`
 calls it once per corpus. Precomputed embedding spaces can also be
-imported from CSV. A parsed word-vector table can be stored as one binary
-entry file (`save_vector_entry`) and read back without parsing text
-(`load_vector_entry`).
+imported from CSV. A parsed word-vector table or embedding space can be
+stored as one binary entry file (`save_entry`) and read back without
+parsing text (`load_entry`); the two are kinds of one format, and neither
+reads as the other.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .table import bulk_rows, open_text, parse_floats, read_table, write_table
 
 DEFAULT_RIDGE_SCALE = 1e-3
 _SYMMETRY_TOL = 1e-9
-_PARSER_SOURCES = ("embed.py", "table.py")  # the modules whose code decides what a word-vector file parses to
-_ROW_LEAD = bytes(8)  # a float64 0.0 before each stored row, where a parsed row has its token
+_PARSER_SOURCES = ("embed.py", "table.py")  # the modules whose code decides what a text file parses to
+_ROW_LEAD = bytes(8)  # a float64 0.0 before each stored row, where a parsed row has its label
 
 
 @dataclass(frozen=True)
@@ -183,8 +184,8 @@ def load_word_vectors(path: str | Path) -> WordVectorTable:
     is a fault of that line.
 
     `semfuse embed` parses a file once: it stores the table with
-    `save_vector_entry`, under the digest of the file's bytes, and reads
-    that entry on later runs.
+    `save_entry`, under the digest of the file's bytes, and reads that
+    entry on later runs.
     """
     tokens: list[str] = []
     try:
@@ -197,49 +198,61 @@ def load_word_vectors(path: str | Path) -> WordVectorTable:
     return WordVectorTable(dim=matrix.shape[1] - 1, vectors=dict(zip(tokens, matrix[:, 1:])))
 
 
+# the file suffix of each kind of entry; a kind's class name is its tag word
+ENTRY_SUFFIX = {WordVectorTable: ".vectors", EmbeddingSpace: ".space"}
+
+
 @cache
-def _entry_tag() -> bytes:
-    """An entry's first line. It names the package version, the numpy
-    version, the byte order and a sha256 of the parser's source files, so
-    an entry that another build of the parser wrote reads as a miss. A
-    source file that cannot be read raises OSError, which the cache treats
-    as a miss and a failed write.
+def _entry_tag(kind: type) -> bytes:
+    """The first line of a `kind` entry. It names the kind, the package
+    version, the numpy version, the byte order and a sha256 of the parser's
+    source files, so an entry of the other kind, or one that another build
+    of the parser wrote, reads as a miss. A source file that cannot be read
+    raises OSError, which the cache treats as a miss and a failed write.
     """
     parser = hashlib.sha256()
     for name in _PARSER_SOURCES:
         parser.update(Path(__file__).with_name(name).read_bytes())
-    return (f"semfuse word-vector table {__version__} parser {parser.hexdigest()[:16]} "
+    return (f"semfuse {kind.__name__} {__version__} parser {parser.hexdigest()[:16]} "
             f"numpy {np.__version__} float64 {sys.byteorder}\n").encode()
 
 
-def save_vector_entry(table: WordVectorTable, path: Path) -> None:
-    """Store `table` as one entry file that `load_vector_entry` reads back.
+def save_entry(value: WordVectorTable | EmbeddingSpace, path: Path) -> None:
+    """Store a word-vector table or an embedding space as one entry file that `load_entry` reads back.
 
-    The entry holds a format tag, a line `<n> <dim> <token bytes> <sha256>`,
-    the tokens in table order, one per line, and an n x (dim + 1) float64
-    matrix in native byte order: each vector after a leading 0.0, the
-    matrix a parse builds with its token column. A hit thus allocates what
-    a parse allocates and leaves the allocator as a parse leaves it: with
-    glibc's malloc, a tighter n x dim matrix raised the peak RSS of the
-    `layout` benchmark from 117.4 to 120.2 MB.
-    The sha256 covers the tokens and the matrix. Each row is written and
+    The entry holds the tag of the value's kind, a line `<n> <dim> <label
+    bytes> <sha256>`, the labels (tokens or ids) in order, one per line,
+    and an n x (dim + 1) float64 matrix in native byte order: each row
+    after a leading 0.0, the matrix a parse builds with its label column.
+    A hit thus allocates what a parse allocates and leaves the allocator
+    as a parse leaves it: with glibc's malloc, a tighter n x dim matrix
+    raised the peak RSS of the `layout` benchmark from 117.4 to 120.2 MB.
+    The sha256 covers the labels and the matrix. Each row is written and
     hashed where it lies, so the matrix is not copied. The file is written
     under a temporary name in `path`'s directory and then renamed to
-    `path`, so a reader never sees a partial entry.
+    `path`, so a reader never sees a partial entry. A value with no rows,
+    or with a label that holds a line break, is not stored: its labels
+    would not read back.
     """
-    tokens = "\n".join(table.vectors).encode()
-    rows = [np.ascontiguousarray(row, dtype=float) for row in table.vectors.values()]
-    payload = hashlib.sha256(tokens)
+    if isinstance(value, WordVectorTable):
+        labels, rows = list(value.vectors), value.vectors.values()
+    else:
+        labels, rows = value.ids, value.matrix
+    text = "\n".join(labels).encode()
+    if not labels or text.count(b"\n") != len(labels) - 1:
+        return
+    rows = [np.ascontiguousarray(row, dtype=float) for row in rows]
+    payload = hashlib.sha256(text)
     for row in rows:
         payload.update(_ROW_LEAD)
         payload.update(row)
-    tag = _entry_tag()
+    tag = _entry_tag(type(value))
     fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with open(fd, "wb", buffering=1 << 16) as fh:  # half the write time of the default 8 KiB
             fh.write(tag)
-            fh.write(f"{len(rows)} {table.dim} {len(tokens)} {payload.hexdigest()}\n".encode())
-            fh.write(tokens)
+            fh.write(f"{len(rows)} {value.dim} {len(text)} {payload.hexdigest()}\n".encode())
+            fh.write(text)
             for row in rows:
                 fh.write(_ROW_LEAD)
                 fh.write(row)
@@ -249,32 +262,37 @@ def save_vector_entry(table: WordVectorTable, path: Path) -> None:
         raise
 
 
-def load_vector_entry(path: Path) -> WordVectorTable | None:
-    """The table `save_vector_entry` stored at `path`, each vector a row view of one matrix.
+def load_entry(kind: type[WordVectorTable | EmbeddingSpace],
+               path: Path) -> WordVectorTable | EmbeddingSpace | None:
+    """The `kind` value `save_entry` stored at `path`, as its parse returns it.
 
-    None when there is no entry, it cannot be read, or its tag, its size
-    or the sha256 of its tokens and matrix does not match: a damaged entry
-    is a miss, never an error.
+    A table's vectors are row views of one matrix; a space's matrix is a
+    C-contiguous copy of the stored one without its label column. None
+    when there is no entry, it cannot be read, or its tag, its size or the
+    sha256 of its labels and matrix does not match: an entry of the other
+    kind or a damaged one is a miss, never an error.
     """
     try:
         with open(path, "rb") as fh:
-            tag = _entry_tag()
+            tag = _entry_tag(kind)
             if fh.readline(len(tag)) != tag:
                 return None
             n, dim, size, digest = fh.readline(256).split()
             n, dim, size = int(n), int(dim), int(size)
             expected = fh.tell() + size + 8 * n * (dim + 1)
-            if n < 1 or dim < 2 or size < 0 or os.fstat(fh.fileno()).st_size != expected:
+            if n < 1 or dim < 1 or size < 0 or os.fstat(fh.fileno()).st_size != expected:
                 return None
-            tokens = fh.read(size)
+            text = fh.read(size)
             matrix = np.fromfile(fh, dtype=float, count=n * (dim + 1)).reshape(n, dim + 1)
-        payload = hashlib.sha256(tokens)
+        payload = hashlib.sha256(text)
         payload.update(matrix)
         if payload.hexdigest().encode() != digest:
             return None
-        vectors = dict(zip(tokens.decode().split("\n"), matrix[:, 1:], strict=True))
-        return WordVectorTable(dim=dim, vectors=vectors)
-    except (OSError, ValueError):
+        labels = text.decode().split("\n")
+        if kind is WordVectorTable:
+            return WordVectorTable(dim=dim, vectors=dict(zip(labels, matrix[:, 1:], strict=True)))
+        return EmbeddingSpace(ids=tuple(labels), matrix=np.ascontiguousarray(matrix[:, 1:]))
+    except (OSError, ValueError, DomainError):
         return None
 
 
@@ -411,7 +429,8 @@ def import_embeddings(path: str | Path) -> EmbeddingSpace:
 
     Values follow the number grammar of `table.parse_floats`. A ragged
     row or a repeated id anywhere is reported before a bad value; errors
-    name the file and the line.
+    name the file and the line. The stages of `semfuse` parse each
+    embedding file once, through the same cache as word vectors.
     """
     def check_header(header: list[str]) -> None:
         if not header or header[0] != "id":

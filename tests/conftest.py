@@ -41,10 +41,10 @@ def write_word_vectors(path: Path, tokens: set[str], dim: int = 6, seed: int = 7
 
 
 @pytest.fixture(autouse=True)
-def vector_cache(tmp_path, monkeypatch) -> Path:
-    """This test's own word-vector cache: no test writes to the home directory or sees another's entries."""
+def parse_cache(tmp_path, monkeypatch) -> Path:
+    """This test's own parse cache: no test writes to the home directory or sees another's entries."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg-cache"))
-    return tmp_path / "xdg-cache" / "semfuse" / "word-vectors"
+    return tmp_path / "xdg-cache" / "semfuse" / "parse"
 
 
 @pytest.fixture(scope="session")

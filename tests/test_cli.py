@@ -16,7 +16,7 @@ import semfuse.cli as cli
 import semfuse.rankopt as rankopt
 from semfuse.cli import _sha256, main, write_sidecar
 from semfuse.corpus import load_corpus
-from semfuse.embed import import_embeddings, load_vector_entry, load_word_vectors
+from semfuse.embed import EmbeddingSpace, WordVectorTable, import_embeddings, load_entry, load_word_vectors
 from semfuse.rankopt import (
     DEFAULT_DIST_KINDS,
     SimilarityParams,
@@ -439,15 +439,18 @@ class TestSidecarHash:
         assert "param_ridge = 0.5\n" in meta
 
     def test_a_stage_hashes_each_input_once(self, pipeline_fixture, tmp_path, monkeypatch):
-        # tsne writes three outputs, and each sidecar records the digest of its one input
+        # tsne writes three outputs, and each sidecar records the digest of its one input;
+        # a parse that misses the parse cache hashes the file once more before it is stored
         out, hashed = tmp_path / "out", []
         assert main(["--out-dir", str(out), "ingest", "--corpus", str(pipeline_fixture["corpus"])]) == 0
         assert main(["--out-dir", str(out), "embed", "--word-vectors", str(pipeline_fixture["vectors"])]) == 0
         sha256 = cli._sha256
         monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
-        assert main(["--out-dir", str(out), "tsne", "--input", "embeddings.csv", "--iterations", "20",
-                     "--perplexity", "4"]) == 0
-        assert hashed == [out / "embeddings.csv"]
+        for hashes in (2, 1):  # a miss, then a hit
+            hashed.clear()
+            assert main(["--out-dir", str(out), "tsne", "--input", "embeddings.csv", "--iterations", "20",
+                         "--perplexity", "4"]) == 0
+            assert hashed == [out / "embeddings.csv"] * hashes
         digest = sha256(out / "embeddings.csv")
         for name in ("tsne.csv", "tsne.svg", "tsne_trace.csv"):
             assert f" = {digest}\n" in (out / f"{name}.meta").read_text(encoding="utf-8")
@@ -471,12 +474,12 @@ class TestWordVectorCache:
     def outputs(self, out) -> tuple[bytes, bytes]:
         return (out / "embeddings.csv").read_bytes(), (out / "embeddings.csv.meta").read_bytes()
 
-    def test_a_hit_returns_the_parsed_table(self, pipeline_fixture, tmp_path, vector_cache, parses):
+    def test_a_hit_returns_the_parsed_table(self, pipeline_fixture, tmp_path, parse_cache, parses):
         vectors = pipeline_fixture["vectors"]
         assert self.embed(pipeline_fixture, tmp_path / "cold") == 0
-        entry = vector_cache / f"{hashlib.sha256(vectors.read_bytes()).hexdigest()}.vectors"
-        assert sorted(vector_cache.iterdir()) == [entry]
-        hit, parsed = load_vector_entry(entry), load_word_vectors(vectors)
+        entry = parse_cache / f"{hashlib.sha256(vectors.read_bytes()).hexdigest()}.vectors"
+        assert sorted(parse_cache.iterdir()) == [entry]
+        hit, parsed = load_entry(WordVectorTable, entry), load_word_vectors(vectors)
         assert hit.dim == parsed.dim and list(hit.vectors) == list(parsed.vectors)
         assert all(np.array_equal(hit.vectors[t], row) for t, row in parsed.vectors.items())
         assert self.embed(pipeline_fixture, tmp_path / "warm") == 0
@@ -498,17 +501,17 @@ class TestWordVectorCache:
             assert hashed.count(vectors) == hashes
 
     @pytest.mark.parametrize("room", [-1, 0])
-    def test_a_table_over_the_size_bound_is_not_stored(self, pipeline_fixture, tmp_path, vector_cache, parses,
+    def test_a_table_over_the_size_bound_is_not_stored(self, pipeline_fixture, tmp_path, parse_cache, parses,
                                                         monkeypatch, room):
         table = load_word_vectors(pipeline_fixture["vectors"])
         monkeypatch.setattr(cli, "MAX_CACHED_VALUES", len(table.vectors) * table.dim + room)
         for run in ("first", "second"):
             assert self.embed(pipeline_fixture, tmp_path / run) == 0
         assert len(parses) == (2 if room < 0 else 1)
-        assert vector_cache.exists() == (room >= 0)
+        assert parse_cache.exists() == (room >= 0)
         assert self.outputs(tmp_path / "second") == self.outputs(tmp_path / "first")
 
-    def test_a_same_size_edit_misses(self, pipeline_fixture, tmp_path, vector_cache, parses, monkeypatch):
+    def test_a_same_size_edit_misses(self, pipeline_fixture, tmp_path, parse_cache, parses, monkeypatch):
         vectors = tmp_path / "vectors.txt"
         shutil.copyfile(pipeline_fixture["vectors"], vectors)
         assert self.embed(pipeline_fixture, tmp_path / "before", vectors) == 0
@@ -516,7 +519,7 @@ class TestWordVectorCache:
         digit = re.search(r"[1-8]", text).start()
         vectors.write_text(text[:digit] + str(int(text[digit]) + 1) + text[digit + 1:], encoding="utf-8")
         assert self.embed(pipeline_fixture, tmp_path / "after", vectors) == 0
-        assert parses == [vectors, vectors] and len(list(vector_cache.iterdir())) == 2
+        assert parses == [vectors, vectors] and len(list(parse_cache.iterdir())) == 2
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
         assert self.embed(pipeline_fixture, tmp_path / "fresh", vectors) == 0
         assert self.outputs(tmp_path / "after") == self.outputs(tmp_path / "fresh")
@@ -524,10 +527,10 @@ class TestWordVectorCache:
 
     @pytest.mark.parametrize("damage", ["truncated", "bit in the tag", "bit in the tokens",
                                         "bit in the matrix"])
-    def test_a_damaged_entry_is_ignored_and_rewritten(self, pipeline_fixture, tmp_path, vector_cache, parses,
+    def test_a_damaged_entry_is_ignored_and_rewritten(self, pipeline_fixture, tmp_path, parse_cache, parses,
                                                      damage):
         assert self.embed(pipeline_fixture, tmp_path / "cold") == 0
-        [entry] = vector_cache.iterdir()
+        [entry] = parse_cache.iterdir()
         good = entry.read_bytes()
         at = {"bit in the tokens": good.index(b"\n", good.index(b"\n") + 1) + 3,
               "bit in the matrix": len(good) - 5, "bit in the tag": 20}.get(damage)
@@ -543,7 +546,7 @@ class TestWordVectorCache:
                                                 blocked):
         # a file where a directory must go: a permission bit does not stop a superuser
         home = tmp_path / "home"
-        place = {"cache home": home, "entry directory": home / "semfuse" / "word-vectors"}[blocked]
+        place = {"cache home": home, "entry directory": home / "semfuse" / "parse"}[blocked]
         place.parent.mkdir(parents=True, exist_ok=True)
         place.write_text("not a directory\n", encoding="utf-8")
         monkeypatch.setenv("XDG_CACHE_HOME", str(home))
@@ -554,7 +557,7 @@ class TestWordVectorCache:
         assert len(parses) == 2
         assert self.outputs(tmp_path / "second") == self.outputs(tmp_path / "first")
 
-    def test_an_invalid_table_writes_no_entry(self, pipeline_fixture, tmp_path, vector_cache, capsys):
+    def test_an_invalid_table_writes_no_entry(self, pipeline_fixture, tmp_path, parse_cache, capsys):
         vectors = tmp_path / "vectors.txt"
         vectors.write_text("cat 1.0 2.0\ndog 1.0\n", encoding="utf-8")
         errors = []
@@ -563,9 +566,9 @@ class TestWordVectorCache:
             assert self.embed(pipeline_fixture, tmp_path / run, vectors) == 2
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] == f"error: {vectors}: line 2: expected 2 values, got 1\n"
-        assert not vector_cache.exists()
+        assert not parse_cache.exists()
 
-    def test_a_file_changed_during_the_parse_is_not_stored(self, pipeline_fixture, tmp_path, vector_cache,
+    def test_a_file_changed_during_the_parse_is_not_stored(self, pipeline_fixture, tmp_path, parse_cache,
                                                           monkeypatch):
         vectors = tmp_path / "vectors.txt"
         shutil.copyfile(pipeline_fixture["vectors"], vectors)
@@ -578,15 +581,148 @@ class TestWordVectorCache:
 
         monkeypatch.setattr(cli, "load_word_vectors", parse_then_append)
         assert self.embed(pipeline_fixture, tmp_path / "out", vectors) == 0
-        assert not vector_cache.exists()
+        assert not parse_cache.exists()
 
     def test_a_relative_cache_home_means_the_default(self, pipeline_fixture, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", str(tmp_path / "user"))
         monkeypatch.setenv("XDG_CACHE_HOME", "relative")
         monkeypatch.chdir(tmp_path)
         assert self.embed(pipeline_fixture, tmp_path / "out") == 0
-        assert len(list((tmp_path / "user" / ".cache" / "semfuse" / "word-vectors").iterdir())) == 1
+        assert len(list((tmp_path / "user" / ".cache" / "semfuse" / "parse").iterdir())) == 1
         assert not (tmp_path / "relative").exists()
+
+
+class TestSpaceCache:
+    """Stages parse each embedding space once; a later read of the same bytes, by any stage, is a hit."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch) -> list[Path]:
+        """The path of every `import_embeddings` call the CLI makes."""
+        calls, original = [], cli.import_embeddings
+        monkeypatch.setattr(cli, "import_embeddings", lambda path: calls.append(path) or original(path))
+        return calls
+
+    @pytest.fixture
+    def out(self, pipeline_fixture, tmp_path) -> Path:
+        """An output directory holding the outputs of ingest through embed."""
+        out = tmp_path / "out"
+        for stage in pipeline_stages(pipeline_fixture)[:3]:
+            assert main(["--seed", "7", "--out-dir", str(out)] + stage) == 0
+        return out
+
+    def stage(self, out, *argv) -> int:
+        return main(["--seed", "7", "--out-dir", str(out), *argv])
+
+    def entry(self, cache, path) -> Path:
+        return cache / f"{_sha256(path)}.space"
+
+    def test_cold_warm_and_uncached_chains_write_the_same_bytes(self, pipeline_fixture, tmp_path, parse_cache,
+                                                                parses, monkeypatch):
+        cold, warm, uncached = tmp_path / "cold", tmp_path / "warm", tmp_path / "uncached"
+        run_stages(cold, pipeline_fixture)
+        assert parses == [cold / "embeddings.csv", cold / "reduced.csv", cold / "augmented.csv"]
+        assert sorted(p.suffix for p in parse_cache.iterdir()) == [".space"] * 3 + [".vectors"]
+        parses.clear()
+        run_stages(warm, pipeline_fixture)
+        assert parses == []
+        (tmp_path / "no-cache").write_text("a file where the cache home must go\n", encoding="utf-8")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "no-cache"))
+        run_stages(uncached, pipeline_fixture)
+        assert len(parses) == 8  # reduce, augment, score, optimize, tsne, eval, two sweeps
+        assert len(directory_bytes(cold)) == 2 * len(EXPECTED_OUTPUTS)
+        assert directory_bytes(warm) == directory_bytes(cold) == directory_bytes(uncached)
+
+    def test_a_hit_is_the_parse(self, out, parse_cache, parses):
+        path = out / "embeddings.csv"
+        assert self.stage(out, "reduce", "--k", "3") == 0
+        hit, parsed = load_entry(EmbeddingSpace, self.entry(parse_cache, path)), import_embeddings(path)
+        assert hit.ids == parsed.ids
+        assert hit.matrix.dtype == np.float64 and hit.matrix.flags.c_contiguous
+        assert hit.matrix.shape == parsed.matrix.shape and hit.matrix.tobytes() == parsed.matrix.tobytes()
+        assert self.stage(out, "score") == 0
+        assert parses == [path]
+
+    @pytest.mark.parametrize("damage", ["truncated", "bit in the tag", "bit in the ids", "bit in the matrix"])
+    def test_a_damaged_entry_is_ignored_and_rewritten(self, out, parse_cache, parses, damage):
+        path = out / "embeddings.csv"
+        assert self.stage(out, "score") == 0
+        scores = (out / "scores.csv").read_bytes()
+        entry = self.entry(parse_cache, path)
+        good = entry.read_bytes()
+        at = {"bit in the ids": good.index(b"\n", good.index(b"\n") + 1) + 2,
+              "bit in the matrix": len(good) - 5, "bit in the tag": 10}.get(damage)
+        entry.write_bytes(good[:-8] if at is None else good[:at] + bytes([good[at] ^ 1]) + good[at + 1:])
+        assert self.stage(out, "score") == 0
+        assert parses == [path, path]
+        assert entry.read_bytes() == good
+        assert (out / "scores.csv").read_bytes() == scores
+
+    def test_ids_with_a_line_break_are_parsed_every_time(self, tmp_path, parse_cache, parses):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "embeddings.csv"
+        path.write_text('id,e1,e2,e3\n"a\nb",1.0,2.0,0.5\nc,3.0,1.0,2.0\nd,0.5,0.25,4.0\n', encoding="utf-8")
+        assert import_embeddings(path).ids == ("a\nb", "c", "d")
+        outputs = []
+        for _ in range(2):
+            assert self.stage(out, "reduce", "--k", "2") == 0
+            outputs.append((out / "reduced.csv").read_bytes())
+        assert parses == [path, path] and outputs[0] == outputs[1]
+        assert not [p for p in parse_cache.iterdir() if p.suffix == ".space"]
+
+    @pytest.mark.parametrize("room", [-1, 0])
+    def test_a_space_over_the_size_bound_is_not_stored(self, out, parse_cache, parses, monkeypatch, room):
+        monkeypatch.setattr(cli, "MAX_CACHED_VALUES", import_embeddings(out / "embeddings.csv").matrix.size + room)
+        for _ in range(2):
+            assert self.stage(out, "reduce", "--k", "2") == 0
+        assert len(parses) == (2 if room < 0 else 1)
+        assert self.entry(parse_cache, out / "embeddings.csv").exists() == (room >= 0)
+
+    def test_the_oldest_entries_go_first(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        for age, name in enumerate(["d.vectors", "c.space", "b.vectors", "a.space"], start=1):
+            (cache / name).write_bytes(bytes(100))
+            os.utime(cache / name, (1e9 - age, 1e9 - age))
+        for name in ["notes.txt", ".e.space.1234.tmp"]:  # not entries: never counted or removed
+            (cache / name).write_bytes(bytes(1000))
+            os.utime(cache / name, (0, 0))
+        for bound, left in [(250, "c.space d.vectors"), (200, "c.space d.vectors"), (199, "d.vectors"), (0, "")]:
+            monkeypatch.setattr(cli, "MAX_CACHE_BYTES", bound)
+            cli._evict(cache)
+            assert sorted(p.name for p in cache.iterdir()) == [".e.space.1234.tmp", *left.split(), "notes.txt"]
+
+    def test_a_store_evicts_and_a_hit_keeps_its_entry(self, pipeline_fixture, tmp_path, out, parse_cache, parses,
+                                                      monkeypatch):
+        [vectors] = parse_cache.iterdir()
+        stale = parse_cache / f"{'0' * 64}.space"
+        stale.write_bytes(bytes(100))
+        os.utime(stale, (2000, 2000))
+        os.utime(vectors, (1000, 1000))
+        assert self.stage(tmp_path / "again", *pipeline_stages(pipeline_fixture)[0]) == 0
+        assert self.stage(tmp_path / "again", *pipeline_stages(pipeline_fixture)[2]) == 0  # a hit
+        assert vectors.stat().st_mtime > 2000
+        path = out / "embeddings.csv"
+        probe = tmp_path / "probe.space"
+        cli.save_entry(import_embeddings(path), probe)
+        monkeypatch.setattr(cli, "MAX_CACHE_BYTES", vectors.stat().st_size + probe.stat().st_size)
+        assert self.stage(out, "reduce", "--k", "2") == 0
+        assert sorted(parse_cache.iterdir()) == sorted([vectors, self.entry(parse_cache, path)])
+
+    def test_a_failed_eviction_changes_nothing(self, out, parse_cache, monkeypatch, capsys):
+        assert self.stage(out, "reduce", "--k", "2") == 0
+        reduced = (out / "reduced.csv").read_bytes()
+        for entry in parse_cache.iterdir():
+            entry.unlink()
+        stuck = parse_cache / f"{'1' * 64}.space"
+        stuck.mkdir()  # the oldest entry, and one that cannot be unlinked
+        os.utime(stuck, (0, 0))
+        monkeypatch.setattr(cli, "MAX_CACHE_BYTES", 0)
+        capsys.readouterr()
+        assert self.stage(out, "reduce", "--k", "2") == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "reduced.csv").read_bytes() == reduced
+        assert sorted(parse_cache.iterdir()) == sorted([stuck, self.entry(parse_cache, out / "embeddings.csv")])
 
 
 class TestNonFiniteFlags:

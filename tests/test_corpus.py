@@ -225,6 +225,18 @@ class TestCoordinatesInOneParse:
         with pytest.raises(RowError, match="line 3: empty location$"):
             load_gazetteer(p)
 
+    def test_gazetteer_row_fault_comes_before_a_later_line_that_is_not_utf8(self, tmp_path):
+        # line 3 repeats line 2's location, line 13 holds a byte that is not UTF-8
+        rows = [b"location,lat,lon", b"c0,1,2", b"C0,3,4", *(b"c%d,%d,1" % (i, i) for i in range(3, 12)),
+                b"c\xff,1,2"]
+        p = tmp_path / "g.csv"
+        p.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(ConflictError, match=f"^{re.escape(str(p))}: line 3: duplicate gazetteer entry 'c0'$"):
+            load_gazetteer(p)
+        p.write_bytes(b"\n".join(rows[:2] + rows[3:]) + b"\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: line 12: not UTF-8 text$"):
+            load_gazetteer(p)
+
     @settings(max_examples=150, deadline=None)
     @given(rows=st.lists(st.tuples(st.sampled_from(["a", "b", ""]), st.sampled_from(STAMP_CELLS),
                                    st.sampled_from(COORDINATE_CELLS), st.sampled_from(COORDINATE_CELLS)),

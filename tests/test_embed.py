@@ -21,9 +21,9 @@ from semfuse.embed import (
     export_embeddings,
     fit_context,
     import_embeddings,
-    load_vector_entry,
+    load_entry,
     load_word_vectors,
-    save_vector_entry,
+    save_entry,
     sim_cosal,
     token_saliences,
     word_salience,
@@ -161,22 +161,22 @@ class TestVectorEntry:
 
     def test_round_trip(self, tmp_path, parsed):
         entry = tmp_path / "e.vectors"
-        save_vector_entry(parsed, entry)
-        table = load_vector_entry(entry)
+        save_entry(parsed, entry)
+        table = load_entry(WordVectorTable, entry)
         assert table.dim == parsed.dim and list(table.vectors) == list(parsed.vectors)
         assert all(np.array_equal(table.vectors[t], row) for t, row in parsed.vectors.items())
         base = table.vectors["w0"].base
         assert base is not None and all(v.base is base for v in table.vectors.values())
-        assert load_vector_entry(tmp_path / "missing.vectors") is None
+        assert load_entry(WordVectorTable, tmp_path / "missing.vectors") is None
 
     def test_neither_direction_copies_the_matrix(self, tmp_path, parsed):
         entry, nbytes = tmp_path / "e.vectors", 500 * 200 * 8
         tracemalloc.start()
         try:
-            save_vector_entry(parsed, entry)
+            save_entry(parsed, entry)
             saved = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            table = load_vector_entry(entry)
+            table = load_entry(WordVectorTable, entry)
             loaded = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -190,7 +190,7 @@ class TestVectorEntry:
 
         monkeypatch.setattr(embed.os, "replace", replace)
         with pytest.raises(OSError):
-            save_vector_entry(parsed, tmp_path / "e.vectors")
+            save_entry(parsed, tmp_path / "e.vectors")
         assert list(tmp_path.iterdir()) == [tmp_path / "v.txt"]
 
     @pytest.fixture
@@ -208,9 +208,9 @@ class TestVectorEntry:
     @pytest.mark.parametrize("change", ["embed.py", "table.py", "package version", "numpy version"])
     def test_an_entry_of_another_parser_misses(self, tmp_path, parsed, monkeypatch, sources, change):
         entry = tmp_path / "e.vectors"
-        save_vector_entry(parsed, entry)
+        save_entry(parsed, entry)
         embed._entry_tag.cache_clear()
-        assert load_vector_entry(entry) is not None
+        assert load_entry(WordVectorTable, entry) is not None
         if change.endswith(".py"):
             with open(sources / change, "a", encoding="utf-8") as fh:
                 fh.write("# an edit that changes no behaviour still makes another parser\n")
@@ -218,18 +218,61 @@ class TestVectorEntry:
             module = embed if change == "package version" else embed.np
             monkeypatch.setattr(module, "__version__", module.__version__ + ".post1")
         embed._entry_tag.cache_clear()
-        assert load_vector_entry(entry) is None
+        assert load_entry(WordVectorTable, entry) is None
 
     def test_an_unreadable_parser_source_stores_nothing(self, tmp_path, parsed, sources):
         entry = tmp_path / "e.vectors"
-        save_vector_entry(parsed, entry)
+        save_entry(parsed, entry)
         (sources / "table.py").unlink()
         embed._entry_tag.cache_clear()
-        assert load_vector_entry(entry) is None
+        assert load_entry(WordVectorTable, entry) is None
         entry.unlink()
         with pytest.raises(OSError):
-            save_vector_entry(parsed, entry)
+            save_entry(parsed, entry)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["src", "v.txt"]
+
+
+class TestSpaceEntry:
+    @pytest.fixture(params=["plain", "quoted ids", "one column"])
+    def csv_path(self, request, tmp_path) -> Path:
+        values = np.random.default_rng(5).normal(size=(300, 40))
+        values[0, :3] = [-0.0, 5e-324, 1e308]  # each must come back bit for bit
+        ids = [f"r{i}" for i in range(300)]
+        if request.param == "quoted ids":
+            ids[:3] = ['"a,b"', '"say ""hi"""', "é"]
+        if request.param == "one column":
+            values = values[:, :1]
+        p = tmp_path / "e.csv"
+        header = ",".join(["id"] + [f"e{j + 1}" for j in range(values.shape[1])])
+        p.write_text(header + "\n" + "".join(f"{rid}," + ",".join(map(repr, row.tolist())) + "\n"
+                                             for rid, row in zip(ids, values)), encoding="utf-8")
+        return p
+
+    def test_a_hit_is_the_parse(self, tmp_path, csv_path):
+        parsed, entry = import_embeddings(csv_path), tmp_path / "e.space"
+        save_entry(parsed, entry)
+        hit = load_entry(EmbeddingSpace, entry)
+        assert hit.ids == parsed.ids and all(type(rid) is str for rid in hit.ids)
+        assert hit.matrix.dtype == np.float64 and hit.matrix.flags.c_contiguous
+        assert hit.matrix.shape == parsed.matrix.shape
+        assert hit.matrix.tobytes() == parsed.matrix.tobytes()
+
+    def test_no_kind_reads_as_the_other(self, tmp_path):
+        # the same labels and rows, stored as a table and as a space
+        matrix = np.arange(12.0).reshape(4, 3)
+        table = WordVectorTable(dim=3, vectors=dict(zip("abcd", matrix)))
+        space = EmbeddingSpace(ids=tuple("abcd"), matrix=matrix)
+        save_entry(table, tmp_path / "t")
+        save_entry(space, tmp_path / "s")
+        assert load_entry(EmbeddingSpace, tmp_path / "t") is None
+        assert load_entry(WordVectorTable, tmp_path / "s") is None
+        assert load_entry(WordVectorTable, tmp_path / "t").vectors.keys() == table.vectors.keys()
+        assert load_entry(EmbeddingSpace, tmp_path / "s").ids == space.ids
+
+    @pytest.mark.parametrize("ids", [("a\nb", "c"), ("a", "b\r\n")])
+    def test_ids_with_a_line_break_are_not_stored(self, tmp_path, ids):
+        save_entry(EmbeddingSpace(ids=ids, matrix=np.ones((2, 2))), tmp_path / "e.space")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNotUtf8:
