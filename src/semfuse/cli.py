@@ -22,8 +22,10 @@ parse hashes a second time before it is stored, and later reads of the
 same bytes, by any stage, read it from there. The oldest entries are
 removed once the directory holds more than MAX_CACHE_BYTES.
 
-Subcommands: ingest, encode, embed, reduce, augment, score, optimize,
-tsne, eval, sweep.
+STAGES is the one table of the stages: each one's help, its settings
+(flags, with help from FLAGS) and the earlier outputs it always reads,
+which a `Run` checks, in order, before its `cmd_*` function runs. Only
+the code that uses a choice checks it, so a flag fails as a key does.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import math
 import os
 import shutil
 import sys
+from collections import namedtuple
 from pathlib import Path
 from typing import Callable
 
@@ -112,14 +115,61 @@ SWEEP_CSV = "sweep.csv"
 DELTA_CSV = "delta.csv"
 HEATMAP_CSV = "rank_heatmap.csv"
 
-# stage that produces each shared intermediate, for missing-input messages
-STAGE_OF = {
-    RECORDS: "ingest",
-    FEATURES: "encode",
-    EMBEDDINGS: "embed",
-    REDUCED: "reduce",
-    AUGMENTED: "augment",
-    SCORES: "score",
+# each setting's flag help; the flag is --<key with - for _>, but tsne_input is --input
+FLAGS = {
+    "corpus": "corpus file (csv, tsv, or jsonl)",
+    "format": f"corpus format: {', '.join(CORPUS_FORMATS)}",
+    "gazetteer": "location,lat,lon CSV for geocoding",
+    "variant": f"feature layout (in sweep, for delta mode): {', '.join(VARIANTS)}",
+    "word_vectors": "token-vector text file",
+    "stopwords": "stopword file, one lowercase token per line",
+    "ridge": "covariance ridge (default: 1e-3 * trace / dim)",
+    "k": "number of components to keep",
+    "kind": f"scorer form: {', '.join(SIM_KINDS)}",
+    "alphas": "comma-separated kernel weights",
+    "dist_kinds": "comma-separated kernel names, one per feature: days, then coordinates",
+    "labels": "rater scores for quality mode; labeled scores (i,j,score rows or a full matrix) otherwise",
+    "bounds": "per-alpha search intervals, e.g. 0:1,0:12",
+    "step": "round-1 grid spacing (default: 21 points per axis)",
+    "shrink": "interval shrink factor per round",
+    "rounds": "number of search rounds",
+    "tsne_input": "space file in the output directory (default: augmented.csv)",
+    "perplexity": "target effective neighbor count",
+    "iterations": "gradient descent iterations",
+    "learning_rate": "descent step size",
+    "kernel": f"planar kernel: {', '.join(KERNELS)}",
+    "cost": f"divergence form: {', '.join(COST_MODES)}",
+    "colors": "id,color CSV for scatter fills",
+    "mode": "eval: quality or compare; sweep: quality or delta",
+    "space": "space file for quality mode (default: augmented.csv)",
+    "scale_max": "maximum raw rater score",
+    "top_n": "pairs to average in quality mode",
+    "pred": "predicted score matrix for compare mode (default: scores.csv)",
+    "k_list": "comma-separated component counts",
+    "trials": "resampling trials for delta mode",
+    "pairs": "pairs per trial for delta mode",
+}
+
+# a stage's help, its setting keys (space-separated, in --help order), the earlier outputs it always
+# reads (checked in this order before it runs) and its output that later stages read, if any
+Stage = namedtuple("Stage", "help settings reads writes", defaults=((), None))
+
+STAGES = {
+    "ingest": Stage("load a corpus and resolve coordinates", "corpus format gazetteer", (), RECORDS),
+    "encode": Stage("build the geotemporal feature matrix", "variant", (RECORDS,), FEATURES),
+    "embed": Stage("embed records with salience-weighted word vectors", "word_vectors stopwords ridge",
+                   (RECORDS,), EMBEDDINGS),
+    "reduce": Stage("PCA-reduce the embedding space", "k", (EMBEDDINGS,), REDUCED),
+    "augment": Stage("append standardized features to the reduced space", "", (REDUCED, FEATURES),
+                     AUGMENTED),
+    "score": Stage("pairwise similarity matrix", "kind alphas dist_kinds", (RECORDS, EMBEDDINGS), SCORES),
+    "optimize": Stage("fit kernel weights to labeled rankings",
+                      "labels kind dist_kinds bounds step shrink rounds", (RECORDS, EMBEDDINGS)),
+    "tsne": Stage("reduce a space to 2-D coordinates and an SVG map",
+                  "tsne_input perplexity iterations learning_rate kernel cost colors"),
+    "eval": Stage("score model output against human labels", "mode space labels scale_max top_n pred"),
+    "sweep": Stage("component sweep or cosine-shift experiment",
+                   "mode k_list labels scale_max top_n variant trials pairs", (EMBEDDINGS, RECORDS)),
 }
 
 # a parsed table of more values than this (1 GiB as float64) is parsed on every run, never stored
@@ -159,6 +209,8 @@ class Run:
         self.inputs: dict[str, Path] = {}  # sidecar key -> file read
         self._digests: dict[Path, str] = {}
         self.outputs: list[Path] = []  # staged paths, in the order handed out
+        for name in STAGES[args.command].reads:
+            self.stage_input(name)
 
     def setting(self, key: str, default: str | None = None, required: bool = False) -> str | None:
         """The flag `key`'s text, else its config value, else `default`; unset and required is an error."""
@@ -189,10 +241,8 @@ class Run:
         """An earlier stage's output, recorded under `key` (default: the file's stem)."""
         path = self.out_dir / name
         if not path.exists():
-            stage = STAGE_OF.get(name)
-            if stage:
-                raise PipelineError(f"{path} not found; run the '{stage}' stage first")
-            raise PipelineError(f"{path} not found")
+            stage = next((stage for stage, spec in STAGES.items() if spec.writes == name), None)
+            raise PipelineError(f"{path} not found" + (f"; run the '{stage}' stage first" if stage else ""))
         self.inputs[key or path.stem] = path
         return path
 
@@ -339,18 +389,11 @@ def _evict(cache: Path) -> None:
         total -= size
 
 
-def _space(run: Run, name: str, key: str | None = None) -> EmbeddingSpace:
-    """The embedding space an earlier stage wrote to `name`, recorded under `key` (default: its stem)."""
-    path = run.stage_input(name, key)
-    return _parsed(run, key or path.stem, EmbeddingSpace, import_embeddings)
-
-
 def _records_and_space(run: Run) -> tuple[list, EmbeddingSpace]:
-    records_path, embeddings_path = run.stage_input(RECORDS), run.stage_input(EMBEDDINGS)
-    records = load_corpus(records_path, format="csv")
+    records = load_corpus(run.inputs["records"], format="csv")
     space = _parsed(run, "embeddings", EmbeddingSpace, import_embeddings)
     if tuple(r.id for r in records) != space.ids:
-        raise DomainError(f"{records_path} and {embeddings_path} list different ids")
+        raise DomainError(f"{run.inputs['records']} and {run.inputs['embeddings']} list different ids")
     return records, space
 
 
@@ -365,7 +408,7 @@ def cmd_ingest(run: Run) -> tuple[dict, str]:
 
 def cmd_encode(run: Run) -> tuple[dict, str]:
     variant = run.setting("variant", "all_features")
-    matrix = build_feature_matrix(load_corpus(run.stage_input(RECORDS), format="csv"), variant)
+    matrix = build_feature_matrix(load_corpus(run.inputs["records"], format="csv"), variant)
     save_feature_matrix(run.path_out(FEATURES), matrix, variant)
     rows, columns = matrix.shape
     return {"variant": variant, "shape": [rows, columns]}, f"{rows}x{columns} feature matrix"
@@ -377,7 +420,7 @@ def cmd_embed(run: Run) -> tuple[dict, str]:
     The word-vector table comes from the cache when it holds an entry for
     the file's bytes; the outputs are the same bytes either way.
     """
-    records = load_corpus(run.stage_input(RECORDS), format="csv")
+    records = load_corpus(run.inputs["records"], format="csv")
     run.input_file("word_vectors")
     table = _parsed(run, "word_vectors", WordVectorTable, load_word_vectors)
     stop_path = run.input_file("stopwords", required=False)
@@ -391,7 +434,7 @@ def cmd_embed(run: Run) -> tuple[dict, str]:
 
 def cmd_reduce(run: Run) -> tuple[dict, str]:
     k = run.number("k", kind=int, required=True)
-    space = _space(run, EMBEDDINGS)
+    space = _parsed(run, "embeddings", EmbeddingSpace, import_embeddings)
     model = fit_pca(space, k)
     export_embeddings(EmbeddingSpace(space.ids, transform(model, space)), run.path_out(REDUCED))
     params = {"k": k, "explained_variance": [float(v) for v in model.explained_variance]}
@@ -399,9 +442,8 @@ def cmd_reduce(run: Run) -> tuple[dict, str]:
 
 
 def cmd_augment(run: Run) -> tuple[dict, str]:
-    reduced_path = run.stage_input(REDUCED)
-    features_path = run.stage_input(FEATURES)
-    reduced = _space(run, REDUCED)
+    reduced_path, features_path = run.inputs["reduced"], run.inputs["features"]
+    reduced = _parsed(run, "reduced", EmbeddingSpace, import_embeddings)
     features, variant = load_feature_matrix(features_path)
     if reduced.matrix.shape[0] != features.shape[0]:
         raise DomainError(
@@ -442,8 +484,6 @@ def cmd_score(run: Run) -> tuple[dict, str]:
 
 
 def cmd_optimize(run: Run) -> tuple[dict, str]:
-    run.stage_input(RECORDS)  # a missing upstream output is named before the labels
-    run.stage_input(EMBEDDINGS)
     labels_path = run.input_file("labels")
     records, space = _records_and_space(run)
     labels = load_rank_labels(labels_path)
@@ -465,6 +505,7 @@ def cmd_optimize(run: Run) -> tuple[dict, str]:
         "kind": kind,
         "dist_kinds": list(dist_kinds),
         "bounds": [f"{lo}:{hi}" for lo, hi in cfg.bounds],
+        "step": cfg.step,
         "shrink": cfg.shrink,
         "rounds": cfg.rounds,
         **{f"best_{name}": a for name, a in best.items()},
@@ -474,7 +515,8 @@ def cmd_optimize(run: Run) -> tuple[dict, str]:
 
 def cmd_tsne(run: Run) -> tuple[dict, str]:
     input_name = run.setting("tsne_input", AUGMENTED)
-    space = _space(run, input_name, "space")
+    run.stage_input(input_name, "space")
+    space = _parsed(run, "space", EmbeddingSpace, import_embeddings)
     cfg = TsneConfig(
         perplexity=run.number("perplexity", TsneConfig.perplexity),
         iterations=run.number("iterations", TsneConfig.iterations, int),
@@ -515,9 +557,10 @@ def _quality_labels(run: Run, space: EmbeddingSpace) -> tuple[list, float, int]:
 def cmd_eval(run: Run) -> tuple[dict, str]:
     mode = run.setting("mode", "quality")
     if mode == "quality":
-        space = _space(run, run.setting("space", AUGMENTED), "space")
+        run.stage_input(run.setting("space", AUGMENTED), "space")
+        space = _parsed(run, "space", EmbeddingSpace, import_embeddings)
         labels, scale_max, top_n = _quality_labels(run, space)
-        quality = top_pair_quality(space, labels, top_n, run.seed)
+        quality = top_pair_quality(space, labels, top_n)
         rows = [("top_pair_quality", quality), ("n_labels", len(labels)), ("top_n", top_n)]
         params = {"mode": mode, "scale_max": scale_max, "top_n": top_n}
         summary = f"top_pair_quality {quality!r} over top {top_n} of {len(labels)} pairs"
@@ -542,16 +585,13 @@ def cmd_eval(run: Run) -> tuple[dict, str]:
 
 def cmd_sweep(run: Run) -> tuple[dict, str]:
     mode = run.setting("mode", "quality")
-    run.stage_input(EMBEDDINGS)  # named before the records when both are missing
     records, space = _records_and_space(run)
     k_list = run.number("k_list", (2, 4, 8), int, many=True)
     if mode == "quality":
         labels, scale_max, top_n = _quality_labels(run, space)
         features_all = build_feature_matrix(records, "all_features")
         features_condensed = build_feature_matrix(records, "condensed_time")
-        result = component_sweep(
-            space, features_all, features_condensed, labels, k_list, top_n, run.seed
-        )
+        result = component_sweep(space, features_all, features_condensed, labels, k_list, top_n)
         save_sweep_csv(result, run.path_out(SWEEP_CSV))
         params = {"mode": mode, "k_list": k_list, "top_n": top_n, "scale_max": scale_max}
         return params, f"{len(result.cells)} (variant, k) cells"
@@ -577,83 +617,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", help="master seed recorded in all outputs")
     parser.add_argument("--out-dir", help="directory for stage outputs (default: out)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="load a corpus and resolve coordinates")
-    p.add_argument("--corpus", help="corpus file (csv, tsv, or jsonl)")
-    p.add_argument("--format", choices=CORPUS_FORMATS, help="corpus format")
-    p.add_argument("--gazetteer", help="location,lat,lon CSV for geocoding")
-
-    p = sub.add_parser("encode", help="build the geotemporal feature matrix")
-    p.add_argument("--variant", choices=VARIANTS, help="feature layout")
-
-    p = sub.add_parser("embed", help="embed records with salience-weighted word vectors")
-    p.add_argument("--word-vectors", dest="word_vectors", help="token-vector text file")
-    p.add_argument("--stopwords", help="stopword file, one lowercase token per line")
-    p.add_argument("--ridge", help="covariance ridge (default: 1e-3 * trace / dim)")
-
-    p = sub.add_parser("reduce", help="PCA-reduce the embedding space")
-    p.add_argument("--k", help="number of components to keep")
-
-    sub.add_parser("augment", help="append standardized features to the reduced space")
-
-    p = sub.add_parser("score", help="pairwise similarity matrix")
-    p.add_argument("--kind", choices=SIM_KINDS, help="scorer form")
-    p.add_argument("--alphas", help="comma-separated kernel weights")
-    p.add_argument("--dist-kinds", dest="dist_kinds",
-                   help="comma-separated kernel names, one per feature: days, then coordinates")
-
-    p = sub.add_parser("optimize", help="fit kernel weights to labeled rankings")
-    p.add_argument("--labels", help="labeled scores: i,j,score rows or a full matrix")
-    p.add_argument("--kind", choices=SIM_KINDS, help="scorer form")
-    p.add_argument("--dist-kinds", dest="dist_kinds",
-                   help="comma-separated kernel names, one per feature: days, then coordinates")
-    p.add_argument("--bounds", help="per-alpha search intervals, e.g. 0:1,0:12")
-    p.add_argument("--step", help="round-1 grid spacing (default: 21 points per axis)")
-    p.add_argument("--shrink", help="interval shrink factor per round")
-    p.add_argument("--rounds", help="number of search rounds")
-
-    p = sub.add_parser("tsne", help="reduce a space to 2-D coordinates and an SVG map")
-    p.add_argument("--input", dest="tsne_input", help="space file in the output directory")
-    p.add_argument("--perplexity", help="target effective neighbor count")
-    p.add_argument("--iterations", help="gradient descent iterations")
-    p.add_argument("--learning-rate", dest="learning_rate", help="descent step size")
-    p.add_argument("--kernel", choices=KERNELS, help="planar kernel")
-    p.add_argument("--cost", choices=COST_MODES, help="divergence form")
-    p.add_argument("--colors", help="id,color CSV for scatter fills")
-
-    p = sub.add_parser("eval", help="score model output against human labels")
-    p.add_argument("--mode", choices=["quality", "compare"], help="evaluation mode")
-    p.add_argument("--space", help="space file for quality mode (default: augmented.csv)")
-    p.add_argument("--labels", help="label file for the chosen mode")
-    p.add_argument("--scale-max", dest="scale_max", help="maximum raw rater score")
-    p.add_argument("--top-n", dest="top_n", help="pairs to average in quality mode")
-    p.add_argument("--pred", help="predicted score matrix for compare mode")
-
-    p = sub.add_parser("sweep", help="component sweep or cosine-shift experiment")
-    p.add_argument("--mode", choices=["quality", "delta"], help="experiment kind")
-    p.add_argument("--k-list", dest="k_list", help="comma-separated component counts")
-    p.add_argument("--labels", help="label file for quality mode")
-    p.add_argument("--scale-max", dest="scale_max", help="maximum raw rater score")
-    p.add_argument("--top-n", dest="top_n", help="pairs to average in quality mode")
-    p.add_argument("--variant", choices=VARIANTS, help="feature layout for delta mode")
-    p.add_argument("--trials", help="resampling trials for delta mode")
-    p.add_argument("--pairs", help="pairs per trial for delta mode")
-
+    for stage, spec in STAGES.items():
+        p = sub.add_parser(stage, help=spec.help)
+        for key in spec.settings.split():
+            flag = "--input" if key == "tsne_input" else "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, help=FLAGS[key])
     return parser
 
 
-COMMANDS = {
-    "ingest": cmd_ingest,
-    "encode": cmd_encode,
-    "embed": cmd_embed,
-    "reduce": cmd_reduce,
-    "augment": cmd_augment,
-    "score": cmd_score,
-    "optimize": cmd_optimize,
-    "tsne": cmd_tsne,
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-}
+# each stage's function; main looks it up at call time, so a wrapper put in its place here runs
+COMMANDS = {stage: globals()[f"cmd_{stage}"] for stage in STAGES}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -55,7 +55,6 @@ class SweepCell:
 class SweepResult:
     cells: tuple[SweepCell, ...]
     top_n: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -117,14 +116,13 @@ def top_pair_quality(
     space: EmbeddingSpace | AugmentedSpace,
     labels: Sequence[LabeledPair],
     top_n: int,
-    seed: int = 0,
 ) -> float:
     """Mean human label of the top_n labeled pairs by model cosine.
 
     All pairs are scored by one vectorized cosine. Ties in model score
-    break by pair position in `labels`, so the result is deterministic;
-    seed is recorded by callers but unused here. The first id, in label
-    order, that the space lacks raises before a zero row does.
+    break by pair position in `labels`, so the result is deterministic.
+    The first id, in label order, that the space lacks raises before a
+    zero row does.
     """
     if not 1 <= top_n <= len(labels):
         raise DomainError(f"top_n {top_n} outside [1, {len(labels)}]")
@@ -143,7 +141,6 @@ def component_sweep(
     labels: Sequence[LabeledPair],
     k_list: Sequence[int],
     top_n: int = 20,
-    seed: int = 0,
 ) -> SweepResult:
     """top_pair_quality for every (variant, k) combination.
 
@@ -160,11 +157,11 @@ def component_sweep(
                 candidate = augment(reduced, features_condensed, space.ids)
             else:
                 candidate = EmbeddingSpace(ids=space.ids, matrix=reduced)
-            mean_label = top_pair_quality(candidate, labels, top_n, seed)
+            mean_label = top_pair_quality(candidate, labels, top_n)
             cells.append(
                 SweepCell(variant=variant, k=int(k), mean_label=mean_label, n_pairs=top_n)
             )
-    return SweepResult(cells=tuple(cells), top_n=top_n, seed=seed)
+    return SweepResult(cells=tuple(cells), top_n=top_n)
 
 
 def save_sweep_csv(result: SweepResult, path: str | Path) -> None:

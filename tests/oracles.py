@@ -395,7 +395,7 @@ def read_table(path, check_header=None, ids=False):
     return (header if check_header else None), list(row_ids), matrix
 
 
-def top_pair_quality(space, labels, top_n, seed=0) -> float:
+def top_pair_quality(space, labels, top_n) -> float:
     """Mean label of the top_n pairs by cosine, one `cosine` call per pair; ties keep label order."""
     if not 1 <= top_n <= len(labels):
         raise DomainError(f"top_n {top_n} outside [1, {len(labels)}]")

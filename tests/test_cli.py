@@ -85,7 +85,7 @@ SIDECARS = [
                        "constant_mask f feature_means feature_stds k variant")},
     {"scores.csv": ("embeddings records", "alphas dist_kinds ids kind")},
     {"optimize_trace.csv": ("embeddings labels records", "best_alpha1 best_alpha2 best_loss "
-                            "bounds dist_kinds kind rounds shrink")},
+                            "bounds dist_kinds kind rounds shrink step")},
     {"tsne.csv": TSNE_SIDECAR, "tsne.svg": TSNE_SIDECAR, "tsne_trace.csv": TSNE_SIDECAR},
     {"eval.csv": ("labels space", "mode scale_max top_n")},
     {"rank_heatmap.csv": ("labels pred", "mode"), "eval.csv": ("labels pred", "mode")},
@@ -237,6 +237,31 @@ class TestStageOrdering:
         assert rc == 2
         err = capsys.readouterr().err
         assert "ingest" in err
+
+    # (stage, the earlier outputs present as empty files, the one it names, the stage that writes it)
+    @pytest.mark.parametrize("stage, present, missing, producer", [
+        ("encode", [], "records.csv", "ingest"),
+        ("embed", [], "records.csv", "ingest"),
+        ("reduce", [], "embeddings.csv", "embed"),
+        ("augment", [], "reduced.csv", "reduce"),
+        ("augment", ["reduced.csv"], "features.csv", "encode"),
+        ("score", [], "records.csv", "ingest"),
+        ("score", ["records.csv"], "embeddings.csv", "embed"),
+        ("optimize", [], "records.csv", "ingest"),
+        ("optimize", ["records.csv"], "embeddings.csv", "embed"),
+        ("sweep", [], "embeddings.csv", "embed"),
+        ("sweep", ["embeddings.csv"], "records.csv", "ingest"),
+    ])
+    def test_missing_upstream_output_is_named_first(self, tmp_path, capsys, stage, present, missing, producer):
+        # no flag is given: a missing output is named before any setting or label file is read
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in present:
+            (out / name).write_bytes(b"")
+        before = directory_bytes(out)
+        assert main(["--out-dir", str(out), stage]) == 2
+        assert capsys.readouterr().err == f"error: {out}/{missing} not found; run the '{producer}' stage first\n"
+        assert directory_bytes(out) == before
 
     def test_mismatched_rows_names_both_files(self, pipeline_fixture, tmp_path, capsys):
         out = tmp_path / "out"
@@ -782,6 +807,21 @@ class TestSettingErrors:
         "huge learning rate": (["tsne"], "learning_rate", "1e308", "coordinates diverged at iteration 0"),
         "repeated k, delta": (["sweep", "--mode", "delta", "--pairs", "20"], "k_list", "4,2,4",
                               "k=4 is repeated in the component counts"),
+        # a choice is checked where it is used, so a flag fails as a config key does
+        "format": (["ingest", "--corpus", "{out}/records.csv"], "format", "xml",
+                   "unknown corpus format 'xml'; expected one of ('csv', 'tsv', 'jsonl')"),
+        "variant": (["encode"], "variant", "none",
+                    "unknown feature variant 'none'; expected one of ('all_features', 'condensed_time')"),
+        "variant, delta": (["sweep", "--mode", "delta"], "variant", "none",
+                           "unknown feature variant 'none'; expected one of ('all_features', 'condensed_time')"),
+        "kind": (["score"], "kind", "cosine",
+                 "unknown similarity kind 'cosine'; expected one of ('sigma', 'pi')"),
+        "kernel": (["tsne"], "kernel", "cauchy",
+                   "unknown kernel 'cauchy'; expected one of ('gaussian', 'student_t')"),
+        "cost": (["tsne"], "cost", "reverse",
+                 "unknown cost mode 'reverse'; expected one of ('joint', 'conditional')"),
+        "mode, eval": (["eval"], "mode", "rank", "unknown eval mode 'rank'; expected quality or compare"),
+        "mode, sweep": (["sweep"], "mode", "rank", "unknown sweep mode 'rank'; expected quality or delta"),
     }
 
     @pytest.mark.parametrize("given", ["flag", "config"])
@@ -790,6 +830,7 @@ class TestSettingErrors:
         stage, key, text, message = self.CASES[case]
         out = tmp_path / "out"
         shutil.copytree(staged_out, out)
+        stage = [arg.format(out=out) for arg in stage]
         before = directory_bytes(out)
         argv = ["--out-dir", str(out)]
         if given == "config":
@@ -814,6 +855,49 @@ class TestSettingErrors:
                      "--labels", str(pipeline_fixture["labels"])]) == 2
         assert capsys.readouterr().err == "error: k=4 is repeated in the component counts\n"
         assert directory_bytes(out) == before
+
+
+def test_optimize_sidecar_records_the_step(staged_out, pipeline_fixture, tmp_path):
+    metas = []
+    for step in ([], ["--step", "0.5"]):
+        out = tmp_path / f"out{len(metas)}"
+        shutil.copytree(staged_out, out)
+        argv = ["--out-dir", str(out), "optimize", "--labels", str(pipeline_fixture["rank_labels"])]
+        assert main(argv + ["--rounds", "1"] + step) == 0
+        metas.append((out / "optimize_trace.csv.meta").read_text(encoding="utf-8"))
+    assert "param_step = None\n" in metas[0]
+    assert "param_step = 0.5\n" in metas[1]
+    assert metas[0] != metas[1]
+
+
+# each stage's flags, written out by hand
+STAGE_FLAGS = {
+    "ingest": "--corpus --format --gazetteer",
+    "encode": "--variant",
+    "embed": "--word-vectors --stopwords --ridge",
+    "reduce": "--k",
+    "augment": "",
+    "score": "--kind --alphas --dist-kinds",
+    "optimize": "--labels --kind --dist-kinds --bounds --step --shrink --rounds",
+    "tsne": "--input --perplexity --iterations --learning-rate --kernel --cost --colors",
+    "eval": "--mode --space --labels --scale-max --top-n --pred",
+    "sweep": "--mode --k-list --labels --scale-max --top-n --variant --trials --pairs",
+}
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_FLAGS))
+def test_each_stage_takes_exactly_its_flags(stage, capsys):
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args([stage, "--help"])
+    usage = capsys.readouterr().out
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", usage)) == {"--help", *STAGE_FLAGS[stage].split()}
+    # each flag sets the setting of its name, but --input sets tsne_input
+    flags = STAGE_FLAGS[stage].split()
+    args = vars(parser.parse_args([stage, *(text for flag in flags for text in (flag, f"<{flag}>"))]))
+    given = {key: value for key, value in args.items() if str(value).startswith("<")}
+    keys = ["tsne_input" if flag == "--input" else flag[2:].replace("-", "_") for flag in flags]
+    assert given == {key: f"<{flag}>" for key, flag in zip(keys, flags)}
 
 
 class TestConfigFile:

@@ -98,7 +98,7 @@ def writer_args(matrix, ids, path):
         "rankopt.save_trace_csv": (rows, path),
         "tsne.write_coords_csv": (ids, matrix[:, :2], path),
         "tsne.write_trace_csv": (matrix[:, 0], path),
-        "evalkit.save_sweep_csv": (SweepResult(cells, 3, 0), path),
+        "evalkit.save_sweep_csv": (SweepResult(cells, 3), path),
         "evalkit.save_rank_heatmap": (rank_matrix(np.random.default_rng(m).random((m, m))), path),
         "spectra.save_delta_csv": (deltas, path),
     }
