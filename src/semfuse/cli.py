@@ -25,13 +25,17 @@ removed once the directory holds more than MAX_CACHE_BYTES.
 STAGES is the one table of the stages: each one's help, its settings
 (flags, with help from FLAGS) and the earlier outputs it always reads,
 which a `Run` checks, in order, before its `cmd_*` function runs. Only
-the code that uses a choice checks it, so a flag fails as a key does.
+the code that uses a choice checks it, so a flag fails as a key does. A
+config key that no stage takes is an error. The argument parser is built
+once per process, so a caller that runs several stages in one process
+(`main` called once per stage) builds it once.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import math
 import os
@@ -178,8 +182,17 @@ MAX_CACHED_VALUES = 1 << 27
 MAX_CACHE_BYTES = 4 << 30
 
 
+# the keys a config file may set: the global ones and every stage's, since one file serves every stage
+CONFIG_KEYS = frozenset(["out_dir", "seed", *(key for spec in STAGES.values()
+                                               for key in spec.settings.split())])
+
+
 def load_config(path: str | Path) -> dict[str, str]:
-    """Parse a flat `key = value` file; later lines override earlier ones."""
+    """Parse a flat `key = value` file; later lines override earlier ones.
+
+    A key that is in no CONFIG_KEYS, such as a misspelt one, is an error
+    `<file>: line <n>: unknown key '<key>'`, not a setting silently unused.
+    """
     values: dict[str, str] = {}
     with open_text(path, newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -189,7 +202,10 @@ def load_config(path: str | Path) -> dict[str, str]:
             if "=" not in stripped:
                 raise ConfigError(f"{path}: line {lineno}: expected key = value")
             key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -608,7 +624,9 @@ def cmd_sweep(run: Run) -> tuple[dict, str]:
     raise ConfigError(f"unknown sweep mode {mode!r}; expected quality or delta")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: `parse_args` leaves it as it was, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="semfuse",
         description="Context-aware semantic similarity pipeline",

@@ -9,8 +9,13 @@ from each kernel's upper-triangle block, and the per-pair
 Batches are compared through ranking matrices, and the kernel weights are
 fit by a deterministic shrinking-grid search over the weight space, since
 the ranking loss is piecewise constant and has no usable gradient. The
-search scores, ranks and compares a chunk of grid points at a time as a
-(probes, m, m) stack, through the same code the single-matrix calls use.
+search scores and ranks a chunk of grid points at a time as a (probes,
+m, m) stack, with the same composition and stable sort the single-matrix
+calls use, but reads each probe's loss straight from the sort order: one
+gather of the labeled ranks in sorted order, less each position, squared
+and summed as exact integers, so no rank matrix is built. Each round's
+best probe is its first smallest loss, and it replaces the best so far
+only when its loss is smaller.
 `save_score_matrix` writes an exactly symmetric score matrix as the
 headerless CSV that `load_rank_labels` reads, formatting each unordered
 pair once and reusing the text for the mirrored cell. From 200 x 200
@@ -40,7 +45,7 @@ from .corpus import Record
 from .errors import ConfigError, ConflictError, DomainError, FormatError, RowError, SemfuseError
 from .geotime import SECONDS_PER_DAY, GeoPoint, great_circle_miles, haversine_miles
 from ._score_rows import write_rows
-from .table import filled_rows, open_text, read_table, row_line, write_table
+from .table import filled_rows, float_texts, open_text, read_table, row_line, write_table
 
 SIM_KINDS = ("sigma", "pi")
 DIST_KINDS = ("exp_abs", "inv_abs", "floor_geo")
@@ -157,8 +162,9 @@ def rank_matrix(scores: np.ndarray) -> RankMatrix:
     return RankMatrix(m=scores.shape[0], entries=_rank_entries(scores))
 
 
-def _rank_entries(scores: np.ndarray) -> np.ndarray:
-    # rank_matrix over the last two axes of a (..., m, m) stack
+def _rank_order(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # each row's candidates of a (..., m, m) stack, most similar first, the
+    # row's own index last; the negated keys go to `out` (scores itself may do)
     m = scores.shape[-1]
     if m < 2:
         raise DomainError(f"need at least 2 items, got {m}")
@@ -166,9 +172,15 @@ def _rank_entries(scores: np.ndarray) -> np.ndarray:
         raise DomainError("score matrix has non-finite entries")
     # a stable sort of -score keeps ties in index order; the diagonal sorts last
     diag = np.arange(m)
-    keys = -scores
+    keys = np.negative(scores, out=out)
     keys[..., diag, diag] = np.inf
-    order = np.argsort(keys, axis=-1, kind="stable")
+    return np.argsort(keys, axis=-1, kind="stable")
+
+
+def _rank_entries(scores: np.ndarray) -> np.ndarray:
+    # rank_matrix over the last two axes of a (..., m, m) stack
+    order = _rank_order(scores)
+    diag = np.arange(scores.shape[-1])
     entries = np.empty(scores.shape, dtype=int)
     np.put_along_axis(entries, order, np.broadcast_to(diag, scores.shape), axis=-1)
     entries[..., diag, diag] = 0
@@ -188,6 +200,21 @@ def _rank_losses(entries: np.ndarray, labeled: np.ndarray) -> np.ndarray:
     # is exact, so it does not depend on the summation order.
     diff = entries - labeled
     return np.sqrt(np.sum(diff * diff, axis=(-2, -1)))
+
+
+def _stack_losses(scores: np.ndarray, labeled: np.ndarray) -> np.ndarray:
+    # _rank_losses(_rank_entries(scores), labeled) read straight from the sort
+    # order, with no entries stack; `scores` is overwritten. Row i's candidate
+    # at position k is order[..., i, k], so the squared differences are
+    # (labeled[i, order[..., i, k]] - k)**2 summed over i and k, less the
+    # diagonal's: it sorts to position m - 1 against a label of 0, (m - 1)**2
+    # per row. Every term is an exact integer, so the loss keeps its bits.
+    m = scores.shape[-1]
+    order = _rank_order(scores, out=scores)
+    order += np.arange(0, m * m, m)[:, None]  # flat positions in labeled
+    diff = labeled.ravel().take(order)
+    diff -= np.arange(m)
+    return np.sqrt(np.sum(diff * diff, axis=(-2, -1)) - m * (m - 1) ** 2)
 
 
 def pairwise_scores(
@@ -274,8 +301,12 @@ def _compose_scores(
         for alpha, kernel in zip(weights, kernels):
             out += alpha * kernel
         return out
-    out.fill(1.0)
-    for alpha, kernel in zip(weights, kernels):
+    # 1.0 * (alpha + kernel) is alpha + kernel, bit for bit
+    if kernels:
+        np.add(weights[0], kernels[0], out=out)
+    else:
+        out.fill(1.0)
+    for alpha, kernel in zip(weights[1:], kernels[1:]):
         out *= alpha + kernel
     out *= dots
     return out
@@ -362,6 +393,7 @@ def optimize_alphas(
     half = (hi - lo) / 2.0
 
     trace: list[tuple] = []
+    best_alphas, best_loss = (), math.inf
     for rnd in range(1, cfg.rounds + 1):
         axes = map(_axis_points, np.maximum(lo, center - half), np.minimum(hi, center + half), counts)
         # one row per probe, in lexicographic order with alpha1 slowest
@@ -371,25 +403,35 @@ def optimize_alphas(
             # can never be worse than the initial grid center
             grid = np.vstack([center, grid])
         losses = np.concatenate([
-            _rank_losses(_rank_entries(_compose_scores(dots, kernels, kind, grid[start:start + chunk])),
-                         labels.entries)
+            _stack_losses(_compose_scores(dots, kernels, kind, grid[start:start + chunk]), labels.entries)
             for start in range(0, len(grid), chunk)
         ])
-        trace.extend((rnd, *alphas, loss) for alphas, loss in zip(grid.tolist(), losses.tolist()))
-        # min keeps the first of equal losses
-        best = min(trace, key=lambda row: row[-1])
-        center = np.array(best[1:-1])
+        probes = grid.tolist()
+        trace.extend((rnd, *alphas, loss) for alphas, loss in zip(probes, losses.tolist()))
+        # argmin takes the first of equal losses, and only a smaller loss
+        # replaces an earlier round's best
+        first = int(np.argmin(losses))
+        if losses[first] < best_loss:
+            best_alphas, best_loss = tuple(probes[first]), float(losses[first])
+        center = np.array(best_alphas)
         half = half * cfg.shrink
 
-    params = SimilarityParams(kind=kind, alphas=best[1:-1], dist_kinds=dist_kinds)
-    return params, best[-1], trace
+    params = SimilarityParams(kind=kind, alphas=best_alphas, dist_kinds=dist_kinds)
+    return params, best_loss, trace
 
 
 def save_trace_csv(trace: Sequence[tuple], path: str | Path) -> None:
-    """Write (round, alpha1, ..., alphak, loss) rows under a matching header."""
+    """Write (round, alpha1, ..., alphak, loss) rows under a matching header.
+
+    Each value prints as the shortest `repr` of its float, as `write_table`
+    prints floats, but a trace repeats few values (a round's grid axes and
+    a few distinct losses), so each distinct value is formatted once by
+    `float_texts` and `write_table` gets the texts.
+    """
     n_alphas = len(trace[0]) - 2 if trace else 0
     header = ["round", *(f"alpha{i}" for i in range(1, n_alphas + 1)), "loss"]
-    write_table(path, header, ([rnd, *map(float, values)] for rnd, *values in trace))
+    texts = float_texts([values for _, *values in trace]).tolist()
+    write_table(path, header, ([row[0], *cells] for row, cells in zip(trace, texts)))
 
 
 def save_score_matrix(scores: np.ndarray, path: str | Path) -> None:

@@ -197,12 +197,10 @@ def delta_cosine_experiment(
         raise DomainError(
             f"pair_sample_size {pair_sample_size} exceeds {total_pairs} available pairs"
         )
-    upper_i, upper_j = np.triu_indices(n, k=1)
     trial_pairs = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        chosen = rng.choice(total_pairs, size=pair_sample_size, replace=False)
-        trial_pairs.append((upper_i[chosen], upper_j[chosen]))
+        trial_pairs.append(_upper_pairs(n, rng.choice(total_pairs, size=pair_sample_size, replace=False)))
     centered = space.matrix - space.matrix.mean(axis=0)
     baseline = [_pairwise_cosines(centered, i, j) for i, j in trial_pairs]
 
@@ -219,6 +217,17 @@ def delta_cosine_experiment(
             DeltaCosineResult(k=int(k), mean_abs_delta=float(trial_means.mean()), stderr=stderr)
         )
     return results
+
+
+def _upper_pairs(n: int, numbers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of the pairs i < j that `numbers` pick, numbered as `np.triu_indices(n, 1)` lists them.
+
+    Row i's pairs start at number i*n - i*(i+1)/2; each number's row is
+    found among those starts, so no list of all n(n-1)/2 pairs is built.
+    """
+    starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+    rows = np.searchsorted(starts, numbers, side="right") - 1
+    return rows, numbers - starts[rows] + rows + 1
 
 
 def save_delta_csv(results: Sequence[DeltaCosineResult], path: str | Path) -> None:

@@ -17,6 +17,7 @@ import semfuse.rankopt as rankopt
 from semfuse.cli import _sha256, main, write_sidecar
 from semfuse.corpus import load_corpus
 from semfuse.embed import EmbeddingSpace, WordVectorTable, import_embeddings, load_entry, load_word_vectors
+from semfuse.errors import ConfigError
 from semfuse.rankopt import (
     DEFAULT_DIST_KINDS,
     SimilarityParams,
@@ -138,7 +139,11 @@ class TestPipeline:
             argv = [sys.executable, "-m", "semfuse", "--seed", "7", "--out-dir", str(out)] + stage
             done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
             assert (done.returncode, done.stderr) == (0, ""), stage[:3]
+        # in one process every stage's main call parses its argv with the one parser
+        cli.build_parser.cache_clear()
         run_stages(tmp_path / "in_process", pipeline_fixture)
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(pipeline_stages(pipeline_fixture)) - 1)
         assert directory_bytes(out) == directory_bytes(tmp_path / "in_process")
 
     def test_all_stages_and_reproducibility(self, pipeline_fixture, tmp_path):
@@ -926,6 +931,25 @@ class TestConfigFile:
         rc = main(["--config", str(cfg), "--out-dir", str(tmp_path / "o"), "ingest"])
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_an_unknown_key_exits_2_naming_its_line(self, pipeline_fixture, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(f"out_dir = {tmp_path / 'o'}\n\nformt = xml\n", encoding="utf-8")
+        rc = main(["--config", str(cfg), "ingest", "--corpus", str(pipeline_fixture["corpus"])])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {cfg}: line 3: unknown key 'formt'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_a_key_of_another_stage_is_accepted(self, pipeline_fixture, tmp_path):
+        # one config file serves every stage: ingest takes none of these keys
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(f"out_dir = {tmp_path / 'o'}\nseed = 3\nk = 2\nperplexity = 5\ninput = x\n"
+                       "tsne_input = reduced.csv\nk_list = 2,4\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="line 5: unknown key 'input'$"):
+            cli.load_config(cfg)  # a flag's name is not its key
+        cfg.write_text(cfg.read_text(encoding="utf-8").replace("input = x\n", ""), encoding="utf-8")
+        assert main(["--config", str(cfg), "ingest", "--corpus", str(pipeline_fixture["corpus"])]) == 0
+        assert "seed = 3" in (tmp_path / "o" / "records.csv.meta").read_text(encoding="utf-8")
 
     def test_empty_required_path_exits_2(self, tmp_path, capsys):
         # an empty value is not an unset one: it names the current directory

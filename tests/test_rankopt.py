@@ -448,19 +448,34 @@ class TestStackedSearch:
         assert (params, loss, trace) == oracles.optimize_trace(
             emb, feats, labels, "sigma", DEFAULT_DIST_KINDS, cfg)
 
+    def test_a_later_round_that_ties_keeps_the_earlier_probe(self):
+        # every probe ties; an even grid probes the interval midpoint first,
+        # and round 2's grid around it does not hold it, so replacing the
+        # best on a tie would move round 3's grid
+        emb, feats = synthetic_batch(10, 51)
+        labels = rank_matrix(np.tile(np.arange(10.0), (10, 1)))
+        cfg = GridConfig(bounds=((0.0, 1e-12), (0.0, 1e-12)), step=1e-12 / 3, rounds=3)
+        assert cfg.points_per_axis() == (4, 4)
+        params, loss, trace = optimize_alphas(emb, feats, labels, "sigma", DEFAULT_DIST_KINDS, cfg)
+        assert {row[-1] for row in trace} == {loss}
+        assert params.alphas == trace[0][1:-1] == (5e-13, 5e-13)
+        assert trace[0][1:-1] not in [row[1:-1] for row in trace if row[0] == 2]
+        assert (params, loss, trace) == oracles.optimize_trace(
+            emb, feats, labels, "sigma", DEFAULT_DIST_KINDS, cfg)
+
     def test_one_rank_call_per_chunk(self, monkeypatch):
         emb, feats, labels = fitted_batch(20, 52, DEFAULT_DIST_KINDS, "pi")
         calls = []
-        core = rankopt._rank_entries
+        core = rankopt._stack_losses
 
-        def counted(scores):
+        def counted(scores, labeled):
             calls.append(scores.shape)
-            return core(scores)
+            return core(scores, labeled)
 
         def per_probe(scores):
             raise AssertionError("rank_matrix called per probe")
 
-        monkeypatch.setattr(rankopt, "_rank_entries", counted)
+        monkeypatch.setattr(rankopt, "_stack_losses", counted)
         monkeypatch.setattr(rankopt, "rank_matrix", per_probe)
         cfg = GridConfig(bounds=((0.0, 1.0), (0.0, 12.0)))
         _, _, trace = optimize_alphas(emb, feats, labels, "pi", DEFAULT_DIST_KINDS, cfg)
@@ -493,11 +508,83 @@ class TestStackedSearch:
         entries = rankopt._rank_entries(stack)
         losses = rankopt._rank_losses(entries, labels.entries)
         assert entries.shape == stack.shape and losses.shape == (probes,)
+        assert np.array_equal(rankopt._stack_losses(stack.copy(), labels.entries), losses)
         for p in range(probes):
             single = rank_matrix(stack[p])
             assert np.array_equal(entries[p], single.entries)
             assert np.array_equal(entries[p], oracles.rank_entries(stack[p]))
             assert losses[p] == rank_loss(single, labels)
+
+
+class TestStackLosses:
+    """_stack_losses reads each probe's loss from the sort order; the rank matrices are its oracle."""
+
+    @staticmethod
+    def assert_equals_rank_matrix_losses(stack, labels):
+        want = rankopt._rank_losses(rankopt._rank_entries(stack), labels.entries)
+        got = rankopt._stack_losses(stack.copy(), labels.entries)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [2, 3, 20])
+    @pytest.mark.parametrize("stack", ["random", "one decimal", "equal rows", "equal probes"])
+    def test_equals_the_losses_of_the_rank_matrices(self, m, stack):
+        rng = np.random.default_rng(m)
+        scores = {
+            "random": lambda: rng.normal(size=(7, m, m)),
+            "one decimal": lambda: np.round(rng.random((7, m, m)), 1),  # many ties
+            "equal rows": lambda: np.repeat(rng.random((7, 1, m)), m, axis=1),
+            "equal probes": lambda: np.repeat(rng.random((1, m, m)), 7, axis=0),
+        }[stack]()
+        for labels in (rank_matrix(rng.random((m, m))), rank_matrix(np.ones((m, m)))):
+            self.assert_equals_rank_matrix_losses(scores, labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_raise_as_rank_matrix_does(self, bad):
+        stack = np.zeros((2, 3, 3))
+        stack[1, 0, 2] = bad
+        labels = rank_matrix(np.zeros((3, 3))).entries
+        with pytest.raises(DomainError, match="^score matrix has non-finite entries$"):
+            rankopt._rank_entries(stack.copy())
+        with pytest.raises(DomainError, match="^score matrix has non-finite entries$"):
+            rankopt._stack_losses(stack, labels)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_fewer_than_two_items_raise_as_rank_matrix_does(self, m):
+        stack = np.zeros((2, m, m))
+        with pytest.raises(DomainError, match=f"^need at least 2 items, got {m}$"):
+            rankopt._rank_entries(stack.copy())
+        with pytest.raises(DomainError, match=f"^need at least 2 items, got {m}$"):
+            rankopt._stack_losses(stack, np.zeros((m, m), dtype=int))
+
+
+class TestSaveTraceCsv:
+    EDGES = [0.0, -0.0, 1e-05, 1e16, 5e-324, 2.2250738585072014e-308, 0.1, -1.5, 1e-300]
+
+    def test_writes_the_bytes_of_the_per_cell_writer(self, tmp_path):
+        # repeated values, both zeros, a subnormal and repr's exponent forms
+        edges = self.EDGES
+        trace = [(1 + r // 4, edges[r % 9], edges[(r * 5) % 9], edges[(r * 7 + 3) % 9]) for r in range(40)]
+        trace.append((np.int64(7), np.float32(0.1), np.float64(-0.0), 3))  # numpy scalars and an int
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        save_trace_csv(trace, new)
+        oracles.save_trace_csv(trace, old)
+        assert new.read_bytes() == old.read_bytes()
+        assert b",-0.0," in new.read_bytes() and b",0.0," in new.read_bytes()
+
+    def test_an_empty_trace_writes_the_header_alone(self, tmp_path):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        save_trace_csv([], new)
+        oracles.save_trace_csv([], old)
+        assert new.read_bytes() == old.read_bytes() == b"round,loss\r\n"
+
+    def test_a_search_trace_writes_the_bytes_of_the_per_cell_writer(self, tmp_path):
+        emb, feats, labels = fitted_batch(20, 56, DEFAULT_DIST_KINDS, "sigma")
+        _, _, trace = optimize_alphas(emb, feats, labels, "sigma", DEFAULT_DIST_KINDS,
+                                      GridConfig(bounds=((-1.0, 1.0), (-1.0, 12.0)), rounds=3))
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        save_trace_csv(trace, new)
+        oracles.save_trace_csv(trace, old)
+        assert new.read_bytes() == old.read_bytes()
 
 
 days_st = st.floats(min_value=0.0, max_value=1e5, allow_nan=False)

@@ -287,6 +287,13 @@ class TestDeltaCosine:
         delta_cosine_experiment(space, features, [2, 6, 4], trials=2, pair_sample_size=10)
         assert calls == [6]
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 100, 2000])
+    def test_pair_numbers_map_as_triu_indices_lists_them(self, n):
+        rows, columns = np.triu_indices(n, 1)
+        numbers = np.random.default_rng(n).permutation(len(rows))  # in sampled, not sorted, order
+        got_rows, got_columns = spectra._upper_pairs(n, numbers)
+        assert np.array_equal(got_rows, rows[numbers]) and np.array_equal(got_columns, columns[numbers])
+
     def test_sample_size_exceeding_pairs(self):
         space = random_space(13, n=5, d=4)
         with pytest.raises(DomainError):

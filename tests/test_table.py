@@ -462,7 +462,7 @@ class TestNotUtf8:
                          "a,b,9\n", r"score 9.0 outside \[0, 4.0\]$"),
         "colors": (load_colors, "id,color\n", lambda i: f"r{i},red\n", "r3,blue\n",
                    "duplicate color entry for id 'r3'$"),
-        "config": (load_config, "", lambda i: f"k{i} = {i}\n", "no equals sign\n", "expected key = value$"),
+        "config": (load_config, "", lambda i: f"seed = {i}\n", "no equals sign\n", "expected key = value$"),
     }
 
     @pytest.mark.parametrize("padding", [10, 5000])
