@@ -7,13 +7,18 @@ flat `key = value` file with command-line flags taking precedence; both are
 checked alike. Numbers must be finite, a list needs at least one number,
 and the seed is a non-negative integer.
 
-Each `cmd_*` function reads its inputs and writes its outputs through a
-`Run`, which records every input under its sidecar key and hands out
-output paths in a staging directory, and returns (the params of its
-sidecars, the summary `main` prints). `main` then commits the run: it
-writes each output's sidecar beside it and moves every output and
-sidecar into the output directory. A failed stage leaves the output
-directory as it was. An invocation hashes each input file once.
+SETTINGS is the one table of the settings: each one's flag help, the
+reader of its text and its default. `Run.value(key)` reads a setting from
+its flag, else its config key, else its default, and records it: a file
+(which must be a regular file) under its sidecar key, any other setting
+in `Run.params`. Each `cmd_*` function reads its settings and inputs and
+writes its outputs through a `Run`, which hands out output paths in a
+staging directory, and returns (what it computed, the summary `main`
+prints). `main` then commits the run: it writes each output's sidecar,
+whose params are every setting the stage read and what it computed,
+beside it and moves every output and sidecar into the output directory.
+A failed stage leaves the output directory as it was, or absent. An
+invocation hashes each input file once.
 
 Each stage parses a word-vector table or an embedding space once: it
 keeps what it parsed in a cache directory, `$XDG_CACHE_HOME/semfuse/parse`
@@ -22,13 +27,11 @@ parse hashes a second time before it is stored, and later reads of the
 same bytes, by any stage, read it from there. The oldest entries are
 removed once the directory holds more than MAX_CACHE_BYTES.
 
-STAGES is the one table of the stages: each one's help, its settings
-(flags, with help from FLAGS) and the earlier outputs it always reads,
-which a `Run` checks, in order, before its `cmd_*` function runs. Only
-the code that uses a choice checks it, so a flag fails as a key does. A
-config key that no stage takes is an error. The argument parser is built
-once per process, so a caller that runs several stages in one process
-(`main` called once per stage) builds it once.
+STAGES is the one table of the stages: each one's help, its settings (in
+--help order) and the earlier outputs it always reads, which a `Run`
+checks, in order, before its `cmd_*` function runs. Only the code that
+uses a choice checks it, so a flag fails as a key does. A config key that
+is no setting is an error. The argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -119,42 +122,99 @@ SWEEP_CSV = "sweep.csv"
 DELTA_CSV = "delta.csv"
 HEATMAP_CSV = "rank_heatmap.csv"
 
-# each setting's flag help; the flag is --<key with - for _>, but tsne_input is --input
-FLAGS = {
-    "corpus": "corpus file (csv, tsv, or jsonl)",
-    "format": f"corpus format: {', '.join(CORPUS_FORMATS)}",
-    "gazetteer": "location,lat,lon CSV for geocoding",
-    "variant": f"feature layout (in sweep, for delta mode): {', '.join(VARIANTS)}",
-    "word_vectors": "token-vector text file",
-    "stopwords": "stopword file, one lowercase token per line",
-    "ridge": "covariance ridge (default: 1e-3 * trace / dim)",
-    "k": "number of components to keep",
-    "kind": f"scorer form: {', '.join(SIM_KINDS)}",
-    "alphas": "comma-separated kernel weights",
-    "dist_kinds": "comma-separated kernel names, one per feature: days, then coordinates",
-    "labels": "rater scores for quality mode; labeled scores (i,j,score rows or a full matrix) otherwise",
-    "bounds": "per-alpha search intervals, e.g. 0:1,0:12",
-    "step": "round-1 grid spacing (default: 21 points per axis)",
-    "shrink": "interval shrink factor per round",
-    "rounds": "number of search rounds",
-    "tsne_input": "space file in the output directory (default: augmented.csv)",
-    "perplexity": "target effective neighbor count",
-    "iterations": "gradient descent iterations",
-    "learning_rate": "descent step size",
-    "kernel": f"planar kernel: {', '.join(KERNELS)}",
-    "cost": f"divergence form: {', '.join(COST_MODES)}",
-    "colors": "id,color CSV for scatter fills",
-    "mode": "eval: quality or compare; sweep: quality or delta",
-    "space": "space file for quality mode (default: augmented.csv)",
-    "scale_max": "maximum raw rater score",
-    "top_n": "pairs to average in quality mode",
-    "pred": "predicted score matrix for compare mode (default: scores.csv)",
-    "k_list": "comma-separated component counts",
-    "trials": "resampling trials for delta mode",
-    "pairs": "pairs per trial for delta mode",
+
+def _parse_numbers(name: str, value: str, kind: type = float, many: bool = False):
+    """One int or float, or with `many` a tuple of at least one, from a setting's text."""
+    texts = [v for v in value.split(",") if v.strip()] if many else [value]
+    try:
+        numbers = tuple(kind(text) for text in texts)
+    except ValueError:
+        numbers = ()
+    if not numbers:
+        shape = {(int, False): "an integer", (float, False): "a number",
+                 (int, True): "comma-separated integers", (float, True): "comma-separated numbers"}
+        raise ConfigError(f"{name} must be {shape[kind, many]}, got {value!r}")
+    # float() accepts nan and inf, which no setting can use
+    if kind is float and not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return numbers if many else numbers[0]
+
+
+def _parse_bounds(name: str, value: str) -> tuple[tuple[float, float], ...]:
+    # format: lo:hi per axis, comma separated, e.g. "0:1,0:12"
+    intervals = []
+    for part in value.split(","):
+        if ":" not in part:
+            raise ConfigError(f"{name} interval {part!r} must look like lo:hi")
+        lo, _, hi = part.partition(":")
+        intervals.append((_parse_numbers(name, lo), _parse_numbers(name, hi)))
+    return tuple(intervals)
+
+
+# the readers of a setting's text: each takes (key, text)
+_int = functools.partial(_parse_numbers, kind=int)
+_ints = functools.partial(_parse_numbers, kind=int, many=True)
+_floats = functools.partial(_parse_numbers, many=True)
+
+
+def _text(key: str, text: str) -> str:
+    return text
+
+
+def _names(key: str, text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(","))
+
+
+# a setting's flag help, the reader of its text and its default: a value, but a file's is its name;
+# the flag is --<key with - for _>, but tsne_input is --input
+Setting = namedtuple("Setting", "help read default", defaults=(None,))
+# the reader of a file setting: the sidecar key of its hash, whether it names an earlier stage's output
+# in the output directory, and the param that records the name given, if any
+File = namedtuple("File", "key staged param", defaults=(False, None))
+REQUIRED = object()  # the default of a setting that must be given
+
+SETTINGS = {
+    "seed": Setting("master seed recorded in all outputs", _int, 0),
+    "corpus": Setting("corpus file (csv, tsv, or jsonl)", File("corpus"), REQUIRED),
+    "format": Setting(f"corpus format: {', '.join(CORPUS_FORMATS)}", _text),
+    "gazetteer": Setting("location,lat,lon CSV for geocoding", File("gazetteer")),
+    "variant": Setting(f"feature layout (in sweep, for delta mode): {', '.join(VARIANTS)}", _text,
+                       "all_features"),
+    "word_vectors": Setting("token-vector text file", File("word_vectors"), REQUIRED),
+    "stopwords": Setting("stopword file, one lowercase token per line", File("stopwords")),
+    "ridge": Setting("covariance ridge (default: 1e-3 * trace / dim)", _parse_numbers),
+    "k": Setting("number of components to keep", _int, REQUIRED),
+    "kind": Setting(f"scorer form: {', '.join(SIM_KINDS)}", _text, "pi"),
+    "alphas": Setting("comma-separated kernel weights", _floats, (0.02, 9.55)),
+    "dist_kinds": Setting("comma-separated kernel names, one per feature: days, then coordinates",
+                          _names, DEFAULT_DIST_KINDS),
+    "labels": Setting("rater scores for quality mode; labeled scores (i,j,score rows or a full matrix) "
+                      "otherwise", File("labels"), REQUIRED),
+    "bounds": Setting("per-alpha search intervals, e.g. 0:1,0:12", _parse_bounds, ((0.0, 1.0), (0.0, 12.0))),
+    "step": Setting("round-1 grid spacing (default: 21 points per axis)", _parse_numbers, GridConfig.step),
+    "shrink": Setting("interval shrink factor per round", _parse_numbers, GridConfig.shrink),
+    "rounds": Setting("number of search rounds", _int, GridConfig.rounds),
+    "tsne_input": Setting("space file in the output directory (default: augmented.csv)",
+                          File("space", staged=True, param="input"), AUGMENTED),
+    "perplexity": Setting("target effective neighbor count", _parse_numbers, TsneConfig.perplexity),
+    "iterations": Setting("gradient descent iterations", _int, TsneConfig.iterations),
+    "learning_rate": Setting("descent step size", _parse_numbers, TsneConfig.learning_rate),
+    "kernel": Setting(f"planar kernel: {', '.join(KERNELS)}", _text, TsneConfig.kernel),
+    "cost": Setting(f"divergence form: {', '.join(COST_MODES)}", _text, TsneConfig.cost),
+    "colors": Setting("id,color CSV for scatter fills", File("colors")),
+    "mode": Setting("eval: quality or compare; sweep: quality or delta", _text, "quality"),
+    "space": Setting("space file for quality mode (default: augmented.csv)", File("space", staged=True),
+                     AUGMENTED),
+    "scale_max": Setting("maximum raw rater score", _parse_numbers, 4.0),
+    "top_n": Setting("pairs to average in quality mode", _int, 20),
+    "pred": Setting("predicted score matrix for compare mode (default: scores.csv)",
+                    File("pred", staged=True), SCORES),
+    "k_list": Setting("comma-separated component counts", _ints, (2, 4, 8)),
+    "trials": Setting("resampling trials for delta mode", _int, 10),
+    "pairs": Setting("pairs per trial for delta mode", _int, 500),
 }
 
-# a stage's help, its setting keys (space-separated, in --help order), the earlier outputs it always
+# a stage's help, its SETTINGS keys (space-separated, in --help order), the earlier outputs it always
 # reads (checked in this order before it runs) and its output that later stages read, if any
 Stage = namedtuple("Stage", "help settings reads writes", defaults=((), None))
 
@@ -182,16 +242,12 @@ MAX_CACHED_VALUES = 1 << 27
 MAX_CACHE_BYTES = 4 << 30
 
 
-# the keys a config file may set: the global ones and every stage's, since one file serves every stage
-CONFIG_KEYS = frozenset(["out_dir", "seed", *(key for spec in STAGES.values()
-                                               for key in spec.settings.split())])
-
-
 def load_config(path: str | Path) -> dict[str, str]:
     """Parse a flat `key = value` file; later lines override earlier ones.
 
-    A key that is in no CONFIG_KEYS, such as a misspelt one, is an error
-    `<file>: line <n>: unknown key '<key>'`, not a setting silently unused.
+    A key that is neither `out_dir` nor in SETTINGS, such as a misspelt
+    one, is an error `<file>: line <n>: unknown key '<key>'`, not a
+    setting silently unused.
     """
     values: dict[str, str] = {}
     with open_text(path, newline=None) as fh:
@@ -203,7 +259,7 @@ def load_config(path: str | Path) -> dict[str, str]:
                 raise ConfigError(f"{path}: line {lineno}: expected key = value")
             key, _, value = stripped.partition("=")
             key = key.strip()
-            if key not in CONFIG_KEYS:
+            if key not in SETTINGS and key != "out_dir":
                 raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
             values[key] = value.strip()
     return values
@@ -215,42 +271,44 @@ class Run:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = load_config(args.config) if args.config else {}
-        self.seed = self.number("seed", 0, int)
+        self.params: dict = {}  # each setting read but a file, by key
+        self.inputs: dict[str, Path] = {}  # sidecar key -> file read
+        self.seed = self.value("seed")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        out = args.out_dir or self.config.get("out_dir") or "out"
-        self.out_dir = Path(out)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.params.clear()  # the seed has a sidecar line of its own
+        self.out_dir = Path(args.out_dir or self.config.get("out_dir") or "out")
         self.staging = self.out_dir / f".{args.command}.{os.getpid()}.tmp"
-        self.inputs: dict[str, Path] = {}  # sidecar key -> file read
+        self.made: list[Path] = []  # out_dir and its parents, where this invocation made them
         self._digests: dict[Path, str] = {}
         self.outputs: list[Path] = []  # staged paths, in the order handed out
         for name in STAGES[args.command].reads:
             self.stage_input(name)
 
-    def setting(self, key: str, default: str | None = None, required: bool = False) -> str | None:
-        """The flag `key`'s text, else its config value, else `default`; unset and required is an error."""
+    def value(self, key: str):
+        """The setting `key`: its flag's or else its config key's text, read, else its default.
+
+        A file must be a regular file, and is recorded under its sidecar key; any other setting in `params`.
+        """
+        read, default = SETTINGS[key].read, SETTINGS[key].default
         flag = getattr(self.args, key, None)
-        value = self.config.get(key, default) if flag is None else flag
-        if value is None and required:
+        text = self.config.get(key) if flag is None else flag
+        if text is None and default is REQUIRED:
             raise ConfigError(f"{key} is required (flag --{key.replace('_', '-')} or config key {key})")
-        return value
-
-    def number(self, key: str, default=None, kind: type = float, many: bool = False,
-               required: bool = False):
-        """The setting `key` parsed by `_parse_numbers`; `default` if it is optional and unset."""
-        value = self.setting(key, required=required)
-        return default if value is None else _parse_numbers(key, value, kind, many)
-
-    def input_file(self, key: str, required: bool = True) -> Path | None:
-        """The file a flag or key names, recorded under that key; None if optional and unset."""
-        value = self.setting(key, required=required)
-        if not value and not required:
+        if not isinstance(read, File):
+            self.params[key] = value = default if text is None else read(key, text)
+            return value
+        text = default if text is None else text
+        if text is None:
             return None
-        path = Path(value)
+        path = self.stage_input(text, read.key) if read.staged else Path(text)
         if not path.exists():
             raise ConfigError(f"{key} file {path} does not exist")
-        self.inputs[key] = path
+        if not path.is_file():  # the stage hashes it, then parses it; the empty text names a directory
+            raise ConfigError(f"{key} file {text!r} is not a regular file")
+        if read.param:
+            self.params[read.param] = text
+        self.inputs[read.key] = path
         return path
 
     def stage_input(self, name: str, key: str | None = None) -> Path:
@@ -264,10 +322,20 @@ class Run:
 
     def path_out(self, name: str) -> Path:
         """Where the stage writes output `name`: in the staging directory, until the commit."""
-        self.staging.mkdir(exist_ok=True)
+        if not self.outputs:  # out_dir is made, if need be, only once there is an output to put in it
+            self.made = [d for d in (self.out_dir, *self.out_dir.parents) if not d.exists()]
+            self.staging.mkdir(parents=True, exist_ok=True)
         path = self.staging / name
         self.outputs.append(path)
         return path
+
+    def close(self) -> None:
+        """Remove the staging directory, and each directory made for it that no commit filled."""
+        if self.staging.exists():
+            shutil.rmtree(self.staging)
+        for made in self.made:
+            with contextlib.suppress(OSError):  # not empty: it holds a committed output
+                made.rmdir()
 
     def digest(self, key: str) -> str:
         """The sha256 of the input recorded under `key`; each file is hashed once per invocation."""
@@ -294,34 +362,6 @@ class Run:
         return final
 
 
-def _parse_numbers(name: str, value: str, kind: type = float, many: bool = False):
-    """One int or float, or with `many` a tuple of at least one, from a setting's text."""
-    texts = [v for v in value.split(",") if v.strip()] if many else [value]
-    try:
-        numbers = tuple(kind(text) for text in texts)
-    except ValueError:
-        numbers = ()
-    if not numbers:
-        shape = {(int, False): "an integer", (float, False): "a number",
-                 (int, True): "comma-separated integers", (float, True): "comma-separated numbers"}
-        raise ConfigError(f"{name} must be {shape[kind, many]}, got {value!r}")
-    # float() accepts nan and inf, which no setting can use
-    if kind is float and not all(map(math.isfinite, numbers)):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return numbers if many else numbers[0]
-
-
-def _parse_bounds(value: str) -> tuple[tuple[float, float], ...]:
-    # format: lo:hi per axis, comma separated, e.g. "0:1,0:12"
-    intervals = []
-    for part in value.split(","):
-        if ":" not in part:
-            raise ConfigError(f"bounds interval {part!r} must look like lo:hi")
-        lo, _, hi = part.partition(":")
-        intervals.append((_parse_numbers("bounds", lo), _parse_numbers("bounds", hi)))
-    return tuple(intervals)
-
-
 def _sha256(path: Path) -> str:
     # in 1 MiB blocks: an input such as a word-vector table can be gigabytes
     digest = hashlib.sha256()
@@ -331,11 +371,12 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _format_value(value) -> str:
+def _format_value(value, sep: str = ",") -> str:
+    # a list inside a list, such as the bounds' (lo, hi) pairs, is joined by ":"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):
-        return ",".join(_format_value(v) for v in value)
+        return sep.join(_format_value(v, ":") for v in value)
     return str(value)
 
 
@@ -344,11 +385,9 @@ def write_sidecar(out_path: Path, stage: str, inputs: dict[str, str], params: di
 
     `inputs` maps each sidecar key to the sha256 of the file read under it.
     """
-    entries = {"stage": stage, "version": __version__, "seed": str(seed)}
-    for name, digest in inputs.items():
-        entries[f"sha256_{name}"] = digest
-    for key, value in params.items():
-        entries[f"param_{key}"] = _format_value(value)
+    entries = {"stage": stage, "version": __version__, "seed": str(seed),
+               **{f"sha256_{name}": digest for name, digest in inputs.items()},
+               **{f"param_{key}": _format_value(value) for key, value in params.items()}}
     lines = [f"{key} = {entries[key]}" for key in sorted(entries)]
     _meta_path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -414,8 +453,8 @@ def _records_and_space(run: Run) -> tuple[list, EmbeddingSpace]:
 
 
 def cmd_ingest(run: Run) -> tuple[dict, str]:
-    records = load_corpus(run.input_file("corpus"), format=run.setting("format"))
-    gaz_path = run.input_file("gazetteer", required=False)
+    records = load_corpus(run.value("corpus"), format=run.value("format"))
+    gaz_path = run.value("gazetteer")
     if gaz_path:
         records = resolve_coordinates(records, load_gazetteer(gaz_path))
     save_corpus(records, run.path_out(RECORDS), format="csv")
@@ -423,11 +462,11 @@ def cmd_ingest(run: Run) -> tuple[dict, str]:
 
 
 def cmd_encode(run: Run) -> tuple[dict, str]:
-    variant = run.setting("variant", "all_features")
+    variant = run.value("variant")
     matrix = build_feature_matrix(load_corpus(run.inputs["records"], format="csv"), variant)
     save_feature_matrix(run.path_out(FEATURES), matrix, variant)
     rows, columns = matrix.shape
-    return {"variant": variant, "shape": [rows, columns]}, f"{rows}x{columns} feature matrix"
+    return {"shape": [rows, columns]}, f"{rows}x{columns} feature matrix"
 
 
 def cmd_embed(run: Run) -> tuple[dict, str]:
@@ -437,11 +476,11 @@ def cmd_embed(run: Run) -> tuple[dict, str]:
     the file's bytes; the outputs are the same bytes either way.
     """
     records = load_corpus(run.inputs["records"], format="csv")
-    run.input_file("word_vectors")
+    run.value("word_vectors")
     table = _parsed(run, "word_vectors", WordVectorTable, load_word_vectors)
-    stop_path = run.input_file("stopwords", required=False)
+    stop_path = run.value("stopwords")
     docs = clean_corpus(records, load_stopwords(stop_path) if stop_path else DEFAULT_STOPWORDS)
-    ctx = fit_context(docs, table, ridge=run.number("ridge"))
+    ctx = fit_context(docs, table, ridge=run.value("ridge"))
     space, fallback_ids = embed_corpus(docs, ctx, table)
     export_embeddings(space, run.path_out(EMBEDDINGS))
     params = {"dim": table.dim, "ridge": ctx.ridge, "fallback_ids": list(fallback_ids)}
@@ -449,12 +488,11 @@ def cmd_embed(run: Run) -> tuple[dict, str]:
 
 
 def cmd_reduce(run: Run) -> tuple[dict, str]:
-    k = run.number("k", kind=int, required=True)
+    k = run.value("k")
     space = _parsed(run, "embeddings", EmbeddingSpace, import_embeddings)
     model = fit_pca(space, k)
     export_embeddings(EmbeddingSpace(space.ids, transform(model, space)), run.path_out(REDUCED))
-    params = {"k": k, "explained_variance": [float(v) for v in model.explained_variance]}
-    return params, f"kept {k} of {space.dim} components"
+    return {"explained_variance": model.explained_variance.tolist()}, f"kept {k} of {space.dim} components"
 
 
 def cmd_augment(run: Run) -> tuple[dict, str]:
@@ -479,167 +517,103 @@ def cmd_augment(run: Run) -> tuple[dict, str]:
     return params, f"{augmented.k}+{augmented.f} columns"
 
 
-def _dist_kinds(run: Run) -> tuple[str, ...]:
-    kinds = run.setting("dist_kinds", ",".join(DEFAULT_DIST_KINDS))
-    return tuple(v.strip() for v in kinds.split(","))
-
-
 def cmd_score(run: Run) -> tuple[dict, str]:
     records, space = _records_and_space(run)
-    kind = run.setting("kind", "pi")
-    alphas = run.number("alphas", (0.02, 9.55), many=True)
-    params = SimilarityParams(kind=kind, alphas=alphas, dist_kinds=_dist_kinds(run))
+    params = SimilarityParams(*(run.value(key) for key in ("kind", "alphas", "dist_kinds")))
     scores = pairwise_scores(space.matrix, batch_features(records), params)
     save_score_matrix(scores, run.path_out(SCORES))
-    return {
-        "kind": params.kind,
-        "alphas": list(params.alphas),
-        "dist_kinds": list(params.dist_kinds),
-        "ids": list(space.ids),
-    }, f"{scores.shape[0]}x{scores.shape[1]} matrix"
+    return {"ids": list(space.ids)}, f"{scores.shape[0]}x{scores.shape[1]} matrix"
 
 
 def cmd_optimize(run: Run) -> tuple[dict, str]:
-    labels_path = run.input_file("labels")
+    labels_path = run.value("labels")
     records, space = _records_and_space(run)
     labels = load_rank_labels(labels_path)
-    kind = run.setting("kind", "pi")
-    dist_kinds = _dist_kinds(run)
-    cfg = GridConfig(
-        bounds=_parse_bounds(run.setting("bounds", "0:1,0:12")),
-        step=run.number("step"),
-        shrink=run.number("shrink", GridConfig.shrink),
-        rounds=run.number("rounds", GridConfig.rounds, int),
-    )
-    params, loss, trace = optimize_alphas(
-        space.matrix, batch_features(records), labels, kind, dist_kinds, cfg
-    )
+    kind, dist_kinds = run.value("kind"), run.value("dist_kinds")
+    cfg = GridConfig(**{key: run.value(key) for key in ("bounds", "step", "shrink", "rounds")})
+    fit, loss, trace = optimize_alphas(space.matrix, batch_features(records), labels, kind, dist_kinds, cfg)
     save_trace_csv(trace, run.path_out(OPTIMIZE_TRACE))
-    best = {f"alpha{i}": a for i, a in enumerate(params.alphas, start=1)}
+    best = {f"alpha{i}": a for i, a in enumerate(fit.alphas, start=1)}
     alphas = " ".join(f"{name}={a!r}" for name, a in best.items())
-    return {
-        "kind": kind,
-        "dist_kinds": list(dist_kinds),
-        "bounds": [f"{lo}:{hi}" for lo, hi in cfg.bounds],
-        "step": cfg.step,
-        "shrink": cfg.shrink,
-        "rounds": cfg.rounds,
-        **{f"best_{name}": a for name, a in best.items()},
-        "best_loss": loss,
-    }, f"kind={kind} {alphas} loss={loss!r} ({len(trace)} probes)"
+    derived = {**{f"best_{name}": a for name, a in best.items()}, "best_loss": loss}
+    return derived, f"kind={kind} {alphas} loss={loss!r} ({len(trace)} probes)"
 
 
 def cmd_tsne(run: Run) -> tuple[dict, str]:
-    input_name = run.setting("tsne_input", AUGMENTED)
-    run.stage_input(input_name, "space")
+    run.value("tsne_input")
     space = _parsed(run, "space", EmbeddingSpace, import_embeddings)
-    cfg = TsneConfig(
-        perplexity=run.number("perplexity", TsneConfig.perplexity),
-        iterations=run.number("iterations", TsneConfig.iterations, int),
-        learning_rate=run.number("learning_rate", TsneConfig.learning_rate),
-        kernel=run.setting("kernel", TsneConfig.kernel),
-        cost=run.setting("cost", TsneConfig.cost),
-        seed=run.seed,
-    )
-    colors_path = run.input_file("colors", required=False)
+    keys = ("perplexity", "iterations", "learning_rate", "kernel", "cost")
+    cfg = TsneConfig(**{key: run.value(key) for key in keys}, seed=run.seed)
+    colors_path = run.value("colors")
     colors = load_colors(colors_path) if colors_path else None
     result = run_tsne(space.matrix, cfg)
     write_coords_csv(space.ids, result.coords, run.path_out(TSNE_CSV))
     write_scatter_svg(space.ids, result.coords, run.path_out(TSNE_SVG), colors)
     write_trace_csv(result.kl_trace, run.path_out(TSNE_TRACE))
     final_kl = float(result.kl_trace[-1])
-    return {
-        "input": input_name,
-        "perplexity": cfg.perplexity,
-        "effective_perplexity": result.effective_perplexity,
-        "sigma_min": float(result.sigmas.min()),
-        "sigma_max": float(result.sigmas.max()),
-        "iterations": cfg.iterations,
-        "learning_rate": cfg.learning_rate,
-        "kernel": cfg.kernel,
-        "cost": cfg.cost,
-        "final_kl": final_kl,
-    }, f"{len(space.ids)} points, final KL {final_kl!r}"
-
-
-def _quality_labels(run: Run, space: EmbeddingSpace) -> tuple[list, float, int]:
-    """The rater labels of a quality mode, with the scale_max and top_n it reads them by."""
-    labels_path = run.input_file("labels")
-    scale_max = run.number("scale_max", 4.0)
-    top_n = run.number("top_n", 20, int)
-    return load_labels(labels_path, scale_max, corpus_ids=space.ids), scale_max, top_n
+    derived = {"effective_perplexity": result.effective_perplexity, "sigma_min": float(result.sigmas.min()),
+               "sigma_max": float(result.sigmas.max()), "final_kl": final_kl}
+    return derived, f"{len(space.ids)} points, final KL {final_kl!r}"
 
 
 def cmd_eval(run: Run) -> tuple[dict, str]:
-    mode = run.setting("mode", "quality")
+    mode = run.value("mode")
     if mode == "quality":
-        run.stage_input(run.setting("space", AUGMENTED), "space")
+        run.value("space")
         space = _parsed(run, "space", EmbeddingSpace, import_embeddings)
-        labels, scale_max, top_n = _quality_labels(run, space)
+        labels_path, scale_max, top_n = run.value("labels"), run.value("scale_max"), run.value("top_n")
+        labels = load_labels(labels_path, scale_max, corpus_ids=space.ids)
         quality = top_pair_quality(space, labels, top_n)
         rows = [("top_pair_quality", quality), ("n_labels", len(labels)), ("top_n", top_n)]
-        params = {"mode": mode, "scale_max": scale_max, "top_n": top_n}
         summary = f"top_pair_quality {quality!r} over top {top_n} of {len(labels)} pairs"
     elif mode == "compare":
-        pred_path = run.stage_input(run.setting("pred", SCORES), "pred")
-        labels_path = run.input_file("labels")
+        pred_path, labels_path = run.value("pred"), run.value("labels")
         pred = load_rank_labels(pred_path)
         report = compare_rankings(pred, load_rank_labels(labels_path))
         save_rank_heatmap(pred, run.path_out(HEATMAP_CSV))
-        rows = [
-            ("rank_loss", report.loss),
-            ("n_uniform_columns", len(report.uniform_columns)),
-            ("mean_column_entropy_bits", float(np.mean(report.column_entropy))),
-        ]
-        params = {"mode": mode}
+        rows = [("rank_loss", report.loss), ("n_uniform_columns", len(report.uniform_columns)),
+                ("mean_column_entropy_bits", float(np.mean(report.column_entropy)))]
         summary = f"rank loss {report.loss!r}, {len(report.uniform_columns)} uniform columns"
     else:
         raise ConfigError(f"unknown eval mode {mode!r}; expected quality or compare")
     write_table(run.path_out(EVAL_CSV), ["metric", "value"], rows, lineterminator="\n")
-    return params, summary
+    return {}, summary
 
 
 def cmd_sweep(run: Run) -> tuple[dict, str]:
-    mode = run.setting("mode", "quality")
+    mode = run.value("mode")
     records, space = _records_and_space(run)
-    k_list = run.number("k_list", (2, 4, 8), int, many=True)
+    k_list = run.value("k_list")
     if mode == "quality":
-        labels, scale_max, top_n = _quality_labels(run, space)
+        labels_path, scale_max, top_n = run.value("labels"), run.value("scale_max"), run.value("top_n")
+        labels = load_labels(labels_path, scale_max, corpus_ids=space.ids)
         features_all = build_feature_matrix(records, "all_features")
         features_condensed = build_feature_matrix(records, "condensed_time")
         result = component_sweep(space, features_all, features_condensed, labels, k_list, top_n)
         save_sweep_csv(result, run.path_out(SWEEP_CSV))
-        params = {"mode": mode, "k_list": k_list, "top_n": top_n, "scale_max": scale_max}
-        return params, f"{len(result.cells)} (variant, k) cells"
+        return {}, f"{len(result.cells)} (variant, k) cells"
     if mode == "delta":
-        variant = run.setting("variant", "all_features")
-        trials = run.number("trials", 10, int)
-        pairs = run.number("pairs", 500, int)
+        variant, trials, pairs = run.value("variant"), run.value("trials"), run.value("pairs")
         features = build_feature_matrix(records, variant)
         results = delta_cosine_experiment(space, features, k_list, trials, pairs, run.seed)
         save_delta_csv(results, run.path_out(DELTA_CSV))
-        params = {"mode": mode, "variant": variant, "k_list": k_list, "trials": trials,
-                  "pairs": pairs}
-        return params, f"cosine shift at {len(results)} component counts"
+        return {}, f"cosine shift at {len(results)} component counts"
     raise ConfigError(f"unknown sweep mode {mode!r}; expected quality or delta")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: `parse_args` leaves it as it was, so every `main` call shares it."""
-    parser = argparse.ArgumentParser(
-        prog="semfuse",
-        description="Context-aware semantic similarity pipeline",
-    )
+    parser = argparse.ArgumentParser(prog="semfuse", description="Context-aware semantic similarity pipeline")
     parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--seed", help="master seed recorded in all outputs")
+    parser.add_argument("--seed", help=SETTINGS["seed"].help)
     parser.add_argument("--out-dir", help="directory for stage outputs (default: out)")
     sub = parser.add_subparsers(dest="command", required=True)
     for stage, spec in STAGES.items():
         p = sub.add_parser(stage, help=spec.help)
         for key in spec.settings.split():
             flag = "--input" if key == "tsne_input" else "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, help=FLAGS[key])
+            p.add_argument(flag, dest=key, help=SETTINGS[key].help)
     return parser
 
 
@@ -653,11 +627,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         run = Run(args)
         try:
-            params, summary = COMMANDS[args.command](run)
-            outputs = run.commit(args.command, params)
+            derived, summary = COMMANDS[args.command](run)
+            outputs = run.commit(args.command, {**run.params, **derived})
         finally:  # the staging directory goes, with whatever a failed stage left in it
-            if run.staging.exists():
-                shutil.rmtree(run.staging)
+            run.close()
         print(f"{args.command}: {summary} -> {', '.join(map(str, outputs))}")
     except (SemfuseError, OSError) as exc:
         # a staged output is named by its place in out_dir: the staging directory is gone

@@ -196,26 +196,3 @@ def save_rank_heatmap(matrix: RankMatrix, path: str | Path) -> None:
     ranks = enumerate(matrix.entries.astype(int).tolist())
     write_table(path, ["i", "j", "rank"], ([i, j, r] for i, row in ranks for j, r in enumerate(row)))
 
-
-def label_rank_matrix(labels: Sequence[LabeledPair], ids: Sequence[str]) -> RankMatrix:
-    """Build a labeled RankMatrix for a batch covered by all-pairs labels."""
-    from .rankopt import rank_matrix
-
-    index = {rid: i for i, rid in enumerate(ids)}
-    m = len(ids)
-    if m < 2:
-        raise DomainError(f"need at least 2 ids, got {m}")
-    scores = np.zeros((m, m))
-    seen = np.zeros((m, m), dtype=bool)
-    for pair in labels:
-        for rid in (pair.id_a, pair.id_b):
-            if rid not in index:
-                raise UnknownKeyError(rid, f"id {rid!r} not in the batch")
-        i, j = index[pair.id_a], index[pair.id_b]
-        scores[i, j] = scores[j, i] = pair.label
-        seen[i, j] = seen[j, i] = True
-    np.fill_diagonal(seen, True)
-    if not seen.all():
-        missing = int(np.triu(~seen, 1).sum())
-        raise DomainError(f"labels cover only some pairs; {missing} unordered pairs missing")
-    return rank_matrix(scores)

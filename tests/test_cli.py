@@ -2,6 +2,7 @@ import ast
 import hashlib
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -78,7 +79,7 @@ TSNE_SIDECAR = ("space", "cost effective_perplexity final_kl input iterations ke
 # for each stage of pipeline_stages, the outputs it writes with the input
 # keys and the params of their sidecars
 SIDECARS = [
-    {"records.csv": ("corpus gazetteer", "n_records")},
+    {"records.csv": ("corpus gazetteer", "format n_records")},
     {"features.csv": ("records", "shape variant")},
     {"embeddings.csv": ("records word_vectors", "dim fallback_ids ridge")},
     {"reduced.csv": ("embeddings", "explained_variance k")},
@@ -875,6 +876,104 @@ def test_optimize_sidecar_records_the_step(staged_out, pipeline_fixture, tmp_pat
     assert metas[0] != metas[1]
 
 
+class TestFileSettings:
+    """A file setting must name a regular file: the empty text, which names a directory, is an error too."""
+
+    # (the stage and the flags it needs to reach the setting, the setting's key, its flag);
+    # a staged setting names a file in the output directory
+    CASES = {
+        "corpus": (["ingest"], "corpus", "--corpus"),
+        "gazetteer": (["ingest", "--corpus", "{out}/records.csv"], "gazetteer", "--gazetteer"),
+        "word_vectors": (["embed"], "word_vectors", "--word-vectors"),
+        "stopwords": (["embed", "--word-vectors", "{vectors}"], "stopwords", "--stopwords"),
+        "labels, optimize": (["optimize"], "labels", "--labels"),
+        "labels, eval": (["eval"], "labels", "--labels"),
+        "labels, sweep": (["sweep"], "labels", "--labels"),
+        "colors": (["tsne"], "colors", "--colors"),
+        "tsne_input (staged)": (["tsne"], "tsne_input", "--input"),
+        "space (staged)": (["eval"], "space", "--space"),
+        "pred (staged)": (["eval", "--mode", "compare"], "pred", "--pred"),
+    }
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("text", ["", "a_dir"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_naming_the_setting_and_its_text(self, staged_out, pipeline_fixture, tmp_path, capsys,
+                                                     case, text, given):
+        stage, key, flag = self.CASES[case]
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        (out / "a_dir").mkdir()
+        if text and "staged" not in case:
+            text = str(out / text)
+        stage = [arg.format(out=out, vectors=pipeline_fixture["vectors"]) for arg in stage]
+        before = directory_bytes(out)
+        if given == "config":
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key} = {text}\n", encoding="utf-8")
+            argv = ["--config", str(config), "--out-dir", str(out)] + stage
+        else:
+            argv = ["--out-dir", str(out)] + stage + [flag, text]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {key} file {text!r} is not a regular file\n"
+        assert directory_bytes(out) == before
+
+
+def test_given_values_reach_the_sidecars(pipeline_fixture, tmp_path):
+    """Every setting but a file, set to a value that is not its default, is recorded as read."""
+    fx = pipeline_fixture
+    out = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"out_dir = {out}\nseed = 5\nformat = csv\nvariant = condensed_time\nridge = 0.01\nk = 3\n"
+        "kind = sigma\nalphas = 0.5,1.5\ndist_kinds = exp_abs, floor_geo\nbounds = 0:2,0:6\nstep = 0.5\n"
+        "shrink = 0.25\nrounds = 2\ntsne_input = reduced.csv\nperplexity = 4\niterations = 60\n"
+        "learning_rate = 50\nkernel = student_t\ncost = conditional\nscale_max = 5\ntop_n = 3\n"
+        "k_list = 3,2\ntrials = 2\npairs = 15\n", encoding="utf-8")
+    tsne = ["cost = conditional", "input = reduced.csv", "iterations = 60", "kernel = student_t",
+            "learning_rate = 50.0", "perplexity = 4.0"]
+    # each stage, and the param lines of the settings it read in each output's sidecar, written by hand
+    stages = [
+        (["ingest", "--corpus", str(fx["corpus"]), "--gazetteer", str(fx["gazetteer"])],
+         {"records.csv": ["format = csv"]}),
+        (["encode"], {"features.csv": ["variant = condensed_time"]}),
+        (["embed", "--word-vectors", str(fx["vectors"])], {"embeddings.csv": ["ridge = 0.01"]}),
+        (["reduce"], {"reduced.csv": ["k = 3"]}),
+        (["augment"], {"augmented.csv": ["k = 3", "variant = condensed_time"]}),
+        (["score"], {"scores.csv": ["alphas = 0.5,1.5", "dist_kinds = exp_abs,floor_geo", "kind = sigma"]}),
+        (["optimize", "--labels", str(fx["rank_labels"])],
+         {"optimize_trace.csv": ["bounds = 0.0:2.0,0.0:6.0", "dist_kinds = exp_abs,floor_geo", "kind = sigma",
+                                 "rounds = 2", "shrink = 0.25", "step = 0.5"]}),
+        (["tsne"], {"tsne.csv": tsne, "tsne.svg": tsne, "tsne_trace.csv": tsne}),
+        (["eval", "--mode", "quality", "--labels", str(fx["labels"])],
+         {"eval.csv": ["mode = quality", "scale_max = 5.0", "top_n = 3"]}),
+        (["eval", "--mode", "compare", "--labels", str(fx["rank_labels"])],
+         {"eval.csv": ["mode = compare"], "rank_heatmap.csv": ["mode = compare"]}),
+        (["sweep", "--mode", "quality", "--labels", str(fx["labels"])],
+         {"sweep.csv": ["k_list = 3,2", "mode = quality", "scale_max = 5.0", "top_n = 3"]}),
+        (["sweep", "--mode", "delta"],
+         {"delta.csv": ["k_list = 3,2", "mode = delta", "pairs = 15", "trials = 2",
+                        "variant = condensed_time"]}),
+    ]
+    for stage, outputs in stages:
+        assert main(["--config", str(config)] + stage) == 0
+        for name, params in outputs.items():
+            lines = (out / f"{name}.meta").read_text(encoding="utf-8").splitlines()
+            assert "seed = 5" in lines
+            assert [f"param_{line}" for line in params if f"param_{line}" not in lines] == [], f"{name}.meta"
+
+
+def test_the_readme_pipeline_lines_parse():
+    """Each command line of the README's pipeline block takes only flags the parser knows."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## The pipeline\n.*?^```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    lines = block.splitlines()
+    assert [line.split()[0] for line in lines] == ["semfuse"] * len(lines)
+    commands = [cli.build_parser().parse_args(shlex.split(line)[1:]).command for line in lines]
+    assert sorted(set(commands)) == sorted(cli.STAGES)
+
+
 # each stage's flags, written out by hand
 STAGE_FLAGS = {
     "ingest": "--corpus --format --gazetteer",
@@ -1070,6 +1169,32 @@ class TestFailedStage:
                                 "--gazetteer", str(fx["gazetteer"])]) == 0
             assert main(base + ["embed", "--word-vectors", str(fx["vectors"])]) == 0
         return main(base + ["tsne", "--input", "embeddings.csv", "--iterations", "20", "--perplexity", "4"])
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("case", ["missing input", "bad setting", "failed write"])
+    def test_an_output_directory_it_made_goes_again(self, pipeline_fixture, tmp_path, monkeypatch, capsys,
+                                                   case, existing):
+        out = tmp_path / "made" / "out"
+        if existing:
+            out.mkdir(parents=True)
+        corpus = str(pipeline_fixture["corpus"])
+        argv, error = {
+            "missing input": (["reduce", "--k", "2"],
+                              f"{out}/embeddings.csv not found; run the 'embed' stage first"),
+            "bad setting": (["ingest", "--corpus", corpus, "--format", "xml"],
+                            "unknown corpus format 'xml'; expected one of ('csv', 'tsv', 'jsonl')"),
+            "failed write": (["ingest", "--corpus", corpus], "[Errno 28] No space left on device"),
+        }[case]
+
+        def save_corpus(records, path, format):
+            assert path.parent.is_dir()  # the staging directory, made for the output
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "save_corpus", save_corpus)
+        assert main(["--out-dir", str(out)] + argv) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert (tmp_path / "made").exists() == existing
+        assert sorted(tmp_path.rglob("*")) == ([tmp_path / "made", out] if existing else [])
 
     def test_failed_svg_write_keeps_the_earlier_map(self, pipeline_fixture, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"

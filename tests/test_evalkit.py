@@ -12,7 +12,6 @@ from semfuse.evalkit import (
     LabeledPair,
     compare_rankings,
     component_sweep,
-    label_rank_matrix,
     load_labels,
     save_rank_heatmap,
     save_sweep_csv,
@@ -364,29 +363,6 @@ class TestRankHeatmap:
         assert lines[2] == f"0,1,{int(r.entries[0, 1])}"
         assert int(r.entries[0, 1]) == 0
         assert int(r.entries[0, 2]) == 1
-
-
-class TestLabelRankMatrix:
-    def test_all_pairs_round_trip(self):
-        ids = ("a", "b", "c")
-        labels = [
-            make_pair("a", "b", 0.75),
-            make_pair("a", "c", 0.25),
-            make_pair("b", "c", 0.5),
-        ]
-        got = label_rank_matrix(labels, ids)
-        scores = np.array([[0.0, 0.75, 0.25], [0.75, 0.0, 0.5], [0.25, 0.5, 0.0]])
-        assert np.array_equal(got.entries, rank_matrix(scores).entries)
-
-    def test_missing_pair(self):
-        labels = [make_pair("a", "b", 0.75)]
-        with pytest.raises(DomainError, match="missing"):
-            label_rank_matrix(labels, ("a", "b", "c"))
-
-    def test_unknown_id(self):
-        labels = [make_pair("a", "zz", 0.75)]
-        with pytest.raises(UnknownKeyError):
-            label_rank_matrix(labels, ("a", "b"))
 
 
 class TestLabeledPairValidation:
