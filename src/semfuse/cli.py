@@ -18,14 +18,10 @@ prints). `main` then commits the run: it writes each output's sidecar,
 whose params are every setting the stage read and what it computed,
 beside it and moves every output and sidecar into the output directory.
 A failed stage leaves the output directory as it was, or absent. An
-invocation hashes each input file once.
-
-Each stage parses a word-vector table or an embedding space once: it
-keeps what it parsed in a cache directory, `$XDG_CACHE_HOME/semfuse/parse`
-(`~/.cache` by default), under the sha256 of the file's bytes, which a
-parse hashes a second time before it is stored, and later reads of the
-same bytes, by any stage, read it from there. The oldest entries are
-removed once the directory holds more than MAX_CACHE_BYTES.
+invocation hashes each input file once, and `Run.parsed` reads a
+word-vector table or an embedding space through the parse cache
+(`semfuse.cache`). A command-line flag whose setting the stage did not
+read is an error; a config key is not, since one file serves every stage.
 
 STAGES is the one table of the stages: each one's help, its settings (in
 --help order) and the earlier outputs it always reads, which a `Run`
@@ -39,38 +35,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import math
 import os
 import shutil
 import sys
 from collections import namedtuple
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from . import __version__
-from .corpus import (
-    CORPUS_FORMATS,
-    clean_corpus,
-    load_corpus,
-    load_gazetteer,
-    resolve_coordinates,
-    save_corpus,
-)
-from .embed import (
-    ENTRY_SUFFIX,
-    EmbeddingSpace,
-    WordVectorTable,
-    embed_corpus,
-    export_embeddings,
-    fit_context,
-    import_embeddings,
-    load_entry,
-    load_word_vectors,
-    save_entry,
-)
+from . import __version__, cache
+from .corpus import CORPUS_FORMATS, clean_corpus, load_corpus, load_gazetteer, resolve_coordinates, save_corpus
+from .embed import EmbeddingSpace, WordVectorTable, embed_corpus, export_embeddings, fit_context
 from .errors import ConfigError, DomainError, PipelineError, SemfuseError
 from .evalkit import (
     compare_rankings,
@@ -166,7 +142,7 @@ def _names(key: str, text: str) -> tuple[str, ...]:
 
 
 # a setting's flag help, the reader of its text and its default: a value, but a file's is its name;
-# the flag is --<key with - for _>, but tsne_input is --input
+# the flag is --<key with - for _>, but tsne_input is --input (`_flag`)
 Setting = namedtuple("Setting", "help read default", defaults=(None,))
 # the reader of a file setting: the sidecar key of its hash, whether it names an earlier stage's output
 # in the output directory, and the param that records the name given, if any
@@ -236,11 +212,6 @@ STAGES = {
                    "mode k_list labels scale_max top_n variant trials pairs", (EMBEDDINGS, RECORDS)),
 }
 
-# a parsed table of more values than this (1 GiB as float64) is parsed on every run, never stored
-MAX_CACHED_VALUES = 1 << 27
-# after each store the oldest entries go until the rest take at most this: four of the largest
-MAX_CACHE_BYTES = 4 << 30
-
 
 def load_config(path: str | Path) -> dict[str, str]:
     """Parse a flat `key = value` file; later lines override earlier ones.
@@ -272,6 +243,7 @@ class Run:
         self.args = args
         self.config = load_config(args.config) if args.config else {}
         self.params: dict = {}  # each setting read but a file, by key
+        self.read: set[str] = set()  # each setting key read, files too
         self.inputs: dict[str, Path] = {}  # sidecar key -> file read
         self.seed = self.value("seed")
         if self.seed < 0:
@@ -290,11 +262,12 @@ class Run:
 
         A file must be a regular file, and is recorded under its sidecar key; any other setting in `params`.
         """
+        self.read.add(key)
         read, default = SETTINGS[key].read, SETTINGS[key].default
         flag = getattr(self.args, key, None)
         text = self.config.get(key) if flag is None else flag
         if text is None and default is REQUIRED:
-            raise ConfigError(f"{key} is required (flag --{key.replace('_', '-')} or config key {key})")
+            raise ConfigError(f"{key} is required (flag {_flag(key)} or config key {key})")
         if not isinstance(read, File):
             self.params[key] = value = default if text is None else read(key, text)
             return value
@@ -341,8 +314,12 @@ class Run:
         """The sha256 of the input recorded under `key`; each file is hashed once per invocation."""
         path = self.inputs[key]
         if path not in self._digests:
-            self._digests[path] = _sha256(path)
+            self._digests[path] = cache.sha256(path)
         return self._digests[path]
+
+    def parsed(self, key: str, kind: type[WordVectorTable | EmbeddingSpace]):
+        """The input recorded under `key`, read as a `kind` through the parse cache."""
+        return cache.load(self.inputs[key], self.digest(key), kind)
 
     def commit(self, stage: str, params: dict) -> list[Path]:
         """Write every staged output's sidecar, then move each output and sidecar into out_dir.
@@ -360,15 +337,6 @@ class Run:
             os.replace(path, dest)
             os.replace(_meta_path(path), _meta_path(dest))
         return final
-
-
-def _sha256(path: Path) -> str:
-    # in 1 MiB blocks: an input such as a word-vector table can be gigabytes
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def _format_value(value, sep: str = ",") -> str:
@@ -396,57 +364,9 @@ def _meta_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta")
 
 
-def _parse_cache() -> Path | None:
-    """The parse cache directory; None when no absolute cache home is known."""
-    home = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(home):  # unset, empty or relative: the XDG default
-        home = os.path.expanduser("~/.cache")
-    return Path(home, "semfuse", "parse") if os.path.isabs(home) else None
-
-
-def _parsed(run: Run, key: str, kind: type, parse: Callable[[Path], WordVectorTable | EmbeddingSpace]):
-    """The input recorded under `key` as a `kind`: its cache entry on a hit, else `parse`d and stored.
-
-    The entry is named by the digest the sidecar records and the kind's
-    suffix, and a hit refreshes its mtime. A parse is stored only if it
-    holds at most MAX_CACHED_VALUES values and the file still hashes to
-    that digest afterwards; then the oldest entries go until the rest fit
-    in MAX_CACHE_BYTES. A cache that cannot be read, written or pruned
-    leaves the stage as it is.
-    """
-    path, digest, cache = run.inputs[key], run.digest(key), _parse_cache()
-    entry = cache / f"{digest}{ENTRY_SUFFIX[kind]}" if cache else None
-    value = load_entry(kind, entry) if entry else None
-    if value is not None:
-        with contextlib.suppress(OSError):
-            os.utime(entry)
-        return value
-    value = parse(path)
-    values = value.matrix.size if kind is EmbeddingSpace else len(value.vectors) * value.dim
-    if entry and values <= MAX_CACHED_VALUES and _sha256(path) == digest:
-        with contextlib.suppress(OSError):
-            cache.mkdir(parents=True, exist_ok=True)
-            save_entry(value, entry)
-            _evict(cache)
-    return value
-
-
-def _evict(cache: Path) -> None:
-    """Remove entries of every kind, oldest mtime first, until the rest take at most MAX_CACHE_BYTES."""
-    with os.scandir(cache) as found:
-        entries = sorted((e.stat().st_mtime_ns, e.stat().st_size, e.path) for e in found
-                         if e.name.endswith(tuple(ENTRY_SUFFIX.values())))
-    total = sum(size for _, size, _ in entries)
-    for _, size, path in entries:
-        if total <= MAX_CACHE_BYTES:
-            break
-        os.unlink(path)
-        total -= size
-
-
 def _records_and_space(run: Run) -> tuple[list, EmbeddingSpace]:
     records = load_corpus(run.inputs["records"], format="csv")
-    space = _parsed(run, "embeddings", EmbeddingSpace, import_embeddings)
+    space = run.parsed("embeddings", EmbeddingSpace)
     if tuple(r.id for r in records) != space.ids:
         raise DomainError(f"{run.inputs['records']} and {run.inputs['embeddings']} list different ids")
     return records, space
@@ -457,7 +377,7 @@ def cmd_ingest(run: Run) -> tuple[dict, str]:
     gaz_path = run.value("gazetteer")
     if gaz_path:
         records = resolve_coordinates(records, load_gazetteer(gaz_path))
-    save_corpus(records, run.path_out(RECORDS), format="csv")
+    save_corpus(records, run.path_out(RECORDS))
     return {"n_records": len(records)}, f"{len(records)} records"
 
 
@@ -477,7 +397,7 @@ def cmd_embed(run: Run) -> tuple[dict, str]:
     """
     records = load_corpus(run.inputs["records"], format="csv")
     run.value("word_vectors")
-    table = _parsed(run, "word_vectors", WordVectorTable, load_word_vectors)
+    table = run.parsed("word_vectors", WordVectorTable)
     stop_path = run.value("stopwords")
     docs = clean_corpus(records, load_stopwords(stop_path) if stop_path else DEFAULT_STOPWORDS)
     ctx = fit_context(docs, table, ridge=run.value("ridge"))
@@ -489,7 +409,7 @@ def cmd_embed(run: Run) -> tuple[dict, str]:
 
 def cmd_reduce(run: Run) -> tuple[dict, str]:
     k = run.value("k")
-    space = _parsed(run, "embeddings", EmbeddingSpace, import_embeddings)
+    space = run.parsed("embeddings", EmbeddingSpace)
     model = fit_pca(space, k)
     export_embeddings(EmbeddingSpace(space.ids, transform(model, space)), run.path_out(REDUCED))
     return {"explained_variance": model.explained_variance.tolist()}, f"kept {k} of {space.dim} components"
@@ -497,7 +417,7 @@ def cmd_reduce(run: Run) -> tuple[dict, str]:
 
 def cmd_augment(run: Run) -> tuple[dict, str]:
     reduced_path, features_path = run.inputs["reduced"], run.inputs["features"]
-    reduced = _parsed(run, "reduced", EmbeddingSpace, import_embeddings)
+    reduced = run.parsed("reduced", EmbeddingSpace)
     features, variant = load_feature_matrix(features_path)
     if reduced.matrix.shape[0] != features.shape[0]:
         raise DomainError(
@@ -541,7 +461,7 @@ def cmd_optimize(run: Run) -> tuple[dict, str]:
 
 def cmd_tsne(run: Run) -> tuple[dict, str]:
     run.value("tsne_input")
-    space = _parsed(run, "space", EmbeddingSpace, import_embeddings)
+    space = run.parsed("space", EmbeddingSpace)
     keys = ("perplexity", "iterations", "learning_rate", "kernel", "cost")
     cfg = TsneConfig(**{key: run.value(key) for key in keys}, seed=run.seed)
     colors_path = run.value("colors")
@@ -560,7 +480,7 @@ def cmd_eval(run: Run) -> tuple[dict, str]:
     mode = run.value("mode")
     if mode == "quality":
         run.value("space")
-        space = _parsed(run, "space", EmbeddingSpace, import_embeddings)
+        space = run.parsed("space", EmbeddingSpace)
         labels_path, scale_max, top_n = run.value("labels"), run.value("scale_max"), run.value("top_n")
         labels = load_labels(labels_path, scale_max, corpus_ids=space.ids)
         quality = top_pair_quality(space, labels, top_n)
@@ -601,6 +521,10 @@ def cmd_sweep(run: Run) -> tuple[dict, str]:
     raise ConfigError(f"unknown sweep mode {mode!r}; expected quality or delta")
 
 
+def _flag(key: str) -> str:
+    return "--input" if key == "tsne_input" else "--" + key.replace("_", "-")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: `parse_args` leaves it as it was, so every `main` call shares it."""
@@ -612,8 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     for stage, spec in STAGES.items():
         p = sub.add_parser(stage, help=spec.help)
         for key in spec.settings.split():
-            flag = "--input" if key == "tsne_input" else "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, help=SETTINGS[key].help)
+            p.add_argument(_flag(key), dest=key, help=SETTINGS[key].help)
     return parser
 
 
@@ -628,6 +551,11 @@ def main(argv: list[str] | None = None) -> int:
         run = Run(args)
         try:
             derived, summary = COMMANDS[args.command](run)
+            unread = [key for key in STAGES[args.command].settings.split()
+                      if getattr(args, key) is not None and key not in run.read]
+            if unread:  # a flag the stage ignored would be recorded nowhere
+                mode = f" --mode {run.params['mode']}" if "mode" in run.params else ""
+                raise ConfigError(f"{_flag(unread[0])} is not read by {args.command}{mode}")
             outputs = run.commit(args.command, {**run.params, **derived})
         finally:  # the staging directory goes, with whatever a failed stage left in it
             run.close()

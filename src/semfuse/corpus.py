@@ -71,24 +71,16 @@ class Gazetteer:
         return location.strip().casefold()
 
 
-def preprocess(
-    text: str,
-    stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS,
-    *,
-    drop_social_tags: bool = False,
-) -> list[str]:
+def preprocess(text: str, stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS) -> list[str]:
     """Normalize raw text into tokens.
 
     Splits on whitespace, lowercases, strips punctuation from token edges,
     and drops URL tokens and stopwords. Mention/hashtag tokens pass through
-    the same edge rules by default; drop_social_tags removes them outright.
+    the same edge rules, so they keep their word and lose the @ or #.
     """
     tokens = []
     for raw in text.split():
-        token = raw.lower()
-        if drop_social_tags and token[:1] in ("@", "#"):
-            continue
-        token = token.strip(_EDGE_PUNCT)
+        token = raw.lower().strip(_EDGE_PUNCT)
         if not token or token.startswith(_URL_PREFIXES):
             continue
         if token in stopwords:
@@ -97,17 +89,10 @@ def preprocess(
     return tokens
 
 
-def clean_corpus(
-    records: Sequence[Record],
-    stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS,
-    *,
-    drop_social_tags: bool = False,
-) -> list[CleanDoc]:
+def clean_corpus(records: Sequence[Record],
+                 stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS) -> list[CleanDoc]:
     """Apply preprocess() to every record, preserving order."""
-    return [
-        CleanDoc(id=r.id, tokens=tuple(preprocess(r.text, stopwords, drop_social_tags=drop_social_tags)))
-        for r in records
-    ]
+    return [CleanDoc(id=r.id, tokens=tuple(preprocess(r.text, stopwords))) for r in records]
 
 
 def geocode(location: str, gazetteer: Gazetteer) -> GeoPoint:
@@ -276,33 +261,11 @@ def _record_from_mapping(row: dict, where: str, coordinates: Iterator[list[float
         raise RowError(where, str(exc)) from None
 
 
-def save_corpus(records: Sequence[Record], path: str | Path, format: str | None = None) -> None:
-    """Write records so that load_corpus() round-trips them exactly."""
-    path = Path(path)
-    fmt = format or _infer_format(path)
-    if fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in records:
-                obj: dict = {"id": r.id, "text": r.text, "timestamp": r.timestamp}
-                if r.location is not None:
-                    obj["location"] = r.location
-                if r.coords is not None:
-                    obj["lat"] = r.coords.lat
-                    obj["lon"] = r.coords.lon
-                fh.write(json.dumps(obj) + "\n")
-        return
-    delimiter = "\t" if fmt == "tsv" else ","
+def save_corpus(records: Sequence[Record], path: str | Path) -> None:
+    """Write records as CSV so that load_corpus() round-trips them exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         writer.writerow(["id", "text", "timestamp", "location", "lat", "lon"])
         for r in records:
-            writer.writerow(
-                [
-                    r.id,
-                    r.text,
-                    r.timestamp,
-                    r.location or "",
-                    repr(r.coords.lat) if r.coords else "",
-                    repr(r.coords.lon) if r.coords else "",
-                ]
-            )
+            coords = [repr(r.coords.lat), repr(r.coords.lon)] if r.coords else ["", ""]
+            writer.writerow([r.id, r.text, r.timestamp, r.location or "", *coords])

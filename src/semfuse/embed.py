@@ -6,35 +6,26 @@ sentence vectors are salience-weighted token means scaled to unit norm.
 `token_saliences` computes the weight of every distinct token of a corpus
 from one linear solve against the context metric, and `embed_corpus`
 calls it once per corpus. Precomputed embedding spaces can also be
-imported from CSV. A parsed word-vector table or embedding space can be
-stored as one binary entry file (`save_entry`) and read back without
-parsing text (`load_entry`); the two are kinds of one format, and neither
-reads as the other.
+imported from CSV. The stages read both text formats through the parse
+cache, `semfuse.cache`, which calls the two readers here on a miss.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import os
-import sys
-import tempfile
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from . import __version__
 from .corpus import CleanDoc
 from .errors import ConflictError, DomainError, FormatError, SchemaError, UnknownKeyError
 from .table import bulk_rows, open_text, parse_floats, read_table, write_table
 
 DEFAULT_RIDGE_SCALE = 1e-3
 _SYMMETRY_TOL = 1e-9
-_PARSER_SOURCES = ("embed.py", "table.py")  # the modules whose code decides what a text file parses to
-_ROW_LEAD = bytes(8)  # a float64 0.0 before each stored row, where a parsed row has its label
 
 
 @dataclass(frozen=True)
@@ -47,9 +38,6 @@ class WordVectorTable:
     def __post_init__(self):
         if self.dim < 2:
             raise DomainError(f"word vectors must have dim >= 2, got {self.dim}")
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
 
     def vector(self, token: str) -> np.ndarray:
         try:
@@ -183,9 +171,8 @@ def load_word_vectors(path: str | Path) -> WordVectorTable:
     repeated token) naming the file and the line; a line that is not UTF-8
     is a fault of that line.
 
-    `semfuse embed` parses a file once: it stores the table with
-    `save_entry`, under the digest of the file's bytes, and reads that
-    entry on later runs.
+    `semfuse embed` parses a file once: the parse cache stores the table
+    under the digest of the file's bytes and reads it back on later runs.
     """
     tokens: list[str] = []
     try:
@@ -196,104 +183,6 @@ def load_word_vectors(path: str | Path) -> WordVectorTable:
     if matrix is None or matrix.shape[1] < 3:  # the token, then at least 2 values
         _raise_first_fault(path)
     return WordVectorTable(dim=matrix.shape[1] - 1, vectors=dict(zip(tokens, matrix[:, 1:])))
-
-
-# the file suffix of each kind of entry; a kind's class name is its tag word
-ENTRY_SUFFIX = {WordVectorTable: ".vectors", EmbeddingSpace: ".space"}
-
-
-@cache
-def _entry_tag(kind: type) -> bytes:
-    """The first line of a `kind` entry. It names the kind, the package
-    version, the numpy version, the byte order and a sha256 of the parser's
-    source files, so an entry of the other kind, or one that another build
-    of the parser wrote, reads as a miss. A source file that cannot be read
-    raises OSError, which the cache treats as a miss and a failed write.
-    """
-    parser = hashlib.sha256()
-    for name in _PARSER_SOURCES:
-        parser.update(Path(__file__).with_name(name).read_bytes())
-    return (f"semfuse {kind.__name__} {__version__} parser {parser.hexdigest()[:16]} "
-            f"numpy {np.__version__} float64 {sys.byteorder}\n").encode()
-
-
-def save_entry(value: WordVectorTable | EmbeddingSpace, path: Path) -> None:
-    """Store a word-vector table or an embedding space as one entry file that `load_entry` reads back.
-
-    The entry holds the tag of the value's kind, a line `<n> <dim> <label
-    bytes> <sha256>`, the labels (tokens or ids) in order, one per line,
-    and an n x (dim + 1) float64 matrix in native byte order: each row
-    after a leading 0.0, the matrix a parse builds with its label column.
-    A hit thus allocates what a parse allocates and leaves the allocator
-    as a parse leaves it: with glibc's malloc, a tighter n x dim matrix
-    raised the peak RSS of the `layout` benchmark from 117.4 to 120.2 MB.
-    The sha256 covers the labels and the matrix. Each row is written and
-    hashed where it lies, so the matrix is not copied. The file is written
-    under a temporary name in `path`'s directory and then renamed to
-    `path`, so a reader never sees a partial entry. A value with no rows,
-    or with a label that holds a line break, is not stored: its labels
-    would not read back.
-    """
-    if isinstance(value, WordVectorTable):
-        labels, rows = list(value.vectors), value.vectors.values()
-    else:
-        labels, rows = value.ids, value.matrix
-    text = "\n".join(labels).encode()
-    if not labels or text.count(b"\n") != len(labels) - 1:
-        return
-    rows = [np.ascontiguousarray(row, dtype=float) for row in rows]
-    payload = hashlib.sha256(text)
-    for row in rows:
-        payload.update(_ROW_LEAD)
-        payload.update(row)
-    tag = _entry_tag(type(value))
-    fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with open(fd, "wb", buffering=1 << 16) as fh:  # half the write time of the default 8 KiB
-            fh.write(tag)
-            fh.write(f"{len(rows)} {value.dim} {len(text)} {payload.hexdigest()}\n".encode())
-            fh.write(text)
-            for row in rows:
-                fh.write(_ROW_LEAD)
-                fh.write(row)
-        os.replace(temp, path)
-    except BaseException:
-        os.unlink(temp)
-        raise
-
-
-def load_entry(kind: type[WordVectorTable | EmbeddingSpace],
-               path: Path) -> WordVectorTable | EmbeddingSpace | None:
-    """The `kind` value `save_entry` stored at `path`, as its parse returns it.
-
-    A table's vectors are row views of one matrix; a space's matrix is a
-    C-contiguous copy of the stored one without its label column. None
-    when there is no entry, it cannot be read, or its tag, its size or the
-    sha256 of its labels and matrix does not match: an entry of the other
-    kind or a damaged one is a miss, never an error.
-    """
-    try:
-        with open(path, "rb") as fh:
-            tag = _entry_tag(kind)
-            if fh.readline(len(tag)) != tag:
-                return None
-            n, dim, size, digest = fh.readline(256).split()
-            n, dim, size = int(n), int(dim), int(size)
-            expected = fh.tell() + size + 8 * n * (dim + 1)
-            if n < 1 or dim < 1 or size < 0 or os.fstat(fh.fileno()).st_size != expected:
-                return None
-            text = fh.read(size)
-            matrix = np.fromfile(fh, dtype=float, count=n * (dim + 1)).reshape(n, dim + 1)
-        payload = hashlib.sha256(text)
-        payload.update(matrix)
-        if payload.hexdigest().encode() != digest:
-            return None
-        labels = text.decode().split("\n")
-        if kind is WordVectorTable:
-            return WordVectorTable(dim=dim, vectors=dict(zip(labels, matrix[:, 1:], strict=True)))
-        return EmbeddingSpace(ids=tuple(labels), matrix=np.ascontiguousarray(matrix[:, 1:]))
-    except (OSError, ValueError, DomainError):
-        return None
 
 
 def fit_context(
@@ -430,7 +319,7 @@ def import_embeddings(path: str | Path) -> EmbeddingSpace:
     Values follow the number grammar of `table.parse_floats`. A ragged
     row or a repeated id anywhere is reported before a bad value; errors
     name the file and the line. The stages of `semfuse` parse each
-    embedding file once, through the same cache as word vectors.
+    embedding file once, through the same parse cache as word vectors.
     """
     def check_header(header: list[str]) -> None:
         if not header or header[0] != "id":

@@ -13,11 +13,14 @@ import numpy as np
 import oracles
 import pytest
 
+import semfuse.cache as cache
 import semfuse.cli as cli
+import semfuse.embed as embed
 import semfuse.rankopt as rankopt
-from semfuse.cli import _sha256, main, write_sidecar
+from semfuse.cache import load_entry
+from semfuse.cli import main, write_sidecar
 from semfuse.corpus import load_corpus
-from semfuse.embed import EmbeddingSpace, WordVectorTable, import_embeddings, load_entry, load_word_vectors
+from semfuse.embed import EmbeddingSpace, WordVectorTable, import_embeddings, load_word_vectors
 from semfuse.errors import ConfigError
 from semfuse.rankopt import (
     DEFAULT_DIST_KINDS,
@@ -440,14 +443,14 @@ class TestSidecarHash:
         data = np.random.default_rng(size).bytes(size)
         path = tmp_path / "input.bin"
         path.write_bytes(data)
-        assert _sha256(path) == hashlib.sha256(data).hexdigest()
+        assert cache.sha256(path) == hashlib.sha256(data).hexdigest()
 
     def test_hash_holds_one_block_at_a_time(self, tmp_path):
         path = tmp_path / "input.bin"
         path.write_bytes(bytes(8 << 20))
         tracemalloc.start()
         try:
-            _sha256(path)
+            cache.sha256(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -464,7 +467,7 @@ class TestSidecarHash:
         source.write_bytes(data)
         out = tmp_path / "embeddings.csv"
         monkeypatch.setattr(Path, "read_bytes", read_bytes)
-        write_sidecar(out, "embed", {"word_vectors": _sha256(source)}, {"ridge": 0.5}, 7)
+        write_sidecar(out, "embed", {"word_vectors": cache.sha256(source)}, {"ridge": 0.5}, 7)
         meta = (tmp_path / "embeddings.csv.meta").read_text(encoding="utf-8")
         assert f"sha256_word_vectors = {hashlib.sha256(data).hexdigest()}\n" in meta
         assert "param_ridge = 0.5\n" in meta
@@ -475,8 +478,8 @@ class TestSidecarHash:
         out, hashed = tmp_path / "out", []
         assert main(["--out-dir", str(out), "ingest", "--corpus", str(pipeline_fixture["corpus"])]) == 0
         assert main(["--out-dir", str(out), "embed", "--word-vectors", str(pipeline_fixture["vectors"])]) == 0
-        sha256 = cli._sha256
-        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
+        sha256 = cache.sha256
+        monkeypatch.setattr(cache, "sha256", lambda path: hashed.append(path) or sha256(path))
         for hashes in (2, 1):  # a miss, then a hit
             hashed.clear()
             assert main(["--out-dir", str(out), "tsne", "--input", "embeddings.csv", "--iterations", "20",
@@ -493,8 +496,8 @@ class TestWordVectorCache:
     @pytest.fixture
     def parses(self, monkeypatch) -> list[Path]:
         """The path of every `load_word_vectors` call the CLI makes."""
-        calls, original = [], cli.load_word_vectors
-        monkeypatch.setattr(cli, "load_word_vectors", lambda path: calls.append(path) or original(path))
+        calls, original = [], embed.load_word_vectors
+        monkeypatch.setattr(embed, "load_word_vectors", lambda path: calls.append(path) or original(path))
         return calls
 
     def embed(self, fx, out, vectors=None) -> int:
@@ -524,8 +527,8 @@ class TestWordVectorCache:
 
     def test_a_run_hashes_the_file_once_and_a_miss_twice(self, pipeline_fixture, tmp_path, monkeypatch):
         vectors, hashed = pipeline_fixture["vectors"], []
-        sha256 = cli._sha256
-        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
+        sha256 = cache.sha256
+        monkeypatch.setattr(cache, "sha256", lambda path: hashed.append(path) or sha256(path))
         for run, hashes in (("cold", 2), ("warm", 1)):  # a miss hashes again after the parse
             hashed.clear()
             assert self.embed(pipeline_fixture, tmp_path / run) == 0
@@ -534,11 +537,14 @@ class TestWordVectorCache:
     @pytest.mark.parametrize("room", [-1, 0])
     def test_a_table_over_the_size_bound_is_not_stored(self, pipeline_fixture, tmp_path, parse_cache, parses,
                                                         monkeypatch, room):
-        table = load_word_vectors(pipeline_fixture["vectors"])
-        monkeypatch.setattr(cli, "MAX_CACHED_VALUES", len(table.vectors) * table.dim + room)
+        vectors, hashed, sha256 = pipeline_fixture["vectors"], [], cache.sha256
+        table = load_word_vectors(vectors)
+        monkeypatch.setattr(cache, "MAX_CACHED_VALUES", len(table.vectors) * table.dim + room)
+        monkeypatch.setattr(cache, "sha256", lambda path: hashed.append(path) or sha256(path))
         for run in ("first", "second"):
             assert self.embed(pipeline_fixture, tmp_path / run) == 0
         assert len(parses) == (2 if room < 0 else 1)
+        assert hashed.count(vectors) == (2 if room < 0 else 3)  # an oversized table is hashed once per run
         assert parse_cache.exists() == (room >= 0)
         assert self.outputs(tmp_path / "second") == self.outputs(tmp_path / "first")
 
@@ -610,7 +616,7 @@ class TestWordVectorCache:
                 fh.write("\n")
             return table
 
-        monkeypatch.setattr(cli, "load_word_vectors", parse_then_append)
+        monkeypatch.setattr(embed, "load_word_vectors", parse_then_append)
         assert self.embed(pipeline_fixture, tmp_path / "out", vectors) == 0
         assert not parse_cache.exists()
 
@@ -629,8 +635,8 @@ class TestSpaceCache:
     @pytest.fixture
     def parses(self, monkeypatch) -> list[Path]:
         """The path of every `import_embeddings` call the CLI makes."""
-        calls, original = [], cli.import_embeddings
-        monkeypatch.setattr(cli, "import_embeddings", lambda path: calls.append(path) or original(path))
+        calls, original = [], embed.import_embeddings
+        monkeypatch.setattr(embed, "import_embeddings", lambda path: calls.append(path) or original(path))
         return calls
 
     @pytest.fixture
@@ -644,8 +650,8 @@ class TestSpaceCache:
     def stage(self, out, *argv) -> int:
         return main(["--seed", "7", "--out-dir", str(out), *argv])
 
-    def entry(self, cache, path) -> Path:
-        return cache / f"{_sha256(path)}.space"
+    def entry(self, directory, path) -> Path:
+        return directory / f"{cache.sha256(path)}.space"
 
     def test_cold_warm_and_uncached_chains_write_the_same_bytes(self, pipeline_fixture, tmp_path, parse_cache,
                                                                 parses, monkeypatch):
@@ -703,25 +709,28 @@ class TestSpaceCache:
 
     @pytest.mark.parametrize("room", [-1, 0])
     def test_a_space_over_the_size_bound_is_not_stored(self, out, parse_cache, parses, monkeypatch, room):
-        monkeypatch.setattr(cli, "MAX_CACHED_VALUES", import_embeddings(out / "embeddings.csv").matrix.size + room)
+        path, hashed, sha256 = out / "embeddings.csv", [], cache.sha256
+        monkeypatch.setattr(cache, "MAX_CACHED_VALUES", import_embeddings(path).matrix.size + room)
+        monkeypatch.setattr(cache, "sha256", lambda path: hashed.append(path) or sha256(path))
         for _ in range(2):
             assert self.stage(out, "reduce", "--k", "2") == 0
         assert len(parses) == (2 if room < 0 else 1)
+        assert hashed.count(path) == (2 if room < 0 else 3)  # an oversized space is hashed once per run
         assert self.entry(parse_cache, out / "embeddings.csv").exists() == (room >= 0)
 
     def test_the_oldest_entries_go_first(self, tmp_path, monkeypatch):
-        cache = tmp_path / "cache"
-        cache.mkdir()
+        directory = tmp_path / "cache"
+        directory.mkdir()
         for age, name in enumerate(["d.vectors", "c.space", "b.vectors", "a.space"], start=1):
-            (cache / name).write_bytes(bytes(100))
-            os.utime(cache / name, (1e9 - age, 1e9 - age))
+            (directory / name).write_bytes(bytes(100))
+            os.utime(directory / name, (1e9 - age, 1e9 - age))
         for name in ["notes.txt", ".e.space.1234.tmp"]:  # not entries: never counted or removed
-            (cache / name).write_bytes(bytes(1000))
-            os.utime(cache / name, (0, 0))
+            (directory / name).write_bytes(bytes(1000))
+            os.utime(directory / name, (0, 0))
         for bound, left in [(250, "c.space d.vectors"), (200, "c.space d.vectors"), (199, "d.vectors"), (0, "")]:
-            monkeypatch.setattr(cli, "MAX_CACHE_BYTES", bound)
-            cli._evict(cache)
-            assert sorted(p.name for p in cache.iterdir()) == [".e.space.1234.tmp", *left.split(), "notes.txt"]
+            monkeypatch.setattr(cache, "MAX_CACHE_BYTES", bound)
+            cache._evict(directory)
+            assert sorted(p.name for p in directory.iterdir()) == [".e.space.1234.tmp", *left.split(), "notes.txt"]
 
     def test_a_store_evicts_and_a_hit_keeps_its_entry(self, pipeline_fixture, tmp_path, out, parse_cache, parses,
                                                       monkeypatch):
@@ -735,8 +744,8 @@ class TestSpaceCache:
         assert vectors.stat().st_mtime > 2000
         path = out / "embeddings.csv"
         probe = tmp_path / "probe.space"
-        cli.save_entry(import_embeddings(path), probe)
-        monkeypatch.setattr(cli, "MAX_CACHE_BYTES", vectors.stat().st_size + probe.stat().st_size)
+        cache.save_entry(import_embeddings(path), probe)
+        monkeypatch.setattr(cache, "MAX_CACHE_BYTES", vectors.stat().st_size + probe.stat().st_size)
         assert self.stage(out, "reduce", "--k", "2") == 0
         assert sorted(parse_cache.iterdir()) == sorted([vectors, self.entry(parse_cache, path)])
 
@@ -748,7 +757,7 @@ class TestSpaceCache:
         stuck = parse_cache / f"{'1' * 64}.space"
         stuck.mkdir()  # the oldest entry, and one that cannot be unlinked
         os.utime(stuck, (0, 0))
-        monkeypatch.setattr(cli, "MAX_CACHE_BYTES", 0)
+        monkeypatch.setattr(cache, "MAX_CACHE_BYTES", 0)
         capsys.readouterr()
         assert self.stage(out, "reduce", "--k", "2") == 0
         assert capsys.readouterr().err == ""
@@ -863,6 +872,47 @@ class TestSettingErrors:
         assert directory_bytes(out) == before
 
 
+class TestUnreadFlags:
+    """A flag whose setting the stage does not read is an error; a config key of the other mode is not."""
+
+    # (argv after --out-dir, the error after "error: "): the first unread flag, in --help order, is named
+    CASES = {
+        "eval compare": (["eval", "--mode", "compare", "--labels", "{rank_labels}", "--space", "nonexistent.csv",
+                          "--top-n", "0"], "--space is not read by eval --mode compare"),
+        "sweep delta": (["sweep", "--mode", "delta", "--k-list", "2,4", "--trials", "3", "--pairs", "20",
+                         "--labels", "nonexistent.csv", "--top-n", "0", "--scale-max", "-1"],
+                        "--labels is not read by sweep --mode delta"),
+        "sweep quality": (["sweep", "--mode", "quality", "--k-list", "2,4", "--labels", "{labels}", "--top-n", "5",
+                           "--variant", "nope", "--trials", "0", "--pairs", "-3"],
+                          "--variant is not read by sweep --mode quality"),
+    }
+
+    @pytest.fixture
+    def out(self, staged_out, tmp_path) -> Path:
+        """The outputs of ingest through score."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        assert main(["--seed", "7", "--out-dir", str(out), "score"]) == 0
+        return out
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_naming_the_first_unread_flag(self, out, pipeline_fixture, capsys, case):
+        argv, message = self.CASES[case]
+        before = directory_bytes(out)
+        capsys.readouterr()
+        assert main(["--out-dir", str(out)] + [arg.format(**pipeline_fixture) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert directory_bytes(out) == before
+
+    def test_a_config_key_of_the_other_mode_is_accepted(self, out, pipeline_fixture, tmp_path):
+        config = tmp_path / "shared.cfg"
+        config.write_text("space = nonexistent.csv\ntop_n = 0\nvariant = nope\npairs = -3\n", encoding="utf-8")
+        argv = ["--config", str(config), "--out-dir", str(out), "eval", "--mode", "compare",
+                "--labels", str(pipeline_fixture["rank_labels"])]
+        assert main(argv) == 0
+        assert "param_top_n" not in (out / "eval.csv.meta").read_text(encoding="utf-8")
+
+
 def test_optimize_sidecar_records_the_step(staged_out, pipeline_fixture, tmp_path):
     metas = []
     for step in ([], ["--step", "0.5"]):
@@ -874,6 +924,51 @@ def test_optimize_sidecar_records_the_step(staged_out, pipeline_fixture, tmp_pat
     assert "param_step = None\n" in metas[0]
     assert "param_step = 0.5\n" in metas[1]
     assert metas[0] != metas[1]
+
+
+# the sigma weights (days, coordinates) planted in both batches of the held-out test, and the label noise
+PLANTED_WEIGHTS, LABEL_NOISE = (0.6, 2.0), 0.05
+
+
+def planted_batch(out: Path, seed: int) -> Path:
+    """A 16-record batch in `out` (records.csv, embeddings.csv) and its labels file.
+
+    The labels are the sigma scores under PLANTED_WEIGHTS, plus symmetric
+    noise of standard deviation LABEL_NOISE, as a full score matrix.
+    """
+    rng, m = np.random.default_rng(seed), 16
+    ids = [f"b{seed}r{i}" for i in range(m)]
+    corpus = out.parent / f"corpus{seed}.csv"
+    days, lats, lons = rng.integers(0, 15, m), rng.uniform(25, 49, m).round(4), rng.uniform(-124, -67, m).round(4)
+    rows = [f"{rid},text,{day * 86400},{lat!r},{lon!r}\n"
+            for rid, day, lat, lon in zip(ids, days.tolist(), lats.tolist(), lons.tolist())]
+    corpus.write_text("id,text,timestamp,lat,lon\n" + "".join(rows), encoding="utf-8")
+    assert main(["--out-dir", str(out), "ingest", "--corpus", str(corpus)]) == 0
+    vectors = rng.normal(size=(m, 8))
+    space = EmbeddingSpace(tuple(ids), vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+    embed.export_embeddings(space, out / "embeddings.csv")
+    features = batch_features(load_corpus(out / "records.csv"))
+    noise = rng.normal(scale=LABEL_NOISE / np.sqrt(2), size=(m, m))
+    scores = pairwise_scores(space.matrix, features, SimilarityParams("sigma", PLANTED_WEIGHTS, DEFAULT_DIST_KINDS))
+    labels = out.parent / f"labels{seed}.csv"
+    labels.write_text("".join(",".join(map(repr, row)) + "\n" for row in (scores + (noise + noise.T)).tolist()),
+                      encoding="utf-8")
+    return labels
+
+
+def test_fitted_weights_rank_a_held_out_batch_better_than_text_alone(tmp_path):
+    """Weights fit on one batch lower the rank loss of another batch planted from the same weights."""
+    fit_out, held_out = tmp_path / "a", tmp_path / "b"
+    fit_labels, held_labels = planted_batch(fit_out, 1), planted_batch(held_out, 2)
+    assert main(["--out-dir", str(fit_out), "optimize", "--labels", str(fit_labels), "--kind", "sigma"]) == 0
+    meta = (fit_out / "optimize_trace.csv.meta").read_text(encoding="utf-8")
+    fitted = ",".join(re.search(rf"^param_best_{name} = (.*)$", meta, re.M)[1] for name in ("alpha1", "alpha2"))
+    losses = {}
+    for alphas in (fitted, "0,0"):  # under 0,0 the additive scorer is the text alone
+        assert main(["--out-dir", str(held_out), "score", "--kind", "sigma", "--alphas", alphas]) == 0
+        assert main(["--out-dir", str(held_out), "eval", "--mode", "compare", "--labels", str(held_labels)]) == 0
+        losses[alphas] = float(re.search(r"^rank_loss,(.*)$", (held_out / "eval.csv").read_text(), re.M)[1])
+    assert losses[fitted] < losses["0,0"], losses
 
 
 class TestFileSettings:
@@ -1186,7 +1281,7 @@ class TestFailedStage:
             "failed write": (["ingest", "--corpus", corpus], "[Errno 28] No space left on device"),
         }[case]
 
-        def save_corpus(records, path, format):
+        def save_corpus(records, path):
             assert path.parent.is_dir()  # the staging directory, made for the output
             raise OSError(28, "No space left on device")
 

@@ -126,7 +126,9 @@ class TestLoadCorpus:
             Record("b", "goodbye", 200, location="chicago", coords=GeoPoint(41.8781, -87.6298)),
         ]
         p = tmp_path / "rt.jsonl"
-        save_corpus(records, p)
+        p.write_text('{"id": "a", "text": "hello", "timestamp": 100}\n'
+                     '{"id": "b", "text": "goodbye", "timestamp": 200, "location": "chicago", '
+                     '"lat": 41.8781, "lon": -87.6298}\n', encoding="utf-8")
         assert load_corpus(p) == records
 
 
@@ -276,11 +278,10 @@ class TestPreprocess:
         text = "see https://a.example www.example.org details"
         assert preprocess(text, set()) == ["see", "details"]
 
-    def test_social_tags_kept_by_default_dropped_on_request(self):
+    def test_social_tags_keep_their_word(self):
         # kept tokens still lose their @/# edge marker, like any punctuation
         text = "@sen_smith backs #debtdeal now"
         assert preprocess(text, set()) == ["sen_smith", "backs", "debtdeal", "now"]
-        assert preprocess(text, set(), drop_social_tags=True) == ["backs", "now"]
 
     @given(st.text(max_size=200))
     def test_idempotent(self, text):
