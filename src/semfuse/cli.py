@@ -11,23 +11,23 @@ SETTINGS is the one table of the settings: each one's flag help, the
 reader of its text and its default. `Run.value(key)` reads a setting from
 its flag, else its config key, else its default, and records it: a file
 (which must be a regular file) under its sidecar key, any other setting
-in `Run.params`. Each `cmd_*` function reads its settings and inputs and
-writes its outputs through a `Run`, which hands out output paths in a
-staging directory, and returns (what it computed, the summary `main`
-prints). `main` then commits the run: it writes each output's sidecar,
-whose params are every setting the stage read and what it computed,
-beside it and moves every output and sidecar into the output directory.
-A failed stage leaves the output directory as it was, or absent. An
-invocation hashes each input file once, and `Run.parsed` reads a
-word-vector table or an embedding space through the parse cache
-(`semfuse.cache`). A command-line flag whose setting the stage did not
-read is an error; a config key is not, since one file serves every stage.
+in `Run.params`. An invocation hashes each input file once, and
+`Run.parsed` reads a word-vector table or an embedding space through the
+parse cache (`semfuse.cache`). A command-line flag whose setting the stage
+did not read is an error; a config key is not, since one file serves every
+stage, but a config key that is no setting is.
 
 STAGES is the one table of the stages: each one's help, its settings (in
---help order) and the earlier outputs it always reads, which a `Run`
-checks, in order, before its `cmd_*` function runs. Only the code that
-uses a choice checks it, so a flag fails as a key does. A config key that
-is no setting is an error. The argument parser is built once per process.
+--help order), every file it writes, by mode, and the earlier outputs it
+always reads. A `Run` checks that those exist, in order, and that the mode
+is one the stage declares, before the stage's `cmd_*` function writes its
+outputs in a staging directory and returns (what it computed, the summary
+`main` prints). `Run.commit` then refuses the stage unless it wrote
+exactly the files it declares, writes each output's sidecar, whose params
+are every setting the stage read and what it computed, and moves every
+output and sidecar into the output directory. A failed stage leaves the
+output directory as it was, or absent. Any other choice is checked by the
+code that uses it, so a flag fails as a key does.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ SETTINGS = {
     "step": Setting("round-1 grid spacing (default: 21 points per axis)", _parse_numbers, GridConfig.step),
     "shrink": Setting("interval shrink factor per round", _parse_numbers, GridConfig.shrink),
     "rounds": Setting("number of search rounds", _int, GridConfig.rounds),
-    "tsne_input": Setting("space file in the output directory (default: augmented.csv)",
+    "tsne_input": Setting(f"space file in the output directory (default: {AUGMENTED})",
                           File("space", staged=True, param="input"), AUGMENTED),
     "perplexity": Setting("target effective neighbor count", _parse_numbers, TsneConfig.perplexity),
     "iterations": Setting("gradient descent iterations", _int, TsneConfig.iterations),
@@ -179,37 +179,42 @@ SETTINGS = {
     "cost": Setting(f"divergence form: {', '.join(COST_MODES)}", _text, TsneConfig.cost),
     "colors": Setting("id,color CSV for scatter fills", File("colors")),
     "mode": Setting("eval: quality or compare; sweep: quality or delta", _text, "quality"),
-    "space": Setting("space file for quality mode (default: augmented.csv)", File("space", staged=True),
+    "space": Setting(f"space file for quality mode (default: {AUGMENTED})", File("space", staged=True),
                      AUGMENTED),
     "scale_max": Setting("maximum raw rater score", _parse_numbers, 4.0),
     "top_n": Setting("pairs to average in quality mode", _int, 20),
-    "pred": Setting("predicted score matrix for compare mode (default: scores.csv)",
+    "pred": Setting(f"predicted score matrix for compare mode (default: {SCORES})",
                     File("pred", staged=True), SCORES),
     "k_list": Setting("comma-separated component counts", _ints, (2, 4, 8)),
     "trials": Setting("resampling trials for delta mode", _int, 10),
     "pairs": Setting("pairs per trial for delta mode", _int, 500),
 }
 
-# a stage's help, its SETTINGS keys (space-separated, in --help order), the earlier outputs it always
-# reads (checked in this order before it runs) and its output that later stages read, if any
-Stage = namedtuple("Stage", "help settings reads writes", defaults=((), None))
+# a stage's help, its SETTINGS keys (space-separated, in --help order), every file it writes (in commit
+# order) by its mode (None: it has none), and the earlier outputs it always reads (checked in this order)
+Stage = namedtuple("Stage", "help settings writes reads", defaults=((),))
 
 STAGES = {
-    "ingest": Stage("load a corpus and resolve coordinates", "corpus format gazetteer", (), RECORDS),
-    "encode": Stage("build the geotemporal feature matrix", "variant", (RECORDS,), FEATURES),
+    "ingest": Stage("load a corpus and resolve coordinates", "corpus format gazetteer", {None: (RECORDS,)}),
+    "encode": Stage("build the geotemporal feature matrix", "variant", {None: (FEATURES,)}, (RECORDS,)),
     "embed": Stage("embed records with salience-weighted word vectors", "word_vectors stopwords ridge",
-                   (RECORDS,), EMBEDDINGS),
-    "reduce": Stage("PCA-reduce the embedding space", "k", (EMBEDDINGS,), REDUCED),
-    "augment": Stage("append standardized features to the reduced space", "", (REDUCED, FEATURES),
-                     AUGMENTED),
-    "score": Stage("pairwise similarity matrix", "kind alphas dist_kinds", (RECORDS, EMBEDDINGS), SCORES),
+                   {None: (EMBEDDINGS,)}, (RECORDS,)),
+    "reduce": Stage("PCA-reduce the embedding space", "k", {None: (REDUCED,)}, (EMBEDDINGS,)),
+    "augment": Stage("append standardized features to the reduced space", "", {None: (AUGMENTED,)},
+                     (REDUCED, FEATURES)),
+    "score": Stage("pairwise similarity matrix", "kind alphas dist_kinds", {None: (SCORES,)},
+                   (RECORDS, EMBEDDINGS)),
     "optimize": Stage("fit kernel weights to labeled rankings",
-                      "labels kind dist_kinds bounds step shrink rounds", (RECORDS, EMBEDDINGS)),
+                      "labels kind dist_kinds bounds step shrink rounds", {None: (OPTIMIZE_TRACE,)},
+                      (RECORDS, EMBEDDINGS)),
     "tsne": Stage("reduce a space to 2-D coordinates and an SVG map",
-                  "tsne_input perplexity iterations learning_rate kernel cost colors"),
-    "eval": Stage("score model output against human labels", "mode space labels scale_max top_n pred"),
+                  "tsne_input perplexity iterations learning_rate kernel cost colors",
+                  {None: (TSNE_CSV, TSNE_SVG, TSNE_TRACE)}),
+    "eval": Stage("score model output against human labels", "mode space labels scale_max top_n pred",
+                  {"quality": (EVAL_CSV,), "compare": (HEATMAP_CSV, EVAL_CSV)}),
     "sweep": Stage("component sweep or cosine-shift experiment",
-                   "mode k_list labels scale_max top_n variant trials pairs", (EMBEDDINGS, RECORDS)),
+                   "mode k_list labels scale_max top_n variant trials pairs",
+                   {"quality": (SWEEP_CSV,), "delta": (DELTA_CSV,)}, (EMBEDDINGS, RECORDS)),
 }
 
 
@@ -253,9 +258,12 @@ class Run:
         self.staging = self.out_dir / f".{args.command}.{os.getpid()}.tmp"
         self.made: list[Path] = []  # out_dir and its parents, where this invocation made them
         self._digests: dict[Path, str] = {}
-        self.outputs: list[Path] = []  # staged paths, in the order handed out
         for name in STAGES[args.command].reads:
             self.stage_input(name)
+        modes = STAGES[args.command].writes
+        self.mode = None if None in modes else self.value("mode")  # the mode names a set of outputs
+        if self.mode not in modes:
+            raise ConfigError(f"unknown {args.command} mode {self.mode!r}; expected {' or '.join(modes)}")
 
     def value(self, key: str):
         """The setting `key`: its flag's or else its config key's text, read, else its default.
@@ -288,19 +296,18 @@ class Run:
         """An earlier stage's output, recorded under `key` (default: the file's stem)."""
         path = self.out_dir / name
         if not path.exists():
-            stage = next((stage for stage, spec in STAGES.items() if spec.writes == name), None)
+            stage = next((stage for stage, spec in STAGES.items() for names in spec.writes.values()
+                          if name in names), None)
             raise PipelineError(f"{path} not found" + (f"; run the '{stage}' stage first" if stage else ""))
         self.inputs[key or path.stem] = path
         return path
 
     def path_out(self, name: str) -> Path:
         """Where the stage writes output `name`: in the staging directory, until the commit."""
-        if not self.outputs:  # out_dir is made, if need be, only once there is an output to put in it
+        if not self.staging.exists():  # out_dir is made, if need be, only once there is an output to put in it
             self.made = [d for d in (self.out_dir, *self.out_dir.parents) if not d.exists()]
-            self.staging.mkdir(parents=True, exist_ok=True)
-        path = self.staging / name
-        self.outputs.append(path)
-        return path
+            self.staging.mkdir(parents=True)
+        return self.staging / name
 
     def close(self) -> None:
         """Remove the staging directory, and each directory made for it that no commit filled."""
@@ -322,21 +329,25 @@ class Run:
         return cache.load(self.inputs[key], self.digest(key), kind)
 
     def commit(self, stage: str, params: dict) -> list[Path]:
-        """Write every staged output's sidecar, then move each output and sidecar into out_dir.
+        """Check the staged files against STAGES, write their sidecars, then move each into out_dir.
 
         The old sidecar goes before the output is replaced and the new one
         follows it, so a crash between the renames leaves an output with no
         sidecar, never one whose sidecar describes a different run.
         """
+        names = STAGES[stage].writes[self.mode]
+        wrote = set(os.listdir(self.staging)) if self.staging.exists() else set()
+        if wrote != set(names):
+            raise PipelineError(f"{stage} wrote other files than it declares: missing "
+                                f"{sorted(set(names) - wrote)}, extra {sorted(wrote - set(names))}")
         digests = {key: self.digest(key) for key in self.inputs}
-        for path in self.outputs:
-            write_sidecar(path, stage, digests, params, self.seed)
-        final = [self.out_dir / path.name for path in self.outputs]
-        for path, dest in zip(self.outputs, final):
-            _meta_path(dest).unlink(missing_ok=True)
-            os.replace(path, dest)
-            os.replace(_meta_path(path), _meta_path(dest))
-        return final
+        for name in names:
+            write_sidecar(self.staging / name, stage, digests, params, self.seed)
+        for name in names:
+            _meta_path(self.out_dir / name).unlink(missing_ok=True)
+            os.replace(self.staging / name, self.out_dir / name)
+            os.replace(_meta_path(self.staging / name), _meta_path(self.out_dir / name))
+        return [self.out_dir / name for name in names]
 
 
 def _format_value(value, sep: str = ",") -> str:
@@ -390,11 +401,6 @@ def cmd_encode(run: Run) -> tuple[dict, str]:
 
 
 def cmd_embed(run: Run) -> tuple[dict, str]:
-    """Embed each record with salience-weighted word vectors.
-
-    The word-vector table comes from the cache when it holds an entry for
-    the file's bytes; the outputs are the same bytes either way.
-    """
     records = load_corpus(run.inputs["records"], format="csv")
     run.value("word_vectors")
     table = run.parsed("word_vectors", WordVectorTable)
@@ -477,8 +483,7 @@ def cmd_tsne(run: Run) -> tuple[dict, str]:
 
 
 def cmd_eval(run: Run) -> tuple[dict, str]:
-    mode = run.value("mode")
-    if mode == "quality":
+    if run.mode == "quality":
         run.value("space")
         space = run.parsed("space", EmbeddingSpace)
         labels_path, scale_max, top_n = run.value("labels"), run.value("scale_max"), run.value("top_n")
@@ -486,7 +491,7 @@ def cmd_eval(run: Run) -> tuple[dict, str]:
         quality = top_pair_quality(space, labels, top_n)
         rows = [("top_pair_quality", quality), ("n_labels", len(labels)), ("top_n", top_n)]
         summary = f"top_pair_quality {quality!r} over top {top_n} of {len(labels)} pairs"
-    elif mode == "compare":
+    else:
         pred_path, labels_path = run.value("pred"), run.value("labels")
         pred = load_rank_labels(pred_path)
         report = compare_rankings(pred, load_rank_labels(labels_path))
@@ -494,17 +499,14 @@ def cmd_eval(run: Run) -> tuple[dict, str]:
         rows = [("rank_loss", report.loss), ("n_uniform_columns", len(report.uniform_columns)),
                 ("mean_column_entropy_bits", float(np.mean(report.column_entropy)))]
         summary = f"rank loss {report.loss!r}, {len(report.uniform_columns)} uniform columns"
-    else:
-        raise ConfigError(f"unknown eval mode {mode!r}; expected quality or compare")
     write_table(run.path_out(EVAL_CSV), ["metric", "value"], rows, lineterminator="\n")
     return {}, summary
 
 
 def cmd_sweep(run: Run) -> tuple[dict, str]:
-    mode = run.value("mode")
     records, space = _records_and_space(run)
     k_list = run.value("k_list")
-    if mode == "quality":
+    if run.mode == "quality":
         labels_path, scale_max, top_n = run.value("labels"), run.value("scale_max"), run.value("top_n")
         labels = load_labels(labels_path, scale_max, corpus_ids=space.ids)
         features_all = build_feature_matrix(records, "all_features")
@@ -512,13 +514,11 @@ def cmd_sweep(run: Run) -> tuple[dict, str]:
         result = component_sweep(space, features_all, features_condensed, labels, k_list, top_n)
         save_sweep_csv(result, run.path_out(SWEEP_CSV))
         return {}, f"{len(result.cells)} (variant, k) cells"
-    if mode == "delta":
-        variant, trials, pairs = run.value("variant"), run.value("trials"), run.value("pairs")
-        features = build_feature_matrix(records, variant)
-        results = delta_cosine_experiment(space, features, k_list, trials, pairs, run.seed)
-        save_delta_csv(results, run.path_out(DELTA_CSV))
-        return {}, f"cosine shift at {len(results)} component counts"
-    raise ConfigError(f"unknown sweep mode {mode!r}; expected quality or delta")
+    variant, trials, pairs = run.value("variant"), run.value("trials"), run.value("pairs")
+    features = build_feature_matrix(records, variant)
+    results = delta_cosine_experiment(space, features, k_list, trials, pairs, run.seed)
+    save_delta_csv(results, run.path_out(DELTA_CSV))
+    return {}, f"cosine shift at {len(results)} component counts"
 
 
 def _flag(key: str) -> str:
@@ -554,7 +554,7 @@ def main(argv: list[str] | None = None) -> int:
             unread = [key for key in STAGES[args.command].settings.split()
                       if getattr(args, key) is not None and key not in run.read]
             if unread:  # a flag the stage ignored would be recorded nowhere
-                mode = f" --mode {run.params['mode']}" if "mode" in run.params else ""
+                mode = f" --mode {run.mode}" if run.mode else ""
                 raise ConfigError(f"{_flag(unread[0])} is not read by {args.command}{mode}")
             outputs = run.commit(args.command, {**run.params, **derived})
         finally:  # the staging directory goes, with whatever a failed stage left in it

@@ -51,6 +51,7 @@ SIM_KINDS = ("sigma", "pi")
 DIST_KINDS = ("exp_abs", "inv_abs", "floor_geo")
 DEFAULT_DIST_KINDS = ("inv_abs", "floor_geo")
 RECOMMENDED_BATCH = (10, 20)
+MAX_ROUND_PROBES = 10**5
 # score cells per chunk: the (probes, m, m) stacks of optimize_alphas and
 # the row blocks of pairwise_scores stay about 1 MiB each
 _CHUNK_CELLS = 2**17
@@ -226,7 +227,9 @@ def pairwise_scores(
 
     The scores are composed into the dot-product matrix in row blocks of
     about `_CHUNK_CELLS` cells, each from its upper-triangle kernel block,
-    so no m x m kernel is ever held.
+    so no m x m kernel is ever held. Raises DomainError, naming the kind
+    and alphas, when any score is not finite, as when a weight is so
+    large that a score overflows.
     """
     embeddings = np.asarray(embeddings, dtype=float)
     m = embeddings.shape[0]
@@ -242,6 +245,9 @@ def pairwise_scores(
         block = scores[start:start + rows, start:]
         block[...] = _compose_scores(block, _kernel_blocks(columns, start, start + rows),
                                      params.kind, alphas)
+        if not np.isfinite(block).all():
+            raise DomainError(f"kind {params.kind!r} with alphas {tuple(params.alphas)} "
+                              "gives non-finite scores")
     # mirror the upper triangle in place; adding 0.0 normalizes -0.0 to 0.0
     # exactly as the sum of the two triangles would
     for i in range(m - 1):
@@ -288,6 +294,8 @@ def _kernel_blocks(columns: list[tuple[str, np.ndarray]], start: int, stop: int)
     return blocks
 
 
+# a score that overflows is not finite, which each caller rejects
+@np.errstate(over="ignore", invalid="ignore")
 def _compose_scores(
     dots: np.ndarray, kernels: Sequence[np.ndarray], kind: str, alphas: np.ndarray
 ) -> np.ndarray:
@@ -320,6 +328,9 @@ class GridConfig:
     spacing (None means 21 points per axis); later rounds keep the point
     count and halve the interval around the best point by `shrink`,
     clipped to the original bounds. The search is deterministic.
+    A round probes at most `MAX_ROUND_PROBES` (10**5) grid points: it
+    holds its whole grid, and the trace keeps a row for every probe of
+    every round, about 90 MB for six rounds at the bound.
     """
 
     bounds: tuple[tuple[float, float], ...]
@@ -339,11 +350,17 @@ class GridConfig:
             raise ConfigError(f"shrink must be in (0, 1), got {self.shrink}")
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
+        if math.prod(self.points_per_axis()) > MAX_ROUND_PROBES:
+            raise ConfigError(f"step {self.step} over bounds {self.bounds} gives more than "
+                              f"{MAX_ROUND_PROBES} probes per round")
 
     def points_per_axis(self) -> tuple[int, ...]:
         if self.step is None:
             return (21,) * len(self.bounds)
-        return tuple(max(1, int(round((hi - lo) / self.step)) + 1) for lo, hi in self.bounds)
+        # an axis is cut at one point more than a round may probe, so no
+        # infinite quotient (a subnormal step) reaches int
+        return tuple(max(1, int(round(min((hi - lo) / self.step, MAX_ROUND_PROBES))) + 1)
+                     for lo, hi in self.bounds)
 
 
 def _axis_points(lo: float, hi: float, count: int) -> np.ndarray:

@@ -43,6 +43,9 @@ _MIN_GAIN = 0.01
 # explosively before the gains adapt; bounding the step keeps the excursion
 # finite without touching well-behaved trajectories.
 _MAX_STEP = 0.5
+# run_tsne keeps the cost of every iteration and writes it out, one line per
+# value, so a run of this many iterations holds 8 MB of trace
+MAX_ITERATIONS = 10**6
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,8 @@ class TsneConfig:
             raise ConfigError(f"perplexity must be > 1, got {self.perplexity}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        if self.iterations > MAX_ITERATIONS:
+            raise ConfigError(f"iterations must be <= {MAX_ITERATIONS}, got {self.iterations}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         for name in ("momentum_start", "momentum_final"):

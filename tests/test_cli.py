@@ -238,6 +238,17 @@ class TestPipeline:
         ])
         assert np.allclose(got, expected, atol=1e-9)
 
+    def test_each_stage_declares_the_files_it_writes(self, pipeline_fixture):
+        # EXPECTED_OUTPUTS and SIDECARS, written by hand, are the oracle the table is checked against
+        covered = set()
+        for stage, outputs in zip(pipeline_stages(pipeline_fixture), SIDECARS):
+            mode = stage[stage.index("--mode") + 1] if "--mode" in stage else None
+            assert cli.STAGES[stage[0]].writes[mode] == tuple(outputs), stage[:3]
+            covered.add((stage[0], mode))
+        assert covered == {(stage, mode) for stage, spec in cli.STAGES.items() for mode in spec.writes}
+        declared = {name for spec in cli.STAGES.values() for names in spec.writes.values() for name in names}
+        assert sorted(declared) == sorted(EXPECTED_OUTPUTS)
+
 
 class TestStageOrdering:
     def test_missing_upstream_stage(self, pipeline_fixture, tmp_path, capsys):
@@ -798,6 +809,47 @@ class TestNonFiniteFlags:
         assert not (out / written).exists()
 
 
+class TestWorkOutOfRange:
+    """Weights that overflow the scores, or a grid too fine to hold, fail in one line and write nothing."""
+
+    CASES = {
+        "score alphas": (["score", "--alphas", "1e300,1e300"],
+                         "kind 'pi' with alphas (1e+300, 1e+300) gives non-finite scores"),
+        "optimize bounds": (["optimize", "--bounds", "0:1e300,0:1e300"], "score matrix has non-finite entries"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_overflowing_weights_exit_2_with_nothing_else_on_stderr(self, staged_out, pipeline_fixture, tmp_path,
+                                                                   case):
+        # in a process of its own, where a numpy warning would print rather than raise
+        argv, message = self.CASES[case]
+        if argv[0] == "optimize":
+            argv = argv + ["--labels", str(pipeline_fixture["rank_labels"])]
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        before = directory_bytes(out)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "semfuse", "--out-dir", str(out)] + argv, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (2, f"error: {message}\n")
+        assert not (out / "scores.csv").exists()
+        assert directory_bytes(out) == before
+
+    @pytest.mark.parametrize("step", ["1e-6", "1e-300", "1e-320"])
+    def test_a_step_too_fine_exits_2(self, staged_out, pipeline_fixture, tmp_path, capsys, step):
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        before = directory_bytes(out)
+        capsys.readouterr()
+        assert main(["--out-dir", str(out), "optimize", "--labels", str(pipeline_fixture["rank_labels"]),
+                     "--step", step]) == 2
+        assert capsys.readouterr().err == (f"error: step {float(step)!r} over bounds ((0.0, 1.0), (0.0, 12.0)) "
+                                           "gives more than 100000 probes per round\n")
+        assert directory_bytes(out) == before
+
+
 class TestSettingErrors:
     """Each setting error, for a setting given by flag and by config key alike."""
 
@@ -820,6 +872,8 @@ class TestSettingErrors:
         "missing file": (["embed"], "word_vectors", "missing.txt",
                          "word_vectors file missing.txt does not exist"),
         "huge learning rate": (["tsne"], "learning_rate", "1e308", "coordinates diverged at iteration 0"),
+        "huge iterations": (["tsne"], "iterations", "99999999999999999999999",
+                            "iterations must be <= 1000000, got 99999999999999999999999"),
         "repeated k, delta": (["sweep", "--mode", "delta", "--pairs", "20"], "k_list", "4,2,4",
                               "k=4 is repeated in the component counts"),
         # a choice is checked where it is used, so a flag fails as a config key does
@@ -1290,6 +1344,47 @@ class TestFailedStage:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert (tmp_path / "made").exists() == existing
         assert sorted(tmp_path.rglob("*")) == ([tmp_path / "made", out] if existing else [])
+
+    def test_a_stage_writing_an_undeclared_file_is_refused(self, pipeline_fixture, tmp_path, monkeypatch,
+                                                           capsys):
+        out = tmp_path / "out"
+        assert self.tsne_run(pipeline_fixture, out, seed=3) == 0
+        before = directory_bytes(out)
+        tsne = cli.COMMANDS["tsne"]
+
+        def tsne_and_a_stray_file(run):
+            done = tsne(run)
+            (run.staging / "tsne.png").write_bytes(b"")  # next to the outputs, through no path_out
+            return done
+
+        monkeypatch.setitem(cli.COMMANDS, "tsne", tsne_and_a_stray_file)
+        capsys.readouterr()
+        assert self.tsne_run(pipeline_fixture, out, seed=4) == 2
+        assert capsys.readouterr().err == (
+            "error: tsne wrote other files than it declares: missing [], extra ['tsne.png']\n")
+        assert directory_bytes(out) == before
+
+    @pytest.mark.parametrize("stage, writer, name", [
+        ("tsne", "write_scatter_svg", "tsne.svg"),
+        ("eval", "save_rank_heatmap", "rank_heatmap.csv"),  # declared for compare mode only
+    ])
+    def test_a_stage_skipping_a_declared_file_is_refused(self, pipeline_fixture, tmp_path, monkeypatch, capsys,
+                                                         stage, writer, name):
+        out = tmp_path / "out"
+        assert self.tsne_run(pipeline_fixture, out, seed=3) == 0
+        fx = pipeline_fixture
+        assert main(["--out-dir", str(out), "score"]) == 0
+        rerun = {"tsne": lambda: self.tsne_run(fx, out, seed=4),
+                 "eval": lambda: main(["--out-dir", str(out), "eval", "--mode", "compare",
+                                       "--labels", str(fx["rank_labels"])])}[stage]
+        assert rerun() == 0
+        before = directory_bytes(out)
+        monkeypatch.setattr(cli, writer, lambda *args: None)
+        capsys.readouterr()
+        assert rerun() == 2
+        assert capsys.readouterr().err == (
+            f"error: {stage} wrote other files than it declares: missing ['{name}'], extra []\n")
+        assert directory_bytes(out) == before
 
     def test_failed_svg_write_keeps_the_earlier_map(self, pipeline_fixture, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"

@@ -622,6 +622,13 @@ def scored_records(m: int, seed: int):
 
 
 class TestPairwiseScores:
+    @pytest.mark.parametrize("kind, alphas", [("pi", (1e300, 1e300)), ("sigma", (1.7e308, 1.7e308))])
+    def test_scores_that_overflow_are_refused_without_a_warning(self, kind, alphas):
+        # pytest turns a numpy overflow warning into an error
+        emb, feats = scored_records(5, seed=5)
+        with pytest.raises(DomainError, match=re.escape(f"kind {kind!r} with alphas {alphas} gives non-finite")):
+            pairwise_scores(emb, feats, SimilarityParams(kind, alphas, DEFAULT_DIST_KINDS))
+
     # (m, rows per block); None keeps _CHUNK_CELLS, which gives m = 2,000
     # blocks of 65 rows and a last block of 50
     @pytest.mark.parametrize("m, rows", [(1, 1), (2, 1), (3, 2), (7, 3), (65, 65), (131, 10), (2000, None)])
@@ -979,6 +986,27 @@ class TestLoadRankLabels:
 
 
 class TestGridConfig:
+    # a round of more than 10**5 probes is refused before any grid is built; a subnormal
+    # step makes the quotient of an axis infinite
+    @pytest.mark.parametrize("bounds, step", [
+        (((0.0, 1.0), (0.0, 12.0)), 1e-6),
+        (((0.0, 1.0), (0.0, 12.0)), 1e-300),
+        (((0.0, 1.0), (0.0, 12.0)), 5e-324),
+        (((0.0, 100000.0),), 1.0),  # 100,001 points
+        (((0.0, 1.0),) * 4, None),  # 21**4 points
+    ])
+    def test_a_round_of_too_many_probes_is_refused(self, bounds, step):
+        with pytest.raises(ConfigError, match=r"gives more than 100000 probes per round$"):
+            GridConfig(bounds=bounds, step=step)
+
+    @pytest.mark.parametrize("bounds, step, probes", [
+        (((0.0, 1.0), (0.0, 12.0)), None, 441),  # the CLI's default grid
+        (((0.0, 99999.0),), 1.0, rankopt.MAX_ROUND_PROBES),
+        (((0.0, 1.0),) * 3, None, 21**3),
+    ])
+    def test_a_round_at_or_below_the_bound_is_accepted(self, bounds, step, probes):
+        assert math.prod(GridConfig(bounds=bounds, step=step).points_per_axis()) == probes
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             GridConfig(bounds=((1.0, 0.0),))

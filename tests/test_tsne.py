@@ -350,6 +350,11 @@ class TestTsneConfig:
             TsneConfig(perplexity=1.0)
         with pytest.raises(ConfigError):
             TsneConfig(iterations=0)
+        TsneConfig(iterations=semfuse.tsne.MAX_ITERATIONS)
+        # run_tsne would allocate a trace of iterations + 1 floats
+        for iterations in (semfuse.tsne.MAX_ITERATIONS + 1, 10**12, 10**23):
+            with pytest.raises(ConfigError, match=f"iterations must be <= 1000000, got {iterations}$"):
+                TsneConfig(iterations=iterations)
         with pytest.raises(ConfigError):
             TsneConfig(learning_rate=0.0)
         with pytest.raises(ConfigError):
