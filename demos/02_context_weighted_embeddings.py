@@ -10,13 +10,7 @@ two sentences compare by a plain dot product.
 import numpy as np
 
 from semfuse.corpus import CleanDoc
-from semfuse.embed import (
-    WordVectorTable,
-    embed_sentence,
-    fit_context,
-    sim_cosal,
-    word_salience,
-)
+from semfuse.embed import WordVectorTable, embed_sentence, fit_context, token_saliences
 
 rng = np.random.default_rng(42)
 
@@ -38,8 +32,8 @@ ctx = fit_context(docs, table)
 print(f"context ridge: {ctx.ridge:.6f}")
 
 print("\nword salience in this corpus (higher = more distinctive):")
-for word in vocab:
-    print(f"  {word:10s} {word_salience(word, ctx, table):8.3f}")
+for word, salience in token_saliences(vocab, ctx, table).items():
+    print(f"  {word:10s} {salience:8.3f}")
 
 e1 = embed_sentence(("debt", "ceiling", "vote"), ctx, table)
 e2 = embed_sentence(("budget", "senate", "vote"), ctx, table)
@@ -47,8 +41,8 @@ e3 = embed_sentence(("wildfire",), ctx, table)
 print(f"\nall sentence vectors have unit norm: "
       f"{np.linalg.norm(e1.vector):.6f}, {np.linalg.norm(e2.vector):.6f}")
 
-print(f"\nsim(debt-ceiling-vote, budget-senate-vote) = {sim_cosal(e1.vector, e2.vector):.4f}")
-print(f"sim(debt-ceiling-vote, wildfire)          = {sim_cosal(e1.vector, e3.vector):.4f}")
+print(f"\nsim(debt-ceiling-vote, budget-senate-vote) = {e1.vector @ e2.vector:.4f}")
+print(f"sim(debt-ceiling-vote, wildfire)          = {e1.vector @ e3.vector:.4f}")
 
 # when every usable word has zero salience the embedding falls back to
 # the unweighted mean and flags it; normal sentences never do

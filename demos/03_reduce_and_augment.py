@@ -30,13 +30,13 @@ reduced = transform(model, space)
 print(f"\nreduced space: {reduced.shape[0]}x{reduced.shape[1]}")
 
 features = rng.normal(size=(n, 7))
-augmented = augment(reduced, features, space.ids)
-print(f"augmented space: {augmented.matrix.shape[0]}x{augmented.matrix.shape[1]} "
-      f"(k={augmented.k} text + f={augmented.f} features)")
+augmented, _ = augment(reduced, features)
+print(f"augmented space: {augmented.shape[0]}x{augmented.shape[1]} "
+      f"(k={reduced.shape[1]} text + f={features.shape[1]} features)")
 
 i, j = 0, 1
 print(f"\ncosine before augmentation: {cosine(reduced[i], reduced[j]):+.4f}")
-print(f"cosine after augmentation:  {cosine(augmented.matrix[i], augmented.matrix[j]):+.4f}")
+print(f"cosine after augmentation:  {cosine(augmented[i], augmented[j]):+.4f}")
 
 results = delta_cosine_experiment(space, features, [2, 4, 8, 16], trials=10,
                                   pair_sample_size=200, seed=0)

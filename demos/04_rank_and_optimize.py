@@ -18,8 +18,6 @@ from semfuse.rankopt import (
     pairwise_scores,
     rank_loss,
     rank_matrix,
-    sim_pi,
-    sim_sigma,
 )
 
 dc = GeoPoint(38.9072, -77.0369)
@@ -31,8 +29,10 @@ f2 = (2.0, nyc)
 
 sig = SimilarityParams(kind="sigma", alphas=(0.5, 0.5), dist_kinds=DEFAULT_DIST_KINDS)
 pi = SimilarityParams(kind="pi", alphas=(0.02, 9.55), dist_kinds=DEFAULT_DIST_KINDS)
-print(f"additive score:       {sim_sigma(e1, e2, f1, f2, sig):.4f}")
-print(f"multiplicative score: {sim_pi(e1, e2, f1, f2, pi):.4f}")
+# one pair's score is the off-diagonal cell of a two-record batch
+pair, pair_feats = np.array([e1, e2]), [f1, f2]
+print(f"additive score:       {pairwise_scores(pair, pair_feats, sig)[0, 1]:.4f}")
+print(f"multiplicative score: {pairwise_scores(pair, pair_feats, pi)[0, 1]:.4f}")
 
 # build a batch whose labels come from known weights, then recover them
 rng = np.random.default_rng(19)

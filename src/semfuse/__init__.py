@@ -19,9 +19,7 @@ from .embed import (
     embed_sentence,
     fit_context,
     load_word_vectors,
-    sim_cosal,
     token_saliences,
-    word_salience,
 )
 from .errors import SemfuseError
 from .geotime import GeoPoint, encode_time_cyclical, haversine_miles, standardize
@@ -30,17 +28,15 @@ from .rankopt import (
     RankMatrix,
     SimilarityParams,
     optimize_alphas,
+    pairwise_scores,
     rank_loss,
     rank_matrix,
-    sim_pi,
-    sim_sigma,
 )
-from .spectra import AugmentedSpace, PcaModel, augment, cosine, fit_pca, transform
+from .spectra import PcaModel, augment, cosine, fit_pca, transform
 from .tsne import TsneConfig, run_tsne
 
 __all__ = [
     "__version__",
-    "AugmentedSpace",
     "CleanDoc",
     "ContextModel",
     "EmbeddingSpace",
@@ -66,13 +62,11 @@ __all__ = [
     "load_corpus",
     "load_word_vectors",
     "optimize_alphas",
+    "pairwise_scores",
     "preprocess",
     "rank_loss",
     "rank_matrix",
     "run_tsne",
-    "sim_cosal",
-    "sim_pi",
-    "sim_sigma",
     "standardize",
     "token_saliences",
     "transform",

@@ -63,6 +63,7 @@ from .rankopt import (
     SIM_KINDS,
     SimilarityParams,
     batch_features,
+    check_axis_counts,
     load_rank_labels,
     optimize_alphas,
     pairwise_scores,
@@ -430,17 +431,17 @@ def cmd_augment(run: Run) -> tuple[dict, str]:
             f"{reduced_path} has {reduced.matrix.shape[0]} rows but "
             f"{features_path} has {features.shape[0]} rows"
         )
-    augmented = augment(reduced.matrix, features, reduced.ids)
-    export_embeddings(EmbeddingSpace(augmented.ids, augmented.matrix), run.path_out(AUGMENTED))
+    matrix, stats = augment(reduced.matrix, features)
+    export_embeddings(EmbeddingSpace(reduced.ids, matrix), run.path_out(AUGMENTED))
     params = {
-        "k": augmented.k,
-        "f": augmented.f,
+        "k": reduced.dim,
+        "f": features.shape[1],
         "variant": variant,
-        "feature_means": [float(v) for v in augmented.stats.means],
-        "feature_stds": [float(v) for v in augmented.stats.stds],
-        "constant_mask": [bool(v) for v in augmented.stats.constant_mask],
+        "feature_means": stats.means.tolist(),
+        "feature_stds": stats.stds.tolist(),
+        "constant_mask": stats.constant_mask.tolist(),
     }
-    return params, f"{augmented.k}+{augmented.f} columns"
+    return params, f"{reduced.dim}+{features.shape[1]} columns"
 
 
 def cmd_score(run: Run) -> tuple[dict, str]:
@@ -452,11 +453,11 @@ def cmd_score(run: Run) -> tuple[dict, str]:
 
 
 def cmd_optimize(run: Run) -> tuple[dict, str]:
-    labels_path = run.value("labels")
+    labels = load_rank_labels(run.value("labels"))
     records, space = _records_and_space(run)
-    labels = load_rank_labels(labels_path)
-    kind, dist_kinds = run.value("kind"), run.value("dist_kinds")
-    cfg = GridConfig(**{key: run.value(key) for key in ("bounds", "step", "shrink", "rounds")})
+    kind, dist_kinds, bounds = (run.value(key) for key in ("kind", "dist_kinds", "bounds"))
+    check_axis_counts(dist_kinds, bounds)  # before GridConfig counts the probes of a round
+    cfg = GridConfig(bounds, *(run.value(key) for key in ("step", "shrink", "rounds")))
     fit, loss, trace = optimize_alphas(space.matrix, batch_features(records), labels, kind, dist_kinds, cfg)
     save_trace_csv(trace, run.path_out(OPTIMIZE_TRACE))
     best = {f"alpha{i}": a for i, a in enumerate(fit.alphas, start=1)}
@@ -492,9 +493,8 @@ def cmd_eval(run: Run) -> tuple[dict, str]:
         rows = [("top_pair_quality", quality), ("n_labels", len(labels)), ("top_n", top_n)]
         summary = f"top_pair_quality {quality!r} over top {top_n} of {len(labels)} pairs"
     else:
-        pred_path, labels_path = run.value("pred"), run.value("labels")
-        pred = load_rank_labels(pred_path)
-        report = compare_rankings(pred, load_rank_labels(labels_path))
+        pred = load_rank_labels(run.value("pred"))
+        report = compare_rankings(pred, load_rank_labels(run.value("labels")))
         save_rank_heatmap(pred, run.path_out(HEATMAP_CSV))
         rows = [("rank_loss", report.loss), ("n_uniform_columns", len(report.uniform_columns)),
                 ("mean_column_entropy_bits", float(np.mean(report.column_entropy)))]

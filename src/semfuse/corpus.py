@@ -26,7 +26,7 @@ from .errors import (
     UnknownKeyError,
 )
 from .geotime import GeoPoint
-from .stopwords import DEFAULT_STOPWORDS, load_stopwords  # noqa: F401  (re-export)
+from .stopwords import DEFAULT_STOPWORDS
 from .table import open_text, parse_rows
 
 CORPUS_FORMATS = ("csv", "tsv", "jsonl")

@@ -39,12 +39,6 @@ class WordVectorTable:
         if self.dim < 2:
             raise DomainError(f"word vectors must have dim >= 2, got {self.dim}")
 
-    def vector(self, token: str) -> np.ndarray:
-        try:
-            return self.vectors[token]
-        except KeyError:
-            raise UnknownKeyError(token, f"token {token!r} not in vocabulary") from None
-
 
 @dataclass(frozen=True)
 class ContextModel:
@@ -75,33 +69,12 @@ class ContextModel:
         return self.covariance + self.ridge * np.eye(self.covariance.shape[0])
 
 
-class RowLookup:
-    """Row-by-id access for a space with `ids` and `matrix`.
-
-    The id -> row index is built once, on the first lookup. A repeated id
-    resolves to its first row.
-    """
-
-    @cached_property
-    def _row_of(self) -> dict[str, int]:
-        index: dict[str, int] = {}
-        for i, rid in enumerate(self.ids):
-            index.setdefault(rid, i)
-        return index
-
-    def row_index(self, record_id: str) -> int:
-        try:
-            return self._row_of[record_id]
-        except KeyError:
-            raise UnknownKeyError(record_id, f"id {record_id!r} not in embedding space") from None
-
-    def row(self, record_id: str) -> np.ndarray:
-        return self.matrix[self.row_index(record_id)]
-
-
 @dataclass(frozen=True, eq=False)
-class EmbeddingSpace(RowLookup):
-    """Ordered ids with their embedding rows."""
+class EmbeddingSpace:
+    """Ordered, distinct ids with their embedding rows.
+
+    The id -> row index is built once, on the first lookup.
+    """
 
     ids: tuple[str, ...]
     matrix: np.ndarray
@@ -119,6 +92,19 @@ class EmbeddingSpace(RowLookup):
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
+
+    @cached_property
+    def _row_of(self) -> dict[str, int]:
+        return {rid: i for i, rid in enumerate(self.ids)}
+
+    def row_index(self, record_id: str) -> int:
+        try:
+            return self._row_of[record_id]
+        except KeyError:
+            raise UnknownKeyError(record_id, f"id {record_id!r} not in embedding space") from None
+
+    def row(self, record_id: str) -> np.ndarray:
+        return self.matrix[self.row_index(record_id)]
 
 
 @dataclass(frozen=True)
@@ -237,12 +223,6 @@ def token_saliences(
     return saliences
 
 
-def word_salience(token: str, ctx: ContextModel, table: WordVectorTable) -> float:
-    """Mahalanobis distance of a token's vector from the context mean."""
-    table.vector(token)  # raises UnknownKeyError for an unknown token
-    return token_saliences([token], ctx, table)[token]
-
-
 def embed_sentence(
     tokens: Sequence[str],
     ctx: ContextModel,
@@ -273,15 +253,6 @@ def embed_sentence(
     if norm == 0.0:
         raise DomainError("sentence vector is zero; cannot normalize")
     return SentenceEmbedding(vector=mean / norm, fallback=fallback)
-
-
-def sim_cosal(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot-product similarity of two embeddings."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DomainError(f"embedding dimensions differ: {a.shape} vs {b.shape}")
-    return float(a @ b)
 
 
 def embed_corpus(

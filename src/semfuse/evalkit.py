@@ -20,7 +20,7 @@ import numpy as np
 from .embed import EmbeddingSpace
 from .errors import DomainError, FormatError, RowError, SchemaError, UnknownKeyError
 from .rankopt import RankMatrix, rank_loss
-from .spectra import AugmentedSpace, _pairwise_cosines, augment, fit_pca_models, transform
+from .spectra import _pairwise_cosines, augment, fit_pca_models, transform
 from .spectra import fit_pca  # noqa: F401  # kept in this namespace: bench/tracer.py patches it
 from .table import filled_rows, open_text, parse_floats, write_table
 
@@ -113,7 +113,7 @@ def load_labels(
 
 
 def top_pair_quality(
-    space: EmbeddingSpace | AugmentedSpace,
+    space: EmbeddingSpace,
     labels: Sequence[LabeledPair],
     top_n: int,
 ) -> float:
@@ -149,15 +149,10 @@ def component_sweep(
     """
     reduced_by_k = [transform(model, space) for model in fit_pca_models(space, k_list)]
     cells = []
-    for variant in SWEEP_VARIANTS:
+    for variant, features in zip(SWEEP_VARIANTS, (features_all, features_condensed, None)):
         for k, reduced in zip(k_list, reduced_by_k):
-            if variant == "all_features":
-                candidate = augment(reduced, features_all, space.ids)
-            elif variant == "condensed_time":
-                candidate = augment(reduced, features_condensed, space.ids)
-            else:
-                candidate = EmbeddingSpace(ids=space.ids, matrix=reduced)
-            mean_label = top_pair_quality(candidate, labels, top_n)
+            matrix = reduced if features is None else augment(reduced, features)[0]
+            mean_label = top_pair_quality(EmbeddingSpace(ids=space.ids, matrix=matrix), labels, top_n)
             cells.append(
                 SweepCell(variant=variant, k=int(k), mean_label=mean_label, n_pairs=top_n)
             )

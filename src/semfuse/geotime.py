@@ -87,13 +87,6 @@ def encode_time_cyclical(t: float) -> TemporalEncoding:
     )
 
 
-def encode_time_condensed(t: float) -> float:
-    """Represent a timestamp as the single scalar value of its epoch seconds."""
-    if t < 0:
-        raise DomainError(f"timestamp {t} is negative")
-    return float(t)
-
-
 def great_circle_miles(lat1, lon1, lat2, lon2):
     """Haversine miles on a spherical Earth between points in degrees; broadcasts."""
     lat1, lon1, lat2, lon2 = (np.radians(np.asarray(v, dtype=float)) for v in (lat1, lon1, lat2, lon2))
@@ -150,9 +143,7 @@ def build_feature_matrix(records: Sequence["Record"], variant: str) -> np.ndarra
                  enc.years_linear, record.coords.lat, record.coords.lon]
             )
         else:
-            rows.append(
-                [encode_time_condensed(record.timestamp), record.coords.lat, record.coords.lon]
-            )
+            rows.append([float(record.timestamp), record.coords.lat, record.coords.lon])
     return np.array(rows, dtype=float).reshape(len(rows), len(FEATURE_COLUMNS[variant]))
 
 

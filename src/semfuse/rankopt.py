@@ -4,8 +4,8 @@ Two scorers extend the dot product with weighted distance kernels over
 extra per-record features (time in days, coordinates): an additive form
 and a multiplicative form. `pairwise_scores` is the one scorer: it
 composes the scores into the dot-product matrix a row block at a time,
-from each kernel's upper-triangle block, and the per-pair
-`sim_sigma`/`sim_pi` read one cell of a two-record batch.
+from each kernel's upper-triangle block; one pair's score is a cell of
+a two-record batch.
 Batches are compared through ranking matrices, and the kernel weights are
 fit by a deterministic shrinking-grid search over the weight space, since
 the ranking loss is piecewise constant and has no usable gradient. The
@@ -104,22 +104,6 @@ class SimilarityParams:
         for dk in self.dist_kinds:
             if dk not in DIST_KINDS:
                 raise DomainError(f"unknown distance kind {dk!r}; expected one of {DIST_KINDS}")
-
-
-def _pair_score(kind: str, e1, e2, feats1, feats2, p: SimilarityParams) -> float:
-    if p.kind != kind:
-        raise DomainError(f"sim_{kind} called with kind {p.kind!r}")
-    return float(pairwise_scores(np.array([e1, e2], dtype=float), [feats1, feats2], p)[0, 1])
-
-
-def sim_sigma(e1, e2, feats1, feats2, p: SimilarityParams) -> float:
-    """Additive scorer: e1.e2 + sum_i alpha_i * d_i."""
-    return _pair_score("sigma", e1, e2, feats1, feats2, p)
-
-
-def sim_pi(e1, e2, feats1, feats2, p: SimilarityParams) -> float:
-    """Multiplicative scorer: (e1.e2) * prod_i (alpha_i + d_i)."""
-    return _pair_score("pi", e1, e2, feats1, feats2, p)
 
 
 def batch_features(records: Sequence[Record]) -> list[tuple]:
@@ -265,8 +249,6 @@ def _kernel_columns(features: Sequence[tuple], dist_kinds: Sequence[str]) -> lis
 
 
 def _kernel_column(column: list, kind: str, position: int) -> np.ndarray:
-    if kind not in _KERNELS:
-        raise DomainError(f"unknown distance kind {kind!r}; expected one of {DIST_KINDS}")
     # floor_geo reads coordinates, the other kinds read day numbers
     wants_coords = kind == "floor_geo"
     for value in column:
@@ -388,8 +370,7 @@ def optimize_alphas(
     m = embeddings.shape[0]
     dist_kinds = tuple(dist_kinds)
     n = len(dist_kinds)
-    if len(cfg.bounds) != n or any(len(feats) != n for feats in features):
-        raise ConfigError(f"each of {n} distance kinds needs one bound and one feature per record")
+    check_axis_counts(dist_kinds, cfg.bounds, features)
     if labels.m != m:
         raise DomainError(f"label matrix is {labels.m}x{labels.m} for batch size {m}")
     if not RECOMMENDED_BATCH[0] <= m <= RECOMMENDED_BATCH[1]:
@@ -399,8 +380,8 @@ def optimize_alphas(
             stacklevel=2,
         )
 
+    SimilarityParams(kind=kind, alphas=(0.0,) * n, dist_kinds=dist_kinds)  # validates the kinds
     kernels = _kernel_blocks(_kernel_columns(features, dist_kinds), 0, m)
-    SimilarityParams(kind=kind, alphas=(0.0,) * n, dist_kinds=dist_kinds)  # validates kind
     dots = embeddings @ embeddings.T
     chunk = max(1, _CHUNK_CELLS // (m * m))
 
@@ -420,7 +401,7 @@ def optimize_alphas(
             # can never be worse than the initial grid center
             grid = np.vstack([center, grid])
         losses = np.concatenate([
-            _stack_losses(_compose_scores(dots, kernels, kind, grid[start:start + chunk]), labels.entries)
+            _probe_losses(dots, kernels, kind, grid[start:start + chunk], labels.entries)
             for start in range(0, len(grid), chunk)
         ])
         probes = grid.tolist()
@@ -435,6 +416,27 @@ def optimize_alphas(
 
     params = SimilarityParams(kind=kind, alphas=best_alphas, dist_kinds=dist_kinds)
     return params, best_loss, trace
+
+
+def check_axis_counts(dist_kinds: Sequence[str], bounds: Sequence, features: Sequence[tuple] = ()) -> None:
+    """Raise ConfigError unless each distance kind has one bound and one feature per record."""
+    n = len(dist_kinds)
+    if len(bounds) != n or any(len(feats) != n for feats in features):
+        raise ConfigError(f"each of {n} distance kinds needs one bound and one feature per record")
+
+
+def _probe_losses(dots: np.ndarray, kernels: Sequence[np.ndarray], kind: str, probes: np.ndarray,
+                  labeled: np.ndarray) -> np.ndarray:
+    # _stack_losses of each probe's scores. Only when the stack holds a
+    # non-finite score are they composed again, to name the first such probe.
+    try:
+        return _stack_losses(_compose_scores(dots, kernels, kind, probes), labeled)
+    except DomainError:
+        finite = np.isfinite(_compose_scores(dots, kernels, kind, probes)).all(axis=(-2, -1))
+        if finite.all():
+            raise
+        alphas = tuple(probes[np.argmin(finite)].tolist())
+        raise DomainError(f"kind {kind!r} with alphas {alphas} gives non-finite scores") from None
 
 
 def save_trace_csv(trace: Sequence[tuple], path: str | Path) -> None:

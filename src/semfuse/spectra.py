@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embed import EmbeddingSpace, RowLookup
+from .embed import EmbeddingSpace
 from .errors import DomainError
 from .geotime import StandardizationStats, standardize
 from .table import write_table
@@ -44,28 +44,6 @@ class PcaModel:
     @property
     def k(self) -> int:
         return self.components.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class AugmentedSpace(RowLookup):
-    """Reduced text columns followed by standardized feature columns.
-
-    Column layout is [k text dims | f feature dims]; stats describes the
-    standardization applied to the feature block.
-    """
-
-    ids: tuple[str, ...]
-    matrix: np.ndarray
-    k: int
-    f: int
-    stats: StandardizationStats
-
-    def __post_init__(self):
-        if self.matrix.shape != (len(self.ids), self.k + self.f):
-            raise DomainError(
-                f"matrix shape {self.matrix.shape} does not match "
-                f"{len(self.ids)} ids with k={self.k}, f={self.f}"
-            )
 
 
 def fit_pca(space: EmbeddingSpace | np.ndarray, k: int) -> PcaModel:
@@ -125,24 +103,16 @@ def transform(model: PcaModel, space: EmbeddingSpace | np.ndarray) -> np.ndarray
     return (matrix - model.mean) @ model.components.T
 
 
-def augment(reduced: np.ndarray, features: np.ndarray, ids: Sequence[str]) -> AugmentedSpace:
-    """Standardize the feature block and append it after the text columns."""
+def augment(reduced: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, StandardizationStats]:
+    """The text columns, then the standardized feature columns; returns that matrix and the features' stats."""
     reduced = np.asarray(reduced, dtype=float)
     features = np.asarray(features, dtype=float)
     if reduced.shape[0] != features.shape[0]:
         raise DomainError(
             f"row counts differ: {reduced.shape[0]} reduced vs {features.shape[0]} features"
         )
-    if reduced.shape[0] != len(ids):
-        raise DomainError(f"{reduced.shape[0]} rows for {len(ids)} ids")
     z, stats = standardize(features)
-    return AugmentedSpace(
-        ids=tuple(ids),
-        matrix=np.hstack([reduced, z]),
-        k=reduced.shape[1],
-        f=features.shape[1],
-        stats=stats,
-    )
+    return np.hstack([reduced, z]), stats
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -207,10 +177,10 @@ def delta_cosine_experiment(
     results = []
     for k, model in zip(k_list, fit_pca_models(space, k_list)):
         reduced = transform(model, space)
-        augmented = augment(reduced, features, space.ids)
+        augmented, _ = augment(reduced, features)
         trial_means = np.empty(trials)
         for trial, (i, j) in enumerate(trial_pairs):
-            deltas = np.abs(_pairwise_cosines(augmented.matrix, i, j) - baseline[trial])
+            deltas = np.abs(_pairwise_cosines(augmented, i, j) - baseline[trial])
             trial_means[trial] = deltas.mean()
         stderr = float(trial_means.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
         results.append(

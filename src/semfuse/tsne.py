@@ -86,25 +86,6 @@ class TsneConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class AffinityModel:
-    """Symmetric joint affinities with the bandwidths that produced them."""
-
-    P: np.ndarray
-    sigmas: np.ndarray | None = None
-
-    def __post_init__(self):
-        P = self.P
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise DomainError(f"P must be square, got shape {P.shape}")
-        if np.any(P < 0) or np.any(np.diag(P) != 0):
-            raise DomainError("P must be nonnegative with a zero diagonal")
-        if not np.allclose(P, P.T, atol=1e-12, rtol=0.0):
-            raise DomainError("P is not symmetric")
-        if abs(float(P.sum()) - 1.0) > 1e-9:
-            raise DomainError(f"P sums to {float(P.sum())}, expected 1")
-
-
-@dataclass(frozen=True, eq=False)
 class TsneResult:
     coords: np.ndarray
     kl_trace: np.ndarray
@@ -220,13 +201,13 @@ def conditional_p(sq_distances: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     return _row_conditionals(d2, beta, np.arange(d2.shape[0]))
 
 
-def symmetrize(pcond: np.ndarray, sigmas: np.ndarray | None = None) -> AffinityModel:
-    """Joint affinities P = (Pcond + Pcond.T) / 2n, summing to 1."""
+def symmetrize(pcond: np.ndarray) -> np.ndarray:
+    """Joint affinities P = (Pcond + Pcond.T) / 2n, summing to 1, with a zero diagonal."""
     pcond = np.asarray(pcond, dtype=float)
     n = pcond.shape[0]
     P = (pcond + pcond.T) / (2.0 * n)
     np.fill_diagonal(P, 0.0)
-    return AffinityModel(P=P, sigmas=sigmas)
+    return P
 
 
 def _p_terms(P: np.ndarray, exaggeration: float) -> tuple[float, np.ndarray, bool]:
@@ -451,7 +432,7 @@ def run_tsne(
     P = conditional_p(d2, sigmas)
     del d2
     if cfg.cost == "joint":
-        P = symmetrize(P, sigmas).P
+        P = symmetrize(P)
 
     if init is None:
         rng = np.random.default_rng(cfg.seed)

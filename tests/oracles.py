@@ -3,12 +3,13 @@
 The per-pair scorer, the sort-based ranker and the two-axis grid walk are
 what `semfuse.rankopt` used before it computed everything on matrices.
 They use only the standard library per pair, so a fault in the numpy path
-cannot hide in its own reference. `optimize_trace` is the grid search as
+cannot hide in its own reference; `pair_score` is the reference for one
+cell of a `pairwise_scores` batch. `optimize_trace` is the grid search as
 it was before it scored each round as one stack: one `pairwise_scores`,
 `rank_matrix` and `rank_loss` per probe. `word_salience` is the salience
 of one token occurrence with a solve of its own, as `semfuse.embed`
-computed it before one solve served every distinct token.
-`tsne_descent` is the t-SNE descent as it was when each iteration made
+computed it before one solve of `token_saliences` served every distinct
+token. `tsne_descent` is the t-SNE descent as it was when each iteration made
 two full cost and gradient evaluations: one against P for the trace, one
 against the exaggerated P for the step; it takes the cost function to
 call. `whole_matrix_cost_and_grad` is `semfuse.tsne.tsne_cost_and_grad`
@@ -224,7 +225,7 @@ def optimize_trace(embeddings, features, labels, kind, dist_kinds, cfg):
 
 def word_salience(token, ctx, table) -> float:
     """Mahalanobis distance from the context mean, one solve per call."""
-    residual = table.vector(token) - ctx.mean
+    residual = table.vectors[token] - ctx.mean
     if not residual.any():
         return 0.0
     try:
@@ -574,7 +575,7 @@ def tsne_descent(space, cfg, cost_and_grad) -> TsneResult:
     d2 = pairwise_sq_distances(X)
     sigmas = calibrate_sigmas(d2, effective)
     pcond = conditional_p(d2, sigmas)
-    P = symmetrize(pcond, sigmas).P if cfg.cost == "joint" else pcond
+    P = symmetrize(pcond) if cfg.cost == "joint" else pcond
     Y = np.random.default_rng(cfg.seed).normal(0.0, 1e-2, size=(n, 2))
     velocity = np.zeros_like(Y)
     gains = np.ones_like(Y)

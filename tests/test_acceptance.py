@@ -30,7 +30,6 @@ from semfuse.rankopt import (
     pairwise_scores,
     rank_loss,
     rank_matrix,
-    sim_pi,
 )
 from semfuse.spectra import delta_cosine_experiment, fit_pca
 from semfuse.corpus import Record
@@ -100,7 +99,7 @@ def test_2_multiplicative_scorer_hand_fidelity(announce):
         e2 = (math.cos(theta), math.sin(theta))
         f1 = (0.0, origin)
         f2 = (days, equator_point_at(miles))
-        got = sim_pi(e1, e2, f1, f2, params)
+        got = pairwise_scores(np.array([e1, e2]), [f1, f2], params)[0, 1]
         # independent arithmetic: spherical law of cosines for the distance,
         # explicit kernel formulas for everything else
         lam = math.radians(f2[1].lon)

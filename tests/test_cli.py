@@ -812,17 +812,22 @@ class TestNonFiniteFlags:
 class TestWorkOutOfRange:
     """Weights that overflow the scores, or a grid too fine to hold, fail in one line and write nothing."""
 
+    # (command, the error after "error: ", the output it must not write); optimize names the first
+    # probe of its grid, in trace order, whose scores overflow
     CASES = {
         "score alphas": (["score", "--alphas", "1e300,1e300"],
-                         "kind 'pi' with alphas (1e+300, 1e+300) gives non-finite scores"),
-        "optimize bounds": (["optimize", "--bounds", "0:1e300,0:1e300"], "score matrix has non-finite entries"),
+                         "kind 'pi' with alphas (1e+300, 1e+300) gives non-finite scores",
+                         "scores.csv"),
+        "optimize bounds": (["optimize", "--bounds", "0:1e300,0:1e300"],
+                            "kind 'pi' with alphas (5e+298, 5e+298) gives non-finite scores",
+                            "optimize_trace.csv"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_overflowing_weights_exit_2_with_nothing_else_on_stderr(self, staged_out, pipeline_fixture, tmp_path,
                                                                    case):
         # in a process of its own, where a numpy warning would print rather than raise
-        argv, message = self.CASES[case]
+        argv, message, written = self.CASES[case]
         if argv[0] == "optimize":
             argv = argv + ["--labels", str(pipeline_fixture["rank_labels"])]
         out = tmp_path / "out"
@@ -834,7 +839,7 @@ class TestWorkOutOfRange:
         done = subprocess.run([sys.executable, "-m", "semfuse", "--out-dir", str(out)] + argv, env=env,
                               capture_output=True, text=True, timeout=120)
         assert (done.returncode, done.stderr) == (2, f"error: {message}\n")
-        assert not (out / "scores.csv").exists()
+        assert not (out / written).exists()
         assert directory_bytes(out) == before
 
     @pytest.mark.parametrize("step", ["1e-6", "1e-300", "1e-320"])
@@ -874,6 +879,10 @@ class TestSettingErrors:
         "huge learning rate": (["tsne"], "learning_rate", "1e308", "coordinates diverged at iteration 0"),
         "huge iterations": (["tsne"], "iterations", "99999999999999999999999",
                             "iterations must be <= 1000000, got 99999999999999999999999"),
+        # checked before the grid, whose four 21-point axes would hold too many probes per round
+        "bounds for other distance kinds": (["optimize", "--labels", "{rank_labels}"], "bounds",
+                                            "0:1,0:1,0:1,0:1",
+                                            "each of 2 distance kinds needs one bound and one feature per record"),
         "repeated k, delta": (["sweep", "--mode", "delta", "--pairs", "20"], "k_list", "4,2,4",
                               "k=4 is repeated in the component counts"),
         # a choice is checked where it is used, so a flag fails as a config key does
@@ -895,11 +904,11 @@ class TestSettingErrors:
 
     @pytest.mark.parametrize("given", ["flag", "config"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_exits_2_with_one_error_line(self, staged_out, tmp_path, capsys, case, given):
+    def test_exits_2_with_one_error_line(self, staged_out, pipeline_fixture, tmp_path, capsys, case, given):
         stage, key, text, message = self.CASES[case]
         out = tmp_path / "out"
         shutil.copytree(staged_out, out)
-        stage = [arg.format(out=out) for arg in stage]
+        stage = [arg.format(out=out, **pipeline_fixture) for arg in stage]
         before = directory_bytes(out)
         argv = ["--out-dir", str(out)]
         if given == "config":

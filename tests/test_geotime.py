@@ -11,7 +11,6 @@ from semfuse.geotime import (
     EARTH_RADIUS_MILES,
     GeoPoint,
     build_feature_matrix,
-    encode_time_condensed,
     encode_time_cyclical,
     haversine_miles,
     load_feature_matrix,
@@ -78,14 +77,18 @@ class TestCyclicalEncoding:
 
 
 class TestCondensedEncoding:
+    """The condensed_time variant's time column is the timestamp in seconds."""
+
     def test_identity_values(self):
-        assert encode_time_condensed(0) == 0.0
-        assert encode_time_condensed(86400) == 86400.0
-        assert encode_time_condensed(1312200000) == 1312200000.0
+        stamps = (0, 86400, 1312200000)
+        records = [Record(f"r{t}", "x", t, coords=GeoPoint(12.5, -33.25)) for t in stamps]
+        m = build_feature_matrix(records, "condensed_time")
+        assert m[:, 0].tolist() == [0.0, 86400.0, 1312200000.0]
 
     def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            encode_time_condensed(-1)
+        # a record refuses a negative timestamp, so none reaches the time column
+        with pytest.raises(DomainError, match=r"^record 'a': timestamp -1 is negative$"):
+            Record("a", "x", -1, coords=GeoPoint(12.5, -33.25))
 
 
 class TestHaversine:

@@ -42,3 +42,13 @@ def test_the_check_finds_an_unused_import():
               "from json import dumps, loads\nfrom csv import reader  # noqa: F401  (re-export)\n"
               "from decimal import Decimal\n\n\ndef half(x: \"Decimal\") -> None:\n    sys.exit(loads('0'))\n")
     assert unused_imports(source) == ["os", "os", "dumps"]
+
+
+def test_the_public_names_are_the_ones_listed():
+    # every name in __all__ resolves, and every public name __init__ imports is listed there
+    assert [name for name in semfuse.__all__ if not hasattr(semfuse, name)] == []
+    tree = ast.parse(Path(semfuse.__file__).read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    public = sorted(name for name in imported if not name.startswith("_"))
+    assert public == sorted(name for name in semfuse.__all__ if name != "__version__")

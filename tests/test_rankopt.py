@@ -38,8 +38,6 @@ from semfuse.rankopt import (
     rank_matrix,
     save_score_matrix,
     save_trace_csv,
-    sim_pi,
-    sim_sigma,
 )
 
 
@@ -96,20 +94,27 @@ class TestDistanceKernels:
         assert 0.0 <= far <= near <= 1.0
 
 
+def pair_score(e1, e2, feats1, feats2, p: SimilarityParams) -> float:
+    """The score of one pair: the off-diagonal cell of a two-record batch, checked against the oracle."""
+    got = float(pairwise_scores(np.array([e1, e2]), [feats1, feats2], p)[0, 1])
+    assert got == pytest.approx(oracles.pair_score(e1, e2, feats1, feats2, p), rel=1e-14, abs=1e-14)
+    return got
+
+
 class TestSimilarityFunctions:
     def test_sigma_zero_alpha_reduces_to_dot(self):
         p = SimilarityParams("sigma", (0.0, 0.0), DEFAULT_DIST_KINDS)
         e1, e2 = np.array([0.6, 0.8]), np.array([0.8, 0.6])
         feats1 = (0.0, ORIGIN)
         feats2 = (5.0, equator_point_at(1000.0))
-        assert sim_sigma(e1, e2, feats1, feats2, p) == pytest.approx(0.96, abs=1e-12)
+        assert pair_score(e1, e2, feats1, feats2, p) == pytest.approx(0.96, abs=1e-12)
 
     def test_sigma_forced_arithmetic(self):
         p = SimilarityParams("sigma", (1.0, 1.0), DEFAULT_DIST_KINDS)
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.5, math.sqrt(0.75)])
         same = (3.0, ORIGIN)
-        assert sim_sigma(e1, e2, same, same, p) == pytest.approx(2.5, abs=1e-12)
+        assert pair_score(e1, e2, same, same, p) == pytest.approx(2.5, abs=1e-12)
 
     def test_sigma_hand_value(self):
         # dot 0.3, d1 = 1/(3+1) = 0.25, d2 = 0.1 at 4999 miles
@@ -118,20 +123,20 @@ class TestSimilarityFunctions:
         e2 = np.array([0.3, math.sqrt(0.91)])
         feats1 = (0.0, ORIGIN)
         feats2 = (3.0, equator_point_at(4999.0))
-        got = sim_sigma(e1, e2, feats1, feats2, p)
+        got = pair_score(e1, e2, feats1, feats2, p)
         assert got == pytest.approx(0.3 + 0.125 + 0.2, abs=1e-9)
 
     def test_pi_unit_factors_reduce_to_dot(self):
         p = SimilarityParams("pi", (0.0, 0.0), DEFAULT_DIST_KINDS)
         e1, e2 = np.array([0.6, 0.8]), np.array([0.8, 0.6])
         same = (2.0, ORIGIN)  # both kernels give 1 at zero gap
-        assert sim_pi(e1, e2, same, same, p) == pytest.approx(0.96, abs=1e-12)
+        assert pair_score(e1, e2, same, same, p) == pytest.approx(0.96, abs=1e-12)
 
     def test_pi_reference_weights_same_day_same_place(self):
         p = SimilarityParams("pi", (0.02, 9.55), DEFAULT_DIST_KINDS)
         e = np.array([1.0, 0.0])
         same = (7.0, ORIGIN)
-        assert sim_pi(e, e, same, same, p) == pytest.approx(10.761, abs=1e-9)
+        assert pair_score(e, e, same, same, p) == pytest.approx(10.761, abs=1e-9)
 
     def test_pi_hand_value(self):
         # dot 0.4, d1 = 0.5 one day apart, d2 = 0.1 at 4999 miles
@@ -140,15 +145,15 @@ class TestSimilarityFunctions:
         e2 = np.array([0.4, math.sqrt(0.84)])
         feats1 = (0.0, ORIGIN)
         feats2 = (1.0, equator_point_at(4999.0))
-        got = sim_pi(e1, e2, feats1, feats2, p)
+        got = pair_score(e1, e2, feats1, feats2, p)
         assert got == pytest.approx(0.4 * 0.52 * 9.65, abs=1e-9)
         assert got == pytest.approx(2.0072, abs=1e-9)
 
     def test_feature_count_mismatch(self):
         p = SimilarityParams("sigma", (1.0, 1.0), DEFAULT_DIST_KINDS)
         e = np.array([1.0, 0.0])
-        with pytest.raises(DomainError):
-            sim_sigma(e, e, (1.0,), (1.0,), p)
+        with pytest.raises(DomainError, match=r"^every record needs 2 features, one per alpha$"):
+            pairwise_scores(np.array([e, e]), [(1.0,), (1.0,)], p)
 
 
 class TestBatchFeatures:
@@ -322,6 +327,15 @@ class TestOptimizeAlphas:
         with pytest.raises(ConfigError):
             optimize_alphas(emb, feats, labels, "pi", ("inv_abs",), cfg)
 
+    def test_each_distance_kind_needs_one_bound_and_one_feature(self):
+        # the CLI checks the bounds alone, before GridConfig counts the probes of a round
+        message = "^each of 2 distance kinds needs one bound and one feature per record$"
+        with pytest.raises(ConfigError, match=message):
+            rankopt.check_axis_counts(DEFAULT_DIST_KINDS, ((0.0, 1.0),) * 4)
+        with pytest.raises(ConfigError, match=message):
+            rankopt.check_axis_counts(DEFAULT_DIST_KINDS, ((0.0, 1.0),) * 2, [(1.0,)])
+        rankopt.check_axis_counts(DEFAULT_DIST_KINDS, ((0.0, 1.0),) * 2, [(1.0, ORIGIN)])
+
     def test_trace_csv(self, tmp_path):
         trace = [(1, 0.5, 5.0, 3.0), (2, 0.25, 2.5, 1.0)]
         p = tmp_path / "trace.csv"
@@ -491,6 +505,24 @@ class TestStackedSearch:
         cfg = GridConfig(bounds=((0.0, 1.7e308), (0.0, 1.7e308)), rounds=1)
         with pytest.raises(DomainError, match="non-finite"):
             optimize_alphas(emb, feats, labels, "sigma", DEFAULT_DIST_KINDS, cfg)
+
+    @pytest.mark.parametrize("kind, top", [("sigma", 1.7e308), ("pi", 1e300)])
+    def test_the_first_non_finite_probe_is_named(self, kind, top):
+        # the first probe of the grid, alpha1 slowest, whose own score matrix pairwise_scores refuses
+        emb, feats, labels = fitted_batch(10, 53, DEFAULT_DIST_KINDS, kind)
+        axis = np.linspace(0.0, top, 21).tolist()
+
+        def refused(alphas):
+            try:
+                pairwise_scores(emb, feats, SimilarityParams(kind, alphas, DEFAULT_DIST_KINDS))
+            except DomainError:
+                return True
+            return False
+
+        first = next(alphas for alphas in itertools.product(axis, axis) if refused(alphas))
+        cfg = GridConfig(bounds=((0.0, top), (0.0, top)), rounds=1)
+        with pytest.raises(DomainError, match=f"^{re.escape(f'kind {kind!r} with alphas {first}')} gives non-finite"):
+            optimize_alphas(emb, feats, labels, kind, DEFAULT_DIST_KINDS, cfg)
 
     def test_unknown_kind_rejected(self):
         emb, feats, labels = fitted_batch(10, 54, DEFAULT_DIST_KINDS, "sigma")
@@ -687,11 +719,12 @@ class TestPairwiseScores:
             pairwise_scores(emb, feats, SimilarityParams("pi", (0.3, 4.0), kinds))
 
     def test_sim_functions_read_the_matrix(self):
+        # one pair's score, from a two-record batch, is its cell of the full matrix
         emb, feats = synthetic_batch(4, 12)
-        for kind, fn in (("sigma", sim_sigma), ("pi", sim_pi)):
+        for kind in ("sigma", "pi"):
             p = SimilarityParams(kind, (0.3, 4.0), DEFAULT_DIST_KINDS)
             scores = pairwise_scores(emb, feats, p)
-            got = fn(emb[1], emb[3], feats[1], feats[3], p)
+            got = pair_score(emb[1], emb[3], feats[1], feats[3], p)
             assert got == pytest.approx(scores[1, 3], rel=1e-14, abs=1e-14)
 
     def test_symmetric_and_diagonal_free_usage(self):
@@ -702,7 +735,7 @@ class TestPairwiseScores:
         for i in range(6):
             for j in range(6):
                 if i != j:
-                    expect = sim_pi(emb[i], emb[j], feats[i], feats[j], p)
+                    expect = oracles.pair_score(emb[i], emb[j], feats[i], feats[j], p)
                     assert scores[i, j] == pytest.approx(expect, abs=1e-12)
 
 

@@ -180,45 +180,42 @@ class TestTransform:
 class TestAugment:
     def test_shape(self):
         rng = np.random.default_rng(0)
-        ids = tuple(f"r{i}" for i in range(100))
-        out = augment(rng.normal(size=(100, 8)), rng.normal(size=(100, 7)), ids)
-        assert out.matrix.shape == (100, 15)
-        assert out.k == 8 and out.f == 7
+        reduced = rng.normal(size=(100, 8))
+        matrix, stats = augment(reduced, rng.normal(size=(100, 7)))
+        assert matrix.shape == (100, 15)
+        assert np.array_equal(matrix[:, :8], reduced)
+        assert stats.means.shape == stats.stds.shape == stats.constant_mask.shape == (7,)
 
     def test_constant_features_zeroed_and_flagged(self):
         rng = np.random.default_rng(1)
-        ids = tuple(f"r{i}" for i in range(5))
-        out = augment(rng.normal(size=(5, 3)), np.full((5, 2), 9.0), ids)
-        assert np.array_equal(out.matrix[:, 3:], np.zeros((5, 2)))
-        assert all(out.stats.constant_mask)
+        matrix, stats = augment(rng.normal(size=(5, 3)), np.full((5, 2), 9.0))
+        assert np.array_equal(matrix[:, 3:], np.zeros((5, 2)))
+        assert all(stats.constant_mask)
 
     def test_zero_padding_preserves_cosine(self):
         rng = np.random.default_rng(2)
         reduced = rng.normal(size=(6, 4))
-        ids = tuple(f"r{i}" for i in range(6))
-        out = augment(reduced, np.full((6, 3), 1.5), ids)
+        matrix, _ = augment(reduced, np.full((6, 3), 1.5))
         for i in range(5):
-            assert cosine(out.matrix[i], out.matrix[i + 1]) == pytest.approx(
+            assert cosine(matrix[i], matrix[i + 1]) == pytest.approx(
                 cosine(reduced[i], reduced[i + 1]), abs=1e-12
             )
 
     def test_row_mismatch(self):
-        ids = ("a", "b", "c")
-        with pytest.raises(DomainError):
-            augment(np.zeros((3, 2)), np.zeros((4, 2)), ids)
+        with pytest.raises(DomainError, match=r"^row counts differ: 3 reduced vs 4 features$"):
+            augment(np.zeros((3, 2)), np.zeros((4, 2)))
+
 
     def test_row_by_id(self):
+        # the augment stage looks rows up by id in an EmbeddingSpace over the matrix
         rng = np.random.default_rng(3)
         ids = ("a", "b", "c")
-        out = augment(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), ids)
+        matrix, _ = augment(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
+        out = EmbeddingSpace(ids, matrix)
         for i, rid in enumerate(ids):
-            assert np.array_equal(out.row(rid), out.matrix[i])
+            assert np.array_equal(out.row(rid), matrix[i])
         with pytest.raises(UnknownKeyError, match=r"^id 'zz' not in embedding space$"):
             out.row("zz")
-
-    def test_repeated_id_resolves_to_its_first_row(self):
-        out = augment(np.arange(6.0).reshape(3, 2), np.zeros((3, 1)), ("a", "b", "a"))
-        assert np.array_equal(out.row("a"), out.matrix[0])
 
 
 class TestCosine:

@@ -27,7 +27,6 @@ from semfuse.errors import (
 from semfuse.tsne import (
     COST_MODES,
     KERNELS,
-    AffinityModel,
     TsneConfig,
     calibrate_sigmas,
     conditional_p,
@@ -259,10 +258,10 @@ class TestConditionalP:
 class TestSymmetrize:
     def test_two_point_forced_arithmetic(self):
         pcond = np.array([[0.0, 1.0], [1.0, 0.0]])
-        model = symmetrize(pcond)
+        P = symmetrize(pcond)
         # (P + P.T) / 2n keeps the invariant total of exactly 1
-        assert np.allclose(model.P, [[0.0, 0.5], [0.5, 0.0]], atol=1e-12)
-        assert model.P.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(P, [[0.0, 0.5], [0.5, 0.0]], atol=1e-12)
+        assert P.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_three_point_hand_case(self):
         pcond = np.array([
@@ -270,10 +269,10 @@ class TestSymmetrize:
             [0.2, 0.0, 0.8],
             [0.5, 0.5, 0.0],
         ])
-        model = symmetrize(pcond)
-        assert model.P[0, 1] == pytest.approx((0.7 + 0.2) / 6.0, abs=1e-12)
-        assert model.P[0, 2] == pytest.approx((0.3 + 0.5) / 6.0, abs=1e-12)
-        assert model.P[1, 2] == pytest.approx((0.8 + 0.5) / 6.0, abs=1e-12)
+        P = symmetrize(pcond)
+        assert P[0, 1] == pytest.approx((0.7 + 0.2) / 6.0, abs=1e-12)
+        assert P[0, 2] == pytest.approx((0.3 + 0.5) / 6.0, abs=1e-12)
+        assert P[1, 2] == pytest.approx((0.8 + 0.5) / 6.0, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=500))
     @settings(max_examples=50)
@@ -283,9 +282,10 @@ class TestSymmetrize:
         raw = rng.random((n, n))
         np.fill_diagonal(raw, 0.0)
         pcond = raw / raw.sum(axis=1, keepdims=True)
-        model = symmetrize(pcond)
-        assert np.max(np.abs(model.P - model.P.T)) <= 1e-12
-        assert model.P.sum() == pytest.approx(1.0, abs=1e-9)
+        P = symmetrize(pcond)
+        assert np.max(np.abs(P - P.T)) <= 1e-12
+        assert P.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(np.diag(P) == 0.0)
 
 
 class TestLowDimQ:
@@ -339,9 +339,12 @@ class TestKlDivergence:
 
 class TestAffinityModel:
     def test_invariants_enforced(self):
-        bad = np.full((3, 3), 0.2)  # nonzero diagonal
-        with pytest.raises(DomainError):
-            AffinityModel(bad)
+        # joint affinities are symmetric with a zero diagonal, whatever the conditional diagonal holds
+        bad = np.full((3, 3), 0.2)
+        P = symmetrize(bad)
+        assert np.all(np.diag(P) == 0.0)
+        assert np.array_equal(P, P.T)
+        assert np.allclose(P[~np.eye(3, dtype=bool)], 0.4 / 6.0, atol=1e-15)
 
 
 class TestTsneConfig:
