@@ -6,7 +6,7 @@ timestamp into cyclical day/year phases (so 23:59 and 00:01 end up next
 to each other) and keep latitude/longitude as-is.
 """
 
-from semfuse.corpus import Gazetteer, Record, preprocess, resolve_coordinates
+from semfuse.corpus import Record, preprocess, resolve_coordinates
 from semfuse.geotime import (
     GeoPoint,
     build_feature_matrix,
@@ -21,10 +21,11 @@ records = [
     Record(id="b1", text="Wildfire smoke drifts over the valley", timestamp=1312400000, location="los angeles"),
 ]
 
-gazetteer = Gazetteer(entries={
+# a gazetteer maps each trimmed, case-folded location to its point
+gazetteer = {
     "washington dc": GeoPoint(38.9072, -77.0369),
     "los angeles": GeoPoint(34.0522, -118.2437),
-})
+}
 
 records = resolve_coordinates(records, gazetteer)
 print("resolved coordinates:")
@@ -39,10 +40,11 @@ miles = haversine_miles(records[0].coords, records[2].coords)
 print(f"\ndc to la great-circle distance: {miles:.1f} miles")
 
 # the wrap-around property that motivates the sine/cosine pairs
-before = encode_time_cyclical(86399)
-after = encode_time_cyclical(86401)
-print(f"\n23:59:59 day phase: ({before.day_sin:+.6f}, {before.day_cos:+.6f})")
-print(f"00:00:01 day phase: ({after.day_sin:+.6f}, {after.day_cos:+.6f})")
+# each encoding is (day_sin, day_cos, year_sin, year_cos, years_linear)
+before_sin, before_cos, *_ = encode_time_cyclical(86399)
+after_sin, after_cos, *_ = encode_time_cyclical(86401)
+print(f"\n23:59:59 day phase: ({before_sin:+.6f}, {before_cos:+.6f})")
+print(f"00:00:01 day phase: ({after_sin:+.6f}, {after_cos:+.6f})")
 
 features = build_feature_matrix(records, "all_features")
 print(f"\nall_features matrix is {features.shape[0]}x{features.shape[1]}:")

@@ -35,16 +35,17 @@ print("\nword salience in this corpus (higher = more distinctive):")
 for word, salience in token_saliences(vocab, ctx, table).items():
     print(f"  {word:10s} {salience:8.3f}")
 
-e1 = embed_sentence(("debt", "ceiling", "vote"), ctx, table)
-e2 = embed_sentence(("budget", "senate", "vote"), ctx, table)
-e3 = embed_sentence(("wildfire",), ctx, table)
+# each sentence gives (vector, fallback)
+e1, _ = embed_sentence(("debt", "ceiling", "vote"), ctx, table)
+e2, _ = embed_sentence(("budget", "senate", "vote"), ctx, table)
+e3, _ = embed_sentence(("wildfire",), ctx, table)
 print(f"\nall sentence vectors have unit norm: "
-      f"{np.linalg.norm(e1.vector):.6f}, {np.linalg.norm(e2.vector):.6f}")
+      f"{np.linalg.norm(e1):.6f}, {np.linalg.norm(e2):.6f}")
 
-print(f"\nsim(debt-ceiling-vote, budget-senate-vote) = {e1.vector @ e2.vector:.4f}")
-print(f"sim(debt-ceiling-vote, wildfire)          = {e1.vector @ e3.vector:.4f}")
+print(f"\nsim(debt-ceiling-vote, budget-senate-vote) = {e1 @ e2:.4f}")
+print(f"sim(debt-ceiling-vote, wildfire)          = {e1 @ e3:.4f}")
 
 # when every usable word has zero salience the embedding falls back to
 # the unweighted mean and flags it; normal sentences never do
-flat = embed_sentence(("debt", "debt"), ctx, table)
-print(f"\nfallback flag on a normal sentence: {flat.fallback}")
+_, fallback = embed_sentence(("debt", "debt"), ctx, table)
+print(f"\nfallback flag on a normal sentence: {fallback}")

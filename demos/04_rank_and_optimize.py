@@ -1,7 +1,9 @@
 """Similarity scoring, ranking matrices, and weight fitting.
 
-Two scorer forms combine the text dot product with per-feature kernels:
-sigma adds weighted kernel values, pi multiplies shifted ones. Batches
+Two scorer forms combine the text dot product with distance kernels:
+sigma adds weighted kernel values, pi multiplies shifted ones. A batch's
+features are two columns, days and coordinates; `inv_abs` and `exp_abs`
+read the days, `floor_geo` the coordinates. Batches
 are compared by their ranking matrices; the optimizer fits the kernel
 weights by shrinking-grid search so the model's rankings match labeled
 ones.
@@ -24,13 +26,13 @@ dc = GeoPoint(38.9072, -77.0369)
 nyc = GeoPoint(40.7128, -74.0060)
 
 e1, e2 = (1.0, 0.0), (0.8, 0.6)
-f1 = (0.0, dc)    # (days, coordinates)
-f2 = (2.0, nyc)
+# the pair's (days, coordinates): two days apart, in dc and nyc
+pair_feats = (np.array([0.0, 2.0]), np.array([[dc.lat, dc.lon], [nyc.lat, nyc.lon]]))
 
 sig = SimilarityParams(kind="sigma", alphas=(0.5, 0.5), dist_kinds=DEFAULT_DIST_KINDS)
 pi = SimilarityParams(kind="pi", alphas=(0.02, 9.55), dist_kinds=DEFAULT_DIST_KINDS)
 # one pair's score is the off-diagonal cell of a two-record batch
-pair, pair_feats = np.array([e1, e2]), [f1, f2]
+pair = np.array([e1, e2])
 print(f"additive score:       {pairwise_scores(pair, pair_feats, sig)[0, 1]:.4f}")
 print(f"multiplicative score: {pairwise_scores(pair, pair_feats, pi)[0, 1]:.4f}")
 
@@ -39,11 +41,8 @@ rng = np.random.default_rng(19)
 m = 12
 emb = rng.normal(size=(m, 6))
 emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-feats = [
-    (float(rng.uniform(0, 30)),
-     GeoPoint(float(rng.uniform(-50, 50)), float(rng.uniform(-120, 120))))
-    for _ in range(m)
-]
+draws = [(rng.uniform(0, 30), rng.uniform(-50, 50), rng.uniform(-120, 120)) for _ in range(m)]
+feats = (np.array([day for day, _, _ in draws]), np.array([(lat, lon) for _, lat, lon in draws]))
 
 true_params = SimilarityParams(kind="pi", alphas=(0.4, 6.0), dist_kinds=DEFAULT_DIST_KINDS)
 labels = rank_matrix(pairwise_scores(emb, feats, true_params))

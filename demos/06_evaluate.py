@@ -51,11 +51,11 @@ print(f"mean label over all pairs:     {np.mean([p.label for p in labels]):.4f}"
 
 features_all = build_feature_matrix(records, "all_features")
 features_condensed = build_feature_matrix(records, "condensed_time")
-result = component_sweep(space, features_all, features_condensed, labels,
-                         k_list=[4, 8], top_n=10)
+cells = component_sweep(space, features_all, features_condensed, labels,
+                        k_list=[4, 8], top_n=10)
 
 print("\nvariant          k   top-pair quality")
-for cell in result.cells:
+for cell in cells:
     print(f"{cell.variant:15s} {cell.k:3d}   {cell.mean_label:.4f}")
 print("\nappending time/place features finds the humanly-similar pairs; "
       "the text-only space cannot")

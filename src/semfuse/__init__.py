@@ -11,7 +11,7 @@ from-scratch 2-D map layout.
 
 __version__ = "0.1.0"
 
-from .corpus import CleanDoc, Gazetteer, Record, clean_corpus, geocode, load_corpus, preprocess
+from .corpus import CleanDoc, Record, clean_corpus, geocode, load_corpus, preprocess
 from .embed import (
     ContextModel,
     EmbeddingSpace,
@@ -40,7 +40,6 @@ __all__ = [
     "CleanDoc",
     "ContextModel",
     "EmbeddingSpace",
-    "Gazetteer",
     "GeoPoint",
     "GridConfig",
     "PcaModel",

@@ -163,8 +163,8 @@ SETTINGS = {
     "k": Setting("number of components to keep", _int, REQUIRED),
     "kind": Setting(f"scorer form: {', '.join(SIM_KINDS)}", _text, "pi"),
     "alphas": Setting("comma-separated kernel weights", _floats, (0.02, 9.55)),
-    "dist_kinds": Setting("comma-separated kernel names, one per feature: days, then coordinates",
-                          _names, DEFAULT_DIST_KINDS),
+    "dist_kinds": Setting("comma-separated kernel names: exp_abs and inv_abs on days, "
+                          "floor_geo on coordinates", _names, DEFAULT_DIST_KINDS),
     "labels": Setting("rater scores for quality mode; labeled scores (i,j,score rows or a full matrix) "
                       "otherwise", File("labels"), REQUIRED),
     "bounds": Setting("per-alpha search intervals, e.g. 0:1,0:12", _parse_bounds, ((0.0, 1.0), (0.0, 12.0))),
@@ -511,9 +511,9 @@ def cmd_sweep(run: Run) -> tuple[dict, str]:
         labels = load_labels(labels_path, scale_max, corpus_ids=space.ids)
         features_all = build_feature_matrix(records, "all_features")
         features_condensed = build_feature_matrix(records, "condensed_time")
-        result = component_sweep(space, features_all, features_condensed, labels, k_list, top_n)
-        save_sweep_csv(result, run.path_out(SWEEP_CSV))
-        return {}, f"{len(result.cells)} (variant, k) cells"
+        cells = component_sweep(space, features_all, features_condensed, labels, k_list, top_n)
+        save_sweep_csv(cells, run.path_out(SWEEP_CSV))
+        return {}, f"{len(cells)} (variant, k) cells"
     variant, trials, pairs = run.value("variant"), run.value("trials"), run.value("pairs")
     features = build_feature_matrix(records, variant)
     results = delta_cosine_experiment(space, features, k_list, trials, pairs, run.seed)

@@ -14,7 +14,7 @@ import re
 import string
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     ConflictError,
@@ -60,17 +60,6 @@ class CleanDoc:
     tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Gazetteer:
-    """Case-insensitive lookup table from location strings to coordinates."""
-
-    entries: dict[str, GeoPoint]
-
-    @staticmethod
-    def normalize(location: str) -> str:
-        return location.strip().casefold()
-
-
 def preprocess(text: str, stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS) -> list[str]:
     """Normalize raw text into tokens.
 
@@ -95,15 +84,20 @@ def clean_corpus(records: Sequence[Record],
     return [CleanDoc(id=r.id, tokens=tuple(preprocess(r.text, stopwords))) for r in records]
 
 
-def geocode(location: str, gazetteer: Gazetteer) -> GeoPoint:
-    """Resolve a location string by exact case-insensitive gazetteer lookup."""
-    point = gazetteer.entries.get(Gazetteer.normalize(location))
+def _location_key(location: str) -> str:
+    """A location string as the gazetteer keys it: trimmed and case-folded."""
+    return location.strip().casefold()
+
+
+def geocode(location: str, gazetteer: Mapping[str, GeoPoint]) -> GeoPoint:
+    """Resolve a location string by exact case-insensitive lookup in `load_gazetteer`'s map."""
+    point = gazetteer.get(_location_key(location))
     if point is None:
         raise UnknownKeyError(location, f"location {location!r} not in gazetteer")
     return point
 
 
-def resolve_coordinates(records: Sequence[Record], gazetteer: Gazetteer) -> list[Record]:
+def resolve_coordinates(records: Sequence[Record], gazetteer: Mapping[str, GeoPoint]) -> list[Record]:
     """Fill in coords for records that only carry a location string.
 
     Records that already have coordinates are kept as-is; records with
@@ -117,24 +111,13 @@ def resolve_coordinates(records: Sequence[Record], gazetteer: Gazetteer) -> list
     return resolved
 
 
-def load_gazetteer(path: str | Path) -> Gazetteer:
-    """Read a gazetteer CSV with columns location,lat,lon; the first fault in file order raises."""
-    entries: dict[str, GeoPoint] = {}
-    rows: list[tuple[dict, str]] = []
-    fault = None
-    with open_text(path) as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        for column in ("location", "lat", "lon"):
-            if column not in fields:
-                raise SchemaError(f"{path}: missing column {column!r}")
-        try:
-            rows.extend((row, f"{path}: line {reader.line_num}") for row in reader)
-        except SemfuseError as exc:
-            fault = exc
+def load_gazetteer(path: str | Path) -> dict[str, GeoPoint]:
+    """Map each location key of a location,lat,lon CSV to its point; the first fault in file order raises."""
+    rows, fault = _read_until_fault(_read_delimited(path, ",", ("location", "lat", "lon")))
     coordinates = parse_rows([(where, [row["lat"] or "", row["lon"] or ""]) for row, where in rows], 2)
+    entries: dict[str, GeoPoint] = {}
     for row, where in rows:
-        key = Gazetteer.normalize(row["location"] or "")
+        key = _location_key(row["location"] or "")
         if not key:
             raise RowError(where, "empty location")
         if key in entries:
@@ -146,7 +129,7 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
             raise RowError(where, f"bad coordinates for {key!r}: {exc}") from None
     if fault is not None:
         raise fault
-    return Gazetteer(entries=entries)
+    return entries
 
 
 def _infer_format(path: Path) -> str:
@@ -180,7 +163,7 @@ def load_corpus(path: str | Path, format: str | None = None) -> list[Record]:
         raise FormatError(f"unknown corpus format {fmt!r}; expected one of {CORPUS_FORMATS}")
     if fmt == "jsonl":
         return _records(_read_jsonl(path))
-    return _records(_read_delimited(path, delimiter="\t" if fmt == "tsv" else ","))
+    return _records(_read_delimited(path, "\t" if fmt == "tsv" else ",", ("id", "text", "timestamp")))
 
 
 def _records(rows: Iterator[tuple[dict, str]]) -> list[Record]:
@@ -189,12 +172,7 @@ def _records(rows: Iterator[tuple[dict, str]]) -> list[Record]:
     A fault met while reading the rows is raised after those read before
     it are checked. A repeated id raises only once every row is valid.
     """
-    read: list[tuple[dict, str]] = []
-    try:
-        read.extend(rows)
-        fault = None
-    except SemfuseError as exc:
-        fault = exc
+    read, fault = _read_until_fault(rows)
     # a row that gives only one of lat and lon is left out; `_has_coords` rejects it in order
     coordinates = parse_rows([(where, cells) for row, where in read
                               if len(cells := _coordinate_cells(row)) == 2], 2)
@@ -209,11 +187,21 @@ def _records(rows: Iterator[tuple[dict, str]]) -> list[Record]:
     return records
 
 
-def _read_delimited(path: Path, delimiter: str) -> Iterator[tuple[dict, str]]:
+def _read_until_fault(rows: Iterator[tuple[dict, str]]) -> tuple[list, SemfuseError | None]:
+    """The (row, where) pairs read before the first fault met while reading, and that fault or None."""
+    read: list[tuple[dict, str]] = []
+    try:
+        read.extend(rows)
+    except SemfuseError as exc:
+        return read, exc
+    return read, None
+
+
+def _read_delimited(path: str | Path, delimiter: str, columns: Sequence[str]) -> Iterator[tuple[dict, str]]:
     with open_text(path) as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         fields = reader.fieldnames or []
-        for column in ("id", "text", "timestamp"):
+        for column in columns:
             if column not in fields:
                 raise SchemaError(f"{path}: missing column {column!r}")
         for row in reader:

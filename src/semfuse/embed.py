@@ -107,14 +107,6 @@ class EmbeddingSpace:
         return self.matrix[self.row_index(record_id)]
 
 
-@dataclass(frozen=True)
-class SentenceEmbedding:
-    """Unit-norm sentence vector; fallback marks an unweighted-mean result."""
-
-    vector: np.ndarray
-    fallback: bool = False
-
-
 def _raise_first_fault(path: str | Path) -> NoReturn:
     """Re-read a rejected table line by line and raise its first fault."""
     seen: set[str] = set()
@@ -162,7 +154,7 @@ def load_word_vectors(path: str | Path) -> WordVectorTable:
     """
     tokens: list[str] = []
     try:
-        with open(path, newline=None, encoding="utf-8") as fh:
+        with open(path, newline=None, encoding="utf-8-sig") as fh:
             matrix = bulk_rows(fh, ids=tokens, delimiter=None)
     except UnicodeDecodeError:  # the line-by-line read names the line
         matrix = None
@@ -228,13 +220,13 @@ def embed_sentence(
     ctx: ContextModel,
     table: WordVectorTable,
     saliences: Mapping[str, float] | None = None,
-) -> SentenceEmbedding:
-    """Salience-weighted mean of in-vocabulary token vectors, unit-normalized.
+) -> tuple[np.ndarray, bool]:
+    """(vector, fallback): the salience-weighted mean of in-vocabulary token vectors, unit-normalized.
 
     Out-of-vocabulary tokens are skipped. `saliences` maps each known token
     to its weight, as `token_saliences` returns it; when omitted it is
     computed for these tokens. When every salience weight is 0 the
-    unweighted mean is used instead and the result is flagged.
+    unweighted mean is used instead, and fallback is True.
     """
     known = [t for t in tokens if t in table.vectors]
     if not known:
@@ -252,7 +244,7 @@ def embed_sentence(
     norm = float(np.linalg.norm(mean))
     if norm == 0.0:
         raise DomainError("sentence vector is zero; cannot normalize")
-    return SentenceEmbedding(vector=mean / norm, fallback=fallback)
+    return mean / norm, fallback
 
 
 def embed_corpus(
@@ -262,23 +254,19 @@ def embed_corpus(
 ) -> tuple[EmbeddingSpace, tuple[str, ...]]:
     """Embed every doc; returns the space and ids that hit the mean fallback.
 
-    The saliences of all distinct tokens come from one solve. If that solve
-    fails, each doc computes its own, so the error names the first record
-    that needs one.
+    The saliences of all distinct tokens come from one solve, which raises
+    on a singular context metric: a fault of the corpus, not of a record.
     """
-    try:
-        saliences = token_saliences((t for doc in docs for t in doc.tokens), ctx, table)
-    except DomainError:
-        saliences = None
+    saliences = token_saliences((t for doc in docs for t in doc.tokens), ctx, table)
     rows = []
     fallback_ids = []
     for doc in docs:
         try:
-            emb = embed_sentence(doc.tokens, ctx, table, saliences)
+            vector, fallback = embed_sentence(doc.tokens, ctx, table, saliences)
         except DomainError as exc:
             raise DomainError(f"record {doc.id!r}: {exc}") from None
-        rows.append(emb.vector)
-        if emb.fallback:
+        rows.append(vector)
+        if fallback:
             fallback_ids.append(doc.id)
     matrix = np.array(rows) if rows else np.zeros((0, table.dim))
     return EmbeddingSpace(ids=tuple(d.id for d in docs), matrix=matrix), tuple(fallback_ids)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .embed import EmbeddingSpace
-from .errors import DomainError, FormatError, RowError, SchemaError, UnknownKeyError
+from .errors import ConflictError, DomainError, FormatError, RowError, SchemaError, UnknownKeyError
 from .rankopt import RankMatrix, rank_loss
 from .spectra import _pairwise_cosines, augment, fit_pca_models, transform
 from .spectra import fit_pca  # noqa: F401  # kept in this namespace: bench/tracer.py patches it
@@ -52,12 +52,6 @@ class SweepCell:
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    cells: tuple[SweepCell, ...]
-    top_n: int
-
-
-@dataclass(frozen=True)
 class RankingReport:
     """Ranking loss plus per-column rank-entropy (bits) of the prediction."""
 
@@ -76,12 +70,14 @@ def load_labels(
     Rows may carry different numbers of scores, in the grammar of
     `table.parse_floats`; empty trailing cells are ignored. label =
     mean(scores) / scale_max. When corpus_ids is given, ids outside it are
-    rejected.
+    rejected. A pair of an id with itself, or a pair given twice in either
+    order, is rejected too.
     """
     if scale_max <= 0:
         raise DomainError(f"scale_max must be positive, got {scale_max}")
     known = set(corpus_ids) if corpus_ids is not None else None
     pairs: list[LabeledPair] = []
+    seen: set[tuple[str, str]] = set()
     with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -98,6 +94,8 @@ def load_labels(
                 for rid in (id_a, id_b):
                     if rid not in known:
                         raise UnknownKeyError(rid, f"{where}: id {rid!r} not in corpus")
+            if id_a == id_b:
+                raise RowError(where, f"self-pair ({id_a},{id_b}) is not allowed")
             raw = [cell for cell in row[2:] if cell.strip()]
             if not raw:
                 raise RowError(where, "no rater scores")
@@ -105,6 +103,10 @@ def load_labels(
             for s in scores:
                 if not 0.0 <= s <= scale_max:
                     raise RowError(where, f"score {s} outside [0, {scale_max}]")
+            key = (min(id_a, id_b), max(id_a, id_b))
+            if key in seen:
+                raise ConflictError(f"{where}: duplicate pair {key}")
+            seen.add(key)
             label = sum(scores) / len(scores) / scale_max
             pairs.append(LabeledPair(id_a=id_a, id_b=id_b, rater_scores=scores, label=label))
     if not pairs:
@@ -141,7 +143,7 @@ def component_sweep(
     labels: Sequence[LabeledPair],
     k_list: Sequence[int],
     top_n: int = 20,
-) -> SweepResult:
+) -> tuple[SweepCell, ...]:
     """top_pair_quality for every (variant, k) combination.
 
     Variants: the reduced space with all geotemporal features appended,
@@ -156,11 +158,11 @@ def component_sweep(
             cells.append(
                 SweepCell(variant=variant, k=int(k), mean_label=mean_label, n_pairs=top_n)
             )
-    return SweepResult(cells=tuple(cells), top_n=top_n)
+    return tuple(cells)
 
 
-def save_sweep_csv(result: SweepResult, path: str | Path) -> None:
-    rows = ([cell.variant, cell.k, cell.mean_label, cell.n_pairs] for cell in result.cells)
+def save_sweep_csv(cells: Sequence[SweepCell], path: str | Path) -> None:
+    rows = ([cell.variant, cell.k, cell.mean_label, cell.n_pairs] for cell in cells)
     write_table(path, ["variant", "k", "mean_label", "n_pairs"], rows)
 
 

@@ -49,17 +49,6 @@ class GeoPoint:
 
 
 @dataclass(frozen=True)
-class TemporalEncoding:
-    """Cyclical day/year phases plus a linear multi-year component."""
-
-    day_sin: float
-    day_cos: float
-    year_sin: float
-    year_cos: float
-    years_linear: float
-
-
-@dataclass(frozen=True)
 class StandardizationStats:
     """Per-column statistics captured by standardize().
 
@@ -72,19 +61,14 @@ class StandardizationStats:
     constant_mask: np.ndarray
 
 
-def encode_time_cyclical(t: float) -> TemporalEncoding:
-    """Encode epoch seconds as day/year sine-cosine pairs plus linear years."""
+def encode_time_cyclical(t: float) -> tuple[float, float, float, float, float]:
+    """(day_sin, day_cos, year_sin, year_cos, years_linear) of epoch seconds: day/year phases, linear years."""
     if t < 0:
         raise DomainError(f"timestamp {t} is negative")
     day_phase = 2.0 * math.pi * (t % SECONDS_PER_DAY) / SECONDS_PER_DAY
     year_phase = 2.0 * math.pi * (t % SECONDS_PER_YEAR) / SECONDS_PER_YEAR
-    return TemporalEncoding(
-        day_sin=math.sin(day_phase),
-        day_cos=math.cos(day_phase),
-        year_sin=math.sin(year_phase),
-        year_cos=math.cos(year_phase),
-        years_linear=t / SECONDS_PER_YEAR,
-    )
+    return (math.sin(day_phase), math.cos(day_phase), math.sin(year_phase), math.cos(year_phase),
+            t / SECONDS_PER_YEAR)
 
 
 def great_circle_miles(lat1, lon1, lat2, lon2):
@@ -132,18 +116,13 @@ def build_feature_matrix(records: Sequence["Record"], variant: str) -> np.ndarra
     """
     if variant not in FEATURE_COLUMNS:
         raise DomainError(f"unknown feature variant {variant!r}; expected one of {VARIANTS}")
+    cyclical = variant == "all_features"
     rows = []
     for record in records:
         if record.coords is None:
             raise DomainError(f"record {record.id!r} has no coordinates")
-        if variant == "all_features":
-            enc = encode_time_cyclical(record.timestamp)
-            rows.append(
-                [enc.day_sin, enc.day_cos, enc.year_sin, enc.year_cos,
-                 enc.years_linear, record.coords.lat, record.coords.lon]
-            )
-        else:
-            rows.append([float(record.timestamp), record.coords.lat, record.coords.lon])
+        encoded = encode_time_cyclical(record.timestamp) if cyclical else (float(record.timestamp),)
+        rows.append([*encoded, record.coords.lat, record.coords.lon])
     return np.array(rows, dtype=float).reshape(len(rows), len(FEATURE_COLUMNS[variant]))
 
 

@@ -1,11 +1,11 @@
 """Context-aware similarity scoring and ranking-loss minimization.
 
-Two scorers extend the dot product with weighted distance kernels over
-extra per-record features (time in days, coordinates): an additive form
-and a multiplicative form. `pairwise_scores` is the one scorer: it
-composes the scores into the dot-product matrix a row block at a time,
-from each kernel's upper-triangle block; one pair's score is a cell of
-a two-record batch.
+Two scorers extend the dot product with weighted distance kernels, each
+on the column of a batch its kind names (days for `exp_abs` and `inv_abs`,
+coordinates for `floor_geo`): an additive form and a multiplicative form.
+`pairwise_scores` is the one scorer: it composes the scores into the
+dot-product matrix a row block at a time, from each kernel's
+upper-triangle block; one pair's score is a cell of a two-record batch.
 Batches are compared through ranking matrices, and the kernel weights are
 fit by a deterministic shrinking-grid search over the weight space, since
 the ranking loss is piecewise constant and has no usable gradient. The
@@ -106,14 +106,13 @@ class SimilarityParams:
                 raise DomainError(f"unknown distance kind {dk!r}; expected one of {DIST_KINDS}")
 
 
-def batch_features(records: Sequence[Record]) -> list[tuple]:
-    """Per-record extra features for the shipped kernels: (days, coords)."""
-    feats = []
+def batch_features(records: Sequence[Record]) -> tuple[np.ndarray, np.ndarray]:
+    """The columns the shipped kernels read: (m,) days and (m, 2) latitude, longitude."""
     for r in records:
         if r.coords is None:
             raise DomainError(f"record {r.id!r} has no coordinates")
-        feats.append((r.timestamp / SECONDS_PER_DAY, r.coords))
-    return feats
+    days = np.array([r.timestamp / SECONDS_PER_DAY for r in records], dtype=float)
+    return days, np.array([(r.coords.lat, r.coords.lon) for r in records]).reshape(-1, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,10 +203,10 @@ def _stack_losses(scores: np.ndarray, labeled: np.ndarray) -> np.ndarray:
 
 def pairwise_scores(
     embeddings: np.ndarray,
-    features: Sequence[tuple],
+    features: tuple[np.ndarray, np.ndarray],
     params: SimilarityParams,
 ) -> np.ndarray:
-    """Full m x m score matrix; exactly symmetric by construction.
+    """Full m x m score matrix of a batch's (days, coords) `features`; exactly symmetric by construction.
 
     The scores are composed into the dot-product matrix in row blocks of
     about `_CHUNK_CELLS` cells, each from its upper-triangle kernel block,
@@ -217,11 +216,7 @@ def pairwise_scores(
     """
     embeddings = np.asarray(embeddings, dtype=float)
     m = embeddings.shape[0]
-    if len(features) != m:
-        raise DomainError(f"{m} embeddings for {len(features)} feature tuples")
-    if any(len(feats) != len(params.alphas) for feats in features):
-        raise DomainError(f"every record needs {len(params.alphas)} features, one per alpha")
-    columns = _kernel_columns(features, params.dist_kinds)
+    columns = _kernel_columns(features, params.dist_kinds, m)
     alphas = np.asarray(params.alphas, dtype=float)
     scores = embeddings @ embeddings.T
     rows = max(1, _CHUNK_CELLS // max(m, 1))
@@ -240,27 +235,14 @@ def pairwise_scores(
     return scores
 
 
-def _kernel_columns(features: Sequence[tuple], dist_kinds: Sequence[str]) -> list[tuple[str, np.ndarray]]:
-    # each distance kind with its feature column: (m, 1) days or (m, 2) coordinates
-    return [
-        (kind, _kernel_column([f[fi] for f in features], kind, fi + 1))
-        for fi, kind in enumerate(dist_kinds)
-    ]
-
-
-def _kernel_column(column: list, kind: str, position: int) -> np.ndarray:
-    # floor_geo reads coordinates, the other kinds read day numbers
-    wants_coords = kind == "floor_geo"
-    for value in column:
-        if isinstance(value, GeoPoint) != wants_coords:
-            need = "coordinates" if wants_coords else "day numbers"
-            raise DomainError(
-                f"distance kind {kind!r} needs {need}, but feature {position} "
-                f"holds {type(value).__name__} values"
-            )
-    if wants_coords:
-        return np.array([(p.lat, p.lon) for p in column]).reshape(-1, 2)
-    return np.array(column, dtype=float)[:, None]
+def _kernel_columns(features: tuple[np.ndarray, np.ndarray], dist_kinds: Sequence[str],
+                    m: int) -> list[tuple[str, np.ndarray]]:
+    # each distance kind with the column it reads: (m, 2) coordinates for floor_geo, (m, 1) days otherwise
+    days, coords = (np.asarray(column, dtype=float) for column in features)
+    if days.shape != (m,) or coords.shape != (m, 2):
+        raise DomainError(f"{m} embeddings for days of shape {days.shape} and coordinates of shape "
+                          f"{coords.shape}")
+    return [(kind, coords if kind == "floor_geo" else days[:, None]) for kind in dist_kinds]
 
 
 def _kernel_blocks(columns: list[tuple[str, np.ndarray]], start: int, stop: int) -> list[np.ndarray]:
@@ -353,7 +335,7 @@ def _axis_points(lo: float, hi: float, count: int) -> np.ndarray:
 
 def optimize_alphas(
     embeddings: np.ndarray,
-    features: Sequence[tuple],
+    features: tuple[np.ndarray, np.ndarray],
     labels: RankMatrix,
     kind: str,
     dist_kinds: Sequence[str],
@@ -370,7 +352,7 @@ def optimize_alphas(
     m = embeddings.shape[0]
     dist_kinds = tuple(dist_kinds)
     n = len(dist_kinds)
-    check_axis_counts(dist_kinds, cfg.bounds, features)
+    check_axis_counts(dist_kinds, cfg.bounds)
     if labels.m != m:
         raise DomainError(f"label matrix is {labels.m}x{labels.m} for batch size {m}")
     if not RECOMMENDED_BATCH[0] <= m <= RECOMMENDED_BATCH[1]:
@@ -381,7 +363,7 @@ def optimize_alphas(
         )
 
     SimilarityParams(kind=kind, alphas=(0.0,) * n, dist_kinds=dist_kinds)  # validates the kinds
-    kernels = _kernel_blocks(_kernel_columns(features, dist_kinds), 0, m)
+    kernels = _kernel_blocks(_kernel_columns(features, dist_kinds, m), 0, m)
     dots = embeddings @ embeddings.T
     chunk = max(1, _CHUNK_CELLS // (m * m))
 
@@ -418,11 +400,10 @@ def optimize_alphas(
     return params, best_loss, trace
 
 
-def check_axis_counts(dist_kinds: Sequence[str], bounds: Sequence, features: Sequence[tuple] = ()) -> None:
-    """Raise ConfigError unless each distance kind has one bound and one feature per record."""
-    n = len(dist_kinds)
-    if len(bounds) != n or any(len(feats) != n for feats in features):
-        raise ConfigError(f"each of {n} distance kinds needs one bound and one feature per record")
+def check_axis_counts(dist_kinds: Sequence[str], bounds: Sequence) -> None:
+    """Raise ConfigError unless each distance kind has one bound."""
+    if len(bounds) != len(dist_kinds):
+        raise ConfigError(f"each of {len(dist_kinds)} distance kinds needs one bound, got {len(bounds)}")
 
 
 def _probe_losses(dots: np.ndarray, kernels: Sequence[np.ndarray], kind: str, probes: np.ndarray,

@@ -120,14 +120,14 @@ def row_line(path: str | Path, index: int, header: bool = False) -> int:
 
 @contextlib.contextmanager
 def open_text(path: str | Path, newline: str | None = "") -> Iterator[Iterator[str]]:
-    """Open a UTF-8 text file as an iterator over its lines.
+    """Open a UTF-8 text file as an iterator over its lines, less a leading byte-order mark.
 
     A line holding a byte that is not UTF-8 raises FormatError `<file>:
     line <n>: not UTF-8 text` when it is reached, so a reader that checks
     each row as it reads it reports the faults of earlier rows first,
     whatever the size of the file.
     """
-    with open(path, newline=newline, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, newline=newline, encoding="utf-8-sig", errors="surrogateescape") as fh:
         yield _utf8_lines(path, fh)
 
 
@@ -160,7 +160,7 @@ def read_table(path: str | Path, check_header: Callable[[list[str]], None] | Non
     skip = 1 if ids else 0  # fields before the numbers
     row_ids: list[str] = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(filled_rows(csv.reader(fh)), []) if check_header else None
             if check_header:
                 check_header(header)

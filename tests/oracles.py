@@ -4,7 +4,10 @@ The per-pair scorer, the sort-based ranker and the two-axis grid walk are
 what `semfuse.rankopt` used before it computed everything on matrices.
 They use only the standard library per pair, so a fault in the numpy path
 cannot hide in its own reference; `pair_score` is the reference for one
-cell of a `pairwise_scores` batch. `optimize_trace` is the grid search as
+cell of a `pairwise_scores` batch. They take per-record feature tuples,
+one value per kind, which `record_features` makes from a batch's (days,
+coords) columns, as the scorer took them before each kernel read the
+column its kind names. `optimize_trace` is the grid search as
 it was before it scored each round as one stack: one `pairwise_scores`,
 `rank_matrix` and `rank_loss` per probe. `word_salience` is the salience
 of one token occurrence with a solve of its own, as `semfuse.embed`
@@ -49,7 +52,7 @@ import numpy as np
 
 from semfuse.embed import WordVectorTable
 from semfuse.errors import CalibrationError, ConflictError, DomainError, FormatError, UnknownKeyError
-from semfuse.geotime import EARTH_RADIUS_MILES, FEATURE_COLUMNS, great_circle_miles
+from semfuse.geotime import EARTH_RADIUS_MILES, FEATURE_COLUMNS, GeoPoint, great_circle_miles
 from semfuse.rankopt import SimilarityParams, rank_loss, rank_matrix
 from semfuse.rankopt import pairwise_scores as matrix_scores
 from semfuse.spectra import cosine
@@ -99,6 +102,17 @@ def pair_score(e1, e2, feats1, feats2, params) -> float:
     if params.kind == "sigma":
         return dot + sum(a * d for a, d in zip(params.alphas, dists))
     return dot * math.prod(a + d for a, d in zip(params.alphas, dists))
+
+
+def record_features(features, dist_kinds) -> list[tuple]:
+    """Per-record feature tuples, one value per kind, from a batch's (days, coords) columns.
+
+    A tuple holds a day number for `exp_abs` and `inv_abs` and a GeoPoint
+    for `floor_geo`, as the scorer took its features per record.
+    """
+    days, coords = features
+    return [tuple(GeoPoint(*point) if kind == "floor_geo" else day for kind in dist_kinds)
+            for day, point in zip(np.asarray(days).tolist(), np.asarray(coords).tolist())]
 
 
 def pairwise_scores(embeddings, features, params) -> np.ndarray:
@@ -305,11 +319,11 @@ def write_trace_csv(kl_trace, path) -> None:
             writer.writerow([it, repr(float(kl))])
 
 
-def save_sweep_csv(result, path) -> None:
+def save_sweep_csv(cells, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "k", "mean_label", "n_pairs"])
-        for cell in result.cells:
+        for cell in cells:
             writer.writerow([cell.variant, cell.k, repr(cell.mean_label), cell.n_pairs])
 
 

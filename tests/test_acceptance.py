@@ -97,12 +97,12 @@ def test_2_multiplicative_scorer_hand_fidelity(announce):
     for theta, days, miles in zip(angles, day_gaps, mile_gaps):
         e1 = (1.0, 0.0)
         e2 = (math.cos(theta), math.sin(theta))
-        f1 = (0.0, origin)
-        f2 = (days, equator_point_at(miles))
-        got = pairwise_scores(np.array([e1, e2]), [f1, f2], params)[0, 1]
+        point = equator_point_at(miles)
+        features = (np.array([0.0, days]), np.array([[origin.lat, origin.lon], [point.lat, point.lon]]))
+        got = pairwise_scores(np.array([e1, e2]), features, params)[0, 1]
         # independent arithmetic: spherical law of cosines for the distance,
         # explicit kernel formulas for everything else
-        lam = math.radians(f2[1].lon)
+        lam = math.radians(point.lon)
         miles_ind = EARTH_RADIUS_MILES * math.acos(
             min(1.0, math.sin(0.0) * math.sin(0.0) + math.cos(0.0) * math.cos(0.0) * math.cos(lam))
         )
@@ -120,13 +120,14 @@ def test_3_optimizer_recovers_known_weights(announce):
     m = 15
     emb = rng.normal(size=(m, 8))
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-    feats = [
+    records = [
         (
             float(rng.uniform(0.0, 40.0)),
             GeoPoint(float(rng.uniform(-60.0, 60.0)), float(rng.uniform(-150.0, 150.0))),
         )
         for _ in range(m)
     ]
+    feats = (np.array([day for day, _ in records]), np.array([(p.lat, p.lon) for _, p in records]))
     target = SimilarityParams(kind="pi", alphas=(0.5, 7.0), dist_kinds=DEFAULT_DIST_KINDS)
     labels = rank_matrix(pairwise_scores(emb, feats, target))
     cfg = GridConfig(bounds=((0.0, 1.0), (0.0, 10.0)))
@@ -213,9 +214,9 @@ def test_5_geotemporal_features_lift_proximity_labels(announce):
     space = EmbeddingSpace(ids=tuple(r.id for r in records), matrix=emb)
     features_all = build_feature_matrix(records, "all_features")
     features_condensed = build_feature_matrix(records, "condensed_time")
-    result = component_sweep(space, features_all, features_condensed, labels, [8], top_n=20)
+    cells = component_sweep(space, features_all, features_condensed, labels, [8], top_n=20)
     elapsed = time.perf_counter() - start
-    by_variant = {cell.variant: cell.mean_label for cell in result.cells}
+    by_variant = {cell.variant: cell.mean_label for cell in cells}
     lifted = by_variant["all_features"]
     baseline = by_variant["pca_only"]
     assert lifted >= 1.2 * baseline, (lifted, baseline)
@@ -298,8 +299,9 @@ def test_7_geotemporal_encodings(announce):
     before = encode_time_cyclical(86399)
     after = encode_time_cyclical(86401)
     noon = encode_time_cyclical(43200)
-    near = math.hypot(before.day_sin - after.day_sin, before.day_cos - after.day_cos)
-    far = math.hypot(before.day_sin - noon.day_sin, before.day_cos - noon.day_cos)
+    # each encoding starts (day_sin, day_cos)
+    near = math.hypot(before[0] - after[0], before[1] - after[1])
+    far = math.hypot(before[0] - noon[0], before[1] - noon[1])
     assert near < 1e-3
     assert far > 1.0
 

@@ -301,30 +301,41 @@ class TestStageOrdering:
         assert "reduced.csv" in err
         assert "features.csv" in err
 
-    @pytest.mark.parametrize("command", [
-        ["score", "--kind", "pi", "--alphas", "0.02,9.55"],
-        ["optimize", "--rounds", "1"],
-    ])
-    def test_dist_kinds_in_wrong_feature_order(self, pipeline_fixture, tmp_path, capsys, command):
-        # features are (days, coordinates); floor_geo first asks days for coordinates
+    # each kernel reads the column its kind names, so any subset, order or repeat of kinds scores and fits
+    KIND_COMBINATIONS = [
+        ["score", "--dist-kinds", "inv_abs", "--alphas", "1"],
+        ["score", "--dist-kinds", "floor_geo", "--alphas", "1"],
+        ["score", "--dist-kinds", "floor_geo,inv_abs", "--alphas", "9.55,0.02"],
+        ["score", "--dist-kinds", "exp_abs,inv_abs,floor_geo", "--alphas", "1,1,1"],
+        ["optimize", "--dist-kinds", "inv_abs", "--bounds", "0:1"],
+    ]
+
+    @pytest.mark.parametrize("argv", KIND_COMBINATIONS, ids=lambda argv: f"{argv[0]} {argv[2]}")
+    def test_any_dist_kinds_run(self, staged_out, pipeline_fixture, tmp_path, argv):
+        # in a process of its own, where a numpy warning would print rather than raise
+        if argv[0] == "optimize":
+            argv = argv + ["--labels", str(pipeline_fixture["rank_labels"])]
         out = tmp_path / "out"
-        base = ["--out-dir", str(out)]
-        fx = pipeline_fixture
-        assert main(base + ["ingest", "--corpus", str(fx["corpus"]),
-                            "--gazetteer", str(fx["gazetteer"])]) == 0
-        assert main(base + ["embed", "--word-vectors", str(fx["vectors"])]) == 0
-        if command[0] == "optimize":
-            command = command + ["--labels", str(fx["rank_labels"])]
-        capsys.readouterr()
-        rc = main(base + command + ["--dist-kinds", "floor_geo,inv_abs"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "'floor_geo' needs coordinates" in err
-        assert "float" in err
-        assert "Traceback" not in err
-        written = {"score": "scores.csv", "optimize": "optimize_trace.csv"}[command[0]]
-        assert not (out / written).exists()
-        assert not (out / (written + ".meta")).exists()
+        shutil.copytree(staged_out, out)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "semfuse", "--out-dir", str(out)] + argv, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr, len(done.stdout.splitlines())) == (0, "", 1)
+        sidecar = out / {"score": "scores.csv.meta", "optimize": "optimize_trace.csv.meta"}[argv[0]]
+        assert f"param_dist_kinds = {argv[2]}" in sidecar.read_text(encoding="utf-8").splitlines()
+
+    def test_reordered_dist_kinds_score_as_the_default(self, staged_out, tmp_path):
+        scores = {}
+        for name, argv in [("default", ["--alphas", "0.02,9.55"]),
+                           ("reordered", ["--dist-kinds", "floor_geo,inv_abs", "--alphas", "9.55,0.02"])]:
+            out = tmp_path / name
+            shutil.copytree(staged_out, out)
+            assert main(["--out-dir", str(out), "score"] + argv) == 0
+            scores[name] = np.loadtxt(out / "scores.csv", delimiter=",")
+        assert scores["default"].shape == (10, 10)
+        assert np.allclose(scores["reordered"], scores["default"], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("command, written", [
         (["reduce", "--k", "3"], "reduced.csv"),
@@ -882,7 +893,7 @@ class TestSettingErrors:
         # checked before the grid, whose four 21-point axes would hold too many probes per round
         "bounds for other distance kinds": (["optimize", "--labels", "{rank_labels}"], "bounds",
                                             "0:1,0:1,0:1,0:1",
-                                            "each of 2 distance kinds needs one bound and one feature per record"),
+                                            "each of 2 distance kinds needs one bound, got 4"),
         "repeated k, delta": (["sweep", "--mode", "delta", "--pairs", "20"], "k_list", "4,2,4",
                               "k=4 is repeated in the component counts"),
         # a choice is checked where it is used, so a flag fails as a config key does

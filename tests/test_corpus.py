@@ -9,7 +9,6 @@ import semfuse.corpus as corpus
 import semfuse.table as table
 
 from semfuse.corpus import (
-    Gazetteer,
     Record,
     clean_corpus,
     geocode,
@@ -201,7 +200,7 @@ class TestCoordinatesInOneParse:
         records = load_corpus(write(tmp_path / "c.csv", "id,text,timestamp,location,lat,lon\n" + rows))
         assert [r.coords for r in records[:2]] == [GeoPoint(0.5, -0.25), GeoPoint(1.5, -1.25)]
         gaz = load_gazetteer(write(tmp_path / "g.csv", "location,lat,lon\nA,1.5,2\nB,-3,4e1\n"))
-        assert gaz.entries == {"a": GeoPoint(1.5, 2.0), "b": GeoPoint(-3.0, 40.0)}
+        assert gaz == {"a": GeoPoint(1.5, 2.0), "b": GeoPoint(-3.0, 40.0)}
 
     @pytest.mark.parametrize("rows, line, reason", [
         ("a,t,x,,1,2\nb,t,1,,1_0,2\n", 2, "timestamp 'x' is not an integer"),
@@ -302,15 +301,15 @@ class TestPreprocess:
 
 class TestGazetteer:
     def test_exact_lookup(self):
-        g = Gazetteer({"washington, dc": GeoPoint(38.9072, -77.0369)})
+        g = {"washington, dc": GeoPoint(38.9072, -77.0369)}
         assert geocode("Washington, DC", g) == GeoPoint(38.9072, -77.0369)
 
     def test_trim_and_casefold(self):
-        g = Gazetteer({"washington, dc": GeoPoint(38.9072, -77.0369)})
+        g = {"washington, dc": GeoPoint(38.9072, -77.0369)}
         assert geocode("  washington, DC ", g) == GeoPoint(38.9072, -77.0369)
 
     def test_miss_carries_query(self):
-        g = Gazetteer({"washington, dc": GeoPoint(38.9072, -77.0369)})
+        g = {"washington, dc": GeoPoint(38.9072, -77.0369)}
         with pytest.raises(UnknownKeyError, match="Atlantis"):
             geocode("Atlantis", g)
 
@@ -333,7 +332,7 @@ class TestGazetteer:
             load_gazetteer(p)
 
     def test_resolve_coordinates(self):
-        g = Gazetteer({"chicago": GeoPoint(41.8781, -87.6298)})
+        g = {"chicago": GeoPoint(41.8781, -87.6298)}
         records = [
             Record("a", "x", 1, location="Chicago"),
             Record("b", "y", 2, coords=GeoPoint(1.0, 2.0)),

@@ -29,7 +29,6 @@ from semfuse.errors import (
     SemfuseError,
     UnknownKeyError,
 )
-from semfuse.geotime import GeoPoint
 from semfuse.rankopt import DEFAULT_DIST_KINDS, SimilarityParams, pairwise_scores
 
 
@@ -490,9 +489,9 @@ class TestTokenSaliences:
     def test_embed_sentence_uses_a_given_map(self):
         table = table_from({"x": [1.0, 0.0], "y": [0.0, 2.0]})
         ctx = ContextModel(np.zeros(2), np.eye(2), 0.0)
-        out = embed_sentence(["x", "y"], ctx, table, {"x": 1.0, "y": 0.0})
-        assert np.array_equal(out.vector, [1.0, 0.0])
-        assert embed_sentence(["x", "y"], ctx, table, {"x": 0.0, "y": 0.0}).fallback
+        vector, fallback = embed_sentence(["x", "y"], ctx, table, {"x": 1.0, "y": 0.0})
+        assert np.array_equal(vector, [1.0, 0.0]) and not fallback
+        assert embed_sentence(["x", "y"], ctx, table, {"x": 0.0, "y": 0.0})[1]
 
     @pytest.mark.parametrize("n_docs", [1, 5, 60])
     def test_one_solve_per_corpus(self, n_docs, monkeypatch):
@@ -517,46 +516,54 @@ class TestTokenSaliences:
         # tokens on the mean need no solve, so they never meet the singular metric
         assert token_saliences(["z", "z"], SINGULAR, SINGULAR_TABLE) == {"z": 0.0}
 
-    def test_singular_metric_names_the_first_record_that_solves(self):
+    def test_singular_metric_is_a_fault_of_the_corpus(self):
+        # the metric belongs to the whole corpus, so no record is named, and
+        # the fault comes before any record's own
         docs = [CleanDoc("flat", ("z",)), CleanDoc("moved", ("z", "a")), CleanDoc("later", ("a",))]
-        with pytest.raises(DomainError, match=r"^record 'moved': context metric is singular; increase ridge$"):
+        with pytest.raises(DomainError, match=r"^context metric is singular; increase ridge$"):
             embed_corpus(docs, SINGULAR, SINGULAR_TABLE)
-        # an earlier record's own error still comes first
         docs = [CleanDoc("none", ("oov",))] + docs
-        with pytest.raises(DomainError, match=r"^record 'none': no in-vocabulary tokens in sentence$"):
+        with pytest.raises(DomainError, match=r"^context metric is singular; increase ridge$"):
             embed_corpus(docs, SINGULAR, SINGULAR_TABLE)
+        # tokens on the mean need no solve, so a corpus of them embeds
+        space, fallback_ids = embed_corpus([CleanDoc("flat", ("z",))], SINGULAR, SINGULAR_TABLE)
+        assert space.ids == ("flat",) and fallback_ids == ("flat",)
+        # a record's own fault names the record
+        identity = ContextModel(np.zeros(2), np.eye(2), 0.0)
+        with pytest.raises(DomainError, match=r"^record 'none': no in-vocabulary tokens in sentence$"):
+            embed_corpus([CleanDoc("some", ("a",)), CleanDoc("none", ("oov",))], identity, SINGULAR_TABLE)
 
 
 class TestEmbedSentence:
     def test_single_token_normalized(self):
         table = table_from({"solo": [3.0, 4.0]})
         ctx = ContextModel(np.zeros(2), np.eye(2), 0.0)
-        out = embed_sentence(["solo"], ctx, table)
-        assert np.allclose(out.vector, [0.6, 0.8])
-        assert not out.fallback
+        vector, fallback = embed_sentence(["solo"], ctx, table)
+        assert np.allclose(vector, [0.6, 0.8])
+        assert not fallback
 
     def test_repetition_invariant(self):
         table = table_from({"a": [1.0, 2.0], "b": [0.0, 1.0]})
         ctx = ContextModel(np.zeros(2), np.eye(2), 0.0)
-        once = embed_sentence(["a", "b"], ctx, table)
-        twice = embed_sentence(["a", "a", "b", "b"], ctx, table)
-        assert np.allclose(once.vector, twice.vector, atol=1e-12)
+        once, _ = embed_sentence(["a", "b"], ctx, table)
+        twice, _ = embed_sentence(["a", "a", "b", "b"], ctx, table)
+        assert np.allclose(once, twice, atol=1e-12)
 
     def test_hand_weighted_mean(self):
         # identity metric: weights are plain distances from the origin
         table = table_from({"x": [1.0, 0.0], "y": [0.0, 2.0]})
         ctx = ContextModel(np.zeros(2), np.eye(2), 0.0)
-        out = embed_sentence(["x", "y"], ctx, table)
+        vector, _ = embed_sentence(["x", "y"], ctx, table)
         weighted = 1.0 * np.array([1.0, 0.0]) + 2.0 * np.array([0.0, 2.0])
         weighted /= 3.0
         expect = weighted / np.linalg.norm(weighted)
-        assert np.allclose(out.vector, expect, atol=1e-12)
+        assert np.allclose(vector, expect, atol=1e-12)
 
     def test_out_of_vocabulary_skipped(self):
         table = table_from({"known": [1.0, 1.0]})
         ctx = ContextModel(np.zeros(2), np.eye(2), 0.0)
-        out = embed_sentence(["known", "mystery"], ctx, table)
-        assert np.allclose(out.vector, np.array([1.0, 1.0]) / math.sqrt(2.0))
+        vector, _ = embed_sentence(["known", "mystery"], ctx, table)
+        assert np.allclose(vector, np.array([1.0, 1.0]) / math.sqrt(2.0))
 
     def test_no_vocabulary_rejected(self):
         table = table_from({"known": [1.0, 1.0]})
@@ -568,9 +575,9 @@ class TestEmbedSentence:
         table = table_from({"a": [2.0, 2.0], "b": [2.0, 2.0]})
         docs = [CleanDoc("d", ("a", "b"))]
         ctx = fit_context(docs, table, ridge=0.0)
-        out = embed_sentence(["a", "b"], ctx, table)
-        assert out.fallback
-        assert np.allclose(out.vector, np.array([2.0, 2.0]) / math.hypot(2.0, 2.0))
+        vector, fallback = embed_sentence(["a", "b"], ctx, table)
+        assert fallback
+        assert np.allclose(vector, np.array([2.0, 2.0]) / math.hypot(2.0, 2.0))
 
     @given(st.integers(min_value=0, max_value=500))
     @settings(max_examples=40)
@@ -579,15 +586,15 @@ class TestEmbedSentence:
         names = [f"w{i}" for i in range(int(rng.integers(2, 10)))]
         table = WordVectorTable(3, {n: rng.normal(size=3) for n in names})
         ctx = fit_context([CleanDoc("d", tuple(names))], table)
-        out = embed_sentence(names, ctx, table)
-        assert abs(np.linalg.norm(out.vector) - 1.0) < 1e-9
+        vector, _ = embed_sentence(names, ctx, table)
+        assert abs(np.linalg.norm(vector) - 1.0) < 1e-9
 
 
 def sim_cosal(a: np.ndarray, b: np.ndarray) -> float:
     """The text term of the scorer: a pair's sigma score with both alphas 0."""
     params = SimilarityParams("sigma", (0.0, 0.0), DEFAULT_DIST_KINDS)
-    same = (0.0, GeoPoint(0.0, 0.0))
-    return float(pairwise_scores(np.array([a, b]), [same, same], params)[0, 1])
+    same = (np.zeros(2), np.zeros((2, 2)))  # two records at one day and place
+    return float(pairwise_scores(np.array([a, b]), same, params)[0, 1])
 
 
 class TestSimCosal:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semfuse.embed import EmbeddingSpace
-from semfuse.errors import DomainError, FormatError, RowError, SchemaError, UnknownKeyError
+from semfuse.errors import ConflictError, DomainError, FormatError, RowError, SchemaError, UnknownKeyError
 from semfuse.evalkit import (
     SWEEP_VARIANTS,
     LabeledPair,
@@ -72,6 +72,18 @@ class TestLoadLabels:
         p = labels_file(tmp_path, "a,zz,1,1\n")
         with pytest.raises(UnknownKeyError, match=re.escape(f"{p}: line 2: id 'zz' not in corpus")):
             load_labels(p, scale_max=4.0, corpus_ids=["a", "b"])
+
+    def test_self_pair(self, tmp_path):
+        # a record paired with itself has cosine 1 and would take the top slot
+        p = labels_file(tmp_path, "a,b,1\nc,c,0\n")
+        with pytest.raises(RowError, match=f"^{re.escape(f'{p}: line 3: self-pair (c,c) is not allowed')}$"):
+            load_labels(p, scale_max=4.0)
+
+    @pytest.mark.parametrize("repeat", ["a,b,0", "b,a,0"])
+    def test_repeated_pair_in_either_order(self, tmp_path, repeat):
+        p = labels_file(tmp_path, f"a,b,4\n\nb,c,1\n{repeat}\n")
+        with pytest.raises(ConflictError, match=f"^{re.escape(f'{p}: line 5: duplicate pair')} \\('a', 'b'\\)$"):
+            load_labels(p, scale_max=4.0)
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "labels.csv"
@@ -258,28 +270,28 @@ class TestComponentSweep:
     def test_cell_layout(self):
         features = np.random.default_rng(1).normal(size=(8, 7))
         condensed = features[:, :3]
-        result = component_sweep(
+        cells = component_sweep(
             self.space, features, condensed, self.labels, k_list=[2, 3], top_n=5
         )
-        assert len(result.cells) == 6
-        assert [c.variant for c in result.cells] == [
+        assert len(cells) == 6
+        assert [c.variant for c in cells] == [
             "all_features", "all_features",
             "condensed_time", "condensed_time",
             "pca_only", "pca_only",
         ]
-        assert [c.k for c in result.cells] == [2, 3, 2, 3, 2, 3]
-        assert all(c.n_pairs == 5 for c in result.cells)
-        assert all(0.0 <= c.mean_label <= 1.0 for c in result.cells)
+        assert [c.k for c in cells] == [2, 3, 2, 3, 2, 3]
+        assert all(c.n_pairs == 5 for c in cells)
+        assert all(0.0 <= c.mean_label <= 1.0 for c in cells)
 
     def test_constant_features_collapse_to_pca_only(self):
         # constant feature columns standardize to zero, so appending them
         # cannot change any cosine
         features = np.ones((8, 7))
         condensed = np.ones((8, 3))
-        result = component_sweep(
+        cells = component_sweep(
             self.space, features, condensed, self.labels, k_list=[4], top_n=6
         )
-        by_variant = {c.variant: c.mean_label for c in result.cells}
+        by_variant = {c.variant: c.mean_label for c in cells}
         assert by_variant["all_features"] == pytest.approx(by_variant["pca_only"], abs=1e-9)
         assert by_variant["condensed_time"] == pytest.approx(by_variant["pca_only"], abs=1e-9)
 
@@ -307,18 +319,18 @@ class TestComponentSweep:
 
     def test_sweep_csv(self, tmp_path):
         features = np.random.default_rng(3).normal(size=(8, 7))
-        result = component_sweep(
+        cells = component_sweep(
             self.space, features, features[:, :3], self.labels, [2], top_n=4
         )
         out = tmp_path / "sweep.csv"
-        save_sweep_csv(result, out)
+        save_sweep_csv(cells, out)
         lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "variant,k,mean_label,n_pairs"
-        assert len(lines) == 1 + len(result.cells)
+        assert len(lines) == 1 + len(cells)
         first = lines[1].split(",")
         assert first[0] == "all_features"
         assert first[1] == "2"
-        assert float(first[2]) == result.cells[0].mean_label
+        assert float(first[2]) == cells[0].mean_label
 
 
 class TestCompareRankings:

@@ -29,22 +29,17 @@ points = st.builds(GeoPoint, latitudes, longitudes)
 
 class TestCyclicalEncoding:
     def test_epoch_origin(self):
-        enc = encode_time_cyclical(0)
-        assert enc.day_sin == 0.0
-        assert enc.day_cos == 1.0
-        assert enc.year_sin == 0.0
-        assert enc.year_cos == 1.0
-        assert enc.years_linear == 0.0
+        assert encode_time_cyclical(0) == (0.0, 1.0, 0.0, 1.0, 0.0)
 
     def test_quarter_day(self):
-        enc = encode_time_cyclical(21600)
-        assert enc.day_sin == pytest.approx(1.0, abs=1e-9)
-        assert enc.day_cos == pytest.approx(0.0, abs=1e-9)
+        day_sin, day_cos, *_ = encode_time_cyclical(21600)
+        assert day_sin == pytest.approx(1.0, abs=1e-9)
+        assert day_cos == pytest.approx(0.0, abs=1e-9)
 
     def test_half_day(self):
-        enc = encode_time_cyclical(43200)
-        assert enc.day_sin == pytest.approx(0.0, abs=1e-9)
-        assert enc.day_cos == pytest.approx(-1.0, abs=1e-9)
+        day_sin, day_cos, *_ = encode_time_cyclical(43200)
+        assert day_sin == pytest.approx(0.0, abs=1e-9)
+        assert day_cos == pytest.approx(-1.0, abs=1e-9)
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
@@ -52,27 +47,29 @@ class TestCyclicalEncoding:
 
     def test_unit_circle_invariant(self):
         for t in (0, 1, 12345, 86399, 10**9):
-            enc = encode_time_cyclical(t)
-            assert enc.day_sin**2 + enc.day_cos**2 == pytest.approx(1.0, abs=1e-9)
-            assert enc.year_sin**2 + enc.year_cos**2 == pytest.approx(1.0, abs=1e-9)
+            day_sin, day_cos, year_sin, year_cos, _ = encode_time_cyclical(t)
+            assert day_sin**2 + day_cos**2 == pytest.approx(1.0, abs=1e-9)
+            assert year_sin**2 + year_cos**2 == pytest.approx(1.0, abs=1e-9)
+
+    def test_the_all_features_row_starts_with_the_encoding(self):
+        # the five values in FEATURE_COLUMNS["all_features"] order, then lat and lon
+        t = 10**9 + 12345
+        row = build_feature_matrix([Record("a", "x", t, coords=GeoPoint(1.5, -2.5))], "all_features")[0]
+        assert row.tolist() == [*encode_time_cyclical(t), 1.5, -2.5]
+        assert encode_time_cyclical(t)[4] == t / (365.25 * 86400)
 
     @given(st.integers(min_value=0, max_value=10**10))
     def test_day_period(self, t):
         a = encode_time_cyclical(t)
         b = encode_time_cyclical(t + 86400)
-        assert a.day_sin == pytest.approx(b.day_sin, abs=1e-9)
-        assert a.day_cos == pytest.approx(b.day_cos, abs=1e-9)
+        assert a[:2] == pytest.approx(b[:2], abs=1e-9)
 
     def test_midnight_wraparound_closer_than_four_hours(self):
         before = encode_time_cyclical(86399)  # 23:59:59
         after = encode_time_cyclical(86400 + 1)  # next day 00:00:01
         apart = encode_time_cyclical(4 * 3600)  # 04:00:00
-        wrap = math.hypot(
-            before.day_sin - after.day_sin, before.day_cos - after.day_cos
-        )
-        four = math.hypot(
-            before.day_sin - apart.day_sin, before.day_cos - apart.day_cos
-        )
+        wrap = math.hypot(before[0] - after[0], before[1] - after[1])
+        four = math.hypot(before[0] - apart[0], before[1] - apart[1])
         assert wrap < four
 
 

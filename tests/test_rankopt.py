@@ -94,9 +94,18 @@ class TestDistanceKernels:
         assert 0.0 <= far <= near <= 1.0
 
 
-def pair_score(e1, e2, feats1, feats2, p: SimilarityParams) -> float:
-    """The score of one pair: the off-diagonal cell of a two-record batch, checked against the oracle."""
-    got = float(pairwise_scores(np.array([e1, e2]), [feats1, feats2], p)[0, 1])
+def columns(records) -> tuple[np.ndarray, np.ndarray]:
+    """The (days, coords) columns of (day, GeoPoint) records, as `batch_features` returns them."""
+    days = np.array([day for day, _ in records], dtype=float)
+    return days, np.array([(point.lat, point.lon) for _, point in records]).reshape(-1, 2)
+
+
+def pair_score(e1, e2, rec1, rec2, p: SimilarityParams) -> float:
+    """The score of one pair of (day, GeoPoint) records: the off-diagonal cell of a two-record batch,
+    checked against the oracle on the features each kind reads."""
+    features = columns([rec1, rec2])
+    got = float(pairwise_scores(np.array([e1, e2]), features, p)[0, 1])
+    feats1, feats2 = oracles.record_features(features, p.dist_kinds)
     assert got == pytest.approx(oracles.pair_score(e1, e2, feats1, feats2, p), rel=1e-14, abs=1e-14)
     return got
 
@@ -149,11 +158,16 @@ class TestSimilarityFunctions:
         assert got == pytest.approx(0.4 * 0.52 * 9.65, abs=1e-9)
         assert got == pytest.approx(2.0072, abs=1e-9)
 
-    def test_feature_count_mismatch(self):
+    @pytest.mark.parametrize("days, coords", [
+        (np.zeros(3), np.zeros((2, 2))),
+        (np.zeros(2), np.zeros((3, 2))),
+        (np.zeros((2, 1)), np.zeros((2, 2))),
+        (np.zeros(2), np.zeros(4)),
+    ], ids=["days of another batch", "coordinates of another batch", "days as a column", "flat coordinates"])
+    def test_feature_count_mismatch(self, days, coords):
         p = SimilarityParams("sigma", (1.0, 1.0), DEFAULT_DIST_KINDS)
-        e = np.array([1.0, 0.0])
-        with pytest.raises(DomainError, match=r"^every record needs 2 features, one per alpha$"):
-            pairwise_scores(np.array([e, e]), [(1.0,), (1.0,)], p)
+        with pytest.raises(DomainError, match=r"^2 embeddings for days of shape .* and coordinates of shape"):
+            pairwise_scores(np.eye(2), (days, coords), p)
 
 
 class TestBatchFeatures:
@@ -162,9 +176,14 @@ class TestBatchFeatures:
             Record("a", "x", 86400 * 3, coords=GeoPoint(10.0, 20.0)),
             Record("b", "y", 43200, coords=GeoPoint(-5.0, 30.0)),
         ]
-        feats = batch_features(records)
-        assert feats[0] == (3.0, GeoPoint(10.0, 20.0))
-        assert feats[1] == (0.5, GeoPoint(-5.0, 30.0))
+        days, coords = batch_features(records)
+        assert days.dtype == coords.dtype == np.float64
+        assert days.tolist() == [3.0, 0.5]
+        assert coords.tolist() == [[10.0, 20.0], [-5.0, 30.0]]
+
+    def test_an_empty_batch(self):
+        days, coords = batch_features([])
+        assert days.shape == (0,) and coords.shape == (0, 2)
 
     def test_missing_coords_names_id(self):
         with pytest.raises(DomainError, match="nowhere"):
@@ -272,11 +291,11 @@ def synthetic_batch(m: int, seed: int):
     rng = np.random.default_rng(seed)
     emb = rng.normal(size=(m, 8))
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-    feats = [
+    records = [
         (float(rng.integers(0, 10)), GeoPoint(float(rng.uniform(-60, 60)), float(rng.uniform(-150, 150))))
         for _ in range(m)
     ]
-    return emb, feats
+    return emb, columns(records)
 
 
 class TestOptimizeAlphas:
@@ -324,17 +343,16 @@ class TestOptimizeAlphas:
         emb, feats = synthetic_batch(10, 5)
         labels = rank_matrix(np.random.default_rng(0).random((10, 10)))
         cfg = GridConfig(bounds=((0.0, 1.0),))
-        with pytest.raises(ConfigError):
-            optimize_alphas(emb, feats, labels, "pi", ("inv_abs",), cfg)
+        with pytest.raises(ConfigError, match="^each of 2 distance kinds needs one bound, got 1$"):
+            optimize_alphas(emb, feats, labels, "pi", DEFAULT_DIST_KINDS, cfg)
 
-    def test_each_distance_kind_needs_one_bound_and_one_feature(self):
+    def test_each_distance_kind_needs_one_bound(self):
         # the CLI checks the bounds alone, before GridConfig counts the probes of a round
-        message = "^each of 2 distance kinds needs one bound and one feature per record$"
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match="^each of 2 distance kinds needs one bound, got 4$"):
             rankopt.check_axis_counts(DEFAULT_DIST_KINDS, ((0.0, 1.0),) * 4)
-        with pytest.raises(ConfigError, match=message):
-            rankopt.check_axis_counts(DEFAULT_DIST_KINDS, ((0.0, 1.0),) * 2, [(1.0,)])
-        rankopt.check_axis_counts(DEFAULT_DIST_KINDS, ((0.0, 1.0),) * 2, [(1.0, ORIGIN)])
+        with pytest.raises(ConfigError, match="^each of 1 distance kinds needs one bound, got 2$"):
+            rankopt.check_axis_counts(("floor_geo",), ((0.0, 1.0),) * 2)
+        rankopt.check_axis_counts(DEFAULT_DIST_KINDS, ((0.0, 1.0),) * 2)
 
     def test_trace_csv(self, tmp_path):
         trace = [(1, 0.5, 5.0, 3.0), (2, 0.25, 2.5, 1.0)]
@@ -377,10 +395,9 @@ class TestOptimizeAlphas:
 
     def test_single_kernel(self):
         emb, feats = synthetic_batch(10, 33)
-        days = [(f[0],) for f in feats]
-        labels = rank_matrix(pairwise_scores(emb, days, SimilarityParams("pi", (0.4,), ("inv_abs",))))
+        labels = rank_matrix(pairwise_scores(emb, feats, SimilarityParams("pi", (0.4,), ("inv_abs",))))
         cfg = GridConfig(bounds=((0.0, 1.0),), rounds=2)
-        params, loss, trace = optimize_alphas(emb, days, labels, "pi", ("inv_abs",), cfg)
+        params, loss, trace = optimize_alphas(emb, feats, labels, "pi", ("inv_abs",), cfg)
         assert len(trace) == 42
         assert all(len(t) == 3 for t in trace)
         assert params.dist_kinds == ("inv_abs",)
@@ -388,30 +405,26 @@ class TestOptimizeAlphas:
 
     def test_three_kernels(self):
         emb, feats = synthetic_batch(10, 34)
-        feats3 = [(d, p, d / 7.0) for d, p in feats]
         kinds = ("inv_abs", "floor_geo", "exp_abs")
-        labels = rank_matrix(pairwise_scores(emb, feats3, SimilarityParams("sigma", (0.5, 0.5, 1.0), kinds)))
+        labels = rank_matrix(pairwise_scores(emb, feats, SimilarityParams("sigma", (0.5, 0.5, 1.0), kinds)))
         cfg = GridConfig(bounds=((0.0, 1.0),) * 3, step=0.5, rounds=2)
-        params, loss, trace = optimize_alphas(emb, feats3, labels, "sigma", kinds, cfg)
+        params, loss, trace = optimize_alphas(emb, feats, labels, "sigma", kinds, cfg)
         assert len(trace) == 2 * 27
         assert [t[1:4] for t in trace[:27]] == list(itertools.product([0.0, 0.5, 1.0], repeat=3))
         assert len(params.alphas) == 3
         assert loss == min(t[4] for t in trace)
 
-    def test_feature_count_must_match_kinds(self):
-        emb, feats = synthetic_batch(10, 35)
+    def test_feature_count_must_match_the_batch(self):
+        emb, (days, coords) = synthetic_batch(10, 35)
         labels = rank_matrix(np.random.default_rng(0).random((10, 10)))
         cfg = GridConfig(bounds=((0.0, 1.0), (0.0, 1.0)))
-        short = [(f[0],) for f in feats]
-        with pytest.raises(ConfigError):
-            optimize_alphas(emb, short, labels, "pi", DEFAULT_DIST_KINDS, cfg)
+        with pytest.raises(DomainError, match=r"^10 embeddings for days of shape \(9,\)"):
+            optimize_alphas(emb, (days[:9], coords), labels, "pi", DEFAULT_DIST_KINDS, cfg)
 
 
 def fitted_batch(m: int, seed: int, kinds: tuple[str, ...], kind: str):
-    """A batch with per-record features for `kinds` and labels planted at fixed weights."""
+    """A batch with labels planted at fixed weights of `kinds`."""
     emb, feats = synthetic_batch(m, seed)
-    column = {"inv_abs": lambda f: f[0], "exp_abs": lambda f: f[0] / 7.0, "floor_geo": lambda f: f[1]}
-    feats = [tuple(column[k](f) for k in kinds) for f in feats]
     planted = SimilarityParams(kind, tuple(0.3 + 0.4 * i for i in range(len(kinds))), kinds)
     return emb, feats, rank_matrix(pairwise_scores(emb, feats, planted))
 
@@ -627,19 +640,17 @@ geo_st = st.builds(GeoPoint, st.floats(min_value=-90.0, max_value=90.0), st.floa
 def scored_batch(draw, kinds):
     m = draw(st.integers(min_value=2, max_value=6))
     emb = np.array([draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)) for _ in range(m)])
-    feats = [tuple(draw(geo_st if k == "floor_geo" else days_st) for k in kinds) for _ in range(m)]
+    records = [(draw(days_st), draw(geo_st)) for _ in range(m)]
     alphas = tuple(draw(st.floats(min_value=0.0, max_value=12.0)) for _ in kinds)
-    return emb, feats, alphas
+    return emb, records, alphas
 
 
-def near_band_edge(feats, kinds) -> bool:
+def near_band_edge(records) -> bool:
     """True if some pair's distance sits within rounding of a 500-mile band edge."""
-    for fi, kind in enumerate(kinds):
-        if kind == "floor_geo":
-            for a, b in itertools.combinations([f[fi] for f in feats], 2):
-                bands = oracles.haversine_miles(a, b) / 500.0
-                if bands != 0.0 and abs(bands - round(bands)) < 1e-9:
-                    return True
+    for (_, a), (_, b) in itertools.combinations(records, 2):
+        bands = oracles.haversine_miles(a, b) / 500.0
+        if bands != 0.0 and abs(bands - round(bands)) < 1e-9:
+            return True
     return False
 
 
@@ -650,7 +661,8 @@ def scored_records(m: int, seed: int):
     emb[rng.random(size=(m, 5)) < 0.3] = 0.0
     days = rng.integers(0, 4, size=m) + rng.choice([0.0, 0.25, 0.5], size=m)
     lats, lons = rng.uniform(-60.0, 60.0, size=m), rng.uniform(-120.0, 120.0, size=m)
-    return emb, [(day, GeoPoint(lat, lon)) for day, lat, lon in zip(days.tolist(), lats.tolist(), lons.tolist())]
+    return emb, columns([(day, GeoPoint(lat, lon)) for day, lat, lon in zip(days.tolist(), lats.tolist(),
+                                                                         lons.tolist())])
 
 
 class TestPairwiseScores:
@@ -674,7 +686,7 @@ class TestPairwiseScores:
         emb, feats = scored_records(m, seed=m)
         params = SimilarityParams(sim_kind, alphas, (day_kind, "floor_geo"))
         got = pairwise_scores(emb, feats, params)
-        want = oracles.whole_matrix_scores(emb, feats, params)
+        want = oracles.whole_matrix_scores(emb, oracles.record_features(feats, params.dist_kinds), params)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -694,29 +706,23 @@ class TestPairwiseScores:
         assert peak < 2 * 8 * m * m
 
     @pytest.mark.parametrize("sim_kind", SIM_KINDS)
-    @pytest.mark.parametrize("kinds", list(itertools.product(DIST_KINDS, repeat=2)))
+    @pytest.mark.parametrize("kinds", [(), *((kind,) for kind in DIST_KINDS),
+                                       *itertools.product(DIST_KINDS, repeat=2), DIST_KINDS, DIST_KINDS[::-1]])
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_matches_scalar_oracle(self, sim_kind, kinds, data):
         # error is measured against the magnitude of the summed terms, the
         # scale at which the two evaluation orders may round differently
-        emb, feats, alphas = data.draw(scored_batch(kinds))
-        assume(not near_band_edge(feats, kinds))
+        emb, records, alphas = data.draw(scored_batch(kinds))
+        assume("floor_geo" not in kinds or not near_band_edge(records))
         params = SimilarityParams(sim_kind, alphas, kinds)
-        got = pairwise_scores(emb, feats, params)
+        features = columns(records)
+        got = pairwise_scores(emb, features, params)
+        feats = oracles.record_features(features, kinds)
         want = oracles.pairwise_scores(emb, feats, params)
         scale = oracles.pairwise_scores(np.abs(emb), feats, params)
         off = ~np.eye(len(feats), dtype=bool)
         assert np.all(np.abs(got - want)[off] <= 1e-12 * np.abs(scale)[off])
-
-    @pytest.mark.parametrize("kinds, message", [
-        (("floor_geo", "inv_abs"), "'floor_geo' needs coordinates, but feature 1 holds float"),
-        (("exp_abs", "exp_abs"), "'exp_abs' needs day numbers, but feature 2 holds GeoPoint"),
-    ])
-    def test_kind_given_the_wrong_feature_type(self, kinds, message):
-        emb, feats = synthetic_batch(4, 12)
-        with pytest.raises(DomainError, match=message):
-            pairwise_scores(emb, feats, SimilarityParams("pi", (0.3, 4.0), kinds))
 
     def test_sim_functions_read_the_matrix(self):
         # one pair's score, from a two-record batch, is its cell of the full matrix
@@ -724,7 +730,8 @@ class TestPairwiseScores:
         for kind in ("sigma", "pi"):
             p = SimilarityParams(kind, (0.3, 4.0), DEFAULT_DIST_KINDS)
             scores = pairwise_scores(emb, feats, p)
-            got = pair_score(emb[1], emb[3], feats[1], feats[3], p)
+            days, coords = feats
+            got = pair_score(emb[1], emb[3], (days[1], GeoPoint(*coords[1])), (days[3], GeoPoint(*coords[3])), p)
             assert got == pytest.approx(scores[1, 3], rel=1e-14, abs=1e-14)
 
     def test_symmetric_and_diagonal_free_usage(self):
@@ -732,10 +739,11 @@ class TestPairwiseScores:
         p = SimilarityParams("pi", (0.3, 4.0), DEFAULT_DIST_KINDS)
         scores = pairwise_scores(emb, feats, p)
         assert np.array_equal(scores, scores.T)
+        per_record = oracles.record_features(feats, p.dist_kinds)
         for i in range(6):
             for j in range(6):
                 if i != j:
-                    expect = oracles.pair_score(emb[i], emb[j], feats[i], feats[j], p)
+                    expect = oracles.pair_score(emb[i], emb[j], per_record[i], per_record[j], p)
                     assert scores[i, j] == pytest.approx(expect, abs=1e-12)
 
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import re
 import warnings
 from pathlib import Path
@@ -10,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from semfuse import embed, evalkit, geotime, rankopt, spectra, table, tsne
 from semfuse.cli import load_config
-from semfuse.corpus import load_corpus
+from semfuse.corpus import load_corpus, load_gazetteer
 from semfuse.embed import EmbeddingSpace, export_embeddings, import_embeddings, load_word_vectors
 from semfuse.errors import ConflictError, FormatError, SemfuseError
-from semfuse.evalkit import SweepCell, SweepResult, load_labels
+from semfuse.evalkit import SweepCell, load_labels
 from semfuse.geotime import load_feature_matrix, save_feature_matrix
 from semfuse.rankopt import load_rank_labels, rank_matrix
 from semfuse.spectra import DeltaCosineResult
@@ -98,7 +99,7 @@ def writer_args(matrix, ids, path):
         "rankopt.save_trace_csv": (rows, path),
         "tsne.write_coords_csv": (ids, matrix[:, :2], path),
         "tsne.write_trace_csv": (matrix[:, 0], path),
-        "evalkit.save_sweep_csv": (SweepResult(cells, 3), path),
+        "evalkit.save_sweep_csv": (cells, path),
         "evalkit.save_rank_heatmap": (rank_matrix(np.random.default_rng(m).random((m, m))), path),
         "spectra.save_delta_csv": (deltas, path),
     }
@@ -480,3 +481,47 @@ class TestNotUtf8:
         p.write_bytes(p.read_bytes() + b"r\xff,1.0,2.0\n")
         with pytest.raises(FormatError, match=fault(p, 3002, "not UTF-8 text$")):
             import_embeddings(p)
+
+
+def plain(value):
+    """A reader's result with each array as a list and each dataclass as its fields, so results compare."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark before the first line is no part of it: the file reads as it does without one."""
+
+    # (reader, file name, text)
+    READERS = {
+        "word vectors": (load_word_vectors, "v.txt", "cat 1.0 2.0\ndog 3.0 4.0\n"),
+        "stopwords": (load_stopwords, "s.txt", "the\nof\n"),
+        "corpus csv": (load_corpus, "c.csv", "id,text,timestamp,lat,lon\na,hi there,5,1.5,2.5\n"),
+        "corpus tsv": (load_corpus, "c.tsv", "id\ttext\ttimestamp\na\thi there\t5\n"),
+        "corpus jsonl": (load_corpus, "c.jsonl", '{"id": "a", "text": "hi", "timestamp": 5}\n'),
+        "gazetteer": (load_gazetteer, "g.csv", "location,lat,lon\nChicago,41.8,-87.6\n"),
+        "rater labels": (lambda p: load_labels(p, 4.0), "l.csv", "id_a,id_b,score_1\na,b,3\n"),
+        "triplet rank labels": (load_rank_labels, "r.csv", "i,j,score\n0,1,0.9\n0,2,0.1\n1,2,0.5\n"),
+        "matrix rank labels": (load_rank_labels, "r.csv", "0.0,0.9,0.1\n0.9,0.0,0.5\n0.1,0.5,0.0\n"),
+        "colors": (load_colors, "colors.csv", "id,color\na,red\n"),
+        "config": (load_config, "c.conf", "seed = 3\nk = 2\n"),
+        "features": (load_feature_matrix, "f.csv", "time_seconds,lat,lon\n5.0,1.5,2.5\n"),
+        "embeddings": (import_embeddings, "e.csv", "id,e1,e2\na,1.0,2.0\n"),
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_a_leading_mark_reads_as_no_mark(self, tmp_path, reader):
+        load, name, text = self.READERS[reader]
+        plain_file, marked = tmp_path / "plain", tmp_path / "marked"
+        plain_file.mkdir()
+        marked.mkdir()
+        write(plain_file / name, text)
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert plain(load(marked / name)) == plain(load(plain_file / name))
