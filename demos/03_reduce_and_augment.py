@@ -9,7 +9,6 @@ dominate, with many they become a gentle nudge.
 
 import numpy as np
 
-from semfuse.embed import EmbeddingSpace
 from semfuse.spectra import augment, cosine, delta_cosine_experiment, fit_pca, transform
 
 rng = np.random.default_rng(3)
@@ -19,14 +18,13 @@ matrix = rng.normal(size=(n, d))
 # give the data a dominant direction so the variance spectrum has a story
 matrix[:, 0] *= 6.0
 matrix[:, 1] *= 3.0
-space = EmbeddingSpace(ids=tuple(f"r{i}" for i in range(n)), matrix=matrix)
 
-model = fit_pca(space, 8)
+model = fit_pca(matrix, 8)
 share = model.explained_variance / model.explained_variance.sum()
 print("variance share of the first 8 components:")
 print("  " + " ".join(f"{s:.2f}" for s in share))
 
-reduced = transform(model, space)
+reduced = transform(model, matrix)
 print(f"\nreduced space: {reduced.shape[0]}x{reduced.shape[1]}")
 
 features = rng.normal(size=(n, 7))
@@ -38,7 +36,7 @@ i, j = 0, 1
 print(f"\ncosine before augmentation: {cosine(reduced[i], reduced[j]):+.4f}")
 print(f"cosine after augmentation:  {cosine(augmented[i], augmented[j]):+.4f}")
 
-results = delta_cosine_experiment(space, features, [2, 4, 8, 16], trials=10,
+results = delta_cosine_experiment(matrix, features, [2, 4, 8, 16], trials=10,
                                   pair_sample_size=200, seed=0)
 print("\nmean |cosine shift| from appending features:")
 for r in results:

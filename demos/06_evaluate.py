@@ -13,8 +13,7 @@ import math
 import numpy as np
 
 from semfuse.corpus import Record
-from semfuse.embed import EmbeddingSpace
-from semfuse.evalkit import LabeledPair, component_sweep, top_pair_quality
+from semfuse.evalkit import component_sweep, top_pair_quality
 from semfuse.geotime import GeoPoint, build_feature_matrix, haversine_miles
 
 rng = np.random.default_rng(31)
@@ -31,28 +30,26 @@ for c, (lat, lon) in enumerate(cities):
         days.append(day)
         points.append(pt)
 
-labels = []
+# each labeled pair is two row positions, as evalkit.load_labels reads them from a rater file
+pairs, labels = [], []
 for i in range(len(records)):
     for j in range(i + 1, len(records)):
         gap = abs(days[i] - days[j])
         miles = haversine_miles(points[i], points[j])
-        value = min(1.0, 0.6 / (gap + 1.0) + 0.4 * math.exp(-miles / 500.0))
-        labels.append(LabeledPair(id_a=records[i].id, id_b=records[j].id,
-                                  rater_scores=(value * 4.0,), label=value))
+        pairs.append((i, j))
+        labels.append(min(1.0, 0.6 / (gap + 1.0) + 0.4 * math.exp(-miles / 500.0)))
+pairs, labels = np.array(pairs), np.array(labels)
 
 # text embeddings with no geotemporal signal at all
 emb = rng.normal(size=(len(records), 24))
 emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-space = EmbeddingSpace(ids=tuple(r.id for r in records), matrix=emb)
 
-quality = top_pair_quality(space, labels, top_n=10)
+quality = top_pair_quality(emb, pairs, labels, top_n=10)
 print(f"text-only top-10 pair quality: {quality:.4f}")
-print(f"mean label over all pairs:     {np.mean([p.label for p in labels]):.4f}")
+print(f"mean label over all pairs:     {np.mean(labels):.4f}")
 
-features_all = build_feature_matrix(records, "all_features")
-features_condensed = build_feature_matrix(records, "condensed_time")
-cells = component_sweep(space, features_all, features_condensed, labels,
-                        k_list=[4, 8], top_n=10)
+features = {variant: build_feature_matrix(records, variant) for variant in ("all_features", "condensed_time")}
+cells = component_sweep(emb, features, pairs, labels, k_list=[4, 8], top_n=10)
 
 print("\nvariant          k   top-pair quality")
 for cell in cells:

@@ -17,6 +17,7 @@ Equivalent shell session:
     semfuse --out-dir out --seed 7 eval --mode quality --labels labels.csv --top-n 5
 """
 
+import os
 import tempfile
 from pathlib import Path
 
@@ -78,7 +79,9 @@ with tempfile.TemporaryDirectory(prefix="semfuse_pipeline_") as tmp:
         encoding="utf-8",
     )
 
-    base = ["--out-dir", str(out), "--seed", "7"]
+    # the stages run in the temporary directory with a relative --out-dir, so the output paths
+    # they print are the same on every run
+    base = ["--out-dir", "out", "--seed", "7"]
     stages = [
         ["ingest", "--corpus", str(corpus), "--gazetteer", str(gazetteer)],
         ["encode", "--variant", "all_features"],
@@ -89,9 +92,14 @@ with tempfile.TemporaryDirectory(prefix="semfuse_pipeline_") as tmp:
         ["tsne", "--iterations", "300", "--perplexity", "5"],
         ["eval", "--mode", "quality", "--labels", str(labels), "--top-n", "5"],
     ]
-    for stage in stages:
-        rc = main(base + stage)
-        assert rc == 0, f"stage {stage[0]} failed"
+    home = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for stage in stages:
+            rc = main(base + stage)
+            assert rc == 0, f"stage {stage[0]} failed"
+    finally:
+        os.chdir(home)
 
     print("\nproduced files:")
     for path in sorted(out.iterdir()):

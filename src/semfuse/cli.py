@@ -56,13 +56,12 @@ from .evalkit import (
     save_sweep_csv,
     top_pair_quality,
 )
-from .geotime import VARIANTS, build_feature_matrix, load_feature_matrix, save_feature_matrix
+from .geotime import VARIANTS, batch_features, build_feature_matrix, load_feature_matrix, save_feature_matrix
 from .rankopt import (
     DEFAULT_DIST_KINDS,
     GridConfig,
     SIM_KINDS,
     SimilarityParams,
-    batch_features,
     check_axis_counts,
     load_rank_labels,
     optimize_alphas,
@@ -417,8 +416,8 @@ def cmd_embed(run: Run) -> tuple[dict, str]:
 def cmd_reduce(run: Run) -> tuple[dict, str]:
     k = run.value("k")
     space = run.parsed("embeddings", EmbeddingSpace)
-    model = fit_pca(space, k)
-    export_embeddings(EmbeddingSpace(space.ids, transform(model, space)), run.path_out(REDUCED))
+    model = fit_pca(space.matrix, k)
+    export_embeddings(EmbeddingSpace(space.ids, transform(model, space.matrix)), run.path_out(REDUCED))
     return {"explained_variance": model.explained_variance.tolist()}, f"kept {k} of {space.dim} components"
 
 
@@ -488,8 +487,8 @@ def cmd_eval(run: Run) -> tuple[dict, str]:
         run.value("space")
         space = run.parsed("space", EmbeddingSpace)
         labels_path, scale_max, top_n = run.value("labels"), run.value("scale_max"), run.value("top_n")
-        labels = load_labels(labels_path, scale_max, corpus_ids=space.ids)
-        quality = top_pair_quality(space, labels, top_n)
+        pairs, labels = load_labels(labels_path, scale_max, space.ids)
+        quality = top_pair_quality(space.matrix, pairs, labels, top_n)
         rows = [("top_pair_quality", quality), ("n_labels", len(labels)), ("top_n", top_n)]
         summary = f"top_pair_quality {quality!r} over top {top_n} of {len(labels)} pairs"
     else:
@@ -508,15 +507,14 @@ def cmd_sweep(run: Run) -> tuple[dict, str]:
     k_list = run.value("k_list")
     if run.mode == "quality":
         labels_path, scale_max, top_n = run.value("labels"), run.value("scale_max"), run.value("top_n")
-        labels = load_labels(labels_path, scale_max, corpus_ids=space.ids)
-        features_all = build_feature_matrix(records, "all_features")
-        features_condensed = build_feature_matrix(records, "condensed_time")
-        cells = component_sweep(space, features_all, features_condensed, labels, k_list, top_n)
+        pairs, labels = load_labels(labels_path, scale_max, space.ids)
+        features = {variant: build_feature_matrix(records, variant) for variant in VARIANTS}
+        cells = component_sweep(space.matrix, features, pairs, labels, k_list, top_n)
         save_sweep_csv(cells, run.path_out(SWEEP_CSV))
         return {}, f"{len(cells)} (variant, k) cells"
     variant, trials, pairs = run.value("variant"), run.value("trials"), run.value("pairs")
     features = build_feature_matrix(records, variant)
-    results = delta_cosine_experiment(space, features, k_list, trials, pairs, run.seed)
+    results = delta_cosine_experiment(space.matrix, features, k_list, trials, pairs, run.seed)
     save_delta_csv(results, run.path_out(DELTA_CSV))
     return {}, f"cosine shift at {len(results)} component counts"
 

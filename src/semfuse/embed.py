@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
 from .corpus import CleanDoc
-from .errors import ConflictError, DomainError, FormatError, SchemaError, UnknownKeyError
+from .errors import ConflictError, DomainError, FormatError, SchemaError
 from .table import bulk_rows, open_text, parse_floats, read_table, write_table
 
 DEFAULT_RIDGE_SCALE = 1e-3
@@ -73,7 +72,7 @@ class ContextModel:
 class EmbeddingSpace:
     """Ordered, distinct ids with their embedding rows.
 
-    The id -> row index is built once, on the first lookup.
+    A stage checks ids where it reads its files; the layers below take the matrix.
     """
 
     ids: tuple[str, ...]
@@ -92,19 +91,6 @@ class EmbeddingSpace:
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
-
-    @cached_property
-    def _row_of(self) -> dict[str, int]:
-        return {rid: i for i, rid in enumerate(self.ids)}
-
-    def row_index(self, record_id: str) -> int:
-        try:
-            return self._row_of[record_id]
-        except KeyError:
-            raise UnknownKeyError(record_id, f"id {record_id!r} not in embedding space") from None
-
-    def row(self, record_id: str) -> np.ndarray:
-        return self.matrix[self.row_index(record_id)]
 
 
 def _raise_first_fault(path: str | Path) -> NoReturn:

@@ -1,10 +1,12 @@
 """Human-label ingestion and the evaluation drivers.
 
-Labels are per-pair rater scores averaged and scaled into [0, 1]. The two
-experiment drivers are top_pair_quality (mean human label of the pairs the
-model ranks most similar) and component_sweep (that metric across
-component counts for each feature variant). compare_rankings scores a
-predicted ranking matrix against a labeled one and quantifies degenerate
+Labels are per-pair rater scores averaged and scaled into [0, 1];
+load_labels resolves each pair's two ids to row positions once, so the
+drivers work on a matrix and arrays of row pairs. The two experiment
+drivers are top_pair_quality (mean human label of the pairs the model
+ranks most similar) and component_sweep (that metric across component
+counts for each feature variant). compare_rankings scores a predicted
+ranking matrix against a labeled one and quantifies degenerate
 all-one-value columns.
 """
 
@@ -13,34 +15,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embed import EmbeddingSpace
 from .errors import ConflictError, DomainError, FormatError, RowError, SchemaError, UnknownKeyError
 from .rankopt import RankMatrix, rank_loss
 from .spectra import _pairwise_cosines, augment, fit_pca_models, transform
-from .spectra import fit_pca  # noqa: F401  # kept in this namespace: bench/tracer.py patches it
+from .spectra import fit_pca  # noqa: F401  # kept in this namespace: bench/tests/test_bench.py pins it
 from .table import filled_rows, open_text, parse_floats, write_table
-
-SWEEP_VARIANTS = ("all_features", "condensed_time", "pca_only")
-
-
-@dataclass(frozen=True)
-class LabeledPair:
-    """One labeled pair: raw rater scores plus the scaled mean label."""
-
-    id_a: str
-    id_b: str
-    rater_scores: tuple[float, ...]
-    label: float
-
-    def __post_init__(self):
-        if not self.rater_scores:
-            raise DomainError(f"pair ({self.id_a}, {self.id_b}) has no rater scores")
-        if not 0.0 <= self.label <= 1.0:
-            raise DomainError(f"label {self.label} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -60,23 +43,21 @@ class RankingReport:
     uniform_columns: tuple[int, ...]
 
 
-def load_labels(
-    path: str | Path,
-    scale_max: float,
-    corpus_ids: Sequence[str] | None = None,
-) -> list[LabeledPair]:
-    """Read id_a,id_b,score_1[,score_2,...] rows into LabeledPairs.
+def load_labels(path: str | Path, scale_max: float, ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Read id_a,id_b,score_1[,score_2,...] rows into (pairs, labels), in file order.
 
-    Rows may carry different numbers of scores, in the grammar of
-    `table.parse_floats`; empty trailing cells are ignored. label =
-    mean(scores) / scale_max. When corpus_ids is given, ids outside it are
-    rejected. A pair of an id with itself, or a pair given twice in either
-    order, is rejected too.
+    pairs is a (p, 2) array of each pair's two positions in `ids`, in the
+    order the row gives them; labels holds each pair's mean(scores) /
+    scale_max. Rows may carry different numbers of scores, in the grammar
+    of `table.parse_floats`; empty trailing cells are ignored. An id
+    outside `ids`, a pair of an id with itself, or a pair given twice in
+    either order is rejected.
     """
     if scale_max <= 0:
         raise DomainError(f"scale_max must be positive, got {scale_max}")
-    known = set(corpus_ids) if corpus_ids is not None else None
-    pairs: list[LabeledPair] = []
+    position = {rid: i for i, rid in enumerate(ids)}
+    pairs: list[tuple[int, int]] = []
+    labels: list[float] = []
     seen: set[tuple[str, str]] = set()
     with open_text(path) as fh:
         reader = csv.reader(fh)
@@ -90,16 +71,15 @@ def load_labels(
             if len(row) < 3:
                 raise RowError(where, "expected id_a, id_b and at least one score")
             id_a, id_b = row[0], row[1]
-            if known is not None:
-                for rid in (id_a, id_b):
-                    if rid not in known:
-                        raise UnknownKeyError(rid, f"{where}: id {rid!r} not in corpus")
+            for rid in (id_a, id_b):
+                if rid not in position:
+                    raise UnknownKeyError(rid, f"{where}: id {rid!r} not in corpus")
             if id_a == id_b:
                 raise RowError(where, f"self-pair ({id_a},{id_b}) is not allowed")
             raw = [cell for cell in row[2:] if cell.strip()]
             if not raw:
                 raise RowError(where, "no rater scores")
-            scores = tuple(parse_floats(where, raw).tolist())
+            scores = parse_floats(where, raw).tolist()
             for s in scores:
                 if not 0.0 <= s <= scale_max:
                     raise RowError(where, f"score {s} outside [0, {scale_max}]")
@@ -107,54 +87,45 @@ def load_labels(
             if key in seen:
                 raise ConflictError(f"{where}: duplicate pair {key}")
             seen.add(key)
-            label = sum(scores) / len(scores) / scale_max
-            pairs.append(LabeledPair(id_a=id_a, id_b=id_b, rater_scores=scores, label=label))
+            pairs.append((position[id_a], position[id_b]))
+            labels.append(sum(scores) / len(scores) / scale_max)
     if not pairs:
         raise FormatError(f"{path}: no labeled pairs")
-    return pairs
+    return np.array(pairs), np.array(labels)
 
 
-def top_pair_quality(
-    space: EmbeddingSpace,
-    labels: Sequence[LabeledPair],
-    top_n: int,
-) -> float:
-    """Mean human label of the top_n labeled pairs by model cosine.
+def top_pair_quality(matrix: np.ndarray, pairs: np.ndarray, labels: np.ndarray, top_n: int) -> float:
+    """Mean label of the top_n pairs of matrix rows by model cosine.
 
-    All pairs are scored by one vectorized cosine. Ties in model score
-    break by pair position in `labels`, so the result is deterministic.
-    The first id, in label order, that the space lacks raises before a
-    zero row does.
+    `pairs` and `labels` are as `load_labels` returns them. All pairs are
+    scored by one vectorized cosine. Ties in model score break by pair
+    position, so the result is deterministic.
     """
     if not 1 <= top_n <= len(labels):
         raise DomainError(f"top_n {top_n} outside [1, {len(labels)}]")
-    try:
-        rows = [space.row_index(rid) for pair in labels for rid in (pair.id_a, pair.id_b)]
-    except UnknownKeyError as exc:
-        raise UnknownKeyError(exc.query, f"id {exc.query!r} not in the evaluated space") from None
-    chosen = np.argsort(-_pairwise_cosines(space.matrix, rows[0::2], rows[1::2]), kind="stable")[:top_n]
-    return sum(labels[index].label for index in chosen.tolist()) / top_n
+    chosen = np.argsort(-_pairwise_cosines(matrix, pairs[:, 0], pairs[:, 1]), kind="stable")[:top_n]
+    return sum(labels[chosen].tolist()) / top_n
 
 
 def component_sweep(
-    space: EmbeddingSpace,
-    features_all: np.ndarray,
-    features_condensed: np.ndarray,
-    labels: Sequence[LabeledPair],
+    matrix: np.ndarray,
+    features: Mapping[str, np.ndarray],
+    pairs: np.ndarray,
+    labels: np.ndarray,
     k_list: Sequence[int],
     top_n: int = 20,
 ) -> tuple[SweepCell, ...]:
     """top_pair_quality for every (variant, k) combination.
 
-    Variants: the reduced space with all geotemporal features appended,
-    with condensed-time features appended, and with nothing appended.
+    Variants: the reduced matrix with each of `features` (by variant name,
+    in cell order) appended, then with nothing appended, as `pca_only`.
     """
-    reduced_by_k = [transform(model, space) for model in fit_pca_models(space, k_list)]
+    reduced_by_k = [transform(model, matrix) for model in fit_pca_models(matrix, k_list)]
     cells = []
-    for variant, features in zip(SWEEP_VARIANTS, (features_all, features_condensed, None)):
+    for variant, appended in [*features.items(), ("pca_only", None)]:
         for k, reduced in zip(k_list, reduced_by_k):
-            matrix = reduced if features is None else augment(reduced, features)[0]
-            mean_label = top_pair_quality(EmbeddingSpace(ids=space.ids, matrix=matrix), labels, top_n)
+            cell = reduced if appended is None else augment(reduced, appended)[0]
+            mean_label = top_pair_quality(cell, pairs, labels, top_n)
             cells.append(
                 SweepCell(variant=variant, k=int(k), mean_label=mean_label, n_pairs=top_n)
             )

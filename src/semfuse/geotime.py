@@ -126,6 +126,11 @@ def build_feature_matrix(records: Sequence["Record"], variant: str) -> np.ndarra
     return np.array(rows, dtype=float).reshape(len(rows), len(FEATURE_COLUMNS[variant]))
 
 
+def batch_features(records: Sequence["Record"]) -> tuple[np.ndarray, np.ndarray]:
+    """The columns the rankopt kernels read: (m,) days and (m, 2) latitude, longitude."""
+    m = build_feature_matrix(records, "condensed_time")
+    return m[:, 0] / SECONDS_PER_DAY, m[:, 1:]
+
 def save_feature_matrix(path: str | Path, matrix: np.ndarray, variant: str) -> None:
     """Write a feature matrix as CSV with the variant's column names as header."""
     if variant not in FEATURE_COLUMNS:

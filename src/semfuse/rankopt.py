@@ -41,9 +41,8 @@ from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Record
 from .errors import ConfigError, ConflictError, DomainError, FormatError, RowError, SemfuseError
-from .geotime import SECONDS_PER_DAY, GeoPoint, great_circle_miles, haversine_miles
+from .geotime import GeoPoint, great_circle_miles, haversine_miles
 from ._score_rows import write_rows
 from .table import filled_rows, float_texts, open_text, read_table, row_line, write_table
 
@@ -104,15 +103,6 @@ class SimilarityParams:
         for dk in self.dist_kinds:
             if dk not in DIST_KINDS:
                 raise DomainError(f"unknown distance kind {dk!r}; expected one of {DIST_KINDS}")
-
-
-def batch_features(records: Sequence[Record]) -> tuple[np.ndarray, np.ndarray]:
-    """The columns the shipped kernels read: (m,) days and (m, 2) latitude, longitude."""
-    for r in records:
-        if r.coords is None:
-            raise DomainError(f"record {r.id!r} has no coordinates")
-    days = np.array([r.timestamp / SECONDS_PER_DAY for r in records], dtype=float)
-    return days, np.array([(r.coords.lat, r.coords.lon) for r in records]).reshape(-1, 2)
 
 
 @dataclass(frozen=True, eq=False)

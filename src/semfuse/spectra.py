@@ -1,7 +1,8 @@
 """PCA reduction, geotemporal augmentation, and the cosine-shift experiment.
 
-fit_pca keeps the top principal axes of a centered embedding space; augment
-appends standardized feature columns after the reduced text columns. The
+Every function here works on matrices, one row per record. fit_pca keeps
+the top principal axes of a centered embedding matrix; augment appends
+standardized feature columns after the reduced text columns. The
 delta-cosine experiment measures how much augmentation moves pairwise
 cosines as the number of kept components grows.
 """
@@ -14,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .embed import EmbeddingSpace
 from .errors import DomainError
 from .geotime import StandardizationStats, standardize
 from .table import write_table
@@ -41,18 +41,14 @@ class PcaModel:
         if ev.shape != (k,) or np.any(ev < 0) or np.any(np.diff(ev) > 0):
             raise DomainError("explained_variance must be nonnegative and nonincreasing")
 
-    @property
-    def k(self) -> int:
-        return self.components.shape[0]
 
-
-def fit_pca(space: EmbeddingSpace | np.ndarray, k: int) -> PcaModel:
-    """Fit a k-component PCA of the (centered) embedding matrix.
+def fit_pca(matrix: np.ndarray, k: int) -> PcaModel:
+    """Fit a k-component PCA of the (centered) n x d embedding matrix.
 
     k must satisfy 1 <= k <= min(n-1, d). Component signs are fixed so each
     axis's largest-magnitude entry is positive.
     """
-    matrix = space.matrix if isinstance(space, EmbeddingSpace) else np.asarray(space, dtype=float)
+    matrix = np.asarray(matrix, dtype=float)
     _check_k(k, matrix.shape)
     n = matrix.shape[0]
     mean = matrix.mean(axis=0)
@@ -66,19 +62,19 @@ def fit_pca(space: EmbeddingSpace | np.ndarray, k: int) -> PcaModel:
     return PcaModel(mean=mean, components=components, explained_variance=variances)
 
 
-def fit_pca_models(space: EmbeddingSpace, k_list: Sequence[int]) -> list[PcaModel]:
-    """fit_pca(space, k) for every k in k_list, from one fit at max(k_list).
+def fit_pca_models(matrix: np.ndarray, k_list: Sequence[int]) -> list[PcaModel]:
+    """fit_pca(matrix, k) for every k in k_list, from one fit at max(k_list).
 
     fit_pca keeps the leading rows of one SVD, so the first k axes of the
     largest model are exactly the k-component model. A k may not repeat.
     """
     for index, k in enumerate(k_list):
-        _check_k(k, space.matrix.shape)
+        _check_k(k, matrix.shape)
         if k in k_list[:index]:
             raise DomainError(f"k={k} is repeated in the component counts")
     if not k_list:
         return []
-    full = fit_pca(space, max(k_list))
+    full = fit_pca(matrix, max(k_list))
     return [
         PcaModel(mean=full.mean, components=full.components[:k],
                  explained_variance=full.explained_variance[:k])
@@ -93,9 +89,9 @@ def _check_k(k: int, shape: tuple[int, int]) -> None:
         raise DomainError(f"k={k} out of range [1, {k_max}] for a {n}x{d} space")
 
 
-def transform(model: PcaModel, space: EmbeddingSpace | np.ndarray) -> np.ndarray:
+def transform(model: PcaModel, matrix: np.ndarray) -> np.ndarray:
     """Project rows onto the model's axes: (X - mean) @ components.T."""
-    matrix = space.matrix if isinstance(space, EmbeddingSpace) else np.asarray(space, dtype=float)
+    matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[1] != model.mean.shape[0]:
         raise DomainError(
             f"space dimension {matrix.shape[1:]} does not match model dimension {model.mean.shape[0]}"
@@ -143,7 +139,7 @@ class DeltaCosineResult:
 
 
 def delta_cosine_experiment(
-    space: EmbeddingSpace,
+    matrix: np.ndarray,
     features: np.ndarray,
     k_list: Sequence[int],
     trials: int = 10,
@@ -161,7 +157,7 @@ def delta_cosine_experiment(
         raise DomainError(f"trials must be >= 1, got {trials}")
     if pair_sample_size < 1:
         raise DomainError(f"pair_sample_size must be >= 1, got {pair_sample_size}")
-    n = space.matrix.shape[0]
+    n = matrix.shape[0]
     total_pairs = n * (n - 1) // 2
     if pair_sample_size > total_pairs:
         raise DomainError(
@@ -171,12 +167,12 @@ def delta_cosine_experiment(
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         trial_pairs.append(_upper_pairs(n, rng.choice(total_pairs, size=pair_sample_size, replace=False)))
-    centered = space.matrix - space.matrix.mean(axis=0)
+    centered = matrix - matrix.mean(axis=0)
     baseline = [_pairwise_cosines(centered, i, j) for i, j in trial_pairs]
 
     results = []
-    for k, model in zip(k_list, fit_pca_models(space, k_list)):
-        reduced = transform(model, space)
+    for k, model in zip(k_list, fit_pca_models(matrix, k_list)):
+        reduced = transform(model, matrix)
         augmented, _ = augment(reduced, features)
         trial_means = np.empty(trials)
         for trial, (i, j) in enumerate(trial_pairs):

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from semfuse.cli import main
-from semfuse.embed import EmbeddingSpace
-from semfuse.evalkit import LabeledPair, component_sweep
+from semfuse.evalkit import component_sweep
 from semfuse.geotime import (
     EARTH_RADIUS_MILES,
     GeoPoint,
@@ -147,10 +146,9 @@ def test_4_cosine_shift_decreases_with_components(announce):
     start = time.perf_counter()
     rng = np.random.default_rng(11)
     matrix = rng.normal(size=(200, 50))
-    space = EmbeddingSpace(ids=tuple(f"r{i}" for i in range(200)), matrix=matrix)
     features = rng.normal(size=(200, 7))
     results = delta_cosine_experiment(
-        space, features, [2, 4, 8, 16, 32], trials=10, pair_sample_size=500, seed=3
+        matrix, features, [2, 4, 8, 16, 32], trials=10, pair_sample_size=500, seed=3
     )
     elapsed = time.perf_counter() - start
     deltas = [r.mean_abs_delta for r in results]
@@ -195,26 +193,17 @@ def test_5_geotemporal_features_lift_proximity_labels(announce):
             points.append(point)
     n = len(records)
     # labels reward time and place proximity; text embeddings carry no signal
-    labels = []
+    pairs, labels = [], []
     for i in range(n):
         for j in range(i + 1, n):
             gap = abs(days[i] - days[j])
             miles = haversine_miles(points[i], points[j])
-            value = min(1.0, 0.6 / (gap + 1.0) + 0.4 * math.exp(-miles / 500.0))
-            labels.append(
-                LabeledPair(
-                    id_a=records[i].id,
-                    id_b=records[j].id,
-                    rater_scores=(value * 4.0,),
-                    label=value,
-                )
-            )
+            pairs.append((i, j))
+            labels.append(min(1.0, 0.6 / (gap + 1.0) + 0.4 * math.exp(-miles / 500.0)))
     emb = rng.normal(size=(n, 50))
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-    space = EmbeddingSpace(ids=tuple(r.id for r in records), matrix=emb)
-    features_all = build_feature_matrix(records, "all_features")
-    features_condensed = build_feature_matrix(records, "condensed_time")
-    cells = component_sweep(space, features_all, features_condensed, labels, [8], top_n=20)
+    features = {variant: build_feature_matrix(records, variant) for variant in ("all_features", "condensed_time")}
+    cells = component_sweep(emb, features, np.array(pairs), np.array(labels), [8], top_n=20)
     elapsed = time.perf_counter() - start
     by_variant = {cell.variant: cell.mean_label for cell in cells}
     lifted = by_variant["all_features"]

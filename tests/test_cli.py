@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import byte_manifest
 import numpy as np
 import oracles
 import pytest
@@ -22,10 +23,10 @@ from semfuse.cli import main, write_sidecar
 from semfuse.corpus import load_corpus
 from semfuse.embed import EmbeddingSpace, WordVectorTable, import_embeddings, load_word_vectors
 from semfuse.errors import ConfigError
+from semfuse.geotime import batch_features
 from semfuse.rankopt import (
     DEFAULT_DIST_KINDS,
     SimilarityParams,
-    batch_features,
     pairwise_scores,
     rank_matrix,
 )
@@ -132,6 +133,18 @@ class TestPipeline:
                 meta = (tmp_path / f"{name}.meta").read_text(encoding="utf-8")
                 keys = [line.split(" = ")[0] for line in meta.splitlines()]
                 assert keys == sidecar_keys(inputs, params), f"{stage[:3]}: {name}.meta"
+
+    def test_chain_matches_the_byte_manifest(self, pipeline_fixture, tmp_path, monkeypatch, capsys):
+        # a relative --out-dir makes what each stage prints the same wherever the test runs
+        monkeypatch.chdir(tmp_path)
+        entries = {}
+        for number, (stage, outputs) in enumerate(zip(pipeline_stages(pipeline_fixture), SIDECARS), start=1):
+            assert main(["--seed", "7", "--out-dir", "out"] + stage) == 0
+            key = f"pipeline.{number:02d}"
+            entries[f"{key}.stdout"] = capsys.readouterr().out.rstrip("\n")
+            for name in (file for output in outputs for file in (output, f"{output}.meta")):
+                entries[f"{key}.{name}"] = byte_manifest.sha256((tmp_path / "out" / name).read_bytes())
+        byte_manifest.check("pipeline.", entries)
 
     def test_stages_run_as_processes_write_nothing_to_stderr(self, pipeline_fixture, tmp_path):
         # pytest turns a warning into an error only inside its own process

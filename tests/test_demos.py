@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import byte_manifest
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,4 +40,6 @@ def test_demo_exits_0(demo, tmp_path):
     assert list(temp.iterdir()) == []
     left = sorted(path.relative_to(cwd).as_posix() for path in cwd.rglob("*"))
     assert left == LEFT_IN_CWD.get(demo.name, [])
+    key = f"demo.{demo.name}"
+    byte_manifest.check(key, {key: byte_manifest.sha256(proc.stdout.encode("utf-8"))})
 

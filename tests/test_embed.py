@@ -27,7 +27,6 @@ from semfuse.errors import (
     DomainError,
     FormatError,
     SemfuseError,
-    UnknownKeyError,
 )
 from semfuse.rankopt import DEFAULT_DIST_KINDS, SimilarityParams, pairwise_scores
 
@@ -659,21 +658,6 @@ class TestEmbeddingIO:
         p.write_text("id,e1,e2\na,nan,2.0\nb,3.0\n", encoding="utf-8")
         with pytest.raises(FormatError, match=re.escape(f"{p}: line 3: expected 3 fields, got 2")):
             import_embeddings(p)
-
-
-class TestEmbeddingSpaceRow:
-    def test_every_id_finds_its_row(self):
-        rng = np.random.default_rng(4)
-        ids = tuple(f"r{i}" for i in range(30))
-        space = EmbeddingSpace(ids, rng.normal(size=(30, 3)))
-        for i, rid in enumerate(ids):
-            assert np.array_equal(space.row(rid), space.matrix[i])
-
-    def test_unknown_id_message(self):
-        space = EmbeddingSpace(("a", "b"), np.eye(2))
-        with pytest.raises(UnknownKeyError, match=r"^id 'zz' not in embedding space$") as info:
-            space.row("zz")
-        assert info.value.query == "zz"
 
 
 class TestEmbedCorpus:

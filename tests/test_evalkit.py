@@ -5,11 +5,8 @@ import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semfuse.embed import EmbeddingSpace
 from semfuse.errors import ConflictError, DomainError, FormatError, RowError, SchemaError, UnknownKeyError
 from semfuse.evalkit import (
-    SWEEP_VARIANTS,
-    LabeledPair,
     compare_rankings,
     component_sweep,
     load_labels,
@@ -17,7 +14,11 @@ from semfuse.evalkit import (
     save_sweep_csv,
     top_pair_quality,
 )
+from semfuse.cli import main
 from semfuse.rankopt import rank_loss, rank_matrix
+
+
+IDS = ("a", "b", "c")
 
 
 def labels_file(tmp_path, body):
@@ -36,70 +37,85 @@ class TestLoadLabels:
             "b,c,1,2,3,4\n",
             encoding="utf-8",
         )
-        pairs = load_labels(p, scale_max=4.0)
-        assert [pair.label for pair in pairs] == [1.0, 0.0, 0.625]
-        assert pairs[1].rater_scores == (0.0, 0.0)
-        assert pairs[2].rater_scores == (1.0, 2.0, 3.0, 4.0)
+        pairs, labels = load_labels(p, 4.0, IDS)
+        assert pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert labels.tolist() == [1.0, 0.0, 0.625]
 
     def test_variable_rater_counts(self, tmp_path):
         p = labels_file(tmp_path, "a,b,2\na,c,2,4\n")
-        pairs = load_labels(p, scale_max=4.0)
-        assert pairs[0].label == 0.5
-        assert pairs[1].label == 0.75
+        _, labels = load_labels(p, 4.0, IDS)
+        assert labels.tolist() == [0.5, 0.75]
+
+    def test_positions_in_ids_in_file_order(self, tmp_path):
+        # the file lists ids in another order than ids does, and gives one pair reversed
+        p = labels_file(tmp_path, "r3,r1,4\nr0,r4,2,1\nr2,r0,0\n")
+        pairs, labels = load_labels(p, 4.0, ("r0", "r1", "r2", "r3", "r4"))
+        assert pairs.dtype.kind == "i" and pairs.shape == (3, 2)
+        assert pairs.tolist() == [[3, 1], [0, 4], [2, 0]]
+        assert labels.tolist() == [1.0, 0.375, 0.0]
 
     def test_score_outside_scale(self, tmp_path):
         p = labels_file(tmp_path, "a,b,5,1\n")
         with pytest.raises(RowError, match=re.escape(f"{p}: line 2: score 5.0 outside [0, 4.0]")):
-            load_labels(p, scale_max=4.0)
+            load_labels(p, 4.0, IDS)
 
     def test_short_rater_row_names_file_and_line(self, tmp_path):
         # the blank line counts: lines are the file's, the header is line 1
         p = labels_file(tmp_path, "a,b,1\n\na,c\n")
         with pytest.raises(RowError, match=re.escape(f"{p}: line 4: expected id_a, id_b and at least one score")):
-            load_labels(p, scale_max=4.0)
+            load_labels(p, 4.0, IDS)
 
     def test_no_rater_scores_names_file_and_line(self, tmp_path):
         p = labels_file(tmp_path, "a,b,1\na,c,,\n")
         with pytest.raises(RowError, match=re.escape(f"{p}: line 3: no rater scores")):
-            load_labels(p, scale_max=4.0)
+            load_labels(p, 4.0, IDS)
 
     def test_non_numeric_score(self, tmp_path):
         p = labels_file(tmp_path, "a,b,good,1\n")
         with pytest.raises(FormatError, match=re.escape(f"{p}: line 2: non-numeric value")):
-            load_labels(p, scale_max=4.0)
+            load_labels(p, 4.0, IDS)
 
     def test_unknown_corpus_id(self, tmp_path):
         p = labels_file(tmp_path, "a,zz,1,1\n")
         with pytest.raises(UnknownKeyError, match=re.escape(f"{p}: line 2: id 'zz' not in corpus")):
-            load_labels(p, scale_max=4.0, corpus_ids=["a", "b"])
+            load_labels(p, 4.0, ["a", "b"])
+
+    # the unknown-id cases top_pair_quality used to report now meet load_labels first
+    @pytest.mark.parametrize("row, query", [("zz,yy,1", "zz"), ("c,yy,1", "yy"), ("zz,zz,1", "zz")],
+                             ids=["both unknown", "second unknown", "unknown self-pair"])
+    def test_first_unknown_id_is_the_one_named(self, tmp_path, row, query):
+        p = labels_file(tmp_path, f"a,b,1\n{row}\n")
+        with pytest.raises(UnknownKeyError, match=f"^{re.escape(f'{p}: line 3: id {query!r} not in corpus')}$") as info:
+            load_labels(p, 4.0, IDS)
+        assert info.value.query == query
 
     def test_self_pair(self, tmp_path):
         # a record paired with itself has cosine 1 and would take the top slot
         p = labels_file(tmp_path, "a,b,1\nc,c,0\n")
         with pytest.raises(RowError, match=f"^{re.escape(f'{p}: line 3: self-pair (c,c) is not allowed')}$"):
-            load_labels(p, scale_max=4.0)
+            load_labels(p, 4.0, IDS)
 
     @pytest.mark.parametrize("repeat", ["a,b,0", "b,a,0"])
     def test_repeated_pair_in_either_order(self, tmp_path, repeat):
         p = labels_file(tmp_path, f"a,b,4\n\nb,c,1\n{repeat}\n")
         with pytest.raises(ConflictError, match=f"^{re.escape(f'{p}: line 5: duplicate pair')} \\('a', 'b'\\)$"):
-            load_labels(p, scale_max=4.0)
+            load_labels(p, 4.0, IDS)
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "labels.csv"
         p.write_text("left,right,score\na,b,1\n", encoding="utf-8")
         with pytest.raises(SchemaError):
-            load_labels(p, scale_max=4.0)
+            load_labels(p, 4.0, IDS)
 
     def test_header_only_names_the_file(self, tmp_path):
         p = labels_file(tmp_path, "")
         with pytest.raises(FormatError, match=re.escape(f"{p}: no labeled pairs")):
-            load_labels(p, scale_max=4.0)
+            load_labels(p, 4.0, IDS)
 
     def test_nonpositive_scale(self, tmp_path):
         p = labels_file(tmp_path, "a,b,1,1\n")
         with pytest.raises(DomainError):
-            load_labels(p, scale_max=0.0)
+            load_labels(p, 0.0, IDS)
 
     @given(scores=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=5))
     @settings(max_examples=50)
@@ -109,100 +125,76 @@ class TestLoadLabels:
         header = ",".join(["id_a", "id_b"] + [f"score_{i + 1}" for i in range(len(scores))])
         cells = ",".join(str(s) for s in scores)
         p.write_text(f"{header}\nx,y,{cells}\n", encoding="utf-8")
-        (pair,) = load_labels(p, scale_max=4.0)
-        assert 0.0 <= pair.label <= 1.0
-        assert pair.label == pytest.approx(sum(scores) / len(scores) / 4.0)
+        _, (label,) = load_labels(p, 4.0, ("x", "y"))
+        assert 0.0 <= label <= 1.0
+        assert label == pytest.approx(sum(scores) / len(scores) / 4.0)
 
 
-def toy_space():
-    # b is the nearest neighbour of a by construction, d is orthogonal to a
-    matrix = np.array(
-        [
-            [1.0, 0.0],
-            [0.9, 0.1],
-            [0.5, 0.5],
-            [0.0, 1.0],
-        ]
-    )
-    return EmbeddingSpace(ids=("a", "b", "c", "d"), matrix=matrix)
+# rows a, b, c, d: b is the nearest neighbour of a by construction, d is orthogonal to a
+TOY = np.array(
+    [
+        [1.0, 0.0],
+        [0.9, 0.1],
+        [0.5, 0.5],
+        [0.0, 1.0],
+    ]
+)
 
 
-def make_pair(id_a, id_b, label):
-    return LabeledPair(id_a=id_a, id_b=id_b, rater_scores=(label * 4.0,), label=label)
+def labeled(*rows, names="abcd"):
+    """(pairs, labels) as load_labels returns them, for (id_a, id_b, label) rows over the ids in `names`."""
+    pairs = np.array([(names.index(a), names.index(b)) for a, b, _ in rows])
+    return pairs, np.array([label for _, _, label in rows])
 
 
 class TestTopPairQuality:
     def test_picks_highest_cosine_pairs(self):
-        space = toy_space()
-        labels = [
-            make_pair("a", "b", 0.9),  # cosine ~0.994
-            make_pair("a", "d", 0.1),  # cosine 0
-            make_pair("a", "c", 0.5),  # cosine ~0.707
-        ]
-        assert top_pair_quality(space, labels, top_n=1) == pytest.approx(0.9)
-        assert top_pair_quality(space, labels, top_n=2) == pytest.approx((0.9 + 0.5) / 2)
-        assert top_pair_quality(space, labels, top_n=3) == pytest.approx(0.5)
+        pairs, labels = labeled(
+            ("a", "b", 0.9),  # cosine ~0.994
+            ("a", "d", 0.1),  # cosine 0
+            ("a", "c", 0.5),  # cosine ~0.707
+        )
+        assert top_pair_quality(TOY, pairs, labels, top_n=1) == pytest.approx(0.9)
+        assert top_pair_quality(TOY, pairs, labels, top_n=2) == pytest.approx((0.9 + 0.5) / 2)
+        assert top_pair_quality(TOY, pairs, labels, top_n=3) == pytest.approx(0.5)
 
     def test_constant_labels(self):
-        space = toy_space()
-        labels = [make_pair("a", "b", 0.25), make_pair("c", "d", 0.25)]
-        assert top_pair_quality(space, labels, top_n=2) == pytest.approx(0.25)
+        pairs, labels = labeled(("a", "b", 0.25), ("c", "d", 0.25))
+        assert top_pair_quality(TOY, pairs, labels, top_n=2) == pytest.approx(0.25)
 
     def test_tie_breaks_by_position(self):
-        space = toy_space()
         # identical pair listed twice: equal cosine, first listing wins
-        labels = [make_pair("a", "b", 0.0), make_pair("a", "b", 1.0)]
-        assert top_pair_quality(space, labels, top_n=1) == 0.0
+        pairs, labels = labeled(("a", "b", 0.0), ("a", "b", 1.0))
+        assert top_pair_quality(TOY, pairs, labels, top_n=1) == 0.0
 
     def test_top_n_bounds(self):
-        space = toy_space()
-        labels = [make_pair("a", "b", 0.5)]
+        pairs, labels = labeled(("a", "b", 0.5))
         with pytest.raises(DomainError):
-            top_pair_quality(space, labels, top_n=0)
+            top_pair_quality(TOY, pairs, labels, top_n=0)
         with pytest.raises(DomainError):
-            top_pair_quality(space, labels, top_n=2)
-
-    def test_unknown_id(self):
-        space = toy_space()
-        with pytest.raises(UnknownKeyError, match=r"^id 'zz' not in the evaluated space$") as info:
-            top_pair_quality(space, [make_pair("a", "zz", 0.5)], top_n=1)
-        assert info.value.query == "zz"
+            top_pair_quality(TOY, pairs, labels, top_n=2)
 
     def test_scale_invariance(self):
-        space = toy_space()
-        scaled = EmbeddingSpace(ids=space.ids, matrix=space.matrix * 37.0)
-        labels = [
-            make_pair("a", "b", 0.9),
-            make_pair("a", "c", 0.4),
-            make_pair("b", "d", 0.2),
-        ]
-        a = top_pair_quality(space, labels, top_n=2)
-        b = top_pair_quality(scaled, labels, top_n=2)
+        pairs, labels = labeled(("a", "b", 0.9), ("a", "c", 0.4), ("b", "d", 0.2))
+        a = top_pair_quality(TOY, pairs, labels, top_n=2)
+        b = top_pair_quality(TOY * 37.0, pairs, labels, top_n=2)
         assert a == b
 
     @given(st.integers(min_value=0, max_value=300))
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
-        ids = tuple(f"r{i}" for i in range(6))
         matrix = rng.normal(size=(6, 4))
-        space = EmbeddingSpace(ids=ids, matrix=matrix)
-        labels = []
-        for i in range(6):
-            for j in range(i + 1, 6):
-                labels.append(make_pair(ids[i], ids[j], float(rng.integers(0, 5)) / 4.0))
+        pairs = np.array([(i, j) for i in range(6) for j in range(i + 1, 6)])
+        labels = rng.integers(0, 5, size=len(pairs)) / 4.0
         top_n = int(rng.integers(1, len(labels) + 1))
-        got = top_pair_quality(space, labels, top_n)
+        got = top_pair_quality(matrix, pairs, labels, top_n)
 
         def cos(u, v):
             return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
-        index = {rid: row for rid, row in zip(ids, matrix)}
-        scored = sorted(
-            range(len(labels)),
-            key=lambda t: (-cos(index[labels[t].id_a], index[labels[t].id_b]), t),
-        )
-        expect = sum(labels[t].label for t in scored[:top_n]) / top_n
+        scored = sorted(range(len(labels)), key=lambda t: (-cos(matrix[pairs[t, 0]], matrix[pairs[t, 1]]), t))
+        expect = sum(labels[t] for t in scored[:top_n]) / top_n
         assert got == pytest.approx(expect, abs=1e-12)
 
 
@@ -215,32 +207,31 @@ class TestTopPairQualityMatchesItsOracle:
         rng = np.random.default_rng(seed)
         matrix = rng.normal(size=(n, 3))
         matrix = np.vstack([matrix, matrix[rng.integers(0, n, size=repeats)]])  # exact cosine ties
-        ids = tuple(f"r{i}" for i in range(len(matrix)))
-        space = EmbeddingSpace(ids=ids, matrix=matrix)
-        labels = [make_pair(ids[i], ids[j], float(rng.integers(0, 5)) / 4.0)
-                  for i, j in rng.integers(0, len(ids), size=(int(rng.integers(1, 12)), 2))]
+        pairs = rng.integers(0, len(matrix), size=(int(rng.integers(1, 12)), 2))
+        labels = rng.integers(0, 5, size=len(pairs)) / 4.0
         for top_n in range(1, len(labels) + 1):
-            assert top_pair_quality(space, labels, top_n) == oracles.top_pair_quality(space, labels, top_n)
+            assert top_pair_quality(matrix, pairs, labels, top_n) == oracles.top_pair_quality(
+                matrix, pairs, labels, top_n)
 
-    @pytest.mark.parametrize("pairs, error, message", [
-        ([("a", "b"), ("zz", "yy"), ("a", "xx")], UnknownKeyError, "^id 'zz' not in the evaluated space$"),
-        ([("a", "b"), ("c", "yy")], UnknownKeyError, "^id 'yy' not in the evaluated space$"),
-        ([("a", "b"), ("o", "c")], DomainError, "^cosine is undefined for a zero vector$"),
-        ([("c", "o"), ("a", "b")], DomainError, "^cosine is undefined for a zero vector$"),
-    ])
-    def test_same_first_error(self, pairs, error, message):
-        space = EmbeddingSpace(ids=("a", "b", "c", "o"), matrix=np.array([[1.0, 0.0], [0.9, 0.1], [0.5, 0.5],
-                                                                           [0.0, 0.0]]))
-        labels = [make_pair(a, b, 0.5) for a, b in pairs]
+    # an unknown id no longer reaches either: load_labels rejects it (TestLoadLabels.test_unknown_corpus_id)
+    @pytest.mark.parametrize("rows", [[("a", "b"), ("o", "c")], [("c", "o"), ("a", "b")]],
+                             ids=["second pair", "first pair"])
+    def test_same_first_error(self, rows):
+        matrix = np.array([[1.0, 0.0], [0.9, 0.1], [0.5, 0.5], [0.0, 0.0]])
+        pairs, labels = labeled(*((a, b, 0.5) for a, b in rows), names="abco")
         for quality in (top_pair_quality, oracles.top_pair_quality):
-            with pytest.raises(error, match=message):
-                quality(space, labels, 1)
+            with pytest.raises(DomainError, match="^cosine is undefined for a zero vector$"):
+                quality(matrix, pairs, labels, 1)
 
-    def test_an_unknown_id_raises_before_an_earlier_zero_row(self):
-        # every id is looked up before any pair is scored; the loop raised at the first failing pair
-        space = EmbeddingSpace(ids=("a", "o"), matrix=np.array([[1.0, 0.0], [0.0, 0.0]]))
-        with pytest.raises(UnknownKeyError, match="^id 'zz' not in the evaluated space$"):
-            top_pair_quality(space, [make_pair("a", "o", 0.5), make_pair("a", "zz", 0.5)], 1)
+    def test_an_unknown_id_raises_before_an_earlier_zero_row(self, tmp_path, capsys):
+        # the eval stage resolves every id, in load_labels, before top_pair_quality scores a pair
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "space.csv").write_text("id,e1,e2\na,1.0,0.0\no,0.0,0.0\n", encoding="utf-8")
+        p = labels_file(tmp_path, "a,o,2\na,zz,2\n")
+        argv = ["--out-dir", str(out), "eval", "--space", "space.csv", "--labels", str(p), "--top-n", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {p}: line 3: id 'zz' not in corpus\n"
 
     def test_scores_all_pairs_in_one_cosine_call(self, monkeypatch):
         import semfuse.evalkit as evalkit
@@ -248,31 +239,26 @@ class TestTopPairQualityMatchesItsOracle:
         calls = []
         pairwise = evalkit._pairwise_cosines
         monkeypatch.setattr(evalkit, "_pairwise_cosines", lambda *args: calls.append(1) or pairwise(*args))
-        labels = [make_pair("a", "b", 0.9), make_pair("a", "d", 0.1), make_pair("c", "d", 0.5)]
-        assert top_pair_quality(toy_space(), labels, top_n=2) == oracles.top_pair_quality(toy_space(), labels, 2)
+        pairs, labels = labeled(("a", "b", 0.9), ("a", "d", 0.1), ("c", "d", 0.5))
+        assert top_pair_quality(TOY, pairs, labels, top_n=2) == oracles.top_pair_quality(TOY, pairs, labels, 2)
         assert calls == [1]
 
 
 class TestComponentSweep:
     def setup_method(self):
         rng = np.random.default_rng(17)
-        self.space = EmbeddingSpace(
-            ids=tuple(f"r{i}" for i in range(8)),
-            matrix=rng.normal(size=(8, 4)),
-        )
-        self.labels = []
-        for i in range(8):
-            for j in range(i + 1, 8):
-                self.labels.append(
-                    make_pair(f"r{i}", f"r{j}", float(rng.integers(0, 5)) / 4.0)
-                )
+        self.matrix = rng.normal(size=(8, 4))
+        self.pairs = np.array([(i, j) for i in range(8) for j in range(i + 1, 8)])
+        self.labels = np.array([float(rng.integers(0, 5)) / 4.0 for _ in self.pairs])
+
+    def sweep(self, features, condensed, k_list, top_n):
+        variants = {"all_features": features, "condensed_time": condensed}
+        return component_sweep(self.matrix, variants, self.pairs, self.labels, k_list, top_n)
 
     def test_cell_layout(self):
         features = np.random.default_rng(1).normal(size=(8, 7))
         condensed = features[:, :3]
-        cells = component_sweep(
-            self.space, features, condensed, self.labels, k_list=[2, 3], top_n=5
-        )
+        cells = self.sweep(features, condensed, k_list=[2, 3], top_n=5)
         assert len(cells) == 6
         assert [c.variant for c in cells] == [
             "all_features", "all_features",
@@ -288,9 +274,7 @@ class TestComponentSweep:
         # cannot change any cosine
         features = np.ones((8, 7))
         condensed = np.ones((8, 3))
-        cells = component_sweep(
-            self.space, features, condensed, self.labels, k_list=[4], top_n=6
-        )
+        cells = self.sweep(features, condensed, k_list=[4], top_n=6)
         by_variant = {c.variant: c.mean_label for c in cells}
         assert by_variant["all_features"] == pytest.approx(by_variant["pca_only"], abs=1e-9)
         assert by_variant["condensed_time"] == pytest.approx(by_variant["pca_only"], abs=1e-9)
@@ -300,28 +284,26 @@ class TestComponentSweep:
 
         fit = spectra.fit_pca
         calls = []
-        monkeypatch.setattr(spectra, "fit_pca", lambda space, k: calls.append(k) or fit(space, k))
+        monkeypatch.setattr(spectra, "fit_pca", lambda matrix, k: calls.append(k) or fit(matrix, k))
         features = np.random.default_rng(4).normal(size=(8, 7))
-        component_sweep(self.space, features, features[:, :3], self.labels, [2, 4, 3], top_n=4)
+        self.sweep(features, features[:, :3], [2, 4, 3], top_n=4)
         assert calls == [4]
 
     def test_repeated_k_rejected(self):
         features = np.random.default_rng(5).normal(size=(8, 7))
         with pytest.raises(DomainError, match=r"^k=2 is repeated in the component counts$"):
-            component_sweep(self.space, features, features[:, :3], self.labels, [2, 3, 2], top_n=4)
+            self.sweep(features, features[:, :3], [2, 3, 2], top_n=4)
 
     def test_deterministic(self):
         features = np.random.default_rng(2).normal(size=(8, 7))
         condensed = features[:, 2:5]
-        a = component_sweep(self.space, features, condensed, self.labels, [2], top_n=4)
-        b = component_sweep(self.space, features, condensed, self.labels, [2], top_n=4)
+        a = self.sweep(features, condensed, [2], top_n=4)
+        b = self.sweep(features, condensed, [2], top_n=4)
         assert a == b
 
     def test_sweep_csv(self, tmp_path):
         features = np.random.default_rng(3).normal(size=(8, 7))
-        cells = component_sweep(
-            self.space, features, features[:, :3], self.labels, [2], top_n=4
-        )
+        cells = self.sweep(features, features[:, :3], [2], top_n=4)
         out = tmp_path / "sweep.csv"
         save_sweep_csv(cells, out)
         lines = out.read_text(encoding="utf-8").strip().splitlines()
@@ -375,13 +357,3 @@ class TestRankHeatmap:
         assert lines[2] == f"0,1,{int(r.entries[0, 1])}"
         assert int(r.entries[0, 1]) == 0
         assert int(r.entries[0, 2]) == 1
-
-
-class TestLabeledPairValidation:
-    def test_empty_scores(self):
-        with pytest.raises(DomainError):
-            LabeledPair(id_a="a", id_b="b", rater_scores=(), label=0.5)
-
-    def test_label_range(self):
-        with pytest.raises(DomainError):
-            LabeledPair(id_a="a", id_b="b", rater_scores=(5.0,), label=1.25)

@@ -9,7 +9,9 @@ from semfuse.corpus import Record
 from semfuse.errors import DomainError, FormatError
 from semfuse.geotime import (
     EARTH_RADIUS_MILES,
+    SECONDS_PER_DAY,
     GeoPoint,
+    batch_features,
     build_feature_matrix,
     encode_time_cyclical,
     haversine_miles,
@@ -206,3 +208,29 @@ class TestFeatureMatrix:
         p.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(FormatError, match=re.escape(f"{p}: line 3: non-finite")):
             load_feature_matrix(p)
+
+
+class TestBatchFeatures:
+    def test_days_and_coords(self):
+        records = [
+            Record("a", "x", 86400 * 3, coords=GeoPoint(10.0, 20.0)),
+            Record("b", "y", 43200, coords=GeoPoint(-5.0, 30.0)),
+        ]
+        days, coords = batch_features(records)
+        assert days.dtype == coords.dtype == np.float64
+        assert days.tolist() == [3.0, 0.5]
+        assert coords.tolist() == [[10.0, 20.0], [-5.0, 30.0]]
+
+    def test_an_empty_batch(self):
+        days, coords = batch_features([])
+        assert days.shape == (0,) and coords.shape == (0, 2)
+
+    def test_missing_coords_names_id(self):
+        with pytest.raises(DomainError, match="nowhere"):
+            batch_features([Record("nowhere", "x", 5)])
+
+    @given(st.integers(min_value=0, max_value=2**53 - 1))
+    def test_days_are_the_exact_quotient_of_the_integer_timestamp(self, stamp):
+        # the time column holds float(stamp), exact below 2**53, so its quotient is stamp's correctly rounded one
+        days, _ = batch_features([Record("a", "x", stamp, coords=GeoPoint(1.0, 2.0))])
+        assert days.tolist() == [stamp / SECONDS_PER_DAY]

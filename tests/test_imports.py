@@ -52,3 +52,29 @@ def test_the_public_names_are_the_ones_listed():
                 for alias in node.names]
     public = sorted(name for name in imported if not name.startswith("_"))
     assert public == sorted(name for name in semfuse.__all__ if name != "__version__")
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a source imports, by name: `.embed`, `semfuse.embed` and `from . import embed` are `embed`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = ".".join(filter(None, ["semfuse" if node.level else "", node.module]))
+            # `from . import embed` and `from semfuse import embed` import the module itself
+            names.update([f"{package}.{alias.name}" for alias in node.names] if package == "semfuse" else [package])
+    return {name.removeprefix("semfuse.") for name in names if name.startswith("semfuse.")}
+
+
+def test_the_import_check_reads_every_form():
+    source = ("import semfuse.embed\nfrom .corpus import Record\nfrom semfuse.table import x\nfrom . import tsne\n"
+              "from semfuse import cache\nimport os\nfrom numpy import linalg\n")
+    assert package_imports(source) == {"embed", "corpus", "table", "tsne", "cache"}
+
+
+# the numeric layers take matrices and row positions: each stage resolves ids where it reads its files
+@pytest.mark.parametrize("module, kept_out", [("spectra", "embed"), ("evalkit", "embed"), ("rankopt", "corpus")])
+def test_a_numeric_layer_imports_no_id_layer(module, kept_out):
+    source = (Path(semfuse.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    assert kept_out not in package_imports(source)

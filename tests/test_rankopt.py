@@ -27,7 +27,6 @@ from semfuse.rankopt import (
     GridConfig,
     RankMatrix,
     SimilarityParams,
-    batch_features,
     dist_exp,
     dist_floor_geo,
     dist_inv,
@@ -95,7 +94,7 @@ class TestDistanceKernels:
 
 
 def columns(records) -> tuple[np.ndarray, np.ndarray]:
-    """The (days, coords) columns of (day, GeoPoint) records, as `batch_features` returns them."""
+    """The (days, coords) columns of (day, GeoPoint) records, as `geotime.batch_features` returns them."""
     days = np.array([day for day, _ in records], dtype=float)
     return days, np.array([(point.lat, point.lon) for _, point in records]).reshape(-1, 2)
 
@@ -168,26 +167,6 @@ class TestSimilarityFunctions:
         p = SimilarityParams("sigma", (1.0, 1.0), DEFAULT_DIST_KINDS)
         with pytest.raises(DomainError, match=r"^2 embeddings for days of shape .* and coordinates of shape"):
             pairwise_scores(np.eye(2), (days, coords), p)
-
-
-class TestBatchFeatures:
-    def test_days_and_coords(self):
-        records = [
-            Record("a", "x", 86400 * 3, coords=GeoPoint(10.0, 20.0)),
-            Record("b", "y", 43200, coords=GeoPoint(-5.0, 30.0)),
-        ]
-        days, coords = batch_features(records)
-        assert days.dtype == coords.dtype == np.float64
-        assert days.tolist() == [3.0, 0.5]
-        assert coords.tolist() == [[10.0, 20.0], [-5.0, 30.0]]
-
-    def test_an_empty_batch(self):
-        days, coords = batch_features([])
-        assert days.shape == (0,) and coords.shape == (0, 2)
-
-    def test_missing_coords_names_id(self):
-        with pytest.raises(DomainError, match="nowhere"):
-            batch_features([Record("nowhere", "x", 5)])
 
 
 class TestRankMatrix:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semfuse.embed import EmbeddingSpace
-from semfuse.errors import DomainError, UnknownKeyError
+from semfuse.errors import DomainError
 import semfuse.spectra as spectra
 from semfuse.spectra import (
     augment,
@@ -21,18 +20,16 @@ def count_fit_pca(monkeypatch) -> list[int]:
     calls = []
     fit = spectra.fit_pca
 
-    def counted(space, k):
+    def counted(matrix, k):
         calls.append(k)
-        return fit(space, k)
+        return fit(matrix, k)
 
     monkeypatch.setattr(spectra, "fit_pca", counted)
     return calls
 
 
-def random_space(seed, n=20, d=10):
-    rng = np.random.default_rng(seed)
-    ids = tuple(f"r{i}" for i in range(n))
-    return EmbeddingSpace(ids, rng.normal(size=(n, d)))
+def random_matrix(seed, n=20, d=10):
+    return np.random.default_rng(seed).normal(size=(n, d))
 
 
 def eigh_oracle(matrix, k):
@@ -58,31 +55,31 @@ class TestFitPca:
         assert model.explained_variance[0] == pytest.approx(total, abs=1e-9)
 
     def test_full_rank_projection_is_isometry(self):
-        space = random_space(0, n=15, d=6)
-        model = fit_pca(space, 6)
-        proj = transform(model, space)
+        matrix = random_matrix(0, n=15, d=6)
+        model = fit_pca(matrix, 6)
+        proj = transform(model, matrix)
         for i in range(5):
             for j in range(i + 1, 5):
-                orig = np.linalg.norm(space.matrix[i] - space.matrix[j])
+                orig = np.linalg.norm(matrix[i] - matrix[j])
                 red = np.linalg.norm(proj[i] - proj[j])
                 assert red == pytest.approx(orig, abs=1e-6)
 
     def test_matches_eigendecomposition_oracle(self):
-        space = random_space(42)
-        model = fit_pca(space, 4)
-        comps, variances = eigh_oracle(space.matrix, 4)
+        matrix = random_matrix(42)
+        model = fit_pca(matrix, 4)
+        comps, variances = eigh_oracle(matrix, 4)
         assert np.allclose(model.components, comps, atol=1e-6)
         assert np.allclose(model.explained_variance, variances, atol=1e-6)
 
     def test_k_out_of_range(self):
-        space = random_space(1, n=5, d=8)
+        matrix = random_matrix(1, n=5, d=8)
         with pytest.raises(DomainError):
-            fit_pca(space, 0)
+            fit_pca(matrix, 0)
         with pytest.raises(DomainError):
-            fit_pca(space, 5)  # k must stay within n-1
+            fit_pca(matrix, 5)  # k must stay within n-1
 
     def test_sign_convention(self):
-        model = fit_pca(random_space(7), 5)
+        model = fit_pca(random_matrix(7), 5)
         for row in model.components:
             assert row[np.argmax(np.abs(row))] > 0
 
@@ -98,67 +95,67 @@ class TestFitPca:
         assert np.all(model.explained_variance >= -1e-12)
 
     def test_total_variance_preserved_at_full_rank(self):
-        space = random_space(3, n=12, d=5)
-        model = fit_pca(space, 5)
-        total = np.sum(np.var(space.matrix, axis=0))
+        matrix = random_matrix(3, n=12, d=5)
+        model = fit_pca(matrix, 5)
+        total = np.sum(np.var(matrix, axis=0))
         assert np.sum(model.explained_variance) == pytest.approx(total, abs=1e-6)
 
 
 class TestFitPcaModels:
     def test_each_model_equals_its_own_fit(self):
-        space = random_space(21, n=15, d=9)
+        matrix = random_matrix(21, n=15, d=9)
         k_list = [3, 1, 9, 5]
-        for k, model in zip(k_list, fit_pca_models(space, k_list)):
-            own = fit_pca(space, k)
-            assert model.k == k
+        for k, model in zip(k_list, fit_pca_models(matrix, k_list)):
+            own = fit_pca(matrix, k)
+            assert model.components.shape[0] == k
             assert np.array_equal(model.mean, own.mean)
             assert np.array_equal(model.components, own.components)
             assert np.array_equal(model.explained_variance, own.explained_variance)
-            assert np.array_equal(transform(model, space), transform(own, space))
+            assert np.array_equal(transform(model, matrix), transform(own, matrix))
 
     def test_one_fit_at_the_largest_k(self, monkeypatch):
         calls = count_fit_pca(monkeypatch)
-        fit_pca_models(random_space(22), [2, 6, 4])
+        fit_pca_models(random_matrix(22), [2, 6, 4])
         assert calls == [6]
 
     def test_k_out_of_range_names_the_first_bad_k(self):
-        space = random_space(23, n=6, d=4)
+        matrix = random_matrix(23, n=6, d=4)
         with pytest.raises(DomainError, match=r"^k=0 out of range \[1, 4\] for a 6x4 space$"):
-            fit_pca_models(space, [2, 0, 7])
+            fit_pca_models(matrix, [2, 0, 7])
         with pytest.raises(DomainError, match=r"^k=7 out of range \[1, 4\] for a 6x4 space$"):
-            fit_pca_models(space, [2, 7, 0])
+            fit_pca_models(matrix, [2, 7, 0])
 
     def test_empty_list(self):
-        assert fit_pca_models(random_space(24), []) == []
+        assert fit_pca_models(random_matrix(24), []) == []
 
     def test_repeated_k_names_the_first_repeat(self, monkeypatch):
         calls = count_fit_pca(monkeypatch)
-        space = random_space(25, n=8, d=5)
+        matrix = random_matrix(25, n=8, d=5)
         with pytest.raises(DomainError, match=r"^k=4 is repeated in the component counts$"):
-            fit_pca_models(space, [4, 2, 4, 2])
+            fit_pca_models(matrix, [4, 2, 4, 2])
         with pytest.raises(DomainError, match=r"^k=0 out of range"):
-            fit_pca_models(space, [4, 0, 4])
+            fit_pca_models(matrix, [4, 0, 4])
         assert calls == []
 
     def test_delta_experiment_rejects_a_repeated_k(self):
         with pytest.raises(DomainError, match=r"^k=4 is repeated"):
-            delta_cosine_experiment(random_space(26, n=8, d=5), np.zeros((8, 2)), [4, 2, 4],
+            delta_cosine_experiment(random_matrix(26, n=8, d=5), np.zeros((8, 2)), [4, 2, 4],
                                     trials=2, pair_sample_size=5)
 
 
 class TestTransform:
     def test_mean_row_maps_to_zero(self):
-        space = random_space(5)
-        model = fit_pca(space, 3)
+        matrix = random_matrix(5)
+        model = fit_pca(matrix, 3)
         out = transform(model, model.mean.reshape(1, -1))
         assert np.allclose(out, 0.0, atol=1e-9)
 
     def test_full_rank_reconstruction(self):
-        space = random_space(6, n=10, d=4)
-        model = fit_pca(space, 4)
-        proj = transform(model, space)
+        matrix = random_matrix(6, n=10, d=4)
+        model = fit_pca(matrix, 4)
+        proj = transform(model, matrix)
         rebuilt = proj @ model.components + model.mean
-        assert np.allclose(rebuilt, space.matrix, atol=1e-6)
+        assert np.allclose(rebuilt, matrix, atol=1e-6)
 
     def test_hand_projection(self):
         X = np.array([[1.0, 0.0, 2.0], [3.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
@@ -172,7 +169,7 @@ class TestTransform:
                 assert out[i, j] == pytest.approx(hand, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        model = fit_pca(random_space(8, n=6, d=4), 2)
+        model = fit_pca(random_matrix(8, n=6, d=4), 2)
         with pytest.raises(DomainError):
             transform(model, np.zeros((3, 5)))
 
@@ -204,18 +201,6 @@ class TestAugment:
     def test_row_mismatch(self):
         with pytest.raises(DomainError, match=r"^row counts differ: 3 reduced vs 4 features$"):
             augment(np.zeros((3, 2)), np.zeros((4, 2)))
-
-
-    def test_row_by_id(self):
-        # the augment stage looks rows up by id in an EmbeddingSpace over the matrix
-        rng = np.random.default_rng(3)
-        ids = ("a", "b", "c")
-        matrix, _ = augment(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
-        out = EmbeddingSpace(ids, matrix)
-        for i, rid in enumerate(ids):
-            assert np.array_equal(out.row(rid), matrix[i])
-        with pytest.raises(UnknownKeyError, match=r"^id 'zz' not in embedding space$"):
-            out.row("zz")
 
 
 class TestCosine:
@@ -262,26 +247,26 @@ class TestCosine:
 
 class TestDeltaCosine:
     def test_zero_features_full_rank_no_shift(self):
-        space = random_space(11, n=12, d=5)
+        matrix = random_matrix(11, n=12, d=5)
         features = np.full((12, 3), 4.0)  # constant: standardizes to zeros
-        results = delta_cosine_experiment(space, features, [5], trials=3, pair_sample_size=10)
+        results = delta_cosine_experiment(matrix, features, [5], trials=3, pair_sample_size=10)
         assert results[0].mean_abs_delta == pytest.approx(0.0, abs=1e-6)
 
     def test_same_seed_identical(self):
-        space = random_space(12, n=15, d=6)
+        matrix = random_matrix(12, n=15, d=6)
         rng = np.random.default_rng(9)
         features = rng.normal(size=(15, 3))
-        a = delta_cosine_experiment(space, features, [2, 4], trials=4, pair_sample_size=20, seed=5)
-        b = delta_cosine_experiment(space, features, [2, 4], trials=4, pair_sample_size=20, seed=5)
+        a = delta_cosine_experiment(matrix, features, [2, 4], trials=4, pair_sample_size=20, seed=5)
+        b = delta_cosine_experiment(matrix, features, [2, 4], trials=4, pair_sample_size=20, seed=5)
         assert [(r.k, r.mean_abs_delta, r.stderr) for r in a] == [
             (r.k, r.mean_abs_delta, r.stderr) for r in b
         ]
 
     def test_one_pca_fit_per_experiment(self, monkeypatch):
         calls = count_fit_pca(monkeypatch)
-        space = random_space(16, n=15, d=6)
+        matrix = random_matrix(16, n=15, d=6)
         features = np.random.default_rng(5).normal(size=(15, 3))
-        delta_cosine_experiment(space, features, [2, 6, 4], trials=2, pair_sample_size=10)
+        delta_cosine_experiment(matrix, features, [2, 6, 4], trials=2, pair_sample_size=10)
         assert calls == [6]
 
     @pytest.mark.parametrize("n", [2, 3, 7, 100, 2000])
@@ -292,30 +277,30 @@ class TestDeltaCosine:
         assert np.array_equal(got_rows, rows[numbers]) and np.array_equal(got_columns, columns[numbers])
 
     def test_sample_size_exceeding_pairs(self):
-        space = random_space(13, n=5, d=4)
+        matrix = random_matrix(13, n=5, d=4)
         with pytest.raises(DomainError):
-            delta_cosine_experiment(space, np.zeros((5, 2)), [2], pair_sample_size=11)
+            delta_cosine_experiment(matrix, np.zeros((5, 2)), [2], pair_sample_size=11)
 
     @pytest.mark.parametrize("size", [0, -1])
     def test_sample_size_below_one(self, size):
         # an empty sample would average no pairs: a nan row and a numpy warning
-        space = random_space(13, n=5, d=4)
+        matrix = random_matrix(13, n=5, d=4)
         with pytest.raises(DomainError, match=f"pair_sample_size must be >= 1, got {size}"):
-            delta_cosine_experiment(space, np.zeros((5, 2)), [2], pair_sample_size=size)
+            delta_cosine_experiment(matrix, np.zeros((5, 2)), [2], pair_sample_size=size)
 
     def test_nonnegative(self):
-        space = random_space(14, n=12, d=6)
+        matrix = random_matrix(14, n=12, d=6)
         rng = np.random.default_rng(2)
         features = rng.normal(size=(12, 3))
-        for r in delta_cosine_experiment(space, features, [2, 3], trials=3, pair_sample_size=15):
+        for r in delta_cosine_experiment(matrix, features, [2, 3], trials=3, pair_sample_size=15):
             assert r.mean_abs_delta >= 0.0
             assert r.stderr >= 0.0
 
     def test_csv_output(self, tmp_path):
-        space = random_space(15, n=10, d=5)
+        matrix = random_matrix(15, n=10, d=5)
         rng = np.random.default_rng(4)
         results = delta_cosine_experiment(
-            space, rng.normal(size=(10, 3)), [2], trials=2, pair_sample_size=8
+            matrix, rng.normal(size=(10, 3)), [2], trials=2, pair_sample_size=8
         )
         p = tmp_path / "delta.csv"
         save_delta_csv(results, p)

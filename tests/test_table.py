@@ -129,6 +129,11 @@ class TestWritersMatchTheirOldBytes:
         assert_writers_match_their_oracles(matrix, ("a", "b"), path)
 
 
+def rater_labels(path):
+    """load_labels over every id these tests' label files name: a, b, and a<i>, b<i> for i below 5000."""
+    return load_labels(path, 4.0, ["a", "b", *(f"{side}{i}" for i in range(5000) for side in "ab")])
+
+
 # (reader, file text with the cell {} on line 2); each reads its own layout
 GRAMMAR_READERS = {
     "word vectors": (load_word_vectors, "cat 1.0 2.0\ndog 3.0 {}\n"),
@@ -136,7 +141,7 @@ GRAMMAR_READERS = {
     "features": (load_feature_matrix, "time_seconds,lat,lon\n{},1.0,2.0\n"),
     "matrix labels": (load_rank_labels, "0.0,0.5\n0.5,{}\n"),
     "triplet labels": (load_rank_labels, "i,j,score\n0,1,{}\n"),
-    "rater labels": (lambda p: load_labels(p, scale_max=4.0), "id_a,id_b,score_1\na,b,{}\n"),
+    "rater labels": (rater_labels, "id_a,id_b,score_1\na,b,{}\n"),
 }
 VERDICTS = {"1_0": "non-numeric", "١٢": "non-numeric", "0x10": "non-numeric",
             "nan": "non-finite", "1e999": "non-finite"}
@@ -256,8 +261,8 @@ QUIET_CASES = {
     "features, header only": (load_feature_matrix, "time_seconds,lat,lon\n"),
     "labels, blank": (load_rank_labels, "\n \n"),
     "triplet labels, header only": (load_rank_labels, "i,j,score\n"),
-    "rater labels, empty": (lambda p: load_labels(p, scale_max=4.0), ""),
-    "rater labels, header only": (lambda p: load_labels(p, scale_max=4.0), "id_a,id_b,score_1\n"),
+    "rater labels, empty": (rater_labels, ""),
+    "rater labels, header only": (rater_labels, "id_a,id_b,score_1\n"),
 }
 
 
@@ -459,7 +464,7 @@ class TestNotUtf8:
                          lambda i: f'{{"id": "r{i}", "text": "hello", "timestamp": 1}}\n', "[1]\n",
                          "expected a JSON object$"),
         "stopwords": (load_stopwords, "", lambda i: f"w{i}\n", "Bad\n", "stopword 'Bad' is not lowercase$"),
-        "rater labels": (lambda p: load_labels(p, 4.0), "id_a,id_b,score_1\n", lambda i: f"a{i},b{i},1\n",
+        "rater labels": (rater_labels, "id_a,id_b,score_1\n", lambda i: f"a{i},b{i},1\n",
                          "a,b,9\n", r"score 9.0 outside \[0, 4.0\]$"),
         "colors": (load_colors, "id,color\n", lambda i: f"r{i},red\n", "r3,blue\n",
                    "duplicate color entry for id 'r3'$"),
@@ -507,7 +512,7 @@ class TestByteOrderMark:
         "corpus tsv": (load_corpus, "c.tsv", "id\ttext\ttimestamp\na\thi there\t5\n"),
         "corpus jsonl": (load_corpus, "c.jsonl", '{"id": "a", "text": "hi", "timestamp": 5}\n'),
         "gazetteer": (load_gazetteer, "g.csv", "location,lat,lon\nChicago,41.8,-87.6\n"),
-        "rater labels": (lambda p: load_labels(p, 4.0), "l.csv", "id_a,id_b,score_1\na,b,3\n"),
+        "rater labels": (rater_labels, "l.csv", "id_a,id_b,score_1\na,b,3\n"),
         "triplet rank labels": (load_rank_labels, "r.csv", "i,j,score\n0,1,0.9\n0,2,0.1\n1,2,0.5\n"),
         "matrix rank labels": (load_rank_labels, "r.csv", "0.0,0.9,0.1\n0.9,0.0,0.5\n0.1,0.5,0.0\n"),
         "colors": (load_colors, "colors.csv", "id,color\na,red\n"),
