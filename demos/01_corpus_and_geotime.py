@@ -50,7 +50,7 @@ features = build_feature_matrix(records, "all_features")
 print(f"\nall_features matrix is {features.shape[0]}x{features.shape[1]}:")
 print(features.round(3))
 
-scaled, stats = standardize(features)
-print("\nconstant columns after standardization:", [bool(v) for v in stats.constant_mask])
+scaled, _, _, constant = standardize(features)
+print("\nconstant columns after standardization:", [bool(v) for v in constant])
 print("scaled feature matrix:")
 print(scaled.round(3))

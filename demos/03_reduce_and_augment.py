@@ -28,7 +28,7 @@ reduced = transform(model, matrix)
 print(f"\nreduced space: {reduced.shape[0]}x{reduced.shape[1]}")
 
 features = rng.normal(size=(n, 7))
-augmented, _ = augment(reduced, features)
+augmented, _, _, _ = augment(reduced, features)
 print(f"augmented space: {augmented.shape[0]}x{augmented.shape[1]} "
       f"(k={reduced.shape[1]} text + f={features.shape[1]} features)")
 
@@ -36,9 +36,9 @@ i, j = 0, 1
 print(f"\ncosine before augmentation: {cosine(reduced[i], reduced[j]):+.4f}")
 print(f"cosine after augmentation:  {cosine(augmented[i], augmented[j]):+.4f}")
 
-results = delta_cosine_experiment(matrix, features, [2, 4, 8, 16], trials=10,
-                                  pair_sample_size=200, seed=0)
+rows = delta_cosine_experiment(matrix, features, [2, 4, 8, 16], trials=10,
+                               pair_sample_size=200, seed=0)
 print("\nmean |cosine shift| from appending features:")
-for r in results:
-    print(f"  k={r.k:<3d} {r.mean_abs_delta:.4f} (stderr {r.stderr:.4f})")
+for k, mean_abs_delta, stderr in rows:
+    print(f"  k={k:<3d} {mean_abs_delta:.4f} (stderr {stderr:.4f})")
 print("the shift shrinks as the text block keeps more components")

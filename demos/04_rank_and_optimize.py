@@ -46,7 +46,7 @@ feats = (np.array([day for day, _, _ in draws]), np.array([(lat, lon) for _, lat
 
 true_params = SimilarityParams(kind="pi", alphas=(0.4, 6.0), dist_kinds=DEFAULT_DIST_KINDS)
 labels = rank_matrix(pairwise_scores(emb, feats, true_params))
-print(f"\nlabel ranking matrix row 0: {labels.entries[0].tolist()}")
+print(f"\nlabel ranking matrix row 0: {labels[0].tolist()}")
 
 cfg = GridConfig(bounds=((0.0, 1.0), (0.0, 12.0)), rounds=4)
 found, loss, trace = optimize_alphas(emb, feats, labels, "pi", DEFAULT_DIST_KINDS, cfg)

@@ -30,14 +30,13 @@ for c, center in enumerate(centers):
 X = np.array(points)
 
 cfg = TsneConfig(perplexity=12.0, iterations=500, seed=0)
-result = run_tsne(X, cfg)
+coords, kl_trace, perplexity, _ = run_tsne(X, cfg)
 
-print(f"effective perplexity: {result.effective_perplexity}")
-print(f"KL at start: {result.kl_trace[0]:.4f}")
-print(f"KL at end:   {result.kl_trace[-1]:.4f}")
+print(f"effective perplexity: {perplexity}")
+print(f"KL at start: {kl_trace[0]:.4f}")
+print(f"KL at end:   {kl_trace[-1]:.4f}")
 
 # how tight are the islands? compare within-cluster to between-cluster spread
-coords = result.coords
 within, between = [], []
 for a in range(len(ids)):
     for b in range(a + 1, len(ids)):

@@ -49,10 +49,10 @@ print(f"text-only top-10 pair quality: {quality:.4f}")
 print(f"mean label over all pairs:     {np.mean(labels):.4f}")
 
 features = {variant: build_feature_matrix(records, variant) for variant in ("all_features", "condensed_time")}
-cells = component_sweep(emb, features, pairs, labels, k_list=[4, 8], top_n=10)
+rows = component_sweep(emb, features, pairs, labels, k_list=[4, 8], top_n=10)
 
 print("\nvariant          k   top-pair quality")
-for cell in cells:
-    print(f"{cell.variant:15s} {cell.k:3d}   {cell.mean_label:.4f}")
+for variant, k, mean_label, _ in rows:
+    print(f"{variant:15s} {k:3d}   {mean_label:.4f}")
 print("\nappending time/place features finds the humanly-similar pairs; "
       "the text-only space cannot")

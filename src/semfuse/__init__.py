@@ -25,7 +25,6 @@ from .errors import SemfuseError
 from .geotime import GeoPoint, encode_time_cyclical, haversine_miles, standardize
 from .rankopt import (
     GridConfig,
-    RankMatrix,
     SimilarityParams,
     optimize_alphas,
     pairwise_scores,
@@ -43,7 +42,6 @@ __all__ = [
     "GeoPoint",
     "GridConfig",
     "PcaModel",
-    "RankMatrix",
     "Record",
     "SemfuseError",
     "SimilarityParams",

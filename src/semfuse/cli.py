@@ -430,16 +430,10 @@ def cmd_augment(run: Run) -> tuple[dict, str]:
             f"{reduced_path} has {reduced.matrix.shape[0]} rows but "
             f"{features_path} has {features.shape[0]} rows"
         )
-    matrix, stats = augment(reduced.matrix, features)
+    matrix, means, stds, constant = augment(reduced.matrix, features)
     export_embeddings(EmbeddingSpace(reduced.ids, matrix), run.path_out(AUGMENTED))
-    params = {
-        "k": reduced.dim,
-        "f": features.shape[1],
-        "variant": variant,
-        "feature_means": stats.means.tolist(),
-        "feature_stds": stats.stds.tolist(),
-        "constant_mask": stats.constant_mask.tolist(),
-    }
+    params = {"k": reduced.dim, "f": features.shape[1], "variant": variant, "feature_means": means.tolist(),
+              "feature_stds": stds.tolist(), "constant_mask": constant.tolist()}
     return params, f"{reduced.dim}+{features.shape[1]} columns"
 
 
@@ -472,13 +466,13 @@ def cmd_tsne(run: Run) -> tuple[dict, str]:
     cfg = TsneConfig(**{key: run.value(key) for key in keys}, seed=run.seed)
     colors_path = run.value("colors")
     colors = load_colors(colors_path) if colors_path else None
-    result = run_tsne(space.matrix, cfg)
-    write_coords_csv(space.ids, result.coords, run.path_out(TSNE_CSV))
-    write_scatter_svg(space.ids, result.coords, run.path_out(TSNE_SVG), colors)
-    write_trace_csv(result.kl_trace, run.path_out(TSNE_TRACE))
-    final_kl = float(result.kl_trace[-1])
-    derived = {"effective_perplexity": result.effective_perplexity, "sigma_min": float(result.sigmas.min()),
-               "sigma_max": float(result.sigmas.max()), "final_kl": final_kl}
+    coords, kl_trace, perplexity, sigmas = run_tsne(space.matrix, cfg)
+    write_coords_csv(space.ids, coords, run.path_out(TSNE_CSV))
+    write_scatter_svg(space.ids, coords, run.path_out(TSNE_SVG), colors)
+    write_trace_csv(kl_trace, run.path_out(TSNE_TRACE))
+    final_kl = float(kl_trace[-1])
+    derived = {"effective_perplexity": perplexity, "sigma_min": float(sigmas.min()),
+               "sigma_max": float(sigmas.max()), "final_kl": final_kl}
     return derived, f"{len(space.ids)} points, final KL {final_kl!r}"
 
 
@@ -493,11 +487,12 @@ def cmd_eval(run: Run) -> tuple[dict, str]:
         summary = f"top_pair_quality {quality!r} over top {top_n} of {len(labels)} pairs"
     else:
         pred = load_rank_labels(run.value("pred"))
-        report = compare_rankings(pred, load_rank_labels(run.value("labels")))
+        loss, entropy = compare_rankings(pred, load_rank_labels(run.value("labels")))
         save_rank_heatmap(pred, run.path_out(HEATMAP_CSV))
-        rows = [("rank_loss", report.loss), ("n_uniform_columns", len(report.uniform_columns)),
-                ("mean_column_entropy_bits", float(np.mean(report.column_entropy)))]
-        summary = f"rank loss {report.loss!r}, {len(report.uniform_columns)} uniform columns"
+        uniform = entropy.count(0.0)
+        rows = [("rank_loss", loss), ("n_uniform_columns", uniform),
+                ("mean_column_entropy_bits", float(np.mean(entropy)))]
+        summary = f"rank loss {loss!r}, {uniform} uniform columns"
     write_table(run.path_out(EVAL_CSV), ["metric", "value"], rows, lineterminator="\n")
     return {}, summary
 
@@ -509,14 +504,14 @@ def cmd_sweep(run: Run) -> tuple[dict, str]:
         labels_path, scale_max, top_n = run.value("labels"), run.value("scale_max"), run.value("top_n")
         pairs, labels = load_labels(labels_path, scale_max, space.ids)
         features = {variant: build_feature_matrix(records, variant) for variant in VARIANTS}
-        cells = component_sweep(space.matrix, features, pairs, labels, k_list, top_n)
-        save_sweep_csv(cells, run.path_out(SWEEP_CSV))
-        return {}, f"{len(cells)} (variant, k) cells"
+        rows = component_sweep(space.matrix, features, pairs, labels, k_list, top_n)
+        save_sweep_csv(rows, run.path_out(SWEEP_CSV))
+        return {}, f"{len(rows)} (variant, k) cells"
     variant, trials, pairs = run.value("variant"), run.value("trials"), run.value("pairs")
     features = build_feature_matrix(records, variant)
-    results = delta_cosine_experiment(space.matrix, features, k_list, trials, pairs, run.seed)
-    save_delta_csv(results, run.path_out(DELTA_CSV))
-    return {}, f"cosine shift at {len(results)} component counts"
+    rows = delta_cosine_experiment(space.matrix, features, k_list, trials, pairs, run.seed)
+    save_delta_csv(rows, run.path_out(DELTA_CSV))
+    return {}, f"cosine shift at {len(rows)} component counts"
 
 
 def _flag(key: str) -> str:

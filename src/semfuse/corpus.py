@@ -50,6 +50,8 @@ class Record:
             raise DomainError("record id must be nonempty")
         if self.timestamp < 0:
             raise DomainError(f"record {self.id!r}: timestamp {self.timestamp} is negative")
+        if self.timestamp >= 2**53:  # float(timestamp), which the features hold, is exact below it
+            raise DomainError(f"record {self.id!r}: timestamp {self.timestamp} is not below 2**53")
 
 
 @dataclass(frozen=True)

@@ -5,42 +5,25 @@ load_labels resolves each pair's two ids to row positions once, so the
 drivers work on a matrix and arrays of row pairs. The two experiment
 drivers are top_pair_quality (mean human label of the pairs the model
 ranks most similar) and component_sweep (that metric across component
-counts for each feature variant). compare_rankings scores a predicted
-ranking matrix against a labeled one and quantifies degenerate
-all-one-value columns.
+counts for each feature variant), each returning the values or rows its
+caller writes. compare_rankings scores a predicted rank array against a
+labeled one and measures each predicted column's spread, so degenerate
+all-one-value columns show as entropy 0.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConflictError, DomainError, FormatError, RowError, SchemaError, UnknownKeyError
-from .rankopt import RankMatrix, rank_loss
+from .rankopt import rank_loss
 from .spectra import _pairwise_cosines, augment, fit_pca_models, transform
 from .spectra import fit_pca  # noqa: F401  # kept in this namespace: bench/tests/test_bench.py pins it
 from .table import filled_rows, open_text, parse_floats, write_table
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    variant: str
-    k: int
-    mean_label: float
-    n_pairs: int
-
-
-@dataclass(frozen=True)
-class RankingReport:
-    """Ranking loss plus per-column rank-entropy (bits) of the prediction."""
-
-    loss: float
-    column_entropy: tuple[float, ...]
-    uniform_columns: tuple[int, ...]
 
 
 def load_labels(path: str | Path, scale_max: float, ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -114,26 +97,22 @@ def component_sweep(
     labels: np.ndarray,
     k_list: Sequence[int],
     top_n: int = 20,
-) -> tuple[SweepCell, ...]:
-    """top_pair_quality for every (variant, k) combination.
+) -> list[tuple[str, int, float, int]]:
+    """top_pair_quality for every (variant, k) combination, as (variant, k, mean_label, top_n) rows.
 
     Variants: the reduced matrix with each of `features` (by variant name,
-    in cell order) appended, then with nothing appended, as `pca_only`.
+    in row order) appended, then with nothing appended, as `pca_only`.
     """
     reduced_by_k = [transform(model, matrix) for model in fit_pca_models(matrix, k_list)]
-    cells = []
+    rows = []
     for variant, appended in [*features.items(), ("pca_only", None)]:
         for k, reduced in zip(k_list, reduced_by_k):
-            cell = reduced if appended is None else augment(reduced, appended)[0]
-            mean_label = top_pair_quality(cell, pairs, labels, top_n)
-            cells.append(
-                SweepCell(variant=variant, k=int(k), mean_label=mean_label, n_pairs=top_n)
-            )
-    return tuple(cells)
+            space = reduced if appended is None else augment(reduced, appended)[0]
+            rows.append((variant, int(k), top_pair_quality(space, pairs, labels, top_n), top_n))
+    return rows
 
 
-def save_sweep_csv(cells: Sequence[SweepCell], path: str | Path) -> None:
-    rows = ([cell.variant, cell.k, cell.mean_label, cell.n_pairs] for cell in cells)
+def save_sweep_csv(rows: Sequence[tuple], path: str | Path) -> None:
     write_table(path, ["variant", "k", "mean_label", "n_pairs"], rows)
 
 
@@ -143,24 +122,19 @@ def _column_entropy_bits(column: np.ndarray) -> float:
     return float(-(probs * np.log2(probs)).sum())
 
 
-def compare_rankings(pred: RankMatrix, labeled: RankMatrix) -> RankingReport:
-    """Ranking loss plus a dispersion statistic per predicted column.
+def compare_rankings(pred: np.ndarray, labeled: np.ndarray) -> tuple[float, tuple[float, ...]]:
+    """(ranking loss, rank entropy in bits of each predicted column's off-diagonal cells).
 
-    A column whose off-diagonal ranks are all identical has entropy 0 and
-    is flagged: it means one item got the same rank from every other item.
+    A column whose off-diagonal ranks are all identical has entropy 0: one
+    item got the same rank from every other item.
     """
     loss = rank_loss(pred, labeled)
-    m = pred.m
-    entropies = []
-    for j in range(m):
-        column = np.array([pred.entries[i, j] for i in range(m) if i != j])
-        entropies.append(_column_entropy_bits(column))
-    uniform = tuple(j for j, h in enumerate(entropies) if h == 0.0)
-    return RankingReport(loss=loss, column_entropy=tuple(entropies), uniform_columns=uniform)
+    columns = enumerate(np.asarray(pred).T)
+    return loss, tuple(_column_entropy_bits(np.delete(column, j)) for j, column in columns)
 
 
-def save_rank_heatmap(matrix: RankMatrix, path: str | Path) -> None:
-    """Write every cell as i,j,rank for external plotting."""
-    ranks = enumerate(matrix.entries.astype(int).tolist())
+def save_rank_heatmap(matrix: np.ndarray, path: str | Path) -> None:
+    """Write every cell of a rank array as i,j,rank for external plotting."""
+    ranks = enumerate(np.asarray(matrix).astype(int).tolist())
     write_table(path, ["i", "j", "rank"], ([i, j, r] for i, row in ranks for j, r in enumerate(row)))
 

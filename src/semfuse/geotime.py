@@ -48,19 +48,6 @@ class GeoPoint:
             raise DomainError(f"longitude {self.lon} outside [-180, 180]")
 
 
-@dataclass(frozen=True)
-class StandardizationStats:
-    """Per-column statistics captured by standardize().
-
-    stds holds the population standard deviation, zeroed where the column was
-    judged constant; constant_mask is true exactly on those columns.
-    """
-
-    means: np.ndarray
-    stds: np.ndarray
-    constant_mask: np.ndarray
-
-
 def encode_time_cyclical(t: float) -> tuple[float, float, float, float, float]:
     """(day_sin, day_cos, year_sin, year_cos, years_linear) of epoch seconds: day/year phases, linear years."""
     if t < 0:
@@ -86,11 +73,12 @@ def haversine_miles(a: GeoPoint, b: GeoPoint) -> float:
     return float(great_circle_miles(a.lat, a.lon, b.lat, b.lon))
 
 
-def standardize(m: np.ndarray) -> tuple[np.ndarray, StandardizationStats]:
-    """Scale each column to zero mean and unit population variance.
+def standardize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Scale each column to zero mean and unit population variance; returns (scaled, means, stds, constant).
 
-    Constant columns cannot be scaled; they map to all-zeros and are flagged
-    in the returned stats. Requires at least two rows.
+    Constant columns cannot be scaled; they map to all-zeros and are true in
+    the boolean `constant`, and their `stds` are 0; the others hold the
+    population standard deviation. Requires at least two rows.
     """
     x = np.asarray(m, dtype=float)
     if x.ndim != 2:
@@ -104,7 +92,7 @@ def standardize(m: np.ndarray) -> tuple[np.ndarray, StandardizationStats]:
     stds = np.where(constant, 0.0, stds)
     z = (x - means) / np.where(constant, 1.0, stds)
     z[:, constant] = 0.0
-    return z, StandardizationStats(means=means, stds=stds, constant_mask=constant)
+    return z, means, stds, constant
 
 
 def build_feature_matrix(records: Sequence["Record"], variant: str) -> np.ndarray:

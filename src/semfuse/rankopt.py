@@ -6,16 +6,16 @@ coordinates for `floor_geo`): an additive form and a multiplicative form.
 `pairwise_scores` is the one scorer: it composes the scores into the
 dot-product matrix a row block at a time, from each kernel's
 upper-triangle block; one pair's score is a cell of a two-record batch.
-Batches are compared through ranking matrices, and the kernel weights are
-fit by a deterministic shrinking-grid search over the weight space, since
-the ranking loss is piecewise constant and has no usable gradient. The
-search scores and ranks a chunk of grid points at a time as a (probes,
-m, m) stack, with the same composition and stable sort the single-matrix
-calls use, but reads each probe's loss straight from the sort order: one
-gather of the labeled ranks in sorted order, less each position, squared
-and summed as exact integers, so no rank matrix is built. Each round's
-best probe is its first smallest loss, and it replaces the best so far
-only when its loss is smaller.
+Batches are compared through (m, m) integer rank arrays, and the kernel
+weights are fit by a deterministic shrinking-grid search over the weight
+space, since the ranking loss is piecewise constant and has no usable
+gradient. The search scores and ranks a chunk of grid points at a time
+as a (probes, m, m) stack, with the same composition and stable sort the
+single-matrix calls use, but reads each probe's loss straight from the
+sort order: one gather of the labeled ranks in sorted order, less each
+position, squared and summed as exact integers, so no rank matrix is
+built. Each round's best probe is its first smallest loss, and it
+replaces the best so far only when its loss is smaller.
 `save_score_matrix` writes an exactly symmetric score matrix as the
 headerless CSV that `load_rank_labels` reads, formatting each unordered
 pair once and reusing the text for the mirrored cell. From 200 x 200
@@ -44,7 +44,7 @@ import numpy as np
 from .errors import ConfigError, ConflictError, DomainError, FormatError, RowError, SemfuseError
 from .geotime import GeoPoint, great_circle_miles, haversine_miles
 from ._score_rows import write_rows
-from .table import filled_rows, float_texts, open_text, read_table, row_line, write_table
+from .table import filled_rows, open_text, read_table, row_line, write_table
 
 SIM_KINDS = ("sigma", "pi")
 DIST_KINDS = ("exp_abs", "inv_abs", "floor_geo")
@@ -105,35 +105,19 @@ class SimilarityParams:
                 raise DomainError(f"unknown distance kind {dk!r}; expected one of {DIST_KINDS}")
 
 
-@dataclass(frozen=True, eq=False)
-class RankMatrix:
-    """Per-row similarity rankings for a batch.
+def rank_matrix(scores: np.ndarray) -> np.ndarray:
+    """Rank each row's candidates by descending score, as an (m, m) int array.
 
-    entries[i, j] counts the candidates ranked strictly more similar than
-    j to i; the diagonal is fixed at 0 and excluded from the loss.
-    """
-
-    m: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.entries.shape != (self.m, self.m):
-            raise DomainError(f"entries shape {self.entries.shape} for m={self.m}")
-        if np.any(np.diag(self.entries) != 0):
-            raise DomainError("rank matrix diagonal must be 0")
-
-
-def rank_matrix(scores: np.ndarray) -> RankMatrix:
-    """Rank each row's candidates by descending score.
-
-    Ties are broken by ascending candidate index, so the result is
-    deterministic and each off-diagonal row is a permutation of
-    {0, ..., m-2}. Non-finite scores have no order and are rejected.
+    Entry [i, j] counts the candidates ranked strictly more similar than
+    j to i; the diagonal is 0 and is excluded from the loss. Ties are
+    broken by ascending candidate index, so the result is deterministic
+    and each off-diagonal row is a permutation of {0, ..., m-2}.
+    Non-finite scores have no order and are rejected.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
         raise DomainError(f"score matrix must be square, got shape {scores.shape}")
-    return RankMatrix(m=scores.shape[0], entries=_rank_entries(scores))
+    return _rank_entries(scores)
 
 
 def _rank_order(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -161,11 +145,23 @@ def _rank_entries(scores: np.ndarray) -> np.ndarray:
     return entries
 
 
-def rank_loss(predicted: RankMatrix, labeled: RankMatrix) -> float:
-    """Root of the summed squared rank differences over off-diagonal pairs."""
-    if predicted.m != labeled.m:
-        raise DomainError(f"rank matrix sizes differ: {predicted.m} vs {labeled.m}")
-    return float(_rank_losses(predicted.entries, labeled.entries))
+def _check_ranks(entries: np.ndarray) -> np.ndarray:
+    # an (m, m) rank array with a zero diagonal, which _rank_losses and _stack_losses rely on
+    entries = np.asarray(entries)
+    m = len(entries) if entries.ndim else 0
+    if entries.shape != (m, m):
+        raise DomainError(f"entries shape {entries.shape} for m={m}")
+    if np.any(np.diag(entries) != 0):
+        raise DomainError("rank matrix diagonal must be 0")
+    return entries
+
+
+def rank_loss(predicted: np.ndarray, labeled: np.ndarray) -> float:
+    """Root of the summed squared rank differences over off-diagonal pairs of two rank arrays."""
+    predicted, labeled = _check_ranks(predicted), _check_ranks(labeled)
+    if len(predicted) != len(labeled):
+        raise DomainError(f"rank matrix sizes differ: {len(predicted)} vs {len(labeled)}")
+    return float(_rank_losses(predicted, labeled))
 
 
 def _rank_losses(entries: np.ndarray, labeled: np.ndarray) -> np.ndarray:
@@ -326,12 +322,12 @@ def _axis_points(lo: float, hi: float, count: int) -> np.ndarray:
 def optimize_alphas(
     embeddings: np.ndarray,
     features: tuple[np.ndarray, np.ndarray],
-    labels: RankMatrix,
+    labels: np.ndarray,
     kind: str,
     dist_kinds: Sequence[str],
     cfg: GridConfig,
 ) -> tuple[SimilarityParams, float, list[tuple]]:
-    """Fit the alpha weights by shrinking-grid search against labeled ranks.
+    """Fit the alpha weights by shrinking-grid search against a labeled rank array.
 
     Returns the best parameters, their ranking loss, and the full probe
     trace as (round, alpha1, ..., alphak, loss) rows. Each round probes
@@ -343,8 +339,9 @@ def optimize_alphas(
     dist_kinds = tuple(dist_kinds)
     n = len(dist_kinds)
     check_axis_counts(dist_kinds, cfg.bounds)
-    if labels.m != m:
-        raise DomainError(f"label matrix is {labels.m}x{labels.m} for batch size {m}")
+    labels = _check_ranks(labels)
+    if len(labels) != m:
+        raise DomainError(f"label matrix is {len(labels)}x{len(labels)} for batch size {m}")
     if not RECOMMENDED_BATCH[0] <= m <= RECOMMENDED_BATCH[1]:
         warnings.warn(
             f"batch size {m} outside the recommended "
@@ -373,7 +370,7 @@ def optimize_alphas(
             # can never be worse than the initial grid center
             grid = np.vstack([center, grid])
         losses = np.concatenate([
-            _probe_losses(dots, kernels, kind, grid[start:start + chunk], labels.entries)
+            _probe_losses(dots, kernels, kind, grid[start:start + chunk], labels)
             for start in range(0, len(grid), chunk)
         ])
         probes = grid.tolist()
@@ -411,17 +408,10 @@ def _probe_losses(dots: np.ndarray, kernels: Sequence[np.ndarray], kind: str, pr
 
 
 def save_trace_csv(trace: Sequence[tuple], path: str | Path) -> None:
-    """Write (round, alpha1, ..., alphak, loss) rows under a matching header.
-
-    Each value prints as the shortest `repr` of its float, as `write_table`
-    prints floats, but a trace repeats few values (a round's grid axes and
-    a few distinct losses), so each distinct value is formatted once by
-    `float_texts` and `write_table` gets the texts.
-    """
+    """Write (round, alpha1, ..., alphak, loss) rows under a matching header, each value as a float."""
     n_alphas = len(trace[0]) - 2 if trace else 0
     header = ["round", *(f"alpha{i}" for i in range(1, n_alphas + 1)), "loss"]
-    texts = float_texts([values for _, *values in trace]).tolist()
-    write_table(path, header, ([row[0], *cells] for row, cells in zip(trace, texts)))
+    write_table(path, header, ([rnd, *map(float, values)] for rnd, *values in trace))
 
 
 def save_score_matrix(scores: np.ndarray, path: str | Path) -> None:
@@ -507,8 +497,8 @@ def _checked_rows(helper: subprocess.Popen, texts: BinaryIO, n: int, path: Path)
         raise SemfuseError(f"{path}: the score row helper wrote {count} of {n} rows")
 
 
-def load_rank_labels(path: str | Path) -> RankMatrix:
-    """Read labeled similarity scores and convert them to a RankMatrix.
+def load_rank_labels(path: str | Path) -> np.ndarray:
+    """Read labeled similarity scores and rank them with `rank_matrix`.
 
     Two layouts are accepted: a header line `i,j,score` followed by one
     row per unordered pair (0-based batch indices, scores in [0, 1], all
@@ -534,7 +524,7 @@ def load_rank_labels(path: str | Path) -> RankMatrix:
     return rank_matrix(scores)
 
 
-def _labels_from_triplets(triplets: np.ndarray, path) -> RankMatrix:
+def _labels_from_triplets(triplets: np.ndarray, path) -> np.ndarray:
     def where(index: int) -> str:
         return f"{path}: line {row_line(path, index, header=True)}"
 

@@ -16,10 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .geotime import StandardizationStats, standardize
+from .geotime import standardize
 from .table import write_table
 
 _ORTHO_TOL = 1e-6
+# trials x pairs per trial that delta_cosine_experiment may sample: each sampled
+# pair holds its two row indices and its baseline cosine, 24 bytes, 24 MB at the bound
+MAX_DELTA_PAIRS = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,16 +102,19 @@ def transform(model: PcaModel, matrix: np.ndarray) -> np.ndarray:
     return (matrix - model.mean) @ model.components.T
 
 
-def augment(reduced: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, StandardizationStats]:
-    """The text columns, then the standardized feature columns; returns that matrix and the features' stats."""
+def augment(reduced: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The text columns, then the standardized feature columns, with the features' `standardize` statistics.
+
+    Returns (matrix, means, stds, constant), the last three as `standardize` returns them.
+    """
     reduced = np.asarray(reduced, dtype=float)
     features = np.asarray(features, dtype=float)
     if reduced.shape[0] != features.shape[0]:
         raise DomainError(
             f"row counts differ: {reduced.shape[0]} reduced vs {features.shape[0]} features"
         )
-    z, stats = standardize(features)
-    return np.hstack([reduced, z]), stats
+    z, *stats = standardize(features)
+    return np.hstack([reduced, z]), *stats
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -129,15 +135,6 @@ def _pairwise_cosines(matrix: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.nd
     return np.clip(nums / (norms[i] * norms[j]), -1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class DeltaCosineResult:
-    """Mean absolute cosine shift at one component count."""
-
-    k: int
-    mean_abs_delta: float
-    stderr: float
-
-
 def delta_cosine_experiment(
     matrix: np.ndarray,
     features: np.ndarray,
@@ -145,18 +142,22 @@ def delta_cosine_experiment(
     trials: int = 10,
     pair_sample_size: int = 500,
     seed: int = 0,
-) -> list[DeltaCosineResult]:
-    """Per k: mean |cosine_augmented - cosine_original| over sampled pairs.
+) -> list[tuple[int, float, float]]:
+    """Per k, a (k, mean_abs_delta, stderr) row: mean |cosine_augmented - cosine_original| over sampled pairs.
 
     Baseline cosines are taken on the mean-centered original matrix, so at
     k = d (a pure rotation) zero features give a zero shift. Each trial
     draws pair_sample_size distinct unordered pairs; the same trial draws
-    the same pairs for every k. Deterministic given seed.
+    the same pairs for every k. Deterministic given seed. At most
+    `MAX_DELTA_PAIRS` pairs are sampled over all trials.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if pair_sample_size < 1:
         raise DomainError(f"pair_sample_size must be >= 1, got {pair_sample_size}")
+    if trials * pair_sample_size > MAX_DELTA_PAIRS:
+        raise DomainError(f"trials {trials} x pair_sample_size {pair_sample_size} exceeds {MAX_DELTA_PAIRS} "
+                          "sampled pairs")
     n = matrix.shape[0]
     total_pairs = n * (n - 1) // 2
     if pair_sample_size > total_pairs:
@@ -170,19 +171,17 @@ def delta_cosine_experiment(
     centered = matrix - matrix.mean(axis=0)
     baseline = [_pairwise_cosines(centered, i, j) for i, j in trial_pairs]
 
-    results = []
+    rows = []
     for k, model in zip(k_list, fit_pca_models(matrix, k_list)):
         reduced = transform(model, matrix)
-        augmented, _ = augment(reduced, features)
+        augmented = augment(reduced, features)[0]
         trial_means = np.empty(trials)
         for trial, (i, j) in enumerate(trial_pairs):
             deltas = np.abs(_pairwise_cosines(augmented, i, j) - baseline[trial])
             trial_means[trial] = deltas.mean()
         stderr = float(trial_means.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-        results.append(
-            DeltaCosineResult(k=int(k), mean_abs_delta=float(trial_means.mean()), stderr=stderr)
-        )
-    return results
+        rows.append((int(k), float(trial_means.mean()), stderr))
+    return rows
 
 
 def _upper_pairs(n: int, numbers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,6 +195,5 @@ def _upper_pairs(n: int, numbers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, numbers - starts[rows] + rows + 1
 
 
-def save_delta_csv(results: Sequence[DeltaCosineResult], path: str | Path) -> None:
-    rows = ([r.k, r.mean_abs_delta, r.stderr] for r in results)
+def save_delta_csv(rows: Sequence[tuple], path: str | Path) -> None:
     write_table(path, ["k", "mean_abs_delta", "stderr"], rows)

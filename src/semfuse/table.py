@@ -1,10 +1,7 @@
 """Numeric text tables: one writer, one bulk parser, one number grammar.
 
 `write_table` writes each float as its shortest `repr`, so it reads back
-bit for bit; it joins a row's floats in one call. A table that repeats
-few values, such as the optimize trace, can instead format each distinct
-float64 bit pattern once with `float_texts` and hand `write_table` the
-texts, which print the same. `bulk_rows` parses many
+bit for bit; it joins a row's floats in one call. `bulk_rows` parses many
 rows with one `np.loadtxt` call, for CSV tables (`read_table`), corpus and
 gazetteer coordinates (`parse_rows`) and whitespace-separated word-vector
 files (`embed.load_word_vectors`). Rows it rejects, or whose result it
@@ -59,18 +56,6 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
                 first.writerow([row[0], ""])  # two fields, so an empty cell is not quoted
                 fh.write(firsts.pop().removesuffix(lineterminator))
             fh.write(",".join(map(repr, floats)) + lineterminator)
-
-
-def float_texts(values) -> np.ndarray:
-    """The shortest `repr` of each value as a float64, in an object array of `values`' shape.
-
-    Each distinct bit pattern is formatted once, so `0.0` and `-0.0` keep
-    their own texts; a table that repeats few values formats few.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    bits, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
-    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return texts[inverse.ravel()].reshape(values.shape)
 
 
 def filled_rows(reader: Iterable[list[str]]) -> Iterator[list[str]]:

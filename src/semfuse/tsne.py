@@ -85,14 +85,6 @@ class TsneConfig:
             raise ConfigError(f"unknown cost mode {self.cost!r}; expected one of {COST_MODES}")
 
 
-@dataclass(frozen=True, eq=False)
-class TsneResult:
-    coords: np.ndarray
-    kl_trace: np.ndarray
-    effective_perplexity: float
-    sigmas: np.ndarray
-
-
 def pairwise_sq_distances(matrix: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances with an exact zero diagonal.
 
@@ -397,8 +389,8 @@ def _blocked_cost_and_grad(P, plogp, S_P, halved, coords, kernel, cost, ws):
 
 def run_tsne(
     space: np.ndarray, cfg: TsneConfig, init: np.ndarray | None = None
-) -> TsneResult:
-    """Reduce rows of `space` to the plane by gradient descent.
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """Reduce rows of `space` to the plane by gradient descent; returns (coords, kl_trace, perplexity, sigmas).
 
     The requested perplexity is capped at max((n-1)/3, 1.5) so small
     inputs stay calibratable. The descent uses momentum, early
@@ -415,8 +407,8 @@ def run_tsne(
     one `_Workspace`: the n x n `Q`, each worker's block buffers, and a
     thread per CPU the process may use, at most one per row block. So the
     descent holds `P`, the P terms and `Q`, makes no BLAS call, and its
-    bytes do not depend on the number of threads. The result carries the
-    calibrated bandwidths.
+    bytes do not depend on the number of threads. `perplexity` is the
+    effective (capped) one and `sigmas` the calibrated bandwidths.
     kl_trace[t] is the cost at the start of iteration t against the
     un-exaggerated affinities; the final entry is the cost of the returned
     coordinates. Entries are the floored cost of tsne_cost_and_grad, not
@@ -472,7 +464,7 @@ def run_tsne(
         if phase != 1.0:
             p_terms = None  # still exaggerated: the final call builds the plain terms
         trace[-1], _ = tsne_cost_and_grad(P, Y, cfg.kernel, cfg.cost, p_terms=p_terms, workspace=workspace)
-    return TsneResult(coords=Y, kl_trace=trace, effective_perplexity=effective, sigmas=sigmas)
+    return Y, trace, effective, sigmas
 
 
 def write_coords_csv(ids: Sequence[str], coords: np.ndarray, path: str | Path) -> None:

@@ -65,7 +65,6 @@ from semfuse.tsne import (
     _Q_FLOOR,
     KERNELS,
     PERPLEXITY_TOL,
-    TsneResult,
     calibrate_sigmas,
     conditional_p,
     pairwise_sq_distances,
@@ -320,29 +319,29 @@ def write_trace_csv(kl_trace, path) -> None:
             writer.writerow([it, repr(float(kl))])
 
 
-def save_sweep_csv(cells, path) -> None:
+def save_sweep_csv(rows, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "k", "mean_label", "n_pairs"])
-        for cell in cells:
-            writer.writerow([cell.variant, cell.k, repr(cell.mean_label), cell.n_pairs])
+        for variant, k, mean_label, n_pairs in rows:
+            writer.writerow([variant, k, repr(mean_label), n_pairs])
 
 
 def save_rank_heatmap(matrix, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "rank"])
-        for i in range(matrix.m):
-            for j in range(matrix.m):
-                writer.writerow([i, j, int(matrix.entries[i, j])])
+        for i in range(len(matrix)):
+            for j in range(len(matrix)):
+                writer.writerow([i, j, int(matrix[i, j])])
 
 
-def save_delta_csv(results, path) -> None:
+def save_delta_csv(rows, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "mean_abs_delta", "stderr"])
-        for r in results:
-            writer.writerow([r.k, repr(r.mean_abs_delta), repr(r.stderr)])
+        for k, mean_abs_delta, stderr in rows:
+            writer.writerow([k, repr(mean_abs_delta), repr(stderr)])
 
 
 WRITERS = {
@@ -576,8 +575,8 @@ def row_conditional_p(d2, sigmas):
     return out
 
 
-def tsne_descent(space, cfg, cost_and_grad) -> TsneResult:
-    """The two-call descent loop: the trace cost and the step gradient apart."""
+def tsne_descent(space, cfg, cost_and_grad) -> tuple:
+    """The two-call descent loop: the trace cost and the step gradient apart; returns run_tsne's tuple."""
     X = np.asarray(space, dtype=float)
     n = X.shape[0]
     effective = min(cfg.perplexity, max((n - 1) / 3.0, 1.5))
@@ -604,4 +603,4 @@ def tsne_descent(space, cfg, cost_and_grad) -> TsneResult:
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
     trace[-1], _ = cost_and_grad(P, Y, cfg.kernel, cfg.cost)
-    return TsneResult(coords=Y, kl_trace=trace, effective_perplexity=effective, sigmas=sigmas)
+    return Y, trace, effective, sigmas

@@ -233,7 +233,7 @@ class TestPipeline:
         m = len(records)
         ranks = np.zeros((m, m), dtype=int)
         ranks[heatmap[:, 0], heatmap[:, 1]] = heatmap[:, 2]
-        assert np.array_equal(ranks, rank_matrix(expected).entries)
+        assert np.array_equal(ranks, rank_matrix(expected))
 
     def test_sigma_with_zero_weights_is_plain_dot_product(self, pipeline_fixture, tmp_path):
         out = tmp_path / "out"
@@ -879,6 +879,31 @@ class TestWorkOutOfRange:
         assert directory_bytes(out) == before
 
 
+class TestTimestampBound:
+    """A timestamp of 2**53 or more, where float seconds stop being exact, fails at ingest, not later."""
+
+    @staticmethod
+    def corpus(tmp_path, stamp) -> Path:
+        path = tmp_path / "corpus.csv"
+        path.write_text(f"id,text,timestamp,lat,lon\na,quiet morning,{stamp},40.0,-75.0\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("stamp", [2**53, 10**400])
+    def test_ingest_exits_2_naming_the_line(self, tmp_path, capsys, stamp):
+        corpus, out = self.corpus(tmp_path, stamp), tmp_path / "out"
+        capsys.readouterr()
+        assert main(["--out-dir", str(out), "ingest", "--corpus", str(corpus)]) == 2
+        assert capsys.readouterr().err == f"error: {corpus}: line 2: record 'a': timestamp {stamp} is not below 2**53\n"
+        assert not out.exists()
+
+    def test_the_largest_exact_stamp_is_encoded_exactly(self, tmp_path):
+        corpus, out = self.corpus(tmp_path, 2**53 - 1), tmp_path / "out"
+        assert main(["--out-dir", str(out), "ingest", "--corpus", str(corpus)]) == 0
+        assert main(["--out-dir", str(out), "encode", "--variant", "condensed_time"]) == 0
+        lines = (out / "features.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[1] == f"{float(2**53 - 1)!r},40.0,-75.0"
+
+
 class TestSettingErrors:
     """Each setting error, for a setting given by flag and by config key alike."""
 
@@ -909,6 +934,11 @@ class TestSettingErrors:
                                             "each of 2 distance kinds needs one bound, got 4"),
         "repeated k, delta": (["sweep", "--mode", "delta", "--pairs", "20"], "k_list", "4,2,4",
                               "k=4 is repeated in the component counts"),
+        # checked before any pair is sampled: at 10**9 trials the sample alone would not fit in memory
+        "trials over the sample bound": (["sweep", "--mode", "delta"], "trials", "2001",
+                                         "trials 2001 x pair_sample_size 500 exceeds 1000000 sampled pairs"),
+        "huge trials": (["sweep", "--mode", "delta"], "trials", "1000000000",
+                        "trials 1000000000 x pair_sample_size 500 exceeds 1000000 sampled pairs"),
         # a choice is checked where it is used, so a flag fails as a config key does
         "format": (["ingest", "--corpus", "{out}/records.csv"], "format", "xml",
                    "unknown corpus format 'xml'; expected one of ('csv', 'tsv', 'jsonl')"),
@@ -1302,7 +1332,7 @@ class TestTsneStage:
             metas.append({name: (out / f"{name}.meta").read_bytes() for name in names})
         assert metas[0] == metas[1]
         space = import_embeddings(out / "embeddings.csv").matrix
-        sigmas = run_tsne(space, TsneConfig(perplexity=4.0, iterations=1)).sigmas
+        sigmas = run_tsne(space, TsneConfig(perplexity=4.0, iterations=1))[3]
         meta = metas[0]["tsne.csv"].decode("utf-8")
         assert f"param_sigma_min = {float(sigmas.min())!r}\n" in meta
         assert f"param_sigma_max = {float(sigmas.max())!r}\n" in meta

@@ -18,7 +18,7 @@ from semfuse.corpus import (
     resolve_coordinates,
     save_corpus,
 )
-from semfuse.errors import ConflictError, FormatError, RowError, SchemaError, SemfuseError, UnknownKeyError
+from semfuse.errors import ConflictError, DomainError, FormatError, RowError, SchemaError, SemfuseError, UnknownKeyError
 from semfuse.geotime import GeoPoint
 from semfuse.stopwords import DEFAULT_STOPWORDS, load_stopwords
 
@@ -375,3 +375,9 @@ class TestRecordValidation:
     def test_negative_timestamp_rejected(self):
         with pytest.raises(Exception):
             Record("a", "text", -5)
+
+    def test_timestamp_bound_is_2_to_the_53(self):
+        # below 2**53 every integer is a float, so the time features hold the stamp exactly
+        assert Record("a", "text", 2**53 - 1).timestamp == 2**53 - 1
+        with pytest.raises(DomainError, match=r"^record 'a': timestamp 9007199254740992 is not below 2\*\*53$"):
+            Record("a", "text", 2**53)

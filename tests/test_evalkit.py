@@ -258,24 +258,25 @@ class TestComponentSweep:
     def test_cell_layout(self):
         features = np.random.default_rng(1).normal(size=(8, 7))
         condensed = features[:, :3]
-        cells = self.sweep(features, condensed, k_list=[2, 3], top_n=5)
-        assert len(cells) == 6
-        assert [c.variant for c in cells] == [
+        rows = self.sweep(features, condensed, k_list=[2, 3], top_n=5)
+        assert len(rows) == 6
+        variants, ks, mean_labels, n_pairs = zip(*rows)
+        assert variants == (
             "all_features", "all_features",
             "condensed_time", "condensed_time",
             "pca_only", "pca_only",
-        ]
-        assert [c.k for c in cells] == [2, 3, 2, 3, 2, 3]
-        assert all(c.n_pairs == 5 for c in cells)
-        assert all(0.0 <= c.mean_label <= 1.0 for c in cells)
+        )
+        assert ks == (2, 3, 2, 3, 2, 3)
+        assert n_pairs == (5,) * 6
+        assert all(0.0 <= mean_label <= 1.0 for mean_label in mean_labels)
 
     def test_constant_features_collapse_to_pca_only(self):
         # constant feature columns standardize to zero, so appending them
         # cannot change any cosine
         features = np.ones((8, 7))
         condensed = np.ones((8, 3))
-        cells = self.sweep(features, condensed, k_list=[4], top_n=6)
-        by_variant = {c.variant: c.mean_label for c in cells}
+        rows = self.sweep(features, condensed, k_list=[4], top_n=6)
+        by_variant = {variant: mean_label for variant, _, mean_label, _ in rows}
         assert by_variant["all_features"] == pytest.approx(by_variant["pca_only"], abs=1e-9)
         assert by_variant["condensed_time"] == pytest.approx(by_variant["pca_only"], abs=1e-9)
 
@@ -303,24 +304,24 @@ class TestComponentSweep:
 
     def test_sweep_csv(self, tmp_path):
         features = np.random.default_rng(3).normal(size=(8, 7))
-        cells = self.sweep(features, features[:, :3], [2], top_n=4)
+        rows = self.sweep(features, features[:, :3], [2], top_n=4)
         out = tmp_path / "sweep.csv"
-        save_sweep_csv(cells, out)
+        save_sweep_csv(rows, out)
         lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "variant,k,mean_label,n_pairs"
-        assert len(lines) == 1 + len(cells)
+        assert len(lines) == 1 + len(rows)
         first = lines[1].split(",")
         assert first[0] == "all_features"
         assert first[1] == "2"
-        assert float(first[2]) == cells[0].mean_label
+        assert float(first[2]) == rows[0][2]
 
 
 class TestCompareRankings:
     def test_identical_rankings(self):
         scores = np.array([[0.0, 0.8, 0.1], [0.8, 0.0, 0.3], [0.1, 0.3, 0.0]])
         r = rank_matrix(scores)
-        report = compare_rankings(r, r)
-        assert report.loss == 0.0
+        loss, _ = compare_rankings(r, r)
+        assert loss == 0.0
 
     def test_uniform_columns_flagged(self):
         # every row ranks item 1 first and item 2 last
@@ -331,16 +332,16 @@ class TestCompareRankings:
                 [1.0, 5.0, 0.0],
             ]
         )
-        report = compare_rankings(rank_matrix(scores), rank_matrix(scores))
-        assert report.column_entropy == (1.0, 0.0, 0.0)
-        assert report.uniform_columns == (1, 2)
+        _, entropy = compare_rankings(rank_matrix(scores), rank_matrix(scores))
+        assert entropy == (1.0, 0.0, 0.0)
+        assert [j for j, h in enumerate(entropy) if h == 0.0] == [1, 2]
 
     def test_loss_matches_rank_loss(self):
         rng = np.random.default_rng(8)
         a = rank_matrix(rng.random((5, 5)))
         b = rank_matrix(rng.random((5, 5)))
-        report = compare_rankings(a, b)
-        assert report.loss == rank_loss(a, b)
+        loss, _ = compare_rankings(a, b)
+        assert loss == rank_loss(a, b)
 
 
 class TestRankHeatmap:
@@ -354,6 +355,6 @@ class TestRankHeatmap:
         assert len(lines) == 1 + 9
         assert lines[1] == "0,0,0"
         # row 0 ranks item 1 (score 0.9) ahead of item 2 (score 0.2)
-        assert lines[2] == f"0,1,{int(r.entries[0, 1])}"
-        assert int(r.entries[0, 1]) == 0
-        assert int(r.entries[0, 2]) == 1
+        assert lines[2] == f"0,1,{int(r[0, 1])}"
+        assert int(r[0, 1]) == 0
+        assert int(r[0, 2]) == 1

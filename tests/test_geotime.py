@@ -125,22 +125,22 @@ class TestHaversine:
 
 class TestStandardize:
     def test_three_point_column(self):
-        out, stats = standardize(np.array([[1.0], [2.0], [3.0]]))
+        out, _, stds, _ = standardize(np.array([[1.0], [2.0], [3.0]]))
         assert out[:, 0] == pytest.approx([-1.2247, 0.0, 1.2247], abs=1e-3)
         # population statistics: std of [1,2,3] is sqrt(2/3)
-        assert stats.stds[0] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
+        assert stds[0] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
         assert out[0, 0] == pytest.approx(-1.224744871391589, abs=1e-12)
 
     def test_constant_column_zeroed_and_flagged(self):
-        out, stats = standardize(np.array([[5.0], [5.0], [5.0]]))
+        out, _, stds, constant = standardize(np.array([[5.0], [5.0], [5.0]]))
         assert np.array_equal(out, np.zeros((3, 1)))
-        assert stats.constant_mask[0]
-        assert stats.stds[0] == 0.0
+        assert constant[0]
+        assert stds[0] == 0.0
 
     def test_already_standardized_is_fixed_point(self):
         col = np.array([[-1.0], [0.0], [1.0]]) * math.sqrt(3.0 / 2.0)
-        out, _ = standardize(col)
-        again, _ = standardize(out)
+        out = standardize(col)[0]
+        again = standardize(out)[0]
         assert np.allclose(again, out, atol=1e-9)
 
     def test_single_row_rejected(self):
@@ -152,9 +152,9 @@ class TestStandardize:
     def test_random_matrices_centered_and_unit(self, seed):
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(8, 4)) * rng.uniform(0.5, 100.0)
-        out, stats = standardize(m)
+        out, _, _, constant = standardize(m)
         for j in range(4):
-            if stats.constant_mask[j]:
+            if constant[j]:
                 continue
             assert abs(out[:, j].mean()) < 1e-9
             assert abs(out[:, j].var() - 1.0) < 1e-9

@@ -25,7 +25,6 @@ from semfuse.rankopt import (
     DIST_KINDS,
     SIM_KINDS,
     GridConfig,
-    RankMatrix,
     SimilarityParams,
     dist_exp,
     dist_floor_geo,
@@ -173,15 +172,15 @@ class TestRankMatrix:
     def test_two_candidate_order(self):
         scores = np.array([[0.0, 0.9, 0.1], [0.9, 0.0, 0.5], [0.1, 0.5, 0.0]])
         rm = rank_matrix(scores)
-        assert rm.entries[0, 1] == 0
-        assert rm.entries[0, 2] == 1
+        assert rm[0, 1] == 0
+        assert rm[0, 2] == 1
 
     def test_all_ties_break_by_index(self):
         scores = np.ones((4, 4))
         rm = rank_matrix(scores)
-        assert rm.entries[1].tolist() == [0, 0, 1, 2]
+        assert rm[1].tolist() == [0, 0, 1, 2]
         for i in range(4):
-            assert rm.entries[i, i] == 0
+            assert rm[i, i] == 0
 
     @given(st.integers(min_value=0, max_value=2000))
     @settings(max_examples=150)
@@ -190,9 +189,9 @@ class TestRankMatrix:
         scores = rng.random((6, 6))
         scores = (scores + scores.T) / 2
         rm = rank_matrix(scores)
-        assert np.array_equal(rm.entries, oracles.rank_entries(scores))
+        assert np.array_equal(rm, oracles.rank_entries(scores))
         for i in range(6):
-            off = [rm.entries[i, j] for j in range(6) if j != i]
+            off = [rm[i, j] for j in range(6) if j != i]
             assert sorted(off) == list(range(5))
 
     @given(st.integers(min_value=2, max_value=30).flatmap(
@@ -202,7 +201,7 @@ class TestRankMatrix:
     def test_tied_rows_match_sort_oracle(self, cells):
         m = math.isqrt(len(cells))
         scores = np.array(cells).reshape(m, m)
-        assert np.array_equal(rank_matrix(scores).entries, oracles.rank_entries(scores))
+        assert np.array_equal(rank_matrix(scores), oracles.rank_entries(scores))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_scores_rejected(self, bad):
@@ -215,8 +214,8 @@ class TestRankMatrix:
         rng = np.random.default_rng(77)
         scores = rng.random((5, 5))
         base = rank_matrix(scores)
-        assert np.array_equal(rank_matrix(2.0 * scores + 1.0).entries, base.entries)
-        assert np.array_equal(rank_matrix(np.exp(scores)).entries, base.entries)
+        assert np.array_equal(rank_matrix(2.0 * scores + 1.0), base)
+        assert np.array_equal(rank_matrix(np.exp(scores)), base)
 
     def test_non_square_rejected(self):
         with pytest.raises(DomainError):
@@ -230,24 +229,23 @@ class TestRankLoss:
 
     def test_single_cell_difference(self):
         a = rank_matrix(np.ones((3, 3)))
-        entries = a.entries.copy()
-        entries[0, 1] += 2
-        b = RankMatrix(3, entries)
+        b = a.copy()
+        b[0, 1] += 2
         assert rank_loss(a, b) == 2.0
 
     def test_hand_summed_4x4(self):
-        a = RankMatrix(4, np.array([
+        a = np.array([
             [0, 0, 1, 2],
             [0, 0, 1, 2],
             [0, 1, 0, 2],
             [0, 1, 2, 0],
-        ]))
-        b = RankMatrix(4, np.array([
+        ])
+        b = np.array([
             [0, 2, 1, 0],
             [0, 0, 2, 1],
             [1, 0, 0, 2],
             [0, 1, 2, 0],
-        ]))
+        ])
         # off-diagonal squared differences: (0-2)^2+(1-1)^2+(2-0)^2
         #   + (0-0)^2+(1-2)^2+(2-1)^2 + (0-1)^2+(1-0)^2+(0-0)... by hand: 4+0+4+0+1+1+1+1+0+0+0+0 = 12
         assert rank_loss(a, b) == pytest.approx(math.sqrt(12.0), abs=1e-12)
@@ -262,8 +260,22 @@ class TestRankLoss:
     def test_size_mismatch(self):
         a = rank_matrix(np.ones((3, 3)))
         b = rank_matrix(np.ones((4, 4)))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^rank matrix sizes differ: 3 vs 4$"):
             rank_loss(a, b)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_square_array_rejected(self, side):
+        arrays = [rank_matrix(np.ones((3, 3))), np.zeros((3, 4), dtype=int)]
+        with pytest.raises(DomainError, match=r"^entries shape \(3, 4\) for m=3$"):
+            rank_loss(*(arrays if side else arrays[::-1]))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_zero_diagonal_rejected(self, side):
+        good = rank_matrix(np.ones((3, 3)))
+        bad = good.copy()
+        bad[1, 1] = 1
+        with pytest.raises(DomainError, match=r"^rank matrix diagonal must be 0$"):
+            rank_loss(*((good, bad) if side else (bad, good)))
 
 
 def synthetic_batch(m: int, seed: int):
@@ -286,7 +298,7 @@ class TestOptimizeAlphas:
         params, loss, trace = optimize_alphas(emb, feats, labels, "pi", DEFAULT_DIST_KINDS, cfg)
         assert loss == 0.0
         derived = rank_matrix(pairwise_scores(emb, feats, params))
-        assert np.array_equal(derived.entries, labels.entries)
+        assert np.array_equal(derived, labels)
 
     def test_single_point_grid(self):
         emb, feats = synthetic_batch(10, 3)
@@ -308,6 +320,27 @@ class TestOptimizeAlphas:
         _, loss, trace = optimize_alphas(emb, feats, labels, "pi", DEFAULT_DIST_KINDS, cfg)
         assert trace
         assert all(loss <= t[3] + 1e-12 for t in trace)
+
+    def test_labels_of_another_batch_size_rejected(self):
+        emb, feats = synthetic_batch(10, 4)
+        cfg = GridConfig(bounds=((0.0, 1.0), (0.0, 1.0)), rounds=1)
+        with pytest.raises(DomainError, match=r"^label matrix is 9x9 for batch size 10$"):
+            optimize_alphas(emb, feats, rank_matrix(np.ones((9, 9))), "pi", DEFAULT_DIST_KINDS, cfg)
+
+    def test_non_square_labels_rejected(self):
+        emb, feats = synthetic_batch(10, 4)
+        cfg = GridConfig(bounds=((0.0, 1.0), (0.0, 1.0)), rounds=1)
+        with pytest.raises(DomainError, match=r"^entries shape \(10, 9\) for m=10$"):
+            optimize_alphas(emb, feats, np.zeros((10, 9), dtype=int), "pi", DEFAULT_DIST_KINDS, cfg)
+
+    def test_labels_with_a_non_zero_diagonal_rejected(self):
+        # _stack_losses subtracts a zero-label diagonal term, so a labeled diagonal would skew every loss
+        emb, feats = synthetic_batch(10, 4)
+        labels = rank_matrix(pairwise_scores(emb, feats, SimilarityParams("pi", (0.5, 0.5), DEFAULT_DIST_KINDS)))
+        labels[3, 3] = 2
+        cfg = GridConfig(bounds=((0.0, 1.0), (0.0, 1.0)), rounds=1)
+        with pytest.raises(DomainError, match=r"^rank matrix diagonal must be 0$"):
+            optimize_alphas(emb, feats, labels, "pi", DEFAULT_DIST_KINDS, cfg)
 
     def test_warns_outside_recommended_batch(self):
         emb, feats = synthetic_batch(5, 4)
@@ -530,12 +563,12 @@ class TestStackedSearch:
         stack = rng.choice([0.0, 0.5, 1.0], size=(probes, m, m))
         labels = rank_matrix(rng.choice([0.0, 1.0], size=(m, m)))
         entries = rankopt._rank_entries(stack)
-        losses = rankopt._rank_losses(entries, labels.entries)
+        losses = rankopt._rank_losses(entries, labels)
         assert entries.shape == stack.shape and losses.shape == (probes,)
-        assert np.array_equal(rankopt._stack_losses(stack.copy(), labels.entries), losses)
+        assert np.array_equal(rankopt._stack_losses(stack.copy(), labels), losses)
         for p in range(probes):
             single = rank_matrix(stack[p])
-            assert np.array_equal(entries[p], single.entries)
+            assert np.array_equal(entries[p], single)
             assert np.array_equal(entries[p], oracles.rank_entries(stack[p]))
             assert losses[p] == rank_loss(single, labels)
 
@@ -545,8 +578,8 @@ class TestStackLosses:
 
     @staticmethod
     def assert_equals_rank_matrix_losses(stack, labels):
-        want = rankopt._rank_losses(rankopt._rank_entries(stack), labels.entries)
-        got = rankopt._stack_losses(stack.copy(), labels.entries)
+        want = rankopt._rank_losses(rankopt._rank_entries(stack), labels)
+        got = rankopt._stack_losses(stack.copy(), labels)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("m", [2, 3, 20])
@@ -566,7 +599,7 @@ class TestStackLosses:
     def test_non_finite_scores_raise_as_rank_matrix_does(self, bad):
         stack = np.zeros((2, 3, 3))
         stack[1, 0, 2] = bad
-        labels = rank_matrix(np.zeros((3, 3))).entries
+        labels = rank_matrix(np.zeros((3, 3)))
         with pytest.raises(DomainError, match="^score matrix has non-finite entries$"):
             rankopt._rank_entries(stack.copy())
         with pytest.raises(DomainError, match="^score matrix has non-finite entries$"):
@@ -797,7 +830,7 @@ class TestSaveScoreMatrix:
         path = tmp_path / "scores.csv"
         save_score_matrix(scores, path)
         assert np.array_equal(np.loadtxt(path, delimiter=","), scores)
-        assert np.array_equal(load_rank_labels(path).entries, rank_matrix(scores).entries)
+        assert np.array_equal(load_rank_labels(path), rank_matrix(scores))
 
     @pytest.mark.parametrize("m", [199, 200, 201, 2000])
     def test_bytes_equal_the_per_cell_writer_on_both_sides_of_the_helper_cut(self, tmp_path, monkeypatch, m):
@@ -935,14 +968,14 @@ class TestLoadRankLabels:
         )
         rm = load_rank_labels(p)
         expect = rank_matrix(np.array([[0, 0.9, 0.1], [0.9, 0, 0.5], [0.1, 0.5, 0]]))
-        assert np.array_equal(rm.entries, expect.entries)
+        assert np.array_equal(rm, expect)
 
     def test_matrix_format(self, tmp_path):
         p = tmp_path / "labels.csv"
         p.write_text("0.0,0.9,0.1\n0.9,0.0,0.5\n0.1,0.5,0.0\n", encoding="utf-8")
         rm = load_rank_labels(p)
         expect = rank_matrix(np.array([[0, 0.9, 0.1], [0.9, 0, 0.5], [0.1, 0.5, 0]]))
-        assert np.array_equal(rm.entries, expect.entries)
+        assert np.array_equal(rm, expect)
 
     def test_score_out_of_range(self, tmp_path):
         p = tmp_path / "labels.csv"
@@ -960,7 +993,7 @@ class TestLoadRankLabels:
         p = tmp_path / "labels.csv"
         p.write_text("i,j,score\n0,1.0,0.9\n0e0,2,0.1\n1,2,0.5\n", encoding="utf-8")
         expect = rank_matrix(np.array([[0, 0.9, 0.1], [0.9, 0, 0.5], [0.1, 0.5, 0]]))
-        assert np.array_equal(load_rank_labels(p).entries, expect.entries)
+        assert np.array_equal(load_rank_labels(p), expect)
         p.write_text("i,j,score\n0,1,0.9\n0,1.5,0.1\n", encoding="utf-8")
         with pytest.raises(RowError, match=f"^{re.escape(str(p))}: line 3: indices must be integers$"):
             load_rank_labels(p)
@@ -996,7 +1029,7 @@ class TestLoadRankLabels:
         p = tmp_path / "labels.csv"
         p.write_text("0.0,7.0,-3.0\n7.0,0.0,2.5\n-3.0,2.5,0.0\n", encoding="utf-8")
         expect = rank_matrix(np.array([[0, 7.0, -3.0], [7.0, 0, 2.5], [-3.0, 2.5, 0]]))
-        assert np.array_equal(load_rank_labels(p).entries, expect.entries)
+        assert np.array_equal(load_rank_labels(p), expect)
 
     def test_missing_pair_rejected(self, tmp_path):
         p = tmp_path / "labels.csv"

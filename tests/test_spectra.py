@@ -178,21 +178,21 @@ class TestAugment:
     def test_shape(self):
         rng = np.random.default_rng(0)
         reduced = rng.normal(size=(100, 8))
-        matrix, stats = augment(reduced, rng.normal(size=(100, 7)))
+        matrix, means, stds, constant = augment(reduced, rng.normal(size=(100, 7)))
         assert matrix.shape == (100, 15)
         assert np.array_equal(matrix[:, :8], reduced)
-        assert stats.means.shape == stats.stds.shape == stats.constant_mask.shape == (7,)
+        assert means.shape == stds.shape == constant.shape == (7,)
 
     def test_constant_features_zeroed_and_flagged(self):
         rng = np.random.default_rng(1)
-        matrix, stats = augment(rng.normal(size=(5, 3)), np.full((5, 2), 9.0))
+        matrix, _, _, constant = augment(rng.normal(size=(5, 3)), np.full((5, 2), 9.0))
         assert np.array_equal(matrix[:, 3:], np.zeros((5, 2)))
-        assert all(stats.constant_mask)
+        assert all(constant)
 
     def test_zero_padding_preserves_cosine(self):
         rng = np.random.default_rng(2)
         reduced = rng.normal(size=(6, 4))
-        matrix, _ = augment(reduced, np.full((6, 3), 1.5))
+        matrix = augment(reduced, np.full((6, 3), 1.5))[0]
         for i in range(5):
             assert cosine(matrix[i], matrix[i + 1]) == pytest.approx(
                 cosine(reduced[i], reduced[i + 1]), abs=1e-12
@@ -249,8 +249,8 @@ class TestDeltaCosine:
     def test_zero_features_full_rank_no_shift(self):
         matrix = random_matrix(11, n=12, d=5)
         features = np.full((12, 3), 4.0)  # constant: standardizes to zeros
-        results = delta_cosine_experiment(matrix, features, [5], trials=3, pair_sample_size=10)
-        assert results[0].mean_abs_delta == pytest.approx(0.0, abs=1e-6)
+        [(k, mean_abs_delta, _)] = delta_cosine_experiment(matrix, features, [5], trials=3, pair_sample_size=10)
+        assert k == 5 and mean_abs_delta == pytest.approx(0.0, abs=1e-6)
 
     def test_same_seed_identical(self):
         matrix = random_matrix(12, n=15, d=6)
@@ -258,9 +258,7 @@ class TestDeltaCosine:
         features = rng.normal(size=(15, 3))
         a = delta_cosine_experiment(matrix, features, [2, 4], trials=4, pair_sample_size=20, seed=5)
         b = delta_cosine_experiment(matrix, features, [2, 4], trials=4, pair_sample_size=20, seed=5)
-        assert [(r.k, r.mean_abs_delta, r.stderr) for r in a] == [
-            (r.k, r.mean_abs_delta, r.stderr) for r in b
-        ]
+        assert a == b
 
     def test_one_pca_fit_per_experiment(self, monkeypatch):
         calls = count_fit_pca(monkeypatch)
@@ -288,13 +286,26 @@ class TestDeltaCosine:
         with pytest.raises(DomainError, match=f"pair_sample_size must be >= 1, got {size}"):
             delta_cosine_experiment(matrix, np.zeros((5, 2)), [2], pair_sample_size=size)
 
+    def test_sample_bound(self):
+        # one trial of MAX_DELTA_PAIRS pairs runs; one pair more is refused before any sampling
+        matrix = random_matrix(17, n=1415, d=3)  # 1,000,405 pairs
+        features = np.random.default_rng(6).normal(size=(1415, 2))
+        [(k, _, stderr)] = delta_cosine_experiment(matrix, features, [2], trials=1,
+                                                   pair_sample_size=spectra.MAX_DELTA_PAIRS)
+        assert (k, stderr) == (2, 0.0)
+        with pytest.raises(DomainError, match=r"^trials 1 x pair_sample_size 1000001 exceeds 1000000 sampled pairs$"):
+            delta_cosine_experiment(matrix, features, [2], trials=1, pair_sample_size=spectra.MAX_DELTA_PAIRS + 1)
+        with pytest.raises(DomainError, match=r"^trials 1000000000 x pair_sample_size 500 exceeds 1000000 sampled pairs$"):
+            delta_cosine_experiment(matrix, features, [2], trials=10**9, pair_sample_size=500)
+
     def test_nonnegative(self):
         matrix = random_matrix(14, n=12, d=6)
         rng = np.random.default_rng(2)
         features = rng.normal(size=(12, 3))
-        for r in delta_cosine_experiment(matrix, features, [2, 3], trials=3, pair_sample_size=15):
-            assert r.mean_abs_delta >= 0.0
-            assert r.stderr >= 0.0
+        for _, mean_abs_delta, stderr in delta_cosine_experiment(matrix, features, [2, 3], trials=3,
+                                                                 pair_sample_size=15):
+            assert mean_abs_delta >= 0.0
+            assert stderr >= 0.0
 
     def test_csv_output(self, tmp_path):
         matrix = random_matrix(15, n=10, d=5)

@@ -14,10 +14,9 @@ from semfuse.cli import load_config
 from semfuse.corpus import load_corpus, load_gazetteer
 from semfuse.embed import EmbeddingSpace, export_embeddings, import_embeddings, load_word_vectors
 from semfuse.errors import ConflictError, FormatError, SemfuseError
-from semfuse.evalkit import SweepCell, load_labels
+from semfuse.evalkit import load_labels
 from semfuse.geotime import load_feature_matrix, save_feature_matrix
 from semfuse.rankopt import load_rank_labels, rank_matrix
-from semfuse.spectra import DeltaCosineResult
 from semfuse.stopwords import load_stopwords
 from semfuse.tsne import load_colors
 
@@ -91,8 +90,8 @@ def writer_args(matrix, ids, path):
     """The arguments of every numeric-table writer, writing one matrix to path."""
     m = len(matrix)
     rows = [(r + 1, *values) for r, values in enumerate(matrix)]  # numpy scalars, on purpose
-    cells = tuple(SweepCell("pca_only", r, float(row[0]), 3) for r, row in enumerate(matrix))
-    deltas = [DeltaCosineResult(r, float(a), float(b)) for r, (_, a, b) in enumerate(matrix)]
+    cells = [("pca_only", r, float(row[0]), 3) for r, row in enumerate(matrix)]
+    deltas = [(r, float(a), float(b)) for r, (_, a, b) in enumerate(matrix)]
     return {
         "embed.export_embeddings": (EmbeddingSpace(ids, matrix), path),
         "geotime.save_feature_matrix": (path, matrix, "condensed_time"),

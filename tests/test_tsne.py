@@ -94,8 +94,8 @@ class TestPairwiseSqDistances:
             "out = {}\n"
             "for n in (300, 1000):\n"
             "    X = np.random.default_rng(n).normal(size=(n, 11))\n"
-            "    res = run_tsne(X, TsneConfig(iterations=60, seed=1))\n"
-            "    out[f'coords{n}'], out[f'kl_trace{n}'], out[f'sigmas{n}'] = res.coords, res.kl_trace, res.sigmas\n"
+            "    coords, kl_trace, _, sigmas = run_tsne(X, TsneConfig(iterations=60, seed=1))\n"
+            "    out[f'coords{n}'], out[f'kl_trace{n}'], out[f'sigmas{n}'] = coords, kl_trace, sigmas\n"
             "np.savez(sys.argv[1], **out)\n"
         )
         runs = []
@@ -119,9 +119,9 @@ class TestPairwiseSqDistances:
             "out = {}\n"
             "X = np.random.default_rng(300).normal(size=(300, 11))\n"
             "for kernel, cost in (('student_t', 'joint'), ('gaussian', 'conditional'), ('student_t', 'conditional')):\n"
-            "    res = run_tsne(X, TsneConfig(iterations=40, kernel=kernel, cost=cost, seed=1))\n"
-            "    for name in ('coords', 'kl_trace', 'sigmas'):\n"
-            "        out[f'{name}-{kernel}-{cost}'] = getattr(res, name)\n"
+            "    coords, kl_trace, _, sigmas = run_tsne(X, TsneConfig(iterations=40, kernel=kernel, cost=cost, seed=1))\n"
+            "    for name, value in (('coords', coords), ('kl_trace', kl_trace), ('sigmas', sigmas)):\n"
+            "        out[f'{name}-{kernel}-{cost}'] = value\n"
             "np.savez(sys.argv[1], **out)\n"
         )
         runs = []
@@ -377,22 +377,22 @@ class TestRunTsne:
     def test_same_seed_identical(self):
         X = two_cluster_space()
         cfg = TsneConfig(perplexity=4.0, iterations=120, seed=9)
-        a = run_tsne(X, cfg)
-        b = run_tsne(X, cfg)
-        assert np.array_equal(a.coords, b.coords)
-        assert np.array_equal(a.kl_trace, b.kl_trace)
+        a_coords, a_trace, _, _ = run_tsne(X, cfg)
+        b_coords, b_trace, _, _ = run_tsne(X, cfg)
+        assert np.array_equal(a_coords, b_coords)
+        assert np.array_equal(a_trace, b_trace)
 
     def test_descends_on_two_clusters(self):
         X = two_cluster_space()
-        res = run_tsne(X, TsneConfig(perplexity=4.0, iterations=300, seed=1))
-        assert np.all(np.isfinite(res.coords))
-        assert res.kl_trace[-1] < res.kl_trace[0]
+        coords, kl_trace, _, _ = run_tsne(X, TsneConfig(perplexity=4.0, iterations=300, seed=1))
+        assert np.all(np.isfinite(coords))
+        assert kl_trace[-1] < kl_trace[0]
 
     def test_trace_length_and_effective_perplexity(self):
         X = two_cluster_space(per=5)
-        res = run_tsne(X, TsneConfig(perplexity=30.0, iterations=50, seed=0))
-        assert len(res.kl_trace) == 51
-        assert res.effective_perplexity == pytest.approx((10 - 1) / 3.0)
+        _, kl_trace, perplexity, _ = run_tsne(X, TsneConfig(perplexity=30.0, iterations=50, seed=0))
+        assert len(kl_trace) == 51
+        assert perplexity == pytest.approx((10 - 1) / 3.0)
 
     def test_too_few_rows(self):
         with pytest.raises(DomainError):
@@ -405,9 +405,9 @@ class TestRunTsne:
         init = rng.normal(size=(n, 2)) * 0.01
         perm = rng.permutation(n)
         cfg = TsneConfig(perplexity=3.0, iterations=40, seed=0)
-        base = run_tsne(X, cfg, init=init)
-        permuted = run_tsne(X[perm], cfg, init=init[perm])
-        assert np.allclose(permuted.coords, base.coords[perm], atol=1e-6)
+        base = run_tsne(X, cfg, init=init)[0]
+        permuted = run_tsne(X[perm], cfg, init=init[perm])[0]
+        assert np.allclose(permuted, base[perm], atol=1e-6)
 
     @pytest.mark.parametrize("learning_rate, init", [(1e308, None), (1e200, None), (100.0, np.nan)])
     def test_divergence_names_the_iteration_and_warns_nothing(self, learning_rate, init):
@@ -507,8 +507,8 @@ class TestBlockedCost:
         for workers in (1, 2):
             monkeypatch.setattr(semfuse.tsne, "_cpu_count", lambda: workers)
             runs.append(run_tsne(X, cfg))
-        assert np.array_equal(runs[0].coords, runs[1].coords)
-        assert np.array_equal(runs[0].kl_trace, runs[1].kl_trace)
+        assert np.array_equal(runs[0][0], runs[1][0])  # coords
+        assert np.array_equal(runs[0][1], runs[1][1])  # kl_trace
 
 
 class TestSecondSweep:
@@ -593,9 +593,10 @@ class TestFusedPass:
         # default exaggeration (4.0) through the switch at iteration 100
         cfg = TsneConfig(perplexity=4.0, iterations=110, kernel=kernel, cost=cost, seed=5)
         X = two_cluster_space(per=6)
-        got, want = run_tsne(X, cfg), oracles.tsne_descent(X, cfg, tsne_cost_and_grad)
-        assert np.array_equal(got.coords, want.coords)
-        assert np.array_equal(got.kl_trace, want.kl_trace)
+        (got_coords, got_trace, _, _), (coords, kl_trace, _, _) = (
+            run_tsne(X, cfg), oracles.tsne_descent(X, cfg, tsne_cost_and_grad))
+        assert np.array_equal(got_coords, coords)
+        assert np.array_equal(got_trace, kl_trace)
 
     @pytest.mark.parametrize("kernel", ["gaussian", "student_t"])
     def test_non_power_of_two_exaggeration_matches_exactly(self, kernel):
@@ -604,9 +605,10 @@ class TestFusedPass:
         cfg = TsneConfig(perplexity=3.0, iterations=12, early_exaggeration=3.0,
                          exaggeration_iters=8, kernel=kernel, seed=2)
         X = two_cluster_space(per=5)
-        got, want = run_tsne(X, cfg), oracles.tsne_descent(X, cfg, tsne_cost_and_grad)
-        assert np.array_equal(got.coords, want.coords)
-        assert np.array_equal(got.kl_trace, want.kl_trace)
+        (got_coords, got_trace, _, _), (coords, kl_trace, _, _) = (
+            run_tsne(X, cfg), oracles.tsne_descent(X, cfg, tsne_cost_and_grad))
+        assert np.array_equal(got_coords, coords)
+        assert np.array_equal(got_trace, kl_trace)
 
     def test_one_call_per_iteration(self, monkeypatch):
         calls = []
@@ -633,10 +635,11 @@ class TestPhaseTerms:
         rng = np.random.default_rng(17)
         X = np.vstack([rng.normal(size=(100, 6)) + 4.0 * k for k in range(3)])
         cfg = TsneConfig(iterations=30, exaggeration_iters=20, kernel=kernel, cost=cost, seed=4)
-        got, want = run_tsne(X, cfg), oracles.tsne_descent(X, cfg, tsne_cost_and_grad)
-        assert np.array_equal(got.coords, want.coords)
-        assert np.array_equal(got.kl_trace, want.kl_trace)
-        assert np.array_equal(got.sigmas, want.sigmas)
+        (got_coords, got_trace, _, got_sigmas), (coords, kl_trace, _, sigmas) = (
+            run_tsne(X, cfg), oracles.tsne_descent(X, cfg, tsne_cost_and_grad))
+        assert np.array_equal(got_coords, coords)
+        assert np.array_equal(got_trace, kl_trace)
+        assert np.array_equal(got_sigmas, sigmas)
 
     @pytest.mark.parametrize("kernel", ["gaussian", "student_t"])
     @pytest.mark.parametrize("cost", ["joint", "conditional"])
@@ -673,9 +676,8 @@ class TestPhaseTerms:
 
     def test_result_carries_calibrated_sigmas(self):
         X = two_cluster_space(per=5)
-        res = run_tsne(X, TsneConfig(perplexity=3.0, iterations=5, seed=0))
-        expected = calibrate_sigmas(pairwise_sq_distances(X), res.effective_perplexity)
-        assert np.array_equal(res.sigmas, expected)
+        _, _, perplexity, sigmas = run_tsne(X, TsneConfig(perplexity=3.0, iterations=5, seed=0))
+        assert np.array_equal(sigmas, calibrate_sigmas(pairwise_sq_distances(X), perplexity))
 
 
 class TestOutputs:
