@@ -9,7 +9,6 @@ two sentences compare by a plain dot product.
 
 import numpy as np
 
-from semfuse.corpus import CleanDoc
 from semfuse.embed import WordVectorTable, embed_sentence, fit_context, token_saliences
 
 rng = np.random.default_rng(42)
@@ -22,10 +21,11 @@ for i, word in enumerate(vocab[:-1]):
 vectors["wildfire"] = rng.normal(loc=3.0, scale=0.3, size=8)
 table = WordVectorTable(dim=8, vectors=vectors)
 
+# each document is an (id, tokens) pair, as clean_corpus returns them
 docs = [
-    CleanDoc(id="d1", tokens=("debt", "ceiling", "vote")),
-    CleanDoc(id="d2", tokens=("budget", "vote", "senate")),
-    CleanDoc(id="d3", tokens=("wildfire", "senate")),
+    ("d1", ("debt", "ceiling", "vote")),
+    ("d2", ("budget", "vote", "senate")),
+    ("d3", ("wildfire", "senate")),
 ]
 
 ctx = fit_context(docs, table)

@@ -11,7 +11,7 @@ from-scratch 2-D map layout.
 
 __version__ = "0.1.0"
 
-from .corpus import CleanDoc, Record, clean_corpus, geocode, load_corpus, preprocess
+from .corpus import Record, clean_corpus, geocode, load_corpus, preprocess
 from .embed import (
     ContextModel,
     EmbeddingSpace,
@@ -36,7 +36,6 @@ from .tsne import TsneConfig, run_tsne
 
 __all__ = [
     "__version__",
-    "CleanDoc",
     "ContextModel",
     "EmbeddingSpace",
     "GeoPoint",

@@ -39,6 +39,7 @@ import math
 import os
 import shutil
 import sys
+import warnings
 from collections import namedtuple
 from pathlib import Path
 
@@ -543,7 +544,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         run = Run(args)
         try:
-            derived, summary = COMMANDS[args.command](run)
+            with warnings.catch_warnings():  # a warning the filters let through is one line, as an error is
+                warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+                derived, summary = COMMANDS[args.command](run)
             unread = [key for key in STAGES[args.command].settings.split()
                       if getattr(args, key) is not None and key not in run.read]
             if unread:  # a flag the stage ignored would be recorded nowhere

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .geotime import GeoPoint
 from .stopwords import DEFAULT_STOPWORDS
-from .table import open_text, parse_rows
+from .table import filled_rows, open_text, parse_rows
 
 CORPUS_FORMATS = ("csv", "tsv", "jsonl")
 _URL_PREFIXES = ("http://", "https://", "www.")
@@ -54,14 +54,6 @@ class Record:
             raise DomainError(f"record {self.id!r}: timestamp {self.timestamp} is not below 2**53")
 
 
-@dataclass(frozen=True)
-class CleanDoc:
-    """Normalized lowercase token stream for one record."""
-
-    id: str
-    tokens: tuple[str, ...]
-
-
 def preprocess(text: str, stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS) -> list[str]:
     """Normalize raw text into tokens.
 
@@ -81,9 +73,9 @@ def preprocess(text: str, stopwords: frozenset[str] | set[str] = DEFAULT_STOPWOR
 
 
 def clean_corpus(records: Sequence[Record],
-                 stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS) -> list[CleanDoc]:
-    """Apply preprocess() to every record, preserving order."""
-    return [CleanDoc(id=r.id, tokens=tuple(preprocess(r.text, stopwords))) for r in records]
+                 stopwords: frozenset[str] | set[str] = DEFAULT_STOPWORDS) -> list[tuple[str, tuple[str, ...]]]:
+    """The (id, tokens) pair of every record, in record order, its tokens as preprocess() gives them."""
+    return [(r.id, tuple(preprocess(r.text, stopwords))) for r in records]
 
 
 def _location_key(location: str) -> str:
@@ -116,10 +108,10 @@ def resolve_coordinates(records: Sequence[Record], gazetteer: Mapping[str, GeoPo
 def load_gazetteer(path: str | Path) -> dict[str, GeoPoint]:
     """Map each location key of a location,lat,lon CSV to its point; the first fault in file order raises."""
     rows, fault = _read_until_fault(_read_delimited(path, ",", ("location", "lat", "lon")))
-    coordinates = parse_rows([(where, [row["lat"] or "", row["lon"] or ""]) for row, where in rows], 2)
+    coordinates = parse_rows([(where, [row.get("lat") or "", row.get("lon") or ""]) for row, where in rows], 2)
     entries: dict[str, GeoPoint] = {}
     for row, where in rows:
-        key = _location_key(row["location"] or "")
+        key = _location_key(row.get("location") or "")
         if not key:
             raise RowError(where, "empty location")
         if key in entries:
@@ -200,14 +192,15 @@ def _read_until_fault(rows: Iterator[tuple[dict, str]]) -> tuple[list, SemfuseEr
 
 
 def _read_delimited(path: str | Path, delimiter: str, columns: Sequence[str]) -> Iterator[tuple[dict, str]]:
+    # each row that is not blank as a dict of its cells by column; a short row lacks its last columns
     with open_text(path) as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        fields = reader.fieldnames or []
+        rows = filled_rows(reader := csv.reader(fh, delimiter=delimiter))
+        fields = next(rows, [])
         for column in columns:
             if column not in fields:
                 raise SchemaError(f"{path}: missing column {column!r}")
-        for row in reader:
-            yield row, f"{path}: line {reader.line_num}"
+        for row in rows:
+            yield dict(zip(fields, row)), f"{path}: line {reader.line_num}"
 
 
 def _read_jsonl(path: Path) -> Iterator[tuple[dict, str]]:
@@ -220,6 +213,8 @@ def _read_jsonl(path: Path) -> Iterator[tuple[dict, str]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RowError(where, f"invalid JSON: {exc}") from None
+            except ValueError:  # int() refuses a JSON integer of more than 4,300 digits
+                raise RowError(where, "a JSON integer has more than 4300 digits") from None
             if not isinstance(obj, dict):
                 raise RowError(where, "expected a JSON object")
             for key in ("id", "text", "timestamp"):
@@ -235,15 +230,19 @@ def _record_from_mapping(row: dict, where: str, coordinates: Iterator[list[float
     text = row.get("text")
     if text is None:
         raise RowError(where, "missing text value")
-    stamp = str(row.get("timestamp"))
+    stamp = str(row.get("timestamp")).strip()
     # int() would also read 1_0 and non-ASCII digits
-    if not _INTEGER.fullmatch(stamp.strip()):
+    if not _INTEGER.fullmatch(stamp):
         raise RowError(where, f"timestamp {row.get('timestamp')!r} is not an integer")
+    sign, digits = "-" if stamp[0] == "-" else "", stamp.lstrip("+-").lstrip("0") or "0"
+    if len(digits) > 16:  # so at least 10**16; int() and str() refuse more than 4,300 digits
+        bound = "negative" if sign else "not below 2**53"
+        raise RowError(where, f"record {rid!r}: timestamp {sign}{digits} is {bound}")
     try:
         return Record(
             id=rid,
             text=text,
-            timestamp=int(stamp),
+            timestamp=int(sign + digits),
             location=(row.get("location") or None),
             coords=GeoPoint(*next(coordinates)) if _has_coords(row, where) else None,
         )

@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .corpus import CleanDoc
 from .errors import ConflictError, DomainError, FormatError, SchemaError
 from .table import bulk_rows, open_text, parse_floats, read_table, write_table
 
@@ -149,18 +148,15 @@ def load_word_vectors(path: str | Path) -> WordVectorTable:
     return WordVectorTable(dim=matrix.shape[1] - 1, vectors=dict(zip(tokens, matrix[:, 1:])))
 
 
-def fit_context(
-    docs: Sequence[CleanDoc],
-    table: WordVectorTable,
-    ridge: float | None = None,
-) -> ContextModel:
-    """Fit mean and covariance over all in-vocabulary token occurrences.
+def fit_context(docs: Sequence[tuple[str, Sequence[str]]], table: WordVectorTable,
+                ridge: float | None = None) -> ContextModel:
+    """Fit mean and covariance over the in-vocabulary tokens of (id, tokens) pairs.
 
     Tokens are counted with multiplicity. The covariance is the population
     covariance with ridge added to the diagonal; ridge defaults to
     1e-3 * trace / dim.
     """
-    rows = [table.vectors[t] for doc in docs for t in doc.tokens if t in table.vectors]
+    rows = [table.vectors[t] for _, tokens in docs for t in tokens if t in table.vectors]
     if not rows:
         raise DomainError("no in-vocabulary tokens in context")
     stack = np.array(rows)
@@ -233,29 +229,26 @@ def embed_sentence(
     return mean / norm, fallback
 
 
-def embed_corpus(
-    docs: Sequence[CleanDoc],
-    ctx: ContextModel,
-    table: WordVectorTable,
-) -> tuple[EmbeddingSpace, tuple[str, ...]]:
-    """Embed every doc; returns the space and ids that hit the mean fallback.
+def embed_corpus(docs: Sequence[tuple[str, Sequence[str]]], ctx: ContextModel,
+                 table: WordVectorTable) -> tuple[EmbeddingSpace, tuple[str, ...]]:
+    """Embed every (id, tokens) pair; returns the space and ids that hit the mean fallback.
 
     The saliences of all distinct tokens come from one solve, which raises
     on a singular context metric: a fault of the corpus, not of a record.
     """
-    saliences = token_saliences((t for doc in docs for t in doc.tokens), ctx, table)
+    saliences = token_saliences((t for _, tokens in docs for t in tokens), ctx, table)
     rows = []
     fallback_ids = []
-    for doc in docs:
+    for rid, tokens in docs:
         try:
-            vector, fallback = embed_sentence(doc.tokens, ctx, table, saliences)
+            vector, fallback = embed_sentence(tokens, ctx, table, saliences)
         except DomainError as exc:
-            raise DomainError(f"record {doc.id!r}: {exc}") from None
+            raise DomainError(f"record {rid!r}: {exc}") from None
         rows.append(vector)
         if fallback:
-            fallback_ids.append(doc.id)
+            fallback_ids.append(rid)
     matrix = np.array(rows) if rows else np.zeros((0, table.dim))
-    return EmbeddingSpace(ids=tuple(d.id for d in docs), matrix=matrix), tuple(fallback_ids)
+    return EmbeddingSpace(ids=tuple(rid for rid, _ in docs), matrix=matrix), tuple(fallback_ids)
 
 
 def import_embeddings(path: str | Path) -> EmbeddingSpace:

@@ -43,13 +43,13 @@ def load_labels(path: str | Path, scale_max: float, ids: Sequence[str]) -> tuple
     labels: list[float] = []
     seen: set[tuple[str, str]] = set()
     with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = filled_rows(reader := csv.reader(fh))
+        header = next(rows, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["id_a", "id_b"]:
             raise SchemaError(f"{path}: expected header id_a,id_b,score_1,...")
         if len(header) < 3:
             raise SchemaError(f"{path}: need at least one score column")
-        for row in filled_rows(reader):
+        for row in rows:
             where = f"{path}: line {reader.line_num}"
             if len(row) < 3:
                 raise RowError(where, "expected id_a, id_b and at least one score")

@@ -4,11 +4,15 @@ High-dimensional affinities use per-point Gaussian bandwidths calibrated
 by bisection to a target perplexity. The planar similarities default to a
 Gaussian kernel, with a Student-t switch; the cost is the KL divergence
 between the two distributions, minimized by momentum gradient descent
-with early exaggeration. Everything is deterministic given the seed.
+with early exaggeration: P is scaled by EARLY_EXAGGERATION for the first
+EXAGGERATION_ITERS iterations, and the momentum is MOMENTUM_START until
+iteration MOMENTUM_SWITCH, MOMENTUM_FINAL from it on. Everything is
+deterministic given the seed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +32,7 @@ from .errors import (
     FormatError,
     SchemaError,
 )
-from .table import open_text, write_table
+from .table import filled_rows, open_text, write_table
 
 KERNELS = ("gaussian", "student_t")
 COST_MODES = ("joint", "conditional")
@@ -46,6 +50,11 @@ _MAX_STEP = 0.5
 # run_tsne keeps the cost of every iteration and writes it out, one line per
 # value, so a run of this many iterations holds 8 MB of trace
 MAX_ITERATIONS = 10**6
+MOMENTUM_START = 0.5
+MOMENTUM_FINAL = 0.8
+MOMENTUM_SWITCH = 250
+EARLY_EXAGGERATION = 4.0
+EXAGGERATION_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -53,11 +62,6 @@ class TsneConfig:
     perplexity: float = 30.0
     iterations: int = 1000
     learning_rate: float = 100.0
-    momentum_start: float = 0.5
-    momentum_final: float = 0.8
-    momentum_switch: int = 250
-    early_exaggeration: float = 4.0
-    exaggeration_iters: int = 100
     kernel: str = "gaussian"
     cost: str = "joint"
     seed: int = 0
@@ -71,14 +75,6 @@ class TsneConfig:
             raise ConfigError(f"iterations must be <= {MAX_ITERATIONS}, got {self.iterations}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("momentum_start", "momentum_final"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {value}")
-        if self.early_exaggeration < 1.0:
-            raise ConfigError(f"early_exaggeration must be >= 1, got {self.early_exaggeration}")
-        if self.exaggeration_iters < 0 or self.momentum_switch < 0:
-            raise ConfigError("iteration thresholds must be >= 0")
         if self.kernel not in KERNELS:
             raise ConfigError(f"unknown kernel {self.kernel!r}; expected one of {KERNELS}")
         if self.cost not in COST_MODES:
@@ -317,18 +313,10 @@ def tsne_cost_and_grad(
     calls, as run_tsne does; without them the call builds its own, with
     the same result.
     """
-    terms = _p_terms(P, exaggeration) if p_terms is None else p_terms
+    plogp, S_P, halved = _p_terms(P, exaggeration) if p_terms is None else p_terms
     coords = np.asarray(coords, dtype=float)
-    if workspace is None:
-        with _Workspace(len(coords)) as own:
-            return _blocked_cost_and_grad(P, *terms, coords, kernel, cost, own)
-    return _blocked_cost_and_grad(P, *terms, coords, kernel, cost, workspace)
-
-
-def _blocked_cost_and_grad(P, plogp, S_P, halved, coords, kernel, cost, ws):
-    # the two sweeps of tsne_cost_and_grad over the workspace's row blocks
     x, y = coords[:, 0].copy(), coords[:, 1].copy()
-    n, Q, joint = len(x), ws.Q, cost == "joint"
+    n, joint = len(x), cost == "joint"
     row_sum, row_cost, s_sum, s_coords = np.empty(n), np.empty(n), np.empty(n), np.empty((n, 2))
 
     def sq_distances(block, dx, dy):
@@ -380,9 +368,11 @@ def _blocked_cost_and_grad(P, plogp, S_P, halved, coords, kernel, cost, ws):
         np.einsum("ij,j->i", S, y, out=s_coords[block, 1], optimize=False)
         np.add.reduce(S, axis=1, out=s_sum[block])
 
-    ws.each_block(kernel_weights)
-    total = max(float(row_sum.sum()), _Q_FLOOR)
-    ws.each_block(terms)
+    with _Workspace(n) if workspace is None else contextlib.nullcontext(workspace) as ws:
+        Q = ws.Q
+        ws.each_block(kernel_weights)
+        total = max(float(row_sum.sum()), _Q_FLOOR)
+        ws.each_block(terms)
     grad = (coords * s_sum[:, None] - s_coords) * (4.0 if halved else 2.0)
     return plogp - float(row_cost.sum()), grad
 
@@ -397,8 +387,8 @@ def run_tsne(
     exaggeration, per-coordinate adaptive gains, and a per-point step cap.
     Each iteration makes one tsne_cost_and_grad call, which returns the
     trace entry and the step's gradient from one evaluation of Q; during
-    the first `exaggeration_iters` iterations it is passed
-    `exaggeration=cfg.early_exaggeration`, later 1.0. One more call costs
+    the first EXAGGERATION_ITERS iterations it is passed
+    `exaggeration=EARLY_EXAGGERATION`, later 1.0. One more call costs
     the returned coordinates, so a run makes `iterations + 1` calls.
     The P-only terms of those calls (`_p_terms`) are built once per
     exaggeration factor, at most twice a run, the previous factor's
@@ -439,14 +429,14 @@ def run_tsne(
     with _Workspace(n) as workspace:
         p_terms, phase = None, None
         for it in range(cfg.iterations):
-            exaggeration = cfg.early_exaggeration if it < cfg.exaggeration_iters else 1.0
+            exaggeration = EARLY_EXAGGERATION if it < EXAGGERATION_ITERS else 1.0
             if exaggeration != phase:
                 p_terms = None  # release the previous phase's terms before building these
                 p_terms, phase = _p_terms(P, exaggeration), exaggeration
             trace[it], grad = tsne_cost_and_grad(
                 P, Y, cfg.kernel, cfg.cost, exaggeration, p_terms=p_terms, workspace=workspace
             )
-            momentum = cfg.momentum_start if it < cfg.momentum_switch else cfg.momentum_final
+            momentum = MOMENTUM_START if it < MOMENTUM_SWITCH else MOMENTUM_FINAL
             # Delta-bar-delta gains: grow a coordinate's rate while its gradient
             # keeps opposing the velocity, shrink it on overshoot.
             grow = np.sign(grad) != np.sign(velocity)
@@ -477,16 +467,14 @@ def write_trace_csv(kl_trace: np.ndarray, path: str | Path) -> None:
 
 
 def load_colors(path: str | Path) -> dict[str, str]:
-    """Read an id,color CSV for scatter fills."""
+    """Read an id,color CSV for scatter fills; blank rows are skipped."""
     colors: dict[str, str] = {}
     with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = filled_rows(reader := csv.reader(fh))
+        header = next(rows, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["id", "color"]:
             raise SchemaError(f"{path}: expected header id,color")
-        for row in reader:
-            if not row:
-                continue
+        for row in rows:
             where = f"{path}: line {reader.line_num}"
             if len(row) < 2:
                 raise FormatError(f"{where}: expected id,color, got {row!r}")

@@ -51,6 +51,7 @@ import math
 
 import numpy as np
 
+from semfuse import tsne
 from semfuse.embed import WordVectorTable
 from semfuse.errors import CalibrationError, ConflictError, DomainError, FormatError
 from semfuse.geotime import EARTH_RADIUS_MILES, FEATURE_COLUMNS, GeoPoint, great_circle_miles
@@ -576,7 +577,10 @@ def row_conditional_p(d2, sigmas):
 
 
 def tsne_descent(space, cfg, cost_and_grad) -> tuple:
-    """The two-call descent loop: the trace cost and the step gradient apart; returns run_tsne's tuple."""
+    """The two-call descent loop: the trace cost and the step gradient apart; returns run_tsne's tuple.
+
+    The schedule is `semfuse.tsne`'s constants as they stand at the call, so a test that sets them sets both loops.
+    """
     X = np.asarray(space, dtype=float)
     n = X.shape[0]
     effective = min(cfg.perplexity, max((n - 1) / 3.0, 1.5))
@@ -589,10 +593,10 @@ def tsne_descent(space, cfg, cost_and_grad) -> tuple:
     gains = np.ones_like(Y)
     trace = np.empty(cfg.iterations + 1)
     for it in range(cfg.iterations):
-        P_use = P * cfg.early_exaggeration if it < cfg.exaggeration_iters else P
+        P_use = P * tsne.EARLY_EXAGGERATION if it < tsne.EXAGGERATION_ITERS else P
         trace[it], _ = cost_and_grad(P, Y, cfg.kernel, cfg.cost)
         _, grad = cost_and_grad(P_use, Y, cfg.kernel, cfg.cost)
-        momentum = cfg.momentum_start if it < cfg.momentum_switch else cfg.momentum_final
+        momentum = tsne.MOMENTUM_START if it < tsne.MOMENTUM_SWITCH else tsne.MOMENTUM_FINAL
         grow = np.sign(grad) != np.sign(velocity)
         gains = np.where(grow, gains + 0.2, gains * 0.8)
         np.maximum(gains, _MIN_GAIN, out=gains)

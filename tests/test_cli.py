@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import byte_manifest
@@ -896,6 +897,20 @@ class TestTimestampBound:
         assert capsys.readouterr().err == f"error: {corpus}: line 2: record 'a': timestamp {stamp} is not below 2**53\n"
         assert not out.exists()
 
+    def test_a_stamp_too_long_for_int_exits_2(self, tmp_path, capsys):
+        # int() and str() refuse more than 4,300 digits; the stamp is refused by its count of significant digits
+        stamp = "1" + "0" * 5000
+        corpus, out = self.corpus(tmp_path, stamp), tmp_path / "out"
+        capsys.readouterr()
+        assert main(["--out-dir", str(out), "ingest", "--corpus", str(corpus)]) == 2
+        assert capsys.readouterr().err == f"error: {corpus}: line 2: record 'a': timestamp {stamp} is not below 2**53\n"
+        assert not out.exists()
+
+    def test_leading_zeros_do_not_count(self, tmp_path):
+        corpus, out = self.corpus(tmp_path, "0" * 5000 + "1"), tmp_path / "out"
+        assert main(["--out-dir", str(out), "ingest", "--corpus", str(corpus)]) == 0
+        assert (out / "records.csv").read_text(encoding="utf-8").splitlines()[1] == "a,quiet morning,1,,40.0,-75.0"
+
     def test_the_largest_exact_stamp_is_encoded_exactly(self, tmp_path):
         corpus, out = self.corpus(tmp_path, 2**53 - 1), tmp_path / "out"
         assert main(["--out-dir", str(out), "ingest", "--corpus", str(corpus)]) == 0
@@ -954,6 +969,13 @@ class TestSettingErrors:
                  "unknown cost mode 'reverse'; expected one of ('joint', 'conditional')"),
         "mode, eval": (["eval"], "mode", "rank", "unknown eval mode 'rank'; expected quality or compare"),
         "mode, sweep": (["sweep"], "mode", "rank", "unknown sweep mode 'rank'; expected quality or delta"),
+        "bounds without a colon": (["optimize", "--labels", "{rank_labels}"], "bounds", "0-1",
+                                   "bounds interval '0-1' must look like lo:hi"),
+        "alphas for other distance kinds": (["score"], "alphas", "1", "1 alphas for 2 distance kinds"),
+        "distance kind": (["score", "--alphas", "1"], "dist_kinds", "foo",
+                          "unknown distance kind 'foo'; expected one of ('exp_abs', 'inv_abs', 'floor_geo')"),
+        "zero step": (["optimize", "--labels", "{rank_labels}"], "step", "0", "step must be positive, got 0.0"),
+        "no trials": (["sweep", "--mode", "delta"], "trials", "0", "trials must be >= 1, got 0"),
     }
 
     @pytest.mark.parametrize("given", ["flag", "config"])
@@ -986,6 +1008,57 @@ class TestSettingErrors:
         assert main(["--out-dir", str(out), "sweep", "--mode", "quality", "--k-list", "4,2,4",
                      "--labels", str(pipeline_fixture["labels"])]) == 2
         assert capsys.readouterr().err == "error: k=4 is repeated in the component counts\n"
+        assert directory_bytes(out) == before
+
+
+class TestInputFileErrors:
+    """An input file a stage cannot use exits 2 with one error line and leaves out_dir as it was."""
+
+    # (file name, under tmp_path or, with "out/", in out_dir; its text; the stage; the error after "error: ")
+    CASES = {
+        "corpus format not inferred": ("corpus.txt", "id,text,timestamp\na,t,1\n", ["ingest", "--corpus", "{file}"],
+                                       "cannot infer corpus format from 'corpus.txt'; pass format explicitly"),
+        "jsonl key missing": ("c.jsonl", '{"id": "a", "text": "t"}\n', ["ingest", "--corpus", "{file}"],
+                              "{file}: line 1: missing key 'timestamp'"),
+        "text missing": ("c.csv", "id,text,timestamp\na\n", ["ingest", "--corpus", "{file}"],
+                         "{file}: line 2: missing text value"),
+        "rater labels without scores": ("l.csv", "id_a,id_b\n", ["eval", "--labels", "{file}"],
+                                        "{file}: need at least one score column"),
+        "rank labels of one row": ("r.csv", "0.5\n", ["optimize", "--labels", "{file}"],
+                                   "{file}: need at least 2 rows"),
+        "rank labels not square": ("r.csv", "0,1,2\n1,0,3\n", ["optimize", "--labels", "{file}"],
+                                   "{file}: score matrix is 2 x 3, not square"),
+        "feature layout": ("out/features.csv", "x,y\n1,2\n", ["augment"],
+                           "{file}: header ('x', 'y') matches no known feature layout"),
+        "no embedding columns": ("out/embeddings.csv", "id\na\n", ["reduce", "--k", "2"],
+                                 "{file}: no embedding columns"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_with_one_error_line(self, staged_out, tmp_path, capsys, case):
+        name, text, stage, message = self.CASES[case]
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        file = tmp_path / name
+        file.write_text(text, encoding="utf-8")
+        before = directory_bytes(out)
+        capsys.readouterr()
+        assert main(["--out-dir", str(out)] + [arg.format(file=file) for arg in stage]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(file=file)}\n"
+        assert directory_bytes(out) == before
+
+    def test_records_of_a_re_run_ingest_against_older_embeddings(self, staged_out, pipeline_fixture, tmp_path,
+                                                                 capsys):
+        # ingest ran again, on another corpus, and embed did not
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        corpus = tmp_path / "other.csv"
+        corpus.write_text("id,text,timestamp\nx,quiet morning,1\ny,busy night,2\n", encoding="utf-8")
+        assert main(["--out-dir", str(out), "ingest", "--corpus", str(corpus)]) == 0
+        before = directory_bytes(out)
+        capsys.readouterr()
+        assert main(["--out-dir", str(out), "score"]) == 2
+        assert capsys.readouterr().err == f"error: {out}/records.csv and {out}/embeddings.csv list different ids\n"
         assert directory_bytes(out) == before
 
 
@@ -1047,13 +1120,13 @@ def test_optimize_sidecar_records_the_step(staged_out, pipeline_fixture, tmp_pat
 PLANTED_WEIGHTS, LABEL_NOISE = (0.6, 2.0), 0.05
 
 
-def planted_batch(out: Path, seed: int) -> Path:
-    """A 16-record batch in `out` (records.csv, embeddings.csv) and its labels file.
+def planted_batch(out: Path, seed: int, m: int = 16) -> Path:
+    """An m-record batch in `out` (records.csv, embeddings.csv) and its labels file.
 
     The labels are the sigma scores under PLANTED_WEIGHTS, plus symmetric
     noise of standard deviation LABEL_NOISE, as a full score matrix.
     """
-    rng, m = np.random.default_rng(seed), 16
+    rng = np.random.default_rng(seed)
     ids = [f"b{seed}r{i}" for i in range(m)]
     corpus = out.parent / f"corpus{seed}.csv"
     days, lats, lons = rng.integers(0, 15, m), rng.uniform(25, 49, m).round(4), rng.uniform(-124, -67, m).round(4)
@@ -1086,6 +1159,16 @@ def test_fitted_weights_rank_a_held_out_batch_better_than_text_alone(tmp_path):
         assert main(["--out-dir", str(held_out), "eval", "--mode", "compare", "--labels", str(held_labels)]) == 0
         losses[alphas] = float(re.search(r"^rank_loss,(.*)$", (held_out / "eval.csv").read_text(), re.M)[1])
     assert losses[fitted] < losses["0,0"], losses
+
+
+def test_a_stage_warning_is_one_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    labels = planted_batch(out, 3, m=25)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # Python's own filter for a user warning, not the suite's "error"
+        assert main(["--out-dir", str(out), "optimize", "--labels", str(labels), "--rounds", "1"]) == 0
+    assert capsys.readouterr().err == "warning: batch size 25 outside the recommended 10-20 range\n"
 
 
 class TestFileSettings:

@@ -362,9 +362,7 @@ class TestCleanCorpus:
             Record("b", "http://x.co only", 2),
         ]
         docs = clean_corpus(records)
-        assert [d.id for d in docs] == ["a", "b"]
-        assert docs[0].tokens == ("debt", "ceiling")
-        assert docs[1].tokens == ()
+        assert docs == [("a", ("debt", "ceiling")), ("b", ())]
 
 
 class TestRecordValidation:
@@ -381,3 +379,13 @@ class TestRecordValidation:
         assert Record("a", "text", 2**53 - 1).timestamp == 2**53 - 1
         with pytest.raises(DomainError, match=r"^record 'a': timestamp 9007199254740992 is not below 2\*\*53$"):
             Record("a", "text", 2**53)
+
+    @pytest.mark.parametrize("name, text, reason", [
+        ("c.csv", "id,text,timestamp\na,t,+00" + "1" + "0" * 16 + "\n", "timestamp 1" + "0" * 16 + " is not below"),
+        ("c.csv", "id,text,timestamp\na,t,-" + "0" * 5000 + "1" * 5000 + "\n", "timestamp -" + "1" * 5000 + " is negative"),
+        ("c.jsonl", '{"id": "a", "text": "t", "timestamp": 1' + "0" * 5000 + "}\n", "a JSON integer has more than 4300"),
+    ], ids=["17 digits", "5000 digits, negative", "jsonl"])
+    def test_a_stamp_of_more_than_16_significant_digits(self, tmp_path, name, text, reason):
+        # int() and str() refuse more than 4,300 digits, so no message converts the stamp
+        with pytest.raises(RowError, match=f"line [12]: (record 'a': )?{reason}"):
+            load_corpus(write(tmp_path / name, text))

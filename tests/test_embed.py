@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semfuse import embed
-from semfuse.corpus import CleanDoc
 from semfuse.embed import (
     ContextModel,
     EmbeddingSpace,
@@ -334,14 +333,14 @@ class TestLoadWordVectorsAgainstOracle:
 class TestFitContext:
     def test_single_repeated_vector(self):
         table = table_from({"a": [1.0, 2.0], "b": [1.0, 2.0]})
-        docs = [CleanDoc("d1", ("a", "b", "a"))]
+        docs = [("d1", ("a", "b", "a"))]
         ctx = fit_context(docs, table, ridge=0.25)
         assert np.allclose(ctx.mean, [1.0, 2.0])
         assert np.allclose(ctx.covariance, 0.25 * np.eye(2))
 
     def test_opposite_vectors_mean_zero(self):
         table = table_from({"p": [3.0, -1.0], "q": [-3.0, 1.0]})
-        ctx = fit_context([CleanDoc("d", ("p", "q"))], table, ridge=0.0)
+        ctx = fit_context([("d", ("p", "q"))], table, ridge=0.0)
         assert np.allclose(ctx.mean, [0.0, 0.0])
 
     def test_matches_two_pass_oracle(self):
@@ -353,7 +352,7 @@ class TestFitContext:
                 "d": [-1.0, 0.5, 0.5],
             }
         )
-        docs = [CleanDoc("d1", ("a", "b", "c")), CleanDoc("d2", ("d", "a"))]
+        docs = [("d1", ("a", "b", "c")), ("d2", ("d", "a"))]
         ridge = 0.01
         ctx = fit_context(docs, table, ridge=ridge)
 
@@ -372,7 +371,7 @@ class TestFitContext:
     def test_no_vocabulary_rejected(self):
         table = table_from({"a": [1.0, 2.0]})
         with pytest.raises(DomainError):
-            fit_context([CleanDoc("d", ("zzz",))], table)
+            fit_context([("d", ("zzz",))], table)
 
     @given(st.integers(min_value=0, max_value=500))
     @settings(max_examples=40)
@@ -382,7 +381,7 @@ class TestFitContext:
         dim = int(rng.integers(2, 6))
         names = [f"w{i}" for i in range(n_tokens)]
         table = WordVectorTable(dim, {n: rng.normal(size=dim) for n in names})
-        docs = [CleanDoc("d", tuple(names))]
+        docs = [("d", tuple(names))]
         ridge = float(rng.uniform(0, 0.1))
         ctx = fit_context(docs, table, ridge=ridge)
         vecs = np.stack([table.vectors[n] for n in names])
@@ -419,7 +418,7 @@ class TestWordSalience:
         offset = np.array([10.0, -4.0, 2.5])
         table_a = WordVectorTable(3, dict(vecs))
         table_b = WordVectorTable(3, {k: v + offset for k, v in vecs.items()})
-        docs = [CleanDoc("d", tuple(vecs))]
+        docs = [("d", tuple(vecs))]
         ctx_a = fit_context(docs, table_a, ridge=0.01)
         ctx_b = fit_context(docs, table_b, ridge=0.01)
         saliences_a = token_saliences(vecs, ctx_a, table_a)
@@ -435,12 +434,12 @@ def salience_corpus(seed: int, dim: int, n_docs: int, vocab: int = 12):
     names = [f"w{i}" for i in range(vocab)]
     vectors = {n: rng.normal(size=dim) for n in names}
     docs = [
-        CleanDoc(f"d{i}", (names[i % vocab], *rng.choice(names + ["oov"], size=int(rng.integers(0, 8)))))
+        (f"d{i}", (names[i % vocab], *rng.choice(names + ["oov"], size=int(rng.integers(0, 8)))))
         for i in range(n_docs)
     ]
     ctx = fit_context(docs, WordVectorTable(dim, vectors), ridge=0.01)
     table = WordVectorTable(dim, {**vectors, "mid": ctx.mean.copy()})
-    docs.append(CleanDoc("at_mean", ("mid", "oov", "mid")))
+    docs.append(("at_mean", ("mid", "oov", "mid")))
     return docs, ctx, table
 
 
@@ -453,7 +452,7 @@ class TestTokenSaliences:
     @settings(max_examples=30, deadline=None)
     def test_matches_per_occurrence_oracle(self, seed, dim):
         docs, ctx, table = salience_corpus(seed, dim, 6)
-        tokens = [t for doc in docs for t in doc.tokens]
+        tokens = [t for _, doc_tokens in docs for t in doc_tokens]
         got = token_saliences(tokens, ctx, table)
         assert list(got) == list(dict.fromkeys(t for t in tokens if t in table.vectors))
         for token, value in got.items():
@@ -464,8 +463,8 @@ class TestTokenSaliences:
     def test_embed_corpus_matches_per_occurrence_oracle(self):
         docs, ctx, table = salience_corpus(7, 8, 20)
         space, fallback_ids = embed_corpus(docs, ctx, table)
-        for doc, row in zip(docs, space.matrix):
-            known = [t for t in doc.tokens if t in table.vectors]
+        for (_, doc_tokens), row in zip(docs, space.matrix):
+            known = [t for t in doc_tokens if t in table.vectors]
             weights = np.array([oracles.word_salience(t, ctx, table) for t in known])
             stack = np.array([table.vectors[t] for t in known])
             mean = stack.mean(axis=0) if weights.sum() == 0.0 else weights @ stack / weights.sum()
@@ -475,7 +474,7 @@ class TestTokenSaliences:
     def test_word_salience_reads_the_map(self):
         # a token's salience alone is its entry in the map of a whole corpus, up to the solve's rounding
         docs, ctx, table = salience_corpus(8, 3, 4)
-        tokens = [t for doc in docs for t in doc.tokens]
+        tokens = [t for _, doc_tokens in docs for t in doc_tokens]
         everything = token_saliences(tokens, ctx, table)
         for token in ("w0", "w1", "mid"):
             alone = token_saliences([token], ctx, table)
@@ -518,19 +517,19 @@ class TestTokenSaliences:
     def test_singular_metric_is_a_fault_of_the_corpus(self):
         # the metric belongs to the whole corpus, so no record is named, and
         # the fault comes before any record's own
-        docs = [CleanDoc("flat", ("z",)), CleanDoc("moved", ("z", "a")), CleanDoc("later", ("a",))]
+        docs = [("flat", ("z",)), ("moved", ("z", "a")), ("later", ("a",))]
         with pytest.raises(DomainError, match=r"^context metric is singular; increase ridge$"):
             embed_corpus(docs, SINGULAR, SINGULAR_TABLE)
-        docs = [CleanDoc("none", ("oov",))] + docs
+        docs = [("none", ("oov",))] + docs
         with pytest.raises(DomainError, match=r"^context metric is singular; increase ridge$"):
             embed_corpus(docs, SINGULAR, SINGULAR_TABLE)
         # tokens on the mean need no solve, so a corpus of them embeds
-        space, fallback_ids = embed_corpus([CleanDoc("flat", ("z",))], SINGULAR, SINGULAR_TABLE)
+        space, fallback_ids = embed_corpus([("flat", ("z",))], SINGULAR, SINGULAR_TABLE)
         assert space.ids == ("flat",) and fallback_ids == ("flat",)
         # a record's own fault names the record
         identity = ContextModel(np.zeros(2), np.eye(2), 0.0)
         with pytest.raises(DomainError, match=r"^record 'none': no in-vocabulary tokens in sentence$"):
-            embed_corpus([CleanDoc("some", ("a",)), CleanDoc("none", ("oov",))], identity, SINGULAR_TABLE)
+            embed_corpus([("some", ("a",)), ("none", ("oov",))], identity, SINGULAR_TABLE)
 
 
 class TestEmbedSentence:
@@ -572,7 +571,7 @@ class TestEmbedSentence:
 
     def test_zero_salience_falls_back_to_plain_mean(self):
         table = table_from({"a": [2.0, 2.0], "b": [2.0, 2.0]})
-        docs = [CleanDoc("d", ("a", "b"))]
+        docs = [("d", ("a", "b"))]
         ctx = fit_context(docs, table, ridge=0.0)
         vector, fallback = embed_sentence(["a", "b"], ctx, table)
         assert fallback
@@ -584,7 +583,7 @@ class TestEmbedSentence:
         rng = np.random.default_rng(seed)
         names = [f"w{i}" for i in range(int(rng.integers(2, 10)))]
         table = WordVectorTable(3, {n: rng.normal(size=3) for n in names})
-        ctx = fit_context([CleanDoc("d", tuple(names))], table)
+        ctx = fit_context([("d", tuple(names))], table)
         vector, _ = embed_sentence(names, ctx, table)
         assert abs(np.linalg.norm(vector) - 1.0) < 1e-9
 
@@ -663,7 +662,7 @@ class TestEmbeddingIO:
 class TestEmbedCorpus:
     def test_ids_follow_docs(self):
         table = table_from({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]})
-        docs = [CleanDoc("d1", ("a", "b")), CleanDoc("d2", ("c",))]
+        docs = [("d1", ("a", "b")), ("d2", ("c",))]
         ctx = fit_context(docs, table)
         space, fallback_ids = embed_corpus(docs, ctx, table)
         assert space.ids == ("d1", "d2")
@@ -672,7 +671,14 @@ class TestEmbedCorpus:
 
     def test_empty_doc_names_id(self):
         table = table_from({"a": [1.0, 0.0]})
-        docs = [CleanDoc("ok", ("a",)), CleanDoc("empty", ())]
+        docs = [("ok", ("a",)), ("empty", ())]
         ctx = fit_context(docs, table)
         with pytest.raises(DomainError, match="empty"):
             embed_corpus(docs, ctx, table)
+
+    def test_repeated_id_rejected(self):
+        # the pairs are a list, not a map: a repeated id is refused, not merged
+        table = table_from({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        docs = [("d", ("a",)), ("d", ("b",))]
+        with pytest.raises(DomainError, match="duplicate ids in embedding space"):
+            embed_corpus(docs, fit_context(docs, table), table)

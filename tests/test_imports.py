@@ -78,3 +78,9 @@ def test_the_import_check_reads_every_form():
 def test_a_numeric_layer_imports_no_id_layer(module, kept_out):
     source = (Path(semfuse.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
     assert kept_out not in package_imports(source)
+
+
+def test_embed_imports_nothing_from_corpus():
+    # the text layer takes (id, tokens) pairs, so it needs no record type of the corpus reader
+    source = (Path(semfuse.__file__).parent / "embed.py").read_text(encoding="utf-8")
+    assert "corpus" not in package_imports(source)

@@ -15,7 +15,7 @@ from semfuse.corpus import load_corpus, load_gazetteer
 from semfuse.embed import EmbeddingSpace, export_embeddings, import_embeddings, load_word_vectors
 from semfuse.errors import ConflictError, FormatError, SemfuseError
 from semfuse.evalkit import load_labels
-from semfuse.geotime import load_feature_matrix, save_feature_matrix
+from semfuse.geotime import GeoPoint, load_feature_matrix, save_feature_matrix
 from semfuse.rankopt import load_rank_labels, rank_matrix
 from semfuse.stopwords import load_stopwords
 from semfuse.tsne import load_colors
@@ -131,6 +131,35 @@ class TestWritersMatchTheirOldBytes:
 def rater_labels(path):
     """load_labels over every id these tests' label files name: a, b, and a<i>, b<i> for i below 5000."""
     return load_labels(path, 4.0, ["a", "b", *(f"{side}{i}" for i in range(5000) for side in "ab")])
+
+
+# (reader, a file with blank rows before its header and among its rows, what it reads): one rule,
+# `table.filled_rows`, for every CSV reader: a row whose cells are all blank is skipped
+BLANK_ROW_CASES = {
+    "corpus": (lambda p: [r.id for r in load_corpus(p)], "\n,,\nid,text,timestamp\na,one,1\n,,\n \t, ,\nb,two,2\n",
+               ["a", "b"]),
+    "corpus, tsv": (lambda p: [r.id for r in load_corpus(p, "tsv")], "\t\t\nid\ttext\ttimestamp\na\tone\t1\n\t\t\n",
+                    ["a"]),
+    "gazetteer": (load_gazetteer, "\n,,\nlocation,lat,lon\nA,1,2\n,,\n", {"a": GeoPoint(1.0, 2.0)}),
+    "colors": (load_colors, "\n,\nid,color\na,#f00\n,\n,\n", {"a": "#f00"}),
+    "rater labels": (lambda p: rater_labels(p)[1].tolist(), "\n,,\nid_a,id_b,score_1\na,b,2\n,,\n", [0.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLANK_ROW_CASES))
+def test_blank_rows_are_skipped_by_every_csv_reader(tmp_path, case):
+    read, text, want = BLANK_ROW_CASES[case]
+    assert read(write(tmp_path / "t.csv", text)) == want
+
+
+@pytest.mark.parametrize("read, text, line, reason", [
+    (load_corpus, "\n,,\nid,text,timestamp\n,,\na,t,x\n", 5, "timestamp 'x' is not an integer"),
+    (load_gazetteer, ",,\nlocation,lat,lon\n , \n,1,2\n", 4, "empty location"),
+], ids=["corpus", "gazetteer"])
+def test_a_row_after_blank_rows_is_named_by_its_line(tmp_path, read, text, line, reason):
+    p = write(tmp_path / "t.csv", text)
+    with pytest.raises(SemfuseError, match=fault(p, line, reason)):
+        read(p)
 
 
 # (reader, file text with the cell {} on line 2); each reads its own layout

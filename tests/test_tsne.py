@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -365,6 +366,13 @@ class TestTsneConfig:
         with pytest.raises(ConfigError):
             TsneConfig(cost="forward")
 
+    def test_fields_are_the_settings_a_caller_sets(self):
+        # the descent schedule is the module's constants, not a setting
+        names = [field.name for field in dataclasses.fields(TsneConfig)]
+        assert names == ["perplexity", "iterations", "learning_rate", "kernel", "cost", "seed"]
+        assert (semfuse.tsne.MOMENTUM_START, semfuse.tsne.MOMENTUM_FINAL, semfuse.tsne.MOMENTUM_SWITCH,
+                semfuse.tsne.EARLY_EXAGGERATION, semfuse.tsne.EXAGGERATION_ITERS) == (0.5, 0.8, 250, 4.0, 100)
+
 
 def two_cluster_space(seed=3, per=8, sep=6.0, scale=0.2, dim=4):
     rng = np.random.default_rng(seed)
@@ -502,7 +510,8 @@ class TestBlockedCost:
     def test_run_tsne_same_bytes_with_pools_of_one_and_two(self, monkeypatch, cost):
         rng = np.random.default_rng(21)
         X = np.vstack([rng.normal(size=(100, 6)) + 4.0 * k for k in range(3)])
-        cfg = TsneConfig(iterations=25, exaggeration_iters=15, cost=cost, seed=2)
+        monkeypatch.setattr(semfuse.tsne, "EXAGGERATION_ITERS", 15)
+        cfg = TsneConfig(iterations=25, cost=cost, seed=2)
         runs = []
         for workers in (1, 2):
             monkeypatch.setattr(semfuse.tsne, "_cpu_count", lambda: workers)
@@ -561,8 +570,8 @@ class TestSecondSweep:
             return terms
 
         monkeypatch.setattr(semfuse.tsne, "_p_terms", recording)
-        run_tsne(two_cluster_space(per=6), TsneConfig(perplexity=4.0, iterations=12,
-                                                      exaggeration_iters=6, cost=cost, seed=1))
+        monkeypatch.setattr(semfuse.tsne, "EXAGGERATION_ITERS", 6)
+        run_tsne(two_cluster_space(per=6), TsneConfig(perplexity=4.0, iterations=12, cost=cost, seed=1))
         assert seen == [halved, halved]
 
 
@@ -599,11 +608,12 @@ class TestFusedPass:
         assert np.array_equal(got_trace, kl_trace)
 
     @pytest.mark.parametrize("kernel", ["gaussian", "student_t"])
-    def test_non_power_of_two_exaggeration_matches_exactly(self, kernel):
+    def test_non_power_of_two_exaggeration_matches_exactly(self, monkeypatch, kernel):
         # the fused pass scales P before the transpose-add, as the old loop
         # did, so the tolerance is zero for any factor, not only 2^k
-        cfg = TsneConfig(perplexity=3.0, iterations=12, early_exaggeration=3.0,
-                         exaggeration_iters=8, kernel=kernel, seed=2)
+        monkeypatch.setattr(semfuse.tsne, "EARLY_EXAGGERATION", 3.0)
+        monkeypatch.setattr(semfuse.tsne, "EXAGGERATION_ITERS", 8)
+        cfg = TsneConfig(perplexity=3.0, iterations=12, kernel=kernel, seed=2)
         X = two_cluster_space(per=5)
         (got_coords, got_trace, _, _), (coords, kl_trace, _, _) = (
             run_tsne(X, cfg), oracles.tsne_descent(X, cfg, tsne_cost_and_grad))
@@ -619,7 +629,8 @@ class TestFusedPass:
             return original(P, coords, kernel, cost, exaggeration, **kw)
 
         monkeypatch.setattr(semfuse.tsne, "tsne_cost_and_grad", counting)
-        cfg = TsneConfig(perplexity=3.0, iterations=15, exaggeration_iters=6, seed=1)
+        monkeypatch.setattr(semfuse.tsne, "EXAGGERATION_ITERS", 6)
+        cfg = TsneConfig(perplexity=3.0, iterations=15, seed=1)
         run_tsne(two_cluster_space(per=4), cfg)
         assert len(calls) == cfg.iterations + 1
         # exaggerated while early exaggeration lasts, plain after, plain for the final cost
@@ -631,10 +642,11 @@ class TestPhaseTerms:
 
     @pytest.mark.parametrize("kernel", ["gaussian", "student_t"])
     @pytest.mark.parametrize("cost", ["joint", "conditional"])
-    def test_descent_matches_two_call_loop_at_300_points(self, kernel, cost):
+    def test_descent_matches_two_call_loop_at_300_points(self, monkeypatch, kernel, cost):
         rng = np.random.default_rng(17)
         X = np.vstack([rng.normal(size=(100, 6)) + 4.0 * k for k in range(3)])
-        cfg = TsneConfig(iterations=30, exaggeration_iters=20, kernel=kernel, cost=cost, seed=4)
+        monkeypatch.setattr(semfuse.tsne, "EXAGGERATION_ITERS", 20)
+        cfg = TsneConfig(iterations=30, kernel=kernel, cost=cost, seed=4)
         (got_coords, got_trace, _, got_sigmas), (coords, kl_trace, _, sigmas) = (
             run_tsne(X, cfg), oracles.tsne_descent(X, cfg, tsne_cost_and_grad))
         assert np.array_equal(got_coords, coords)
@@ -669,8 +681,8 @@ class TestPhaseTerms:
             return original(P, exaggeration)
 
         monkeypatch.setattr(semfuse.tsne, "_p_terms", counting)
-        cfg = TsneConfig(perplexity=3.0, iterations=iterations,
-                         exaggeration_iters=exaggeration_iters, seed=1)
+        monkeypatch.setattr(semfuse.tsne, "EXAGGERATION_ITERS", exaggeration_iters)
+        cfg = TsneConfig(perplexity=3.0, iterations=iterations, seed=1)
         run_tsne(two_cluster_space(per=4), cfg)
         assert builds == expected
 
